@@ -7,6 +7,22 @@
 //! scaled down together with workload execution lengths (see `DESIGN.md`)
 //! so the ratios the methodology depends on are preserved.
 
+/// A set of ROB slots, one bit per slot: the pipeline's back-end scheduling
+/// state (in the issue queue, operands ready, executing) and each physical
+/// register's waiter list are values of this type, so wakeup and select are
+/// word operations instead of per-entry polls.
+pub type SlotSet = u64;
+
+/// Most ROB entries a [`SlotSet`] can name.
+pub const SLOT_SET_BITS: u32 = SlotSet::BITS;
+
+/// A load/store's ring slot in its queue, as recorded in its ROB entry at
+/// dispatch.
+pub type LsqSlot = u8;
+
+/// Most LQ (or SQ) entries an [`LsqSlot`] can name.
+pub const MAX_LSQ_ENTRIES: u32 = 1 << LsqSlot::BITS;
+
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheGeometry {
@@ -241,7 +257,21 @@ impl MuarchConfig {
         assert!(self.predictor_entries.is_power_of_two());
         assert!(self.btb_entries.is_power_of_two());
         assert!(self.rob_entries >= self.commit_width);
+        assert!(
+            self.rob_entries <= SLOT_SET_BITS,
+            "rob_entries exceeds the ROB slot-set width"
+        );
         assert!(self.lq_entries >= 1 && self.sq_entries >= 1);
+        // A ROB entry records its LQ/SQ ring slot in an `LsqSlot`; a larger
+        // queue would truncate the slot number at dispatch.
+        assert!(
+            self.lq_entries <= MAX_LSQ_ENTRIES,
+            "lq_entries exceeds the LQ slot type"
+        );
+        assert!(
+            self.sq_entries <= MAX_LSQ_ENTRIES,
+            "sq_entries exceeds the SQ slot type"
+        );
     }
 }
 
@@ -253,6 +283,47 @@ mod tests {
     fn both_configs_validate() {
         MuarchConfig::big().validate();
         MuarchConfig::small().validate();
+    }
+
+    #[test]
+    fn bounds_are_inclusive() {
+        let cfg = MuarchConfig {
+            rob_entries: SLOT_SET_BITS,
+            lq_entries: MAX_LSQ_ENTRIES,
+            sq_entries: MAX_LSQ_ENTRIES,
+            ..MuarchConfig::big()
+        };
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "rob_entries exceeds the ROB slot-set width")]
+    fn rob_wider_than_the_slot_set_is_rejected() {
+        let cfg = MuarchConfig {
+            rob_entries: SLOT_SET_BITS + 1,
+            ..MuarchConfig::big()
+        };
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "lq_entries exceeds the LQ slot type")]
+    fn lq_larger_than_its_slot_type_is_rejected() {
+        let cfg = MuarchConfig {
+            lq_entries: MAX_LSQ_ENTRIES + 1,
+            ..MuarchConfig::big()
+        };
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "sq_entries exceeds the SQ slot type")]
+    fn sq_larger_than_its_slot_type_is_rejected() {
+        let cfg = MuarchConfig {
+            sq_entries: MAX_LSQ_ENTRIES + 1,
+            ..MuarchConfig::big()
+        };
+        cfg.validate();
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! — and therefore the paper's `ETE` manifestation class — meaningful.
 
 use crate::cache::{Cache, Eviction, MAX_LINE_BYTES};
-use crate::config::MuarchConfig;
+use crate::config::{LsqSlot, MuarchConfig, SlotSet};
 use crate::exec;
 use crate::fault::{Fault, Structure};
 use crate::mem::{MemFault, Memory};
@@ -34,17 +34,11 @@ const FLAG_STORE: u8 = 0b0010;
 const FLAG_CONTROL: u8 = 0b0100;
 const FLAG_WRITES: u8 = 0b1000;
 
-/// ROB entry lifecycle states, stored in the dense `rob_state` byte array
-/// (struct-of-arrays) so the per-cycle writeback walk reads one byte per
-/// entry instead of striding through full payload structs.
-const ST_IN_IQ: u8 = 0;
-const ST_EXECUTING: u8 = 1;
-const ST_DONE: u8 = 2;
-
-/// Cold ROB payload. The two fields the per-cycle loops actually poll —
-/// lifecycle state and finish cycle — live in the parallel `rob_state` /
-/// `rob_finish` arrays on [`Sim`]; slot validity is defined by the ring
-/// bounds `[rob_head, rob_head + rob_count)`, not by an `Option` wrapper.
+/// ROB payload. An entry's lifecycle state is not stored here: it is the
+/// slot's membership in the `in_iq` / `executing` slot sets on [`Sim`] (in
+/// neither: done), and its finish cycle lives in the parallel `rob_finish`
+/// array. Slot validity is defined by the ring bounds
+/// `[rob_head, rob_head + rob_count)`, not by an `Option` wrapper.
 #[derive(Debug, Clone, Copy)]
 struct RobEntry {
     seq: u64,
@@ -63,8 +57,8 @@ struct RobEntry {
     /// LQ/SQ ring slot of this instruction (loads/stores only), recorded at
     /// dispatch so resolution never has to scan the queues for a sequence
     /// number.
-    lq_slot: u8,
-    sq_slot: u8,
+    lq_slot: LsqSlot,
+    sq_slot: LsqSlot,
     predicted_next: u32,
     actual_next: u32,
     resolved_control: bool,
@@ -135,14 +129,13 @@ struct Fetched {
 /// generation and refills every buffer in one place (each reset is an O(1)
 /// length reset plus a copy of only the *live* content). The generation
 /// stamps ROB slots at dispatch, so any index that leaks across a rewind
-/// (a stale issue-queue or decode-queue reference) trips a debug assertion
+/// (a stale slot-set bit or decode-queue reference) trips a debug assertion
 /// instead of silently reading a previous run's state.
 #[derive(Debug, Clone)]
 struct RunScratch {
     /// Bumped on every rewind; compared against `rob_stamp` at use sites.
     gen: u64,
     decode_q: VecDeque<Fetched>,
-    iq: Vec<usize>,
     trace: Vec<CommitRecord>,
     pending_faults: Vec<Fault>, // sorted by cycle, ascending
 }
@@ -152,7 +145,6 @@ impl RunScratch {
         RunScratch {
             gen: 0,
             decode_q: VecDeque::with_capacity(2 * cfg.fetch_width as usize + 2),
-            iq: Vec::with_capacity(cfg.iq_entries as usize),
             trace: Vec::new(),
             pending_faults: Vec::new(),
         }
@@ -164,8 +156,6 @@ impl RunScratch {
         self.gen += 1;
         self.decode_q.clear();
         self.decode_q.extend(src.decode_q.iter().copied());
-        self.iq.clear();
-        self.iq.extend_from_slice(&src.iq);
         self.trace.clear();
         self.trace.extend_from_slice(&src.trace);
         self.pending_faults.clear();
@@ -182,6 +172,52 @@ fn copy_ring<T: Copy>(dst: &mut [T], src: &[T], head: usize, count: usize) {
     dst[head..head + first].copy_from_slice(&src[head..head + first]);
     let rest = count - first;
     dst[..rest].copy_from_slice(&src[..rest]);
+}
+
+/// Next index in a ring of `len` slots. A compare, not `%`: ring lengths are
+/// run-time values, so a modulo here is a hardware divide on paths that run
+/// several times per simulated cycle.
+#[inline]
+fn wrap_inc(i: usize, len: usize) -> usize {
+    if i + 1 == len {
+        0
+    } else {
+        i + 1
+    }
+}
+
+/// Previous index in a ring of `len` slots.
+#[inline]
+fn wrap_dec(i: usize, len: usize) -> usize {
+    if i == 0 {
+        len - 1
+    } else {
+        i - 1
+    }
+}
+
+/// Iterates the slots of `set` in ring (age) order starting at `head`:
+/// first the slots at or above `head`, ascending, then the wrapped ones
+/// below it. Holds for any ROB size up to the set width — only bits below
+/// `rob_entries` are ever set, so no rotation by the ring length is needed
+/// (a 32-entry ROB must not be walked as if it wrapped at 64).
+///
+/// The iterator owns a copy of the set: slots added or removed while it
+/// runs are not seen, so callers stop iterating after a squash.
+fn ring_order(set: SlotSet, head: usize) -> impl Iterator<Item = usize> {
+    let below_head = set & ((1 << head) - 1);
+    let mut parts = [set & !below_head, below_head];
+    core::iter::from_fn(move || {
+        if parts[0] == 0 {
+            parts = [parts[1], 0];
+            if parts[0] == 0 {
+                return None;
+            }
+        }
+        let slot = parts[0].trailing_zeros() as usize;
+        parts[0] &= parts[0] - 1;
+        Some(slot)
+    })
 }
 
 /// The simulator: one core, one program, one run.
@@ -203,14 +239,23 @@ pub struct Sim {
     fetch_ready_cycle: u64,
     fetch_paused: bool,
 
-    // Rename + backend, struct-of-arrays: the per-cycle scans poll the
-    // dense `rob_state`/`rob_finish` arrays; the payload vector is only
-    // touched for entries that actually change state this cycle. Ring
-    // bounds define validity (no `Option` wrappers); `rob_stamp` carries
-    // the run-scratch generation for stale-index detection.
+    // Rename + backend. Ring bounds define validity (no `Option`
+    // wrappers); `rob_stamp` carries the run-scratch generation for
+    // stale-index detection.
+    //
+    // The back end is event-driven: one bit per ROB slot in three sets
+    // replaces per-cycle polls of every entry. `in_iq` holds the slots
+    // occupying an issue-queue entry; `ready` ⊆ `in_iq` those whose
+    // operands have all been produced (set at dispatch, or by the
+    // writeback that produces the last one — see `RegFile::write`);
+    // `executing` the issued slots waiting for `rob_finish`. A live slot in
+    // neither `in_iq` nor `executing` is done. Each stage visits only its
+    // own set, oldest first (`ring_order`).
     rf: RegFile,
     rob: Vec<RobEntry>,
-    rob_state: Vec<u8>,
+    in_iq: SlotSet,
+    ready: SlotSet,
+    executing: SlotSet,
     rob_finish: Vec<u64>,
     rob_stamp: Vec<u64>,
     rob_head: usize,
@@ -275,7 +320,9 @@ impl Sim {
             fetch_paused: false,
             rf: RegFile::new(cfg.phys_regs),
             rob: vec![RobEntry::blank(); cfg.rob_entries as usize],
-            rob_state: vec![ST_IN_IQ; cfg.rob_entries as usize],
+            in_iq: 0,
+            ready: 0,
+            executing: 0,
             rob_finish: vec![0; cfg.rob_entries as usize],
             rob_stamp: vec![0; cfg.rob_entries as usize],
             rob_head: 0,
@@ -727,7 +774,7 @@ impl Sim {
                 .decoded
                 .as_ref()
                 .is_some_and(|i| !matches!(i.op, Opcode::Nop | Opcode::Halt));
-            if needs_exec && self.scratch.iq.len() >= self.cfg.iq_entries as usize {
+            if needs_exec && self.in_iq.count_ones() >= self.cfg.iq_entries {
                 break;
             }
             let (is_load, is_store, writes, is_control) = match &front.decoded {
@@ -782,23 +829,25 @@ impl Sim {
             }
 
             let ridx = self.rob_tail;
-            self.rob_tail = (self.rob_tail + 1) % self.rob.len();
+            self.rob_tail = wrap_inc(self.rob_tail, self.rob.len());
             self.rob_count += 1;
 
-            let mut lq_slot = 0u8;
-            let mut sq_slot = 0u8;
+            // `as` cannot truncate: `MuarchConfig::validate` bounds both
+            // queues to what an `LsqSlot` can name.
+            let mut lq_slot: LsqSlot = 0;
+            let mut sq_slot: LsqSlot = 0;
             if is_load {
-                lq_slot = self.lq_tail as u8;
+                lq_slot = self.lq_tail as LsqSlot;
                 self.lq[self.lq_tail] = LqShadow {
                     seq,
                     resolved: false,
                     paddr: 0,
                 };
-                self.lq_tail = (self.lq_tail + 1) % self.lq.len();
+                self.lq_tail = wrap_inc(self.lq_tail, self.lq.len());
                 self.lq_count += 1;
             }
             if is_store {
-                sq_slot = self.sq_tail as u8;
+                sq_slot = self.sq_tail as LsqSlot;
                 self.sq[self.sq_tail] = SqShadow {
                     seq,
                     resolved: false,
@@ -806,7 +855,7 @@ impl Sim {
                     size: 0,
                     data: 0,
                 };
-                self.sq_tail = (self.sq_tail + 1) % self.sq.len();
+                self.sq_tail = wrap_inc(self.sq_tail, self.sq.len());
                 self.sq_count += 1;
             }
 
@@ -828,7 +877,6 @@ impl Sim {
                 pack_rob(f.pc, seq as u16, if writes { dest_arch } else { 0 }, flags),
             );
 
-            let done_now = !needs_exec;
             self.rob[ridx] = RobEntry {
                 seq,
                 pc: f.pc,
@@ -852,54 +900,84 @@ impl Sim {
                 ea: 0,
                 val: 0,
             };
-            self.rob_state[ridx] = if done_now { ST_DONE } else { ST_IN_IQ };
-            self.rob_finish[ridx] = self.cycle;
             self.rob_stamp[ridx] = self.scratch.gen;
-            if !done_now {
-                self.scratch.iq.push(ridx);
+            // An instruction with nothing to execute (nop, halt, fetch
+            // exception) joins no set: it is done at dispatch.
+            if needs_exec {
+                let bit = 1 << ridx;
+                debug_assert_eq!((self.in_iq | self.executing) & bit, 0, "slot reused live");
+                self.in_iq |= bit;
+                // Wakeup registration: sleep on every outstanding operand.
+                // Only an operand-unready entry may sleep; once `ready` it
+                // is retried every cycle until it issues (see `issue`).
+                let mut waiting = false;
+                for p in [src1, src2].into_iter().flatten() {
+                    if !self.rf.is_ready(p) {
+                        self.rf.add_waiter(p, ridx);
+                        waiting = true;
+                    }
+                }
+                if !waiting {
+                    self.ready |= bit;
+                }
             }
         }
     }
 
     // ----- issue / execute -----
 
+    /// Select: the oldest `issue_width` operand-ready entries that can
+    /// issue do so and leave the queue.
+    ///
+    /// Every entry in `ready` is tried every cycle until it issues, not
+    /// only on the cycle it woke: a load whose operands are ready but which
+    /// is blocked on an older store re-reads its base register on each
+    /// retry, and that read stamps the register's ACE interval
+    /// (`RegFile::read_at` → `rf_ace_cycles`) — also on a wrong path that
+    /// is squashed before the load ever issues. Nothing executed here
+    /// produces a register value, so the set read at entry is the set for
+    /// the whole cycle.
     fn issue(&mut self) {
-        // Order-preserving in-place compaction: the first `issue_width` ready
-        // entries (in age order) issue and drop out; everything else shifts
-        // down without the O(n) `Vec::remove` churn of the old loop.
+        debug_assert_eq!(self.ready & !self.in_iq, 0, "ready slot outside the IQ");
         let mut issued = 0u32;
-        let mut w = 0;
-        let len = self.scratch.iq.len();
-        for r in 0..len {
-            let ridx = self.scratch.iq[r];
-            if issued < self.cfg.issue_width && self.try_issue(ridx) {
+        for ridx in ring_order(self.ready, self.rob_head) {
+            if issued == self.cfg.issue_width {
+                break;
+            }
+            if self.try_issue(ridx) {
                 issued += 1;
-            } else {
-                self.scratch.iq[w] = ridx;
-                w += 1;
+                self.in_iq &= !(1 << ridx);
+                self.ready &= !(1 << ridx);
             }
         }
-        self.scratch.iq.truncate(w);
     }
 
-    fn operand(&mut self, p: Option<PhysReg>) -> Option<u32> {
+    /// Reads a produced operand, recording the read for ACE
+    /// instrumentation; an absent operand (zero register) reads as 0.
+    fn operand(&mut self, p: Option<PhysReg>) -> u32 {
         match p {
-            None => Some(0),
+            None => 0,
             Some(p) => {
-                if self.rf.is_ready(p) {
-                    Some(self.rf.read_at(p, self.cycle))
-                } else {
-                    None
-                }
+                debug_assert!(self.rf.is_ready(p), "ready slot with an unproduced operand");
+                self.rf.read_at(p, self.cycle)
             }
         }
+    }
+
+    /// Whether every operand of ROB slot `ridx` has been produced.
+    fn operands_ready(&self, ridx: usize) -> bool {
+        let e = &self.rob[ridx];
+        [e.src1, e.src2]
+            .into_iter()
+            .flatten()
+            .all(|p| self.rf.is_ready(p))
     }
 
     fn try_issue(&mut self, ridx: usize) -> bool {
         let (seq, instr, pc, src1, src2) = {
             debug_assert_eq!(
                 self.rob_stamp[ridx], self.scratch.gen,
-                "stale issue-queue index crossed a scratch rewind"
+                "stale issue-queue slot crossed a scratch rewind"
             );
             let e = &self.rob[ridx];
             (
@@ -910,14 +988,10 @@ impl Sim {
                 e.src2,
             )
         };
-        // Both operands must be ready before anything executes; reads are
+        // Both operands are ready (the slot is in `ready`); reads are
         // recorded for ACE instrumentation.
-        if src1.is_some_and(|p| !self.rf.is_ready(p)) || src2.is_some_and(|p| !self.rf.is_ready(p))
-        {
-            return false;
-        }
-        let a = self.operand(src1).expect("checked ready");
-        let b = self.operand(src2).expect("checked ready");
+        let a = self.operand(src1);
+        let b = self.operand(src2);
         let imm = instr.imm;
 
         match instr.op {
@@ -944,8 +1018,7 @@ impl Sim {
                 e.taken = taken;
                 e.actual_next = target;
                 e.resolved_control = true;
-                self.rob_state[ridx] = ST_EXECUTING;
-                self.rob_finish[ridx] = self.cycle + self.cfg.lat.alu;
+                self.start_executing(ridx, self.cfg.lat.alu);
                 true
             }
             op => {
@@ -956,8 +1029,7 @@ impl Sim {
                 };
                 let val = exec::alu(op, a, operand_b).expect("alu op");
                 self.rob[ridx].val = val;
-                self.rob_state[ridx] = ST_EXECUTING;
-                self.rob_finish[ridx] = self.cycle + exec::latency(op, &self.cfg.lat);
+                self.start_executing(ridx, exec::latency(op, &self.cfg.lat));
                 true
             }
         }
@@ -969,8 +1041,14 @@ impl Sim {
         e.actual_next = target;
         e.resolved_control = true;
         e.val = link;
-        self.rob_state[ridx] = ST_EXECUTING;
-        self.rob_finish[ridx] = self.cycle + self.cfg.lat.alu;
+        self.start_executing(ridx, self.cfg.lat.alu);
+    }
+
+    /// Marks an issued slot as executing, finishing `latency` cycles from
+    /// now (the caller, `issue`, takes it out of the issue queue).
+    fn start_executing(&mut self, ridx: usize, latency: u64) {
+        self.executing |= 1 << ridx;
+        self.rob_finish[ridx] = self.cycle + latency;
     }
 
     fn mem_size(op: Opcode) -> u32 {
@@ -1000,32 +1078,33 @@ impl Sim {
         }
         // Memory disambiguation: all older stores must have resolved
         // addresses before a load may issue (conservative policy).
+        // The scan has no side effects, so it stops at the first blocking
+        // store — a blocked load repeats it every cycle — and at the first
+        // younger one: the SQ ring is in age order.
         let mut forward: Option<u32> = None;
-        let mut blocked = false;
-        self.for_each_sq(|s| {
-            if s.seq < seq {
-                if !s.resolved {
-                    blocked = true;
+        let mut i = self.sq_head;
+        for _ in 0..self.sq_count {
+            let s = &self.sq[i];
+            if s.seq >= seq {
+                break;
+            }
+            if !s.resolved {
+                return false;
+            }
+            // Youngest older store wins (iteration is oldest→youngest).
+            let lo = s.paddr;
+            let hi = s.paddr + u32::from(s.size);
+            // The load's physical address isn't known yet; compare on
+            // virtual addresses — identity-mapped, so equivalent in the
+            // fault-free case.
+            if lo < vaddr + size && vaddr < hi {
+                if s.paddr == vaddr && u32::from(s.size) == size {
+                    forward = Some(s.data);
                 } else {
-                    // Youngest older store wins (iteration is oldest→youngest).
-                    let (paddr, _) = (s.paddr, s.size);
-                    let lo = paddr;
-                    let hi = paddr + u32::from(s.size);
-                    // The load's physical address isn't known yet; compare on
-                    // virtual addresses — identity-mapped, so equivalent in
-                    // the fault-free case.
-                    if lo < vaddr + size && vaddr < hi {
-                        if paddr == vaddr && u32::from(s.size) == size {
-                            forward = Some(s.data);
-                        } else {
-                            blocked = true; // partial overlap: wait it out
-                        }
-                    }
+                    return false; // partial overlap: wait it out
                 }
             }
-        });
-        if blocked {
-            return false;
+            i = wrap_inc(i, self.sq.len());
         }
         let mut lat = 0;
         let paddr = match self.dtlb.translate(vaddr) {
@@ -1065,8 +1144,7 @@ impl Sim {
         let e = &mut self.rob[ridx];
         e.ea = vaddr;
         e.val = val;
-        self.rob_state[ridx] = ST_EXECUTING;
-        self.rob_finish[ridx] = self.cycle + lat.max(1);
+        self.start_executing(ridx, lat.max(1));
         true
     }
 
@@ -1109,56 +1187,57 @@ impl Sim {
         let e = &mut self.rob[ridx];
         e.ea = vaddr;
         e.val = masked;
-        self.rob_state[ridx] = ST_EXECUTING;
-        self.rob_finish[ridx] = self.cycle + (lat + self.cfg.lat.alu).max(1);
+        self.start_executing(ridx, (lat + self.cfg.lat.alu).max(1));
         true
     }
 
+    /// Records a trap found at issue. The slot leaves the issue queue
+    /// without executing, which is what makes it done.
     fn complete_with_exception(&mut self, ridx: usize, ea: u32, t: TrapKind) -> bool {
         let e = &mut self.rob[ridx];
         e.ea = ea;
         e.exception = Some(t);
-        self.rob_state[ridx] = ST_DONE;
         true
-    }
-
-    fn for_each_sq(&self, mut f: impl FnMut(&SqShadow)) {
-        let mut i = self.sq_head;
-        for _ in 0..self.sq_count {
-            f(&self.sq[i]);
-            i = (i + 1) % self.sq.len();
-        }
     }
 
     // ----- writeback / control resolution -----
 
     fn writeback(&mut self) -> Option<RunOutcome> {
-        // Walk the ROB head→tail (oldest first) so the oldest mispredicted
+        // Visit the executing slots oldest first, so the oldest mispredicted
         // branch squashes before younger ones resolve.
-        // The hot poll reads only the dense state/finish byte arrays; the
-        // payload vector is touched just for entries finishing this cycle.
-        let mut i = self.rob_head;
-        let len = self.rob.len();
-        for _ in 0..self.rob_count {
-            if self.rob_state[i] == ST_EXECUTING && self.rob_finish[i] <= self.cycle {
-                self.rob_state[i] = ST_DONE;
-                let e = &self.rob[i];
-                let (dest, new_phys, val, is_control) =
-                    (e.dest_arch, e.new_phys, e.val, e.is_control);
-                if dest != NO_DEST {
-                    self.rf.write_at(new_phys, val, self.cycle);
-                }
-                if is_control && self.resolve_control(i) {
-                    // Squash removed everything younger; stop the walk.
-                    return None;
-                }
+        for i in ring_order(self.executing, self.rob_head) {
+            if self.rob_finish[i] > self.cycle {
+                continue;
             }
-            i += 1;
-            if i == len {
-                i = 0;
+            self.executing &= !(1 << i);
+            let e = &self.rob[i];
+            let (dest, new_phys, val, is_control) = (e.dest_arch, e.new_phys, e.val, e.is_control);
+            if dest != NO_DEST {
+                self.wake(new_phys, val);
+            }
+            if is_control && self.resolve_control(i) {
+                // Squash removed everything younger; stop the walk.
+                return None;
             }
         }
         None
+    }
+
+    /// Wakeup: produces `p`'s value and moves the waiting issue-queue
+    /// entries whose operands are now all produced into `ready`.
+    ///
+    /// A waiter set can name a slot whose waiting instruction was squashed,
+    /// and which a different instruction may occupy by now, so membership
+    /// proves nothing: readiness is recomputed from the slot's own
+    /// `src1`/`src2`. For a stale bit that is a no-op (the occupant, if in
+    /// the queue at all, already has the answer this recomputes).
+    fn wake(&mut self, p: PhysReg, val: u32) {
+        let woken = self.rf.write(p, val) & self.in_iq & !self.ready;
+        for ridx in ring_order(woken, self.rob_head) {
+            if self.operands_ready(ridx) {
+                self.ready |= 1 << ridx;
+            }
+        }
     }
 
     /// Verifies a resolved control instruction against its prediction.
@@ -1189,8 +1268,9 @@ impl Sim {
     }
 
     fn squash_younger_than(&mut self, seq: u64) {
+        let mut squashed: SlotSet = 0;
         while self.rob_count > 0 {
-            let tail_prev = (self.rob_tail + self.rob.len() - 1) % self.rob.len();
+            let tail_prev = wrap_dec(self.rob_tail, self.rob.len());
             let e = self.rob[tail_prev];
             if e.seq <= seq {
                 break;
@@ -1203,19 +1283,25 @@ impl Sim {
                 self.rf.release(e.new_phys);
             }
             if e.is_load && self.lq_count > 0 {
-                let t = (self.lq_tail + self.lq.len() - 1) % self.lq.len();
+                let t = wrap_dec(self.lq_tail, self.lq.len());
                 debug_assert_eq!(self.lq[t].seq, e.seq);
                 self.lq_tail = t;
                 self.lq_count -= 1;
             }
             if e.is_store && self.sq_count > 0 {
-                let t = (self.sq_tail + self.sq.len() - 1) % self.sq.len();
+                let t = wrap_dec(self.sq_tail, self.sq.len());
                 debug_assert_eq!(self.sq[t].seq, e.seq);
                 self.sq_tail = t;
                 self.sq_count -= 1;
             }
-            self.scratch.iq.retain(|&r| r != tail_prev);
+            squashed |= 1 << tail_prev;
         }
+        // A squashed slot leaves every scheduling set at once, so its next
+        // occupant starts clean. The registers' waiter sets are not
+        // searched: they may keep naming the slot (see `wake`).
+        self.in_iq &= !squashed;
+        self.ready &= !squashed;
+        self.executing &= !squashed;
     }
 
     // ----- commit -----
@@ -1223,7 +1309,8 @@ impl Sim {
     fn commit(&mut self, ctl: &RunControl) -> Option<RunOutcome> {
         for _ in 0..self.cfg.commit_width {
             let head = self.rob_head;
-            if self.rob_count == 0 || self.rob_state[head] != ST_DONE {
+            // Done = neither waiting to issue nor executing.
+            if self.rob_count == 0 || (self.in_iq | self.executing) & (1 << head) != 0 {
                 return None;
             }
             let e = self.rob[head];
@@ -1296,11 +1383,11 @@ impl Sim {
             if e.is_store {
                 let sh = self.sq[self.sq_head];
                 self.write_data(sh.paddr, u32::from(sh.size), sh.data);
-                self.sq_head = (self.sq_head + 1) % self.sq.len();
+                self.sq_head = wrap_inc(self.sq_head, self.sq.len());
                 self.sq_count -= 1;
             }
             if e.is_load {
-                self.lq_head = (self.lq_head + 1) % self.lq.len();
+                self.lq_head = wrap_inc(self.lq_head, self.lq.len());
                 self.lq_count -= 1;
             }
 
@@ -1310,7 +1397,7 @@ impl Sim {
             if e.dest_arch != NO_DEST {
                 self.rf.release(e.prev_phys);
             }
-            self.rob_head = (head + 1) % self.rob.len();
+            self.rob_head = wrap_inc(head, self.rob.len());
             self.rob_count -= 1;
 
             if halt {
@@ -1430,26 +1517,19 @@ impl Sim {
         // cost scales with occupancy. The injectable images stay full-copy:
         // faults may land in architecturally-free slots.
         copy_ring(&mut self.rob, &src.rob, src.rob_head, src.rob_count);
-        copy_ring(
-            &mut self.rob_state,
-            &src.rob_state,
-            src.rob_head,
-            src.rob_count,
-        );
+        self.in_iq = src.in_iq;
+        self.ready = src.ready;
+        self.executing = src.executing;
         copy_ring(
             &mut self.rob_finish,
             &src.rob_finish,
             src.rob_head,
             src.rob_count,
         );
-        let len = self.rob.len();
         let mut i = src.rob_head;
         for _ in 0..src.rob_count {
             self.rob_stamp[i] = self.scratch.gen;
-            i += 1;
-            if i == len {
-                i = 0;
-            }
+            i = wrap_inc(i, self.rob.len());
         }
         self.rob_head = src.rob_head;
         self.rob_tail = src.rob_tail;
@@ -1566,4 +1646,259 @@ pub fn capture_golden(program: &Program, cfg: &MuarchConfig, max_cycles: u64) ->
         output: report.output.expect("completed"),
         stats: report.stats,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    //! White-box tests of the event-driven back end's invariants; the
+    //! black-box ones (bit-identical traces, restores) live in `tests/`.
+
+    use super::*;
+    use crate::mem::{DATA_BASE, OUTPUT_BASE};
+    use avgi_isa::asm::Assembler;
+    use avgi_isa::reg::{A0, S0, S1, T0, T1, T2, T3, T4, T5, ZERO};
+
+    fn ctl() -> RunControl {
+        RunControl {
+            max_cycles: 100_000,
+            ..RunControl::default()
+        }
+    }
+
+    fn live_slots(sim: &Sim) -> SlotSet {
+        let mut live = 0;
+        let mut i = sim.rob_head;
+        for _ in 0..sim.rob_count {
+            live |= 1 << i;
+            i = wrap_inc(i, sim.rob.len());
+        }
+        live
+    }
+
+    /// The live ROB slot holding the instruction at code index `index`.
+    fn slot_of(sim: &Sim, index: u32) -> Option<usize> {
+        ring_order(live_slots(sim), sim.rob_head).find(|&i| sim.rob[i].pc == index * 4)
+    }
+
+    #[test]
+    fn ring_order_is_age_order_for_every_rob_size() {
+        for n in [1usize, 5, 32, 33, 64] {
+            let all: SlotSet = SlotSet::MAX >> (64 - n);
+            for head in 0..n {
+                for set in [
+                    all,
+                    all & 0xA5A5_5A5A_F00F_3C3C,
+                    all & !(1 << head),
+                    1 << head,
+                    0,
+                ] {
+                    let want: Vec<usize> = (0..n)
+                        .map(|k| (head + k) % n)
+                        .filter(|&s| set & (1 << s) != 0)
+                        .collect();
+                    let got: Vec<usize> = ring_order(set, head).collect();
+                    assert_eq!(got, want, "n={n} head={head} set={set:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ring_arithmetic_wraps_without_modulo() {
+        for len in [1usize, 2, 8, 64] {
+            for i in 0..len {
+                assert_eq!(wrap_inc(i, len), (i + 1) % len);
+                assert_eq!(wrap_dec(i, len), (i + len - 1) % len);
+            }
+        }
+    }
+
+    /// The first fetch group arrives a cold I-cache miss (tens of cycles)
+    /// ahead of the rest of its line. Filling it with nops keeps a test's
+    /// dependence chains from getting that head start on the instructions
+    /// that are meant to wait for them.
+    fn cold_fetch_pad(a: &mut Assembler) {
+        for _ in 0..MuarchConfig::big().fetch_width {
+            a.nop();
+        }
+    }
+
+    /// Invariant (a): a load whose operands are ready but which is blocked
+    /// on an older, unresolved store is retried every cycle, and every retry
+    /// stamps its base register's last read.
+    #[test]
+    fn blocked_load_is_retried_and_stamps_its_base_every_cycle() {
+        let mut a = Assembler::new(0);
+        cold_fetch_pad(&mut a);
+        a.li32(S0, DATA_BASE);
+        a.addi(T0, ZERO, 8000);
+        a.addi(T1, ZERO, 7);
+        a.divu(T2, T0, T1);
+        a.divu(T2, T2, T1);
+        a.divu(T2, T2, T1);
+        a.sub(T3, T2, T2); // 0, three divides from now
+        a.add(T3, T3, S0);
+        let store = a.len() as u32;
+        a.sw(T3, T1, 64);
+        let load = a.len() as u32;
+        a.lw(A0, S0, 0);
+        a.halt();
+        let p = Program::new("blocked-load", a.assemble().unwrap(), 0);
+
+        for cfg in [MuarchConfig::big(), MuarchConfig::small()] {
+            let mut sim = Sim::new(&p, cfg);
+            let mut retries = 0;
+            loop {
+                let cycle = sim.cycle;
+                let blocked = slot_of(&sim, load)
+                    .zip(slot_of(&sim, store))
+                    .filter(|&(l, s)| {
+                        sim.ready & (1 << l) != 0 && sim.in_iq & !sim.ready & (1 << s) != 0
+                    });
+                let base = blocked.map(|(l, _)| sim.rob[l].src1.expect("load has a base"));
+                let done = sim.step(&ctl());
+                if let Some(base) = base {
+                    assert_eq!(
+                        sim.rf.last_read(base),
+                        cycle,
+                        "blocked load slept through cycle {cycle}"
+                    );
+                    retries += 1;
+                }
+                if let Some(out) = done {
+                    assert_eq!(out, RunOutcome::Completed);
+                    break;
+                }
+            }
+            assert!(retries >= 20, "load was blocked for {retries} cycles only");
+        }
+    }
+
+    /// Invariant (b): a waiter set may name a slot whose waiting instruction
+    /// was squashed; the slot's next tenant must not be woken by it.
+    #[test]
+    fn stale_waiter_bit_does_not_wake_the_slots_next_tenant() {
+        let mut a = Assembler::new(0);
+        a.addi(T0, ZERO, 8000);
+        a.addi(T1, ZERO, 7);
+        a.nop();
+        a.nop(); // = `cold_fetch_pad`, with the constants riding in it
+        a.divu(T4, T0, T1); // q: four divides
+        a.divu(T4, T4, T1);
+        a.divu(T4, T4, T1);
+        a.divu(T4, T4, T1);
+        a.divu(T2, T0, T1); // p: two divides
+        a.divu(T2, T2, T1);
+        a.beq(ZERO, ZERO, "target"); // weakly not-taken at reset: mispredicts
+        let wrong_path = a.len() as u32;
+        a.add(T3, T2, T2); // waits on p, squashed
+        a.add(T3, T2, T2);
+        a.add(T3, T2, T2);
+        a.label("target");
+        let tenant = a.len() as u32;
+        a.add(T5, T4, T4); // waits on q, in the squashed instruction's slot
+        a.li32(A0, OUTPUT_BASE);
+        a.sw(A0, T5, 0);
+        a.halt();
+        let program = Program::new("stale-waiter", a.assemble().unwrap(), 4);
+
+        let mut sim = Sim::new(&program, MuarchConfig::big());
+        // Until the wrong-path add waits on p.
+        let (slot, p) = loop {
+            assert!(sim.step(&ctl()).is_none());
+            if let Some(s) = slot_of(&sim, wrong_path) {
+                break (s, sim.rob[s].src1.expect("add reads p"));
+            }
+        };
+        assert!(!sim.rf.is_ready(p));
+        assert_ne!(sim.rf.waiters(p) & (1 << slot), 0, "waiter not registered");
+        // Until the squash has handed the slot to the instruction at
+        // `target`, with p still outstanding and still naming the slot.
+        while slot_of(&sim, tenant) != Some(slot) {
+            assert!(sim.step(&ctl()).is_none());
+        }
+        let q = sim.rob[slot].src1.expect("add reads q");
+        assert_ne!(p, q);
+        assert!(!sim.rf.is_ready(p), "p produced before the slot was reused");
+        assert_ne!(
+            sim.rf.waiters(p) & (1 << slot),
+            0,
+            "the stale bit is the test"
+        );
+        // p's writeback consumes the stale bit; the tenant must stay asleep.
+        while !sim.rf.is_ready(p) {
+            assert!(sim.step(&ctl()).is_none());
+        }
+        assert!(!sim.rf.is_ready(q), "q produced too early for the test");
+        assert_eq!(slot_of(&sim, tenant), Some(slot));
+        assert_ne!(sim.in_iq & (1 << slot), 0);
+        assert_eq!(sim.ready & (1 << slot), 0, "woken by a stale waiter bit");
+
+        let report = sim.run(&ctl());
+        assert_eq!(report.outcome, RunOutcome::Completed);
+        let q_val = 8000 / 7 / 7 / 7 / 7;
+        assert_eq!(
+            report.output,
+            Some((2 * q_val as u32).to_le_bytes().to_vec())
+        );
+    }
+
+    /// A loop whose branch direction follows an LCG bit, around a divide
+    /// and a store→load pair: mispredicts with a full window behind it.
+    fn branchy_loop() -> Program {
+        let mut a = Assembler::new(0);
+        a.li32(S0, DATA_BASE);
+        a.li32(S1, 0x0012_3457);
+        a.addi(T0, ZERO, 200);
+        a.addi(T1, ZERO, 7);
+        a.label("loop");
+        a.li32(T2, 1_103_515_245);
+        a.mul(S1, S1, T2);
+        a.addi(S1, S1, 1_234);
+        a.andi(T3, S1, 0x40);
+        a.beq(T3, ZERO, "skip");
+        a.divu(T4, S1, T1);
+        a.sw(S0, T4, 0);
+        a.lw(T5, S0, 0);
+        a.add(A0, A0, T5);
+        a.label("skip");
+        a.add(A0, A0, S1);
+        a.addi(T0, T0, -1);
+        a.bne(T0, ZERO, "loop");
+        a.halt();
+        Program::new("branchy", a.assemble().unwrap(), 0)
+    }
+
+    /// Invariant (d): a squash takes the slot out of every set.
+    #[test]
+    fn squash_clears_the_slot_from_every_set() {
+        let program = branchy_loop();
+        for cfg in [MuarchConfig::big(), MuarchConfig::small()] {
+            // Every cycle of a squash-heavy run: no set names a dead slot.
+            let mut sim = Sim::new(&program, cfg.clone());
+            while sim.step(&ctl()).is_none() {
+                let live = live_slots(&sim);
+                assert_eq!((sim.in_iq | sim.executing) & !live, 0, "dead slot in a set");
+                assert_eq!(sim.ready & !sim.in_iq, 0);
+                assert_eq!(sim.in_iq & sim.executing, 0);
+                assert!(sim.in_iq.count_ones() <= sim.cfg.iq_entries);
+            }
+            assert!(sim.stats.squashed > 200);
+
+            // And directly: squash everything behind the head while all
+            // three sets are populated.
+            let mut sim = Sim::new(&program, cfg);
+            let behind_head = |sim: &Sim, set: SlotSet| set & !(1 << sim.rob_head) != 0;
+            while !(behind_head(&sim, sim.in_iq & !sim.ready)
+                && behind_head(&sim, sim.ready)
+                && behind_head(&sim, sim.executing))
+            {
+                assert!(sim.step(&ctl()).is_none(), "sets never all populated");
+            }
+            let head = 1 << sim.rob_head;
+            sim.squash_younger_than(sim.rob[sim.rob_head].seq);
+            assert_eq!(sim.rob_count, 1);
+            assert_eq!((sim.in_iq | sim.ready | sim.executing) & !head, 0);
+        }
+    }
 }

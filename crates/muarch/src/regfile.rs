@@ -3,6 +3,14 @@
 //! The *value* array is fault-injectable and authoritative: a flipped bit is
 //! what a later reader receives. Rename map, ready bits, and the free list
 //! are renaming control logic, outside the paper's storage fault model.
+//!
+//! Each register also carries the *waiter set* of the pipeline's wakeup
+//! logic: the ROB slots whose instructions were dispatched while the
+//! register's value was still outstanding. The write that produces the
+//! value hands the set back, so the pipeline wakes exactly those slots
+//! instead of polling every issue-queue entry every cycle.
+
+use crate::config::SlotSet;
 
 /// Physical register identifier.
 pub type PhysReg = u16;
@@ -12,6 +20,11 @@ pub type PhysReg = u16;
 pub struct RegFile {
     values: Vec<u32>,
     ready: Vec<bool>,
+    // ROB slots waiting on each register's value. May hold stale bits: a
+    // squash frees slots without unregistering them, so a consumer must
+    // re-derive readiness from the slot's own operands, never from
+    // membership alone.
+    waiters: Vec<SlotSet>,
     rename: [PhysReg; avgi_isa::NUM_ARCH_REGS as usize],
     free: Vec<PhysReg>,
     // ACE instrumentation: writeback→last-read exposure per register.
@@ -43,6 +56,7 @@ impl RegFile {
         RegFile {
             values: vec![0; phys as usize],
             ready: vec![true; phys as usize],
+            waiters: vec![0; phys as usize],
             rename,
             free,
             last_write: vec![0; phys as usize],
@@ -64,17 +78,23 @@ impl RegFile {
         self.values[i]
     }
 
-    /// Writes a physical register and marks it ready.
-    pub fn write(&mut self, p: PhysReg, v: u32) {
-        self.values[p as usize] = v;
-        self.ready[p as usize] = true;
+    /// Writes a physical register, marks it ready, and takes its waiter
+    /// set: the ROB slots registered with [`RegFile::add_waiter`] since the
+    /// register was allocated. The set may name slots that were squashed
+    /// (and possibly reused) in the meantime; the caller re-checks each
+    /// slot's actual operands. (ACE intervals are anchored at allocation,
+    /// not at this write — see [`RegFile::alloc_at`].)
+    pub fn write(&mut self, p: PhysReg, v: u32) -> SlotSet {
+        let i = p as usize;
+        self.values[i] = v;
+        self.ready[i] = true;
+        core::mem::take(&mut self.waiters[i])
     }
 
-    /// Writes a physical register at `cycle` (ACE intervals are anchored at
-    /// allocation, not writeback — see [`RegFile::alloc_at`]).
-    pub fn write_at(&mut self, p: PhysReg, v: u32, cycle: u64) {
-        let _ = cycle;
-        self.write(p, v);
+    /// Registers ROB slot `slot` as waiting for `p`'s value.
+    pub fn add_waiter(&mut self, p: PhysReg, slot: usize) {
+        debug_assert!(!self.ready[p as usize], "waiting on a produced value");
+        self.waiters[p as usize] |= 1 << slot;
     }
 
     fn close_interval(&mut self, i: usize) {
@@ -127,6 +147,9 @@ impl RegFile {
     pub fn alloc(&mut self) -> Option<PhysReg> {
         let p = self.free.pop()?;
         self.ready[p as usize] = false;
+        // A register freed by a squash still lists its squashed consumers;
+        // the new tenant starts with no waiters.
+        self.waiters[p as usize] = 0;
         Some(p)
     }
 
@@ -162,12 +185,26 @@ impl RegFile {
         self.values[r] ^= 1 << (bit % 32);
     }
 
+    /// The slots currently registered as waiting on `p` (stale ones
+    /// included), for the pipeline's wakeup tests.
+    #[cfg(test)]
+    pub(crate) fn waiters(&self, p: PhysReg) -> SlotSet {
+        self.waiters[p as usize]
+    }
+
+    /// The last cycle `p` was read at, for the pipeline's ACE-stamp tests.
+    #[cfg(test)]
+    pub(crate) fn last_read(&self, p: PhysReg) -> u64 {
+        self.last_read[p as usize]
+    }
+
     /// Overwrites this register file with `src`'s state, reusing every
     /// existing allocation.
     pub fn restore_from(&mut self, src: &RegFile) {
         debug_assert_eq!(self.values.len(), src.values.len());
         self.values.copy_from_slice(&src.values);
         self.ready.copy_from_slice(&src.ready);
+        self.waiters.copy_from_slice(&src.waiters);
         self.rename = src.rename;
         self.free.clear();
         self.free.extend_from_slice(&src.free);
@@ -198,7 +235,7 @@ mod tests {
         let prev = rf.remap(3, p);
         assert_eq!(prev, 3);
         assert_eq!(rf.lookup(3), p);
-        rf.write(p, 99);
+        assert_eq!(rf.write(p, 99), 0, "nobody waited");
         assert!(rf.is_ready(p));
         assert_eq!(rf.read(p), 99);
         rf.release(prev);
@@ -206,6 +243,39 @@ mod tests {
         assert!(rf.alloc().is_some());
         assert!(rf.alloc().is_some());
         assert!(rf.alloc().is_none(), "free list exhausted");
+    }
+
+    #[test]
+    fn write_hands_back_the_waiters_once() {
+        let mut rf = RegFile::new(26);
+        let p = rf.alloc().unwrap();
+        rf.add_waiter(p, 3);
+        rf.add_waiter(p, 63);
+        rf.add_waiter(p, 3);
+        assert_eq!(rf.write(p, 1), (1 << 3) | (1 << 63));
+        assert_eq!(rf.write(p, 2), 0, "the set is consumed by the write");
+    }
+
+    #[test]
+    fn alloc_drops_waiters_left_by_a_squash() {
+        let mut rf = RegFile::new(25);
+        let p = rf.alloc().unwrap();
+        rf.add_waiter(p, 7);
+        rf.release(p); // squashed before its value was produced
+        assert_eq!(rf.alloc_at(10), Some(p));
+        assert_eq!(rf.write(p, 5), 0, "stale waiter survived reallocation");
+    }
+
+    #[test]
+    fn restore_copies_the_waiters() {
+        let mut src = RegFile::new(26);
+        let p = src.alloc().unwrap();
+        src.add_waiter(p, 11);
+        let mut dst = RegFile::new(26);
+        let q = dst.alloc().unwrap();
+        dst.add_waiter(q, 40);
+        dst.restore_from(&src);
+        assert_eq!(dst.write(p, 0), 1 << 11);
     }
 
     #[test]

@@ -1,12 +1,19 @@
 //! Snapshot/restore and copy-on-write semantics: a rewound scratch
 //! simulator must be indistinguishable from a freshly cloned one, and no
 //! state may leak between simulators sharing CoW memory pages.
+//!
+//! `Sim::restore_from` / `Sim::restore_from_sim` copy the machine state
+//! field by field, so a field added to `Sim` (or to `RegFile`) and forgotten
+//! in the restore path is a silent bug: the scratch simulator keeps the
+//! value from whatever run it executed last.
+//! `restore_into_a_mid_flight_scratch_continues_bit_identically` makes that
+//! loud for the back end's scheduling state; see its comment.
 
 use avgi_isa::asm::Assembler;
-use avgi_isa::reg::{A0, T0, T1, ZERO};
+use avgi_isa::reg::{A0, A1, A2, S0, S1, S2, T0, T1, T2, T3, T4, T5, ZERO};
 use avgi_muarch::config::MuarchConfig;
 use avgi_muarch::fault::{Fault, FaultSite, Structure};
-use avgi_muarch::mem::OUTPUT_BASE;
+use avgi_muarch::mem::{DATA_BASE, OUTPUT_BASE};
 use avgi_muarch::pipeline::{capture_golden, Sim};
 use avgi_muarch::program::Program;
 use avgi_muarch::run::{RunControl, RunOutcome, RunReport};
@@ -206,4 +213,112 @@ fn out_of_cycle_order_injection_applies_in_cycle_order() {
         Some(golden.cycles / 5),
         "earliest fault cycle wins regardless of arm order"
     );
+}
+
+/// Cycles between snapshots; prime, so the points drift across loop phases.
+const SNAP_STRIDE: u64 = 37;
+/// How far a scratch simulator runs past a snapshot before the next restore
+/// finds it (long enough to refill the window with other work).
+const DIRTY_CYCLES: u64 = 211;
+
+/// 160 iterations of: LCG step, data-dependent (unpredictable) branch,
+/// table load, a two-deep divide chain feeding a store address, a load
+/// behind that store, and a store→load forward. Keeps the issue queue, the
+/// executing set and the registers' waiter sets populated, and squashes
+/// often.
+fn scheduling_kernel() -> Program {
+    let mut a = Assembler::new(0);
+    a.li32(S0, DATA_BASE); // table base
+    a.li32(S1, 0x0012_3457); // LCG state
+    a.li32(S2, 160); // trip count
+    a.li32(A2, 7);
+    a.addi(A0, ZERO, 0); // checksum
+    a.label("loop");
+    a.li32(T0, 1_103_515_245);
+    a.mul(S1, S1, T0);
+    a.addi(S1, S1, 1_234);
+    a.srli(T1, S1, 9);
+    a.andi(T1, T1, 0xFC); // word offset into a 64-word table
+    a.add(T2, S0, T1);
+    a.lw(T3, T2, 0);
+    a.andi(T4, S1, 0x40);
+    a.beq(T4, ZERO, "skip"); // ~50/50, unpredictable
+    a.divu(T5, S1, A2);
+    a.divu(T5, T5, A2);
+    a.andi(T5, T5, 0xFC);
+    a.add(T5, S0, T5);
+    a.sw(T5, T3, 256); // address known only after both divides
+    a.lw(A1, T2, 256); // operands ready, blocked on the store above
+    a.add(A0, A0, A1);
+    a.label("skip");
+    a.sw(T2, A0, 0);
+    a.lw(T3, T2, 0); // forwarded
+    a.xor(A0, A0, T3);
+    a.add(A0, A0, S1);
+    a.addi(S2, S2, -1);
+    a.bne(S2, ZERO, "loop");
+    a.li32(T0, OUTPUT_BASE);
+    a.sw(T0, A0, 0);
+    a.halt();
+    let table: Vec<u8> = (0..512u32).map(|i| (i * 37 + 11) as u8).collect();
+    Program::new("scheduling-kernel", a.assemble().unwrap(), 4).with_data(DATA_BASE, table)
+}
+
+fn restore_into_a_mid_flight_scratch(cfg: MuarchConfig) {
+    let p = scheduling_kernel();
+    let ctl = RunControl {
+        max_cycles: MAX,
+        record_trace: true,
+        ..Default::default()
+    };
+    let want = Sim::new(&p, cfg.clone()).run(&ctl);
+    assert_eq!(want.outcome, RunOutcome::Completed);
+    assert!(want.stats.squashed > 500, "kernel must squash");
+    assert!(want.cycles > 20 * SNAP_STRIDE);
+    let check = |what: &str, at: u64, got: RunReport| {
+        assert_reports_equal(&got, &want);
+        assert_eq!(got.trace, want.trace, "{what} @ {at}: commit trace");
+    };
+
+    let mut carrier = Sim::new(&p, cfg.clone());
+    // One scratch simulator per restore entry point; both start out of step
+    // with every snapshot.
+    let mut by_snapshot = Sim::new(&p, cfg.clone());
+    let mut by_sim = Sim::new(&p, cfg);
+    let mut at = SNAP_STRIDE;
+    while at + DIRTY_CYCLES < want.cycles {
+        assert!(carrier.run_to_cycle(at, &ctl).is_none());
+        let snap = carrier.snapshot();
+
+        by_snapshot.restore_from(&snap);
+        check("restore_from", at, by_snapshot.run(&ctl));
+        by_sim.restore_from_sim(&carrier);
+        check("restore_from_sim", at, by_sim.run(&ctl));
+
+        // Leave both scratches mid-flight, a window's worth of other work
+        // past this snapshot, for the next restore to overwrite.
+        by_snapshot.restore_from(&snap);
+        assert!(by_snapshot.run_to_cycle(at + DIRTY_CYCLES, &ctl).is_none());
+        by_sim.restore_from_sim(&carrier);
+        assert!(by_sim.run_to_cycle(at + DIRTY_CYCLES, &ctl).is_none());
+        at += SNAP_STRIDE;
+    }
+}
+
+/// Walks a branchy, memory- and divide-heavy kernel, snapshots it every few
+/// dozen cycles — mid-flight, with instructions waiting in the issue queue,
+/// executing, and registered as waiters on outstanding registers — and
+/// restores each snapshot into a scratch simulator that was deliberately
+/// left *mid-flight somewhere else*, so every scheduling field it holds is
+/// wrong for the snapshot. The continued run must reproduce the
+/// uninterrupted one bit for bit: every commit record including its cycle,
+/// the cycle count, every `ExecStats` counter including `rf_ace_cycles`,
+/// and the output. Dropping any one of the back end's slot sets (`in_iq`,
+/// `ready`, `executing`) or the registers' waiter sets from the restore
+/// path fails this test — checked by deleting each copy in turn when the
+/// event-driven back end landed.
+#[test]
+fn restore_into_a_mid_flight_scratch_continues_bit_identically() {
+    restore_into_a_mid_flight_scratch(MuarchConfig::big());
+    restore_into_a_mid_flight_scratch(MuarchConfig::small());
 }
