@@ -1,12 +1,12 @@
 //! Chaos soak harness for the campaign fabric (`DESIGN.md` §12).
 //!
-//! Runs an in-process coordinator plus N in-process workers over localhost
+//! Runs an in-process one-campaign service plus N in-process workers over localhost
 //! TCP with a seeded [`ChaosTransport`](avgi_grid::ChaosTransport)
 //! interposed on *both* sides, so frames get dropped, bit-flipped,
 //! duplicated, delayed, and connections severed mid-frame — all
 //! deterministically from `--chaos-seed`. Optionally one worker is killed
 //! after its first few batches (`--kill-after`) and the campaign journaled
-//! (`--journal`). With `--verify` the merged outcome is compared
+//! (`--journal-dir`). With `--verify` the merged outcome is compared
 //! bit-for-bit against a single-process reference run; any divergence
 //! exits 1. `--soak N` repeats the whole exercise N times with
 //! `chaos-seed + i`, which is what the CI smoke step runs.
@@ -17,10 +17,10 @@
 //!     --sever 0.02 --delay-ms 5 --chaos-seed 0xC4A0 --soak 2 --verify
 //! ```
 
-use avgi_faultsim::telemetry::MetricsCollector;
-use avgi_faultsim::{run_campaign, CampaignConfig, CampaignResult, MetricsSnapshot, RunMode};
+use avgi_grid::service::reference_outcome;
 use avgi_grid::{
-    ChaosInterposer, ChaosPolicy, ConfigPreset, Coordinator, GridConfig, GridOutcome, WorkerConfig,
+    ChaosInterposer, ChaosPolicy, ConfigPreset, GridOutcome, Service, ServiceConfig, SubmitSpec,
+    WorkerConfig,
 };
 use avgi_muarch::Structure;
 use std::path::PathBuf;
@@ -28,11 +28,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 struct Args {
-    workload: String,
-    structure: Structure,
-    faults: usize,
-    seed: u64,
-    small: bool,
+    spec: SubmitSpec,
     workers: usize,
     kill_after: Option<usize>,
     chaos_seed: u64,
@@ -42,7 +38,7 @@ struct Args {
     sever: f64,
     delay: f64,
     delay_ms: u64,
-    journal: Option<PathBuf>,
+    journal_dir: Option<PathBuf>,
     deadline_s: u64,
     soak: u64,
     verify: bool,
@@ -50,7 +46,7 @@ struct Args {
 
 const USAGE: &str = "grid_chaos --workload NAME --structure IDENT [--faults N] [--seed S] \
      [--small] [--workers N] [--kill-after N] [--chaos-seed S] [--drop P] [--corrupt P] \
-     [--dup P] [--sever P] [--delay P] [--delay-ms N] [--journal PATH] [--deadline-s N] \
+     [--dup P] [--sever P] [--delay P] [--delay-ms N] [--journal-dir DIR] [--deadline-s N] \
      [--soak N] [--verify]";
 
 fn parse_u64(flag: &str, v: &str) -> u64 {
@@ -63,11 +59,7 @@ fn parse_u64(flag: &str, v: &str) -> u64 {
 
 fn parse_args() -> Args {
     let mut args = Args {
-        workload: "bitcount".into(),
-        structure: Structure::RegFile,
-        faults: 96,
-        seed: 0xA461_0001,
-        small: false,
+        spec: SubmitSpec::new("bitcount", Structure::RegFile, 96, 0xA461_0001),
         workers: 3,
         kill_after: None,
         chaos_seed: 0xC4A0_0001,
@@ -77,7 +69,7 @@ fn parse_args() -> Args {
         sever: 0.02,
         delay: 0.05,
         delay_ms: 5,
-        journal: None,
+        journal_dir: None,
         deadline_s: 180,
         soak: 1,
         verify: false,
@@ -89,15 +81,17 @@ fn parse_args() -> Args {
     };
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--workload" => args.workload = next("--workload", &mut it),
+            "--workload" => args.spec.workload = next("--workload", &mut it),
             "--structure" => {
                 let s = next("--structure", &mut it);
-                args.structure =
+                args.spec.structure =
                     Structure::from_ident(&s).unwrap_or_else(|| panic!("unknown structure `{s}`"));
             }
-            "--faults" => args.faults = next("--faults", &mut it).parse().expect("--faults N"),
-            "--seed" => args.seed = parse_u64("--seed", &next("--seed", &mut it)),
-            "--small" => args.small = true,
+            "--faults" => {
+                args.spec.faults = next("--faults", &mut it).parse().expect("--faults N");
+            }
+            "--seed" => args.spec.seed = parse_u64("--seed", &next("--seed", &mut it)),
+            "--small" => args.spec.preset = ConfigPreset::Small,
             "--workers" => args.workers = next("--workers", &mut it).parse().expect("--workers N"),
             "--kill-after" => {
                 args.kill_after = Some(
@@ -117,7 +111,9 @@ fn parse_args() -> Args {
             "--delay-ms" => {
                 args.delay_ms = next("--delay-ms", &mut it).parse().expect("--delay-ms N");
             }
-            "--journal" => args.journal = Some(PathBuf::from(next("--journal", &mut it))),
+            "--journal-dir" => {
+                args.journal_dir = Some(PathBuf::from(next("--journal-dir", &mut it)));
+            }
             "--deadline-s" => {
                 args.deadline_s = next("--deadline-s", &mut it)
                     .parse()
@@ -129,18 +125,6 @@ fn parse_args() -> Args {
         }
     }
     args
-}
-
-fn preset(args: &Args) -> ConfigPreset {
-    if args.small {
-        ConfigPreset::Small
-    } else {
-        ConfigPreset::Big
-    }
-}
-
-fn campaign_config(args: &Args) -> CampaignConfig {
-    CampaignConfig::new(args.structure, args.faults, RunMode::Instrumented).with_seed(args.seed)
 }
 
 fn policy(args: &Args, seed: u64) -> ChaosPolicy {
@@ -158,28 +142,33 @@ fn policy(args: &Args, seed: u64) -> ChaosPolicy {
 /// One full chaotic campaign under `chaos_seed`; returns the merged outcome
 /// alongside the chaos tallies from both sides of the link.
 fn run_round(args: &Args, chaos_seed: u64) -> GridOutcome {
-    let w = avgi_workloads::by_name(&args.workload)
-        .unwrap_or_else(|| panic!("unknown workload `{}`", args.workload));
     let coord_chaos = Arc::new(ChaosInterposer::new(policy(args, chaos_seed)));
     let worker_chaos = Arc::new(ChaosInterposer::new(policy(args, chaos_seed ^ 0xFF)));
-    let grid = GridConfig {
+    // Every round is campaign 1 of a fresh scratch queue.
+    let queue = std::env::temp_dir().join(format!("avgi-grid-chaos-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&queue);
+    let mut service = Service::bind(ServiceConfig {
+        queue: queue.clone(),
+        journal_dir: args.journal_dir.clone(),
         batch: 8,
         lease_timeout: Duration::from_secs(2),
-        journal: args.journal.clone(),
         deadline: Some(Duration::from_secs(args.deadline_s)),
+        exit_after: Some(1),
         chaos: Some(coord_chaos.clone()),
-        ..GridConfig::default()
-    };
-    let coord = Coordinator::bind(&w, preset(args), &campaign_config(args), &grid)
-        .unwrap_or_else(|e| panic!("bind failed: {e}"));
-    let addr = coord.local_addr().expect("bound socket has an address");
-    let coord_thread = std::thread::spawn(move || coord.run());
+        ..ServiceConfig::default()
+    })
+    .unwrap_or_else(|e| panic!("bind failed: {e}"));
+    let id = service
+        .submit(args.spec.clone())
+        .unwrap_or_else(|e| panic!("campaign rejected: {e}"));
+    let addr = service.local_addr().expect("bound socket has an address");
+    let service_thread = std::thread::spawn(move || service.serve());
     let workers: Vec<_> = (0..args.workers.max(1))
         .map(|i| {
             let mut wcfg = WorkerConfig::new(addr.to_string());
             wcfg.threads = 2;
             // Short retry budgets: a worker whose final exchange chaos ate
-            // should give up on the exited coordinator in seconds, not
+            // should give up on the exited service in seconds, not
             // grind through the production-sized reconnect budget.
             wcfg.connect_timeout = Duration::from_secs(1);
             wcfg.reconnect_attempts = 4;
@@ -196,17 +185,19 @@ fn run_round(args: &Args, chaos_seed: u64) -> GridOutcome {
             std::thread::spawn(move || avgi_grid::run_worker(&wcfg))
         })
         .collect();
-    let outcome = coord_thread
+    let (stats, mut outcomes) = service_thread
         .join()
         .unwrap()
-        .unwrap_or_else(|e| panic!("coordinator failed: {e}"));
+        .unwrap_or_else(|e| panic!("service failed: {e}"));
+    let _ = std::fs::remove_file(&queue);
+    let outcome = outcomes.remove(&id).expect("the one campaign finalized");
     // Workers whose final exchange chaos ate die retrying against the
-    // now-exited coordinator; the merged outcome is what's under test.
+    // now-exited service; the merged outcome is what's under test.
     for t in workers {
         let _ = t.join().unwrap();
     }
     eprintln!(
-        "[chaos {chaos_seed:#x}] coordinator link: {}",
+        "[chaos {chaos_seed:#x}] service link:     {}",
         coord_chaos.stats().summary()
     );
     eprintln!(
@@ -216,14 +207,14 @@ fn run_round(args: &Args, chaos_seed: u64) -> GridOutcome {
     eprintln!(
         "[chaos {chaos_seed:#x}] fabric: workers {} (+{} re-attached) | leases {} / {} reassigned \
          | rejected {} | protocol errors {} ({} corrupt) | resumed {}",
-        outcome.stats.workers_seen,
-        outcome.stats.sessions_reattached,
-        outcome.stats.leases_granted,
-        outcome.stats.leases_reassigned,
-        outcome.stats.batches_rejected,
-        outcome.stats.protocol_errors,
-        outcome.stats.corrupt_frames,
-        outcome.stats.resumed,
+        stats.workers_seen,
+        stats.sessions_reattached,
+        stats.leases_granted,
+        stats.leases_reassigned,
+        stats.batches_rejected,
+        stats.protocol_errors,
+        stats.corrupt_frames,
+        stats.results_resumed,
     );
     if coord_chaos.stats().injected() + worker_chaos.stats().injected() == 0 {
         eprintln!("[chaos {chaos_seed:#x}] warning: no faults injected — rates too low?");
@@ -231,25 +222,18 @@ fn run_round(args: &Args, chaos_seed: u64) -> GridOutcome {
     outcome
 }
 
-/// The single-process reference: merged results plus observed telemetry.
-fn reference(args: &Args) -> (CampaignResult, MetricsSnapshot) {
-    let w = avgi_workloads::by_name(&args.workload).expect("workload verified at bind");
-    let cfg = preset(args).config();
-    let golden = avgi_faultsim::golden_for(&w, &cfg);
-    let collector = Arc::new(MetricsCollector::new());
-    let ccfg = campaign_config(args).with_observer(collector.clone());
-    let result = run_campaign(&w, &cfg, &golden, &ccfg);
-    (result, collector.snapshot())
-}
-
 fn main() {
     let args = parse_args();
-    let reference = args.verify.then(|| reference(&args));
+    let reference = args.verify.then(|| {
+        reference_outcome(&args.spec)
+            .unwrap_or_else(|| panic!("unknown workload `{}`", args.spec.workload))
+    });
     let mut failed = false;
     for i in 0..args.soak.max(1) {
         let chaos_seed = args.chaos_seed.wrapping_add(i);
-        if let Some(path) = &args.journal {
-            let _ = std::fs::remove_file(path);
+        // A round must start cold, not resume its predecessor's journal.
+        if let Some(dir) = &args.journal_dir {
+            let _ = std::fs::remove_file(dir.join("campaign-1.jsonl"));
         }
         let outcome = run_round(&args, chaos_seed);
         match &reference {
@@ -259,15 +243,15 @@ fn main() {
                     outcome.result.results.len()
                 );
             }
-            Some((reference, telemetry)) => {
-                let results_ok = outcome.result.results == reference.results;
+            Some(reference) => {
+                let results_ok = outcome.result.results == reference.result.results;
                 let counters_ok = outcome.telemetry.deterministic_counters_json()
-                    == telemetry.deterministic_counters_json();
+                    == reference.telemetry.deterministic_counters_json();
                 if results_ok && counters_ok {
                     eprintln!(
                         "[chaos {chaos_seed:#x}] verify OK: {} results and telemetry counters \
                          bit-identical to single-process",
-                        reference.results.len()
+                        reference.result.len()
                     );
                 } else {
                     eprintln!(
@@ -280,8 +264,8 @@ fn main() {
             }
         }
     }
-    if let Some(path) = &args.journal {
-        let _ = std::fs::remove_file(path);
+    if let Some(dir) = &args.journal_dir {
+        let _ = std::fs::remove_file(dir.join("campaign-1.jsonl"));
     }
     if failed {
         std::process::exit(1);

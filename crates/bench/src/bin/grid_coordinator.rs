@@ -1,37 +1,35 @@
-//! Distributed-campaign coordinator (`DESIGN.md` §10).
+//! Distributed-campaign coordinator (`DESIGN.md` §10): the one-campaign
+//! front of the control plane.
 //!
-//! Binds a TCP endpoint, serves cycle-sorted fault leases to any
-//! `grid_worker` that connects, and prints the merged campaign report once
-//! every index has exactly one accepted result. With `--verify` the same
-//! campaign is additionally run single-process in this process and the
-//! merged results plus telemetry deterministic counters are compared
-//! bit-for-bit — the acceptance check the CI smoke test leans on.
+//! Binds a [`Service`] with one pre-submitted campaign, serves cycle-sorted
+//! fault leases to any `grid_worker` that connects, and prints the merged
+//! campaign report once every index has exactly one accepted result. With
+//! `--verify` the same campaign is additionally run single-process in this
+//! process and the merged results plus telemetry deterministic counters
+//! are compared bit-for-bit — the acceptance check the CI smoke test leans
+//! on. With `--journal-dir` accepted results stream to
+//! `DIR/campaign-1.jsonl` (the service's on-disk layout) and a rerun of the
+//! same command resumes from it.
 //!
 //! ```text
 //! grid_coordinator --workload bitcount --structure RegFile --faults 200 \
-//!     --bind 127.0.0.1:4810 [--batch N] [--lease-ms N] [--journal PATH] \
+//!     --bind 127.0.0.1:4810 [--batch N] [--lease-ms N] [--journal-dir DIR] \
 //!     [--deadline-s N] [--seed S] [--small] [--mode end|instr] [--verify]
 //! ```
 
-use avgi_faultsim::telemetry::MetricsCollector;
-use avgi_faultsim::{run_campaign, CampaignConfig, RunMode};
-use avgi_grid::{Coordinator, GridConfig, GridOutcome};
+use avgi_faultsim::RunMode;
+use avgi_grid::service::reference_outcome;
+use avgi_grid::{ConfigPreset, GridOutcome, Service, ServiceConfig, SubmitSpec};
 use avgi_muarch::Structure;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Duration;
 
 struct Args {
-    workload: String,
-    structure: Structure,
-    faults: usize,
-    seed: u64,
-    small: bool,
-    mode: RunMode,
+    spec: SubmitSpec,
     bind: String,
     batch: usize,
     lease_ms: u64,
-    journal: Option<PathBuf>,
+    journal_dir: Option<PathBuf>,
     fsync_every: u64,
     deadline_s: Option<u64>,
     verify: bool,
@@ -39,20 +37,15 @@ struct Args {
 
 const USAGE: &str = "grid_coordinator --workload NAME --structure IDENT [--faults N] \
      [--seed S] [--small] [--mode end|instr] [--bind ADDR] [--batch N] \
-     [--lease-ms N] [--journal PATH] [--fsync-every N] [--deadline-s N] [--verify]";
+     [--lease-ms N] [--journal-dir DIR] [--fsync-every N] [--deadline-s N] [--verify]";
 
 fn parse_args() -> Args {
     let mut args = Args {
-        workload: "bitcount".into(),
-        structure: Structure::RegFile,
-        faults: 200,
-        seed: 0xA461_0001,
-        small: false,
-        mode: RunMode::Instrumented,
+        spec: SubmitSpec::new("bitcount", Structure::RegFile, 200, 0xA461_0001),
         bind: "127.0.0.1:4810".into(),
         batch: 16,
         lease_ms: 30_000,
-        journal: None,
+        journal_dir: None,
         fsync_every: 0,
         deadline_s: None,
         verify: false,
@@ -64,17 +57,19 @@ fn parse_args() -> Args {
     };
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--workload" => args.workload = next("--workload", &mut it),
+            "--workload" => args.spec.workload = next("--workload", &mut it),
             "--structure" => {
                 let s = next("--structure", &mut it);
-                args.structure =
+                args.spec.structure =
                     Structure::from_ident(&s).unwrap_or_else(|| panic!("unknown structure `{s}`"));
             }
-            "--faults" => args.faults = next("--faults", &mut it).parse().expect("--faults N"),
-            "--seed" => args.seed = next("--seed", &mut it).parse().expect("--seed S"),
-            "--small" => args.small = true,
+            "--faults" => {
+                args.spec.faults = next("--faults", &mut it).parse().expect("--faults N");
+            }
+            "--seed" => args.spec.seed = next("--seed", &mut it).parse().expect("--seed S"),
+            "--small" => args.spec.preset = ConfigPreset::Small,
             "--mode" => {
-                args.mode = match next("--mode", &mut it).as_str() {
+                args.spec.mode = match next("--mode", &mut it).as_str() {
                     "end" => RunMode::EndToEnd,
                     "instr" => RunMode::Instrumented,
                     other => panic!("unknown mode `{other}` (end|instr)"),
@@ -85,7 +80,9 @@ fn parse_args() -> Args {
             "--lease-ms" => {
                 args.lease_ms = next("--lease-ms", &mut it).parse().expect("--lease-ms N");
             }
-            "--journal" => args.journal = Some(PathBuf::from(next("--journal", &mut it))),
+            "--journal-dir" => {
+                args.journal_dir = Some(PathBuf::from(next("--journal-dir", &mut it)));
+            }
             "--fsync-every" => {
                 args.fsync_every = next("--fsync-every", &mut it)
                     .parse()
@@ -107,24 +104,15 @@ fn parse_args() -> Args {
 
 /// Reruns the campaign single-process and compares it to the grid outcome.
 /// Returns `false` on any divergence.
-fn verify(args: &Args, ccfg: &CampaignConfig, outcome: &GridOutcome) -> bool {
-    let w = avgi_workloads::by_name(&args.workload).expect("workload verified at bind");
-    let cfg = preset(args).config();
-    let golden = avgi_faultsim::golden_for(&w, &cfg);
-    let collector = Arc::new(MetricsCollector::new());
-    let reference = run_campaign(
-        &w,
-        &cfg,
-        &golden,
-        &ccfg.clone().with_observer(collector.clone()),
-    );
+fn verify(spec: &SubmitSpec, outcome: &GridOutcome) -> bool {
+    let reference = reference_outcome(spec).expect("workload verified at submit");
     let mut ok = true;
-    if outcome.result.results != reference.results {
+    if outcome.result.results != reference.result.results {
         eprintln!("[verify] FAIL: merged results differ from single-process reference");
         ok = false;
     }
     let grid_counters = outcome.telemetry.deterministic_counters_json();
-    let ref_counters = collector.snapshot().deterministic_counters_json();
+    let ref_counters = reference.telemetry.deterministic_counters_json();
     if grid_counters != ref_counters {
         eprintln!("[verify] FAIL: merged telemetry counters differ");
         eprintln!("[verify]   grid: {grid_counters}");
@@ -134,52 +122,56 @@ fn verify(args: &Args, ccfg: &CampaignConfig, outcome: &GridOutcome) -> bool {
     if ok {
         eprintln!(
             "[verify] OK: {} results and telemetry counters bit-identical to single-process",
-            reference.results.len()
+            reference.result.len()
         );
     }
     ok
 }
 
-fn preset(args: &Args) -> avgi_grid::ConfigPreset {
-    if args.small {
-        avgi_grid::ConfigPreset::Small
-    } else {
-        avgi_grid::ConfigPreset::Big
-    }
-}
-
 fn main() {
     let args = parse_args();
-    let w = avgi_workloads::by_name(&args.workload)
-        .unwrap_or_else(|| panic!("unknown workload `{}`", args.workload));
-    let ccfg = CampaignConfig::new(args.structure, args.faults, args.mode).with_seed(args.seed);
-    let grid = GridConfig {
+    // One process, one campaign: the submission queue is scratch. Every
+    // start submits campaign 1 afresh; what survives a restart is its
+    // journal under `--journal-dir`.
+    let queue = std::env::temp_dir().join(format!(
+        "avgi-grid-coordinator-{}.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&queue);
+    let cfg = ServiceConfig {
         bind: args.bind.clone(),
+        queue: queue.clone(),
+        journal_dir: args.journal_dir.clone(),
         batch: args.batch,
         lease_timeout: Duration::from_millis(args.lease_ms),
-        journal: args.journal.clone(),
         durability: if args.fsync_every > 0 {
             avgi_faultsim::DurabilityPolicy::FsyncEveryN(args.fsync_every)
         } else {
             avgi_faultsim::DurabilityPolicy::Flush
         },
         deadline: args.deadline_s.map(Duration::from_secs),
-        ..GridConfig::default()
+        exit_after: Some(1),
+        ..ServiceConfig::default()
     };
-    let coord = Coordinator::bind(&w, preset(&args), &ccfg, &grid)
-        .unwrap_or_else(|e| panic!("bind failed: {e}"));
-    let addr = coord.local_addr().expect("bound socket has an address");
+    let mut service = Service::bind(cfg).unwrap_or_else(|e| panic!("bind failed: {e}"));
+    let id = service
+        .submit(args.spec.clone())
+        .unwrap_or_else(|e| panic!("campaign rejected: {e}"));
+    let addr = service.local_addr().expect("bound socket has an address");
     eprintln!(
         "[coordinator] serving {} / {} ({} faults, batch {}, lease {}ms) on {addr}",
-        args.structure, args.workload, args.faults, args.batch, args.lease_ms
+        args.spec.structure, args.spec.workload, args.spec.faults, args.batch, args.lease_ms
     );
-    let outcome = match coord.run() {
+    let served = service.serve();
+    let _ = std::fs::remove_file(&queue);
+    let (stats, mut outcomes) = match served {
         Ok(o) => o,
         Err(e) => {
             eprintln!("[coordinator] campaign failed: {e}");
             std::process::exit(1);
         }
     };
+    let outcome = outcomes.remove(&id).expect("the one campaign finalized");
     print!(
         "{}",
         avgi_core::grid_report(&outcome.result, &outcome.telemetry)
@@ -187,19 +179,18 @@ fn main() {
     eprintln!(
         "[coordinator] workers {} (+{} re-attached) | leases {} granted / {} reassigned | \
          batches rejected {} | protocol errors {} ({} corrupt frames) | \
-         panics {} | shed {} | resumed {}",
-        outcome.stats.workers_seen,
-        outcome.stats.sessions_reattached,
-        outcome.stats.leases_granted,
-        outcome.stats.leases_reassigned,
-        outcome.stats.batches_rejected,
-        outcome.stats.protocol_errors,
-        outcome.stats.corrupt_frames,
-        outcome.stats.handler_panics,
-        outcome.stats.connections_shed,
-        outcome.stats.resumed,
+         shed {} | resumed {}",
+        stats.workers_seen,
+        stats.sessions_reattached,
+        stats.leases_granted,
+        stats.leases_reassigned,
+        stats.batches_rejected,
+        stats.protocol_errors,
+        stats.corrupt_frames,
+        stats.connections_shed,
+        stats.results_resumed,
     );
-    if args.verify && !verify(&args, &ccfg, &outcome) {
+    if args.verify && !verify(&args.spec, &outcome) {
         std::process::exit(1);
     }
 }

@@ -12,14 +12,11 @@
 //!     [--wait] [--verify] [--timeout-s N]
 //! ```
 
-use avgi_faultsim::telemetry::MetricsCollector;
-use avgi_faultsim::{run_campaign, CampaignConfig};
-use avgi_grid::service::reference_report;
+use avgi_grid::service::{reference_outcome, reference_report};
 use avgi_grid::{ConfigPreset, SubmitSpec};
 use avgi_muarch::Structure;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "grid_submit --addr ADDR --workload NAME --structure IDENT [--faults N] \
@@ -154,26 +151,18 @@ fn main() {
         .find("\"report\":")
         .map(|at| &final_body[at + "\"report\":".len()..final_body.len() - 1])
         .expect("finished campaign carries a report");
-    let w = avgi_workloads::by_name(&spec.workload).expect("workload accepted by the service");
-    let cfg = spec.preset.config();
-    let golden = avgi_faultsim::golden_for(&w, &cfg);
-    let mut ccfg = CampaignConfig::new(spec.structure, spec.faults, spec.mode)
-        .with_seed(spec.seed)
-        .with_burst(spec.burst_width);
-    ccfg.checkpoints = spec.checkpoints;
-    let collector = Arc::new(MetricsCollector::new());
-    let reference = run_campaign(&w, &cfg, &golden, &ccfg.with_observer(collector.clone()));
+    let reference = reference_outcome(&spec).expect("workload accepted by the service");
     let expect = reference_report(
         &spec.workload,
         spec.structure,
-        golden.cycles,
-        &reference.results,
-        &collector.snapshot(),
+        reference.result.golden_cycles,
+        &reference.result.results,
+        &reference.telemetry,
     );
     if report == expect {
         eprintln!(
             "[verify] OK: campaign {id} report bit-identical to single-process ({} results)",
-            reference.results.len()
+            reference.result.len()
         );
     } else {
         eprintln!("[verify] FAIL: campaign {id} report differs from single-process reference");

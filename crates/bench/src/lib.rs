@@ -129,8 +129,9 @@ impl ExpArgs {
 /// [`MetricsCollector`] behind a stderr [`ProgressObserver`], plus the
 /// optional `metrics.json` destination from `--metrics`.
 ///
-/// One bundle observes every campaign a binary runs; [`finish`]
-/// (ExpTelemetry::finish) prints the folded summary and writes the dump.
+/// One bundle observes every campaign a binary runs;
+/// [`finish`](ExpTelemetry::finish) prints the folded summary and writes
+/// the dump.
 pub struct ExpTelemetry {
     collector: Arc<MetricsCollector>,
     observer: Arc<ProgressObserver>,

@@ -86,7 +86,7 @@ pub struct CampaignConfig {
     ///
     /// The observer sees every run — fresh, retried, or replayed from a
     /// journal — see [`CampaignObserver`] for the hook contract. Observation
-    /// never changes campaign results; it is excluded from [`fmt::Debug`]
+    /// never changes campaign results; it is excluded from [`std::fmt::Debug`]
     /// output so journal keys and config hashes are unaffected.
     pub observer: Option<Arc<dyn CampaignObserver>>,
     /// Maximum number of runs executed as one shared-prefix batch
@@ -103,7 +103,7 @@ pub struct CampaignConfig {
     /// checkpointing is disabled or a wall-clock budget is set (the budget is
     /// accounted per whole run, which a shared prefix cannot attribute).
     ///
-    /// Excluded from the [`fmt::Debug`] identity (journal keys and config
+    /// Excluded from the [`std::fmt::Debug`] identity (journal keys and config
     /// hashes), so journals written at any batch size resume interchangeably.
     pub batch: usize,
     /// Debug-assert mode: differentially verify Masked classifications
@@ -119,7 +119,7 @@ pub struct CampaignConfig {
     /// classifications cannot be trusted, not that one run misbehaved.
     ///
     /// Verification never changes campaign results; like `observer` it is
-    /// excluded from [`fmt::Debug`] output so journal keys and config
+    /// excluded from [`std::fmt::Debug`] output so journal keys and config
     /// hashes are unaffected.
     pub verify_masked: bool,
     /// Which architectural execution tier runs the fault-free verification
@@ -129,7 +129,7 @@ pub struct CampaignConfig {
     /// step-at-a-time oracle. The tiers are bit-identical (the `--xtier`
     /// cross-check proves it per campaign), so like `observer` and
     /// `verify_masked` the knob never changes campaign results and is
-    /// excluded from [`fmt::Debug`] output.
+    /// excluded from [`std::fmt::Debug`] output.
     pub verify_tier: ExecTier,
 }
 

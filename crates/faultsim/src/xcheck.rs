@@ -1,9 +1,9 @@
 //! Lockstep cross-check of the shared-prefix batched engine (`--xcheck`).
 //!
 //! The batched engine claims bit-identity with the classic per-run engine:
-//! same [`InjectionResult`]s, same deterministic telemetry counters, same
-//! commit streams. This module *proves* it for a concrete campaign, three
-//! ways:
+//! same [`InjectionResult`](crate::InjectionResult)s, same deterministic
+//! telemetry counters, same commit streams. This module *proves* it for a
+//! concrete campaign, three ways:
 //!
 //! 1. **Substrate**: the golden capture is lockstep-verified against the
 //!    `avgi-refmodel` architectural interpreter — if the fault-free commit

@@ -1,8 +1,8 @@
 //! # avgi-grid — the distributed campaign fabric
 //!
-//! Shards a fault-injection campaign across processes (or machines): one
-//! [`Coordinator`] owns the fault list and hands out cycle-sorted work
-//! leases over a hand-rolled, length-prefixed binary protocol on TCP;
+//! Shards fault-injection campaigns across processes (or machines): one
+//! [`Service`] owns each campaign's fault list and hands out cycle-sorted
+//! work leases over a hand-rolled, length-prefixed binary protocol on TCP;
 //! any number of [workers](run_worker) rebuild the campaign locally from a
 //! compact [`CampaignSpec`], execute leased index batches through the same
 //! [`ShardRunner`](avgi_faultsim::ShardRunner) hot path a single-process
@@ -18,35 +18,43 @@
 //! are detected by heartbeat expiry and reassigned; late duplicate reports
 //! are discarded wholly, so nothing is double-counted).
 //!
+//! There is one control plane. A long-lived service takes submissions over
+//! HTTP ([`http`]); a single campaign is the same [`Service`] with one
+//! in-process [`submit`](Service::submit) and `exit_after: Some(1)`:
+//!
 //! ```no_run
-//! use avgi_faultsim::{CampaignConfig, RunMode};
-//! use avgi_grid::{Coordinator, ConfigPreset, GridConfig};
+//! use avgi_grid::{Service, ServiceConfig, SubmitSpec};
 //! use avgi_muarch::Structure;
 //!
-//! let w = avgi_workloads::by_name("sha").unwrap();
-//! let ccfg = CampaignConfig::new(Structure::RegFile, 500, RunMode::EndToEnd);
-//! let coord = Coordinator::bind(&w, ConfigPreset::Big, &ccfg, &GridConfig::default()).unwrap();
-//! println!("listening on {}", coord.local_addr().unwrap());
-//! let outcome = coord.run().unwrap(); // blocks until workers finish it
-//! assert_eq!(outcome.result.len(), 500);
+//! let mut service = Service::bind(ServiceConfig {
+//!     exit_after: Some(1),
+//!     ..ServiceConfig::default()
+//! })
+//! .unwrap();
+//! let id = service
+//!     .submit(SubmitSpec::new("sha", Structure::RegFile, 500, 0xA461))
+//!     .unwrap();
+//! println!("listening on {}", service.local_addr().unwrap());
+//! let (_stats, mut outcomes) = service.serve().unwrap(); // blocks until workers finish it
+//! assert_eq!(outcomes.remove(&id).unwrap().result.len(), 500);
 //! ```
 //!
 //! The fabric is also hardened against *itself* failing: frames carry a
 //! CRC32 trailer, workers hold session tokens and reconnect with jittered
-//! exponential backoff ([`Backoff`]), the coordinator isolates handler
-//! panics and sheds excess connections, and the campaign journal seals
-//! every line with a checksum under a configurable
-//! [`DurabilityPolicy`](avgi_faultsim::DurabilityPolicy). All of it is
-//! exercised deterministically by interposing a seeded [`ChaosTransport`]
-//! on the [`Transport`] abstraction — see the [`chaos`] module and
-//! `DESIGN.md` §12.
+//! exponential backoff ([`Backoff`]), the service sheds excess connections,
+//! and the campaign journal seals every line with a checksum under a
+//! configurable [`DurabilityPolicy`](avgi_faultsim::DurabilityPolicy). All
+//! of it is exercised deterministically by interposing a seeded
+//! [`ChaosTransport`] on the [`Transport`] abstraction, on either side of
+//! the link — see the [`chaos`] module and `DESIGN.md` §12.
 //!
 //! The protocol (frame layout, lease state machine, merge semantics) is
-//! documented in `DESIGN.md` §10; `README.md` shows the two-terminal
-//! localhost workflow via the `grid_coordinator`/`grid_worker` binaries.
+//! documented in `DESIGN.md` §10 and the service in §15; `README.md` shows
+//! the two-terminal localhost workflow via the `grid_coordinator` (one
+//! campaign) or `grid_service` (many) and `grid_worker` binaries.
 
 pub mod chaos;
-pub mod coord;
+pub mod error;
 pub mod http;
 pub mod proto;
 pub mod queue;
@@ -57,10 +65,10 @@ pub mod transport;
 pub mod worker;
 
 pub use chaos::{ChaosInterposer, ChaosPolicy, ChaosStats, ChaosTransport};
-pub use coord::{Coordinator, GridConfig, GridError, GridOutcome, GridStats};
+pub use error::GridError;
 pub use queue::{QueuedCampaign, SubmissionQueue};
 pub use sched::{FairScheduler, ShareConfig};
-pub use service::{CampaignStatus, Service, ServiceConfig, ServiceStats};
+pub use service::{CampaignStatus, GridOutcome, Service, ServiceConfig, ServiceStats};
 pub use spec::{CampaignSpec, ConfigPreset, SubmitSpec};
 pub use transport::{TcpTransport, Transport};
 pub use worker::{run_worker, Backoff, WorkerConfig, WorkerStats};

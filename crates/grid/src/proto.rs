@@ -215,9 +215,8 @@ pub const FRAME_BUF_RETAIN: usize = 64 << 10;
 /// nonblocking mode.
 ///
 /// [`read_frame`] assumes a blocking stream: abandoning it on a read
-/// timeout mid-frame would tear the stream position. The coordinator's
-/// connection handlers instead read with short timeouts (and the service's
-/// event loop reads nonblocking sockets); `FrameBuffer` accumulates
+/// timeout mid-frame would tear the stream position. The service's event
+/// loop reads nonblocking sockets instead; `FrameBuffer` accumulates
 /// whatever bytes arrive and yields a frame only once it is complete, so a
 /// timeout or `WouldBlock` between polls never desynchronizes the stream.
 #[derive(Debug, Default)]
@@ -671,14 +670,12 @@ pub enum Msg {
         proto: u64,
         /// The session token to present when reconnecting.
         session: u64,
-        /// Campaign id `spec` belongs to (`0` for a single-campaign
-        /// coordinator or when no spec is pinned).
+        /// Campaign id `spec` belongs to (`0` when no spec is pinned).
         campaign: u64,
         /// The campaign to rebuild locally. `Some` for v2 peers (which
-        /// are pinned to one campaign for their whole session) and for
-        /// the classic one-campaign coordinator; `None` from a
-        /// multi-campaign service speaking v3, which sends [`Msg::Spec`]
-        /// per campaign instead.
+        /// are pinned to one campaign for their whole session); `None` on
+        /// a v3 link, where the service sends [`Msg::Spec`] per campaign
+        /// instead.
         spec: Option<CampaignSpec>,
     },
     /// Worker → coordinator: ready for (more) work.

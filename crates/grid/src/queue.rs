@@ -75,7 +75,10 @@ impl SubmissionQueue {
         File::open(path)?.read_to_string(&mut text)?;
         let bad = |m: String| std::io::Error::new(std::io::ErrorKind::InvalidData, m);
 
-        let mut pending: Vec<QueuedCampaign> = Vec::new();
+        // Specs are checked only for submissions still pending at the end:
+        // one the service retired because it could not run (see
+        // `Service::submit`) must not fail every later replay.
+        let mut replayed: Vec<(u64, Result<SubmitSpec, String>)> = Vec::new();
         let mut next_id: u64 = 1;
         let mut good_bytes = 0usize;
         let mut first = true;
@@ -117,10 +120,9 @@ impl SubmissionQueue {
                     let spec = SubmitSpec::from_json_value(
                         v.get("spec")
                             .ok_or_else(|| bad("submit op without spec".into()))?,
-                    )
-                    .map_err(bad)?;
+                    );
                     next_id = next_id.max(id + 1);
-                    pending.push(QueuedCampaign { id, spec });
+                    replayed.push((id, spec));
                 }
                 Some("done") => {
                     let id = v
@@ -128,7 +130,7 @@ impl SubmissionQueue {
                         .and_then(Json::as_u64)
                         .ok_or_else(|| bad("done op without id".into()))?;
                     next_id = next_id.max(id + 1);
-                    pending.retain(|q| q.id != id);
+                    replayed.retain(|(q, _)| *q != id);
                 }
                 // An op from a future minor revision: ignore it (the CRC
                 // says it is intact; we just do not understand it).
@@ -139,6 +141,15 @@ impl SubmissionQueue {
         if first {
             return Err(bad(format!("queue has no header: {}", path.display())));
         }
+        let pending = replayed
+            .into_iter()
+            .map(|(id, spec)| {
+                Ok(QueuedCampaign {
+                    id,
+                    spec: spec.map_err(bad)?,
+                })
+            })
+            .collect::<std::io::Result<Vec<_>>>()?;
         if good_bytes < text.len() {
             // Drop the corrupt/torn tail so appends extend a clean log.
             let f = OpenOptions::new().write(true).open(path)?;

@@ -1,9 +1,9 @@
-//! The multi-campaign control plane: campaigns as a service.
+//! The control plane: campaigns as a service.
 //!
-//! The classic [`Coordinator`](crate::Coordinator) is one campaign, one
-//! process, one thread per connection. [`Service`] is the grown-up
-//! sibling: a single-threaded, poll-based event loop that multiplexes
-//! *many* tenant campaigns over one shared worker fleet, with
+//! [`Service`] is the fabric's one coordinator: a single-threaded,
+//! poll-based event loop that owns the lease state machine (`DESIGN.md`
+//! §10) and multiplexes *many* tenant campaigns over one shared worker
+//! fleet, with
 //!
 //! * **fair-share scheduling** ([`FairScheduler`]) — priority tiers,
 //!   per-campaign quotas, smooth weighted round-robin within a tier;
@@ -16,6 +16,10 @@
 //! * **an HTTP surface** ([`crate::http`]) — `POST /campaigns`,
 //!   `GET /campaigns/<id>`, `GET /fleet`.
 //!
+//! A single campaign is the same loop with one in-process
+//! [`submit`](Service::submit), [`ServiceConfig::exit_after`] set to one,
+//! and the typed [`GridOutcome`] taken from [`serve`](Service::serve).
+//!
 //! Every connection — worker fabric and HTTP alike — runs nonblocking.
 //! The loop accepts, reads whatever bytes arrived, advances per-connection
 //! incremental parsers ([`FrameBuffer`], [`HttpBuffer`]), appends response
@@ -23,15 +27,16 @@
 //! sockets drain. No thread per connection, no locks: all campaign state
 //! lives on the loop thread.
 //!
-//! The per-campaign invariants are exactly the single-campaign fabric's,
-//! held *per tenant* under interleaving: a campaign's merged results and
-//! telemetry deterministic counters are bit-identical to a single-process
-//! run of the same spec, leases are first-responder-wins, and expiry
-//! requeues honor the owning campaign's priority. Cross-tenant mixing is
-//! structurally prevented — every lease knows its campaign, and merged
-//! telemetry snapshots carry a campaign tag that the merge asserts on.
+//! The invariants hold *per tenant* under interleaving: a campaign's
+//! merged results and telemetry deterministic counters are bit-identical
+//! to a single-process run of the same spec, leases are
+//! first-responder-wins, and expiry requeues honor the owning campaign's
+//! priority. Cross-tenant mixing is structurally prevented — every lease
+//! knows its campaign, and merged telemetry snapshots carry a campaign tag
+//! that the merge asserts on.
 
-use crate::coord::GridError;
+use crate::chaos::ChaosInterposer;
+use crate::error::GridError;
 use crate::http::{response, HttpBuffer, HttpPoll, HttpRequest};
 use crate::proto::{
     frame_bytes, negotiate, FrameBuffer, FrameError, Msg, MsgKind, WireStats, MIN_PROTO_VERSION,
@@ -44,7 +49,7 @@ use avgi_faultsim::campaign::golden_for;
 use avgi_faultsim::journal::{config_hash, record_line, CampaignKey, DurabilityPolicy, Journal};
 use avgi_faultsim::sampling::sample_faults;
 use avgi_faultsim::telemetry::{CampaignObserver, MetricsCollector, MetricsSnapshot};
-use avgi_faultsim::{CampaignConfig, InjectionResult};
+use avgi_faultsim::{run_campaign, CampaignResult, InjectionResult};
 use avgi_muarch::fault::Fault;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io::Write;
@@ -82,6 +87,10 @@ pub struct ServiceConfig {
     /// Live worker-connection cap; beyond it new peers are shed with a
     /// `Reject` frame.
     pub max_conns: usize,
+    /// Fault injection on every accepted worker connection's outbound
+    /// frames (`None` = plain TCP). Test/soak instrumentation; see
+    /// [`crate::chaos`].
+    pub chaos: Option<Arc<ChaosInterposer>>,
 }
 
 impl Default for ServiceConfig {
@@ -98,6 +107,7 @@ impl Default for ServiceConfig {
             exit_after: None,
             stop: None,
             max_conns: 64,
+            chaos: None,
         }
     }
 }
@@ -105,7 +115,8 @@ impl Default for ServiceConfig {
 /// Service-level statistics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Campaigns accepted (HTTP submissions; excludes queue resumes).
+    /// Campaigns accepted (HTTP or in-process submissions; excludes queue
+    /// resumes).
     pub campaigns_submitted: u64,
     /// Campaigns restored from the submission queue at startup.
     pub campaigns_resumed: u64,
@@ -146,6 +157,19 @@ pub struct CampaignStatus {
     pub completed: usize,
 }
 
+/// A finished campaign in typed form (the HTTP surface serves the same
+/// content as a JSON report).
+#[derive(Debug)]
+pub struct GridOutcome {
+    /// The merged campaign result — bit-identical to a single-process
+    /// [`run_campaign`](avgi_faultsim::run_campaign) of the same spec.
+    pub result: CampaignResult,
+    /// Merged telemetry: the sum of every accepted batch delta (plus the
+    /// journal replay on resume). Its deterministic counters match a
+    /// single-process campaign's; wall-clock fields are meaningless here.
+    pub telemetry: MetricsSnapshot,
+}
+
 /// One live campaign.
 struct Run {
     submit: SubmitSpec,
@@ -164,6 +188,24 @@ struct Run {
 impl Run {
     fn completed(&self) -> usize {
         self.results.len() - self.remaining
+    }
+
+    fn into_outcome(self) -> GridOutcome {
+        GridOutcome {
+            result: CampaignResult {
+                workload: self.spec.workload,
+                structure: self.spec.structure,
+                mode: self.spec.mode,
+                golden_cycles: self.spec.golden_cycles,
+                results: self
+                    .results
+                    .into_iter()
+                    .map(|r| r.expect("finalized campaign is complete"))
+                    .collect(),
+                warnings: Vec::new(),
+            },
+            telemetry: self.telemetry,
+        }
     }
 }
 
@@ -226,7 +268,8 @@ pub struct Service {
 impl Service {
     /// Opens (and replays) the submission queue, reactivates every pending
     /// campaign — resuming its journal if one exists — and binds the
-    /// listeners. Nothing is served until [`run`](Service::run).
+    /// listeners. Workers may connect as soon as this returns; nothing is
+    /// served until [`run`](Service::run).
     pub fn bind(cfg: ServiceConfig) -> Result<Service, GridError> {
         let queue = SubmissionQueue::open(&cfg.queue)?;
         let listener = TcpListener::bind(cfg.bind.as_str())?;
@@ -304,10 +347,33 @@ impl Service {
             .collect()
     }
 
+    /// Durably enqueues and activates a campaign, returning its id: what
+    /// `POST /campaigns` does, for an embedding process. Callable between
+    /// [`bind`](Service::bind) and [`run`](Service::run).
+    pub fn submit(&mut self, spec: SubmitSpec) -> Result<u64, GridError> {
+        let id = self.queue.submit(spec.clone())?;
+        if let Err(e) = self.activate(id, spec) {
+            // The submission journaled but cannot run; retire it so a
+            // restart does not resurrect a poison campaign.
+            let _ = self.queue.complete(id);
+            self.campaigns.remove(&id);
+            self.sched.deregister(id);
+            return Err(e);
+        }
+        self.stats.campaigns_submitted += 1;
+        Ok(id)
+    }
+
+    /// [`serve`](Service::serve), keeping only the statistics.
+    pub fn run(self) -> Result<ServiceStats, GridError> {
+        self.serve().map(|(stats, _)| stats)
+    }
+
     /// Serves the control plane until the exit condition
-    /// ([`ServiceConfig::exit_after`]) is met, then drains the fleet and
-    /// returns the accumulated statistics.
-    pub fn run(mut self) -> Result<ServiceStats, GridError> {
+    /// ([`ServiceConfig::exit_after`] or [`ServiceConfig::stop`]) is met,
+    /// then drains the fleet and returns the accumulated statistics plus
+    /// the [`GridOutcome`] of every finalized campaign, keyed by id.
+    pub fn serve(mut self) -> Result<(ServiceStats, BTreeMap<u64, GridOutcome>), GridError> {
         let started = Instant::now();
         loop {
             self.tick()?;
@@ -321,8 +387,14 @@ impl Service {
                 .as_ref()
                 .is_some_and(|f| f.load(std::sync::atomic::Ordering::Relaxed));
             if exit_count || stop_flag {
-                self.drain_fleet();
-                return Ok(self.stats);
+                self.drain_fleet()?;
+                let outcomes = self
+                    .campaigns
+                    .into_iter()
+                    .filter(|(_, run)| run.done)
+                    .map(|(id, run)| (id, run.into_outcome()))
+                    .collect();
+                return Ok((self.stats, outcomes));
             }
             if let Some(deadline) = self.cfg.deadline {
                 if started.elapsed() > deadline {
@@ -339,7 +411,7 @@ impl Service {
     fn tick(&mut self) -> Result<(), GridError> {
         self.accept_workers();
         self.accept_http();
-        self.pump_workers();
+        self.pump_workers()?;
         self.pump_http();
         self.sweep_leases();
         Ok(())
@@ -357,10 +429,6 @@ impl Service {
         })?;
         let cfg = sub.preset.config();
         let golden = golden_for(&workload, &cfg);
-        let mut ccfg = CampaignConfig::new(sub.structure, sub.faults, sub.mode)
-            .with_seed(sub.seed)
-            .with_burst(sub.burst_width);
-        ccfg.checkpoints = sub.checkpoints;
         let faults = sample_faults(sub.structure, &cfg, golden.cycles, sub.faults, sub.seed)
             .map_err(|e| GridError::Spec(format!("fault sampling failed: {e}")))?;
         let spec = CampaignSpec {
@@ -385,7 +453,8 @@ impl Service {
             Some(dir) => {
                 std::fs::create_dir_all(dir)?;
                 let path = dir.join(format!("campaign-{id}.jsonl"));
-                let key = CampaignKey::new(workload.name, &cfg, golden.cycles, &ccfg);
+                let key =
+                    CampaignKey::new(workload.name, &cfg, golden.cycles, &sub.campaign_config());
                 let (journal, done) = Journal::open_with(&path, &key, self.cfg.durability)?;
                 for (&i, r) in &done {
                     if r.fault != faults[i] {
@@ -502,6 +571,10 @@ impl Service {
                     if transport.set_nonblocking(true).is_err() {
                         continue;
                     }
+                    let transport = match &self.cfg.chaos {
+                        Some(chaos) => chaos.wrap(transport),
+                        None => transport,
+                    };
                     let mut conn = WorkerConn {
                         transport,
                         fb: FrameBuffer::new(),
@@ -531,60 +604,57 @@ impl Service {
         }
     }
 
-    fn pump_workers(&mut self) {
+    /// Pumps every worker connection. `Err` is a service-side failure
+    /// (journal or queue I/O) that ends the run, never a peer's fault.
+    fn pump_workers(&mut self) -> Result<(), GridError> {
         let ids: Vec<u64> = self.conns.keys().copied().collect();
         for id in ids {
             let mut conn = self.conns.remove(&id).expect("conn id just listed");
-            let alive = self.pump_worker_conn(id, &mut conn);
-            if alive {
+            if self.pump_worker_conn(id, &mut conn)? {
                 self.conns.insert(id, conn);
-            } else if let Some(session) = conn.session {
-                // A vanished connection's leases stay put briefly — the
-                // session may reconnect and retransmit — unless the close
-                // was clean (handled in `read_worker_frames`).
-                let _ = session;
             }
         }
+        Ok(())
     }
 
     /// Flushes and reads one worker connection. Returns `false` when the
     /// connection should be dropped.
-    fn pump_worker_conn(&mut self, id: u64, conn: &mut WorkerConn) -> bool {
+    fn pump_worker_conn(&mut self, id: u64, conn: &mut WorkerConn) -> Result<bool, GridError> {
         if !flush_out(&mut *conn.transport, &mut conn.out) {
             self.requeue_session_if_current(conn.session, id);
-            return false;
+            return Ok(false);
         }
         if conn.close_after_flush {
             if conn.out.is_empty() {
                 let _ = conn.transport.shutdown();
-                return false;
+                return Ok(false);
             }
-            return true; // keep flushing; skip reads on a dying connection
+            return Ok(true); // keep flushing; skip reads on a dying connection
         }
-        let alive = self.read_worker_frames(id, conn);
+        let alive = self.read_worker_frames(id, conn)?;
         // Push out whatever the handlers queued without waiting a tick.
         if alive && !flush_out(&mut *conn.transport, &mut conn.out) {
             self.requeue_session_if_current(conn.session, id);
-            return false;
+            return Ok(false);
         }
-        alive
+        Ok(alive)
     }
 
     /// Drains every decodable frame from one connection.
-    fn read_worker_frames(&mut self, id: u64, conn: &mut WorkerConn) -> bool {
+    fn read_worker_frames(&mut self, id: u64, conn: &mut WorkerConn) -> Result<bool, GridError> {
         loop {
             match conn.fb.poll(&mut *conn.transport) {
                 Ok(Some(payload)) => {
-                    if !self.handle_worker_msg(id, conn, &payload) {
-                        return false;
+                    if !self.handle_worker_msg(id, conn, &payload)? {
+                        return Ok(false);
                     }
                 }
-                Ok(None) => return true,
+                Ok(None) => return Ok(true),
                 Err(FrameError::Closed) => {
                     // Clean close at a frame boundary: the worker left for
                     // good; hand its leases back immediately.
                     self.requeue_session_if_current(conn.session, id);
-                    return false;
+                    return Ok(false);
                 }
                 Err(e) => {
                     let corrupt = matches!(e, FrameError::Crc { .. });
@@ -592,7 +662,7 @@ impl Service {
                     // Leases deliberately stay: under link corruption the
                     // "violation" is usually the link's fault, and the
                     // worker will re-attach with its session token.
-                    return true;
+                    return Ok(true);
                 }
             }
         }
@@ -615,16 +685,21 @@ impl Service {
 
     /// Handles one decoded frame. Returns `false` to drop the connection
     /// immediately (clean `Done` handoff).
-    fn handle_worker_msg(&mut self, id: u64, conn: &mut WorkerConn, payload: &[u8]) -> bool {
+    fn handle_worker_msg(
+        &mut self,
+        id: u64,
+        conn: &mut WorkerConn,
+        payload: &[u8],
+    ) -> Result<bool, GridError> {
         let msg = match Msg::decode(payload) {
             Ok(m) => m,
             Err(e) => {
                 self.protocol_error(conn, &format!("bad message: {e}"), false);
-                return true;
+                return Ok(true);
             }
         };
         self.wire_for(conn.proto).record(msg.kind(), payload.len());
-        match msg {
+        Ok(match msg {
             Msg::Hello { proto, session } => self.handle_hello(id, conn, proto, session),
             Msg::LeaseRequest => self.handle_lease_request(conn),
             Msg::Heartbeat { lease, .. } => {
@@ -643,15 +718,10 @@ impl Service {
             } => {
                 let Some(session) = conn.session else {
                     self.protocol_error(conn, "batch before hello", false);
-                    return true;
+                    return Ok(true);
                 };
-                match self.accept_batch(session, lease, results, telemetry) {
-                    Ok(()) => {}
-                    Err(Some(reason)) => {
-                        self.protocol_error(conn, &reason, false);
-                    }
-                    // Stale lease: silently dropped, worker carries on.
-                    Err(None) => {}
+                if let Some(reason) = self.accept_batch(session, lease, results, telemetry)? {
+                    self.protocol_error(conn, &reason, false);
                 }
                 true
             }
@@ -678,7 +748,7 @@ impl Service {
                 self.protocol_error(conn, "unexpected message", false);
                 true
             }
-        }
+        })
     }
 
     fn handle_hello(
@@ -701,78 +771,48 @@ impl Service {
             return true;
         };
         conn.proto = proto;
-        // Resolve the session: fresh hellos allocate, returning tokens
-        // re-attach (rebinding to this connection). Duplicate hellos from a
-        // chaotic link land in the reattach arm and are harmless.
-        let token = match requested.or(conn.session) {
-            Some(token) => {
-                match self.sessions.get_mut(&token) {
-                    Some(s) => {
-                        s.conn = id;
-                        self.stats.sessions_reattached += 1;
-                    }
-                    None => {
-                        // Unknown token: a worker outliving a service
-                        // restart. Honor it so retransmissions attribute.
-                        self.sessions.insert(
-                            token,
-                            Session {
-                                conn: id,
-                                pinned: None,
-                                specs_sent: HashSet::new(),
-                            },
-                        );
-                        self.stats.workers_seen += 1;
-                    }
-                }
-                token
-            }
-            None => {
-                while self.sessions.contains_key(&self.next_session) {
-                    self.next_session += 1;
-                }
-                let token = self.next_session;
+        // Resolve the session: a fresh hello allocates a token, a returning
+        // one re-attaches (rebinding to this connection), and so does a
+        // duplicate hello from a chaotic link, harmlessly.
+        let token = requested.or(conn.session).unwrap_or_else(|| {
+            while self.sessions.contains_key(&self.next_session) {
                 self.next_session += 1;
-                self.sessions.insert(
-                    token,
-                    Session {
-                        conn: id,
-                        pinned: None,
-                        specs_sent: HashSet::new(),
-                    },
-                );
-                self.stats.workers_seen += 1;
-                token
             }
-        };
+            self.next_session
+        });
+        match self.sessions.get_mut(&token) {
+            Some(s) => {
+                s.conn = id;
+                self.stats.sessions_reattached += 1;
+            }
+            // A fresh token, or an unknown one: a worker outliving a service
+            // restart. Honor it so retransmissions attribute.
+            None => {
+                let session = Session {
+                    conn: id,
+                    pinned: None,
+                    specs_sent: HashSet::new(),
+                };
+                self.sessions.insert(token, session);
+                self.stats.workers_seen += 1;
+            }
+        }
         conn.session = Some(token);
         // v2 sessions are pinned to one campaign for their whole life; v3
         // sessions are unpinned and get specs per campaign on demand.
         let (campaign, spec) = if proto < 3 {
-            let session = self.sessions.get_mut(&token).expect("session just bound");
-            let pin = match session.pinned {
-                Some(pin) => Some(pin),
-                None => {
-                    let pin = self.pick_pin();
-                    self.sessions
-                        .get_mut(&token)
-                        .expect("session just bound")
-                        .pinned = pin;
-                    pin
-                }
+            let pinned = self.sessions[&token].pinned.or_else(|| self.pick_pin());
+            let Some(pin) = pinned else {
+                // Nothing to pin a v2 worker to: send it home.
+                self.push(conn, &Msg::Done);
+                conn.close_after_flush = true;
+                return true;
             };
-            match pin {
-                Some(pin) => {
-                    let spec = self.campaigns[&pin].spec.clone();
-                    (pin, Some(spec))
-                }
-                None => {
-                    // Nothing to pin a v2 worker to: send it home.
-                    self.push(conn, &Msg::Done);
-                    conn.close_after_flush = true;
-                    return true;
-                }
-            }
+            self.sessions
+                .get_mut(&token)
+                .expect("session just bound")
+                .pinned = pinned;
+            (pin, Some(self.campaigns[&pin].spec.clone()))
         } else {
             (0, None)
         };
@@ -859,23 +899,25 @@ impl Service {
         true
     }
 
-    /// Accepts or rejects one batch report. `Err(None)` is a silent
-    /// rejection (stale lease — dropped wholly, nothing double-counted);
-    /// `Err(Some(reason))` is a protocol violation.
+    /// Accepts or rejects one batch report. `Ok(Some(reason))` is a
+    /// protocol violation by the peer; `Ok(None)` an accepted report or a
+    /// silent rejection (stale lease — dropped wholly, nothing
+    /// double-counted). `Err` is the service's own journal or queue failing,
+    /// which ends the run; the queue still holds the campaign for a restart.
     fn accept_batch(
         &mut self,
         session: u64,
         lease: u64,
         results: Vec<(usize, InjectionResult)>,
         telemetry: MetricsSnapshot,
-    ) -> Result<(), Option<String>> {
+    ) -> Result<Option<String>, GridError> {
         let owned = self
             .leases
             .get(&lease)
             .is_some_and(|l| l.session == session);
         if !owned {
             self.stats.batches_rejected += 1;
-            return Err(None);
+            return Ok(None);
         }
         let rec = &self.leases[&lease];
         let campaign = rec.campaign;
@@ -885,7 +927,7 @@ impl Service {
                 .zip(&rec.indices)
                 .any(|((i, _), &want)| *i != want)
         {
-            return Err(Some("batch does not match its lease".into()));
+            return Ok(Some("batch does not match its lease".into()));
         }
         let run = self
             .campaigns
@@ -895,20 +937,17 @@ impl Service {
             .iter()
             .find(|(i, r)| run.faults.get(*i) != Some(&r.fault))
         {
-            return Err(Some(format!(
+            return Ok(Some(format!(
                 "fault mismatch at index {i}: reported {:?}",
                 r.fault
             )));
         }
         let rec = self.leases.remove(&lease).expect("ownership checked above");
         self.sched.completed(campaign, rec.indices.len());
-        let mut fatal = None;
         for (i, r) in results {
             if run.results[i].is_none() {
                 if let Some(journal) = &mut run.journal {
-                    if let Err(e) = journal.append(i, &r) {
-                        fatal = Some(format!("campaign {campaign} journal append failed: {e}"));
-                    }
+                    journal.append(i, &r)?;
                 }
                 run.results[i] = Some(r);
                 run.remaining -= 1;
@@ -917,15 +956,10 @@ impl Service {
         // Tag the delta with its tenant before merging: the merge asserts
         // agreement, so cross-campaign mixing is structurally impossible.
         run.telemetry.merge(&telemetry.with_campaign(campaign));
-        if let Some(msg) = fatal {
-            return Err(Some(msg));
-        }
         if run.remaining == 0 {
-            if let Err(e) = self.finalize(campaign) {
-                return Err(Some(format!("finalizing campaign {campaign} failed: {e}")));
-            }
+            self.finalize(campaign)?;
         }
-        Ok(())
+        Ok(None)
     }
 
     /// Returns a session's leased indices to their campaigns' queue fronts
@@ -975,9 +1009,10 @@ impl Service {
         }
     }
 
-    /// Tells every connected worker to go home and keeps answering until
-    /// they hang up (or a short grace period ends).
-    fn drain_fleet(&mut self) {
+    /// Tells every connected worker to go home and keeps answering — workers
+    /// that re-attach during the grace period included — until they hang up
+    /// or the period ends.
+    fn drain_fleet(&mut self) -> Result<(), GridError> {
         self.draining = true;
         let ids: Vec<u64> = self.conns.keys().copied().collect();
         for id in ids {
@@ -987,20 +1022,21 @@ impl Service {
         }
         let deadline = Instant::now() + Duration::from_secs(2);
         while !self.conns.is_empty() && Instant::now() < deadline {
-            self.pump_workers();
-            self.accept_http();
-            self.pump_http();
+            self.tick()?;
             std::thread::sleep(Duration::from_millis(2));
         }
         // Linger on the HTTP surface briefly: status clients poll
         // per-request, so give in-flight pollers one more window to fetch
         // the final reports before the listener goes away.
-        let linger = Instant::now() + Duration::from_millis(1_000);
-        while Instant::now() < linger {
-            self.accept_http();
-            self.pump_http();
-            std::thread::sleep(Duration::from_millis(2));
+        if self.http_listener.is_some() {
+            let linger = Instant::now() + Duration::from_millis(1_000);
+            while Instant::now() < linger {
+                self.accept_http();
+                self.pump_http();
+                std::thread::sleep(Duration::from_millis(2));
+            }
         }
+        Ok(())
     }
 
     // -- HTTP surface -------------------------------------------------------
@@ -1073,36 +1109,25 @@ impl Service {
 
     fn handle_http(&mut self, req: HttpRequest) -> Vec<u8> {
         match req {
-            HttpRequest::Submit(spec) => {
-                let id = match self.queue.submit(spec.clone()) {
-                    Ok(id) => id,
-                    Err(e) => {
-                        return response(
-                            500,
-                            &format!(
-                                "{{\"error\":\"queue append failed: {}\"}}",
-                                avgi_faultsim::json::escape(&e.to_string())
-                            ),
-                        )
-                    }
-                };
-                if let Err(e) = self.activate(id, spec) {
-                    // The submission journaled but cannot run; retire it so
-                    // a restart does not resurrect a poison campaign.
-                    let _ = self.queue.complete(id);
-                    self.campaigns.remove(&id);
-                    self.sched.deregister(id);
-                    return response(
-                        400,
+            HttpRequest::Submit(spec) => match self.submit(spec) {
+                Ok(id) => response(201, &format!("{{\"id\":{id}}}")),
+                Err(e) => {
+                    // The service's own disk failing is a 500; anything
+                    // else is a submission that cannot run.
+                    let status = if matches!(e, GridError::Io(_)) {
+                        500
+                    } else {
+                        400
+                    };
+                    response(
+                        status,
                         &format!(
                             "{{\"error\":\"{}\"}}",
                             avgi_faultsim::json::escape(&e.to_string())
                         ),
-                    );
+                    )
                 }
-                self.stats.campaigns_submitted += 1;
-                response(201, &format!("{{\"id\":{id}}}"))
-            }
+            },
             HttpRequest::Status(id) => match self.campaigns.get(&id) {
                 None => response(404, &format!("{{\"error\":\"no campaign {id}\"}}")),
                 Some(run) => {
@@ -1168,23 +1193,14 @@ fn wire_json(wire: &WireStats) -> String {
 /// journal record shape) plus the merged telemetry's deterministic
 /// counters. Byte-comparable against a single-process rebuild.
 fn build_report(run: &Run) -> String {
-    let records = run
-        .results
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            record_line(i, r.as_ref().expect("finalized campaign is complete"))
-                .trim_end()
-                .to_string()
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{{\"workload\":\"{}\",\"structure\":\"{}\",\"golden_cycles\":{},\"results\":[{records}],\"telemetry\":{}}}",
-        avgi_faultsim::json::escape(&run.spec.workload),
-        run.spec.structure.ident(),
+    report_json(
+        &run.spec.workload,
+        run.spec.structure,
         run.spec.golden_cycles,
-        run.telemetry.deterministic_counters_json(),
+        run.results
+            .iter()
+            .map(|r| r.as_ref().expect("finalized campaign is complete")),
+        &run.telemetry,
     )
 }
 
@@ -1198,8 +1214,23 @@ pub fn reference_report(
     results: &[InjectionResult],
     telemetry: &MetricsSnapshot,
 ) -> String {
+    report_json(
+        workload,
+        structure,
+        golden_cycles,
+        results.iter(),
+        telemetry,
+    )
+}
+
+fn report_json<'a>(
+    workload: &str,
+    structure: avgi_muarch::fault::Structure,
+    golden_cycles: u64,
+    results: impl Iterator<Item = &'a InjectionResult>,
+    telemetry: &MetricsSnapshot,
+) -> String {
     let records = results
-        .iter()
         .enumerate()
         .map(|(i, r)| record_line(i, r).trim_end().to_string())
         .collect::<Vec<_>>()
@@ -1210,6 +1241,21 @@ pub fn reference_report(
         structure.ident(),
         telemetry.deterministic_counters_json(),
     )
+}
+
+/// Runs `spec` single-process: the reference every distributed outcome of
+/// the same submission must equal bit for bit (what `--verify` in the bins
+/// and the fabric's tests compare against). `None` for an unknown workload.
+pub fn reference_outcome(spec: &SubmitSpec) -> Option<GridOutcome> {
+    let workload = avgi_workloads::by_name(&spec.workload)?;
+    let cfg = spec.preset.config();
+    let golden = golden_for(&workload, &cfg);
+    let collector = Arc::new(MetricsCollector::new());
+    let ccfg = spec.campaign_config().with_observer(collector.clone());
+    Some(GridOutcome {
+        result: run_campaign(&workload, &cfg, &golden, &ccfg),
+        telemetry: collector.snapshot(),
+    })
 }
 
 /// Writes as much of `out` as the socket will take. Returns `false` on a
@@ -1227,4 +1273,37 @@ fn flush_out(w: &mut (impl Write + ?Sized), out: &mut Vec<u8>) -> bool {
         }
     }
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use avgi_muarch::fault::Structure;
+
+    #[test]
+    fn a_submission_that_cannot_activate_is_retired_everywhere() {
+        // Unreachable over HTTP (`SubmitSpec::from_json` rejects the name
+        // first), so only the in-process door can hand `activate` a poison
+        // campaign.
+        let queue = std::env::temp_dir().join(format!(
+            "avgi-grid-poison-queue-{}.jsonl",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&queue);
+        let mut svc = Service::bind(ServiceConfig {
+            queue: queue.clone(),
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let poison = SubmitSpec::new("no-such-workload", Structure::RegFile, 8, 1);
+        assert!(matches!(svc.submit(poison), Err(GridError::Spec(_))));
+        assert!(svc.queue.pending().is_empty());
+        assert!(svc.statuses().is_empty());
+        assert!(svc.sched.pick(None).is_none());
+        assert_eq!(svc.stats.campaigns_submitted, 0);
+        // A restart must not resurrect it either.
+        drop(svc);
+        assert!(SubmissionQueue::open(&queue).unwrap().pending().is_empty());
+        let _ = std::fs::remove_file(&queue);
+    }
 }

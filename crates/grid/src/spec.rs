@@ -223,6 +223,15 @@ impl SubmitSpec {
         }
     }
 
+    /// The [`CampaignConfig`] this submission describes (no observer;
+    /// callers attach their own).
+    pub fn campaign_config(&self) -> CampaignConfig {
+        CampaignConfig::new(self.structure, self.faults, self.mode)
+            .with_seed(self.seed)
+            .with_burst(self.burst_width)
+            .with_checkpoints(self.checkpoints)
+    }
+
     /// The scheduling share this submission asks for.
     pub fn share(&self) -> crate::sched::ShareConfig {
         crate::sched::ShareConfig {

@@ -33,8 +33,7 @@ pub trait Transport: Read + Write + Send {
 
     /// Switches the connection between blocking and nonblocking mode (like
     /// [`TcpStream::set_nonblocking`]). The service's poll-based event loop
-    /// runs every accepted connection nonblocking; the classic
-    /// thread-per-connection coordinator never calls this.
+    /// runs every accepted connection nonblocking; workers stay blocking.
     fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()>;
 
     /// Tears down the connection for every handle.
@@ -52,9 +51,6 @@ impl TcpTransport {
     /// Wraps an accepted or connected stream.
     pub fn new(stream: TcpStream) -> std::io::Result<Self> {
         stream.set_nodelay(true)?;
-        // Accepted sockets must not inherit the listener's non-blocking
-        // mode: the handlers rely on blocking reads with timeouts.
-        stream.set_nonblocking(false)?;
         Ok(TcpTransport { stream })
     }
 

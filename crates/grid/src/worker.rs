@@ -13,17 +13,15 @@
 //!
 //! ## One worker, many campaigns
 //!
-//! Against the classic single-campaign [`Coordinator`](crate::Coordinator)
-//! the welcome frame pins the spec and every lease implicitly belongs to
-//! it. Against the multi-campaign [`Service`](crate::service::Service) a
-//! v3 worker is *unpinned*: leases name their campaign, and the first
-//! lease for an unseen campaign triggers a [`Msg::SpecRequest`] /
-//! [`Msg::Spec`] exchange. Rebuilt runtimes (golden run included — the
-//! expensive part) are cached per campaign for the life of the worker, so
-//! interleaved leases from different tenants pay the rebuild once each.
-//! A v2 peer never sees any of this: it is pinned to one campaign at
-//! hello, exactly like the classic coordinator, and its frames stay
-//! byte-identical to the v2 wire.
+//! Against the [`Service`](crate::service::Service) a v3 worker is
+//! *unpinned*: leases name their campaign, and the first lease for an
+//! unseen campaign triggers a [`Msg::SpecRequest`] / [`Msg::Spec`]
+//! exchange. Rebuilt runtimes (golden run included — the expensive part)
+//! are cached per campaign for the life of the worker, so interleaved
+//! leases from different tenants pay the rebuild once each. A v2 peer
+//! never sees any of this: the welcome frame pins it to one campaign and
+//! carries that campaign's spec, every lease implicitly belongs to it, and
+//! its frames stay byte-identical to the v2 wire.
 //!
 //! ## Surviving the link
 //!
@@ -38,7 +36,7 @@
 //! deterministically elsewhere — either way nothing is double-counted.
 
 use crate::chaos::ChaosInterposer;
-use crate::coord::GridError;
+use crate::error::{lock_clean, GridError};
 use crate::proto::{
     recv, send, FrameError, Msg, MsgKind, WireStats, MIN_PROTO_VERSION, PROTO_VERSION,
 };
@@ -53,8 +51,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-use crate::coord::lock_clean;
 
 /// Worker-side configuration.
 #[derive(Debug, Clone)]
@@ -317,8 +313,8 @@ struct Attach {
     session: u64,
     /// The campaign `spec` is pinned to (0 when unpinned).
     campaign: u64,
-    /// `Some` when this link pins one campaign (classic coordinator, or a
-    /// v2 link to the service); `None` on an unpinned v3 service link.
+    /// `Some` when this link pins one campaign (a v2 link); `None` on an
+    /// unpinned v3 link.
     spec: Option<CampaignSpec>,
 }
 

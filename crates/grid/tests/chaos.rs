@@ -1,6 +1,6 @@
 //! Seeded chaos end-to-end: the fabric under deliberate fire.
 //!
-//! Every test here runs a real coordinator and real workers over localhost
+//! Every test here runs a real service and real workers over localhost
 //! TCP with a [`ChaosTransport`](avgi_grid::ChaosTransport) interposed on
 //! one or both sides, so frames get dropped, bit-flipped, duplicated,
 //! delayed, and connections severed mid-frame — deterministically, from a
@@ -11,52 +11,49 @@
 //!
 //! Worker *processes* are allowed to end with an error here: a worker whose
 //! last `Done` was eaten by chaos dies retrying against an exited
-//! coordinator, and that is fine — the coordinator's merged outcome is the
+//! service, and that is fine — the service's merged outcome is the
 //! authoritative artifact under test.
 
-use avgi_faultsim::telemetry::MetricsCollector;
-use avgi_faultsim::{run_campaign, CampaignConfig, CampaignResult, MetricsSnapshot, RunMode};
+mod common;
+
 use avgi_grid::{
-    ChaosInterposer, ChaosPolicy, ConfigPreset, Coordinator, GridConfig, GridOutcome, WorkerConfig,
+    ChaosInterposer, ChaosPolicy, GridOutcome, ServiceConfig, ServiceStats, SubmitSpec,
+    WorkerConfig,
 };
 use avgi_muarch::Structure;
+use common::{assert_matches_reference, scratch, OneCampaign};
 use std::sync::Arc;
 use std::time::Duration;
 
 const FAULTS: usize = 48;
 
-fn campaign_config() -> CampaignConfig {
-    CampaignConfig::new(Structure::RegFile, FAULTS, RunMode::Instrumented).with_seed(0xC405)
+fn spec() -> SubmitSpec {
+    SubmitSpec::new("bitcount", Structure::RegFile, FAULTS, 0xC405)
 }
 
-/// The single-process reference: results plus observed telemetry.
-fn reference() -> (CampaignResult, MetricsSnapshot) {
-    let w = avgi_workloads::by_name("bitcount").unwrap();
-    let cfg = ConfigPreset::Big.config();
-    let golden = avgi_faultsim::golden_for(&w, &cfg);
-    let collector = Arc::new(MetricsCollector::new());
-    let ccfg = campaign_config().with_observer(collector.clone());
-    let result = run_campaign(&w, &cfg, &golden, &ccfg);
-    (result, collector.snapshot())
-}
-
-/// Short-fuse tuning so chaos recovery paths (lease expiry, read timeout,
-/// reconnect) play out in test time rather than production time.
-fn grid_config() -> GridConfig {
-    GridConfig {
+/// Short-fuse tuning, so chaos recovery paths (lease expiry, read timeout,
+/// reconnect) play out in test time rather than production time. Every
+/// call starts on a fresh queue file.
+fn grid_config(dir: &std::path::Path) -> ServiceConfig {
+    let queue = dir.join("queue.jsonl");
+    let _ = std::fs::remove_file(&queue);
+    ServiceConfig {
+        queue,
         batch: 5,
         lease_timeout: Duration::from_secs(2),
         deadline: Some(Duration::from_secs(180)),
-        ..GridConfig::default()
+        ..ServiceConfig::default()
     }
 }
 
+/// `grid_chaos`'s retry budgets: a worker whose last `Done` chaos ate gives
+/// up on the exited service in seconds.
 fn worker_config(jitter_seed: u64) -> WorkerConfig {
     let mut w = WorkerConfig::new(String::new());
     w.threads = 2;
-    w.connect_timeout = Duration::from_secs(2);
+    w.connect_timeout = Duration::from_secs(1);
     w.read_timeout = Duration::from_secs(2);
-    w.reconnect_attempts = 6;
+    w.reconnect_attempts = 4;
     w.backoff_base = Duration::from_millis(20);
     w.backoff_cap = Duration::from_millis(250);
     w.jitter_seed = jitter_seed;
@@ -64,46 +61,28 @@ fn worker_config(jitter_seed: u64) -> WorkerConfig {
 }
 
 /// Runs a distributed campaign, tolerating worker-side errors (see the
-/// module docs); the coordinator must succeed.
-fn run_chaos_grid(grid: GridConfig, workers: Vec<WorkerConfig>) -> GridOutcome {
-    let w = avgi_workloads::by_name("bitcount").unwrap();
-    let coord = Coordinator::bind(&w, ConfigPreset::Big, &campaign_config(), &grid).unwrap();
-    let addr = coord.local_addr().unwrap().to_string();
-    let coord_thread = std::thread::spawn(move || coord.run());
-    let worker_threads: Vec<_> = workers
-        .into_iter()
-        .map(|mut wcfg| {
-            wcfg.addr = addr.clone();
-            std::thread::spawn(move || avgi_grid::run_worker(&wcfg))
-        })
-        .collect();
-    let outcome = coord_thread.join().unwrap().unwrap();
-    for t in worker_threads {
+/// module docs); the service must succeed.
+fn run_chaos_grid(cfg: ServiceConfig, workers: Vec<WorkerConfig>) -> (GridOutcome, ServiceStats) {
+    let service = OneCampaign::start(cfg, &spec());
+    let workers = service.spawn_workers(workers);
+    let served = service.finish();
+    for t in workers {
         let _ = t.join().unwrap();
     }
-    outcome
-}
-
-fn assert_matches_reference(outcome: &GridOutcome) {
-    let (reference, telemetry) = reference();
-    assert_eq!(outcome.result.results, reference.results);
-    assert_eq!(
-        outcome.telemetry.deterministic_counters_json(),
-        telemetry.deterministic_counters_json(),
-        "merged telemetry must be bit-identical to single-process"
-    );
+    served
 }
 
 #[test]
 fn chaotic_links_both_ways_stay_bit_identical_across_seeds() {
     // Two chaos seeds, as the acceptance criteria demand: same storm
     // profile, different misfortune.
+    let dir = scratch("chaos-storm");
     for chaos_seed in [0xC4A0_0001_u64, 0xC4A0_0002] {
         let coord_chaos = Arc::new(ChaosInterposer::new(ChaosPolicy::stormy(chaos_seed)));
         let worker_chaos = Arc::new(ChaosInterposer::new(ChaosPolicy::stormy(chaos_seed ^ 0xFF)));
-        let grid = GridConfig {
+        let grid = ServiceConfig {
             chaos: Some(coord_chaos.clone()),
-            ..grid_config()
+            ..grid_config(&dir)
         };
         let workers = (0..2)
             .map(|i| {
@@ -112,61 +91,60 @@ fn chaotic_links_both_ways_stay_bit_identical_across_seeds() {
                 w
             })
             .collect();
-        let outcome = run_chaos_grid(grid, workers);
-        assert_matches_reference(&outcome);
+        let (outcome, stats) = run_chaos_grid(grid, workers);
+        assert_matches_reference(&outcome, &spec());
         let injected = coord_chaos.stats().injected() + worker_chaos.stats().injected();
         assert!(
             injected > 0,
             "storm policy must actually injure the link (seed {chaos_seed:#x})"
         );
         eprintln!(
-            "[chaos seed {chaos_seed:#x}] coordinator side: {} | worker side: {} | stats: {:?}",
+            "[chaos seed {chaos_seed:#x}] service side: {} | worker side: {} | stats: {stats:?}",
             coord_chaos.stats().summary(),
             worker_chaos.stats().summary(),
-            outcome.stats,
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn worker_death_under_chaos_still_converges_bit_identically() {
+    let dir = scratch("chaos-death");
     let coord_chaos = Arc::new(ChaosInterposer::new(ChaosPolicy::stormy(0xDEAD_C4A0)));
-    let grid = GridConfig {
+    let grid = ServiceConfig {
         chaos: Some(coord_chaos.clone()),
-        ..grid_config()
+        ..grid_config(&dir)
     };
     // One worker dies abruptly holding a lease; the healthy one inherits
-    // the abandoned indices — all through a lossy coordinator link.
+    // the abandoned indices — all through a lossy service link.
     let mut dying = worker_config(0xD1E);
     dying.max_batches = Some(1);
     let healthy = worker_config(0x11EA_17B1);
-    let outcome = run_chaos_grid(grid, vec![dying, healthy]);
-    assert_matches_reference(&outcome);
+    let (outcome, stats) = run_chaos_grid(grid, vec![dying, healthy]);
+    assert_matches_reference(&outcome, &spec());
     assert!(
-        outcome.stats.leases_reassigned >= 1,
-        "the dead worker's lease must be reassigned, stats: {:?}",
-        outcome.stats
+        stats.leases_reassigned >= 1,
+        "the dead worker's lease must be reassigned, stats: {stats:?}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn coordinator_restart_with_midfile_journal_corruption_resumes_bit_identically() {
-    let journal = std::env::temp_dir().join(format!(
-        "avgi-grid-chaos-resume-{}.jsonl",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&journal);
-    let grid = GridConfig {
-        journal: Some(journal.clone()),
-        ..grid_config()
+    let dir = scratch("chaos-resume");
+    let grid = || ServiceConfig {
+        journal_dir: Some(dir.join("journals")),
+        ..grid_config(&dir)
     };
-    let outcome = run_chaos_grid(grid.clone(), vec![worker_config(0x1)]);
-    assert_matches_reference(&outcome);
+    let (outcome, _) = run_chaos_grid(grid(), vec![worker_config(0x1)]);
+    assert_matches_reference(&outcome, &spec());
 
     // A crash plus disk corruption: tear the tail *and* flip one bit in a
     // record in the middle of what survives. The CRC suffix must catch the
     // flip, the loader must keep everything before it, and the resumed
-    // campaign must re-execute the rest into a bit-identical merge.
+    // campaign (campaign 1 again, on the fresh queue `grid()` starts from)
+    // must re-execute the rest into a bit-identical merge.
+    let journal = dir.join("journals").join("campaign-1.jsonl");
     let text = std::fs::read_to_string(&journal).unwrap();
     let lines: Vec<&str> = text.split_inclusive('\n').collect();
     assert_eq!(lines.len(), 1 + FAULTS);
@@ -176,10 +154,10 @@ fn coordinator_restart_with_midfile_journal_corruption_resumes_bit_identically()
     surviving[corrupt_at] ^= 0x04;
     std::fs::write(&journal, &surviving).unwrap();
 
-    let outcome = run_chaos_grid(grid, vec![worker_config(0x2)]);
-    assert_matches_reference(&outcome);
+    let (outcome, stats) = run_chaos_grid(grid(), vec![worker_config(0x2)]);
+    assert_matches_reference(&outcome, &spec());
     // Everything before the flipped record resumes; the flipped record and
     // all records after it re-execute.
-    assert_eq!(outcome.stats.resumed, (keep / 2 - 1) as u64);
-    let _ = std::fs::remove_file(&journal);
+    assert_eq!(stats.results_resumed, (keep / 2 - 1) as u64);
+    let _ = std::fs::remove_dir_all(&dir);
 }

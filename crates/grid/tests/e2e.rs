@@ -1,144 +1,107 @@
 //! End-to-end grid campaigns over real localhost TCP sockets.
 //!
-//! The acceptance bar for the fabric: a coordinator plus several workers
-//! must produce a merged [`CampaignResult`] *and* merged telemetry
-//! deterministic counters bit-identical to a single-process
-//! [`run_campaign`] of the same configuration — including when a worker
-//! dies mid-campaign and when the coordinator restarts from its journal.
+//! The acceptance bar for the fabric: a service plus several workers must
+//! produce a merged `CampaignResult` *and* merged telemetry deterministic
+//! counters bit-identical to a single-process `run_campaign` of the same
+//! configuration — including when a worker dies mid-campaign and when the
+//! service restarts from its journal.
 
-use avgi_faultsim::telemetry::MetricsCollector;
-use avgi_faultsim::{run_campaign, CampaignConfig, CampaignResult, MetricsSnapshot, RunMode};
-use avgi_grid::{ConfigPreset, Coordinator, GridConfig, GridOutcome, WorkerConfig};
+mod common;
+
+use avgi_grid::{GridOutcome, ServiceConfig, ServiceStats, SubmitSpec, WorkerConfig};
 use avgi_muarch::Structure;
-use std::sync::Arc;
+use common::{assert_matches_reference, scratch, OneCampaign};
+use std::path::Path;
 use std::time::Duration;
 
 const FAULTS: usize = 48;
 
-fn campaign_config() -> CampaignConfig {
-    CampaignConfig::new(Structure::RegFile, FAULTS, RunMode::Instrumented).with_seed(0xE2E)
+fn spec() -> SubmitSpec {
+    SubmitSpec::new("bitcount", Structure::RegFile, FAULTS, 0xE2E)
 }
 
-/// The single-process reference: results plus observed telemetry.
-fn reference() -> (CampaignResult, MetricsSnapshot) {
-    let w = avgi_workloads::by_name("bitcount").unwrap();
-    let cfg = ConfigPreset::Big.config();
-    let golden = avgi_faultsim::golden_for(&w, &cfg);
-    let collector = Arc::new(MetricsCollector::new());
-    let ccfg = campaign_config().with_observer(collector.clone());
-    let result = run_campaign(&w, &cfg, &golden, &ccfg);
-    (result, collector.snapshot())
+fn service_config(dir: &Path, batch: usize) -> ServiceConfig {
+    ServiceConfig {
+        queue: dir.join("queue.jsonl"),
+        batch,
+        lease_timeout: Duration::from_secs(20),
+        deadline: Some(Duration::from_secs(300)),
+        ..ServiceConfig::default()
+    }
+}
+
+fn worker() -> WorkerConfig {
+    let mut w = WorkerConfig::new(String::new());
+    w.threads = 2;
+    w
 }
 
 /// Runs a distributed campaign with the given worker configurations.
-fn run_grid(grid: GridConfig, workers: Vec<WorkerConfig>) -> GridOutcome {
-    let w = avgi_workloads::by_name("bitcount").unwrap();
-    let coord = Coordinator::bind(&w, ConfigPreset::Big, &campaign_config(), &grid).unwrap();
-    let addr = coord.local_addr().unwrap().to_string();
-    let coord_thread = std::thread::spawn(move || coord.run());
-    let worker_threads: Vec<_> = workers
-        .into_iter()
-        .map(|mut wcfg| {
-            wcfg.addr = addr.clone();
-            std::thread::spawn(move || avgi_grid::run_worker(&wcfg))
-        })
-        .collect();
-    let outcome = coord_thread.join().unwrap().unwrap();
-    for t in worker_threads {
+fn run_grid(cfg: ServiceConfig, workers: Vec<WorkerConfig>) -> (GridOutcome, ServiceStats) {
+    let service = OneCampaign::start(cfg, &spec());
+    let workers = service.spawn_workers(workers);
+    let served = service.finish();
+    for t in workers {
         // Healthy workers must exit cleanly; the death-hook worker returns
         // Ok with its partial stats.
         t.join().unwrap().unwrap();
     }
-    outcome
-}
-
-fn assert_matches_reference(outcome: &GridOutcome) {
-    let (reference, telemetry) = reference();
-    assert_eq!(outcome.result.results, reference.results);
-    assert_eq!(outcome.result.workload, reference.workload);
-    assert_eq!(outcome.result.golden_cycles, reference.golden_cycles);
-    assert_eq!(
-        outcome.telemetry.deterministic_counters_json(),
-        telemetry.deterministic_counters_json(),
-        "merged telemetry must be bit-identical to single-process"
-    );
+    served
 }
 
 #[test]
 fn three_workers_match_single_process_bit_for_bit() {
-    let grid = GridConfig {
-        batch: 7, // deliberately not a divisor of the fault count
-        lease_timeout: Duration::from_secs(20),
-        deadline: Some(Duration::from_secs(300)),
-        ..GridConfig::default()
-    };
-    let workers = (0..3)
-        .map(|_| {
-            let mut w = WorkerConfig::new(String::new());
-            w.threads = 2;
-            w
-        })
-        .collect();
-    let outcome = run_grid(grid, workers);
-    assert_matches_reference(&outcome);
-    assert_eq!(outcome.stats.workers_seen, 3);
-    assert!(outcome.stats.leases_granted >= (FAULTS / 7) as u64);
-    assert_eq!(outcome.stats.batches_rejected, 0);
+    let dir = scratch("e2e-three");
+    // Batch 7: deliberately not a divisor of the fault count.
+    let (outcome, stats) = run_grid(service_config(&dir, 7), vec![worker(), worker(), worker()]);
+    assert_matches_reference(&outcome, &spec());
+    assert_eq!(stats.workers_seen, 3);
+    assert!(stats.leases_granted >= (FAULTS / 7) as u64);
+    assert_eq!(stats.batches_rejected, 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn worker_death_mid_campaign_converges_via_lease_reassignment() {
-    let grid = GridConfig {
-        // Small batches: plenty of leases remain when the dying worker asks
-        // for its fatal second one, so the death always happens mid-campaign.
-        batch: 4,
-        lease_timeout: Duration::from_secs(20),
-        deadline: Some(Duration::from_secs(300)),
-        ..GridConfig::default()
-    };
+    let dir = scratch("e2e-death");
+    // Small batches: plenty of leases remain when the dying worker asks
+    // for its fatal second one, so the death always happens mid-campaign.
     // One worker dies holding a lease after its first completed batch; the
     // healthy worker must pick up the abandoned indices.
-    let mut dying = WorkerConfig::new(String::new());
-    dying.threads = 2;
+    let mut dying = worker();
     dying.max_batches = Some(1);
-    let mut healthy = WorkerConfig::new(String::new());
-    healthy.threads = 2;
-    let outcome = run_grid(grid, vec![dying, healthy]);
-    assert_matches_reference(&outcome);
+    let (outcome, stats) = run_grid(service_config(&dir, 4), vec![dying, worker()]);
+    assert_matches_reference(&outcome, &spec());
     assert!(
-        outcome.stats.leases_reassigned >= 1,
-        "the dead worker's lease must be reassigned, stats: {:?}",
-        outcome.stats
+        stats.leases_reassigned >= 1,
+        "the dead worker's lease must be reassigned, stats: {stats:?}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn coordinator_restart_resumes_from_journal() {
-    let journal =
-        std::env::temp_dir().join(format!("avgi-grid-resume-{}.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&journal);
-    let grid = GridConfig {
-        batch: 8,
-        lease_timeout: Duration::from_secs(20),
-        journal: Some(journal.clone()),
-        deadline: Some(Duration::from_secs(300)),
-        ..GridConfig::default()
+    let dir = scratch("e2e-resume");
+    let cfg = ServiceConfig {
+        journal_dir: Some(dir.join("journals")),
+        ..service_config(&dir, 8)
     };
-    let mut w1 = WorkerConfig::new(String::new());
-    w1.threads = 2;
-    let outcome = run_grid(grid.clone(), vec![w1.clone()]);
-    assert_matches_reference(&outcome);
+    let (outcome, _) = run_grid(cfg.clone(), vec![worker()]);
+    assert_matches_reference(&outcome, &spec());
 
-    // Simulate a coordinator crash partway through: keep the journal header
-    // plus half the records, then restart. The resumed coordinator must
-    // re-lease only the missing half and still match the reference exactly.
+    // Simulate a service crash partway through: keep the journal header
+    // plus half the records, then restart on a fresh queue (the
+    // re-submission is campaign 1 again). The resumed service must re-lease
+    // only the missing half and still match the reference exactly.
+    let journal = dir.join("journals").join("campaign-1.jsonl");
     let text = std::fs::read_to_string(&journal).unwrap();
     let lines: Vec<&str> = text.split_inclusive('\n').collect();
     assert_eq!(lines.len(), 1 + FAULTS);
     std::fs::write(&journal, lines[..1 + FAULTS / 2].concat()).unwrap();
+    std::fs::remove_file(&cfg.queue).unwrap();
 
-    let outcome = run_grid(grid, vec![w1]);
-    assert_matches_reference(&outcome);
-    assert_eq!(outcome.stats.resumed, (FAULTS / 2) as u64);
-    let _ = std::fs::remove_file(&journal);
+    let (outcome, stats) = run_grid(cfg, vec![worker()]);
+    assert_matches_reference(&outcome, &spec());
+    assert_eq!(stats.results_resumed, (FAULTS / 2) as u64);
+    let _ = std::fs::remove_dir_all(&dir);
 }

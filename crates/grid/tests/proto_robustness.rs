@@ -1,41 +1,49 @@
-//! Adversarial peers against a live coordinator.
+//! Adversarial peers against a live service.
 //!
 //! Each scenario pairs one misbehaving raw socket with one healthy worker:
-//! the coordinator must survive the misbehaviour (no hang, no crash),
+//! the service must survive the misbehaviour (no hang, no crash),
 //! reassign any lease the bad peer held, and still deliver a campaign
 //! bit-identical to the single-process reference — proving nothing the bad
 //! peer did was double-counted or lost.
 
-use avgi_faultsim::{run_campaign, CampaignConfig, RunMode};
+mod common;
+
+use avgi_faultsim::RunMode;
 use avgi_grid::proto::{read_frame, send, write_frame, Msg, MIN_PROTO_VERSION};
-use avgi_grid::{ConfigPreset, Coordinator, GridConfig, GridOutcome, WorkerConfig};
+use avgi_grid::{GridOutcome, ServiceConfig, ServiceStats, SubmitSpec, WorkerConfig};
 use avgi_muarch::Structure;
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 const FAULTS: usize = 24;
 
-fn campaign_config() -> CampaignConfig {
-    CampaignConfig::new(Structure::RegFile, FAULTS, RunMode::EndToEnd).with_seed(0xBAD)
+fn spec() -> SubmitSpec {
+    let mut spec = SubmitSpec::new("bitcount", Structure::RegFile, FAULTS, 0xBAD);
+    spec.mode = RunMode::EndToEnd;
+    spec
 }
 
 /// Runs a grid campaign: one healthy worker plus an adversary driven by
-/// `misbehave` against a raw socket connected to the coordinator.
+/// `misbehave` against a raw socket connected to the service.
 fn run_with_adversary(
     lease_timeout: Duration,
     misbehave: impl FnOnce(TcpStream) + Send + 'static,
-) -> GridOutcome {
-    let w = avgi_workloads::by_name("bitcount").unwrap();
-    let grid = GridConfig {
+) -> (GridOutcome, ServiceStats) {
+    // One scratch directory per scenario (the tests run concurrently).
+    static SCENARIO: AtomicUsize = AtomicUsize::new(0);
+    let n = SCENARIO.fetch_add(1, Ordering::Relaxed);
+    let dir = common::scratch(&format!("robustness-{n}"));
+    let cfg = ServiceConfig {
+        queue: dir.join("queue.jsonl"),
         batch: 4,
         lease_timeout,
         deadline: Some(Duration::from_secs(300)),
-        ..GridConfig::default()
+        ..ServiceConfig::default()
     };
-    let coord = Coordinator::bind(&w, ConfigPreset::Big, &campaign_config(), &grid).unwrap();
-    let addr = coord.local_addr().unwrap();
-    let coord_thread = std::thread::spawn(move || coord.run());
+    let service = common::OneCampaign::start(cfg, &spec());
+    let addr = service.addr;
     // Let the adversary strike first so it actually grabs work before the
     // healthy worker drains the queue.
     let adversary = std::thread::spawn(move || {
@@ -44,20 +52,19 @@ fn run_with_adversary(
         misbehave(stream);
     });
     adversary.join().unwrap();
-    let mut wcfg = WorkerConfig::new(addr.to_string());
+    let mut wcfg = WorkerConfig::new(String::new());
     wcfg.threads = 2;
-    let worker = std::thread::spawn(move || avgi_grid::run_worker(&wcfg));
-    let outcome = coord_thread.join().unwrap().unwrap();
-    worker.join().unwrap().unwrap();
-    outcome
+    let workers = service.spawn_workers(vec![wcfg]);
+    let served = service.finish();
+    for t in workers {
+        t.join().unwrap().unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    served
 }
 
 fn assert_matches_reference(outcome: &GridOutcome) {
-    let w = avgi_workloads::by_name("bitcount").unwrap();
-    let cfg = ConfigPreset::Big.config();
-    let golden = avgi_faultsim::golden_for(&w, &cfg);
-    let reference = run_campaign(&w, &cfg, &golden, &campaign_config());
-    assert_eq!(outcome.result.results, reference.results);
+    common::assert_matches_reference(outcome, &spec());
     // Telemetry totals account for every fault exactly once.
     assert_eq!(outcome.telemetry.planned, FAULTS as u64);
     assert_eq!(outcome.telemetry.completed, FAULTS as u64);
@@ -83,7 +90,7 @@ fn handshake(stream: &mut TcpStream) {
 
 #[test]
 fn truncated_frame_drops_the_peer_not_the_campaign() {
-    let outcome = run_with_adversary(Duration::from_secs(20), |mut stream| {
+    let (outcome, _) = run_with_adversary(Duration::from_secs(20), |mut stream| {
         handshake(&mut stream);
         // A frame that promises 100 bytes and delivers 4, then vanishes.
         stream.write_all(&100u32.to_be_bytes()).unwrap();
@@ -95,9 +102,9 @@ fn truncated_frame_drops_the_peer_not_the_campaign() {
 
 #[test]
 fn oversized_length_prefix_is_rejected_before_allocation() {
-    let outcome = run_with_adversary(Duration::from_secs(20), |mut stream| {
+    let (outcome, stats) = run_with_adversary(Duration::from_secs(20), |mut stream| {
         handshake(&mut stream);
-        // Claim a 4 GiB frame; the coordinator must refuse the prefix
+        // Claim a 4 GiB frame; the service must refuse the prefix
         // rather than trusting it, and drop the connection.
         stream.write_all(&u32::MAX.to_be_bytes()).unwrap();
         stream
@@ -109,7 +116,7 @@ fn oversized_length_prefix_is_rejected_before_allocation() {
         drop(stream);
     });
     assert_matches_reference(&outcome);
-    assert!(outcome.stats.protocol_errors >= 1);
+    assert!(stats.protocol_errors >= 1);
 }
 
 #[test]
@@ -118,7 +125,7 @@ fn silent_leaseholder_expires_and_work_is_reassigned_once() {
     // the death mode lease timeouts exist for. The timeout is short so the
     // sweep fires quickly; the healthy worker then redoes the indices and
     // the totals must show no double count.
-    let outcome = run_with_adversary(Duration::from_millis(500), |mut stream| {
+    let (outcome, stats) = run_with_adversary(Duration::from_millis(500), |mut stream| {
         handshake(&mut stream);
         send(&mut stream, &Msg::LeaseRequest, MIN_PROTO_VERSION).unwrap();
         match Msg::decode(&read_frame(&mut stream).unwrap()).unwrap() {
@@ -131,9 +138,8 @@ fn silent_leaseholder_expires_and_work_is_reassigned_once() {
     });
     assert_matches_reference(&outcome);
     assert!(
-        outcome.stats.leases_reassigned >= 1,
-        "silent lease must expire: {:?}",
-        outcome.stats
+        stats.leases_reassigned >= 1,
+        "silent lease must expire: {stats:?}"
     );
 }
 
@@ -141,9 +147,9 @@ fn silent_leaseholder_expires_and_work_is_reassigned_once() {
 fn late_report_after_reassignment_is_discarded_wholly() {
     // The adversary takes a lease, goes silent past the deadline, and THEN
     // reports a (fabricated) batch for the now-reassigned lease. The
-    // coordinator must reject the whole report — results and telemetry —
+    // service must reject the whole report — results and telemetry —
     // or the campaign would double-count.
-    let outcome = run_with_adversary(Duration::from_millis(400), |mut stream| {
+    let (outcome, stats) = run_with_adversary(Duration::from_millis(400), |mut stream| {
         handshake(&mut stream);
         send(&mut stream, &Msg::LeaseRequest, MIN_PROTO_VERSION).unwrap();
         let (lease, indices) = match Msg::decode(&read_frame(&mut stream).unwrap()).unwrap() {
@@ -163,6 +169,6 @@ fn late_report_after_reassignment_is_discarded_wholly() {
         drop(stream);
     });
     assert_matches_reference(&outcome);
-    assert!(outcome.stats.batches_rejected >= 1, "{:?}", outcome.stats);
-    assert!(outcome.stats.leases_reassigned >= 1, "{:?}", outcome.stats);
+    assert!(stats.batches_rejected >= 1, "{stats:?}");
+    assert!(stats.leases_reassigned >= 1, "{stats:?}");
 }

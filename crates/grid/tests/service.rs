@@ -9,12 +9,13 @@
 //! workers, which wire dialect each worker speaks, or how much chaos one
 //! tenant's links absorb.
 
-use avgi_faultsim::telemetry::MetricsCollector;
-use avgi_faultsim::{run_campaign, CampaignConfig, DurabilityPolicy, RunMode};
-use avgi_grid::service::reference_report;
+mod common;
+
+use avgi_faultsim::{DurabilityPolicy, RunMode};
+use avgi_grid::service::{reference_outcome, reference_report};
 use avgi_grid::{
-    ChaosInterposer, ChaosPolicy, Service, ServiceConfig, ServiceStats, SubmissionQueue,
-    SubmitSpec, WorkerConfig,
+    ChaosInterposer, ChaosPolicy, GridOutcome, Service, ServiceConfig, ServiceStats,
+    SubmissionQueue, SubmitSpec, WorkerConfig,
 };
 use avgi_muarch::Structure;
 use std::io::{Read, Write};
@@ -26,10 +27,7 @@ use std::time::{Duration, Instant};
 
 /// A scratch directory unique to one test (queue + journals live here).
 fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("avgi-grid-service-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+    common::scratch(&format!("service-{name}"))
 }
 
 /// One blocking HTTP exchange against the service's one-shot surface.
@@ -96,21 +94,13 @@ fn report_of(body: &str) -> &str {
 /// Builds the identical report from a single-process run of `spec` — the
 /// per-tenant bit-identity reference.
 fn reference_for(spec: &SubmitSpec) -> String {
-    let w = avgi_workloads::by_name(&spec.workload).unwrap();
-    let cfg = spec.preset.config();
-    let golden = avgi_faultsim::golden_for(&w, &cfg);
-    let mut ccfg = CampaignConfig::new(spec.structure, spec.faults, spec.mode)
-        .with_seed(spec.seed)
-        .with_burst(spec.burst_width);
-    ccfg.checkpoints = spec.checkpoints;
-    let collector = Arc::new(MetricsCollector::new());
-    let result = run_campaign(&w, &cfg, &golden, &ccfg.with_observer(collector.clone()));
+    let GridOutcome { result, telemetry } = reference_outcome(spec).unwrap();
     reference_report(
         &spec.workload,
         spec.structure,
-        golden.cycles,
+        result.golden_cycles,
         &result.results,
-        &collector.snapshot(),
+        &telemetry,
     )
 }
 
@@ -136,7 +126,8 @@ struct Harness {
 }
 
 impl Harness {
-    fn start(dir: &std::path::Path, batch: usize) -> Harness {
+    /// `chaos` injures the service's side of every worker link.
+    fn start(dir: &std::path::Path, batch: usize, chaos: Option<Arc<ChaosInterposer>>) -> Harness {
         let stop = Arc::new(AtomicBool::new(false));
         let cfg = ServiceConfig {
             bind: "127.0.0.1:0".into(),
@@ -148,6 +139,7 @@ impl Harness {
             durability: DurabilityPolicy::Flush,
             deadline: Some(Duration::from_secs(180)),
             stop: Some(stop.clone()),
+            chaos,
             ..ServiceConfig::default()
         };
         let service = Service::bind(cfg).unwrap();
@@ -169,10 +161,12 @@ impl Harness {
     }
 }
 
-#[test]
-fn interleaved_campaigns_on_a_shared_fleet_are_bit_identical_per_tenant() {
-    let dir = scratch("interleaved");
-    let svc = Harness::start(&dir, 4);
+/// Two tenants interleaved over three v3 workers, optionally with the
+/// service's side of every link under chaos.
+fn interleaved_tenants(name: &str, chaos: Option<Arc<ChaosInterposer>>) {
+    let dir = scratch(name);
+    let stormy = chaos.is_some();
+    let svc = Harness::start(&dir, 4, chaos);
 
     // Two tenants with nothing in common: different structures, seeds,
     // modes, and sizes, interleaved over the same three v3 workers.
@@ -193,7 +187,13 @@ fn interleaved_campaigns_on_a_shared_fleet_are_bit_identical_per_tenant() {
 
     let workers: Vec<_> = (0..3)
         .map(|i| {
-            let wcfg = worker_config(&svc.fabric, 0x5EED_0100 + i);
+            let mut wcfg = worker_config(&svc.fabric, 0x5EED_0100 + i);
+            if stormy {
+                // A worker whose last `Done` the storm ate should give up
+                // on the exited service in seconds (`grid_chaos`'s budgets).
+                wcfg.connect_timeout = Duration::from_secs(1);
+                wcfg.reconnect_attempts = 4;
+            }
             std::thread::spawn(move || avgi_grid::run_worker(&wcfg))
         })
         .collect();
@@ -214,9 +214,24 @@ fn interleaved_campaigns_on_a_shared_fleet_are_bit_identical_per_tenant() {
 }
 
 #[test]
+fn interleaved_campaigns_on_a_shared_fleet_are_bit_identical_per_tenant() {
+    interleaved_tenants("interleaved", None);
+}
+
+#[test]
+fn interleaved_campaigns_under_a_service_side_storm_stay_bit_identical_per_tenant() {
+    let chaos = Arc::new(ChaosInterposer::new(ChaosPolicy::stormy(0x5E4F_1CE5)));
+    interleaved_tenants("interleaved-storm", Some(chaos.clone()));
+    assert!(
+        chaos.stats().injected() > 0,
+        "storm policy must actually injure the service's links"
+    );
+}
+
+#[test]
 fn chaos_storm_on_one_tenant_leaves_every_tenant_bit_identical() {
     let dir = scratch("chaos");
-    let svc = Harness::start(&dir, 4);
+    let svc = Harness::start(&dir, 4, None);
 
     // Tenant A outranks tenant B, so the v2 worker — whose link takes the
     // whole storm — pins to A at hello. B's frames only ever ride the
@@ -348,15 +363,13 @@ fn service_restart_resumes_queued_campaigns_bit_identically() {
     const RESUMED: usize = 10;
     {
         use avgi_faultsim::journal::{CampaignKey, Journal};
-        let w = avgi_workloads::by_name(&spec.workload).unwrap();
-        let cfg = spec.preset.config();
-        let golden = avgi_faultsim::golden_for(&w, &cfg);
-        let mut ccfg = CampaignConfig::new(spec.structure, spec.faults, spec.mode)
-            .with_seed(spec.seed)
-            .with_burst(spec.burst_width);
-        ccfg.checkpoints = spec.checkpoints;
-        let reference = run_campaign(&w, &cfg, &golden, &ccfg);
-        let key = CampaignKey::new(w.name, &cfg, golden.cycles, &ccfg);
+        let reference = reference_outcome(&spec).unwrap().result;
+        let key = CampaignKey::new(
+            &spec.workload,
+            &spec.preset.config(),
+            reference.golden_cycles,
+            &spec.campaign_config(),
+        );
         let (mut journal, done) = Journal::open_with(
             &journal_dir.join(format!("campaign-{id}.jsonl")),
             &key,
@@ -373,7 +386,7 @@ fn service_restart_resumes_queued_campaigns_bit_identically() {
     // The "restarted" service must pick the campaign up from the queue,
     // restore the journaled prefix without re-executing it, and finish the
     // rest into a byte-identical report.
-    let svc = Harness::start(&dir, 4);
+    let svc = Harness::start(&dir, 4, None);
     let workers: Vec<_> = (0..2)
         .map(|i| {
             let wcfg = worker_config(&svc.fabric, 0x5EED_0300 + i);
@@ -401,7 +414,7 @@ fn service_restart_resumes_queued_campaigns_bit_identically() {
 #[test]
 fn v2_worker_cross_version_handshake_completes_a_campaign() {
     let dir = scratch("crossver");
-    let svc = Harness::start(&dir, 4);
+    let svc = Harness::start(&dir, 4, None);
     let spec = SubmitSpec::new("bitcount", Structure::RegFile, 24, 0x0DDF00D);
     let id = submit(svc.http, &spec);
 
@@ -420,5 +433,73 @@ fn v2_worker_cross_version_handshake_completes_a_campaign() {
     assert_eq!(stats.campaigns_completed, 1);
     assert_eq!(wstats.campaigns, 1);
     assert!(wstats.runs >= 24, "{wstats:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Grows `path` (sparsely) to the largest size its filesystem allows, so
+/// that every later append to it fails with `EFBIG`. Returns `false` on a
+/// filesystem where an append still succeeds.
+fn grow_to_fs_limit(path: &std::path::Path) -> bool {
+    let file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+    let (mut ok, mut bad) = (file.metadata().unwrap().len(), i64::MAX as u64);
+    if file.set_len(bad).is_ok() {
+        ok = bad;
+    }
+    while ok + 1 < bad {
+        let mid = ok + (bad - ok) / 2;
+        if file.set_len(mid).is_ok() {
+            ok = mid;
+        } else {
+            bad = mid;
+        }
+    }
+    file.set_len(ok).unwrap();
+    let mut probe = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+    probe.write_all(b"\n").is_err()
+}
+
+#[test]
+fn a_failing_journal_fails_the_run_instead_of_blaming_the_worker() {
+    let dir = scratch("journal-io");
+    let queue_path = dir.join("queue.jsonl");
+    let mut service = Service::bind(ServiceConfig {
+        queue: queue_path.clone(),
+        journal_dir: Some(dir.join("journals")),
+        batch: 4,
+        deadline: Some(Duration::from_secs(60)),
+        exit_after: Some(1),
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let spec = SubmitSpec::new("bitcount", Structure::RegFile, 12, 0x10_FA11);
+    let id = service.submit(spec.clone()).unwrap();
+    // The journal is open for append inside the service; from here on the
+    // disk refuses every record.
+    let journal = dir.join("journals").join(format!("campaign-{id}.jsonl"));
+    if !grow_to_fs_limit(&journal) {
+        eprintln!("skipped: this filesystem has no file-size limit to hit");
+        return;
+    }
+    let fabric = service.local_addr().unwrap().to_string();
+    let service = std::thread::spawn(move || service.run());
+    let worker = {
+        let mut w = worker_config(&fabric, 0x10);
+        // The service exits under the worker: give up on it quickly.
+        w.connect_timeout = Duration::from_millis(200);
+        w.reconnect_attempts = 2;
+        std::thread::spawn(move || avgi_grid::run_worker(&w))
+    };
+    // The first accepted batch cannot be journaled: that is the service's
+    // disk failing, so the run ends with an I/O error — not with a healthy
+    // worker rejected and a result that never reached the journal.
+    match service.join().unwrap() {
+        Err(avgi_grid::GridError::Io(_)) => {}
+        other => panic!("expected the journal failure to end the run, got {other:?}"),
+    }
+    let _ = worker.join().unwrap();
+    // The submission was not retired, so a restart picks it up again.
+    let queue = SubmissionQueue::open(&queue_path).unwrap();
+    assert_eq!(queue.pending().len(), 1);
+    assert_eq!(queue.pending()[0].spec, spec);
     let _ = std::fs::remove_dir_all(&dir);
 }

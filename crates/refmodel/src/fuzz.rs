@@ -3,7 +3,7 @@
 //! Generates random AvgIsa programs — valid and invalid instruction mixes —
 //! runs each on the out-of-order pipeline with trace recording, and lockstep
 //! checks the committed stream against the reference model
-//! ([`verify_report`]). The generator is seeded with the in-repo
+//! ([`verify_report_tier`]). The generator is seeded with the in-repo
 //! [`avgi_rng::Rng`], so a `(seed, index)` pair fully reproduces a program.
 //!
 //! ## Bias knobs (what the generator stresses, and why)
