@@ -7,14 +7,15 @@
 //! This quantifies *why* the default windows in
 //! [`avgi_core::ert::default_ert_window`] sit where they do.
 
-use avgi_bench::{pct, print_header, report_campaign_health, ExpArgs, GoldenCache};
+use crate::{campaign, pct, print_header, ExpArgs, GoldenCache};
 use avgi_core::classify::classify_injection;
 use avgi_core::ImmClass;
-use avgi_faultsim::{run_campaign, CampaignConfig, RunMode};
+use avgi_faultsim::RunMode;
 use avgi_muarch::fault::Structure;
+use std::process::ExitCode;
 
-fn main() {
-    let args = ExpArgs::parse(250);
+pub fn run(a: crate::Args) -> ExitCode {
+    let args = ExpArgs::parse(a, 250);
     let cfg = args.config();
     let workloads = avgi_workloads::all();
     println!(
@@ -31,18 +32,8 @@ fn main() {
         let mut per_workload = Vec::new();
         for w in &workloads {
             let golden = cache.get(w, &cfg);
-            let c = run_campaign(
-                w,
-                &cfg,
-                &golden,
-                &CampaignConfig::new(
-                    structure,
-                    args.faults,
-                    RunMode::FirstDeviation { ert_window: None },
-                )
-                .with_seed(args.seed),
-            );
-            report_campaign_health(&c);
+            let mode = RunMode::FirstDeviation { ert_window: None };
+            let c = campaign(w, &cfg, &golden, structure, mode, &args);
             let manifested = c
                 .results
                 .iter()
@@ -65,20 +56,10 @@ fn main() {
             let mut captured = 0u64;
             let mut cost = 0u64;
             for (w, golden) in &per_workload {
-                let c = run_campaign(
-                    w,
-                    &cfg,
-                    golden,
-                    &CampaignConfig::new(
-                        structure,
-                        args.faults,
-                        RunMode::FirstDeviation {
-                            ert_window: Some(window),
-                        },
-                    )
-                    .with_seed(args.seed),
-                );
-                report_campaign_health(&c);
+                let mode = RunMode::FirstDeviation {
+                    ert_window: Some(window),
+                };
+                let c = campaign(w, &cfg, golden, structure, mode, &args);
                 cost += c.total_post_inject_cycles();
                 captured += c
                     .results
@@ -97,4 +78,5 @@ fn main() {
         "\nthe knee of coverage-vs-cost is where the default windows sit; the paper's \
          'pessimistic timeframes' (§V.A) correspond to the high-coverage end."
     );
+    ExitCode::SUCCESS
 }

@@ -5,13 +5,14 @@
 //! next-line L2 prefetcher and compares, for the L2 data array: run time,
 //! Benign fraction, and the escape (`ESC`) count on a streaming workload.
 
-use avgi_bench::{pct, print_header, report_campaign_health, ExpArgs};
+use crate::{campaign, pct, print_header, ExpArgs};
 use avgi_core::{Imm, JointAnalysis};
-use avgi_faultsim::{golden_for, run_campaign, CampaignConfig, RunMode};
+use avgi_faultsim::{golden_for, RunMode};
 use avgi_muarch::fault::Structure;
+use std::process::ExitCode;
 
-fn main() {
-    let args = ExpArgs::parse(300);
+pub fn run(a: crate::Args) -> ExitCode {
+    let args = ExpArgs::parse(a, 300);
     let workloads =
         ["blowfish", "rijndael", "nas_mg"].map(|n| avgi_workloads::by_name(n).expect("known"));
     println!("Ablation — next-line L2 prefetch ({} faults)", args.faults);
@@ -24,14 +25,14 @@ fn main() {
             let mut cfg = args.config();
             cfg.prefetch_next_line = prefetch;
             let golden = golden_for(w, &cfg);
-            let c = run_campaign(
+            let c = campaign(
                 w,
                 &cfg,
                 &golden,
-                &CampaignConfig::new(Structure::L2Data, args.faults, RunMode::Instrumented)
-                    .with_seed(args.seed),
+                Structure::L2Data,
+                RunMode::Instrumented,
+                &args,
             );
-            report_campaign_health(&c);
             let a = JointAnalysis::from_campaign(&c);
             println!(
                 "{:>12} {:>9} {:>9} {:>8} {:>8} {:>6}",
@@ -48,4 +49,5 @@ fn main() {
         "\nprefetching shortens runs (fewer demand misses) and changes how long lines \
          sit in L2 — the residency mechanism the paper discusses."
     );
+    ExitCode::SUCCESS
 }

@@ -13,83 +13,44 @@
 //!    boundaries, so thread count must be invisible.
 //!
 //! The exhaustive statistical harness lives in
-//! `faultsim/tests/adaptive_stats.rs`; this binary is the seconds-cheap
+//! `faultsim/tests/adaptive_stats.rs`; this command is the seconds-cheap
 //! gate that keeps every push honest (the `xtier_check` idiom).
-//!
-//! Usage:
-//!   adaptive_check [--workloads a,b] [--faults N] [--ci-target H]
-//!                  [--seed S] [--small]
 
-use avgi_bench::GoldenCache;
+use crate::args::{preset, workload_list, FromArg};
+use crate::GoldenCache;
 use avgi_faultsim::{
     run_adaptive, run_campaign, weighted_estimate, wilson_interval, AdaptiveConfig, AdaptiveReport,
     CampaignConfig, RunMode,
 };
-use avgi_muarch::config::MuarchConfig;
 use avgi_muarch::fault::Structure;
+use std::process::ExitCode;
 
 fn fail(msg: &str) -> ! {
     eprintln!("FAIL: {msg}");
     std::process::exit(1);
 }
 
-fn main() {
-    let mut workloads = vec!["crc32".to_string()];
-    let mut faults = 480usize;
-    let mut ci_target: Option<f64> = None;
-    let mut seed = 1u64;
-    let mut small = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--workloads" => {
-                workloads = it
-                    .next()
-                    .expect("--workloads needs a comma-separated list")
-                    .split(',')
-                    .map(str::to_string)
-                    .collect()
-            }
-            "--faults" => {
-                faults = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 30)
-                    .expect("--faults needs a number >= 30")
-            }
-            "--ci-target" => {
-                ci_target = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&h: &f64| h > 0.0)
-                        .expect("--ci-target needs a positive half-width"),
-                )
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs a number")
-            }
-            "--small" => small = true,
-            other => panic!("unknown argument `{other}`"),
-        }
-    }
-    let cfg = if small {
-        MuarchConfig::small()
-    } else {
-        MuarchConfig::big()
-    };
+pub fn run(mut a: crate::Args) -> ExitCode {
+    let workloads = a
+        .value_with("--workloads A,B", workload_list)
+        .unwrap_or_else(|| workload_list("crc32").expect("registered"));
+    let at_least_30 = |s: &str| usize::from_arg(s).filter(|&n| n >= 30);
+    let faults = a.value_with("--faults N>=30", at_least_30).unwrap_or(480);
+    let positive = |s: &str| f64::from_arg(s).filter(|&h| h > 0.0);
+    let ci_target = a.value_with("--ci-target H", positive);
+    let seed = a.value("--seed S").unwrap_or(1u64);
+    let cfg = preset(a.flag("--small")).config();
+    a.finish();
 
     let mut cache = GoldenCache::new();
-    for name in &workloads {
-        let w = avgi_workloads::by_name(name).unwrap_or_else(|| panic!("no workload {name}"));
-        let golden = cache.get(&w, &cfg);
+    for w in &workloads {
+        let name = w.name;
+        let golden = cache.get(w, &cfg);
 
         // Uniform baseline at the full fault count.
         let ucfg =
             CampaignConfig::new(Structure::RegFile, faults, RunMode::EndToEnd).with_seed(seed);
-        let uniform = run_campaign(&w, &cfg, &golden, &ucfg);
+        let uniform = run_campaign(w, &cfg, &golden, &ucfg);
         let uw = vec![1.0; uniform.results.len()];
         let uest = weighted_estimate(&uniform.results, &uw, 0.95).expect("uniform estimate");
         let uci = wilson_interval(uest.avf, faults as f64, 0.95).expect("uniform interval");
@@ -106,7 +67,7 @@ fn main() {
                 .with_batch_runs(40)
                 .with_explore(0.5);
             acfg.ci_target = ci_target;
-            run_adaptive(&w, &cfg, &golden, &acfg)
+            run_adaptive(w, &cfg, &golden, &acfg)
                 .unwrap_or_else(|e| fail(&format!("{name}: adaptive campaign failed: {e}")))
         };
         let a1 = adaptive(1);
@@ -157,4 +118,5 @@ fn main() {
         "adaptive: all {} workloads agree with their uniform baselines",
         workloads.len()
     );
+    ExitCode::SUCCESS
 }

@@ -2,24 +2,23 @@
 //! the end-user tool a reliability engineer would actually run.
 //!
 //! ```sh
-//! cargo run --release -p avgi-bench --bin avf_report -- --faults 300
+//! cargo run --release -p avgi-bench --bin avgi -- avf_report --faults 300
 //! ```
 
-use avgi_bench::{pct, print_header, ExpArgs, ExpTelemetry, GoldenCache};
+use crate::{pct, print_header, ExpArgs, ExpTelemetry, GoldenCache};
 use avgi_core::fit::structure_fit;
 use avgi_core::pipeline::exhaustive_observed;
 use avgi_muarch::fault::Structure;
+use std::process::ExitCode;
 
-fn main() {
-    let args = ExpArgs::parse(250);
+pub fn run(a: crate::Args) -> ExitCode {
+    let args = ExpArgs::parse(a, 250);
     let telemetry = ExpTelemetry::from_args(&args);
     let cfg = args.config();
-    let name = args
+    let w = args
         .workload
         .clone()
-        .unwrap_or_else(|| "dijkstra".to_string());
-    let w = avgi_workloads::by_name(&name)
-        .unwrap_or_else(|| panic!("unknown workload `{name}`; see avgi_workloads::names()"));
+        .unwrap_or_else(|| avgi_workloads::by_name("dijkstra").expect("registered"));
     let mut cache = GoldenCache::new();
     {
         let golden = cache.get(&w, &cfg);
@@ -60,4 +59,5 @@ fn main() {
         println!("{:>11} {:>46.4}", "CHIP FIT", chip_fit);
     }
     telemetry.finish();
+    ExitCode::SUCCESS
 }

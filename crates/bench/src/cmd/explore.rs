@@ -3,24 +3,15 @@
 //! fast way to inspect the simulator's fault phenomenology and derive ERT
 //! windows and ESC calibration.
 
-use avgi_bench::{analysis_grid, pct, print_header, ExpArgs};
+use crate::{analysis_grid, pct, print_header, ExpArgs};
 use avgi_core::imm::{FaultEffect, Imm};
 use avgi_muarch::fault::Structure;
+use std::process::ExitCode;
 
-fn main() {
-    let args = ExpArgs::parse(200);
-    let cfg = args.config();
-    let workloads = avgi_workloads::all();
-    let telemetry = avgi_bench::ExpTelemetry::from_args(&args);
-    let analyses = analysis_grid(
-        Structure::all(),
-        &workloads,
-        &cfg,
-        args.faults,
-        args.seed,
-        Some(&telemetry),
-        args.shard,
-    );
+pub fn run(a: crate::Args) -> ExitCode {
+    let args = ExpArgs::parse(a, 200);
+    let telemetry = crate::ExpTelemetry::from_args(&args);
+    let analyses = analysis_grid(Structure::all(), &args, &telemetry);
 
     println!("\n== IMM distribution over corruptions (mean across workloads) ==");
     let mut cols = vec!["structure", "benign%"];
@@ -85,4 +76,5 @@ fn main() {
         }
     }
     telemetry.finish();
+    ExitCode::SUCCESS
 }

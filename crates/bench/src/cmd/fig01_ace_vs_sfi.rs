@@ -5,13 +5,14 @@
 //! cannot see logical masking. Reproduce the per-workload comparison and
 //! the overestimation ratios.
 
-use avgi_bench::{pct, print_header, ExpArgs, GoldenCache};
+use crate::{pct, print_header, ExpArgs, GoldenCache};
 use avgi_core::ace::ace_regfile;
 use avgi_core::pipeline::exhaustive;
 use avgi_muarch::fault::Structure;
+use std::process::ExitCode;
 
-fn main() {
-    let args = ExpArgs::parse(400);
+pub fn run(a: crate::Args) -> ExitCode {
+    let args = ExpArgs::parse(a, 400);
     let cfg = args.config();
     let mut cache = GoldenCache::new();
     println!(
@@ -55,4 +56,5 @@ fn main() {
         finite.iter().copied().fold(f64::INFINITY, f64::min),
         finite.iter().copied().fold(0.0, f64::max),
     );
+    ExitCode::SUCCESS
 }

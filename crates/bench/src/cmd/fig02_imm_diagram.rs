@@ -7,8 +7,10 @@
 
 use avgi_core::classify::{classify_conditions, Conditions};
 use std::collections::BTreeMap;
+use std::process::ExitCode;
 
-fn main() {
+pub fn run(a: crate::Args) -> ExitCode {
+    a.finish();
     println!("Fig. 2 — IMM classification diagram: 256-combination census\n");
     let mut counts: BTreeMap<String, u32> = BTreeMap::new();
     for bits in 0..=255u8 {
@@ -42,4 +44,5 @@ fn main() {
         "diagram must be complete and mutually exclusive"
     );
     println!("\ncomplete and mutually exclusive: every combination reaches exactly one class");
+    ExitCode::SUCCESS
 }

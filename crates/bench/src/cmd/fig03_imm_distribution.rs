@@ -6,10 +6,11 @@
 //! (L1I data, L1D data, RF, ROB/LQ/SQ) and report the cross-workload
 //! spread.
 
-use avgi_bench::{analysis_grid, pct, print_header, ExpArgs};
+use crate::{analysis_grid, pct, print_header, ExpArgs};
 use avgi_core::imm::{Imm, NUM_IMMS};
 use avgi_core::JointAnalysis;
 use avgi_muarch::fault::Structure;
+use std::process::ExitCode;
 
 fn panel(analyses: &[JointAnalysis], structure: Structure) {
     println!("\n--- {} ---", structure.label());
@@ -58,10 +59,9 @@ fn panel(analyses: &[JointAnalysis], structure: Structure) {
     }
 }
 
-fn main() {
-    let args = ExpArgs::parse(300);
+pub fn run(a: crate::Args) -> ExitCode {
+    let args = ExpArgs::parse(a, 300);
     let cfg = args.config();
-    let workloads = avgi_workloads::all();
     println!(
         "Fig. 3 — IMM distribution per structure across workloads ({}, {} faults/cell)",
         cfg.name, args.faults
@@ -74,16 +74,8 @@ fn main() {
         Structure::Lq,
         Structure::Sq,
     ];
-    let telemetry = avgi_bench::ExpTelemetry::from_args(&args);
-    let analyses = analysis_grid(
-        &structures,
-        &workloads,
-        &cfg,
-        args.faults,
-        args.seed,
-        Some(&telemetry),
-        args.shard,
-    );
+    let telemetry = crate::ExpTelemetry::from_args(&args);
+    let analyses = analysis_grid(&structures, &args, &telemetry);
     for s in structures {
         panel(&analyses, s);
     }
@@ -92,4 +84,5 @@ fn main() {
          across workloads; ROB/LQ/SQ manifest only as PRE."
     );
     telemetry.finish();
+    ExitCode::SUCCESS
 }

@@ -6,28 +6,20 @@
 //! within a few percent. Print the three probability panels and the
 //! per-IMM standard deviations.
 
-use avgi_bench::{analysis_grid, pct, print_header, ExpArgs};
+use crate::{analysis_grid, pct, print_header, ExpArgs};
 use avgi_core::imm::{FaultEffect, Imm, NUM_IMMS};
 use avgi_muarch::fault::Structure;
+use std::process::ExitCode;
 
-fn main() {
-    let args = ExpArgs::parse(400);
+pub fn run(a: crate::Args) -> ExitCode {
+    let args = ExpArgs::parse(a, 400);
     let cfg = args.config();
-    let workloads = avgi_workloads::all();
     println!(
         "Fig. 4 — P(final effect | IMM) for L1I data across workloads ({}, {} faults/cell)",
         cfg.name, args.faults
     );
-    let telemetry = avgi_bench::ExpTelemetry::from_args(&args);
-    let analyses = analysis_grid(
-        &[Structure::L1IData],
-        &workloads,
-        &cfg,
-        args.faults,
-        args.seed,
-        Some(&telemetry),
-        args.shard,
-    );
+    let telemetry = crate::ExpTelemetry::from_args(&args);
+    let analyses = analysis_grid(&[Structure::L1IData], &args, &telemetry);
 
     for effect in FaultEffect::all() {
         println!("\n--- P({effect} | IMM) ---");
@@ -65,4 +57,5 @@ fn main() {
     }
     println!("\npaper comparison: per-IMM std-dev across workloads in the 0.1%-2.4% band.");
     telemetry.finish();
+    ExitCode::SUCCESS
 }

@@ -6,30 +6,22 @@
 //! (e.g. IRP on the register file — the paper's "practically cannot
 //! happen" entries).
 
-use avgi_bench::{analysis_grid, pct, print_header, ExpArgs};
+use crate::{analysis_grid, pct, print_header, ExpArgs};
 use avgi_core::imm::{FaultEffect, Imm};
 use avgi_core::weights::learn_weights;
 use avgi_muarch::fault::Structure;
+use std::process::ExitCode;
 
-fn main() {
-    let args = ExpArgs::parse(300);
+pub fn run(a: crate::Args) -> ExitCode {
+    let args = ExpArgs::parse(a, 300);
     let cfg = args.config();
-    let workloads = avgi_workloads::all();
     println!(
         "Fig. 5 — IMM weights per structure ({}, {} faults/cell)",
         cfg.name, args.faults
     );
-    let telemetry = avgi_bench::ExpTelemetry::from_args(&args);
+    let telemetry = crate::ExpTelemetry::from_args(&args);
     for &s in Structure::all() {
-        let analyses = analysis_grid(
-            &[s],
-            &workloads,
-            &cfg,
-            args.faults,
-            args.seed,
-            Some(&telemetry),
-            args.shard,
-        );
+        let analyses = analysis_grid(&[s], &args, &telemetry);
         let table = learn_weights(&analyses, None);
         println!("\n--- {} ---", s.label());
         print_header(
@@ -63,4 +55,5 @@ fn main() {
          on the register file) match the paper's zero-probability entries."
     );
     telemetry.finish();
+    ExitCode::SUCCESS
 }

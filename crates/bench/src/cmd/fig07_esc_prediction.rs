@@ -7,13 +7,14 @@
 //! workload is one dot; here each row is one dot, with the ideal
 //! `predicted == real` diagonal expressed as the error column.
 
-use avgi_bench::{analysis_grid, print_header, ExpArgs};
+use crate::{analysis_grid, print_header, ExpArgs};
 use avgi_core::esc::EscModel;
 use avgi_core::imm::Imm;
 use avgi_muarch::fault::Structure;
+use std::process::ExitCode;
 
-fn main() {
-    let args = ExpArgs::parse(400);
+pub fn run(a: crate::Args) -> ExitCode {
+    let args = ExpArgs::parse(a, 400);
     let cfg = args.config();
     let workloads = avgi_workloads::all();
     let model = EscModel::default();
@@ -28,19 +29,11 @@ fn main() {
         Structure::L2Tag,
         Structure::L2Data,
     ];
-    let telemetry = avgi_bench::ExpTelemetry::from_args(&args);
+    let telemetry = crate::ExpTelemetry::from_args(&args);
     let mut total_abs_err = 0.0;
     let mut rows = 0u32;
     for &s in &structures {
-        let analyses = analysis_grid(
-            &[s],
-            &workloads,
-            &cfg,
-            args.faults,
-            args.seed,
-            Some(&telemetry),
-            args.shard,
-        );
+        let analyses = analysis_grid(&[s], &args, &telemetry);
         println!("\n--- {} ---", s.label());
         print_header(
             &[
@@ -71,4 +64,5 @@ fn main() {
         total_abs_err / f64::from(rows.max(1))
     );
     telemetry.finish();
+    ExitCode::SUCCESS
 }

@@ -5,15 +5,16 @@
 //! effective-residency-time window loses (virtually) no manifestations,
 //! so the IMM distribution is unchanged while the simulated cycles drop.
 
-use avgi_bench::{pct, print_header, report_campaign_health, ExpArgs, GoldenCache};
+use crate::{campaign, pct, print_header, ExpArgs, GoldenCache};
 use avgi_core::classify::classify_injection;
 use avgi_core::ert::default_ert_window;
 use avgi_core::imm::{Imm, ImmClass, NUM_IMMS};
-use avgi_faultsim::{run_campaign, CampaignConfig, RunMode};
+use avgi_faultsim::RunMode;
 use avgi_muarch::fault::Structure;
+use std::process::ExitCode;
 
-fn main() {
-    let args = ExpArgs::parse(400);
+pub fn run(a: crate::Args) -> ExitCode {
+    let args = ExpArgs::parse(a, 400);
     let cfg = args.config();
     let structure = Structure::L1IData;
     println!(
@@ -33,14 +34,7 @@ fn main() {
     for w in avgi_workloads::all() {
         let golden = cache.get(&w, &cfg);
         // Inclusive: instrumented end-to-end.
-        let inc_campaign = run_campaign(
-            &w,
-            &cfg,
-            &golden,
-            &CampaignConfig::new(structure, args.faults, RunMode::Instrumented)
-                .with_seed(args.seed),
-        );
-        report_campaign_health(&inc_campaign);
+        let inc_campaign = campaign(&w, &cfg, &golden, structure, RunMode::Instrumented, &args);
         let inc = avgi_core::JointAnalysis::from_campaign(&inc_campaign);
         // Trace-visible distribution (ESC excluded), matching what the
         // exclusive (early-stopped) flow can observe.
@@ -48,20 +42,10 @@ fn main() {
         let inc_cost = inc_campaign.total_post_inject_cycles();
         // Exclusive: first-deviation + ERT window.
         let window = default_ert_window(structure, golden.cycles);
-        let exc_campaign = run_campaign(
-            &w,
-            &cfg,
-            &golden,
-            &CampaignConfig::new(
-                structure,
-                args.faults,
-                RunMode::FirstDeviation {
-                    ert_window: Some(window),
-                },
-            )
-            .with_seed(args.seed),
-        );
-        report_campaign_health(&exc_campaign);
+        let exclusive = RunMode::FirstDeviation {
+            ert_window: Some(window),
+        };
+        let exc_campaign = campaign(&w, &cfg, &golden, structure, exclusive, &args);
         let mut exc_counts = [0u64; NUM_IMMS];
         let mut corruptions = 0u64;
         let mut exc_cost = 0u64;
@@ -131,4 +115,5 @@ fn main() {
         pct(pooled_diff),
         pct(worst_diff),
     );
+    ExitCode::SUCCESS
 }

@@ -5,12 +5,14 @@
 //! workloads (mean AVF). The paper's accuracy claim: ≤1.45 % per
 //! structure, 0.2 % for the whole chip.
 
-use avgi_bench::{leave_one_out_study, print_header, ExpArgs};
+use crate::{print_header, ExpArgs};
 use avgi_core::fit::{structure_fit, RAW_FIT_PER_BIT};
+use avgi_core::study::leave_one_out;
 use avgi_muarch::fault::Structure;
+use std::process::ExitCode;
 
-fn main() {
-    let args = ExpArgs::parse(250);
+pub fn run(a: crate::Args) -> ExitCode {
+    let args = ExpArgs::parse(a, 250);
     let cfg = args.config();
     let workloads = avgi_workloads::all();
     println!(
@@ -34,7 +36,8 @@ fn main() {
     let mut chip_avgi = 0.0;
     let mut worst = 0.0f64;
     for &s in Structure::all() {
-        let rows = leave_one_out_study(s, &workloads, &cfg, args.faults, args.seed);
+        eprintln!("[loo:{s}] {} workloads x {} faults", workloads.len(), args.faults);
+        let rows = leave_one_out(s, &workloads, &cfg, &args.avgi_options()).rows;
         let n = rows.len() as f64;
         let real_avf = rows.iter().map(|r| r.real.avf()).sum::<f64>() / n;
         let avgi_avf = rows.iter().map(|r| r.predicted.avf()).sum::<f64>() / n;
@@ -69,4 +72,5 @@ fn main() {
          (paper: <=1.45% per structure, 0.2% chip); worst structure here {:.2}%",
         chip_real, chip_avgi, chip_diff, worst,
     );
+    ExitCode::SUCCESS
 }

@@ -8,7 +8,7 @@
 //! minimal reproducer and printed; the process exits nonzero.
 //!
 //! ```sh
-//! cargo run --release -p avgi-bench --bin fuzz_diff -- \
+//! cargo run --release -p avgi-bench --bin avgi -- fuzz_diff \
 //!     --programs 10000 --seed 0xD1FF5EED0001 --max-instrs 96
 //! ```
 //!
@@ -18,57 +18,17 @@
 
 use avgi_isa::instr::disassemble;
 use avgi_refmodel::{run_fuzz, FuzzConfig};
+use std::process::ExitCode;
 
-fn parse_u64(s: &str) -> Option<u64> {
-    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        s.parse().ok()
-    }
-}
-
-fn main() {
+pub fn run(mut a: crate::Args) -> ExitCode {
     let mut cfg = FuzzConfig::new(2_000, 0xD1FF_5EED_0001);
-    let mut small = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--programs" => {
-                cfg.programs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--programs needs a number");
-            }
-            "--seed" => {
-                cfg.seed = it
-                    .next()
-                    .as_deref()
-                    .and_then(parse_u64)
-                    .expect("--seed needs a number (decimal or 0x hex)");
-            }
-            "--max-instrs" => {
-                cfg.max_instrs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--max-instrs needs a number");
-            }
-            "--threads" => {
-                cfg.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads needs a number");
-            }
-            "--small" => small = true,
-            "--no-shrink" => cfg.shrink = false,
-            other => panic!(
-                "unknown argument `{other}` (supported: --programs N --seed S \
-                 --max-instrs K --threads T --small --no-shrink)"
-            ),
-        }
-    }
-    if small {
-        cfg.config = avgi_muarch::config::MuarchConfig::small();
-    }
+    cfg.programs = a.value("--programs N").unwrap_or(cfg.programs);
+    cfg.seed = a.value("--seed S").unwrap_or(cfg.seed);
+    cfg.max_instrs = a.value("--max-instrs K").unwrap_or(cfg.max_instrs);
+    cfg.threads = a.value("--threads T").unwrap_or(cfg.threads);
+    cfg.config = crate::args::preset(a.flag("--small")).config();
+    cfg.shrink = !a.flag("--no-shrink");
+    a.finish();
 
     eprintln!(
         "[fuzz_diff] {} programs, seed {:#x}, max {} instrs, config {}",
@@ -107,7 +67,7 @@ fn main() {
 
     if report.failures.is_empty() {
         println!("no divergence between pipeline and reference model");
-        return;
+        return ExitCode::SUCCESS;
     }
 
     for f in &report.failures {
@@ -128,5 +88,5 @@ fn main() {
         "\n[fuzz_diff] {} diverging program(s)",
         report.failures.len()
     );
-    std::process::exit(1);
+    ExitCode::FAILURE
 }

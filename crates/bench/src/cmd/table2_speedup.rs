@@ -12,13 +12,14 @@
 //!   (the full AVGI flow; the paper's "Maximum Sim Cycles" column is the
 //!   window used).
 
-use avgi_bench::{print_header, report_campaign_health, ExpArgs, GoldenCache};
+use crate::{campaign, print_header, ExpArgs, GoldenCache};
 use avgi_core::ert::default_ert_window;
-use avgi_faultsim::{run_campaign, CampaignConfig, RunMode};
+use avgi_faultsim::RunMode;
 use avgi_muarch::fault::Structure;
+use std::process::ExitCode;
 
-fn main() {
-    let args = ExpArgs::parse(200);
+pub fn run(a: crate::Args) -> ExitCode {
+    let args = ExpArgs::parse(a, 200);
     let cfg = args.config();
     let workloads = avgi_workloads::all();
     println!(
@@ -61,14 +62,7 @@ fn main() {
                 },
             ];
             for (k, mode) in modes.into_iter().enumerate() {
-                let c = run_campaign(
-                    w,
-                    &cfg,
-                    &golden,
-                    &CampaignConfig::new(s, args.faults, mode).with_seed(args.seed),
-                );
-                report_campaign_health(&c);
-                cost[k] += c.total_post_inject_cycles();
+                cost[k] += campaign(w, &cfg, &golden, s, mode, &args).total_post_inject_cycles();
             }
         }
         for k in 0..3 {
@@ -99,4 +93,5 @@ fn main() {
         grand[1] as f64 / 1e6,
         grand[0] as f64 / grand[1].max(1) as f64,
     );
+    ExitCode::SUCCESS
 }

@@ -2,20 +2,20 @@
 //! the debugging lens for everything the IMM classifier sees.
 //!
 //! ```sh
-//! cargo run --release -p avgi-bench --bin trace_dump -- --workload sha
+//! cargo run --release -p avgi-bench --bin avgi -- trace_dump --workload sha
 //! ```
 
-use avgi_bench::{ExpArgs, GoldenCache};
+use crate::{ExpArgs, GoldenCache};
 use avgi_isa::instr::disassemble;
+use std::process::ExitCode;
 
-fn main() {
-    let args = ExpArgs::parse(0);
+pub fn run(a: crate::Args) -> ExitCode {
+    let args = ExpArgs::parse(a, 0);
     let cfg = args.config();
-    let name = args
+    let w = args
         .workload
         .clone()
-        .unwrap_or_else(|| "bitcount".to_string());
-    let w = avgi_workloads::by_name(&name).unwrap_or_else(|| panic!("unknown workload `{name}`"));
+        .unwrap_or_else(|| avgi_workloads::by_name("bitcount").expect("registered"));
     let mut cache = GoldenCache::new();
     let golden = cache.get(&w, &cfg);
     println!(
@@ -52,4 +52,5 @@ fn main() {
     if golden.trace.len() > n {
         println!("... ({} more)", golden.trace.len() - n);
     }
+    ExitCode::SUCCESS
 }

@@ -1,0 +1,57 @@
+//! CI smoke prover for the execution tiers and the batched engine.
+//!
+//! Per workload, runs the four-leg [`avgi_faultsim::run_xtier`] cross-check
+//! (reference substrate, interpreter identity, pipeline identity, campaign
+//! equality across verification tiers) and then
+//! [`avgi_faultsim::run_xcheck`] (batched vs. unbatched engine, fork
+//! anatomy) on the same campaign, and exits non-zero on the first
+//! divergence. The exhaustive versions of both live in `cargo test`
+//! (`faultsim/src/xcheck.rs`, `faultsim/tests/batched_equivalence.rs`); this
+//! command is the seconds-cheap gate that keeps every push honest.
+
+use crate::args::{preset, workload_list, FromArg};
+use crate::GoldenCache;
+use avgi_core::ert::default_ert_window;
+use avgi_faultsim::{run_xcheck, run_xtier, CampaignConfig, RunMode};
+use avgi_muarch::fault::Structure;
+use std::process::ExitCode;
+
+pub fn run(mut a: crate::Args) -> ExitCode {
+    let workloads = a
+        .value_with("--workloads A,B", workload_list)
+        .unwrap_or_else(|| workload_list("bitcount,crc32").expect("registered"));
+    let positive = |s: &str| usize::from_arg(s).filter(|&n| n > 0);
+    let faults = a.value_with("--faults N", positive).unwrap_or(24);
+    let cfg = preset(a.flag("--small")).config();
+    a.finish();
+
+    let mut cache = GoldenCache::new();
+    for w in &workloads {
+        let golden = cache.get(w, &cfg);
+        let window = default_ert_window(Structure::RegFile, golden.cycles);
+        let ccfg = CampaignConfig::new(
+            Structure::RegFile,
+            faults,
+            RunMode::FirstDeviation {
+                ert_window: Some(window),
+            },
+        );
+        let fail = |what: &str, e: String| {
+            eprintln!("FAIL: {}: {what} cross-check failed:\n{e}", w.name);
+            ExitCode::FAILURE
+        };
+        match run_xtier(w, &cfg, &golden, &ccfg) {
+            Ok(r) => println!("{r}"),
+            Err(e) => return fail("execution-tier", e),
+        }
+        match run_xcheck(w, &cfg, &golden, &ccfg) {
+            Ok(r) => println!("{r}"),
+            Err(e) => return fail("batched engine", e),
+        }
+    }
+    println!(
+        "xtier: all {} workloads bit-identical across tiers and engines",
+        workloads.len()
+    );
+    ExitCode::SUCCESS
+}

@@ -1,17 +1,22 @@
 //! # avgi-bench — the experiment harness
 //!
-//! One runnable binary per table/figure of the paper (see `DESIGN.md` §3
-//! for the index), plus shared plumbing: argument parsing, golden-run
-//! caching, campaign grids, and fixed-width table printing.
+//! One executable, `avgi`, with one command per table/figure of the paper
+//! (see `DESIGN.md` §3 for the index) plus the smoke provers and the grid
+//! front ends ([`cmd`]), over one argv parser ([`args`]) and shared
+//! plumbing: golden-run caching, campaign grids, fixed-width tables.
 //!
-//! Every binary accepts `--faults N` (sample size per campaign, default
-//! tuned to finish in minutes), `--seed S`, and `--small` (use the
+//! Every experiment command accepts `--faults N` (sample size per campaign,
+//! default tuned to finish in minutes), `--seed S`, and `--small` (use the
 //! Cortex-A15-like configuration).
 
+pub mod args;
+pub mod cmd;
+
+pub use args::{Args, ExpArgs};
+
+use avgi_core::study::leave_one_out;
 use avgi_core::JointAnalysis;
-use avgi_faultsim::telemetry::{
-    CampaignObserver, MetricsCollector, MetricsSnapshot, ProgressObserver,
-};
+use avgi_faultsim::telemetry::{CampaignObserver, MetricsCollector, ProgressObserver};
 use avgi_faultsim::{
     config_hash, golden_for, run_campaign, CampaignConfig, CampaignResult, RunMode,
 };
@@ -24,112 +29,11 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Common command-line options for experiment binaries.
-#[derive(Debug, Clone)]
-pub struct ExpArgs {
-    /// Faults per (structure, workload) campaign.
-    pub faults: usize,
-    /// Sampling seed.
-    pub seed: u64,
-    /// Use the small (Cortex-A15-like) configuration.
-    pub small: bool,
-    /// Restrict to one workload by name (tools that support it).
-    pub workload: Option<String>,
-    /// Write a machine-readable `metrics.json` telemetry dump here.
-    pub metrics: Option<PathBuf>,
-    /// Minimum milliseconds between live progress lines.
-    pub progress_ms: u64,
-    /// Offline sharding: run only interleaved shard `I` of `N` of every
-    /// campaign (`--shard I/N`). Each shard is a uniform subsample, so
-    /// per-shard statistics remain unbiased; `N` processes (or machines)
-    /// cover the full sample between them.
-    pub shard: Option<(usize, usize)>,
-}
-
-impl ExpArgs {
-    /// Parses `--faults N`, `--seed S`, `--small`, `--workload NAME`,
-    /// `--metrics PATH`, `--progress-ms N` from `std::env::args`, with the
-    /// given default sample size.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed arguments.
-    pub fn parse(default_faults: usize) -> Self {
-        let mut args = ExpArgs {
-            faults: default_faults,
-            seed: 0xA461_0001,
-            small: false,
-            workload: None,
-            metrics: None,
-            progress_ms: 2_000,
-            shard: None,
-        };
-        let mut it = std::env::args().skip(1);
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--faults" => {
-                    args.faults = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--faults needs a number");
-                }
-                "--seed" => {
-                    args.seed = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seed needs a number");
-                }
-                "--small" => args.small = true,
-                "--workload" => {
-                    args.workload = Some(it.next().expect("--workload needs a name"));
-                }
-                "--metrics" => {
-                    args.metrics = Some(PathBuf::from(it.next().expect("--metrics needs a path")));
-                }
-                "--progress-ms" => {
-                    args.progress_ms = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--progress-ms needs a number");
-                }
-                "--shard" => {
-                    let spec = it.next().expect("--shard needs I/N");
-                    args.shard = Some(parse_shard(&spec));
-                }
-                other => panic!(
-                    "unknown argument `{other}` (supported: --faults N --seed S --small \
-                     --workload NAME --metrics PATH --progress-ms N --shard I/N)"
-                ),
-            }
-        }
-        validate_workloads();
-        args
-    }
-
-    /// The selected microarchitecture configuration as a named preset.
-    pub fn preset(&self) -> avgi_grid::ConfigPreset {
-        if self.small {
-            avgi_grid::ConfigPreset::Small
-        } else {
-            avgi_grid::ConfigPreset::Big
-        }
-    }
-
-    /// The selected microarchitecture configuration.
-    pub fn config(&self) -> MuarchConfig {
-        if self.small {
-            MuarchConfig::small()
-        } else {
-            MuarchConfig::big()
-        }
-    }
-}
-
-/// The experiment binaries' telemetry bundle: an IMM-tallying
+/// The experiment commands' telemetry bundle: an IMM-tallying
 /// [`MetricsCollector`] behind a stderr [`ProgressObserver`], plus the
 /// optional `metrics.json` destination from `--metrics`.
 ///
-/// One bundle observes every campaign a binary runs;
+/// One bundle observes every campaign a command runs;
 /// [`finish`](ExpTelemetry::finish) prints the folded summary and writes
 /// the dump.
 pub struct ExpTelemetry {
@@ -158,11 +62,6 @@ impl ExpTelemetry {
         self.observer.clone()
     }
 
-    /// A point-in-time copy of the counters.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.collector.snapshot()
-    }
-
     /// Prints the folded telemetry summary to stderr and, when `--metrics`
     /// was given, writes the machine-readable dump.
     pub fn finish(&self) {
@@ -180,26 +79,11 @@ impl ExpTelemetry {
     }
 }
 
-/// Parses a `--shard I/N` specification (0-based shard index).
-///
-/// # Panics
-///
-/// Panics with a usage message when the spec is malformed or `I >= N`.
-pub fn parse_shard(spec: &str) -> (usize, usize) {
-    let parse = || -> Option<(usize, usize)> {
-        let (i, n) = spec.split_once('/')?;
-        let i: usize = i.parse().ok()?;
-        let n: usize = n.parse().ok()?;
-        (i < n).then_some((i, n))
-    };
-    parse().unwrap_or_else(|| panic!("--shard wants I/N with 0 <= I < N, got `{spec}`"))
-}
-
 /// Architectural startup validation: executes every registered workload on
 /// the `avgi-refmodel` reference interpreter and panics if any fails to
 /// reach a clean halt. Runs automatically from [`ExpArgs::parse`], so a
 /// workload image corrupted by a bad edit (or a reference-model regression)
-/// aborts every experiment binary before any campaign spends cycles on it.
+/// aborts every experiment command before any campaign spends cycles on it.
 ///
 /// The interpreter is untimed, so this costs milliseconds for the full
 /// suite. Returns the number of workloads validated.
@@ -231,7 +115,8 @@ pub fn validate_workloads() -> usize {
     workloads.len()
 }
 
-/// Caches golden runs per workload (they are identical across campaigns).
+/// Caches golden runs per (workload, configuration) — they are identical
+/// across campaigns.
 ///
 /// Every capture is lockstep-verified against the `avgi-refmodel`
 /// architectural interpreter before being handed out: the cache refuses to
@@ -248,7 +133,8 @@ pub fn validate_workloads() -> usize {
 /// back to a fresh capture (which then rewrites the file).
 #[derive(Default)]
 pub struct GoldenCache {
-    cache: HashMap<String, Arc<GoldenRun>>,
+    /// Keyed like the disk files: workload name + `config_hash`.
+    cache: HashMap<(&'static str, u64), Arc<GoldenRun>>,
     disk_dir: Option<PathBuf>,
 }
 
@@ -256,10 +142,7 @@ impl GoldenCache {
     /// Creates an empty cache, with disk persistence when the
     /// `AVGI_GOLDEN_CACHE` environment variable names a directory.
     pub fn new() -> Self {
-        GoldenCache {
-            cache: HashMap::new(),
-            disk_dir: std::env::var_os("AVGI_GOLDEN_CACHE").map(PathBuf::from),
-        }
+        Self::with_dir(std::env::var_os("AVGI_GOLDEN_CACHE").map(PathBuf::from))
     }
 
     /// Creates an empty cache persisting to `dir` (`None` = memory only,
@@ -279,16 +162,14 @@ impl GoldenCache {
     /// Panics with the first architectural divergence if the simulator's
     /// golden commit trace disagrees with the reference model.
     pub fn get(&mut self, workload: &Workload, cfg: &MuarchConfig) -> Arc<GoldenRun> {
-        if let Some(g) = self.cache.get(workload.name) {
+        let key = (workload.name, config_hash(cfg));
+        if let Some(g) = self.cache.get(&key) {
             return g.clone();
         }
-        let path = self.disk_dir.as_ref().map(|d| {
-            d.join(format!(
-                "{}-{:016x}.golden",
-                workload.name,
-                config_hash(cfg)
-            ))
-        });
+        let path = self
+            .disk_dir
+            .as_ref()
+            .map(|d| d.join(format!("{}-{:016x}.golden", key.0, key.1)));
         let golden = path
             .as_ref()
             .and_then(|p| load_golden(p, workload, cfg))
@@ -311,7 +192,7 @@ impl GoldenCache {
                 }
                 golden
             });
-        self.cache.insert(workload.name.to_string(), golden.clone());
+        self.cache.insert(key, golden.clone());
         golden
     }
 }
@@ -394,15 +275,18 @@ fn load_golden(
     if avgi_faultsim::crc32(body) != u32::from_le_bytes(seal.try_into().ok()?) {
         return None;
     }
+    // Every length in the file is untrusted: no offset is added unchecked.
+    fn take<'a>(body: &'a [u8], at: &mut usize, n: usize) -> Option<&'a [u8]> {
+        let end = at.checked_add(n)?;
+        let bytes = body.get(*at..end)?;
+        *at = end;
+        Some(bytes)
+    }
     fn read_u64(body: &[u8], at: &mut usize) -> Option<u64> {
-        let v = u64::from_le_bytes(body.get(*at..*at + 8)?.try_into().ok()?);
-        *at += 8;
-        Some(v)
+        Some(u64::from_le_bytes(take(body, at, 8)?.try_into().ok()?))
     }
     fn read_u32(body: &[u8], at: &mut usize) -> Option<u32> {
-        let v = u32::from_le_bytes(body.get(*at..*at + 4)?.try_into().ok()?);
-        *at += 4;
-        Some(v)
+        Some(u32::from_le_bytes(take(body, at, 4)?.try_into().ok()?))
     }
     let mut cursor = GOLDEN_MAGIC.len();
     let at = &mut cursor;
@@ -422,8 +306,7 @@ fn load_golden(
         });
     }
     let output_len = usize::try_from(read_u64(body, at)?).ok()?;
-    let output = body.get(*at..*at + output_len)?.to_vec();
-    *at += output_len;
+    let output = take(body, at, output_len)?.to_vec();
     let mut stats = [0u64; 10];
     for v in &mut stats {
         *v = read_u64(body, at)?;
@@ -462,7 +345,7 @@ fn load_golden(
 /// expiries — so an unhealthy simulator is visible in experiment output
 /// instead of silently folding into the crash column. Healthy campaigns
 /// print nothing.
-pub fn report_campaign_health(c: &CampaignResult) {
+fn report_campaign_health(c: &CampaignResult) {
     for msg in &c.warnings {
         eprintln!("[health] {} / {}: {msg}", c.structure, c.workload);
     }
@@ -487,32 +370,42 @@ pub fn report_campaign_health(c: &CampaignResult) {
     }
 }
 
-/// Runs an instrumented (end-to-end + deviation capture) campaign and
-/// returns its joint analysis. `observer` attaches campaign telemetry
-/// (`None` = unobserved). With `shard = Some((i, n))` only interleaved
-/// shard `i` of `n` executes — a uniform subsample of the campaign, for
-/// splitting a figure's work across independent processes.
-#[allow(clippy::too_many_arguments)]
-pub fn instrumented_analysis(
+/// Runs one campaign at the budget and seed of `args` and reports its
+/// health.
+pub fn campaign(
     workload: &Workload,
     cfg: &MuarchConfig,
     golden: &Arc<GoldenRun>,
     structure: Structure,
-    faults: usize,
-    seed: u64,
-    observer: Option<Arc<dyn CampaignObserver>>,
-    shard: Option<(usize, usize)>,
+    mode: RunMode,
+    args: &ExpArgs,
+) -> CampaignResult {
+    let ccfg = CampaignConfig::new(structure, args.faults, mode).with_seed(args.seed);
+    let c = run_campaign(workload, cfg, golden, &ccfg);
+    report_campaign_health(&c);
+    c
+}
+
+/// Runs an instrumented (end-to-end + deviation capture) campaign under
+/// `observer` and returns its joint analysis. With `--shard I/N` only
+/// interleaved shard `I` of `N` executes — a uniform subsample of the
+/// campaign, for splitting a figure's work across independent processes.
+fn instrumented_analysis(
+    workload: &Workload,
+    cfg: &MuarchConfig,
+    golden: &Arc<GoldenRun>,
+    structure: Structure,
+    args: &ExpArgs,
+    observer: Arc<dyn CampaignObserver>,
 ) -> JointAnalysis {
-    let mut ccfg = CampaignConfig::new(structure, faults, RunMode::Instrumented).with_seed(seed);
-    let c = match shard {
-        None => {
-            ccfg.observer = observer;
-            run_campaign(workload, cfg, golden, &ccfg)
-        }
+    let ccfg =
+        CampaignConfig::new(structure, args.faults, RunMode::Instrumented).with_seed(args.seed);
+    let c = match args.shard {
+        None => run_campaign(workload, cfg, golden, &ccfg.with_observer(observer)),
         Some((index, count)) => {
             let runner = avgi_faultsim::ShardRunner::new(workload, cfg, golden, &ccfg);
             let results = runner
-                .run_interleaved(index, count, observer)
+                .run_interleaved(index, count, Some(observer))
                 .expect("interleaved shard indices are always in range");
             CampaignResult {
                 workload: workload.name.to_string(),
@@ -528,87 +421,70 @@ pub fn instrumented_analysis(
     JointAnalysis::from_campaign(&c)
 }
 
-/// Runs instrumented campaigns for every (structure, workload) pair in the
-/// grid, printing progress to stderr. `telemetry` observes every campaign
-/// in the grid when given.
+/// Runs instrumented campaigns for every (structure, workload) pair — all
+/// workloads, on the configuration, budget, seed and shard `args` name —
+/// printing progress to stderr. `telemetry` observes every campaign.
 pub fn analysis_grid(
     structures: &[Structure],
-    workloads: &[Workload],
-    cfg: &MuarchConfig,
-    faults: usize,
-    seed: u64,
-    telemetry: Option<&ExpTelemetry>,
-    shard: Option<(usize, usize)>,
+    args: &ExpArgs,
+    telemetry: &ExpTelemetry,
 ) -> Vec<JointAnalysis> {
+    let (cfg, workloads) = (args.config(), avgi_workloads::all());
+    let shard = args
+        .shard
+        .map_or_else(String::new, |(i, n)| format!(", shard {i}/{n}"));
     let mut cache = GoldenCache::new();
     let mut out = Vec::with_capacity(structures.len() * workloads.len());
     for &s in structures {
-        for w in workloads {
-            match shard {
-                None => eprintln!("[grid] {} / {} ({} faults)", s, w.name, faults),
-                Some((i, n)) => eprintln!(
-                    "[grid] {} / {} ({} faults, shard {i}/{n})",
-                    s, w.name, faults
-                ),
-            }
-            let golden = cache.get(w, cfg);
-            let observer = telemetry.map(ExpTelemetry::observer);
-            out.push(instrumented_analysis(
-                w, cfg, &golden, s, faults, seed, observer, shard,
-            ));
+        for w in &workloads {
+            eprintln!("[grid] {s} / {} ({} faults{shard})", w.name, args.faults);
+            let (golden, observer) = (cache.get(w, &cfg), telemetry.observer());
+            out.push(instrumented_analysis(w, &cfg, &golden, s, args, observer));
         }
     }
     out
 }
 
-/// One row of a leave-one-out accuracy study: the exhaustive ground truth
-/// next to the AVGI prediction for a held-out workload.
-#[derive(Debug, Clone)]
-pub struct LooRow {
-    /// Held-out workload.
-    pub workload: String,
-    /// Ground-truth Masked/SDC/Crash from exhaustive SFI.
-    pub real: avgi_core::EffectDistribution,
-    /// AVGI prediction with weights learned on the other workloads.
-    pub predicted: avgi_core::EffectDistribution,
-    /// Post-injection cycles of the exhaustive campaign.
-    pub real_cost: u64,
-    /// Post-injection cycles of the AVGI campaign.
-    pub avgi_cost: u64,
-}
-
-/// Runs the full leave-one-out evaluation of the AVGI methodology for one
-/// structure (the protocol behind Figs. 10–12); thin wrapper over
-/// [`avgi_core::study::leave_one_out`] keeping the row shape the binaries
-/// print.
-pub fn leave_one_out_study(
-    structure: Structure,
-    workloads: &[Workload],
+/// Prints one Real-vs-predicted table per structure (the body of Figs. 10
+/// and 12; `tag` labels the predicted columns). Returns the worst
+/// per-class and the worst SDC-only absolute difference.
+pub fn print_accuracy_tables(
+    structures: &[Structure],
     cfg: &MuarchConfig,
-    faults: usize,
-    seed: u64,
-) -> Vec<LooRow> {
-    use avgi_core::pipeline::AvgiOptions;
-    eprintln!(
-        "[loo:{structure}] {} workloads x {faults} faults",
-        workloads.len()
-    );
-    let opts = AvgiOptions {
-        faults,
-        seed,
-        ..Default::default()
-    };
-    avgi_core::study::leave_one_out(structure, workloads, cfg, &opts)
-        .rows
-        .into_iter()
-        .map(|r| LooRow {
-            workload: r.workload,
-            real: r.real,
-            predicted: r.predicted,
-            real_cost: r.real_cost,
-            avgi_cost: r.avgi_cost,
-        })
-        .collect()
+    args: &ExpArgs,
+    tag: &str,
+) -> (f64, f64) {
+    let workloads = avgi_workloads::all();
+    let cols = ["Msk", "SDC", "Crs"].map(|c| (format!("real {c}"), format!("{tag} {c}")));
+    let mut header = vec!["workload"];
+    header.extend(cols.iter().flat_map(|(r, p)| [r.as_str(), p.as_str()]));
+    header.push("maxdiff");
+    let (mut worst, mut sdc_worst) = (0.0f64, 0.0f64);
+    for &s in structures {
+        println!("\n--- {} ---", s.label());
+        print_header(&header, &[14, 9, 9, 9, 9, 9, 9, 8]);
+        eprintln!(
+            "[loo:{s}] {} workloads x {} faults",
+            workloads.len(),
+            args.faults
+        );
+        for r in leave_one_out(s, &workloads, cfg, &args.avgi_options()).rows {
+            worst = worst.max(r.max_abs_diff());
+            sdc_worst = sdc_worst.max((r.real.sdc - r.predicted.sdc).abs());
+            println!(
+                "{:>14} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8}",
+                r.workload,
+                pct(r.real.masked),
+                pct(r.predicted.masked),
+                pct(r.real.sdc),
+                pct(r.predicted.sdc),
+                pct(r.real.crash),
+                pct(r.predicted.crash),
+                pct(r.max_abs_diff()),
+            );
+        }
+    }
+    (worst, sdc_worst)
 }
 
 /// Formats a fraction as a fixed-width percentage.
@@ -641,6 +517,18 @@ mod tests {
     }
 
     #[test]
+    fn golden_cache_keys_on_the_configuration_too() {
+        let w = avgi_workloads::by_name("bitcount").unwrap();
+        let (big, small) = (MuarchConfig::big(), MuarchConfig::small());
+        let mut cache = GoldenCache::with_dir(None);
+        let on_big = cache.get(&w, &big);
+        let on_small = cache.get(&w, &small);
+        assert_ne!(on_big.cycles, on_small.cycles);
+        assert_eq!(on_small.cycles, golden_for(&w, &small).cycles);
+        assert!(Arc::ptr_eq(&on_big, &cache.get(&w, &big)));
+    }
+
+    #[test]
     fn golden_cache_round_trips_through_disk() {
         let cfg = MuarchConfig::small();
         let w = avgi_workloads::by_name("bitcount").unwrap();
@@ -665,6 +553,17 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(load_golden(&path, &w, &cfg).is_none());
+
+        // So is a correctly sealed file whose output length would overflow
+        // the offset arithmetic.
+        let mut bytes = golden_bytes(&cfg, &captured);
+        let output_len_at = GOLDEN_MAGIC.len() + 24 + captured.trace.len() * 24;
+        bytes[output_len_at..output_len_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let body_len = bytes.len() - 4;
+        let seal = avgi_faultsim::crc32(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&seal.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         assert!(load_golden(&path, &w, &cfg).is_none());
 

@@ -1,0 +1,131 @@
+//! The `avgi` executable from the outside: exit statuses, the command list,
+//! and that every command the scripts and CI name exists.
+
+use avgi_bench::cmd::COMMANDS;
+use std::process::{Command, Output};
+
+fn avgi(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_avgi"))
+        .args(args)
+        .output()
+        .expect("avgi runs")
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn no_or_unknown_command_lists_every_command_and_exits_2() {
+    for args in [&[][..], &["fig99_nothing"], &["--faults", "3"]] {
+        let out = avgi(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let err = stderr(&out);
+        for c in COMMANDS {
+            assert!(err.contains(c.name), "{args:?}: list lacks {}", c.name);
+        }
+    }
+    assert_eq!(COMMANDS.len(), 24);
+    assert!(stderr(&avgi(&["fig99_nothing"])).contains("unknown command `fig99_nothing`"));
+}
+
+#[test]
+fn a_command_without_a_campaign_runs_to_exit_0() {
+    let out = avgi(&["fig02_imm_diagram"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("256-combination census"), "{text}");
+    assert!(
+        text.lines()
+            .any(|l| l.trim_start().starts_with("sum") && l.contains("256")),
+        "{text}"
+    );
+}
+
+#[test]
+fn an_argv_error_prints_usage_and_exits_2_before_anything_starts() {
+    // Figure command: the typo is reported before any campaign runs.
+    let out = avgi(&["fig10_accuracy", "--fault", "3"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let err = stderr(&out);
+    assert!(err.contains("unknown argument `--fault`"), "{err}");
+    assert!(
+        err.contains("usage: avgi fig10_accuracy [--faults N] [--seed S]"),
+        "{err}"
+    );
+
+    // Grid command: nothing is bound and no queue file is created.
+    let queue = std::env::temp_dir().join(format!("avgi-cli-test-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&queue);
+    let argv = format!(
+        "grid_service --bind 127.0.0.1:0 --http 127.0.0.1:0 --queue {} --lease-ms soon",
+        queue.display()
+    );
+    let out = avgi(&argv.split(' ').collect::<Vec<_>>());
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr(&out);
+    assert!(err.contains("--lease-ms wants N, got `soon`"), "{err}");
+    assert!(
+        err.contains("usage: avgi grid_service [--bind ADDR]"),
+        "{err}"
+    );
+    assert!(!err.contains("[service]"), "{err}");
+    assert!(!queue.exists(), "the service must not have started");
+
+    // The one integer rule reaches every numeric flag of every command.
+    for cmd in ["grid_submit", "grid_coordinator", "fig10_accuracy"] {
+        let out = avgi(&[cmd, "--seed", "0xA4610001", "--stop-here"]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        assert!(
+            err.contains("unknown argument `--stop-here`"),
+            "{cmd}: {err}"
+        );
+    }
+}
+
+/// The command word of every `run`/`runm` line of a script and of every
+/// `./target/release/avgi` invocation.
+fn commands_named_in(text: &str) -> Vec<String> {
+    let mut named = Vec::new();
+    for line in text.lines().map(str::trim_start) {
+        let mut words = line.split_whitespace();
+        if matches!(words.next(), Some("run" | "runm")) {
+            // (`runm` itself calls `run "$bin" …`: a variable, not a name.)
+            named.extend(
+                words
+                    .next()
+                    .filter(|w| !w.starts_with('"'))
+                    .map(str::to_string),
+            );
+        }
+        for (at, _) in line.match_indices("./target/release/") {
+            let mut words = line[at + "./target/release/".len()..].split_whitespace();
+            assert_eq!(words.next(), Some("avgi"), "not the one executable: {line}");
+            named.push(words.next().unwrap_or("").to_string());
+        }
+    }
+    named
+}
+
+#[test]
+fn scripts_and_ci_name_only_registered_commands() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    for (file, at_least) in [
+        ("run_experiments.sh", 11),
+        ("run_experiments_extra.sh", 8),
+        (".github/workflows/ci.yml", 12),
+    ] {
+        let text = std::fs::read_to_string(format!("{root}/{file}")).expect(file);
+        let named = commands_named_in(&text);
+        assert!(named.len() >= at_least, "{file}: found only {named:?}");
+        for name in &named {
+            assert!(
+                COMMANDS.iter().any(|c| c.name == name),
+                "{file} names `{name}`, which `avgi` does not have"
+            );
+        }
+    }
+}

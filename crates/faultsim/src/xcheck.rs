@@ -1,4 +1,5 @@
-//! Lockstep cross-check of the shared-prefix batched engine (`--xcheck`).
+//! Lockstep cross-check of the shared-prefix batched engine (from the command
+//! line: `avgi xtier_check`, which runs both provers of this module).
 //!
 //! The batched engine claims bit-identity with the classic per-run engine:
 //! same [`InjectionResult`](crate::InjectionResult)s, same deterministic
@@ -23,7 +24,7 @@
 //! Any disagreement is reported as a human-readable error string naming the
 //! fault and the first differing observable.
 //!
-//! A second prover, [`run_xtier`] (`--xtier`), targets the *execution-tier*
+//! A second prover, [`run_xtier`], targets the *execution-tier*
 //! claim instead of the batching claim: the fast pre-decoded interpreter
 //! ([`avgi_refmodel::FastModel`]) must be bit-identical to both the
 //! reference interpreter and the cycle-accurate pipeline, and swapping the

@@ -24,8 +24,12 @@ fn observed_run(threads: usize, seed: u64) -> MetricsSnapshot {
     }
     .with_seed(seed)
     .with_observer(collector.clone());
-    run_campaign(&w, &cfg, &golden, &ccfg);
-    collector.snapshot()
+    let c = run_campaign(&w, &cfg, &golden, &ccfg);
+    let snap = collector.snapshot();
+    // The collector's totals are the campaign's own.
+    assert_eq!(snap.completed, c.len() as u64);
+    assert_eq!(snap.aborted(), c.aborted_count() as u64);
+    snap
 }
 
 #[test]

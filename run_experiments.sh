@@ -1,6 +1,7 @@
 #!/bin/sh
 # Regenerates every table/figure of the paper reproduction into results/.
-# Usage: sh run_experiments.sh [extra args passed to every binary]
+# Usage: sh run_experiments.sh [extra args passed to every command; a repeated
+# flag overrides the one named here, so `--faults 8` is a smoke run]
 set -e
 cd "$(dirname "$0")"
 # Persist golden captures across the figure binaries below: every binary
@@ -12,7 +13,7 @@ export AVGI_GOLDEN_CACHE
 run() {
   bin=$1; shift
   echo "=== $bin $* ==="
-  cargo run --release -p avgi-bench --bin "$bin" -- "$@" >"results/$bin.txt" 2>"results/$bin.log"
+  cargo run --release -p avgi-bench --bin avgi -- "$bin" "$@" >"results/$bin.txt" 2>"results/$bin.log"
 }
 # Campaign-driving binaries also emit machine-readable telemetry: live
 # progress snapshots land in results/$bin.log, final counters + latency
@@ -21,15 +22,16 @@ runm() {
   bin=$1; shift
   run "$bin" --metrics "results/$bin.metrics.json" "$@"
 }
+# (fig02 runs no campaign and takes no flags)
 run fig02_imm_diagram
-run fig01_ace_vs_sfi --faults 400
-runm fig04_effects_per_imm --faults 400
-run fig08_ert_inclusive_exclusive --faults 400
-runm fig07_esc_prediction --faults 300
-runm fig03_imm_distribution --faults 300
-run table2_speedup --faults 200
-runm fig05_imm_weights --faults 200
-run fig10_accuracy --faults 200
-run fig12_case_study --faults 150
-run fig11_fit_rates --faults 150
+run fig01_ace_vs_sfi --faults 400 "$@"
+runm fig04_effects_per_imm --faults 400 "$@"
+run fig08_ert_inclusive_exclusive --faults 400 "$@"
+runm fig07_esc_prediction --faults 300 "$@"
+runm fig03_imm_distribution --faults 300 "$@"
+run table2_speedup --faults 200 "$@"
+runm fig05_imm_weights --faults 200 "$@"
+run fig10_accuracy --faults 200 "$@"
+run fig12_case_study --faults 150 "$@"
+run fig11_fit_rates --faults 150 "$@"
 echo "all experiments complete"

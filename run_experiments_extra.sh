@@ -1,11 +1,12 @@
 #!/bin/sh
 # Ablations and tools (run after run_experiments.sh).
+# Usage: sh run_experiments_extra.sh [extra args passed to every command]
 set -e
 cd "$(dirname "$0")"
 run() {
   bin=$1; shift
   echo "=== $bin $* ==="
-  cargo run --release -p avgi-bench --bin "$bin" -- "$@" >"results/$bin.txt" 2>"results/$bin.log"
+  cargo run --release -p avgi-bench --bin avgi -- "$bin" "$@" >"results/$bin.txt" 2>"results/$bin.log"
 }
 # Campaign-driving binaries also emit machine-readable telemetry: live
 # progress snapshots land in results/$bin.log, final counters + latency
@@ -14,12 +15,12 @@ runm() {
   bin=$1; shift
   run "$bin" --metrics "results/$bin.metrics.json" "$@"
 }
-runm fig03_imm_distribution --faults 250
-runm fig04_effects_per_imm --faults 2000
-runm fig07_esc_prediction --faults 250
-run fig08_ert_inclusive_exclusive --faults 300
-run ablation_ert_window --faults 150
-run ablation_prefetch --faults 200
-runm avf_report --faults 200 --workload dijkstra
-run trace_dump --workload sha
+runm fig03_imm_distribution --faults 250 "$@"
+runm fig04_effects_per_imm --faults 2000 "$@"
+runm fig07_esc_prediction --faults 250 "$@"
+run fig08_ert_inclusive_exclusive --faults 300 "$@"
+run ablation_ert_window --faults 150 "$@"
+run ablation_prefetch --faults 200 "$@"
+runm avf_report --faults 200 --workload dijkstra "$@"
+run trace_dump --workload sha "$@"
 echo "extras complete"
