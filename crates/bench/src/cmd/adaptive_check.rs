@@ -10,7 +10,8 @@
 //! 2. **Determinism** — the same adaptive campaign on 1 and 4 worker
 //!    threads must produce bit-identical results, weights, estimates and
 //!    posterior grids: the schedule may adapt, but only on batch
-//!    boundaries, so thread count must be invisible.
+//!    boundaries, so thread count must be invisible — and the posterior
+//!    must equal a fresh grid folded over the reported results.
 //!
 //! The exhaustive statistical harness lives in
 //! `faultsim/tests/adaptive_stats.rs`; this command is the seconds-cheap
@@ -20,7 +21,7 @@ use crate::args::{preset, workload_list, FromArg};
 use crate::GoldenCache;
 use avgi_faultsim::{
     run_adaptive, run_campaign, weighted_estimate, wilson_interval, AdaptiveConfig, AdaptiveReport,
-    CampaignConfig, RunMode,
+    CampaignConfig, RunMode, SiteGrid,
 };
 use avgi_muarch::fault::Structure;
 use std::process::ExitCode;
@@ -81,6 +82,16 @@ pub fn run(mut a: crate::Args) -> ExitCode {
         {
             fail(&format!(
                 "{name}: adaptive schedule differs between 1 and 4 threads"
+            ));
+        }
+
+        // The posterior is a function of results: refolding them rebuilds it.
+        let g = &a1.grid;
+        let mut fold = SiteGrid::new(g.bits, g.cycles, g.bit_bins, g.cycle_bins);
+        a1.campaign.results.iter().for_each(|r| fold.record(r));
+        if fold != *g {
+            fail(&format!(
+                "{name}: the posterior is not the fold of the campaign's results"
             ));
         }
 

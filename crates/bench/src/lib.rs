@@ -406,15 +406,8 @@ fn instrumented_analysis(
             let runner = avgi_faultsim::ShardRunner::new(workload, cfg, golden, &ccfg);
             let results = runner
                 .run_interleaved(index, count, Some(observer))
-                .expect("interleaved shard indices are always in range");
-            CampaignResult {
-                workload: workload.name.to_string(),
-                structure,
-                mode: ccfg.mode,
-                golden_cycles: golden.cycles,
-                results: results.into_iter().map(|(_, r)| r).collect(),
-                warnings: runner.warnings().to_vec(),
-            }
+                .expect("argv admits only 0 <= I < N");
+            runner.result(results.into_iter().map(|(_, r)| r).collect())
         }
     };
     report_campaign_health(&c);

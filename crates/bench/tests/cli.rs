@@ -86,6 +86,33 @@ fn an_argv_error_prints_usage_and_exits_2_before_anything_starts() {
     }
 }
 
+#[test]
+fn a_figure_command_runs_each_interleaved_shard_and_refuses_one_past_the_last() {
+    let run = |shard| {
+        avgi(&[
+            "fig04_effects_per_imm",
+            "--faults",
+            "3",
+            "--small",
+            "--shard",
+            shard,
+        ])
+    };
+    for shard in ["0/2", "1/2"] {
+        let out = run(shard);
+        assert_eq!(out.status.code(), Some(0), "{shard}: {}", stderr(&out));
+        assert!(!out.stdout.is_empty(), "{shard}");
+        assert!(
+            stderr(&out).contains(&format!(", shard {shard})")),
+            "{shard}"
+        );
+    }
+    let out = run("2/2");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    assert!(stderr(&out).contains("--shard wants I/N, got `2/2`"));
+}
+
 /// The command word of every `run`/`runm` line of a script and of every
 /// `./target/release/avgi` invocation.
 fn commands_named_in(text: &str) -> Vec<String> {

@@ -2,8 +2,8 @@
 //!
 //! Uniform Leveugle sampling spends most of a campaign's run budget on
 //! Masked outcomes. This module steers later batches toward the
-//! (bit-range × cycle-window) regions the live
-//! [`MetricsCollector`](crate::telemetry::MetricsCollector) posterior says
+//! (bit-range × cycle-window) regions the posterior — a
+//! [`SiteGrid`] folded over every result so far — says
 //! are likely to produce SDC/Crash outcomes — the Bayesian fault-injection
 //! idea — while keeping the AVF/SDC estimators *unbiased* via
 //! Horvitz–Thompson reweighting:
@@ -28,22 +28,19 @@
 //!   remaining budget is left unspent.
 //!
 //! Determinism contract: the batch schedule is a pure function of
-//! `(seed, batch results so far)`. The posterior grid is additive and only
-//! read at batch boundaries, so the drawn faults — and therefore results,
+//! `(seed, batch results so far)`. The driver owns the posterior and folds
+//! each batch's returned results into it — executed and journal-replayed
+//! alike — after the batch, so the drawn faults — and therefore results,
 //! weights, and the early-stop point — are identical across thread counts
-//! and across journal interruptions. `faultsim/tests/adaptive_stats.rs`
-//! asserts all of this empirically, and the `adaptive_check` bin re-proves
-//! it in CI.
+//! and across journal interruptions by construction.
+//! `faultsim/tests/adaptive_stats.rs` asserts all of this empirically, and
+//! `avgi adaptive_check` re-proves it in CI.
 
-use crate::campaign::{
-    build_checkpoints, run_campaign_engine, CampaignConfig, CampaignResult, InjectionResult,
-};
+use crate::campaign::{CampaignConfig, CampaignResult, InjectionResult, JournalSink, ShardRunner};
 use crate::error::CampaignError;
 use crate::journal::{CampaignKey, Journal};
 use crate::sampling::{wilson_interval, z_value, SamplingError};
-use crate::telemetry::{
-    outcome_class, CampaignObserver, GridSnapshot, MetricsCollector, OutcomeClass,
-};
+use crate::telemetry::{outcome_class, OutcomeClass, SiteGrid};
 use avgi_muarch::config::MuarchConfig;
 use avgi_muarch::fault::{Fault, FaultSite};
 use avgi_muarch::trace::GoldenRun;
@@ -52,7 +49,6 @@ use avgi_workloads::Workload;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Parameters of an adaptive campaign.
 ///
@@ -147,13 +143,13 @@ pub struct Proposal {
 }
 
 /// Builds the importance-sampling proposal for the next batch from a
-/// posterior snapshot (see the module docs for the mixture rule).
+/// posterior grid (see the module docs for the mixture rule).
 ///
 /// `explore` must lie in (0, 1]. A posterior with no observed affected
 /// outcome anywhere — including a completely empty grid — yields the
 /// uniform proposal with unit weights, so degenerate early phases can
 /// never produce unbounded or zero-probability draws.
-pub fn build_proposal(grid: &GridSnapshot, explore: f64) -> Proposal {
+pub fn build_proposal(grid: &SiteGrid, explore: f64) -> Proposal {
     assert!(
         explore > 0.0 && explore <= 1.0,
         "explore floor must lie in (0, 1], got {explore}"
@@ -291,9 +287,9 @@ pub struct AdaptiveReport {
     pub stopped_early: bool,
     /// Final estimates over everything executed.
     pub estimate: WeightedEstimate,
-    /// Final posterior state (the grid the last proposal was built from,
-    /// plus the last batch's tallies).
-    pub grid: GridSnapshot,
+    /// Final posterior state: a [`SiteGrid`] folded over exactly
+    /// `campaign.results`.
+    pub grid: SiteGrid,
 }
 
 impl AdaptiveReport {
@@ -308,64 +304,6 @@ impl AdaptiveReport {
             return 0.0;
         }
         100.0 * (self.budget - self.runs_used()) as f64 / self.budget as f64
-    }
-}
-
-/// Fans engine hooks out to the driver's posterior collector and the
-/// user's observer (if any), so attaching telemetry to an adaptive
-/// campaign does not displace the posterior the proposal feeds on.
-struct Tee {
-    posterior: Arc<MetricsCollector>,
-    user: Option<Arc<dyn CampaignObserver>>,
-}
-
-impl CampaignObserver for Tee {
-    fn on_campaign_start(&self, structure: avgi_muarch::fault::Structure, planned: usize) {
-        self.posterior.on_campaign_start(structure, planned);
-        if let Some(u) = &self.user {
-            u.on_campaign_start(structure, planned);
-        }
-    }
-    fn on_run(
-        &self,
-        structure: avgi_muarch::fault::Structure,
-        result: &InjectionResult,
-        wall: Duration,
-    ) {
-        self.posterior.on_run(structure, result, wall);
-        if let Some(u) = &self.user {
-            u.on_run(structure, result, wall);
-        }
-    }
-    fn on_resumed(&self, structure: avgi_muarch::fault::Structure, result: &InjectionResult) {
-        self.posterior.on_resumed(structure, result);
-        if let Some(u) = &self.user {
-            u.on_resumed(structure, result);
-        }
-    }
-    fn on_worker_pool(&self, workers: usize) {
-        self.posterior.on_worker_pool(workers);
-        if let Some(u) = &self.user {
-            u.on_worker_pool(workers);
-        }
-    }
-    fn on_retry(&self, structure: avgi_muarch::fault::Structure) {
-        self.posterior.on_retry(structure);
-        if let Some(u) = &self.user {
-            u.on_retry(structure);
-        }
-    }
-    fn on_batching_disabled(&self, reason: &str) {
-        self.posterior.on_batching_disabled(reason);
-        if let Some(u) = &self.user {
-            u.on_batching_disabled(reason);
-        }
-    }
-    fn on_campaign_end(&self, structure: avgi_muarch::fault::Structure) {
-        self.posterior.on_campaign_end(structure);
-        if let Some(u) = &self.user {
-            u.on_campaign_end(structure);
-        }
     }
 }
 
@@ -396,7 +334,7 @@ fn draw_cell(q: &[f64], rng: &mut Rng) -> usize {
 /// uniformly (weight 1); adaptive batches sample cells from the proposal
 /// and sites uniformly within the cell (weight `p/q` of the cell).
 fn draw_batch(
-    grid: &GridSnapshot,
+    grid: &SiteGrid,
     proposal: Option<&Proposal>,
     structure: avgi_muarch::fault::Structure,
     n: usize,
@@ -499,18 +437,9 @@ fn run_adaptive_engine(
         return Err(SamplingError::EmptyGoldenRun.into());
     }
 
-    let (checkpoints, mut warnings) = build_checkpoints(workload, cfg, golden, &acfg.base);
-    let posterior = Arc::new(MetricsCollector::with_site_grid(
-        bits,
-        golden.cycles,
-        acfg.bit_bins,
-        acfg.cycle_bins,
-    ));
-    let mut ecfg = acfg.base.clone();
-    ecfg.observer = Some(Arc::new(Tee {
-        posterior: posterior.clone(),
-        user: acfg.base.observer.clone(),
-    }));
+    // No fault list up front: the schedule draws one per batch.
+    let runner = ShardRunner::with_faults(workload, cfg, golden, &acfg.base, Vec::new());
+    let mut grid = SiteGrid::new(bits, golden.cycles, acfg.bit_bins, acfg.cycle_bins);
 
     let batch_runs = acfg.batch_runs.max(1);
     let mut results: Vec<InjectionResult> = Vec::with_capacity(budget);
@@ -523,51 +452,25 @@ fn run_adaptive_engine(
         let start = results.len();
         let m = (budget - start).min(batch_runs);
         let mut rng = Rng::seed_from_u64(batch_seed(acfg.base.seed, batches));
-        // The proposal reads the posterior *before* this batch runs: the
-        // grid only ever reflects completed batches, which is what makes
-        // the schedule thread-count- and resume-invariant.
-        let grid = posterior
-            .grid_snapshot()
-            .expect("posterior collector always carries a grid");
+        // The proposal reads a posterior that holds completed batches only,
+        // which is what makes the schedule thread-count- and
+        // resume-invariant.
         let proposal =
             (batches >= acfg.warmup_batches).then(|| build_proposal(&grid, acfg.explore));
         let (faults, batch_weights) =
             draw_batch(&grid, proposal.as_ref(), acfg.base.structure, m, &mut rng);
 
         // Resume: journaled results for this batch's global indices replay
-        // instead of re-executing — after cross-checking that the journaled
-        // fault is the fault the schedule regenerates for that index.
-        let mut local_done = BTreeMap::new();
-        if let Some((_, done)) = &journal {
-            for (li, fault) in faults.iter().enumerate() {
-                if let Some(r) = done.get(&(start + li)) {
-                    if r.fault != *fault {
-                        return Err(CampaignError::JournalMismatch {
-                            field: "fault",
-                            expected: format!("{fault:?}"),
-                            found: format!("{:?}", r.fault),
-                        });
-                    }
-                    local_done.insert(li, r.clone());
-                }
-            }
-        }
-
-        let (batch_results, engine_warnings) = run_campaign_engine(
-            workload,
-            cfg,
-            golden,
-            &ecfg,
-            &faults,
-            local_done,
-            journal.as_ref().map(|(j, _)| j),
-            start,
-            checkpoints.as_ref(),
-        )?;
-        for w in engine_warnings {
-            if !warnings.contains(&w) {
-                warnings.push(w);
-            }
+        // instead of re-executing, once the engine has cross-checked that
+        // each names the fault the schedule regenerates for its index.
+        let sink = journal.as_ref().map(|(journal, done)| JournalSink {
+            journal,
+            done,
+            offset: start,
+        });
+        let batch_results = runner.execute(&faults, None, sink)?;
+        for r in &batch_results {
+            grid.record(r);
         }
         results.extend(batch_results);
         weights.extend(batch_weights);
@@ -585,32 +488,22 @@ fn run_adaptive_engine(
     }
 
     Ok(AdaptiveReport {
-        campaign: CampaignResult {
-            workload: workload.name.to_string(),
-            structure: acfg.base.structure,
-            mode: acfg.base.mode,
-            golden_cycles: golden.cycles,
-            results,
-            warnings,
-        },
+        campaign: runner.result(results),
         weights,
         batches,
         budget,
         stopped_early,
         estimate: estimate.expect("budget > 0 executes at least one batch"),
-        grid: posterior
-            .grid_snapshot()
-            .expect("posterior collector always carries a grid"),
+        grid,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::SiteGrid;
 
-    fn grid(bits: u64, cycles: u64, runs: &[u64], affected: &[u64]) -> GridSnapshot {
-        let mut g = SiteGrid::new(bits, cycles, 2, 2).snapshot();
+    fn grid(bits: u64, cycles: u64, runs: &[u64], affected: &[u64]) -> SiteGrid {
+        let mut g = SiteGrid::new(bits, cycles, 2, 2);
         g.runs = runs.to_vec();
         g.affected = affected.to_vec();
         g

@@ -11,7 +11,7 @@
 //! bit-identically after an interruption ([`run_campaign_journaled`]).
 
 use crate::error::CampaignError;
-use crate::journal::{CampaignKey, Journal};
+use crate::journal::{check_resumed_faults, CampaignKey, Journal};
 use crate::sampling::{multi_bit_burst, sample_faults};
 use crate::telemetry::{CampaignObserver, NullObserver};
 use avgi_muarch::config::MuarchConfig;
@@ -234,6 +234,34 @@ impl CampaignConfig {
             self.threads
         }
     }
+
+    /// Why shared-prefix batching, though requested (`batch > 1`), cannot
+    /// apply to a campaign under this configuration; `None` when it applies
+    /// or was not requested. Whether a checkpoint set exists is the one
+    /// input the configuration does not carry.
+    fn batching_blocker(&self, have_checkpoints: bool) -> Option<&'static str> {
+        if self.batch <= 1 {
+            None
+        } else if self.wall_budget.is_some() {
+            Some("a wall-clock budget is set (per-run accounting cannot share a prefix)")
+        } else if !have_checkpoints {
+            Some("no checkpoint set is available")
+        } else {
+            None
+        }
+    }
+
+    /// The warning such a campaign carries — without it the campaign falls
+    /// off a perf cliff with no way to tell which execution path it got.
+    /// An executor reports it through [`ShardRunner::warnings`]; a control
+    /// plane that holds only the configuration asks here for the same text.
+    pub fn batching_warning(&self, have_checkpoints: bool) -> Option<String> {
+        let reason = self.batching_blocker(have_checkpoints)?;
+        Some(format!(
+            "shared-prefix batching disabled (batch = {}): {reason}",
+            self.batch
+        ))
+    }
 }
 
 /// Mid-run simulator snapshots for skipping the pre-injection period.
@@ -265,7 +293,7 @@ impl CheckpointSet {
         count: u32,
     ) -> Result<Self, CampaignError> {
         let ctl = RunControl {
-            max_cycles: watchdog(golden.cycles),
+            max_cycles: watchdog_budget(golden.cycles),
             golden: Some(golden.clone()),
             ..Default::default()
         };
@@ -360,6 +388,27 @@ pub struct CampaignResult {
 }
 
 impl CampaignResult {
+    /// Wraps per-injection results (in sampling order) as the finished
+    /// campaign `ccfg` describes — the one place a `CampaignResult` is
+    /// assembled, whichever door (whole campaign, shard, adaptive schedule,
+    /// grid merge) produced the results.
+    pub fn new(
+        workload: &str,
+        ccfg: &CampaignConfig,
+        golden_cycles: u64,
+        results: Vec<InjectionResult>,
+        warnings: Vec<String>,
+    ) -> Self {
+        CampaignResult {
+            workload: workload.to_string(),
+            structure: ccfg.structure,
+            mode: ccfg.mode,
+            golden_cycles,
+            results,
+            warnings,
+        }
+    }
+
     /// Sum of post-injection cycles across all runs — the campaign's
     /// simulation cost in the paper's accounting.
     pub fn total_post_inject_cycles(&self) -> u64 {
@@ -416,10 +465,6 @@ pub fn golden_for(workload: &Workload, cfg: &MuarchConfig) -> Arc<GoldenRun> {
 /// budget that would misclassify every run as a hang.
 pub fn watchdog_budget(golden_cycles: u64) -> u64 {
     golden_cycles.saturating_mul(2).saturating_add(20_000)
-}
-
-fn watchdog(golden_cycles: u64) -> u64 {
-    watchdog_budget(golden_cycles)
 }
 
 /// Architectural oracle backing [`CampaignConfig::verify_masked`].
@@ -529,7 +574,9 @@ impl MaskedOracle {
     }
 }
 
-/// Executes one injected run.
+/// Executes one injected run on a fresh simulator — the engine's unbatched
+/// path with no checkpoint, no observer and no oracle, which is what makes
+/// it the reference other paths are compared against.
 pub fn run_one(
     workload: &Workload,
     cfg: &MuarchConfig,
@@ -538,97 +585,17 @@ pub fn run_one(
     mode: RunMode,
     burst_width: u32,
 ) -> InjectionResult {
-    run_one_inner(
+    let ccfg = CampaignConfig::new(fault.site.structure, 1, mode).with_burst(burst_width);
+    let engine = Engine {
         workload,
         cfg,
         golden,
-        fault,
-        mode,
-        burst_width,
-        None,
-        &mut None,
-        None,
-        None,
-    )
-}
-
-/// Executes one injected run, resuming from a checkpoint when one is
-/// available at or before the injection cycle.
-pub fn run_one_from(
-    workload: &Workload,
-    cfg: &MuarchConfig,
-    golden: &Arc<GoldenRun>,
-    fault: Fault,
-    mode: RunMode,
-    burst_width: u32,
-    checkpoints: &CheckpointSet,
-) -> InjectionResult {
-    run_one_inner(
-        workload,
-        cfg,
-        golden,
-        fault,
-        mode,
-        burst_width,
-        None,
-        &mut None,
-        Some(checkpoints),
-        None,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_one_inner(
-    workload: &Workload,
-    cfg: &MuarchConfig,
-    golden: &Arc<GoldenRun>,
-    fault: Fault,
-    mode: RunMode,
-    burst_width: u32,
-    wall_budget: Option<Duration>,
-    scratch: &mut Option<Sim>,
-    checkpoints: Option<&CheckpointSet>,
-    oracle: Option<&MaskedOracle>,
-) -> InjectionResult {
-    // Checkpointed runs reuse the caller's scratch simulator, rewinding it
-    // in place (O(dirty state), allocation-free after the first run) instead
-    // of cloning a full machine image per injection.
-    let mut fresh;
-    let sim: &mut Sim = match checkpoints {
-        Some(set) => {
-            let snap = set.nearest(fault.cycle);
-            let had = scratch.is_some();
-            let s = scratch.get_or_insert_with(|| snap.spawn());
-            if had {
-                s.restore_from(snap);
-            }
-            s
-        }
-        None => {
-            fresh = Sim::new(&workload.program, cfg.clone());
-            &mut fresh
-        }
+        ccfg: &ccfg,
+        checkpoints: None,
+        observer: &NULL_OBSERVER,
+        oracle: None,
     };
-    inject_burst(sim, fault, burst_width, cfg);
-    let ctl = control_for(mode, golden, wall_budget);
-    let report = sim.run(&ctl);
-    if let Some(oracle) = oracle {
-        if let Some(output) = report.output.as_ref() {
-            oracle.check_completed(&fault, output, &golden.output);
-        }
-        if report.outcome == RunOutcome::ErtExpired {
-            oracle.check_ert_expired(&fault, &report);
-        }
-    }
-    InjectionResult {
-        fault,
-        outcome: report.outcome,
-        deviation: report.first_deviation,
-        output_matches: report.output.as_ref().map(|o| *o == golden.output),
-        cycles: report.cycles,
-        post_inject_cycles: report.post_inject_cycles(),
-        abort_message: None,
-    }
+    engine.run_unbatched(fault, &mut None, false)
 }
 
 /// Arms `fault` (or its spatial burst) on a simulator.
@@ -646,29 +613,24 @@ fn inject_burst(sim: &mut Sim, fault: Fault, burst_width: u32, cfg: &MuarchConfi
 }
 
 /// The run control a mode prescribes — used identically by whole injected
-/// runs and by the fault-free carrier advance of the batched engine, so a
+/// runs and by the fault-free carrier advance of the batched path, so a
 /// forked run's state evolution cannot differ from an unbatched run's.
 fn control_for(
     mode: RunMode,
     golden: &Arc<GoldenRun>,
     wall_budget: Option<Duration>,
 ) -> RunControl {
-    match mode {
-        RunMode::EndToEnd | RunMode::Instrumented => RunControl {
-            max_cycles: watchdog(golden.cycles),
-            golden: Some(golden.clone()),
-            wall_budget,
-            ..Default::default()
-        },
-        RunMode::FirstDeviation { ert_window } => RunControl {
-            max_cycles: watchdog(golden.cycles),
-            golden: Some(golden.clone()),
-            stop_at_first_deviation: true,
-            ert_window,
-            wall_budget,
-            ..Default::default()
-        },
+    let mut ctl = RunControl {
+        max_cycles: watchdog_budget(golden.cycles),
+        golden: Some(golden.clone()),
+        wall_budget,
+        ..Default::default()
+    };
+    if let RunMode::FirstDeviation { ert_window } = mode {
+        ctl.stop_at_first_deviation = true;
+        ctl.ert_window = ert_window;
     }
+    ctl
 }
 
 thread_local! {
@@ -680,7 +642,8 @@ thread_local! {
 
 static QUIET_HOOK: Once = Once::new();
 
-fn install_quiet_panic_hook() {
+/// Runs `f` behind the engine's panic boundary.
+fn isolated<T>(f: impl FnOnce() -> T) -> std::thread::Result<T> {
     QUIET_HOOK.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
@@ -689,6 +652,10 @@ fn install_quiet_panic_hook() {
             }
         }));
     });
+    IN_ISOLATED_RUN.with(|flag| flag.set(true));
+    let r = catch_unwind(AssertUnwindSafe(f));
+    IN_ISOLATED_RUN.with(|flag| flag.set(false));
+    r
 }
 
 /// Extracts a human-readable message from a caught panic payload, truncated
@@ -709,216 +676,333 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Executes one injected run behind a panic boundary.
-///
-/// A panicking run is retried once *without* its checkpoint (a corrupt or
-/// mismatched snapshot is the most likely infrastructure cause); if the
-/// retry also panics — or checkpointing was not in use — the run is
-/// recorded as [`RunOutcome::SimAbort`] carrying the panic message. The
-/// decision depends only on this run's own behaviour, so results stay
-/// deterministic and thread-count-independent. A panic also discards the
-/// worker's scratch simulator: it may have been torn mid-restore, and the
-/// next run re-spawns a clean one from its checkpoint.
-#[allow(clippy::too_many_arguments)]
-fn run_one_isolated(
-    workload: &Workload,
-    cfg: &MuarchConfig,
-    golden: &Arc<GoldenRun>,
-    fault: Fault,
-    mode: RunMode,
-    burst_width: u32,
-    wall_budget: Option<Duration>,
-    scratch: &mut Option<Sim>,
-    checkpoints: Option<&CheckpointSet>,
-    structure: Structure,
-    observer: &dyn CampaignObserver,
-    oracle: Option<&MaskedOracle>,
-) -> InjectionResult {
-    install_quiet_panic_hook();
-    let attempt = |ckpt: Option<&CheckpointSet>, scratch: &mut Option<Sim>| {
-        IN_ISOLATED_RUN.with(|f| f.set(true));
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            run_one_inner(
-                workload,
-                cfg,
-                golden,
-                fault,
-                mode,
-                burst_width,
-                wall_budget,
-                scratch,
-                ckpt,
-                oracle,
-            )
-        }));
-        IN_ISOLATED_RUN.with(|f| f.set(false));
-        r
-    };
-    let payload = match attempt(checkpoints, scratch) {
-        Ok(r) => return r,
-        Err(p) => {
-            *scratch = None;
-            p
-        }
-    };
-    let payload = if checkpoints.is_some() {
-        // Graceful degradation: retry once from a fresh simulator.
-        observer.on_retry(structure);
-        match attempt(None, &mut None) {
-            Ok(r) => return r,
-            Err(p) => p,
-        }
-    } else {
-        payload
-    };
-    InjectionResult {
-        fault,
-        outcome: RunOutcome::SimAbort,
-        deviation: None,
-        output_matches: None,
-        cycles: 0,
-        post_inject_cycles: 0,
-        abort_message: Some(panic_message(payload.as_ref())),
+/// Positions the simulator in `slot` at `snap`: rewound in place (O(dirty
+/// state), allocation-free) when one exists, spawned from the snapshot
+/// otherwise.
+fn rewind<'s>(slot: &'s mut Option<Sim>, snap: &Snapshot) -> &'s mut Sim {
+    if let Some(sim) = slot {
+        sim.restore_from(snap);
     }
+    slot.get_or_insert_with(|| snap.spawn())
 }
 
-/// Per-worker simulators of the batched engine, kept across batches so the
-/// carrier stays on the journaled-restore fast path while consecutive
-/// batches share a checkpoint.
+/// Per-worker simulators, kept across runs and batches so rewinds stay on
+/// the journaled-restore fast path while consecutive units share a
+/// checkpoint.
 #[derive(Default)]
-struct BatchWorker {
+struct WorkerSims {
     /// Fault-free simulator advanced through the golden prefix.
     carrier: Option<Sim>,
     /// Reusable fork target, rewound to the carrier per run.
     fork: Option<Sim>,
-    /// Scratch for the non-batched fallback path (`run_one_isolated`).
+    /// Scratch of the unbatched path (also the batched path's fallback).
     scratch: Option<Sim>,
 }
 
-/// Executes one shared-prefix batch: all faults resume from `snap`, sorted
-/// ascending by injection cycle.
-///
-/// The carrier advances fault-free from the checkpoint; each run forks off
-/// it at the *beginning* of its injection cycle, arms its fault, and runs to
-/// its own end. [`Sim::step`] applies pending faults at the start of the
-/// cycle they name, so a fork positioned at the beginning of `fault.cycle`
-/// with the fault newly armed is state-identical to an unbatched scratch
-/// that restored at the checkpoint, armed the same fault, and simulated
-/// forward — the intervening cycles are fault-free in both, and the carrier
-/// advances under the exact [`control_for`] the unbatched run would use.
-/// Any panic (or a carrier that terminates before an injection cycle, which
-/// a valid golden run cannot cause) drops the batch simulators and falls
-/// back to [`run_one_isolated`] per remaining run, preserving the unbatched
-/// engine's retry/abort semantics exactly.
-#[allow(clippy::too_many_arguments)]
-fn run_shared_prefix_batch(
-    workload: &Workload,
-    cfg: &MuarchConfig,
-    golden: &Arc<GoldenRun>,
-    ccfg: &CampaignConfig,
-    batch: &[(usize, Fault)],
-    snap: &Snapshot,
-    worker: &mut BatchWorker,
-    checkpoints: &CheckpointSet,
-    observer: &dyn CampaignObserver,
-    oracle: Option<&MaskedOracle>,
-) -> Vec<(usize, InjectionResult, Duration)> {
-    install_quiet_panic_hook();
-    let prefix_ctl = control_for(ccfg.mode, golden, None);
-    let guarded = |f: &mut dyn FnMut() -> Option<InjectionResult>| {
-        IN_ISOLATED_RUN.with(|flag| flag.set(true));
-        let r = catch_unwind(AssertUnwindSafe(f));
-        IN_ISOLATED_RUN.with(|flag| flag.set(false));
-        r
-    };
+/// Where an engine invocation's results persist: the campaign's journal,
+/// the results it already held when it was opened, and the campaign-global
+/// index of the invocation's first fault — the adaptive driver runs one
+/// invocation per batch against a single journal, so local indices are
+/// rebased before they hit the disk format.
+pub(crate) struct JournalSink<'a> {
+    pub(crate) journal: &'a Mutex<Journal>,
+    pub(crate) done: &'a BTreeMap<usize, InjectionResult>,
+    pub(crate) offset: usize,
+}
 
-    // Position the carrier at the batch's checkpoint (journaled restore when
-    // the previous batch used the same snapshot).
-    let mut carrier_ok = {
-        let carrier = &mut worker.carrier;
-        guarded(&mut || {
-            let had = carrier.is_some();
-            let c = carrier.get_or_insert_with(|| snap.spawn());
-            if had {
-                c.restore_from(snap);
+static NULL_OBSERVER: NullObserver = NullObserver;
+
+/// One engine invocation: the campaign context a [`ShardRunner`] owns plus
+/// what lives only as long as the call — the observer in force and the
+/// [`MaskedOracle`]. Every simulator a campaign creates, restores or steps
+/// is driven from here, along one of two execution paths: *batched*
+/// (carrier + fork, [`Engine::run_batch`]) and *unbatched* (scratch or
+/// fresh simulator, [`Engine::run_unbatched`]). Both end in
+/// [`Engine::finish`].
+struct Engine<'a> {
+    workload: &'a Workload,
+    cfg: &'a MuarchConfig,
+    golden: &'a Arc<GoldenRun>,
+    ccfg: &'a CampaignConfig,
+    checkpoints: Option<&'a CheckpointSet>,
+    observer: &'a dyn CampaignObserver,
+    oracle: Option<MaskedOracle>,
+}
+
+impl Engine<'_> {
+    /// Arms `fault` on a positioned simulator, runs it to the end the mode
+    /// prescribes and turns the report into a result — the one
+    /// run-finishing step both execution paths share.
+    fn finish(&self, sim: &mut Sim, fault: Fault) -> InjectionResult {
+        inject_burst(sim, fault, self.ccfg.burst_width, self.cfg);
+        let report = sim.run(&control_for(
+            self.ccfg.mode,
+            self.golden,
+            self.ccfg.wall_budget,
+        ));
+        if let Some(oracle) = &self.oracle {
+            if let Some(output) = report.output.as_ref() {
+                oracle.check_completed(&fault, output, &self.golden.output);
             }
-            None
-        })
-        .is_ok()
-    };
-    if !carrier_ok {
-        worker.carrier = None;
-    }
-
-    let mut out = Vec::with_capacity(batch.len());
-    for &(index, fault) in batch {
-        let t0 = Instant::now();
-        let mut batched: Option<InjectionResult> = None;
-        if carrier_ok {
-            let carrier = worker.carrier.as_mut().expect("carrier_ok implies carrier");
-            let fork = &mut worker.fork;
-            let attempt = guarded(&mut || {
-                if carrier.run_to_cycle(fault.cycle, &prefix_ctl).is_some() {
-                    return None; // carrier ended before the injection cycle
-                }
-                let had = fork.is_some();
-                let f = fork.get_or_insert_with(|| carrier.clone());
-                if had {
-                    f.restore_from_sim(carrier);
-                }
-                inject_burst(f, fault, ccfg.burst_width, cfg);
-                let report = f.run(&control_for(ccfg.mode, golden, ccfg.wall_budget));
-                if let Some(oracle) = oracle {
-                    if let Some(output) = report.output.as_ref() {
-                        oracle.check_completed(&fault, output, &golden.output);
-                    }
-                    if report.outcome == RunOutcome::ErtExpired {
-                        oracle.check_ert_expired(&fault, &report);
-                    }
-                }
-                Some(InjectionResult {
-                    fault,
-                    outcome: report.outcome,
-                    deviation: report.first_deviation,
-                    output_matches: report.output.as_ref().map(|o| *o == golden.output),
-                    cycles: report.cycles,
-                    post_inject_cycles: report.post_inject_cycles(),
-                    abort_message: None,
-                })
-            });
-            match attempt {
-                Ok(Some(r)) => batched = Some(r),
-                Ok(None) => carrier_ok = false,
-                Err(_) => {
-                    // The panic may have torn either simulator mid-update;
-                    // drop both and finish the batch on the fallback path
-                    // (which re-attempts this fault and owns the retry/abort
-                    // decision, exactly as the unbatched engine would).
-                    worker.carrier = None;
-                    worker.fork = None;
-                    carrier_ok = false;
-                }
+            if report.outcome == RunOutcome::ErtExpired {
+                oracle.check_ert_expired(&fault, &report);
             }
         }
-        let r = batched.unwrap_or_else(|| {
-            run_one_isolated(
-                workload,
-                cfg,
-                golden,
-                fault,
-                ccfg.mode,
-                ccfg.burst_width,
-                ccfg.wall_budget,
-                &mut worker.scratch,
-                Some(checkpoints),
-                ccfg.structure,
-                observer,
-                oracle,
-            )
-        });
-        out.push((index, r, t0.elapsed()));
+        InjectionResult {
+            fault,
+            outcome: report.outcome,
+            deviation: report.first_deviation,
+            output_matches: report.output.as_ref().map(|o| *o == self.golden.output),
+            cycles: report.cycles,
+            post_inject_cycles: report.post_inject_cycles(),
+            abort_message: None,
+        }
     }
-    out
+
+    /// The unbatched path: one whole run from the nearest checkpoint on the
+    /// caller's scratch simulator, or — with `checkpointed` off or no set
+    /// available — from cycle 0 on a fresh one.
+    fn run_unbatched(
+        &self,
+        fault: Fault,
+        scratch: &mut Option<Sim>,
+        checkpointed: bool,
+    ) -> InjectionResult {
+        match self.checkpoints.filter(|_| checkpointed) {
+            Some(set) => self.finish(rewind(scratch, set.nearest(fault.cycle)), fault),
+            None => self.finish(
+                &mut Sim::new(&self.workload.program, self.cfg.clone()),
+                fault,
+            ),
+        }
+    }
+
+    /// [`run_unbatched`](Engine::run_unbatched) behind a panic boundary.
+    ///
+    /// A panicking run is retried once *without* its checkpoint (a corrupt or
+    /// mismatched snapshot is the most likely infrastructure cause); if the
+    /// retry also panics — or checkpointing was not in use — the run is
+    /// recorded as [`RunOutcome::SimAbort`] carrying the panic message. The
+    /// decision depends only on this run's own behaviour, so results stay
+    /// deterministic and thread-count-independent. A panic also discards the
+    /// worker's scratch simulator: it may have been torn mid-restore, and the
+    /// next run re-spawns a clean one from its checkpoint.
+    fn run_isolated(&self, fault: Fault, scratch: &mut Option<Sim>) -> InjectionResult {
+        let mut payload = match isolated(|| self.run_unbatched(fault, scratch, true)) {
+            Ok(r) => return r,
+            Err(p) => p,
+        };
+        *scratch = None;
+        if self.checkpoints.is_some() {
+            // Graceful degradation: retry once from a fresh simulator.
+            self.observer.on_retry(self.ccfg.structure);
+            payload = match isolated(|| self.run_unbatched(fault, &mut None, false)) {
+                Ok(r) => return r,
+                Err(p) => p,
+            };
+        }
+        InjectionResult {
+            fault,
+            outcome: RunOutcome::SimAbort,
+            deviation: None,
+            output_matches: None,
+            cycles: 0,
+            post_inject_cycles: 0,
+            abort_message: Some(panic_message(payload.as_ref())),
+        }
+    }
+
+    /// The batched path: executes the runs `unit` names, all resuming from
+    /// `snap` and sorted ascending by injection cycle, off one shared
+    /// fault-free prefix.
+    ///
+    /// The carrier advances fault-free from the checkpoint; each run forks
+    /// off it at the *beginning* of its injection cycle, arms its fault, and
+    /// runs to its own end. [`Sim::step`] applies pending faults at the start
+    /// of the cycle they name, so a fork positioned at the beginning of
+    /// `fault.cycle` with the fault newly armed is state-identical to an
+    /// unbatched scratch that restored at the checkpoint, armed the same
+    /// fault, and simulated forward — the intervening cycles are fault-free
+    /// in both, and the carrier advances under the exact [`control_for`] the
+    /// unbatched run would use. Any panic (or a carrier that terminates
+    /// before an injection cycle, which a valid golden run cannot cause)
+    /// drops the batch simulators and falls back to
+    /// [`run_isolated`](Engine::run_isolated) per remaining run, preserving
+    /// the unbatched path's retry/abort semantics exactly.
+    fn run_batch(
+        &self,
+        faults: &[Fault],
+        unit: &[usize],
+        snap: &Snapshot,
+        sims: &mut WorkerSims,
+    ) -> Vec<(usize, InjectionResult, Duration)> {
+        let prefix_ctl = control_for(self.ccfg.mode, self.golden, None);
+        // Position the carrier at the batch's checkpoint (journaled restore
+        // when the previous batch used the same snapshot).
+        let mut carrier_ok = isolated(|| {
+            rewind(&mut sims.carrier, snap);
+        })
+        .is_ok();
+        if !carrier_ok {
+            sims.carrier = None;
+        }
+        let mut out = Vec::with_capacity(unit.len());
+        for &i in unit {
+            let (fault, t0) = (faults[i], Instant::now());
+            let mut batched = None;
+            if let Some(carrier) = sims.carrier.as_mut().filter(|_| carrier_ok) {
+                let fork = &mut sims.fork;
+                let attempt = isolated(|| {
+                    if carrier.run_to_cycle(fault.cycle, &prefix_ctl).is_some() {
+                        return None; // carrier ended before the injection cycle
+                    }
+                    if let Some(f) = fork.as_mut() {
+                        f.restore_from_sim(carrier);
+                    }
+                    Some(self.finish(fork.get_or_insert_with(|| carrier.clone()), fault))
+                });
+                match attempt {
+                    Ok(Some(r)) => batched = Some(r),
+                    Ok(None) => carrier_ok = false,
+                    Err(_) => {
+                        // The panic may have torn either simulator mid-update;
+                        // drop both and finish the batch on the fallback path
+                        // (which re-attempts this fault and owns the retry/abort
+                        // decision, exactly as the unbatched path would).
+                        sims.carrier = None;
+                        sims.fork = None;
+                        carrier_ok = false;
+                    }
+                }
+            }
+            let r = batched.unwrap_or_else(|| self.run_isolated(fault, &mut sims.scratch));
+            out.push((i, r, t0.elapsed()));
+        }
+        out
+    }
+
+    /// The worker-pool core: executes every fault of `faults` the journal
+    /// does not already hold, appending each fresh result to it, and returns
+    /// the results in the order of `faults`.
+    fn execute(
+        &self,
+        faults: &[Fault],
+        sink: Option<JournalSink<'_>>,
+    ) -> Result<Vec<InjectionResult>, CampaignError> {
+        let (observer, ccfg) = (self.observer, self.ccfg);
+        if let Some(s) = &sink {
+            check_resumed_faults(s.done, faults, s.offset)?;
+        }
+        observer.on_campaign_start(ccfg.structure, faults.len());
+
+        let mut results: Vec<Option<InjectionResult>> = vec![None; faults.len()];
+        if let Some(s) = &sink {
+            for (&i, r) in s.done.range(s.offset..s.offset + faults.len()) {
+                // Journaled results replay into the tallies without a
+                // wall-clock sample (no simulation happens on resume).
+                observer.on_resumed(ccfg.structure, r);
+                results[i - s.offset] = Some(r.clone());
+            }
+        }
+        let mut pending: Vec<usize> = Vec::with_capacity(faults.len());
+        pending.extend((0..faults.len()).filter(|i| results[*i].is_none()));
+        // Work in injection-cycle order so consecutive runs on one worker tend
+        // to share a checkpoint, keeping the scratch simulator on the fast
+        // journaled-restore path. Results are stored by original index, so the
+        // output order (and determinism) is unchanged.
+        pending.sort_by_key(|&i| faults[i].cycle);
+
+        // Shared-prefix batching: split the cycle-sorted work into runs of
+        // consecutive faults resuming from the same checkpoint, capped at the
+        // configured batch size. With batching disabled (or inapplicable),
+        // each unit is a single run on the unbatched path.
+        let blocker = ccfg.batching_blocker(self.checkpoints.is_some());
+        if let Some(reason) = blocker {
+            observer.on_batching_disabled(reason);
+        }
+        let batch_set = self
+            .checkpoints
+            .filter(|_| ccfg.batch > 1 && blocker.is_none());
+        let units: Vec<(usize, &[usize])> = match batch_set {
+            Some(set) => {
+                let mut units: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
+                for (n, &i) in pending.iter().enumerate() {
+                    let si = set.nearest_index(faults[i].cycle);
+                    match units.last_mut() {
+                        Some((s, r)) if *s == si && r.len() < ccfg.batch => r.end = n + 1,
+                        _ => units.push((si, n..n + 1)),
+                    }
+                }
+                units.into_iter().map(|(s, r)| (s, &pending[r])).collect()
+            }
+            None => pending.chunks(1).map(|unit| (0, unit)).collect(),
+        };
+
+        // One resolution of the pool size, shared by the spawn loop below and
+        // the worker-count figure telemetry reports.
+        let workers = ccfg.effective_threads().min(pending.len().max(1));
+        observer.on_worker_pool(workers);
+        let next = AtomicUsize::new(0);
+        let slots = Mutex::new(&mut results);
+        let journal_err: Mutex<Option<std::io::Error>> = Mutex::new(None);
+        let record = |i: usize, r: InjectionResult, elapsed: Duration| {
+            observer.on_run(ccfg.structure, &r, elapsed);
+            if let Some(s) = &sink {
+                if let Err(e) = s.journal.lock().unwrap().append(s.offset + i, &r) {
+                    journal_err.lock().unwrap().get_or_insert(e);
+                }
+            }
+            slots.lock().unwrap()[i] = Some(r);
+        };
+
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| {
+                    let mut sims = WorkerSims::default();
+                    loop {
+                        let n = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&(snap_idx, unit)) = units.get(n) else {
+                            break;
+                        };
+                        match batch_set {
+                            Some(set) => {
+                                // Recorded after the batch, not run by run: a
+                                // journal append is a syscall, and one between
+                                // every two short runs is measurably slower
+                                // (`engine_rob_sha_journaled`).
+                                let snap = set.snapshot(snap_idx);
+                                for (i, r, elapsed) in self.run_batch(faults, unit, snap, &mut sims)
+                                {
+                                    record(i, r, elapsed);
+                                }
+                            }
+                            None => {
+                                let t0 = Instant::now();
+                                let r = self.run_isolated(faults[unit[0]], &mut sims.scratch);
+                                record(unit[0], r, t0.elapsed());
+                            }
+                        }
+                    }
+                });
+            }
+        });
+
+        observer.on_campaign_end(ccfg.structure);
+
+        // Outside the workers' catch_unwind isolation: a violation here must
+        // be loud, not folded into a SimAbort tally.
+        if let Some(oracle) = &self.oracle {
+            oracle.assert_clean(self.workload);
+        }
+
+        if let Some(e) = journal_err.into_inner().unwrap() {
+            return Err(CampaignError::Io(e));
+        }
+        Ok(results
+            .into_iter()
+            .map(|r| r.expect("all faults processed"))
+            .collect())
+    }
 }
 
 /// Runs a full campaign for one (workload, structure) pair.
@@ -935,9 +1019,7 @@ pub fn run_campaign(
     golden: &Arc<GoldenRun>,
     ccfg: &CampaignConfig,
 ) -> CampaignResult {
-    let faults = sample_faults(ccfg.structure, cfg, golden.cycles, ccfg.faults, ccfg.seed)
-        .expect("run_campaign: cannot sample faults from this golden run");
-    run_campaign_with_faults(workload, cfg, golden, ccfg, &faults)
+    ShardRunner::new(workload, cfg, golden, ccfg).run_all()
 }
 
 /// Like [`run_campaign`], but injecting an explicit fault list instead of
@@ -951,28 +1033,7 @@ pub fn run_campaign_with_faults(
     ccfg: &CampaignConfig,
     faults: &[Fault],
 ) -> CampaignResult {
-    let (checkpoints, mut warnings) = build_checkpoints(workload, cfg, golden, ccfg);
-    let (results, engine_warnings) = run_campaign_engine(
-        workload,
-        cfg,
-        golden,
-        ccfg,
-        faults,
-        BTreeMap::new(),
-        None,
-        0,
-        checkpoints.as_ref(),
-    )
-    .expect("journal-free campaign cannot fail");
-    warnings.extend(engine_warnings);
-    CampaignResult {
-        workload: workload.name.to_string(),
-        structure: ccfg.structure,
-        mode: ccfg.mode,
-        golden_cycles: golden.cycles,
-        results,
-        warnings,
-    }
+    ShardRunner::with_faults(workload, cfg, golden, ccfg, faults.to_vec()).run_all()
 }
 
 /// Runs a campaign journaled to `path`, resuming any results already on
@@ -985,7 +1046,9 @@ pub fn run_campaign_with_faults(
 /// returned [`CampaignResult`] is bit-identical to an uninterrupted run. A
 /// journal written by a different campaign (workload, structure, seed, mode,
 /// burst, fault count, golden length, or microarchitecture config differ) is
-/// rejected with [`CampaignError::JournalMismatch`].
+/// rejected with [`CampaignError::JournalMismatch`] — as is one whose header
+/// matches but whose records name other faults than the key's sampling
+/// inputs regenerate, corruption the header check cannot see.
 pub fn run_campaign_journaled(
     workload: &Workload,
     cfg: &MuarchConfig,
@@ -996,49 +1059,25 @@ pub fn run_campaign_journaled(
     let faults = sample_faults(ccfg.structure, cfg, golden.cycles, ccfg.faults, ccfg.seed)?;
     let key = CampaignKey::new(workload.name, cfg, golden.cycles, ccfg);
     let (journal, done) = Journal::open(path, &key)?;
-    // The key already pins the sampling inputs, so journaled faults must
-    // match the freshly sampled list; a mismatch means the journal is
-    // corrupt in a way the header check could not see.
-    for (&i, r) in &done {
-        if r.fault != faults[i] {
-            return Err(CampaignError::JournalMismatch {
-                field: "fault",
-                expected: format!("{:?}", faults[i]),
-                found: format!("{:?}", r.fault),
-            });
-        }
-    }
-    let journal = Mutex::new(journal);
-    let (checkpoints, mut warnings) = build_checkpoints(workload, cfg, golden, ccfg);
-    let (results, engine_warnings) = run_campaign_engine(
-        workload,
-        cfg,
-        golden,
-        ccfg,
-        &faults,
-        done,
-        Some(&journal),
-        0,
-        checkpoints.as_ref(),
-    )?;
-    warnings.extend(engine_warnings);
-    Ok(CampaignResult {
-        workload: workload.name.to_string(),
-        structure: ccfg.structure,
-        mode: ccfg.mode,
-        golden_cycles: golden.cycles,
-        results,
-        warnings,
-    })
+    let runner = ShardRunner::with_faults(workload, cfg, golden, ccfg, faults);
+    let sink = JournalSink {
+        journal: &Mutex::new(journal),
+        done: &done,
+        offset: 0,
+    };
+    let results = runner.execute(&runner.faults, None, Some(sink))?;
+    Ok(runner.result(results))
 }
 
-/// A reusable shard executor: the unit of work distribution behind
-/// `avgi-grid` and the offline `--shard I/N` mode.
+/// The campaign context and its one executor: the unit of work
+/// distribution behind `avgi-grid` and the offline `--shard I/N` mode, and
+/// what every campaign entry point of this crate is a constructor over.
 ///
 /// Construction performs the per-campaign setup exactly once — the full
-/// fault list is sampled from `ccfg.seed` and the checkpoint set is built —
-/// and [`run_indices`](ShardRunner::run_indices) then executes any subset
-/// of that list through the same engine as [`run_campaign`]. Because each
+/// fault list is sampled from `ccfg.seed`, the checkpoint set is built and
+/// every setup degradation is decided — and
+/// [`run_indices`](ShardRunner::run_indices) then executes any subset of
+/// that list through the same engine as [`run_campaign`]. Because each
 /// injected run is deterministic and independent, the results of a
 /// partition of `0..ccfg.faults` concatenated in index order are
 /// bit-identical to the unsharded campaign's, regardless of how the
@@ -1070,7 +1109,29 @@ impl ShardRunner {
     ) -> Self {
         let faults = sample_faults(ccfg.structure, cfg, golden.cycles, ccfg.faults, ccfg.seed)
             .expect("ShardRunner: cannot sample faults from this golden run");
-        let (checkpoints, warnings) = build_checkpoints(workload, cfg, golden, ccfg);
+        Self::with_faults(workload, cfg, golden, ccfg, faults)
+    }
+
+    /// [`new`](ShardRunner::new) over an explicit fault list. Builds the
+    /// checkpoint set `ccfg` asks for, degrading to checkpoint-free
+    /// execution (with a warning) when the golden prefix cannot support it;
+    /// whether shared-prefix batching applies follows from `ccfg` and that
+    /// set, so its warning is decided here too, once per campaign.
+    pub(crate) fn with_faults(
+        workload: &Workload,
+        cfg: &MuarchConfig,
+        golden: &Arc<GoldenRun>,
+        ccfg: &CampaignConfig,
+        faults: Vec<Fault>,
+    ) -> Self {
+        let mut warnings = Vec::new();
+        let checkpoints = match ccfg.checkpoints {
+            0 => None,
+            count => CheckpointSet::build(workload, cfg, golden, count)
+                .map_err(|e| warnings.push(format!("checkpointing disabled, running fresh: {e}")))
+                .ok(),
+        };
+        warnings.extend(ccfg.batching_warning(checkpoints.is_some()));
         ShardRunner {
             workload: workload.clone(),
             cfg: cfg.clone(),
@@ -1087,7 +1148,10 @@ impl ShardRunner {
         &self.faults
     }
 
-    /// Setup degradations (e.g. checkpointing disabled).
+    /// Setup degradations: checkpointing disabled, or shared-prefix
+    /// batching requested but inapplicable. They hold for every run of this
+    /// runner, so every result wrapped by [`result`](ShardRunner::result)
+    /// carries them.
     pub fn warnings(&self) -> &[String] {
         &self.warnings
     }
@@ -1095,6 +1159,51 @@ impl ShardRunner {
     /// The golden run the shards replay against.
     pub fn golden(&self) -> &Arc<GoldenRun> {
         &self.golden
+    }
+
+    /// Wraps results this runner produced as a [`CampaignResult`].
+    pub fn result(&self, results: Vec<InjectionResult>) -> CampaignResult {
+        CampaignResult::new(
+            self.workload.name,
+            &self.ccfg,
+            self.golden.cycles,
+            results,
+            self.warnings.clone(),
+        )
+    }
+
+    /// One engine invocation over `faults` (the runner's own list, a subset
+    /// of it, or one batch of an adaptive schedule). `observer` overrides
+    /// the campaign config's for this call.
+    pub(crate) fn execute(
+        &self,
+        faults: &[Fault],
+        observer: Option<Arc<dyn CampaignObserver>>,
+        sink: Option<JournalSink<'_>>,
+    ) -> Result<Vec<InjectionResult>, CampaignError> {
+        let engine = Engine {
+            workload: &self.workload,
+            cfg: &self.cfg,
+            golden: &self.golden,
+            ccfg: &self.ccfg,
+            checkpoints: self.checkpoints.as_ref(),
+            observer: (observer.as_deref())
+                .or(self.ccfg.observer.as_deref())
+                .unwrap_or(&NULL_OBSERVER),
+            // Built before any injection: construction lockstep-verifies the
+            // golden run against the reference model and panics if the
+            // substrate is wrong.
+            oracle: (self.ccfg.verify_masked)
+                .then(|| MaskedOracle::new(&self.workload, &self.golden, self.ccfg.verify_tier)),
+        };
+        engine.execute(faults, sink)
+    }
+
+    fn run_all(self) -> CampaignResult {
+        let results = self
+            .execute(&self.faults, None, None)
+            .expect("journal-free campaign cannot fail");
+        self.result(results)
     }
 
     /// Executes the faults at `indices` (any order, duplicates allowed) and
@@ -1117,234 +1226,29 @@ impl ShardRunner {
             });
         }
         let subset: Vec<Fault> = indices.iter().map(|&i| self.faults[i]).collect();
-        let mut ccfg = self.ccfg.clone();
-        if observer.is_some() {
-            ccfg.observer = observer;
-        }
-        let (results, _) = run_campaign_engine(
-            &self.workload,
-            &self.cfg,
-            &self.golden,
-            &ccfg,
-            &subset,
-            BTreeMap::new(),
-            None,
-            0,
-            self.checkpoints.as_ref(),
-        )
-        .expect("journal-free shard cannot fail");
+        let results = self
+            .execute(&subset, observer, None)
+            .expect("journal-free shard cannot fail");
         Ok(indices.iter().copied().zip(results).collect())
     }
 
     /// Executes interleaved shard `index` of `count` (indices `i` with
     /// `i % count == index`) — the offline `--shard I/N` split, which keeps
-    /// every shard a uniform subsample of the campaign.
+    /// every shard a uniform subsample of the campaign. Fails with
+    /// [`CampaignError::ShardOutOfRange`] unless `index < count`: any other
+    /// pair would silently re-run another shard's indices.
     pub fn run_interleaved(
         &self,
         index: usize,
         count: usize,
         observer: Option<Arc<dyn CampaignObserver>>,
     ) -> Result<Vec<(usize, InjectionResult)>, CampaignError> {
-        let indices: Vec<usize> = (index..self.faults.len()).step_by(count.max(1)).collect();
+        if index >= count {
+            return Err(CampaignError::ShardOutOfRange { index, count });
+        }
+        let indices: Vec<usize> = (index..self.faults.len()).step_by(count).collect();
         self.run_indices(&indices, observer)
     }
-}
-
-/// Builds the checkpoint set a campaign configuration asks for, degrading
-/// to checkpoint-free execution (with a warning) when the golden prefix
-/// cannot support it.
-pub(crate) fn build_checkpoints(
-    workload: &Workload,
-    cfg: &MuarchConfig,
-    golden: &Arc<GoldenRun>,
-    ccfg: &CampaignConfig,
-) -> (Option<CheckpointSet>, Vec<String>) {
-    if ccfg.checkpoints == 0 {
-        return (None, Vec::new());
-    }
-    match CheckpointSet::build(workload, cfg, golden, ccfg.checkpoints) {
-        Ok(set) => (Some(set), Vec::new()),
-        Err(e) => (
-            None,
-            vec![format!("checkpointing disabled, running fresh: {e}")],
-        ),
-    }
-}
-
-/// The shared worker-pool core: executes every fault not already in `done`,
-/// optionally appending each fresh result to a journal, and returns results
-/// in sampling order plus any degradation warnings. Checkpoints are built
-/// by the caller (see [`build_checkpoints`]) so shard runners can reuse one
-/// set across many engine invocations. Journal records are written at
-/// `journal_offset + i` — the adaptive driver runs one engine invocation
-/// per batch against a single campaign-global journal, so local batch
-/// indices must be rebased before they hit the disk format.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_campaign_engine(
-    workload: &Workload,
-    cfg: &MuarchConfig,
-    golden: &Arc<GoldenRun>,
-    ccfg: &CampaignConfig,
-    faults: &[Fault],
-    done: BTreeMap<usize, InjectionResult>,
-    journal: Option<&Mutex<Journal>>,
-    journal_offset: usize,
-    checkpoints: Option<&CheckpointSet>,
-) -> Result<(Vec<InjectionResult>, Vec<String>), CampaignError> {
-    static NULL_OBSERVER: NullObserver = NullObserver;
-    let observer: &dyn CampaignObserver = ccfg.observer.as_deref().unwrap_or(&NULL_OBSERVER);
-    // Built before any injection: construction lockstep-verifies the golden
-    // run against the reference model and panics if the substrate is wrong.
-    let oracle = ccfg
-        .verify_masked
-        .then(|| MaskedOracle::new(workload, golden, ccfg.verify_tier));
-    observer.on_campaign_start(ccfg.structure, faults.len());
-
-    let mut warnings = Vec::new();
-    let mut results: Vec<Option<InjectionResult>> = vec![None; faults.len()];
-    for (i, r) in done {
-        // Journaled results replay into the tallies without a wall-clock
-        // sample (no simulation happens on resume).
-        observer.on_resumed(ccfg.structure, &r);
-        results[i] = Some(r);
-    }
-    let mut pending: Vec<usize> = Vec::with_capacity(faults.len());
-    pending.extend((0..faults.len()).filter(|i| results[*i].is_none()));
-    // Work in injection-cycle order so consecutive runs on one worker tend
-    // to share a checkpoint, keeping the scratch simulator on the fast
-    // journaled-restore path. Results are stored by original index, so the
-    // output order (and determinism) is unchanged.
-    pending.sort_by_key(|&i| faults[i].cycle);
-
-    // Shared-prefix batching: split the cycle-sorted work into runs of
-    // consecutive faults resuming from the same checkpoint, capped at the
-    // configured batch size. With batching disabled (or inapplicable), each
-    // unit is a single run on the classic scratch path.
-    let batch_set = (ccfg.batch > 1 && ccfg.wall_budget.is_none())
-        .then_some(checkpoints)
-        .flatten();
-    if ccfg.batch > 1 && batch_set.is_none() {
-        // Batching was requested but cannot apply — without this warning the
-        // campaign silently falls off a perf cliff with no way to tell which
-        // execution path it actually got.
-        let reason = if ccfg.wall_budget.is_some() {
-            "a wall-clock budget is set (per-run accounting cannot share a prefix)"
-        } else {
-            "no checkpoint set is available"
-        };
-        warnings.push(format!(
-            "shared-prefix batching disabled (batch = {}): {reason}",
-            ccfg.batch
-        ));
-        observer.on_batching_disabled(reason);
-    }
-    let units: Vec<(usize, &[usize])> = match batch_set {
-        Some(set) => {
-            let mut units: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
-            for (n, &i) in pending.iter().enumerate() {
-                let si = set.nearest_index(faults[i].cycle);
-                match units.last_mut() {
-                    Some((s, r)) if *s == si && r.len() < ccfg.batch => r.end = n + 1,
-                    _ => units.push((si, n..n + 1)),
-                }
-            }
-            units.into_iter().map(|(s, r)| (s, &pending[r])).collect()
-        }
-        None => pending
-            .iter()
-            .enumerate()
-            .map(|(n, _)| (0, &pending[n..n + 1]))
-            .collect(),
-    };
-
-    // One resolution of the pool size, shared by the spawn loop below and
-    // the worker-count figure telemetry reports.
-    let workers = ccfg.effective_threads().min(pending.len().max(1));
-    observer.on_worker_pool(workers);
-    let next = AtomicUsize::new(0);
-    let sink = Mutex::new(&mut results);
-    let journal_err: Mutex<Option<std::io::Error>> = Mutex::new(None);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                // Per-worker simulators, rewound between runs and batches.
-                let mut worker = BatchWorker::default();
-                let record = |i: usize, r: InjectionResult, elapsed: Duration| {
-                    observer.on_run(ccfg.structure, &r, elapsed);
-                    if let Some(j) = journal {
-                        if let Err(e) = j.lock().unwrap().append(journal_offset + i, &r) {
-                            journal_err.lock().unwrap().get_or_insert(e);
-                        }
-                    }
-                    sink.lock().unwrap()[i] = Some(r);
-                };
-                loop {
-                    let n = next.fetch_add(1, Ordering::Relaxed);
-                    if n >= units.len() {
-                        break;
-                    }
-                    let (snap_idx, unit) = &units[n];
-                    match batch_set {
-                        Some(set) => {
-                            let batch: Vec<(usize, Fault)> =
-                                unit.iter().map(|&i| (i, faults[i])).collect();
-                            for (i, r, elapsed) in run_shared_prefix_batch(
-                                workload,
-                                cfg,
-                                golden,
-                                ccfg,
-                                &batch,
-                                set.snapshot(*snap_idx),
-                                &mut worker,
-                                set,
-                                observer,
-                                oracle.as_ref(),
-                            ) {
-                                record(i, r, elapsed);
-                            }
-                        }
-                        None => {
-                            let i = unit[0];
-                            let t0 = Instant::now();
-                            let r = run_one_isolated(
-                                workload,
-                                cfg,
-                                golden,
-                                faults[i],
-                                ccfg.mode,
-                                ccfg.burst_width,
-                                ccfg.wall_budget,
-                                &mut worker.scratch,
-                                checkpoints,
-                                ccfg.structure,
-                                observer,
-                                oracle.as_ref(),
-                            );
-                            record(i, r, t0.elapsed());
-                        }
-                    }
-                }
-            });
-        }
-    });
-
-    observer.on_campaign_end(ccfg.structure);
-
-    // Outside the workers' catch_unwind isolation: a violation here must be
-    // loud, not folded into a SimAbort tally.
-    if let Some(oracle) = &oracle {
-        oracle.assert_clean(workload);
-    }
-
-    if let Some(e) = journal_err.into_inner().unwrap() {
-        return Err(CampaignError::Io(e));
-    }
-    let results = results
-        .into_iter()
-        .map(|r| r.expect("all faults processed"))
-        .collect();
-    Ok((results, warnings))
 }
 
 #[cfg(test)]
@@ -1428,6 +1332,17 @@ mod tests {
             c.warnings
         );
         assert_eq!(metrics.snapshot().batching_disabled, 1);
+
+        // A shard of the same campaign says so too: the runner carries the
+        // warning, and every `run_indices` call reports the fallback.
+        let metrics = Arc::new(MetricsCollector::new());
+        let runner = ShardRunner::new(&w, &cfg, &golden, &ccfg);
+        assert_eq!(runner.warnings(), c.warnings);
+        for indices in [[0usize, 3], [5, 1]] {
+            runner.run_indices(&indices, Some(metrics.clone())).unwrap();
+        }
+        assert_eq!(metrics.snapshot().batching_disabled, 2);
+        assert_eq!(runner.warnings(), c.warnings, "decided once, not per call");
 
         // No checkpoints at all: same counter, different reason.
         let metrics = Arc::new(MetricsCollector::new());

@@ -46,6 +46,14 @@ pub enum CampaignError {
         /// Number of faults in the campaign.
         faults: usize,
     },
+    /// An interleaved shard was named that does not exist: `index` must be
+    /// below `count`, or the call would re-run another shard's indices.
+    ShardOutOfRange {
+        /// The shard asked for.
+        index: usize,
+        /// The number of shards it was said to be one of.
+        count: usize,
+    },
     /// The campaign's fault list cannot be sampled (e.g. a zero-cycle
     /// golden run).
     Sampling(crate::sampling::SamplingError),
@@ -68,6 +76,9 @@ impl fmt::Display for CampaignError {
                 f,
                 "shard lease names fault index {index}, but the campaign samples only {faults} faults"
             ),
+            CampaignError::ShardOutOfRange { index, count } => {
+                write!(f, "no shard {index} of {count}: shard indices run 0..{count}")
+            }
             CampaignError::Sampling(e) => write!(f, "fault sampling failed: {e}"),
         }
     }

@@ -308,6 +308,31 @@ fn check_key(expected: &CampaignKey, found: &CampaignKey) -> Result<(), Campaign
     Ok(())
 }
 
+/// The resume cross-check every journal consumer runs: each journaled
+/// result at a campaign-global index in `offset..offset + faults.len()`
+/// must name the fault the campaign regenerates for that index
+/// (`faults[index - offset]`). The key already pins the sampling inputs, so
+/// a [`CampaignError::JournalMismatch`] on `fault` means the journal is
+/// corrupt in a way the header check could not see — or, for an adaptive
+/// schedule, that knobs outside the header changed between runs.
+pub fn check_resumed_faults(
+    done: &BTreeMap<usize, InjectionResult>,
+    faults: &[Fault],
+    offset: usize,
+) -> Result<(), CampaignError> {
+    for (&i, r) in done.range(offset..offset + faults.len()) {
+        let expected = faults[i - offset];
+        if r.fault != expected {
+            return Err(CampaignError::JournalMismatch {
+                field: "fault",
+                expected: format!("{expected:?}"),
+                found: format!("{:?}", r.fault),
+            });
+        }
+    }
+    Ok(())
+}
+
 // ---- record encoding ----
 
 fn outcome_json(o: RunOutcome) -> String {

@@ -47,8 +47,8 @@ pub use adaptive::{
 };
 pub use campaign::{
     golden_for, run_campaign, run_campaign_journaled, run_campaign_with_faults, run_one,
-    run_one_from, watchdog_budget, CampaignConfig, CampaignResult, CheckpointSet, InjectionResult,
-    RunMode, ShardRunner,
+    watchdog_budget, CampaignConfig, CampaignResult, CheckpointSet, InjectionResult, RunMode,
+    ShardRunner,
 };
 pub use error::CampaignError;
 pub use journal::{config_hash, crc32, CampaignKey, DurabilityPolicy, Journal};
@@ -61,6 +61,6 @@ pub use xcheck::{
 };
 
 pub use telemetry::{
-    outcome_class, CampaignObserver, GridSnapshot, HistogramSnapshot, LatencyHistogram,
-    MetricsCollector, MetricsSnapshot, NullObserver, OutcomeClass, ProgressObserver, SiteGrid,
+    outcome_class, CampaignObserver, HistogramSnapshot, LatencyHistogram, MetricsCollector,
+    MetricsSnapshot, NullObserver, OutcomeClass, ProgressObserver, SiteGrid,
 };

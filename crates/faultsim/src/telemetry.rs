@@ -261,26 +261,30 @@ pub fn outcome_class(r: &InjectionResult) -> OutcomeClass {
     }
 }
 
-/// Lock-free per-(bit-range × cycle-window) outcome tallies for one
-/// structure — the posterior substrate of adaptive importance sampling.
+/// Per-(bit-range × cycle-window) outcome tallies for one structure — the
+/// posterior of adaptive importance sampling.
 ///
 /// The structure's flat bit space is split into `bit_bins` equal ranges and
 /// the golden execution into `cycle_bins` windows; each cell tallies how
 /// many injections landed there and how many of those were *affected*
-/// (non-[`Masked`](OutcomeClass::Masked)). Recording is two relaxed
-/// `fetch_add`s, so the grid rides the injection hot path next to the other
-/// collector counters. Cell counts are additive and order-independent,
-/// which makes a snapshot taken at a batch boundary a deterministic
-/// function of the set of results seen — identical across thread counts
-/// and across journal resumes.
-#[derive(Debug)]
+/// (non-[`Masked`](OutcomeClass::Masked)). [`record`](SiteGrid::record)
+/// reads nothing but the result and cell counts are additive, so a grid is
+/// a pure fold over the set of results recorded into it — identical across
+/// thread counts and across journal resumes by construction.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SiteGrid {
-    bits: u64,
-    cycles: u64,
-    bit_bins: usize,
-    cycle_bins: usize,
-    runs: Vec<AtomicU64>,
-    affected: Vec<AtomicU64>,
+    /// Structure bit-space size the grid covers.
+    pub bits: u64,
+    /// Golden-run cycle count the grid covers.
+    pub cycles: u64,
+    /// Bit-axis bins (rows).
+    pub bit_bins: usize,
+    /// Cycle-axis bins (columns).
+    pub cycle_bins: usize,
+    /// Injections tallied per cell (`bit_bins * cycle_bins`, row-major).
+    pub runs: Vec<u64>,
+    /// Affected (non-Masked) injections per cell.
+    pub affected: Vec<u64>,
 }
 
 impl SiteGrid {
@@ -291,14 +295,13 @@ impl SiteGrid {
         assert!(bits > 0 && cycles > 0, "grid over an empty site space");
         let bit_bins = (bit_bins.max(1) as u64).min(bits) as usize;
         let cycle_bins = (cycle_bins.max(1) as u64).min(cycles) as usize;
-        let cells = bit_bins * cycle_bins;
         SiteGrid {
             bits,
             cycles,
             bit_bins,
             cycle_bins,
-            runs: (0..cells).map(|_| AtomicU64::new(0)).collect(),
-            affected: (0..cells).map(|_| AtomicU64::new(0)).collect(),
+            runs: vec![0; bit_bins * cycle_bins],
+            affected: vec![0; bit_bins * cycle_bins],
         }
     }
 
@@ -314,54 +317,14 @@ impl SiteGrid {
     }
 
     /// Tallies one result into its cell.
-    pub fn record(&self, r: &InjectionResult) {
+    pub fn record(&mut self, r: &InjectionResult) {
         let cell = self.cell_of(r.fault.site.bit, r.fault.cycle);
-        self.runs[cell].fetch_add(1, Ordering::Relaxed);
+        self.runs[cell] += 1;
         if outcome_class(r) != OutcomeClass::Masked {
-            self.affected[cell].fetch_add(1, Ordering::Relaxed);
+            self.affected[cell] += 1;
         }
     }
 
-    /// A point-in-time copy of the cell tallies.
-    pub fn snapshot(&self) -> GridSnapshot {
-        GridSnapshot {
-            bits: self.bits,
-            cycles: self.cycles,
-            bit_bins: self.bit_bins,
-            cycle_bins: self.cycle_bins,
-            runs: self
-                .runs
-                .iter()
-                .map(|n| n.load(Ordering::Relaxed))
-                .collect(),
-            affected: self
-                .affected
-                .iter()
-                .map(|n| n.load(Ordering::Relaxed))
-                .collect(),
-        }
-    }
-}
-
-/// A plain-data copy of a [`SiteGrid`] — the posterior state an adaptive
-/// driver builds its next proposal distribution from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GridSnapshot {
-    /// Structure bit-space size the grid covers.
-    pub bits: u64,
-    /// Golden-run cycle count the grid covers.
-    pub cycles: u64,
-    /// Bit-axis bins (rows).
-    pub bit_bins: usize,
-    /// Cycle-axis bins (columns).
-    pub cycle_bins: usize,
-    /// Injections tallied per cell (`bit_bins * cycle_bins`, row-major).
-    pub runs: Vec<u64>,
-    /// Affected (non-Masked) injections per cell.
-    pub affected: Vec<u64>,
-}
-
-impl GridSnapshot {
     /// Number of cells.
     pub fn cells(&self) -> usize {
         self.bit_bins * self.cycle_bins
@@ -494,7 +457,6 @@ pub struct MetricsCollector {
     class_labels: Vec<&'static str>,
     class_counts: Vec<AtomicU64>,
     classifier: Option<Box<Classifier>>,
-    site_grid: Option<SiteGrid>,
     post_inject_cycles: LatencyHistogram,
     wall_latency_us: LatencyHistogram,
 }
@@ -521,27 +483,9 @@ impl MetricsCollector {
             class_labels: Vec::new(),
             class_counts: Vec::new(),
             classifier: None,
-            site_grid: None,
             post_inject_cycles: LatencyHistogram::new(),
             wall_latency_us: LatencyHistogram::new(),
         }
-    }
-
-    /// A collector that additionally tallies every result into a
-    /// per-(bit-range × cycle-window) [`SiteGrid`] — the live posterior an
-    /// adaptive campaign driver reads between batches (see
-    /// [`grid_snapshot`](Self::grid_snapshot) and `crate::adaptive`).
-    pub fn with_site_grid(bits: u64, cycles: u64, bit_bins: usize, cycle_bins: usize) -> Self {
-        let mut c = Self::new();
-        c.site_grid = Some(SiteGrid::new(bits, cycles, bit_bins, cycle_bins));
-        c
-    }
-
-    /// A point-in-time copy of the posterior grid, if this collector has
-    /// one. Taken at a batch boundary (no runs in flight) the snapshot is a
-    /// deterministic function of the results recorded so far.
-    pub fn grid_snapshot(&self) -> Option<GridSnapshot> {
-        self.site_grid.as_ref().map(SiteGrid::snapshot)
     }
 
     /// A collector that additionally tallies a custom classification of
@@ -574,9 +518,6 @@ impl MetricsCollector {
             if let Some(slot) = self.class_counts.get(idx) {
                 slot.fetch_add(1, Ordering::Relaxed);
             }
-        }
-        if let Some(grid) = &self.site_grid {
-            grid.record(r);
         }
     }
 
@@ -1299,17 +1240,15 @@ mod tests {
     #[test]
     fn site_grid_cells_partition_the_population() {
         let g = SiteGrid::new(1000, 400, 4, 5);
-        let snap = g.snapshot();
-        assert_eq!(snap.cells(), 20);
+        assert_eq!(g.cells(), 20);
         // Population masses over all cells sum to 1.
-        let total: f64 = (0..snap.cells()).map(|c| snap.population_mass(c)).sum();
+        let total: f64 = (0..g.cells()).map(|c| g.population_mass(c)).sum();
         assert!((total - 1.0).abs() < 1e-12, "got {total}");
         // Every site maps into the cell whose ranges contain it.
         for &(bit, cycle) in &[(0, 0), (999, 399), (250, 80), (749, 320)] {
             let cell = g.cell_of(bit, cycle);
-            let s = g.snapshot();
-            let (b_lo, b_hi) = s.bit_range(cell);
-            let (c_lo, c_hi) = s.cycle_range(cell);
+            let (b_lo, b_hi) = g.bit_range(cell);
+            let (c_lo, c_hi) = g.cycle_range(cell);
             assert!((b_lo..b_hi).contains(&bit), "bit {bit} cell {cell}");
             assert!((c_lo..c_hi).contains(&cycle), "cycle {cycle} cell {cell}");
         }
@@ -1319,8 +1258,7 @@ mod tests {
     fn site_grid_clamps_bins_to_tiny_axes() {
         // A 3-bit structure cannot host 8 bit ranges; bins clamp, cells
         // stay non-empty, and nothing panics.
-        let g = SiteGrid::new(3, 2, 8, 8);
-        let snap = g.snapshot();
+        let snap = SiteGrid::new(3, 2, 8, 8);
         assert_eq!(snap.bit_bins, 3);
         assert_eq!(snap.cycle_bins, 2);
         for cell in 0..snap.cells() {
@@ -1331,30 +1269,29 @@ mod tests {
     }
 
     #[test]
-    fn collector_grid_tallies_runs_and_affected() {
-        let c = MetricsCollector::with_site_grid(1 << 12, 1 << 10, 8, 8);
+    fn site_grid_tallies_runs_and_affected() {
+        let mut g = SiteGrid::new(1 << 12, 1 << 10, 8, 8);
         let mut masked = result(RunOutcome::Completed, 5);
         masked.fault.site.bit = 100;
         masked.fault.cycle = 10;
-        c.on_run(Structure::RegFile, &masked, Duration::ZERO);
+        g.record(&masked);
         let mut sdc = result(RunOutcome::Completed, 5);
         sdc.fault.site.bit = 100;
         sdc.fault.cycle = 10;
         sdc.output_matches = Some(false);
-        // Resumed replays land in the grid exactly like fresh runs.
-        c.on_resumed(Structure::RegFile, &sdc);
-        let snap = c.grid_snapshot().expect("grid attached");
-        assert_eq!(snap.total_runs(), 2);
-        assert_eq!(snap.total_affected(), 1);
-        let cell = SiteGrid::new(1 << 12, 1 << 10, 8, 8).cell_of(100, 10);
-        assert_eq!(snap.runs[cell], 2);
-        assert_eq!(snap.affected[cell], 1);
-        // The JSON round-trips deterministic content.
-        let j = snap.to_json();
-        assert!(j.contains("\"bit_bins\":8"));
-        assert_eq!(snap, c.grid_snapshot().unwrap());
-        // A plain collector has no grid.
-        assert!(MetricsCollector::new().grid_snapshot().is_none());
+        g.record(&sdc);
+        assert_eq!(g.total_runs(), 2);
+        assert_eq!(g.total_affected(), 1);
+        let cell = g.cell_of(100, 10);
+        assert_eq!(g.runs[cell], 2);
+        assert_eq!(g.affected[cell], 1);
+        // The JSON carries deterministic content only.
+        assert!(g.to_json().contains("\"bit_bins\":8"));
+        // A grid is a fold: recording order is irrelevant.
+        let mut swapped = SiteGrid::new(1 << 12, 1 << 10, 8, 8);
+        swapped.record(&sdc);
+        swapped.record(&masked);
+        assert_eq!(g, swapped);
     }
 
     #[test]

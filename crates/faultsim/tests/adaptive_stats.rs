@@ -24,7 +24,7 @@
 use avgi_faultsim::{
     golden_for, run_adaptive, run_adaptive_journaled, run_campaign, weighted_estimate,
     wilson_interval, AdaptiveConfig, AdaptiveReport, CampaignConfig, CampaignError, RunMode,
-    SamplingError,
+    SamplingError, SiteGrid,
 };
 use avgi_muarch::config::MuarchConfig;
 use avgi_muarch::fault::Structure;
@@ -248,6 +248,52 @@ fn resume_mid_adaptation_is_bit_identical() {
         other => panic!("changed adaptive knobs must be rejected, got {other:?}"),
     }
     std::fs::remove_file(&full).unwrap();
+}
+
+/// The posterior is a function of results and nothing else: however the
+/// results came to be — one worker, four, or a journal replay after a kill
+/// at a batch boundary — the reported grid is a fresh `SiteGrid` folded
+/// over exactly the reported results, and the drawn fault list is the same.
+#[test]
+fn posterior_is_a_fold_over_results() {
+    let (w, cfg, golden) = setup("crc32");
+    let acfg = |threads: usize| {
+        let mut acfg = adaptive_cfg(Structure::RegFile, 120, 33);
+        acfg.base.threads = threads;
+        acfg
+    };
+    let path =
+        std::env::temp_dir().join(format!("avgi-adaptive-fold-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    run_adaptive_journaled(&w, &cfg, &golden, &acfg(2), &path).unwrap();
+    // Kill after batch 2: header plus the first 80 records survive.
+    let text = std::fs::read_to_string(&path).unwrap();
+    let kept: Vec<&str> = text.split_inclusive('\n').take(1 + 80).collect();
+    std::fs::write(&path, kept.concat()).unwrap();
+
+    let reports = [
+        run_adaptive(&w, &cfg, &golden, &acfg(1)).unwrap(),
+        run_adaptive(&w, &cfg, &golden, &acfg(4)).unwrap(),
+        run_adaptive_journaled(&w, &cfg, &golden, &acfg(2), &path).unwrap(),
+    ];
+    std::fs::remove_file(&path).unwrap();
+    let drawn = |r: &AdaptiveReport| {
+        r.campaign
+            .results
+            .iter()
+            .map(|x| x.fault)
+            .collect::<Vec<_>>()
+    };
+    for (report, what) in reports.iter().zip(["1 thread", "4 threads", "resumed"]) {
+        let g = &report.grid;
+        let mut fold = SiteGrid::new(g.bits, g.cycles, g.bit_bins, g.cycle_bins);
+        for r in &report.campaign.results {
+            fold.record(r);
+        }
+        assert_eq!(*g, fold, "{what}: posterior is not the fold of its results");
+        assert_eq!(g.total_runs(), 120, "{what}");
+        assert_eq!(drawn(report), drawn(&reports[0]), "{what}: drawn faults");
+    }
 }
 
 /// Degenerate posteriors must degrade to plain uniform sampling, never to

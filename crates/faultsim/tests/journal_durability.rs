@@ -6,7 +6,7 @@
 //! records so a resumed campaign stays bit-identical to an uninterrupted
 //! one.
 
-use avgi_faultsim::journal::{crc32, CampaignKey, JOURNAL_VERSION};
+use avgi_faultsim::journal::{crc32, record_line, seal, CampaignKey, JOURNAL_VERSION};
 use avgi_faultsim::{
     golden_for, run_campaign, run_campaign_journaled, CampaignConfig, CampaignError,
     DurabilityPolicy, Journal, RunMode,
@@ -101,6 +101,35 @@ fn doctored_header_with_valid_crc_is_rejected_as_mismatch() {
             assert!(msg.contains("checksum"), "unexpected header error: {msg}")
         }
         other => panic!("expected header checksum failure, got {other:?}"),
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn resealed_record_naming_another_fault_is_rejected_as_mismatch() {
+    let f = fixture();
+    let path = tmp_path("refault");
+    let _ = std::fs::remove_file(&path);
+    let first = run_journaled(&f, &path);
+
+    // One more record for index 3 (the later line wins) carrying index 4's
+    // result: well-formed, correctly sealed, under a matching header. Only
+    // the comparison against the regenerated fault list can tell.
+    let (own, other) = (first.results[3].fault, first.results[4].fault);
+    assert_ne!(own, other);
+    let mut text = std::fs::read_to_string(&path).unwrap();
+    text.push_str(&seal(record_line(3, &first.results[4]).trim_end()));
+    std::fs::write(&path, text).unwrap();
+    match run_campaign_journaled(&f.w, &f.cfg, &f.golden, &ccfg(), &path) {
+        Err(CampaignError::JournalMismatch {
+            field: "fault",
+            expected,
+            found,
+        }) => assert_eq!(
+            (expected, found),
+            (format!("{own:?}"), format!("{other:?}"))
+        ),
+        other => panic!("expected a fault mismatch, got {other:?}"),
     }
     let _ = std::fs::remove_file(&path);
 }

@@ -97,4 +97,15 @@ fn explicit_index_batches_honor_order_and_bounds() {
         }
         other => panic!("expected ShardIndexOutOfRange, got {other:?}"),
     }
+
+    // The interleaved door checks its own arguments: shard 5 of 2 would
+    // re-run shard 1's indices, and 0 shards is not one shard.
+    for (index, count) in [(5usize, 2usize), (2, 2), (0, 0)] {
+        match runner.run_interleaved(index, count, None) {
+            Err(CampaignError::ShardOutOfRange { index: i, count: n }) => {
+                assert_eq!((i, n), (index, count))
+            }
+            other => panic!("shard {index}/{count}: expected ShardOutOfRange, got {other:?}"),
+        }
+    }
 }

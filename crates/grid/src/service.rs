@@ -46,7 +46,9 @@ use crate::sched::FairScheduler;
 use crate::spec::{CampaignSpec, SubmitSpec};
 use crate::transport::{TcpTransport, Transport};
 use avgi_faultsim::campaign::golden_for;
-use avgi_faultsim::journal::{config_hash, record_line, CampaignKey, DurabilityPolicy, Journal};
+use avgi_faultsim::journal::{
+    check_resumed_faults, config_hash, record_line, CampaignKey, DurabilityPolicy, Journal,
+};
 use avgi_faultsim::sampling::sample_faults;
 use avgi_faultsim::telemetry::{CampaignObserver, MetricsCollector, MetricsSnapshot};
 use avgi_faultsim::{run_campaign, CampaignResult, InjectionResult};
@@ -191,19 +193,24 @@ impl Run {
     }
 
     fn into_outcome(self) -> GridOutcome {
+        let ccfg = self.submit.campaign_config();
+        let results = self
+            .results
+            .into_iter()
+            .map(|r| r.expect("finalized campaign is complete"))
+            .collect();
+        // The control plane runs nothing, so it reports the degradation the
+        // configuration alone decides; a worker whose checkpoint build
+        // failed says so itself (`Runtime::build`).
+        let warnings = ccfg.batching_warning(ccfg.checkpoints > 0);
         GridOutcome {
-            result: CampaignResult {
-                workload: self.spec.workload,
-                structure: self.spec.structure,
-                mode: self.spec.mode,
-                golden_cycles: self.spec.golden_cycles,
-                results: self
-                    .results
-                    .into_iter()
-                    .map(|r| r.expect("finalized campaign is complete"))
-                    .collect(),
-                warnings: Vec::new(),
-            },
+            result: CampaignResult::new(
+                &self.spec.workload,
+                &ccfg,
+                self.spec.golden_cycles,
+                results,
+                warnings.into_iter().collect(),
+            ),
             telemetry: self.telemetry,
         }
     }
@@ -456,13 +463,7 @@ impl Service {
                 let key =
                     CampaignKey::new(workload.name, &cfg, golden.cycles, &sub.campaign_config());
                 let (journal, done) = Journal::open_with(&path, &key, self.cfg.durability)?;
-                for (&i, r) in &done {
-                    if r.fault != faults[i] {
-                        return Err(GridError::Spec(format!(
-                            "campaign {id} journal fault mismatch at index {i}"
-                        )));
-                    }
-                }
+                check_resumed_faults(&done, &faults, 0)?;
                 if !done.is_empty() {
                     // Replay restored results through a collector so the
                     // merged telemetry accounts for them exactly as a

@@ -11,7 +11,7 @@
 
 mod common;
 
-use avgi_faultsim::{DurabilityPolicy, RunMode};
+use avgi_faultsim::{CampaignError, DurabilityPolicy, RunMode};
 use avgi_grid::service::{reference_outcome, reference_report};
 use avgi_grid::{
     ChaosInterposer, ChaosPolicy, GridOutcome, Service, ServiceConfig, ServiceStats,
@@ -408,6 +408,71 @@ fn service_restart_resumes_queued_campaigns_bit_identically() {
     // nothing to resume.
     let queue = SubmissionQueue::open(&queue_path).unwrap();
     assert!(queue.pending().is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn service_restart_refuses_a_doctored_journal_and_finishes_an_honest_one() {
+    use avgi_faultsim::journal::{CampaignKey, Journal};
+    let dir = scratch("refault");
+    let mut spec = SubmitSpec::new("bitcount", Structure::RegFile, 8, 0xBAD_F00D);
+    spec.checkpoints = 0;
+    let id = {
+        let mut queue = SubmissionQueue::open(&dir.join("queue.jsonl")).unwrap();
+        queue.submit(spec.clone()).unwrap()
+    };
+    // Index 3 journaled with index 4's result: sealed, under the right
+    // header — the disk state of a journal corrupted where no checksum and
+    // no key field can see it.
+    let reference = reference_outcome(&spec).unwrap().result;
+    assert_ne!(reference.results[3].fault, reference.results[4].fault);
+    let key = CampaignKey::new(
+        &spec.workload,
+        &spec.preset.config(),
+        reference.golden_cycles,
+        &spec.campaign_config(),
+    );
+    std::fs::create_dir_all(dir.join("journals")).unwrap();
+    let path = dir.join("journals").join(format!("campaign-{id}.jsonl"));
+    let (mut journal, _) = Journal::open_with(&path, &key, DurabilityPolicy::Flush).unwrap();
+    journal.append(3, &reference.results[4]).unwrap();
+    drop(journal);
+
+    let restarted = Service::bind(ServiceConfig {
+        queue: dir.join("queue.jsonl"),
+        journal_dir: Some(dir.join("journals")),
+        ..ServiceConfig::default()
+    });
+    match restarted {
+        Err(avgi_grid::GridError::Campaign(CampaignError::JournalMismatch {
+            field: "fault",
+            ..
+        })) => {}
+        Ok(_) => panic!("the service resumed from a journal naming other faults"),
+        Err(other) => panic!("expected a fault mismatch, got {other:?}"),
+    }
+
+    // The same restart over a whole, honest journal finishes the campaign
+    // with no worker — and says what the reference says: this spec asks
+    // for batching (the default) with no checkpoints to share a prefix from.
+    std::fs::remove_file(&path).unwrap();
+    let (mut journal, _) = Journal::open_with(&path, &key, DurabilityPolicy::Flush).unwrap();
+    for (i, r) in reference.results.iter().enumerate() {
+        journal.append(i, r).unwrap();
+    }
+    drop(journal);
+    let (_, outcomes) = Service::bind(ServiceConfig {
+        queue: dir.join("queue.jsonl"),
+        journal_dir: Some(dir.join("journals")),
+        exit_after: Some(1),
+        ..ServiceConfig::default()
+    })
+    .unwrap()
+    .serve()
+    .unwrap();
+    assert_eq!(outcomes[&id].result.results, reference.results);
+    assert_eq!(outcomes[&id].result.warnings, reference.warnings);
+    assert!(reference.warnings[0].contains("batching disabled"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
