@@ -54,7 +54,8 @@ pub fn run(mut a: crate::Args) -> ExitCode {
         Ok(stats) => {
             eprintln!(
                 "[service] exit: {} submitted, {} resumed, {} completed, {} leases \
-                 ({} reassigned), {} workers, {} http requests",
+                 ({} reassigned), {} workers, {} http requests, {} protocol errors, \
+                 {} sessions reattached",
                 stats.campaigns_submitted,
                 stats.campaigns_resumed,
                 stats.campaigns_completed,
@@ -62,6 +63,8 @@ pub fn run(mut a: crate::Args) -> ExitCode {
                 stats.leases_reassigned,
                 stats.workers_seen,
                 stats.http_requests,
+                stats.protocol_errors,
+                stats.sessions_reattached,
             );
             ExitCode::SUCCESS
         }

@@ -35,7 +35,7 @@ pub fn run(mut a: crate::Args) -> ExitCode {
     match run_worker(&wcfg) {
         Ok(stats) => {
             eprintln!(
-                "[worker] done: {} campaigns, {} batches, {} runs",
+                "[worker] done: {} runtimes built, {} batches, {} runs",
                 stats.campaigns, stats.batches, stats.runs
             );
             eprintln!("[worker] wire: {}", wire.summary());

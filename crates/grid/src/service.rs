@@ -25,7 +25,19 @@
 //! incremental parsers ([`FrameBuffer`], [`HttpBuffer`]), appends response
 //! bytes to per-connection outbound buffers, and flushes those buffers as
 //! sockets drain. No thread per connection, no locks: all campaign state
-//! lives on the loop thread.
+//! lives on the loop thread. A tick that did something is followed by the
+//! next at once; the loop sleeps only after an idle tick.
+//!
+//! Work finds the worker. A lease request with nothing to grant is answered
+//! `Drain`, which *parks* the connection: the worker waits in silence, and
+//! whenever work becomes leasable (a campaign activates, a lease is
+//! requeued, a batch releases quota) the service runs the same grant a
+//! request would get over the parked connections and pushes each its lease
+//! at once. The worker, not the service, owns the spec exchange: leased a
+//! campaign it has no runtime for, it sends `SpecRequest`; the service
+//! never sends a spec unasked. Golden runs are captured once per process
+//! (the memo `activate` shares with the worker's rebuild), and a finished
+//! campaign keeps its report but not its journal handle.
 //!
 //! The invariants hold *per tenant* under interleaving: a campaign's
 //! merged results and telemetry deterministic counters are bit-identical
@@ -45,6 +57,7 @@ use crate::queue::SubmissionQueue;
 use crate::sched::FairScheduler;
 use crate::spec::{CampaignSpec, SubmitSpec};
 use crate::transport::{TcpTransport, Transport};
+use crate::worker::golden_memo;
 use avgi_faultsim::campaign::golden_for;
 use avgi_faultsim::journal::{
     check_resumed_faults, config_hash, record_line, CampaignKey, DurabilityPolicy, Journal,
@@ -53,7 +66,7 @@ use avgi_faultsim::sampling::sample_faults;
 use avgi_faultsim::telemetry::{CampaignObserver, MetricsCollector, MetricsSnapshot};
 use avgi_faultsim::{run_campaign, CampaignResult, InjectionResult};
 use avgi_muarch::fault::Fault;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -228,8 +241,6 @@ struct Session {
     conn: u64,
     /// The campaign a v2 session is pinned to (`None` for v3 sessions).
     pinned: Option<u64>,
-    /// Campaigns whose spec this session has been sent (v3 only).
-    specs_sent: HashSet<u64>,
 }
 
 struct WorkerConn {
@@ -241,6 +252,11 @@ struct WorkerConn {
     proto: u64,
     /// Flush what is queued, then drop the connection.
     close_after_flush: bool,
+    /// The peer's last lease request was answered `Drain` and nothing has
+    /// been granted since: it waits in silence, and
+    /// [`wake_parked`](Service::wake_parked) pushes it the next lease it
+    /// may have.
+    parked: bool,
 }
 
 struct HttpConn {
@@ -261,12 +277,18 @@ pub struct Service {
     campaigns: BTreeMap<u64, Run>,
     leases: HashMap<u64, LeaseRec>,
     sessions: HashMap<u64, Session>,
-    conns: HashMap<u64, WorkerConn>,
+    /// By connection id, so parked connections are woken in that order.
+    conns: BTreeMap<u64, WorkerConn>,
     https: HashMap<u64, HttpConn>,
     next_conn: u64,
     next_lease: u64,
     next_session: u64,
     draining: bool,
+    /// The current tick accepted a connection, decoded a frame or served a
+    /// request: more may be right behind it, so the loop does not wait.
+    busy: bool,
+    /// Consecutive idle ticks so far (see [`idle_wait`]).
+    idle_ticks: u32,
     stats: ServiceStats,
     wire_v2: Arc<WireStats>,
     wire_v3: Arc<WireStats>,
@@ -298,12 +320,14 @@ impl Service {
             campaigns: BTreeMap::new(),
             leases: HashMap::new(),
             sessions: HashMap::new(),
-            conns: HashMap::new(),
+            conns: BTreeMap::new(),
             https: HashMap::new(),
             next_conn: 1,
             next_lease: 1,
             next_session: 1,
             draining: false,
+            busy: false,
+            idle_ticks: 0,
             stats: ServiceStats::default(),
             wire_v2: Arc::new(WireStats::new()),
             wire_v3: Arc::new(WireStats::new()),
@@ -383,7 +407,7 @@ impl Service {
     pub fn serve(mut self) -> Result<(ServiceStats, BTreeMap<u64, GridOutcome>), GridError> {
         let started = Instant::now();
         loop {
-            self.tick()?;
+            self.turn()?;
             let exit_count = self
                 .cfg
                 .exit_after
@@ -410,17 +434,33 @@ impl Service {
                     )));
                 }
             }
-            std::thread::sleep(Duration::from_millis(2));
         }
     }
 
     /// One event-loop iteration: accept, pump every connection, sweep.
-    fn tick(&mut self) -> Result<(), GridError> {
+    /// Returns whether it accepted a connection, decoded a frame or served
+    /// a request.
+    fn tick(&mut self) -> Result<bool, GridError> {
+        self.busy = false;
         self.accept_workers();
         self.accept_http();
         self.pump_workers()?;
         self.pump_http();
         self.sweep_leases();
+        Ok(self.busy)
+    }
+
+    /// One tick, then the loop's only wait — taken after an idle tick
+    /// alone: whatever a busy tick handled usually has a successor already
+    /// in the socket (the request behind an accepted connection, the lease
+    /// request behind a batch report), and that must not sit out a nap.
+    fn turn(&mut self) -> Result<(), GridError> {
+        if self.tick()? {
+            self.idle_ticks = 0;
+        } else {
+            std::thread::sleep(idle_wait(self.idle_ticks));
+            self.idle_ticks = self.idle_ticks.saturating_add(1);
+        }
         Ok(())
     }
 
@@ -435,7 +475,7 @@ impl Service {
             GridError::Spec(format!("workload {:?} not in registry", workload.name))
         })?;
         let cfg = sub.preset.config();
-        let golden = golden_for(&workload, &cfg);
+        let golden = golden_memo(workload_id, &workload, &cfg);
         let faults = sample_faults(sub.structure, &cfg, golden.cycles, sub.faults, sub.seed)
             .map_err(|e| GridError::Spec(format!("fault sampling failed: {e}")))?;
         let spec = CampaignSpec {
@@ -507,6 +547,7 @@ impl Service {
             // Fully journaled already (restart after the last batch).
             self.finalize(id)?;
         }
+        self.wake_parked();
         Ok(())
     }
 
@@ -517,7 +558,10 @@ impl Service {
             .campaigns
             .get_mut(&id)
             .expect("finalizing known campaign");
-        if let Some(journal) = &mut run.journal {
+        // Nothing appends once `remaining == 0`: sync, then close the file —
+        // finished campaigns stay in `campaigns` for the life of the
+        // service, and an open journal each would exhaust its descriptors.
+        if let Some(mut journal) = run.journal.take() {
             journal.sync()?;
         }
         run.done = true;
@@ -565,6 +609,7 @@ impl Service {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
+                    self.busy = true;
                     let transport: Box<dyn Transport> = match TcpTransport::new(stream) {
                         Ok(t) => Box::new(t),
                         Err(_) => continue,
@@ -583,6 +628,7 @@ impl Service {
                         session: None,
                         proto: MIN_PROTO_VERSION,
                         close_after_flush: false,
+                        parked: false,
                     };
                     if self.conns.len() >= self.cfg.max_conns {
                         self.stats.connections_shed += 1;
@@ -646,6 +692,7 @@ impl Service {
         loop {
             match conn.fb.poll(&mut *conn.transport) {
                 Ok(Some(payload)) => {
+                    self.busy = true;
                     if !self.handle_worker_msg(id, conn, &payload)? {
                         return Ok(false);
                     }
@@ -659,7 +706,7 @@ impl Service {
                 }
                 Err(e) => {
                     let corrupt = matches!(e, FrameError::Crc { .. });
-                    self.protocol_error(conn, &format!("bad frame: {e}"), corrupt);
+                    self.protocol_error(id, conn, &format!("bad frame: {e}"), corrupt);
                     // Leases deliberately stay: under link corruption the
                     // "violation" is usually the link's fault, and the
                     // worker will re-attach with its session token.
@@ -669,12 +716,20 @@ impl Service {
         }
     }
 
-    /// Records a violation and queues a `Reject` before closing.
-    fn protocol_error(&mut self, conn: &mut WorkerConn, reason: &str, corrupt: bool) {
+    /// Records a violation — in the statistics and as one line on stderr,
+    /// the only place the *reason* a worker was turned away is kept — and
+    /// queues a `Reject` before closing.
+    fn protocol_error(&mut self, id: u64, conn: &mut WorkerConn, reason: &str, corrupt: bool) {
         self.stats.protocol_errors += 1;
         if corrupt {
             self.stats.corrupt_frames += 1;
         }
+        let session = conn
+            .session
+            .map_or_else(|| "none".to_string(), |token| token.to_string());
+        eprintln!(
+            "avgi-grid service: rejected worker (connection {id}, session {session}): {reason}"
+        );
         self.push(
             conn,
             &Msg::Reject {
@@ -695,14 +750,15 @@ impl Service {
         let msg = match Msg::decode(payload) {
             Ok(m) => m,
             Err(e) => {
-                self.protocol_error(conn, &format!("bad message: {e}"), false);
+                self.protocol_error(id, conn, &format!("bad message: {e}"), false);
                 return Ok(true);
             }
         };
-        self.wire_for(conn.proto).record(msg.kind(), payload.len());
+        let kind = msg.kind();
+        self.wire_for(conn.proto).record(kind, payload.len());
         Ok(match msg {
             Msg::Hello { proto, session } => self.handle_hello(id, conn, proto, session),
-            Msg::LeaseRequest => self.handle_lease_request(conn),
+            Msg::LeaseRequest => self.handle_lease_request(id, conn),
             Msg::Heartbeat { lease, .. } => {
                 if let (Some(session), Some(l)) = (conn.session, self.leases.get_mut(&lease)) {
                     if l.session == session {
@@ -718,11 +774,11 @@ impl Service {
                 ..
             } => {
                 let Some(session) = conn.session else {
-                    self.protocol_error(conn, "batch before hello", false);
+                    self.protocol_error(id, conn, "batch before hello", false);
                     return Ok(true);
                 };
                 if let Some(reason) = self.accept_batch(session, lease, results, telemetry)? {
-                    self.protocol_error(conn, &reason, false);
+                    self.protocol_error(id, conn, &reason, false);
                 }
                 true
             }
@@ -733,6 +789,7 @@ impl Service {
                         self.push(conn, &Msg::Spec { campaign, spec });
                     }
                     None => self.protocol_error(
+                        id,
                         conn,
                         &format!("spec requested for unknown campaign {campaign}"),
                         false,
@@ -746,7 +803,12 @@ impl Service {
             | Msg::Done
             | Msg::Spec { .. }
             | Msg::Reject { .. } => {
-                self.protocol_error(conn, "unexpected message", false);
+                self.protocol_error(
+                    id,
+                    conn,
+                    &format!("unexpected message {}", kind.name()),
+                    false,
+                );
                 true
             }
         })
@@ -761,6 +823,7 @@ impl Service {
     ) -> bool {
         let Some(proto) = negotiate(peer_proto) else {
             self.protocol_error(
+                id,
                 conn,
                 &format!(
                     "protocol version {peer_proto} unsupported (need {}..={})",
@@ -789,12 +852,13 @@ impl Service {
             // A fresh token, or an unknown one: a worker outliving a service
             // restart. Honor it so retransmissions attribute.
             None => {
-                let session = Session {
-                    conn: id,
-                    pinned: None,
-                    specs_sent: HashSet::new(),
-                };
-                self.sessions.insert(token, session);
+                self.sessions.insert(
+                    token,
+                    Session {
+                        conn: id,
+                        pinned: None,
+                    },
+                );
                 self.stats.workers_seen += 1;
             }
         }
@@ -829,21 +893,36 @@ impl Service {
         true
     }
 
-    fn handle_lease_request(&mut self, conn: &mut WorkerConn) -> bool {
+    /// Answers a lease request: a lease, `Done`, or — with nothing this
+    /// session may serve leasable right now — `Drain`, which parks the
+    /// connection until [`wake_parked`](Service::wake_parked) has a lease
+    /// for it.
+    fn handle_lease_request(&mut self, id: u64, conn: &mut WorkerConn) -> bool {
         let Some(token) = conn.session else {
-            self.protocol_error(conn, "lease request before hello", false);
+            self.protocol_error(id, conn, "lease request before hello", false);
             return true;
         };
+        conn.parked = !self.grant(conn, token);
+        if conn.parked {
+            self.push(conn, &Msg::Drain);
+        }
+        true
+    }
+
+    /// The one lease grant, for a connection that asked and for a parked
+    /// one alike: queues `Done` for a session with nothing left to wait for
+    /// or the next `Lease` the scheduler gives it, and returns `false`,
+    /// queueing nothing, when no campaign the session may serve is leasable
+    /// right now.
+    fn grant(&mut self, conn: &mut WorkerConn, token: u64) -> bool {
         let pinned = self.sessions.get(&token).and_then(|s| s.pinned);
         // A pinned session whose campaign finished goes home; an unpinned
         // one goes home only when the whole service is draining.
-        if let Some(pin) = pinned {
-            if self.campaigns.get(&pin).is_none_or(|r| r.done) {
-                self.push(conn, &Msg::Done);
-                conn.close_after_flush = true;
-                return true;
-            }
-        } else if self.draining {
+        let finished = match pinned {
+            Some(pin) => self.campaigns.get(&pin).is_none_or(|r| r.done),
+            None => self.draining,
+        };
+        if finished {
             self.push(conn, &Msg::Done);
             conn.close_after_flush = true;
             return true;
@@ -854,22 +933,10 @@ impl Service {
             None => self.sched.pick(None),
         };
         let Some(campaign) = picked else {
-            self.push(conn, &Msg::Drain);
-            return true;
+            return false;
         };
-        // First lease for a campaign on a v3 session: ship the spec ahead
-        // of the lease (the worker can also SpecRequest after a cache
-        // loss, so this is an optimization AND a correctness default).
-        if conn.proto >= 3 {
-            let session = self
-                .sessions
-                .get_mut(&token)
-                .expect("session resolved above");
-            if session.specs_sent.insert(campaign) {
-                let spec = self.campaigns[&campaign].spec.clone();
-                self.push(conn, &Msg::Spec { campaign, spec });
-            }
-        }
+        // The lease names its campaign; a v3 worker without a runtime for
+        // it asks for the spec (`SpecRequest`), a v2 one got it at hello.
         let run = self
             .campaigns
             .get_mut(&campaign)
@@ -898,6 +965,36 @@ impl Service {
             },
         );
         true
+    }
+
+    /// Offers every parked connection a grant, in connection-id order, and
+    /// flushes what that queued at once: work finds the worker instead of
+    /// waiting for its next poll. Called wherever the answer a parked
+    /// connection would get can change: [`activate`](Service::activate)
+    /// (new work, or a v2 pin that resumed already finished),
+    /// [`requeue_lease`](Service::requeue_lease) (work back in a queue) and
+    /// an accepted batch (quota released, or a v2 pin finished). A
+    /// connection still without a grant stays parked and is sent nothing.
+    fn wake_parked(&mut self) {
+        let parked: Vec<u64> = self
+            .conns
+            .iter()
+            .filter(|(_, c)| c.parked && !c.close_after_flush)
+            .map(|(&id, _)| id)
+            .collect();
+        for id in parked {
+            let mut conn = self.conns.remove(&id).expect("conn id just listed");
+            let token = conn
+                .session
+                .expect("only a session's lease request parks a connection");
+            conn.parked = !self.grant(&mut conn, token);
+            if !conn.parked {
+                // A dead socket is found, and its session requeued, by
+                // this connection's next pump.
+                flush_out(&mut *conn.transport, &mut conn.out);
+            }
+            self.conns.insert(id, conn);
+        }
     }
 
     /// Accepts or rejects one batch report. `Ok(Some(reason))` is a
@@ -960,6 +1057,7 @@ impl Service {
         if run.remaining == 0 {
             self.finalize(campaign)?;
         }
+        self.wake_parked();
         Ok(None)
     }
 
@@ -994,6 +1092,7 @@ impl Service {
             self.sched.requeued(rec.campaign, rec.indices.len());
         }
         self.stats.leases_reassigned += 1;
+        self.wake_parked();
     }
 
     /// Requeues every lease whose deadline passed without a heartbeat.
@@ -1023,8 +1122,7 @@ impl Service {
         }
         let deadline = Instant::now() + Duration::from_secs(2);
         while !self.conns.is_empty() && Instant::now() < deadline {
-            self.tick()?;
-            std::thread::sleep(Duration::from_millis(2));
+            self.turn()?;
         }
         // Linger on the HTTP surface briefly: status clients poll
         // per-request, so give in-flight pollers one more window to fetch
@@ -1032,9 +1130,7 @@ impl Service {
         if self.http_listener.is_some() {
             let linger = Instant::now() + Duration::from_millis(1_000);
             while Instant::now() < linger {
-                self.accept_http();
-                self.pump_http();
-                std::thread::sleep(Duration::from_millis(2));
+                self.turn()?;
             }
         }
         Ok(())
@@ -1049,6 +1145,7 @@ impl Service {
         loop {
             match listener.accept() {
                 Ok((stream, _)) => {
+                    self.busy = true;
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
@@ -1088,10 +1185,12 @@ impl Service {
                 Ok(HttpPoll::Pending) => {}
                 Ok(HttpPoll::Closed) | Err(_) => return false,
                 Ok(HttpPoll::Bad(resp)) => {
+                    self.busy = true;
                     conn.out = resp;
                     conn.responded = true;
                 }
                 Ok(HttpPoll::Request(req)) => {
+                    self.busy = true;
                     self.stats.http_requests += 1;
                     conn.out = self.handle_http(req);
                     conn.responded = true;
@@ -1171,6 +1270,17 @@ impl Service {
             }
         }
     }
+}
+
+/// How long the loop waits after its `idle_ticks`-th consecutive idle tick:
+/// 125 µs after the first, doubling to the loop's 2 ms idle period from the
+/// fifth on. The reply to a frame the service just answered (a lease
+/// request after a batch report, a spec request after a lease) arrives well
+/// inside 2 ms, and a worker waits for the service all that time; a service
+/// with nothing to do ticks every 2 ms as it always has, after four extra
+/// ticks per burst of activity.
+fn idle_wait(idle_ticks: u32) -> Duration {
+    Duration::from_micros(2_000 >> 4u32.saturating_sub(idle_ticks))
 }
 
 /// Serializes per-kind wire tallies for the `/fleet` endpoint.
@@ -1305,6 +1415,35 @@ mod tests {
         // A restart must not resurrect it either.
         drop(svc);
         assert!(SubmissionQueue::open(&queue).unwrap().pending().is_empty());
+        let _ = std::fs::remove_file(&queue);
+    }
+
+    #[test]
+    fn an_idle_service_ticks_every_2_ms_after_a_four_tick_ramp() {
+        let ramp: Vec<u64> = (0..6).map(|n| idle_wait(n).as_micros() as u64).collect();
+        assert_eq!(ramp, [125, 250, 500, 1_000, 2_000, 2_000]);
+        assert_eq!(idle_wait(u32::MAX), Duration::from_millis(2));
+
+        // And the loop waits by it. `sleep` never returns early, so an idle
+        // service's first `TURNS` ticks take at least the schedule's sum:
+        // it ticks no more often than every 2 ms once the ramp is behind it.
+        const TURNS: u32 = 24;
+        let queue =
+            std::env::temp_dir().join(format!("avgi-grid-idle-queue-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&queue);
+        let mut svc = Service::bind(ServiceConfig {
+            queue: queue.clone(),
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let started = Instant::now();
+        for _ in 0..TURNS {
+            svc.turn().unwrap();
+        }
+        let least: Duration = (0..TURNS).map(idle_wait).sum();
+        assert_eq!(least, Duration::from_micros(1_875 + 20 * 2_000));
+        assert!(started.elapsed() >= least, "{:?}", started.elapsed());
+        assert_eq!(svc.idle_ticks, TURNS);
         let _ = std::fs::remove_file(&queue);
     }
 }

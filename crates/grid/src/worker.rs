@@ -11,17 +11,31 @@
 //! telemetry delta. A heartbeat thread keeps the active lease alive while
 //! long batches execute, so slow workers are distinguished from dead ones.
 //!
+//! A worker asks for work once. When the service has none it answers
+//! `Drain` and *parks* the connection; the worker then sits in its blocking
+//! read, sending nothing, and the service pushes it the next lease the
+//! moment one exists. Only after a whole silent `read_timeout` does a
+//! parked worker ask again — a liveness probe, and what recovers a pushed
+//! lease that a faulty link dropped.
+//!
 //! ## One worker, many campaigns
 //!
 //! Against the [`Service`](crate::service::Service) a v3 worker is
-//! *unpinned*: leases name their campaign, and the first lease for an
-//! unseen campaign triggers a [`Msg::SpecRequest`] / [`Msg::Spec`]
-//! exchange. Rebuilt runtimes (golden run included — the expensive part)
-//! are cached per campaign for the life of the worker, so interleaved
-//! leases from different tenants pay the rebuild once each. A v2 peer
-//! never sees any of this: the welcome frame pins it to one campaign and
-//! carries that campaign's spec, every lease implicitly belongs to it, and
-//! its frames stay byte-identical to the v2 wire.
+//! *unpinned*: leases name their campaign, and the worker owns the spec
+//! exchange — a lease for a campaign it holds no runtime for triggers a
+//! [`Msg::SpecRequest`] / [`Msg::Spec`] round trip, and the service never
+//! sends a spec unasked. Set-up is paid once per process where it can be:
+//! the golden run — the expensive part — is memoized per (program,
+//! configuration) for the life of the process (`golden_memo`; the registry
+//! bounds it), and built runtimes (fault list, checkpoints) sit in a
+//! least-recently-leased cache of [`RUNTIME_CACHE_CAPACITY`] campaigns, so
+//! interleaved leases from different tenants share the rebuild while a
+//! long-lived worker's memory does not grow with the number of campaigns
+//! it has served. An evicted campaign that is leased again is rebuilt
+//! through the same spec request. A v2 peer never sees any of this: the
+//! welcome frame pins it to one campaign and carries that campaign's spec,
+//! every lease implicitly belongs to it, and its frames stay byte-identical
+//! to the v2 wire.
 //!
 //! ## Surviving the link
 //!
@@ -46,10 +60,13 @@ use avgi_faultsim::campaign::golden_for;
 use avgi_faultsim::journal::config_hash;
 use avgi_faultsim::telemetry::MetricsCollector;
 use avgi_faultsim::ShardRunner;
+use avgi_muarch::config::MuarchConfig;
+use avgi_muarch::trace::GoldenRun;
 use avgi_rng::Rng;
-use std::collections::HashMap;
+use avgi_workloads::Workload;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Worker-side configuration.
@@ -134,7 +151,9 @@ pub struct WorkerStats {
     pub runs: u64,
     /// Sessions lost and re-established mid-campaign.
     pub reconnects: u64,
-    /// Distinct campaigns this worker built runtimes for.
+    /// Campaign runtimes this worker built: one per campaign it served,
+    /// plus one for every time a campaign evicted from the runtime cache
+    /// ([`RUNTIME_CACHE_CAPACITY`]) was leased again.
     pub campaigns: u64,
 }
 
@@ -244,17 +263,31 @@ fn connect_with_retry(wcfg: &WorkerConfig) -> Result<Box<dyn Transport>, GridErr
     }
 }
 
+/// The golden run of `workload` (registry id `workload_id`) under `cfg`,
+/// captured at most once per process.
+///
+/// A golden run is a pure function of the program and the configuration, so
+/// every campaign over the same pair — on the service's `activate` and on a
+/// worker's [`rebuild`] alike — shares one capture. The registry bounds the
+/// memo (programs × presets), so it needs no size and evicts nothing.
+/// Concurrent callers for one pair wait for a single capture; other pairs
+/// are not held up.
+pub(crate) fn golden_memo(
+    workload_id: usize,
+    workload: &Workload,
+    cfg: &MuarchConfig,
+) -> Arc<GoldenRun> {
+    type Memo = BTreeMap<(usize, u64), Arc<OnceLock<Arc<GoldenRun>>>>;
+    static MEMO: Mutex<Memo> = Mutex::new(BTreeMap::new());
+    let cell = lock_clean(&MEMO)
+        .entry((workload_id, config_hash(cfg)))
+        .or_default()
+        .clone();
+    cell.get_or_init(|| golden_for(workload, cfg)).clone()
+}
+
 /// Rebuilds the campaign the spec describes and cross-checks it.
-fn rebuild(
-    spec: &CampaignSpec,
-) -> Result<
-    (
-        avgi_workloads::Workload,
-        avgi_muarch::config::MuarchConfig,
-        std::sync::Arc<avgi_muarch::trace::GoldenRun>,
-    ),
-    GridError,
-> {
+fn rebuild(spec: &CampaignSpec) -> Result<(Workload, MuarchConfig, Arc<GoldenRun>), GridError> {
     let workload = avgi_workloads::by_index(spec.workload_id)
         .ok_or_else(|| GridError::Spec(format!("unknown workload id {}", spec.workload_id)))?;
     if workload.name != spec.workload {
@@ -271,7 +304,7 @@ fn rebuild(
             spec.preset, spec.config_hash
         )));
     }
-    let golden = golden_for(&workload, &cfg);
+    let golden = golden_memo(spec.workload_id, &workload, &cfg);
     if golden.cycles != spec.golden_cycles {
         return Err(GridError::Spec(format!(
             "golden run mismatch: local {} cycles, coordinator {}",
@@ -281,9 +314,10 @@ fn rebuild(
     Ok((workload, cfg, golden))
 }
 
-/// One campaign's locally rebuilt execution state, cached per campaign id
-/// so interleaved leases from different tenants pay the rebuild (golden
-/// run included) exactly once.
+/// One campaign's locally rebuilt execution state (fault list and
+/// checkpoints; the golden run is shared through [`golden_memo`]), kept in
+/// [`Runtimes`] so interleaved leases from different tenants do not each
+/// pay the rebuild.
 struct Runtime {
     spec: CampaignSpec,
     runner: ShardRunner,
@@ -308,6 +342,45 @@ impl Runtime {
             wcfg.read_timeout,
         );
         Ok(Runtime { spec, runner, beat })
+    }
+}
+
+/// How many campaigns' runtimes a worker keeps built. A worker serves the
+/// campaigns that are live at once, not every campaign it ever saw, and a
+/// runtime (checkpoints above all) is megabytes: without a bound a worker's
+/// memory grows with the number of campaigns the service has finished.
+pub const RUNTIME_CACHE_CAPACITY: usize = 8;
+
+/// The runtime cache: at most [`RUNTIME_CACHE_CAPACITY`] campaigns, least
+/// recently leased first. A campaign leased again after its eviction is
+/// rebuilt through the same `SpecRequest` its first lease used.
+#[derive(Default)]
+struct Runtimes(Vec<(u64, Runtime)>);
+
+impl Runtimes {
+    fn get(&self, campaign: u64) -> Option<&Runtime> {
+        self.0
+            .iter()
+            .find(|(c, _)| *c == campaign)
+            .map(|(_, rt)| rt)
+    }
+
+    /// The runtime a lease for `campaign` executes on, now the most
+    /// recently leased.
+    fn lease(&mut self, campaign: u64) -> Option<&Runtime> {
+        let at = self.0.iter().position(|(c, _)| *c == campaign)?;
+        self.0[at..].rotate_left(1);
+        self.0.last().map(|(_, rt)| rt)
+    }
+
+    /// Adds (or replaces) `campaign`'s runtime, evicting the least recently
+    /// leased one when the cache is full.
+    fn insert(&mut self, campaign: u64, rt: Runtime) {
+        self.0.retain(|(c, _)| *c != campaign);
+        if self.0.len() == RUNTIME_CACHE_CAPACITY {
+            self.0.remove(0);
+        }
+        self.0.push((campaign, rt));
     }
 }
 
@@ -399,14 +472,14 @@ fn retryable(e: &GridError) -> bool {
 /// contradicts what we already built for that campaign (a coordinator
 /// must never mutate a campaign mid-flight).
 fn absorb_pinned(
-    runtimes: &mut HashMap<u64, Runtime>,
+    runtimes: &mut Runtimes,
     campaign: u64,
     spec: Option<CampaignSpec>,
     wcfg: &WorkerConfig,
     stats: &mut WorkerStats,
 ) -> Result<(), GridError> {
     let Some(spec) = spec else { return Ok(()) };
-    match runtimes.get(&campaign) {
+    match runtimes.get(campaign) {
         Some(rt) if rt.spec != spec => Err(GridError::Spec(
             "campaign spec changed across reconnect".into(),
         )),
@@ -446,7 +519,7 @@ pub fn run_worker(wcfg: &WorkerConfig) -> Result<WorkerStats, GridError> {
     };
     backoff.reset();
     let mut stats = WorkerStats::default();
-    let mut runtimes: HashMap<u64, Runtime> = HashMap::new();
+    let mut runtimes = Runtimes::default();
     absorb_pinned(
         &mut runtimes,
         attach.campaign,
@@ -524,7 +597,7 @@ fn drive_session(
     wcfg: &WorkerConfig,
     proto: u64,
     stream: Box<dyn Transport>,
-    runtimes: &mut HashMap<u64, Runtime>,
+    runtimes: &mut Runtimes,
     stats: &mut WorkerStats,
     pending: &mut Option<Msg>,
 ) -> Result<SessionEnd, GridError> {
@@ -579,10 +652,15 @@ fn drive_session(
                 Err(e) => return lost(e.into()),
             }
         }
-        loop {
-            match send(&mut **lock_clean(&writer), &Msg::LeaseRequest, proto) {
-                Ok(n) => wcfg.tally(MsgKind::LeaseRequest, n),
-                Err(e) => return lost(e.into()),
+        // Answered `Drain`: the service has parked this connection and
+        // pushes the next lease unasked, so the worker reads without asking.
+        let mut parked = false;
+        'ask: loop {
+            if !parked {
+                match send(&mut **lock_clean(&writer), &Msg::LeaseRequest, proto) {
+                    Ok(n) => wcfg.tally(MsgKind::LeaseRequest, n),
+                    Err(e) => return lost(e.into()),
+                }
             }
             // Read until a usable reply: a chaotic link may replay stale
             // welcomes, which the handshake already consumed once.
@@ -590,6 +668,24 @@ fn drive_session(
                 match recv(&mut *stream) {
                     Ok(Msg::Welcome { .. }) => continue,
                     Ok(msg) => break msg,
+                    // A parked connection is silent by design. After a
+                    // whole `read_timeout` of it, ask again: that tells a
+                    // live service from a dead one, and fetches a pushed
+                    // lease the link lost. (Only a service that stalls for
+                    // that long in the middle of a frame can time out a
+                    // read that has consumed bytes; the next frame's length
+                    // or CRC check then fails and the session is lost, as
+                    // it is on any timeout when not parked.)
+                    Err(FrameError::Io(e))
+                        if parked
+                            && matches!(
+                                e.kind(),
+                                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                            ) =>
+                    {
+                        parked = false;
+                        continue 'ask;
+                    }
                     Err(FrameError::Closed) => {
                         return lost(GridError::Protocol(
                             "coordinator closed the connection".into(),
@@ -601,6 +697,7 @@ fn drive_session(
             // An in-order reply proves every earlier frame we sent — the
             // retransmission included — was consumed.
             *pending = None;
+            parked = matches!(reply, Msg::Drain);
             match reply {
                 Msg::Lease {
                     lease,
@@ -617,9 +714,9 @@ fn drive_session(
                         let _ = stream.shutdown();
                         return Ok(SessionEnd::Finished);
                     }
-                    // First lease from an unseen campaign: fetch its spec
-                    // and build (and cache) the runtime before executing.
-                    while !runtimes.contains_key(&campaign) {
+                    // No runtime for this campaign (never leased, or
+                    // evicted since): fetch its spec and build one first.
+                    while runtimes.get(campaign).is_none() {
                         match send(
                             &mut **lock_clean(&writer),
                             &Msg::SpecRequest { campaign },
@@ -649,7 +746,7 @@ fn drive_session(
                             Err(e) => return lost(e.into()),
                         }
                     }
-                    let rt = &runtimes[&campaign];
+                    let rt = runtimes.lease(campaign).expect("runtime built above");
                     *lock_clean(&current_lease) = Some(ActiveLease {
                         lease,
                         campaign,
@@ -675,7 +772,7 @@ fn drive_session(
                         Err(e) => return lost(e.into()),
                     }
                 }
-                Msg::Drain => std::thread::sleep(Duration::from_millis(50)),
+                Msg::Drain => {}
                 Msg::Done => return Ok(SessionEnd::Finished),
                 Msg::Reject { reason } => return lost(GridError::Protocol(reason)),
                 other => return lost(GridError::Protocol(format!("unexpected message {other:?}"))),
@@ -690,6 +787,73 @@ fn drive_session(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::ConfigPreset;
+    use avgi_faultsim::RunMode;
+    use avgi_muarch::fault::Structure;
+
+    /// A small honest spec, as a service would build it.
+    fn spec(seed: u64) -> CampaignSpec {
+        let workload_id = avgi_workloads::index_of("bitcount").unwrap();
+        let workload = avgi_workloads::by_index(workload_id).unwrap();
+        let cfg = ConfigPreset::Small.config();
+        CampaignSpec {
+            workload: workload.name.to_string(),
+            workload_id,
+            preset: ConfigPreset::Small,
+            structure: Structure::RegFile,
+            faults: 4,
+            seed,
+            mode: RunMode::EndToEnd,
+            burst_width: 1,
+            checkpoints: 2,
+            golden_cycles: golden_memo(workload_id, &workload, &cfg).cycles,
+            config_hash: config_hash(&cfg),
+            lease_timeout_ms: 30_000,
+        }
+    }
+
+    #[test]
+    fn rebuild_shares_one_golden_capture_and_cross_checks_every_build() {
+        let honest = spec(1);
+        let (workload, cfg, first) = rebuild(&honest).unwrap();
+        let (_, _, again) = rebuild(&honest).unwrap();
+        assert!(Arc::ptr_eq(&first, &again), "one capture per process");
+        assert_eq!(first.cycles, golden_for(&workload, &cfg).cycles);
+        // A memo hit skips the capture, never the checks: a spec that
+        // disagrees with what this process captured is refused.
+        let skewed = CampaignSpec {
+            golden_cycles: honest.golden_cycles + 1,
+            ..honest.clone()
+        };
+        assert!(matches!(rebuild(&skewed), Err(GridError::Spec(m)) if m.contains("golden run")));
+        let skewed = CampaignSpec {
+            config_hash: honest.config_hash ^ 1,
+            ..honest
+        };
+        assert!(matches!(rebuild(&skewed), Err(GridError::Spec(m)) if m.contains("config hash")));
+    }
+
+    #[test]
+    fn the_runtime_cache_evicts_the_least_recently_leased_campaign() {
+        let mut wcfg = WorkerConfig::new("");
+        wcfg.threads = 1;
+        let build = |campaign: u64| Runtime::build(spec(campaign), &wcfg).unwrap();
+        let mut cache = Runtimes::default();
+        for campaign in 1..=RUNTIME_CACHE_CAPACITY as u64 {
+            cache.insert(campaign, build(campaign));
+        }
+        // Campaign 1 is the oldest build but the latest lease: 2 goes.
+        assert_eq!(cache.lease(1).map(|rt| rt.spec.seed), Some(1));
+        cache.insert(100, build(100));
+        assert!(cache.get(1).is_some() && cache.get(100).is_some());
+        assert!(cache.get(2).is_none());
+        assert!(cache.lease(2).is_none());
+        // A rebuilt campaign replaces its runtime; nobody is evicted for it.
+        cache.insert(100, build(101));
+        assert_eq!(cache.get(100).map(|rt| rt.spec.seed), Some(101));
+        assert_eq!(cache.0.len(), RUNTIME_CACHE_CAPACITY);
+        assert!(cache.get(3).is_some());
+    }
 
     #[test]
     fn heartbeat_pacing_never_exceeds_a_third_of_the_lease() {

@@ -12,7 +12,11 @@
 mod common;
 
 use avgi_faultsim::{CampaignError, DurabilityPolicy, RunMode};
+use avgi_grid::proto::{
+    read_frame, send, Msg, MsgKind, WireStats, MIN_PROTO_VERSION, PROTO_VERSION,
+};
 use avgi_grid::service::{reference_outcome, reference_report};
+use avgi_grid::worker::RUNTIME_CACHE_CAPACITY;
 use avgi_grid::{
     ChaosInterposer, ChaosPolicy, GridOutcome, Service, ServiceConfig, ServiceStats,
     SubmissionQueue, SubmitSpec, WorkerConfig,
@@ -122,6 +126,8 @@ struct Harness {
     fabric: String,
     http: SocketAddr,
     stop: Arc<AtomicBool>,
+    /// The service's tallies of binary-dialect (v3) links.
+    wire_v3: Arc<WireStats>,
     thread: std::thread::JoinHandle<Result<ServiceStats, avgi_grid::GridError>>,
 }
 
@@ -145,12 +151,33 @@ impl Harness {
         let service = Service::bind(cfg).unwrap();
         let fabric = service.local_addr().unwrap().to_string();
         let http = service.http_addr().unwrap();
+        let (_, wire_v3) = service.wire_stats();
         let thread = std::thread::spawn(move || service.run());
         Harness {
             fabric,
             http,
             stop,
+            wire_v3,
             thread,
+        }
+    }
+
+    /// Frames of `kind` the service has decoded from v3 peers so far.
+    fn received(&self, kind: MsgKind) -> u64 {
+        self.wire_v3.of(kind).0
+    }
+
+    /// Waits until the service has decoded `n` lease requests from v3
+    /// peers — with no campaign submitted yet, until `n` peers are parked.
+    fn wait_lease_requests(&self, n: u64) {
+        let start = Instant::now();
+        while self.received(MsgKind::LeaseRequest) < n {
+            assert!(
+                start.elapsed() < Duration::from_secs(30),
+                "only {} of {n} lease requests arrived",
+                self.received(MsgKind::LeaseRequest)
+            );
+            std::thread::sleep(Duration::from_millis(5));
         }
     }
 
@@ -566,5 +593,242 @@ fn a_failing_journal_fails_the_run_instead_of_blaming_the_worker() {
     let queue = SubmissionQueue::open(&queue_path).unwrap();
     assert_eq!(queue.pending().len(), 1);
     assert_eq!(queue.pending()[0].spec, spec);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_waiting_fleet_serves_a_stream_of_campaigns_without_losing_a_session() {
+    const BATCH: usize = 8;
+    let dir = scratch("steady");
+    let svc = Harness::start(&dir, BATCH, None);
+    // The order production runs in: the fleet waits, then work arrives.
+    let workers: Vec<_> = (0..2)
+        .map(|i| {
+            let wcfg = worker_config(&svc.fabric, 0x5EED_0400 + i);
+            std::thread::spawn(move || avgi_grid::run_worker(&wcfg))
+        })
+        .collect();
+    svc.wait_lease_requests(2);
+
+    let specs = [
+        SubmitSpec::new("bitcount", Structure::RegFile, 20, 0x51),
+        SubmitSpec::new("crc32", Structure::Rob, 17, 0x52),
+        SubmitSpec::new("bitcount", Structure::Rob, 24, 0x53),
+        SubmitSpec::new("crc32", Structure::RegFile, 9, 0x54),
+        SubmitSpec::new("bitcount", Structure::RegFile, 16, 0x55),
+        SubmitSpec::new("crc32", Structure::Rob, 30, 0x56),
+    ];
+    // Three back to back, one alone after an idle gap, two back to back
+    // after another.
+    let mut bodies = Vec::new();
+    for burst in [&specs[..3], &specs[3..4], &specs[4..]] {
+        let ids: Vec<u64> = burst.iter().map(|spec| submit(svc.http, spec)).collect();
+        for id in ids {
+            bodies.push(wait_done(svc.http, id, Duration::from_secs(120)));
+        }
+        std::thread::sleep(Duration::from_millis(300));
+    }
+    let stats = svc.finish();
+    for (spec, body) in specs.iter().zip(&bodies) {
+        assert_eq!(report_of(body), reference_for(spec));
+    }
+
+    // The steady state loses nothing: no worker is rejected, no session
+    // re-attached, no lease handed out twice.
+    assert_eq!(stats.protocol_errors, 0, "{stats:?}");
+    assert_eq!(stats.sessions_reattached, 0, "{stats:?}");
+    assert_eq!(stats.leases_reassigned, 0, "{stats:?}");
+    assert_eq!(stats.batches_rejected, 0, "{stats:?}");
+    assert_eq!(
+        stats.leases_granted,
+        specs
+            .iter()
+            .map(|s| s.faults.div_ceil(BATCH) as u64)
+            .sum::<u64>(),
+        "{stats:?}"
+    );
+    assert_eq!(stats.workers_seen, 2, "{stats:?}");
+    for t in workers {
+        let wstats = t.join().unwrap().unwrap();
+        assert_eq!(wstats.reconnects, 0, "{wstats:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_idle_worker_asks_once_and_is_leased_without_asking_again() {
+    const BATCH: usize = 4;
+    let dir = scratch("parked");
+    let svc = Harness::start(&dir, BATCH, None);
+    let worker = {
+        let mut wcfg = worker_config(&svc.fabric, 0x5EED_0500);
+        // Longer than the test: the silent-timeout re-ask stays out of it.
+        wcfg.read_timeout = Duration::from_secs(60);
+        std::thread::spawn(move || avgi_grid::run_worker(&wcfg))
+    };
+    svc.wait_lease_requests(1);
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(
+        svc.received(MsgKind::LeaseRequest),
+        1,
+        "a parked worker must wait in silence"
+    );
+
+    // Two leases' worth. The worker asks after each batch it reports and at
+    // no other time, so three requests in all say the first lease reached
+    // it unasked.
+    let spec = SubmitSpec::new("bitcount", Structure::RegFile, 2 * BATCH, 0x9A4C);
+    let id = submit(svc.http, &spec);
+    let body = wait_done(svc.http, id, Duration::from_secs(120));
+    let requests = svc.wire_v3.clone();
+    let stats = svc.finish();
+    let wstats = worker.join().unwrap().unwrap();
+
+    assert_eq!(report_of(&body), reference_for(&spec));
+    assert_eq!(stats.leases_granted, 2, "{stats:?}");
+    assert_eq!(requests.of(MsgKind::LeaseRequest).0, 1 + 2);
+    assert_eq!(requests.of(MsgKind::SpecRequest).0, 1);
+    assert_eq!(stats.protocol_errors, 0, "{stats:?}");
+    assert_eq!((wstats.batches, wstats.reconnects), (2, 0), "{wstats:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_parked_peer_that_swallows_its_pushed_lease_expires_and_a_parked_worker_finishes() {
+    // The parked twin of proto_robustness's silent leaseholder: the
+    // adversary asks before work exists, is answered `Drain`, and then sits
+    // on the lease the service pushes it.
+    let dir = scratch("parked-silent");
+    let svc = Harness::start(&dir, 8, None);
+    let mut adversary = TcpStream::connect(&svc.fabric).unwrap();
+    adversary.set_nodelay(true).unwrap();
+    adversary
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let next = |stream: &mut TcpStream| Msg::decode(&read_frame(stream).unwrap()).unwrap();
+    let hello = Msg::Hello {
+        proto: PROTO_VERSION,
+        session: None,
+    };
+    send(&mut adversary, &hello, MIN_PROTO_VERSION).unwrap();
+    assert!(matches!(next(&mut adversary), Msg::Welcome { .. }));
+    send(&mut adversary, &Msg::LeaseRequest, PROTO_VERSION).unwrap();
+    assert!(matches!(next(&mut adversary), Msg::Drain));
+
+    // The honest worker parks second, so the adversary (the lower
+    // connection id) is woken first.
+    let honest = {
+        let mut wcfg = worker_config(&svc.fabric, 0x5EED_0600);
+        wcfg.read_timeout = Duration::from_secs(60);
+        std::thread::spawn(move || avgi_grid::run_worker(&wcfg))
+    };
+    svc.wait_lease_requests(2);
+
+    // One lease's worth of work: it goes to the adversary, unasked.
+    let spec = SubmitSpec::new("bitcount", Structure::RegFile, 8, 0x51E7);
+    let id = submit(svc.http, &spec);
+    match next(&mut adversary) {
+        Msg::Lease { indices, .. } => assert_eq!(indices.len(), 8),
+        other => panic!("expected the pushed lease, got {other:?}"),
+    }
+    // Silence. The lease expires (2 s), is requeued, and reaches the honest
+    // worker — parked all along — without its asking.
+    let body = wait_done(svc.http, id, Duration::from_secs(60));
+    drop(adversary);
+    let requests = svc.wire_v3.clone();
+    let stats = svc.finish();
+    let wstats = honest.join().unwrap().unwrap();
+
+    assert_eq!(report_of(&body), reference_for(&spec));
+    assert_eq!(stats.leases_granted, 2, "{stats:?}");
+    assert_eq!(stats.leases_reassigned, 1, "{stats:?}");
+    assert_eq!(stats.batches_rejected, 0, "{stats:?}");
+    assert_eq!(stats.protocol_errors, 0, "{stats:?}");
+    // The adversary's one request, the worker's first, and the one after
+    // the worker's only batch.
+    assert_eq!(requests.of(MsgKind::LeaseRequest).0, 3);
+    assert_eq!((wstats.batches, wstats.reconnects), (1, 0), "{wstats:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn more_live_campaigns_than_runtime_slots_are_rebuilt_through_spec_requests() {
+    const BATCH: usize = 4;
+    const CAMPAIGNS: usize = RUNTIME_CACHE_CAPACITY + 2;
+    let dir = scratch("evict");
+    let svc = Harness::start(&dir, BATCH, None);
+    // Equal shares, two leases each, all live before the worker attaches:
+    // the fair scheduler hands the one worker a lease of every campaign in
+    // turn, then the second of each — by when the cache has moved on.
+    let specs: Vec<SubmitSpec> = (0..CAMPAIGNS)
+        .map(|i| SubmitSpec::new("bitcount", Structure::RegFile, 2 * BATCH, 0xE71C + i as u64))
+        .collect();
+    let ids: Vec<u64> = specs.iter().map(|spec| submit(svc.http, spec)).collect();
+    let worker = {
+        let wcfg = worker_config(&svc.fabric, 0x5EED_0700);
+        std::thread::spawn(move || avgi_grid::run_worker(&wcfg))
+    };
+    let bodies: Vec<String> = ids
+        .iter()
+        .map(|&id| wait_done(svc.http, id, Duration::from_secs(120)))
+        .collect();
+    let requests = svc.wire_v3.clone();
+    let stats = svc.finish();
+    let wstats = worker.join().unwrap().unwrap();
+
+    for (spec, body) in specs.iter().zip(&bodies) {
+        assert_eq!(report_of(body), reference_for(spec));
+    }
+    assert!(
+        wstats.campaigns > CAMPAIGNS as u64,
+        "no runtime was evicted and rebuilt: {wstats:?}"
+    );
+    // Every build went through the worker's own spec request.
+    assert_eq!(requests.of(MsgKind::SpecRequest).0, wstats.campaigns);
+    assert_eq!(wstats.reconnects, 0, "{wstats:?}");
+    assert_eq!(stats.protocol_errors, 0, "{stats:?}");
+    assert_eq!(stats.sessions_reattached, 0, "{stats:?}");
+    assert_eq!(stats.leases_granted, 2 * CAMPAIGNS as u64, "{stats:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn finished_campaigns_hold_no_journal_descriptor_and_still_serve_their_reports() {
+    let dir = scratch("journal-fds");
+    let svc = Harness::start(&dir, 8, None);
+    let worker = {
+        let wcfg = worker_config(&svc.fabric, 0x5EED_0800);
+        std::thread::spawn(move || avgi_grid::run_worker(&wcfg))
+    };
+    let specs: Vec<SubmitSpec> = (0..4)
+        .map(|i| SubmitSpec::new("bitcount", Structure::RegFile, 12, 0xFD5 + i))
+        .collect();
+    let ids: Vec<u64> = specs.iter().map(|spec| submit(svc.http, spec)).collect();
+    for &id in &ids {
+        wait_done(svc.http, id, Duration::from_secs(120));
+    }
+
+    // The service runs in this process: none of its descriptors may still
+    // point under the journal directory (one per finished campaign did).
+    let journals = dir.join("journals");
+    assert!(journals.join(format!("campaign-{}.jsonl", ids[0])).exists());
+    match std::fs::read_dir("/proc/self/fd") {
+        Err(_) => eprintln!("skipped the descriptor check: no /proc/self/fd here"),
+        Ok(fds) => {
+            let open: Vec<PathBuf> = fds
+                .filter_map(|fd| std::fs::read_link(fd.ok()?.path()).ok())
+                .filter(|target| target.starts_with(&journals))
+                .collect();
+            assert!(open.is_empty(), "journals still open: {open:?}");
+        }
+    }
+    // Closing the journal took nothing from the status surface.
+    for (spec, &id) in specs.iter().zip(&ids) {
+        let (status, body) = http_get(svc.http, &format!("/campaigns/{id}")).unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(report_of(&body), reference_for(spec));
+    }
+    svc.finish();
+    let _ = worker.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
