@@ -47,16 +47,6 @@ pub struct Study {
 }
 
 impl Study {
-    /// Mean ground-truth AVF across workloads.
-    pub fn mean_real_avf(&self) -> f64 {
-        mean(self.rows.iter().map(|r| r.real.avf()))
-    }
-
-    /// Mean predicted AVF across workloads.
-    pub fn mean_predicted_avf(&self) -> f64 {
-        mean(self.rows.iter().map(|r| r.predicted.avf()))
-    }
-
     /// Worst per-class difference over all rows.
     pub fn worst_diff(&self) -> f64 {
         self.rows
@@ -71,14 +61,6 @@ impl Study {
         let avgi: u64 = self.rows.iter().map(|r| r.avgi_cost).sum();
         real as f64 / avgi.max(1) as f64
     }
-}
-
-fn mean(it: impl Iterator<Item = f64>) -> f64 {
-    let v: Vec<f64> = it.collect();
-    if v.is_empty() {
-        return 0.0;
-    }
-    v.iter().sum::<f64>() / v.len() as f64
 }
 
 /// Runs the full leave-one-out evaluation for one structure.

@@ -72,8 +72,8 @@ pub fn run(mut a: crate::Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let id = json::parse(&resp).ok().and_then(|v| v.get("id")?.as_u64());
-    let (201, Some(id)) = (status, id) else {
+    let id = json::parse(&resp).and_then(|v| v.u64_at("id"));
+    let (201, Ok(id)) = (status, id) else {
         eprintln!("[submit] rejected ({status}): {resp}");
         return ExitCode::FAILURE;
     };
@@ -91,8 +91,7 @@ pub fn run(mut a: crate::Args) -> ExitCode {
         }
         match get(&addr, &format!("/campaigns/{id}")) {
             Ok((200, body)) => {
-                let done = json::parse(&body).ok().and_then(|v| v.get("done")?.as_bool());
-                if done == Some(true) {
+                if json::parse(&body).and_then(|v| v.bool_at("done")) == Ok(true) {
                     break body;
                 }
             }

@@ -103,13 +103,6 @@ impl AdaptiveConfig {
         self
     }
 
-    /// Sets the posterior grid resolution.
-    pub fn with_bins(mut self, bit_bins: usize, cycle_bins: usize) -> Self {
-        self.bit_bins = bit_bins;
-        self.cycle_bins = cycle_bins;
-        self
-    }
-
     /// Sets the uniform mixing floor.
     pub fn with_explore(mut self, explore: f64) -> Self {
         self.explore = explore;

@@ -70,7 +70,7 @@ impl fmt::Display for CampaignError {
             CampaignError::JournalHeader(msg) => write!(f, "malformed journal header: {msg}"),
             CampaignError::JournalMismatch { field, expected, found } => write!(
                 f,
-                "journal belongs to a different campaign: {field} is {found}, expected {expected}"
+                "journal belongs to a different campaign: `{field}` is {found}, expected {expected}"
             ),
             CampaignError::ShardIndexOutOfRange { index, faults } => write!(
                 f,

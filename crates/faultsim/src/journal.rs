@@ -11,19 +11,25 @@
 //! Every line carries a CRC32 suffix (`{json} {crc:08x}`), so corruption
 //! anywhere in the file — not just a torn tail — is detected. Loading
 //! stops at the first line that fails its checksum or fails to parse (the
-//! classic torn write after a crash, or a flipped bit mid-file) and the
-//! affected runs are simply re-executed on resume. Because every run is
-//! deterministic, a resumed campaign is bit-identical to an uninterrupted
-//! one. A journal whose header does not match the resuming campaign's key
-//! is rejected with [`CampaignError::JournalMismatch`] rather than
-//! silently mixing incompatible results. The header itself is created
-//! atomically (temp file + `fsync` + rename), so no crash window can leave
-//! a headerless journal behind; how aggressively record appends reach
-//! stable storage is the caller's [`DurabilityPolicy`].
+//! classic torn write after a crash, a flipped bit mid-file, a byte that is
+//! no longer UTF-8) and the affected runs are simply re-executed on resume:
+//! one corrupt byte costs the records from its line on, never the file.
+//! Because every run is deterministic, a resumed campaign is bit-identical
+//! to an uninterrupted one. A journal whose header does not match the
+//! resuming campaign's key is rejected with
+//! [`CampaignError::JournalMismatch`] rather than silently mixing
+//! incompatible results. The header itself is created atomically (temp
+//! file, `fsync`, rename), so no crash window can leave a headerless
+//! journal behind; how aggressively record appends reach stable storage is
+//! the caller's [`DurabilityPolicy`].
+//!
+//! The sealed line log itself — create, replay, truncate, append — is
+//! [`SealedLog`], shared with the grid's submission queue; every document
+//! is written and read through [`crate::json`].
 
 use crate::campaign::{CampaignConfig, InjectionResult, RunMode};
 use crate::error::CampaignError;
-use crate::json::{escape, parse, Json};
+use crate::json::{parse, Json, Writer};
 use avgi_muarch::config::MuarchConfig;
 use avgi_muarch::fault::{Fault, FaultSite, Structure};
 use avgi_muarch::mem::MemFault;
@@ -32,7 +38,7 @@ use avgi_muarch::trace::{CommitRecord, Deviation};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Journal format version; bumped on any incompatible record change.
 /// Version 2 added the per-line CRC32 suffix.
@@ -59,7 +65,17 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// journal-shaped logs (e.g. the grid's submission queue) share the exact
 /// sealing format instead of reinventing it.
 pub fn seal(json: &str) -> String {
-    format!("{json} {:08x}\n", crc32(json.as_bytes()))
+    let mut line = String::with_capacity(json.len() + 10);
+    line.push_str(json);
+    push_checksum(&mut line);
+    line
+}
+
+/// Completes the JSON text in `line` into a sealed line, in place.
+fn push_checksum(line: &mut String) {
+    use core::fmt::Write as _;
+    let crc = crc32(line.as_bytes());
+    let _ = writeln!(line, " {crc:08x}");
 }
 
 /// Verifies and strips a sealed line's checksum suffix, returning the JSON
@@ -153,157 +169,89 @@ impl CampaignKey {
     }
 }
 
-fn mode_fields(mode: RunMode) -> (&'static str, Option<u64>, bool) {
-    match mode {
-        RunMode::EndToEnd => ("EndToEnd", None, false),
-        RunMode::Instrumented => ("Instrumented", None, false),
-        RunMode::FirstDeviation { ert_window } => ("FirstDeviation", ert_window, true),
-    }
+/// Reads the structure-valued field `key`: what `key(..).str(s.ident())`
+/// writes, the one spelling every document uses.
+pub fn structure_at(v: &Json, key: &str) -> Result<Structure, String> {
+    let ident = v.str_at(key)?;
+    Structure::from_ident(ident).ok_or_else(|| format!("unknown `{key}` {ident:?}"))
 }
 
-fn opt_u64(v: Option<u64>) -> String {
-    v.map_or_else(|| "null".to_string(), |n| n.to_string())
-}
-
-fn header_line(key: &CampaignKey) -> String {
-    let (mode, ert, _) = mode_fields(key.mode);
-    format!(
-        "{{\"kind\":\"avgi-campaign-journal\",\"version\":{},\"workload\":\"{}\",\"structure\":\"{}\",\"seed\":{},\"mode\":\"{}\",\"ert_window\":{},\"burst\":{},\"faults\":{},\"golden_cycles\":{},\"config_hash\":{}}}\n",
-        JOURNAL_VERSION,
-        escape(&key.workload),
-        key.structure.ident(),
-        key.seed,
-        mode,
-        opt_u64(ert),
-        key.burst_width,
-        key.faults,
-        key.golden_cycles,
-        key.config_hash,
-    )
-}
-
-fn parse_header(line: &str) -> Result<CampaignKey, CampaignError> {
-    let bad = |m: &str| CampaignError::JournalHeader(m.to_string());
-    let v = parse(line).map_err(CampaignError::JournalHeader)?;
-    if v.get("kind").and_then(Json::as_str) != Some("avgi-campaign-journal") {
-        return Err(bad("missing journal kind marker"));
-    }
-    let version = v
-        .get("version")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| bad("missing version"))?;
-    if version != JOURNAL_VERSION {
-        return Err(CampaignError::JournalMismatch {
-            field: "version",
-            expected: JOURNAL_VERSION.to_string(),
-            found: version.to_string(),
-        });
-    }
-    let structure = v
-        .get("structure")
-        .and_then(Json::as_str)
-        .and_then(Structure::from_ident)
-        .ok_or_else(|| bad("bad structure"))?;
-    let ert = match v.get("ert_window") {
-        None | Some(Json::Null) => None,
-        Some(w) => Some(w.as_u64().ok_or_else(|| bad("bad ert_window"))?),
+/// Writes a [`RunMode`] as the `mode` / `ert_window` field pair of the
+/// three campaign documents (journal header, and the grid's campaign and
+/// submission specs).
+pub fn write_mode(w: &mut Writer<'_>, mode: RunMode) {
+    let (name, ert_window) = match mode {
+        RunMode::EndToEnd => ("EndToEnd", None),
+        RunMode::Instrumented => ("Instrumented", None),
+        RunMode::FirstDeviation { ert_window } => ("FirstDeviation", ert_window),
     };
-    let mode = match v.get("mode").and_then(Json::as_str) {
-        Some("EndToEnd") => RunMode::EndToEnd,
-        Some("Instrumented") => RunMode::Instrumented,
-        Some("FirstDeviation") => RunMode::FirstDeviation { ert_window: ert },
-        _ => return Err(bad("bad mode")),
-    };
-    Ok(CampaignKey {
-        workload: v
-            .get("workload")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("missing workload"))?
-            .to_string(),
-        structure,
-        seed: v
-            .get("seed")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| bad("missing seed"))?,
-        mode,
-        burst_width: v
-            .get("burst")
-            .and_then(Json::as_u32)
-            .ok_or_else(|| bad("missing burst"))?,
-        faults: v
-            .get("faults")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| bad("missing faults"))? as usize,
-        golden_cycles: v
-            .get("golden_cycles")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| bad("missing golden_cycles"))?,
-        config_hash: v
-            .get("config_hash")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| bad("missing config_hash"))?,
-    })
+    w.key("mode").str(name);
+    w.key("ert_window").opt(ert_window, Writer::u64);
 }
 
-fn check_key(expected: &CampaignKey, found: &CampaignKey) -> Result<(), CampaignError> {
-    let mismatch = |field: &'static str, e: String, f: String| {
-        Err(CampaignError::JournalMismatch {
-            field,
-            expected: e,
-            found: f,
+/// Reads what [`write_mode`] writes; `None` when the document names no
+/// mode (a submission may leave it to the default).
+pub fn read_mode(v: &Json) -> Result<Option<RunMode>, String> {
+    let ert_window = v.opt("ert_window", Json::u64_at)?;
+    v.opt("mode", Json::str_at)?
+        .map(|name| match name {
+            "EndToEnd" => Ok(RunMode::EndToEnd),
+            "Instrumented" => Ok(RunMode::Instrumented),
+            "FirstDeviation" => Ok(RunMode::FirstDeviation { ert_window }),
+            other => Err(format!("unknown `mode` {other:?}")),
         })
+        .transpose()
+}
+
+fn write_header(w: &mut Writer<'_>, key: &CampaignKey) {
+    w.object(|w| {
+        w.key("kind").str("avgi-campaign-journal");
+        w.key("version").u64(JOURNAL_VERSION);
+        w.key("workload").str(&key.workload);
+        w.key("structure").str(key.structure.ident());
+        w.key("seed").u64(key.seed);
+        write_mode(w, key.mode);
+        w.key("burst").u64(key.burst_width.into());
+        w.key("faults").usize(key.faults);
+        w.key("golden_cycles").u64(key.golden_cycles);
+        w.key("config_hash").u64(key.config_hash);
+    });
+}
+
+/// The header's fields, in written order. A journal resumes only the
+/// campaign that would write the same value for every one of them.
+const HEADER_FIELDS: [&str; 11] = [
+    "kind",
+    "version",
+    "workload",
+    "structure",
+    "seed",
+    "mode",
+    "ert_window",
+    "burst",
+    "faults",
+    "golden_cycles",
+    "config_hash",
+];
+
+/// Compares the header found on disk with the one the resuming campaign
+/// would write, field by field — no field is decoded, so none can be
+/// decoded leniently.
+fn check_header(expected: &Json, found: &Json) -> Result<(), CampaignError> {
+    let show = |v: Option<&Json>| match v {
+        Some(Json::Int(n)) => n.to_string(),
+        Some(Json::Str(s)) => s.clone(),
+        other => format!("{other:?}"),
     };
-    if found.workload != expected.workload {
-        return mismatch(
-            "workload",
-            expected.workload.clone(),
-            found.workload.clone(),
-        );
-    }
-    if found.structure != expected.structure {
-        return mismatch(
-            "structure",
-            expected.structure.ident().into(),
-            found.structure.ident().into(),
-        );
-    }
-    if found.seed != expected.seed {
-        return mismatch("seed", expected.seed.to_string(), found.seed.to_string());
-    }
-    if found.mode != expected.mode {
-        return mismatch(
-            "mode",
-            format!("{:?}", expected.mode),
-            format!("{:?}", found.mode),
-        );
-    }
-    if found.burst_width != expected.burst_width {
-        return mismatch(
-            "burst",
-            expected.burst_width.to_string(),
-            found.burst_width.to_string(),
-        );
-    }
-    if found.faults != expected.faults {
-        return mismatch(
-            "faults",
-            expected.faults.to_string(),
-            found.faults.to_string(),
-        );
-    }
-    if found.golden_cycles != expected.golden_cycles {
-        return mismatch(
-            "golden_cycles",
-            expected.golden_cycles.to_string(),
-            found.golden_cycles.to_string(),
-        );
-    }
-    if found.config_hash != expected.config_hash {
-        return mismatch(
-            "config_hash",
-            expected.config_hash.to_string(),
-            found.config_hash.to_string(),
-        );
+    for field in HEADER_FIELDS {
+        let (want, got) = (expected.get(field), found.get(field));
+        if want != got {
+            return Err(CampaignError::JournalMismatch {
+                field,
+                expected: show(want),
+                found: show(got),
+            });
+        }
     }
     Ok(())
 }
@@ -335,123 +283,125 @@ pub fn check_resumed_faults(
 
 // ---- record encoding ----
 
-fn outcome_json(o: RunOutcome) -> String {
-    match o {
-        RunOutcome::Completed => "{\"t\":\"Completed\"}".into(),
-        RunOutcome::Watchdog => "{\"t\":\"Watchdog\"}".into(),
-        RunOutcome::StoppedAtDeviation => "{\"t\":\"StoppedAtDeviation\"}".into(),
-        RunOutcome::ErtExpired => "{\"t\":\"ErtExpired\"}".into(),
-        RunOutcome::WallClockExpired => "{\"t\":\"WallClockExpired\"}".into(),
-        RunOutcome::SimAbort => "{\"t\":\"SimAbort\"}".into(),
-        RunOutcome::IntegrityViolation(s) => {
-            format!(
-                "{{\"t\":\"IntegrityViolation\",\"structure\":\"{}\"}}",
-                s.ident()
-            )
+fn write_outcome(w: &mut Writer<'_>, outcome: RunOutcome) {
+    w.object(|w| {
+        w.key("t").str(match outcome {
+            RunOutcome::Completed => "Completed",
+            RunOutcome::Watchdog => "Watchdog",
+            RunOutcome::StoppedAtDeviation => "StoppedAtDeviation",
+            RunOutcome::ErtExpired => "ErtExpired",
+            RunOutcome::WallClockExpired => "WallClockExpired",
+            RunOutcome::SimAbort => "SimAbort",
+            RunOutcome::IntegrityViolation(_) => "IntegrityViolation",
+            RunOutcome::Trap(_) => "Trap",
+        });
+        match outcome {
+            RunOutcome::IntegrityViolation(s) => {
+                w.key("structure").str(s.ident());
+            }
+            RunOutcome::Trap(TrapKind::UndefinedInstruction) => {
+                w.key("trap").str("UndefinedInstruction");
+            }
+            RunOutcome::Trap(TrapKind::Memory(m)) => {
+                let (kind, addr) = match m {
+                    MemFault::OutOfRange(a) => ("OutOfRange", a),
+                    MemFault::WriteToCode(a) => ("WriteToCode", a),
+                    MemFault::Misaligned(a) => ("Misaligned", a),
+                    MemFault::ExecuteFault(a) => ("ExecuteFault", a),
+                };
+                w.key("trap").str("Memory");
+                w.key("mem").str(kind);
+                w.key("addr").u64(addr.into());
+            }
+            _ => {}
         }
-        RunOutcome::Trap(TrapKind::UndefinedInstruction) => {
-            "{\"t\":\"Trap\",\"trap\":\"UndefinedInstruction\"}".into()
-        }
-        RunOutcome::Trap(TrapKind::Memory(m)) => {
-            let (tag, addr) = match m {
-                MemFault::OutOfRange(a) => ("OutOfRange", a),
-                MemFault::WriteToCode(a) => ("WriteToCode", a),
-                MemFault::Misaligned(a) => ("Misaligned", a),
-                MemFault::ExecuteFault(a) => ("ExecuteFault", a),
-            };
-            format!("{{\"t\":\"Trap\",\"trap\":\"Memory\",\"mem\":\"{tag}\",\"addr\":{addr}}}")
-        }
-    }
+    });
 }
 
 fn outcome_from_json(v: &Json) -> Result<RunOutcome, String> {
-    match v.get("t").and_then(Json::as_str) {
-        Some("Completed") => Ok(RunOutcome::Completed),
-        Some("Watchdog") => Ok(RunOutcome::Watchdog),
-        Some("StoppedAtDeviation") => Ok(RunOutcome::StoppedAtDeviation),
-        Some("ErtExpired") => Ok(RunOutcome::ErtExpired),
-        Some("WallClockExpired") => Ok(RunOutcome::WallClockExpired),
-        Some("SimAbort") => Ok(RunOutcome::SimAbort),
-        Some("IntegrityViolation") => v
-            .get("structure")
-            .and_then(Json::as_str)
-            .and_then(Structure::from_ident)
-            .map(RunOutcome::IntegrityViolation)
-            .ok_or_else(|| "bad integrity-violation structure".into()),
-        Some("Trap") => match v.get("trap").and_then(Json::as_str) {
-            Some("UndefinedInstruction") => Ok(RunOutcome::Trap(TrapKind::UndefinedInstruction)),
-            Some("Memory") => {
-                let addr = v
-                    .get("addr")
-                    .and_then(Json::as_u32)
-                    .ok_or("bad trap addr")?;
-                let m = match v.get("mem").and_then(Json::as_str) {
-                    Some("OutOfRange") => MemFault::OutOfRange(addr),
-                    Some("WriteToCode") => MemFault::WriteToCode(addr),
-                    Some("Misaligned") => MemFault::Misaligned(addr),
-                    Some("ExecuteFault") => MemFault::ExecuteFault(addr),
-                    _ => return Err("bad memory-fault kind".into()),
-                };
-                Ok(RunOutcome::Trap(TrapKind::Memory(m)))
+    Ok(match v.str_at("t")? {
+        "Completed" => RunOutcome::Completed,
+        "Watchdog" => RunOutcome::Watchdog,
+        "StoppedAtDeviation" => RunOutcome::StoppedAtDeviation,
+        "ErtExpired" => RunOutcome::ErtExpired,
+        "WallClockExpired" => RunOutcome::WallClockExpired,
+        "SimAbort" => RunOutcome::SimAbort,
+        "IntegrityViolation" => RunOutcome::IntegrityViolation(structure_at(v, "structure")?),
+        "Trap" => RunOutcome::Trap(match v.str_at("trap")? {
+            "UndefinedInstruction" => TrapKind::UndefinedInstruction,
+            "Memory" => {
+                let addr = v.u32_at("addr")?;
+                TrapKind::Memory(match v.str_at("mem")? {
+                    "OutOfRange" => MemFault::OutOfRange(addr),
+                    "WriteToCode" => MemFault::WriteToCode(addr),
+                    "Misaligned" => MemFault::Misaligned(addr),
+                    "ExecuteFault" => MemFault::ExecuteFault(addr),
+                    other => return Err(format!("unknown `mem` {other:?}")),
+                })
             }
-            _ => Err("bad trap kind".into()),
-        },
-        _ => Err("bad outcome tag".into()),
-    }
-}
-
-fn commit_json(r: &CommitRecord) -> String {
-    format!("[{},{},{},{},{}]", r.cycle, r.pc, r.raw, r.ea, r.val)
-}
-
-fn commit_from_json(v: &Json) -> Result<CommitRecord, String> {
-    let a = v.as_array().ok_or("commit record is not an array")?;
-    if a.len() != 5 {
-        return Err("commit record needs 5 fields".into());
-    }
-    let u = |i: usize| a[i].as_u64().ok_or("bad commit field");
-    Ok(CommitRecord {
-        cycle: u(0)?,
-        pc: a[1].as_u32().ok_or("bad pc")?,
-        raw: a[2].as_u32().ok_or("bad raw")?,
-        ea: a[3].as_u32().ok_or("bad ea")?,
-        val: a[4].as_u32().ok_or("bad val")?,
+            other => return Err(format!("unknown `trap` {other:?}")),
+        }),
+        other => return Err(format!("unknown outcome `t` {other:?}")),
     })
+}
+
+fn write_commit(w: &mut Writer<'_>, r: &CommitRecord) {
+    w.u64s([
+        r.cycle,
+        r.pc.into(),
+        r.raw.into(),
+        r.ea.into(),
+        r.val.into(),
+    ]);
+}
+
+fn commit_at(v: &Json, key: &str) -> Result<CommitRecord, String> {
+    let bad = || format!("`{key}` is not a [cycle, pc, raw, ea, val] commit record");
+    let [cycle, pc, raw, ea, val] = v.array_at(key)? else {
+        return Err(bad());
+    };
+    let word = |field: &Json| field.as_u32().ok_or_else(bad);
+    Ok(CommitRecord {
+        cycle: cycle.as_u64().ok_or_else(bad)?,
+        pc: word(pc)?,
+        raw: word(raw)?,
+        ea: word(ea)?,
+        val: word(val)?,
+    })
+}
+
+/// Writes one record object — the journal line's JSON, and the per-result
+/// element of the grid's v2 batch frames and campaign reports, which append
+/// it in place.
+pub fn write_record(w: &mut Writer<'_>, idx: usize, r: &InjectionResult) {
+    w.object(|w| {
+        w.key("i").usize(idx);
+        w.key("fault").object(|w| {
+            w.key("structure").str(r.fault.site.structure.ident());
+            w.key("bit").u64(r.fault.site.bit);
+            w.key("cycle").u64(r.fault.cycle);
+        });
+        write_outcome(w.key("outcome"), r.outcome);
+        w.key("deviation").opt(r.deviation.as_ref(), |w, d| {
+            w.object(|w| {
+                w.key("index").u64(d.index);
+                write_commit(w.key("golden"), &d.golden);
+                write_commit(w.key("faulty"), &d.faulty);
+            })
+        });
+        w.key("output_matches").opt(r.output_matches, Writer::bool);
+        w.key("cycles").u64(r.cycles);
+        w.key("post").u64(r.post_inject_cycles);
+        w.key("abort").opt(r.abort_message.as_deref(), Writer::str);
+    });
 }
 
 /// Serializes one record line (with trailing newline).
 pub fn record_line(idx: usize, r: &InjectionResult) -> String {
-    let deviation = match &r.deviation {
-        None => "null".to_string(),
-        Some(d) => format!(
-            "{{\"index\":{},\"golden\":{},\"faulty\":{}}}",
-            d.index,
-            commit_json(&d.golden),
-            commit_json(&d.faulty)
-        ),
-    };
-    let output_matches = match r.output_matches {
-        None => "null",
-        Some(true) => "true",
-        Some(false) => "false",
-    };
-    let abort = match &r.abort_message {
-        None => "null".to_string(),
-        Some(m) => format!("\"{}\"", escape(m)),
-    };
-    format!(
-        "{{\"i\":{},\"fault\":{{\"structure\":\"{}\",\"bit\":{},\"cycle\":{}}},\"outcome\":{},\"deviation\":{},\"output_matches\":{},\"cycles\":{},\"post\":{},\"abort\":{}}}\n",
-        idx,
-        r.fault.site.structure.ident(),
-        r.fault.site.bit,
-        r.fault.cycle,
-        outcome_json(r.outcome),
-        deviation,
-        output_matches,
-        r.cycles,
-        r.post_inject_cycles,
-        abort,
-    )
+    let mut line = String::with_capacity(256);
+    write_record(&mut Writer::new(&mut line), idx, r);
+    line.push('\n');
+    line
 }
 
 /// Parses one record line back into `(fault index, result)`.
@@ -460,60 +410,110 @@ pub fn parse_record(line: &str) -> Result<(usize, InjectionResult), String> {
 }
 
 /// Decodes one already-parsed record object back into
-/// `(fault index, result)` — the same shape [`record_line`] writes, also
-/// used as the per-result element of `avgi-grid` batch frames.
+/// `(fault index, result)` — the shape [`write_record`] writes.
 pub fn record_from_json(v: &Json) -> Result<(usize, InjectionResult), String> {
-    let idx = v.get("i").and_then(Json::as_u64).ok_or("missing index")? as usize;
-    let f = v.get("fault").ok_or("missing fault")?;
-    let fault = Fault {
-        site: FaultSite {
-            structure: f
-                .get("structure")
-                .and_then(Json::as_str)
-                .and_then(Structure::from_ident)
-                .ok_or("bad fault structure")?,
-            bit: f.get("bit").and_then(Json::as_u64).ok_or("bad fault bit")?,
+    let fault = v.at("fault")?;
+    let result = InjectionResult {
+        fault: Fault {
+            site: FaultSite {
+                structure: structure_at(fault, "structure")?,
+                bit: fault.u64_at("bit")?,
+            },
+            cycle: fault.u64_at("cycle")?,
         },
-        cycle: f
-            .get("cycle")
-            .and_then(Json::as_u64)
-            .ok_or("bad fault cycle")?,
+        outcome: outcome_from_json(v.at("outcome")?)?,
+        deviation: v.opt("deviation", |v, key| {
+            let d = v.at(key)?;
+            Ok(Deviation {
+                index: d.u64_at("index")?,
+                golden: commit_at(d, "golden")?,
+                faulty: commit_at(d, "faulty")?,
+            })
+        })?,
+        output_matches: v.opt("output_matches", Json::bool_at)?,
+        cycles: v.u64_at("cycles")?,
+        post_inject_cycles: v.u64_at("post")?,
+        abort_message: v.opt("abort", Json::str_at)?.map(str::to_string),
     };
-    let outcome = outcome_from_json(v.get("outcome").ok_or("missing outcome")?)?;
-    let deviation = match v.get("deviation") {
-        None | Some(Json::Null) => None,
-        Some(d) => Some(Deviation {
-            index: d
-                .get("index")
-                .and_then(Json::as_u64)
-                .ok_or("bad deviation index")?,
-            golden: commit_from_json(d.get("golden").ok_or("missing golden")?)?,
-            faulty: commit_from_json(d.get("faulty").ok_or("missing faulty")?)?,
-        }),
-    };
-    let output_matches = match v.get("output_matches") {
-        None | Some(Json::Null) => None,
-        Some(b) => Some(b.as_bool().ok_or("bad output_matches")?),
-    };
-    let abort_message = match v.get("abort") {
-        None | Some(Json::Null) => None,
-        Some(s) => Some(s.as_str().ok_or("bad abort message")?.to_string()),
-    };
-    Ok((
-        idx,
-        InjectionResult {
-            fault,
-            outcome,
-            deviation,
-            output_matches,
-            cycles: v
-                .get("cycles")
-                .and_then(Json::as_u64)
-                .ok_or("missing cycles")?,
-            post_inject_cycles: v.get("post").and_then(Json::as_u64).ok_or("missing post")?,
-            abort_message,
-        },
-    ))
+    Ok((v.usize_at("i")?, result))
+}
+
+/// A sealed line log — a campaign journal, the grid's submission queue —
+/// being replayed: the one implementation of "create atomically, trust the
+/// prefix that checks out, cut the rest, append".
+///
+/// The file is read as *bytes*. [`next_line`](Self::next_line) yields the
+/// parsed document of each line that is complete (newline-terminated),
+/// UTF-8, CRC-intact and parseable, and stops at the first that is not: a
+/// torn tail, a flipped bit and a stray byte ≥ 0x80 all cost the lines from
+/// that one on — never the file, and never differently between two logs.
+/// [`into_append`](Self::into_append) truncates the log after the last line
+/// the caller accepted and opens it for appending.
+#[derive(Debug)]
+pub struct SealedLog {
+    path: PathBuf,
+    bytes: Vec<u8>,
+    /// End of the last line yielded.
+    yielded: usize,
+    /// End of the last line accepted: where appends will continue.
+    accepted: usize,
+}
+
+impl SealedLog {
+    /// Reads the log at `path`. Only a missing or zero-length file is a
+    /// fresh log: it is created holding the sealed `header` line,
+    /// atomically (written and fsynced under a temporary name, then renamed
+    /// into place), so no crash leaves a headerless file. Any other read
+    /// error is the caller's to see — an unreadable log is not an empty one.
+    pub fn open(path: &Path, header: &str) -> std::io::Result<SealedLog> {
+        let mut bytes = match std::fs::read(path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            read => read?,
+        };
+        if bytes.is_empty() {
+            bytes = seal(header).into_bytes();
+            let tmp = PathBuf::from(format!("{}.tmp", path.display()));
+            let mut file = File::create(&tmp)?;
+            file.write_all(&bytes)?;
+            file.sync_all()?;
+            drop(file);
+            std::fs::rename(&tmp, path)?;
+        }
+        Ok(SealedLog {
+            path: path.to_path_buf(),
+            bytes,
+            yielded: 0,
+            accepted: 0,
+        })
+    }
+
+    /// The next line's document; `Err(why)` where the trustworthy prefix
+    /// ends (end of file included). Asking for a line accepts the one
+    /// before it; a caller that refuses a line stops asking.
+    pub fn next_line(&mut self) -> Result<Json, String> {
+        self.accepted = self.yielded;
+        let line = self.bytes[self.yielded..]
+            .split_inclusive(|&b| b == b'\n')
+            .next()
+            .ok_or("end of log")?;
+        let sealed = line.strip_suffix(b"\n").ok_or("truncated line")?;
+        let sealed = core::str::from_utf8(sealed).map_err(|_| "line is not UTF-8")?;
+        let doc = parse(unseal(sealed)?)?;
+        self.yielded += line.len();
+        Ok(doc)
+    }
+
+    /// Cuts the log after the last accepted line (fsynced, so the cut
+    /// survives a crash before the first append) and opens it for
+    /// appending.
+    pub fn into_append(self) -> std::io::Result<File> {
+        let file = OpenOptions::new().append(true).open(&self.path)?;
+        if self.accepted < self.bytes.len() {
+            file.set_len(self.accepted as u64)?;
+            file.sync_all()?;
+        }
+        Ok(file)
+    }
 }
 
 /// An open, append-mode campaign journal.
@@ -539,79 +539,40 @@ impl Journal {
     /// by `key`, returning the already-journaled results.
     ///
     /// * No file / empty file: a fresh journal is created with a header,
-    ///   atomically — the header is written and fsynced under a temporary
-    ///   name, then renamed into place, so a crash mid-create leaves either
-    ///   no journal or a complete one, never a torn header.
-    /// * Existing file: the header must match `key`
+    ///   atomically ([`SealedLog::open`]).
+    /// * Existing file: the header must be intact
+    ///   ([`CampaignError::JournalHeader`] otherwise) and match `key`
     ///   ([`CampaignError::JournalMismatch`] otherwise); records are loaded
-    ///   up to the first line that fails its CRC or fails to parse, so both
-    ///   a torn tail from an interrupted campaign and a corrupt record
-    ///   mid-file are recovered from cleanly (the dropped runs re-execute
-    ///   deterministically on resume).
+    ///   up to the first line that is torn, fails its CRC, or is not a
+    ///   record, and the file is cut there, so both a torn tail from an
+    ///   interrupted campaign and a corrupt record mid-file are recovered
+    ///   from cleanly (the dropped runs re-execute deterministically on
+    ///   resume). A file that cannot be read is an error, never a fresh
+    ///   journal.
     pub fn open_with(
         path: &Path,
         key: &CampaignKey,
         policy: DurabilityPolicy,
     ) -> Result<(Journal, BTreeMap<usize, InjectionResult>), CampaignError> {
+        let header = crate::json::to_string(|w| write_header(w, key));
+        let mut log = SealedLog::open(path, &header)?;
+        let found = log
+            .next_line()
+            .map_err(|e| CampaignError::JournalHeader(format!("bad header: {e}")))?;
+        check_header(&parse(&header).expect("own header parses"), &found)?;
         let mut done = BTreeMap::new();
-        let existing = std::fs::read_to_string(path).unwrap_or_default();
-        if existing.is_empty() {
-            // Fresh journal (no file, or an empty one from an interrupted
-            // create): build it under a temp name and rename into place.
-            let tmp = std::path::PathBuf::from(format!("{}.tmp", path.display()));
-            let mut tmpf = File::create(&tmp)?;
-            tmpf.write_all(seal(header_line(key).trim_end()).as_bytes())?;
-            tmpf.sync_all()?;
-            drop(tmpf);
-            std::fs::rename(&tmp, path)?;
-            let file = OpenOptions::new().append(true).open(path)?;
-            return Ok((
-                Journal {
-                    file,
-                    policy,
-                    unsynced: 0,
-                },
-                done,
-            ));
-        }
-        let file = OpenOptions::new().append(true).open(path)?;
-        let mut lines = existing.split_inclusive('\n');
-        let mut valid_len = 0u64;
-        match lines.next() {
-            None | Some("") => unreachable!("existing is non-empty"),
-            Some(header) if header.ends_with('\n') => {
-                let json = unseal(header.trim_end())
-                    .map_err(|e| CampaignError::JournalHeader(format!("bad header: {e}")))?;
-                let found = parse_header(json)?;
-                check_key(key, &found)?;
-                valid_len += header.len() as u64;
-                for line in lines {
-                    if !line.ends_with('\n') {
-                        break; // torn tail: re-run this record
-                    }
-                    match unseal(line.trim_end()).and_then(parse_record) {
-                        Ok((idx, r)) if idx < key.faults => {
-                            done.insert(idx, r);
-                        }
-                        Ok(_) => {}      // stale index beyond the campaign
-                        Err(_) => break, // corruption: drop the rest
-                    }
-                    valid_len += line.len() as u64;
+        while let Ok(doc) = log.next_line() {
+            match record_from_json(&doc) {
+                Ok((idx, r)) if idx < key.faults => {
+                    done.insert(idx, r);
                 }
+                Ok(_) => {}      // stale index beyond the campaign
+                Err(_) => break, // not a record: drop it and the rest
             }
-            Some(_) => {
-                // Header itself was torn; the journal holds nothing usable.
-                return Err(CampaignError::JournalHeader("truncated header line".into()));
-            }
-        }
-        // Self-heal: chop any torn/corrupt tail so fresh appends start on a
-        // clean line boundary.
-        if valid_len < existing.len() as u64 {
-            file.set_len(valid_len)?;
         }
         Ok((
             Journal {
-                file,
+                file: log.into_append()?,
                 policy,
                 unsynced: 0,
             },
@@ -623,8 +584,10 @@ impl Journal {
     /// so a process crash immediately after loses nothing; `fsync`s per the
     /// journal's [`DurabilityPolicy`].
     pub fn append(&mut self, idx: usize, r: &InjectionResult) -> std::io::Result<()> {
-        self.file
-            .write_all(seal(record_line(idx, r).trim_end()).as_bytes())?;
+        let mut line = String::with_capacity(256);
+        write_record(&mut Writer::new(&mut line), idx, r);
+        push_checksum(&mut line);
+        self.file.write_all(line.as_bytes())?;
         self.file.flush()?;
         if let DurabilityPolicy::FsyncEveryN(n) = self.policy {
             self.unsynced += 1;
@@ -762,15 +725,24 @@ mod tests {
             golden_cycles: 9001,
             config_hash: config_hash(&cfg),
         };
-        let parsed = parse_header(header_line(&key).trim_end()).unwrap();
-        assert_eq!(parsed, key);
-        assert!(check_key(&key, &parsed).is_ok());
+        let header =
+            |key: &CampaignKey| parse(&crate::json::to_string(|w| write_header(w, key))).unwrap();
+        let Json::Object(fields) = header(&key) else {
+            panic!("the header is an object");
+        };
+        let written: Vec<&str> = fields.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(written, HEADER_FIELDS, "every written field is checked");
+        assert!(check_header(&header(&key), &header(&key)).is_ok());
         let other = CampaignKey {
             seed: 43,
             ..key.clone()
         };
-        match check_key(&key, &other) {
-            Err(CampaignError::JournalMismatch { field: "seed", .. }) => {}
+        match check_header(&header(&key), &header(&other)) {
+            Err(CampaignError::JournalMismatch {
+                field: "seed",
+                expected,
+                found,
+            }) => assert_eq!((expected.as_str(), found.as_str()), ("42", "43")),
             other => panic!("expected seed mismatch, got {other:?}"),
         }
     }

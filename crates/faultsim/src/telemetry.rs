@@ -35,6 +35,7 @@
 //! that subset.
 
 use crate::campaign::InjectionResult;
+use crate::json::{self, Json, Writer};
 use avgi_muarch::fault::Structure;
 use avgi_muarch::run::RunOutcome;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -162,23 +163,20 @@ impl HistogramSnapshot {
         Some(u64::MAX)
     }
 
-    /// The bucket counts as a JSON array, trimmed after the last non-zero
-    /// bucket (an empty histogram serializes as `[]`).
-    pub fn to_json(&self) -> String {
+    /// Writes the bucket counts as a JSON array, trimmed after the last
+    /// non-zero bucket (an empty histogram serializes as `[]`).
+    pub fn write_json(&self, w: &mut Writer<'_>) {
         let last = self
             .counts
             .iter()
             .rposition(|&n| n > 0)
             .map_or(0, |i| i + 1);
-        let mut out = String::from("[");
-        for (i, n) in self.counts[..last].iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&n.to_string());
-        }
-        out.push(']');
-        out
+        w.u64s(self.counts[..last].iter().copied());
+    }
+
+    /// [`write_json`](Self::write_json) into a fresh string.
+    pub fn to_json(&self) -> String {
+        json::to_string(|w| self.write_json(w))
     }
 }
 
@@ -369,27 +367,14 @@ impl SiteGrid {
     /// The grid as one JSON object — deterministic (pure tally content), so
     /// two byte-equal documents mean bit-identical posterior state.
     pub fn to_json(&self) -> String {
-        let list = |v: &[u64]| {
-            let mut out = String::from("[");
-            for (i, n) in v.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&n.to_string());
-            }
-            out.push(']');
-            out
-        };
-        format!(
-            "{{\"bits\":{},\"cycles\":{},\"bit_bins\":{},\"cycle_bins\":{},\
-             \"runs\":{},\"affected\":{}}}",
-            self.bits,
-            self.cycles,
-            self.bit_bins,
-            self.cycle_bins,
-            list(&self.runs),
-            list(&self.affected),
-        )
+        json::object(|w| {
+            w.key("bits").u64(self.bits);
+            w.key("cycles").u64(self.cycles);
+            w.key("bit_bins").usize(self.bit_bins);
+            w.key("cycle_bins").usize(self.cycle_bins);
+            w.key("runs").u64s(self.runs.iter().copied());
+            w.key("affected").u64s(self.affected.iter().copied());
+        })
     }
 }
 
@@ -695,81 +680,73 @@ impl MetricsSnapshot {
         line
     }
 
-    fn labelled_counts_json(pairs: impl Iterator<Item = (String, u64)>) -> String {
-        let mut out = String::from("{");
-        for (i, (label, n)) in pairs.enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{n}", crate::json::escape(&label)));
+    /// The tallies both dumps end with: labelled counts and the simulated
+    /// post-injection histogram.
+    fn write_tallies(&self, w: &mut Writer<'_>) {
+        fn labelled<'l>(
+            w: &mut Writer<'_>,
+            key: &str,
+            counts: impl Iterator<Item = (&'l str, u64)>,
+        ) {
+            w.key(key).object(|w| {
+                for (label, n) in counts {
+                    w.key(label).u64(n);
+                }
+            });
         }
-        out.push('}');
-        out
+        labelled(w, "outcomes", self.outcomes.iter().copied());
+        labelled(w, "classes", self.classes.iter().copied());
+        let hit = self.structures.iter().filter(|(_, n)| *n > 0);
+        labelled(w, "structures", hit.map(|&(s, n)| (s.ident(), n)));
+        self.post_inject_cycles
+            .write_json(w.key("post_inject_cycles_hist"));
     }
 
     /// The full snapshot as one JSON object (floats included — this is the
     /// `metrics.json` dump format for external consumers).
     pub fn to_json(&self) -> String {
-        let eta_us = self
-            .eta()
-            .map_or_else(|| "null".to_string(), |d| d.as_micros().to_string());
-        format!(
-            "{{\"kind\":\"avgi-campaign-metrics\",\"version\":1,\
-             \"campaign\":{},\
-             \"planned\":{},\"completed\":{},\"resumed\":{},\"retries\":{},\"aborted\":{},\
-             \"batching_disabled\":{},\
-             \"workers\":{},\"elapsed_us\":{},\"runs_per_sec\":{:.1},\"eta_us\":{eta_us},\
-             \"outcomes\":{},\"classes\":{},\"structures\":{},\
-             \"post_inject_cycles_hist\":{},\"wall_latency_us_hist\":{}}}",
-            self.campaign,
-            self.planned,
-            self.completed,
-            self.resumed,
-            self.retries,
-            self.aborted(),
-            self.batching_disabled,
-            self.workers,
-            self.elapsed.as_micros(),
-            self.runs_per_sec(),
-            Self::labelled_counts_json(self.outcomes.iter().map(|(l, n)| ((*l).to_string(), *n))),
-            Self::labelled_counts_json(self.classes.iter().map(|(l, n)| ((*l).to_string(), *n))),
-            Self::labelled_counts_json(
-                self.structures
-                    .iter()
-                    .filter(|(_, n)| *n > 0)
-                    .map(|(s, n)| (s.ident().to_string(), *n))
-            ),
-            self.post_inject_cycles.to_json(),
-            self.wall_latency_us.to_json(),
-        )
+        let micros = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
+        json::object(|w| {
+            w.key("kind").str("avgi-campaign-metrics");
+            w.key("version").u64(1);
+            w.key("campaign").u64(self.campaign);
+            w.key("planned").u64(self.planned);
+            w.key("completed").u64(self.completed);
+            w.key("resumed").u64(self.resumed);
+            w.key("retries").u64(self.retries);
+            w.key("aborted").u64(self.aborted());
+            w.key("batching_disabled").u64(self.batching_disabled);
+            w.key("workers").u64(self.workers);
+            w.key("elapsed_us").u64(micros(self.elapsed));
+            w.key("runs_per_sec").f64(self.runs_per_sec(), 1);
+            w.key("eta_us").opt(self.eta().map(micros), Writer::u64);
+            self.write_tallies(w);
+            self.wall_latency_us
+                .write_json(w.key("wall_latency_us_hist"));
+        })
     }
 
-    /// The deterministic subset of [`to_json`](Self::to_json): everything
-    /// that is a pure function of the campaign definition. Excludes wall
-    /// time, rates, the wall-latency histogram, and the `resumed`
-    /// bookkeeping count (which reflects interruption history, not campaign
-    /// content). Two campaigns with the same seed and fault list produce
-    /// byte-identical strings here, regardless of thread count or resume
-    /// pattern.
+    /// Writes the deterministic subset of [`to_json`](Self::to_json):
+    /// everything that is a pure function of the campaign definition.
+    /// Excludes wall time, rates, the wall-latency histogram, and the
+    /// `resumed` bookkeeping count (which reflects interruption history,
+    /// not campaign content). Two campaigns with the same seed and fault
+    /// list produce byte-identical documents here, regardless of thread
+    /// count or resume pattern.
+    pub fn write_deterministic(&self, w: &mut Writer<'_>) {
+        w.object(|w| {
+            w.key("planned").u64(self.planned);
+            w.key("completed").u64(self.completed);
+            w.key("retries").u64(self.retries);
+            w.key("aborted").u64(self.aborted());
+            self.write_tallies(w);
+        });
+    }
+
+    /// [`write_deterministic`](Self::write_deterministic) into a fresh
+    /// string.
     pub fn deterministic_counters_json(&self) -> String {
-        format!(
-            "{{\"planned\":{},\"completed\":{},\"retries\":{},\"aborted\":{},\
-             \"outcomes\":{},\"classes\":{},\"structures\":{},\
-             \"post_inject_cycles_hist\":{}}}",
-            self.planned,
-            self.completed,
-            self.retries,
-            self.aborted(),
-            Self::labelled_counts_json(self.outcomes.iter().map(|(l, n)| ((*l).to_string(), *n))),
-            Self::labelled_counts_json(self.classes.iter().map(|(l, n)| ((*l).to_string(), *n))),
-            Self::labelled_counts_json(
-                self.structures
-                    .iter()
-                    .filter(|(_, n)| *n > 0)
-                    .map(|(s, n)| (s.ident().to_string(), *n))
-            ),
-            self.post_inject_cycles.to_json(),
-        )
+        json::to_string(|w| self.write_deterministic(w))
     }
 
     /// An all-zero snapshot: the identity of [`merge`](Self::merge), used
@@ -846,7 +823,7 @@ impl MetricsSnapshot {
         self.wall_latency_us.merge(&other.wall_latency_us);
     }
 
-    /// Rebuilds the deterministic counters from a
+    /// Rebuilds the deterministic counters from a parsed
     /// [`deterministic_counters_json`](Self::deterministic_counters_json)
     /// document — the wire format of a shard's telemetry delta.
     ///
@@ -854,81 +831,57 @@ impl MetricsSnapshot {
     /// labels are resolved against `class_labels` (the label set the
     /// sending collector was built with); an unknown outcome, structure, or
     /// class label is an error rather than a silently dropped count.
-    pub fn from_deterministic_json(
-        json: &str,
-        class_labels: &[&'static str],
-    ) -> Result<MetricsSnapshot, String> {
-        Self::from_deterministic_value(&crate::json::parse(json)?, class_labels)
-    }
-
-    /// [`from_deterministic_json`](Self::from_deterministic_json) over an
-    /// already-parsed value (e.g. a delta embedded in a larger message).
     pub fn from_deterministic_value(
-        v: &crate::json::Json,
+        v: &Json,
         class_labels: &[&'static str],
     ) -> Result<MetricsSnapshot, String> {
-        use crate::json::Json;
-        let int = |key: &str| {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("missing counter `{key}`"))
-        };
-        let pairs = |key: &str| -> Result<Vec<(String, u64)>, String> {
-            match v.get(key) {
-                Some(Json::Object(fields)) => fields
-                    .iter()
-                    .map(|(label, n)| {
-                        n.as_u64()
-                            .map(|n| (label.clone(), n))
-                            .ok_or_else(|| format!("bad count for `{label}` in `{key}`"))
-                    })
-                    .collect(),
-                _ => Err(format!("missing object `{key}`")),
-            }
+        let counts = |key: &str| -> Result<Vec<(&str, u64)>, String> {
+            v.fields_at(key)?
+                .iter()
+                .map(|(label, n)| match n.as_u64() {
+                    Some(n) => Ok((label.as_str(), n)),
+                    None => Err(format!("`{label}` in `{key}` is not a count")),
+                })
+                .collect()
         };
         let mut snap = MetricsSnapshot::empty();
-        snap.planned = int("planned")?;
-        snap.completed = int("completed")?;
-        snap.retries = int("retries")?;
-        for (label, n) in pairs("outcomes")? {
+        snap.planned = v.u64_at("planned")?;
+        snap.completed = v.u64_at("completed")?;
+        snap.retries = v.u64_at("retries")?;
+        for (label, n) in counts("outcomes")? {
             let slot = snap
                 .outcomes
                 .iter_mut()
                 .find(|(l, _)| *l == label)
-                .ok_or_else(|| format!("unknown outcome label `{label}`"))?;
+                .ok_or_else(|| format!("unknown label `{label}` in `outcomes`"))?;
             slot.1 = n;
         }
-        for (label, n) in pairs("classes")? {
+        for (label, n) in counts("classes")? {
             let resolved = class_labels
                 .iter()
                 .find(|l| **l == label)
-                .ok_or_else(|| format!("unknown class label `{label}`"))?;
+                .ok_or_else(|| format!("unknown label `{label}` in `classes`"))?;
             snap.classes.push((resolved, n));
         }
-        for (label, n) in pairs("structures")? {
-            let structure = Structure::from_ident(&label)
-                .ok_or_else(|| format!("unknown structure `{label}`"))?;
+        for (label, n) in counts("structures")? {
+            let structure = Structure::from_ident(label)
+                .ok_or_else(|| format!("unknown label `{label}` in `structures`"))?;
             snap.structures
                 .iter_mut()
                 .find(|(s, _)| *s == structure)
                 .expect("Structure::all() covers every structure")
                 .1 = n;
         }
-        let hist = v
-            .get("post_inject_cycles_hist")
-            .and_then(Json::as_array)
-            .ok_or("missing `post_inject_cycles_hist`")?;
-        if hist.len() > HIST_BUCKETS {
-            return Err(format!("histogram has {} buckets", hist.len()));
-        }
-        for (i, n) in hist.iter().enumerate() {
-            snap.post_inject_cycles.counts[i] = n.as_u64().ok_or("bad histogram bucket count")?;
-        }
-        let aborted = int("aborted")?;
+        let hist = v.u64s_at("post_inject_cycles_hist")?;
+        snap.post_inject_cycles
+            .counts
+            .get_mut(..hist.len())
+            .ok_or_else(|| format!("`post_inject_cycles_hist` has {} buckets", hist.len()))?
+            .copy_from_slice(&hist);
+        let aborted = v.u64_at("aborted")?;
         if aborted != snap.aborted() {
             return Err(format!(
-                "aborted counter {} disagrees with SimAbort tally {}",
-                aborted,
+                "`aborted` is {aborted} but `outcomes` tallies {} SimAbort",
                 snap.aborted()
             ));
         }

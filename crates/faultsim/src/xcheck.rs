@@ -31,7 +31,7 @@
 //! masked-verification oracle between tiers must not change a single
 //! campaign observable.
 
-use crate::campaign::{golden_for, run_campaign, watchdog_budget, CampaignConfig, CampaignResult};
+use crate::campaign::{run_campaign, watchdog_budget, CampaignConfig, CampaignResult};
 use crate::sampling::sample_faults;
 use crate::telemetry::MetricsCollector;
 use avgi_muarch::config::MuarchConfig;
@@ -135,16 +135,6 @@ pub fn run_xcheck(
         forks_traced: sample.len(),
         prefix_commits_verified: prefix_commits,
     })
-}
-
-/// Convenience wrapper capturing the golden run itself.
-pub fn run_xcheck_fresh(
-    workload: &Workload,
-    cfg: &MuarchConfig,
-    ccfg: &CampaignConfig,
-) -> Result<XcheckReport, String> {
-    let golden = golden_for(workload, cfg);
-    run_xcheck(workload, cfg, &golden, ccfg)
 }
 
 /// Outcome of a clean execution-tier cross-check (see [`run_xtier`]).
@@ -256,16 +246,6 @@ pub fn run_xtier(
         runs_compared: fast_run.results.len(),
         telemetry_identical: true,
     })
-}
-
-/// Convenience wrapper capturing the golden run itself.
-pub fn run_xtier_fresh(
-    workload: &Workload,
-    cfg: &MuarchConfig,
-    ccfg: &CampaignConfig,
-) -> Result<XtierReport, String> {
-    let golden = golden_for(workload, cfg);
-    run_xtier(workload, cfg, &golden, ccfg)
 }
 
 fn compare_campaigns(
@@ -396,7 +376,7 @@ fn compare_reports(classic: &RunReport, fork: &RunReport, fault: &Fault) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::RunMode;
+    use crate::campaign::{golden_for, RunMode};
     use avgi_muarch::fault::Structure;
 
     #[test]
@@ -410,7 +390,8 @@ mod tests {
                 ert_window: Some(2_000),
             },
         );
-        let report = run_xcheck_fresh(&w, &cfg, &ccfg).expect("clean campaign must cross-check");
+        let report = run_xcheck(&w, &cfg, &golden_for(&w, &cfg), &ccfg)
+            .expect("clean campaign must cross-check");
         assert_eq!(report.runs_compared, 24);
         assert!(report.telemetry_identical);
         assert!(report.forks_traced > 0);
@@ -428,7 +409,8 @@ mod tests {
                 ert_window: Some(2_000),
             },
         );
-        let report = run_xtier_fresh(&w, &cfg, &ccfg).expect("tiers must be interchangeable");
+        let report = run_xtier(&w, &cfg, &golden_for(&w, &cfg), &ccfg)
+            .expect("tiers must be interchangeable");
         assert_eq!(report.runs_compared, 24);
         assert!(report.interp_steps > 0);
         assert!(report.commits_compared > 0);
@@ -440,6 +422,6 @@ mod tests {
         let w = avgi_workloads::by_name("bitcount").unwrap();
         let cfg = MuarchConfig::big();
         let ccfg = CampaignConfig::new(Structure::RegFile, 4, RunMode::EndToEnd).with_batch(1);
-        assert!(run_xcheck_fresh(&w, &cfg, &ccfg).is_err());
+        assert!(run_xcheck(&w, &cfg, &golden_for(&w, &cfg), &ccfg).is_err());
     }
 }

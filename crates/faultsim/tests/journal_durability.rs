@@ -45,31 +45,70 @@ fn run_journaled(f: &Fixture, path: &Path) -> avgi_faultsim::CampaignResult {
 #[test]
 fn bitflipped_midfile_record_is_detected_and_resume_is_bit_identical() {
     let f = fixture();
-    let path = tmp_path("bitflip");
-    let _ = std::fs::remove_file(&path);
     let reference = run_campaign(&f.w, &f.cfg, &f.golden, &ccfg());
-    let first = run_journaled(&f, &path);
-    assert_eq!(first.results, reference.results);
+    let key = CampaignKey::new(f.w.name, &f.cfg, f.golden.cycles, &ccfg());
+    // 0x01 keeps the line text (only the CRC knows); 0x80 turns an ASCII
+    // byte into a stray UTF-8 continuation byte, so the *file* is no longer
+    // text. Both are one corrupt line, and cost exactly the same.
+    for mask in [0x01u8, 0x80] {
+        let path = tmp_path(&format!("bitflip-{mask:02x}"));
+        let _ = std::fs::remove_file(&path);
+        let first = run_journaled(&f, &path);
+        assert_eq!(first.results, reference.results);
 
-    // Flip one bit in the 6th record (deep mid-file, nowhere near the
-    // tail). The line still parses as a line; only the CRC knows.
-    let text = std::fs::read_to_string(&path).unwrap();
-    let lines: Vec<&str> = text.split_inclusive('\n').collect();
-    assert_eq!(lines.len(), 1 + FAULTS);
-    let offset: usize = lines[..6].iter().map(|l| l.len()).sum::<usize>() + 12;
-    let mut bytes = text.into_bytes();
-    bytes[offset] ^= 0x01;
-    std::fs::write(&path, &bytes).unwrap();
+        // Flip one bit in the 6th record (deep mid-file, nowhere near the
+        // tail).
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.split_inclusive('\n').collect();
+        assert_eq!(lines.len(), 1 + FAULTS);
+        let intact: usize = lines[..6].iter().map(|l| l.len()).sum();
+        let mut bytes = text.into_bytes();
+        bytes[intact + 12] ^= mask;
+        std::fs::write(&path, &bytes).unwrap();
 
-    // Resume: records 1–5 restore, the flipped record and everything after
-    // it re-execute, and the merged result is bit-identical.
-    let resumed = run_journaled(&f, &path);
-    assert_eq!(resumed.results, reference.results);
+        // Reopen: the five records before the flip restore — not fewer,
+        // and above all not none (a resume re-executes whatever is missing,
+        // so only the count can tell) — and the file is cut back to the
+        // header plus those five lines.
+        let (journal, done) = Journal::open(&path, &key).unwrap();
+        assert_eq!(done.len(), 5, "mask {mask:#04x}");
+        for (idx, restored) in &done {
+            assert_eq!(restored, &reference.results[*idx]);
+        }
+        drop(journal);
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            intact as u64,
+            "mask {mask:#04x}"
+        );
 
-    // The journal self-healed: fully valid again, all records sealed.
-    let healed = std::fs::read_to_string(&path).unwrap();
-    assert_eq!(healed.split_inclusive('\n').count(), 1 + FAULTS);
-    let _ = std::fs::remove_file(&path);
+        // Resume: the flipped record and everything after it re-execute,
+        // and the merged result is bit-identical.
+        let resumed = run_journaled(&f, &path);
+        assert_eq!(resumed.results, reference.results);
+
+        // The journal self-healed: fully valid again, all records sealed.
+        let healed = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(healed.split_inclusive('\n').count(), 1 + FAULTS);
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+#[test]
+fn an_unreadable_journal_is_an_error_not_a_fresh_journal() {
+    let f = fixture();
+    let key = CampaignKey::new(f.w.name, &f.cfg, f.golden.cycles, &ccfg());
+    // A directory where the journal should be: `read` fails with something
+    // other than `NotFound`, and nothing may be renamed over it.
+    let path = tmp_path("unreadable");
+    let _ = std::fs::remove_dir_all(&path);
+    std::fs::create_dir(&path).unwrap();
+    match Journal::open(&path, &key) {
+        Err(CampaignError::Io(_)) => {}
+        other => panic!("expected an I/O error, got {other:?}"),
+    }
+    assert!(path.is_dir());
+    let _ = std::fs::remove_dir_all(&path);
 }
 
 #[test]

@@ -23,6 +23,7 @@
 //! campaign).
 
 use crate::spec::SubmitSpec;
+use avgi_faultsim::json::{self, Writer};
 use std::io::Read;
 
 /// Upper bound on the request head (request line + headers).
@@ -98,20 +99,20 @@ impl HttpBuffer {
     fn try_route(&mut self) -> HttpPoll {
         let Some(head_end) = find_head_end(&self.buf) else {
             if self.buf.len() > MAX_HEAD {
-                return HttpPoll::Bad(response(431, "{\"error\":\"request head too large\"}"));
+                return HttpPoll::Bad(error_response(431, "request head too large"));
             }
             return HttpPoll::Pending;
         };
         let head = match std::str::from_utf8(&self.buf[..head_end]) {
             Ok(h) => h,
-            Err(_) => return HttpPoll::Bad(response(400, "{\"error\":\"non-UTF-8 head\"}")),
+            Err(_) => return HttpPoll::Bad(error_response(400, "non-UTF-8 head")),
         };
         let mut lines = head.split("\r\n");
         let request_line = lines.next().unwrap_or("");
         let mut parts = request_line.split(' ');
         let (method, path) = match (parts.next(), parts.next(), parts.next()) {
             (Some(m), Some(p), Some(v)) if v.starts_with("HTTP/1.") => (m, p),
-            _ => return HttpPoll::Bad(response(400, "{\"error\":\"bad request line\"}")),
+            _ => return HttpPoll::Bad(error_response(400, "bad request line")),
         };
         let mut content_length = 0usize;
         for line in lines {
@@ -119,18 +120,13 @@ impl HttpBuffer {
                 if name.eq_ignore_ascii_case("content-length") {
                     match value.trim().parse::<usize>() {
                         Ok(n) => content_length = n,
-                        Err(_) => {
-                            return HttpPoll::Bad(response(
-                                400,
-                                "{\"error\":\"bad content-length\"}",
-                            ))
-                        }
+                        Err(_) => return HttpPoll::Bad(error_response(400, "bad content-length")),
                     }
                 }
             }
         }
         if content_length > MAX_BODY {
-            return HttpPoll::Bad(response(413, "{\"error\":\"body too large\"}"));
+            return HttpPoll::Bad(error_response(413, "body too large"));
         }
         let body_start = head_end + 4;
         if self.buf.len() < body_start + content_length {
@@ -152,14 +148,11 @@ fn route(method: &str, path: &str, body: &[u8]) -> HttpPoll {
         ("POST", "/campaigns") => {
             let text = match std::str::from_utf8(body) {
                 Ok(t) => t,
-                Err(_) => return HttpPoll::Bad(response(400, "{\"error\":\"non-UTF-8 body\"}")),
+                Err(_) => return HttpPoll::Bad(error_response(400, "non-UTF-8 body")),
             };
             match SubmitSpec::from_json(text) {
                 Ok(spec) => HttpPoll::Request(HttpRequest::Submit(spec)),
-                Err(e) => HttpPoll::Bad(response(
-                    400,
-                    &format!("{{\"error\":\"{}\"}}", avgi_faultsim::json::escape(&e)),
-                )),
+                Err(e) => HttpPoll::Bad(error_response(400, &e)),
             }
         }
         ("GET", "/fleet") => HttpPoll::Request(HttpRequest::Fleet),
@@ -168,15 +161,24 @@ fn route(method: &str, path: &str, body: &[u8]) -> HttpPoll {
             .and_then(|id| id.parse::<u64>().ok())
         {
             Some(id) => HttpPoll::Request(HttpRequest::Status(id)),
-            None => HttpPoll::Bad(response(404, "{\"error\":\"no such route\"}")),
+            None => HttpPoll::Bad(error_response(404, "no such route")),
         },
-        ("POST", _) => HttpPoll::Bad(response(404, "{\"error\":\"no such route\"}")),
-        _ => HttpPoll::Bad(response(405, "{\"error\":\"method not allowed\"}")),
+        ("POST", _) => HttpPoll::Bad(error_response(404, "no such route")),
+        _ => HttpPoll::Bad(error_response(405, "method not allowed")),
     }
 }
 
-/// Builds a complete one-shot JSON response (`Connection: close`).
-pub fn response(status: u16, body: &str) -> Vec<u8> {
+/// Builds the one-shot `{"error": message}` response every refusal uses.
+pub fn error_response(status: u16, message: &str) -> Vec<u8> {
+    response(status, |w| {
+        w.key("error").str(message);
+    })
+}
+
+/// Builds a complete one-shot response (`Connection: close`) whose body is
+/// the JSON object `fill` writes the fields of.
+pub fn response(status: u16, fill: impl FnOnce(&mut Writer<'_>)) -> Vec<u8> {
+    let body = json::object(fill);
     let reason = match status {
         200 => "OK",
         201 => "Created",
@@ -308,6 +310,82 @@ mod tests {
         }
     }
 
+    /// Posts `body` to `/campaigns` in socket-sized chunks; the refusal.
+    fn refused(body: &str) -> (String, String) {
+        let raw = format!(
+            "POST /campaigns HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let mut src = Chunks {
+            script: raw.as_bytes().chunks(4096).map(<[u8]>::to_vec).collect(),
+        };
+        let mut hb = HttpBuffer::new();
+        loop {
+            match hb.poll(&mut src).unwrap() {
+                HttpPoll::Pending => continue,
+                HttpPoll::Bad(resp) => {
+                    let text = String::from_utf8(resp).unwrap();
+                    let body = text.split_once("\r\n\r\n").unwrap().1.to_string();
+                    return (status_line(text.as_bytes()), body);
+                }
+                other => panic!("{body:.60}: unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_submissions_are_refused_with_a_400_naming_the_field() {
+        // 100 KB of `[`: the parser's recursion used to overflow the stack
+        // and abort the process.
+        let (status, body) = refused(&"[".repeat(100_000));
+        assert!(status.contains("400"), "{status}");
+        assert!(body.contains("nesting"), "{body}");
+        // Well-formed, and sized to take a worker or the service down:
+        // 24 TB of fault list, 6.7 TB of snapshots, a silently narrowed
+        // integer (2^32 + 8 read as 8).
+        let hostile = |field: &str, value: &str| {
+            let mut fields = vec![
+                ("workload", "\"bitcount\""),
+                ("structure", "\"RegFile\""),
+                ("faults", "8"),
+                ("seed", "1"),
+            ];
+            fields.retain(|(name, _)| *name != field);
+            fields.push((field, value));
+            let fields: Vec<_> = fields
+                .iter()
+                .map(|(name, value)| format!("\"{name}\":{value}"))
+                .collect();
+            format!("{{{}}}", fields.join(","))
+        };
+        for (field, value) in [
+            ("faults", "1000000000000"),
+            ("faults", "1048577"),
+            ("faults", "18446744073709551616"),
+            ("checkpoints", "4000000000"),
+            ("checkpoints", "4294967304"),
+            ("checkpoints", "1025"),
+            ("burst", "65"),
+            ("burst", "4294967297"),
+            ("priority", "4294967296"),
+            ("weight", "-1"),
+            ("quota", "1e3"),
+            ("seed", "\"1\""),
+            ("mode", "5"),
+            ("preset", "7"),
+        ] {
+            let (status, body) = refused(&hostile(field, value));
+            assert!(status.contains("400"), "{field}={value}: {status}");
+            assert!(
+                body.contains(&format!("`{field}`")),
+                "{field}={value}: {body}"
+            );
+        }
+        // The bounds themselves are accepted.
+        let at_the_limit = hostile("checkpoints", "1024, \"burst\":64");
+        assert!(SubmitSpec::from_json(&at_the_limit).is_ok());
+    }
+
     #[test]
     fn oversized_bodies_are_refused() {
         let raw = format!(
@@ -326,7 +404,10 @@ mod tests {
 
     #[test]
     fn responses_carry_length_and_close() {
-        let resp = String::from_utf8(response(200, "{\"ok\":true}")).unwrap();
+        let resp = String::from_utf8(response(200, |w| {
+            w.key("ok").bool(true);
+        }))
+        .unwrap();
         assert!(resp.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(resp.contains("Content-Length: 11\r\n"));
         assert!(resp.contains("Connection: close\r\n"));

@@ -53,8 +53,8 @@
 //! decode as a valid message.
 
 use crate::spec::CampaignSpec;
-use avgi_faultsim::journal::{crc32, record_from_json, record_line};
-use avgi_faultsim::json::{escape, parse, Json};
+use avgi_faultsim::journal::{crc32, record_from_json, write_record};
+use avgi_faultsim::json::{self, Json, Writer};
 use avgi_faultsim::telemetry::{MetricsSnapshot, HIST_BUCKETS, OUTCOME_LABELS};
 use avgi_faultsim::InjectionResult;
 use avgi_muarch::fault::{Fault, FaultSite, Structure};
@@ -359,6 +359,15 @@ impl<'a> BinReader<'a> {
         Ok(s)
     }
 
+    /// How many elements to reserve for when the payload claims `count` of
+    /// them, each at least `min_bytes` long encoded: no more than the bytes
+    /// left could hold. The count is the peer's to choose — nine bytes can
+    /// claim 2²⁵ results — the payload length is not.
+    fn fit(&self, count: u64, min_bytes: usize) -> usize {
+        let room = (self.buf.len() - self.pos) / min_bytes;
+        usize::try_from(count).map_or(room, |count| count.min(room))
+    }
+
     fn finish(self) -> Result<(), String> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -448,6 +457,10 @@ fn get_outcome(r: &mut BinReader<'_>) -> Result<RunOutcome, String> {
         other => return Err(format!("unknown outcome code {other}")),
     })
 }
+
+/// Shortest encoded result: index, structure, bit, cycle, outcome, flags,
+/// cycles and post-injection cycles at one byte each.
+const MIN_RESULT_BYTES: usize = 8;
 
 const RES_FLAG_DEVIATION: u8 = 1 << 0;
 const RES_FLAG_MATCH_PRESENT: u8 = 1 << 1;
@@ -604,10 +617,7 @@ fn put_telemetry(out: &mut Vec<u8>, t: &MetricsSnapshot) {
     }
 }
 
-fn get_telemetry(
-    r: &mut BinReader<'_>,
-    class_labels: &[&'static str],
-) -> Result<MetricsSnapshot, String> {
+fn get_telemetry(r: &mut BinReader<'_>) -> Result<MetricsSnapshot, String> {
     let mut t = MetricsSnapshot::empty();
     t.planned = r.varint()?;
     t.completed = r.varint()?;
@@ -619,16 +629,13 @@ fn get_telemetry(
         }
         t.outcomes[i].1 = r.varint()?;
     }
+    // The grid runs classifier-free workers: there is no label set a class
+    // tally could resolve against.
     let classes = r.varint()?;
-    for _ in 0..classes {
-        let len = usize::try_from(r.varint()?).map_err(|_| "class label length".to_string())?;
-        let label = std::str::from_utf8(r.bytes(len)?)
-            .map_err(|e| format!("class label not UTF-8: {e}"))?;
-        let resolved = class_labels
-            .iter()
-            .find(|l| **l == label)
-            .ok_or_else(|| format!("unknown class label `{label}`"))?;
-        t.classes.push((resolved, r.varint()?));
+    if classes != 0 {
+        return Err(format!(
+            "{classes} class tallies from a classifier-free fleet"
+        ));
     }
     for _ in 0..r.u8()? {
         let s = structure_from_code(r.u8()?)?;
@@ -881,173 +888,133 @@ impl Msg {
     /// traffic keeps the exact v2 wire shape (and a v2 peer's parser —
     /// which ignores unknown keys — stays compatible when they do appear).
     pub fn to_json(&self) -> String {
-        let campaign_field = |campaign: &u64| {
-            if *campaign == 0 {
-                String::new()
-            } else {
-                format!(",\"campaign\":{campaign}")
-            }
-        };
-        match self {
-            Msg::Hello { proto, session } => {
-                let session = session.map_or_else(|| "null".to_string(), |s| s.to_string());
-                format!("{{\"t\":\"hello\",\"proto\":{proto},\"session\":{session}}}")
-            }
-            Msg::Welcome {
-                proto,
-                session,
-                campaign,
-                spec,
-            } => format!(
-                "{{\"t\":\"welcome\",\"proto\":{proto},\"spec\":{},\"session\":{session}{}}}",
-                spec.as_ref()
-                    .map_or_else(|| "null".to_string(), |s| s.to_json()),
-                campaign_field(campaign),
-            ),
-            Msg::LeaseRequest => "{\"t\":\"lease_request\"}".into(),
-            Msg::Lease {
-                lease,
-                campaign,
-                indices,
-            } => {
-                let mut out = format!(
-                    "{{\"t\":\"lease\",\"lease\":{lease}{},\"indices\":[",
-                    campaign_field(campaign)
-                );
-                for (k, i) in indices.iter().enumerate() {
-                    if k > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&i.to_string());
-                }
-                out.push_str("]}");
-                out
-            }
-            Msg::Drain => "{\"t\":\"drain\"}".into(),
-            Msg::Done => "{\"t\":\"done\"}".into(),
-            Msg::Heartbeat { lease, campaign } => format!(
-                "{{\"t\":\"heartbeat\",\"lease\":{lease}{}}}",
-                campaign_field(campaign)
-            ),
-            Msg::BatchDone {
-                lease,
-                campaign,
-                results,
-                telemetry,
-            } => {
-                let mut out = format!(
-                    "{{\"t\":\"batch_done\",\"lease\":{lease}{},\"results\":[",
-                    campaign_field(campaign)
-                );
-                for (k, (idx, r)) in results.iter().enumerate() {
-                    if k > 0 {
-                        out.push(',');
-                    }
-                    let line = record_line(*idx, r);
-                    out.push_str(line.trim_end());
-                }
-                out.push_str("],\"telemetry\":");
-                out.push_str(&telemetry.deterministic_counters_json());
-                out.push('}');
-                out
-            }
-            Msg::Spec { campaign, spec } => format!(
-                "{{\"t\":\"spec\",\"campaign\":{campaign},\"spec\":{}}}",
-                spec.to_json()
-            ),
-            Msg::SpecRequest { campaign } => {
-                format!("{{\"t\":\"spec_request\",\"campaign\":{campaign}}}")
-            }
-            Msg::Reject { reason } => {
-                format!("{{\"t\":\"reject\",\"reason\":\"{}\"}}", escape(reason))
+        fn tagged(w: &mut Writer<'_>, campaign: u64) {
+            if campaign != 0 {
+                w.key("campaign").u64(campaign);
             }
         }
+        json::object(|w| {
+            w.key("t").str(self.kind().name());
+            match self {
+                Msg::LeaseRequest | Msg::Drain | Msg::Done => {}
+                Msg::Hello { proto, session } => {
+                    w.key("proto").u64(*proto);
+                    w.key("session").opt(*session, Writer::u64);
+                }
+                Msg::Welcome {
+                    proto,
+                    session,
+                    campaign,
+                    spec,
+                } => {
+                    w.key("proto").u64(*proto);
+                    w.key("spec").opt(spec.as_ref(), |w, spec| {
+                        spec.write_json(w);
+                        w
+                    });
+                    w.key("session").u64(*session);
+                    tagged(w, *campaign);
+                }
+                Msg::Lease {
+                    lease,
+                    campaign,
+                    indices,
+                } => {
+                    w.key("lease").u64(*lease);
+                    tagged(w, *campaign);
+                    w.key("indices").u64s(indices.iter().map(|&i| i as u64));
+                }
+                Msg::Heartbeat { lease, campaign } => {
+                    w.key("lease").u64(*lease);
+                    tagged(w, *campaign);
+                }
+                Msg::BatchDone {
+                    lease,
+                    campaign,
+                    results,
+                    telemetry,
+                } => {
+                    w.key("lease").u64(*lease);
+                    tagged(w, *campaign);
+                    w.key("results").array(|w| {
+                        for (idx, r) in results {
+                            write_record(w, *idx, r);
+                        }
+                    });
+                    telemetry.write_deterministic(w.key("telemetry"));
+                }
+                Msg::Spec { campaign, spec } => {
+                    w.key("campaign").u64(*campaign);
+                    spec.write_json(w.key("spec"));
+                }
+                Msg::SpecRequest { campaign } => {
+                    w.key("campaign").u64(*campaign);
+                }
+                Msg::Reject { reason } => {
+                    w.key("reason").str(reason);
+                }
+            }
+        })
     }
 
     /// Parses a JSON frame payload back into a message.
     pub fn from_json(payload: &str) -> Result<Msg, String> {
-        let v = parse(payload)?;
-        let int = |v: &Json, key: &str| {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("missing `{key}`"))
-        };
+        let v = json::parse(payload)?;
         // Absent on v2 peers and on single-campaign traffic.
-        let campaign = v.get("campaign").and_then(Json::as_u64).unwrap_or(0);
-        match v.get("t").and_then(Json::as_str) {
-            Some("hello") => Ok(Msg::Hello {
-                proto: int(&v, "proto")?,
-                session: match v.get("session") {
-                    None | Some(Json::Null) => None,
-                    Some(s) => Some(s.as_u64().ok_or("bad session")?),
-                },
-            }),
-            Some("welcome") => Ok(Msg::Welcome {
+        let campaign = v.opt("campaign", Json::u64_at)?.unwrap_or(0);
+        Ok(match v.str_at("t")? {
+            "hello" => Msg::Hello {
+                proto: v.u64_at("proto")?,
+                session: v.opt("session", Json::u64_at)?,
+            },
+            "welcome" => Msg::Welcome {
                 // A welcome without `proto` is from a v2 coordinator.
-                proto: v.get("proto").and_then(Json::as_u64).unwrap_or(2),
-                session: int(&v, "session")?,
+                proto: v.opt("proto", Json::u64_at)?.unwrap_or(2),
+                session: v.u64_at("session")?,
                 campaign,
-                spec: match v.get("spec") {
-                    None | Some(Json::Null) => None,
-                    Some(s) => Some(CampaignSpec::from_json_value(s)?),
-                },
-            }),
-            Some("lease_request") => Ok(Msg::LeaseRequest),
-            Some("lease") => {
-                let indices = v
-                    .get("indices")
-                    .and_then(Json::as_array)
-                    .ok_or("missing `indices`")?
-                    .iter()
-                    .map(|i| i.as_u64().map(|n| n as usize).ok_or("bad index"))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Msg::Lease {
-                    lease: int(&v, "lease")?,
-                    campaign,
-                    indices,
-                })
-            }
-            Some("drain") => Ok(Msg::Drain),
-            Some("done") => Ok(Msg::Done),
-            Some("heartbeat") => Ok(Msg::Heartbeat {
-                lease: int(&v, "lease")?,
+                spec: v.opt("spec", |v, key| CampaignSpec::from_json_value(v.at(key)?))?,
+            },
+            "lease_request" => Msg::LeaseRequest,
+            "lease" => Msg::Lease {
+                lease: v.u64_at("lease")?,
                 campaign,
-            }),
-            Some("batch_done") => {
-                let results = v
-                    .get("results")
-                    .and_then(Json::as_array)
-                    .ok_or("missing `results`")?
+                indices: v
+                    .u64s_at("indices")?
+                    .into_iter()
+                    .map(|i| usize::try_from(i).map_err(|_| "index overflows usize"))
+                    .collect::<Result<_, _>>()?,
+            },
+            "drain" => Msg::Drain,
+            "done" => Msg::Done,
+            "heartbeat" => Msg::Heartbeat {
+                lease: v.u64_at("lease")?,
+                campaign,
+            },
+            "batch_done" => Msg::BatchDone {
+                lease: v.u64_at("lease")?,
+                campaign,
+                results: v
+                    .array_at("results")?
                     .iter()
                     .map(record_from_json)
-                    .collect::<Result<Vec<_>, _>>()?;
-                let telemetry = MetricsSnapshot::from_deterministic_value(
-                    v.get("telemetry").ok_or("missing `telemetry`")?,
-                    &[],
-                )?;
-                Ok(Msg::BatchDone {
-                    lease: int(&v, "lease")?,
-                    campaign,
-                    results,
-                    telemetry,
-                })
-            }
-            Some("spec") => Ok(Msg::Spec {
-                campaign: int(&v, "campaign")?,
-                spec: CampaignSpec::from_json_value(v.get("spec").ok_or("missing `spec`")?)?,
-            }),
-            Some("spec_request") => Ok(Msg::SpecRequest {
-                campaign: int(&v, "campaign")?,
-            }),
-            Some("reject") => Ok(Msg::Reject {
+                    .collect::<Result<_, _>>()?,
+                telemetry: MetricsSnapshot::from_deterministic_value(v.at("telemetry")?, &[])?,
+            },
+            "spec" => Msg::Spec {
+                campaign: v.u64_at("campaign")?,
+                spec: CampaignSpec::from_json_value(v.at("spec")?)?,
+            },
+            "spec_request" => Msg::SpecRequest {
+                campaign: v.u64_at("campaign")?,
+            },
+            "reject" => Msg::Reject {
                 reason: v
-                    .get("reason")
-                    .and_then(Json::as_str)
+                    .opt("reason", Json::str_at)?
                     .unwrap_or("unspecified")
                     .to_string(),
-            }),
-            other => Err(format!("unknown message tag {other:?}")),
-        }
+            },
+            other => return Err(format!("unknown message tag {other:?}")),
+        })
     }
 
     /// Encodes the message for a connection speaking `proto`.
@@ -1102,21 +1069,14 @@ impl Msg {
     }
 
     /// Decodes a frame payload in either dialect.
-    ///
-    /// `class_labels` resolves telemetry class labels exactly as
-    /// [`MetricsSnapshot::from_deterministic_value`] does (the grid runs
-    /// classifier-free workers, so callers pass `&[]`).
-    pub fn decode_with_classes(
-        payload: &[u8],
-        class_labels: &[&'static str],
-    ) -> Result<Msg, String> {
+    pub fn decode(payload: &[u8]) -> Result<Msg, String> {
         match payload.first() {
             Some(&BIN_LEASE) => {
                 let mut r = BinReader::new(&payload[1..]);
                 let lease = r.varint()?;
                 let campaign = r.varint()?;
                 let count = r.varint()?;
-                let mut indices = Vec::with_capacity(count.min(MAX_FRAME as u64) as usize);
+                let mut indices = Vec::with_capacity(r.fit(count, 1));
                 for _ in 0..count {
                     indices
                         .push(usize::try_from(r.varint()?).map_err(|_| "index overflows usize")?);
@@ -1140,11 +1100,11 @@ impl Msg {
                 let lease = r.varint()?;
                 let campaign = r.varint()?;
                 let count = r.varint()?;
-                let mut results = Vec::with_capacity(count.min(MAX_FRAME as u64) as usize);
+                let mut results = Vec::with_capacity(r.fit(count, MIN_RESULT_BYTES));
                 for _ in 0..count {
                     results.push(get_result(&mut r)?);
                 }
-                let telemetry = get_telemetry(&mut r, class_labels)?;
+                let telemetry = get_telemetry(&mut r)?;
                 r.finish()?;
                 Ok(Msg::BatchDone {
                     lease,
@@ -1159,11 +1119,6 @@ impl Msg {
             Some(&b) => Err(format!("unknown payload dialect byte {b:#04x}")),
             None => Err("empty payload".into()),
         }
-    }
-
-    /// [`Msg::decode_with_classes`] with no classifier labels.
-    pub fn decode(payload: &[u8]) -> Result<Msg, String> {
-        Self::decode_with_classes(payload, &[])
     }
 }
 
@@ -1497,6 +1452,49 @@ mod tests {
         put_varint(&mut bad, 0); // cycle
         bad.push(0xEE); // bogus outcome code
         assert!(Msg::decode(&bad).is_err());
+    }
+
+    #[test]
+    fn a_count_reserves_no_more_than_the_payload_could_hold() {
+        // The rule: elements reserved ≤ payload bytes left ÷ the shortest
+        // encoding of one, whatever the count claims.
+        let r = BinReader::new(&[0u8; 100]);
+        assert_eq!(r.fit(3, 1), 3);
+        assert_eq!(r.fit(1 << 25, 1), 100);
+        assert_eq!(r.fit(u64::MAX, 1), 100);
+        assert_eq!(r.fit(u64::MAX, MIN_RESULT_BYTES), 12);
+        assert_eq!(BinReader::new(&[]).fit(u64::MAX, 1), 0);
+        // Every real result is at least MIN_RESULT_BYTES long, so the
+        // reservation never undershoots an honest frame.
+        for (idx, r) in rich_results() {
+            let mut one = Vec::new();
+            put_result(&mut one, idx, &r);
+            assert!(one.len() >= MIN_RESULT_BYTES);
+        }
+
+        // Nine bytes claiming 2^25 results (5.1 GB of `InjectionResult`s,
+        // reserved up front before this fix) and 2^25 indices: refused at
+        // the first element that is not there.
+        for tag in [BIN_BATCH_DONE, BIN_LEASE] {
+            let mut frame = vec![tag];
+            put_varint(&mut frame, 1 << 14); // lease
+            put_varint(&mut frame, 0); // campaign
+            put_varint(&mut frame, u64::from(MAX_FRAME)); // count
+            assert_eq!(frame.len(), 9);
+            assert!(Msg::decode(&frame).is_err());
+        }
+    }
+
+    #[test]
+    fn deeply_nested_json_frames_are_refused_not_recursed_into() {
+        // Any `{`-led frame reaches the JSON parser; 100 KB of nesting used
+        // to overflow the stack of whichever thread decoded it.
+        let deep = format!("{{\"t\":{}", "[".repeat(100_000));
+        assert!(Msg::decode(deep.as_bytes())
+            .unwrap_err()
+            .contains("nesting"));
+        let deep = "{\"t\":".repeat(50_000);
+        assert!(Msg::decode(deep.as_bytes()).is_err());
     }
 
     #[test]

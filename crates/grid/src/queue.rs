@@ -15,24 +15,35 @@
 //! campaign under its original id — which is what lets the per-campaign
 //! result journals (keyed by id) resume bit-identically.
 //!
-//! Durability follows the campaign journal's rules: the header is created
+//! Durability follows the campaign journal's rules because it runs the
+//! campaign journal's code ([`SealedLog`]): the header is created
 //! atomically (temp file + `fsync` + rename, no crash window can leave a
-//! headerless file), every op append is flushed and fsynced (submissions
-//! are rare — a disk round-trip per tenant request is the right trade),
-//! and replay truncates at the first torn or corrupt line rather than
-//! trusting anything after it.
+//! headerless file), and replay truncates at the first torn, corrupt or
+//! non-UTF-8 line rather than trusting anything after it. Every op append
+//! is flushed and fsynced (submissions are rare — a disk round-trip per
+//! tenant request is the right trade).
 
 use crate::spec::SubmitSpec;
-use avgi_faultsim::journal::{seal, unseal};
-use avgi_faultsim::json::{parse, Json};
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use avgi_faultsim::journal::{seal, SealedLog};
+use avgi_faultsim::json;
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Queue format version; bumped on any incompatible record change.
 pub const QUEUE_VERSION: u64 = 1;
 
-const HEADER: &str = "{\"kind\":\"avgi-grid-queue\",\"version\":1}";
+const QUEUE_KIND: &str = "avgi-grid-queue";
+
+/// The header line's JSON: `{"kind":"avgi-grid-queue","version":1}`.
+fn header() -> String {
+    json::object(|w| {
+        w.key("kind")
+            .str(QUEUE_KIND)
+            .key("version")
+            .u64(QUEUE_VERSION);
+    })
+}
 
 /// One queued submission.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,109 +68,64 @@ impl SubmissionQueue {
     /// Opens (or atomically creates) the queue at `path` and replays it.
     ///
     /// A corrupt or torn tail is truncated — the ops before it are intact
-    /// by CRC, and everything after a torn line is unreachable anyway. A
-    /// file whose header is wrong (different kind/version, or a foreign
-    /// file) is an error, never silently rewritten.
+    /// by CRC, and everything after a torn line is unreachable anyway
+    /// ([`SealedLog`], the campaign journals' own replay). A file whose
+    /// header is damaged or wrong (different kind/version, or a foreign
+    /// file) is an error, never silently rewritten; so is a submission
+    /// still pending whose spec this build refuses — the error names its
+    /// campaign id.
     pub fn open(path: &Path) -> std::io::Result<Self> {
-        if !path.exists() {
-            // Atomic create: no crash window may leave a headerless queue.
-            let tmp = path.with_extension("tmp");
-            {
-                let mut f = File::create(&tmp)?;
-                f.write_all(seal(HEADER).as_bytes())?;
-                f.sync_all()?;
-            }
-            std::fs::rename(&tmp, path)?;
-        }
-        let mut text = String::new();
-        File::open(path)?.read_to_string(&mut text)?;
         let bad = |m: String| std::io::Error::new(std::io::ErrorKind::InvalidData, m);
+        let mut log = SealedLog::open(path, &header())?;
+        let header = log
+            .next_line()
+            .map_err(|e| bad(format!("queue has no header ({e}): {}", path.display())))?;
+        let named = |e: String| bad(format!("queue header: {e}: {}", path.display()));
+        let kind = header.str_at("kind").map_err(named)?;
+        let version = header.u64_at("version").map_err(named)?;
+        if (kind, version) != (QUEUE_KIND, QUEUE_VERSION) {
+            return Err(bad(format!(
+                "{} is a {kind} v{version} file, not an {QUEUE_KIND} v{QUEUE_VERSION}",
+                path.display()
+            )));
+        }
 
         // Specs are checked only for submissions still pending at the end:
         // one the service retired because it could not run (see
         // `Service::submit`) must not fail every later replay.
         let mut replayed: Vec<(u64, Result<SubmitSpec, String>)> = Vec::new();
         let mut next_id: u64 = 1;
-        let mut good_bytes = 0usize;
-        let mut first = true;
-        for line in text.split_inclusive('\n') {
-            let complete = line.ends_with('\n');
-            let trimmed = line.trim_end_matches('\n');
-            if trimmed.is_empty() && complete {
-                good_bytes += line.len();
-                continue;
-            }
-            let json = match (complete, unseal(trimmed)) {
-                (true, Ok(j)) => j,
-                // Torn tail or corrupt line: stop replaying here.
-                _ => break,
-            };
-            let v = match parse(json) {
-                Ok(v) => v,
-                Err(_) => break,
-            };
-            if first {
-                let kind = v.get("kind").and_then(Json::as_str);
-                let version = v.get("version").and_then(Json::as_u64);
-                if kind != Some("avgi-grid-queue") || version != Some(QUEUE_VERSION) {
-                    return Err(bad(format!(
-                        "not an avgi-grid-queue v{QUEUE_VERSION} file: {}",
-                        path.display()
-                    )));
+        while let Ok(op) = log.next_line() {
+            let id = |kind: &str| op.u64_at("id").map_err(|e| bad(format!("{kind} op: {e}")));
+            match op.str_at("op") {
+                Ok("submit") => {
+                    let id = id("submit")?;
+                    let spec = op
+                        .at("spec")
+                        .map_err(|e| bad(format!("submit op {id}: {e}")))?;
+                    next_id = next_id.max(id.saturating_add(1));
+                    replayed.push((id, SubmitSpec::from_json_value(spec)));
                 }
-                first = false;
-                good_bytes += line.len();
-                continue;
-            }
-            match v.get("op").and_then(Json::as_str) {
-                Some("submit") => {
-                    let id = v
-                        .get("id")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("submit op without id".into()))?;
-                    let spec = SubmitSpec::from_json_value(
-                        v.get("spec")
-                            .ok_or_else(|| bad("submit op without spec".into()))?,
-                    );
-                    next_id = next_id.max(id + 1);
-                    replayed.push((id, spec));
-                }
-                Some("done") => {
-                    let id = v
-                        .get("id")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("done op without id".into()))?;
-                    next_id = next_id.max(id + 1);
+                Ok("done") => {
+                    let id = id("done")?;
+                    next_id = next_id.max(id.saturating_add(1));
                     replayed.retain(|(q, _)| *q != id);
                 }
                 // An op from a future minor revision: ignore it (the CRC
                 // says it is intact; we just do not understand it).
                 _ => {}
             }
-            good_bytes += line.len();
-        }
-        if first {
-            return Err(bad(format!("queue has no header: {}", path.display())));
         }
         let pending = replayed
             .into_iter()
-            .map(|(id, spec)| {
-                Ok(QueuedCampaign {
-                    id,
-                    spec: spec.map_err(bad)?,
-                })
+            .map(|(id, spec)| match spec {
+                Ok(spec) => Ok(QueuedCampaign { id, spec }),
+                Err(e) => Err(bad(format!("pending campaign {id}: {e}"))),
             })
             .collect::<std::io::Result<Vec<_>>>()?;
-        if good_bytes < text.len() {
-            // Drop the corrupt/torn tail so appends extend a clean log.
-            let f = OpenOptions::new().write(true).open(path)?;
-            f.set_len(good_bytes as u64)?;
-            f.sync_all()?;
-        }
-        let file = OpenOptions::new().append(true).open(path)?;
         Ok(SubmissionQueue {
             path: path.to_path_buf(),
-            file,
+            file: log.into_append()?,
             pending,
             next_id,
         })
@@ -193,10 +159,10 @@ impl SubmissionQueue {
     /// cannot lose the campaign.
     pub fn submit(&mut self, spec: SubmitSpec) -> std::io::Result<u64> {
         let id = self.next_id;
-        self.append(&format!(
-            "{{\"op\":\"submit\",\"id\":{id},\"spec\":{}}}",
-            spec.to_json()
-        ))?;
+        self.append(&json::object(|w| {
+            w.key("op").str("submit").key("id").u64(id);
+            spec.write_json(w.key("spec"));
+        }))?;
         self.next_id += 1;
         self.pending.push(QueuedCampaign { id, spec });
         Ok(id)
@@ -204,7 +170,9 @@ impl SubmissionQueue {
 
     /// Durably retires a campaign (its merged result is finalized).
     pub fn complete(&mut self, id: u64) -> std::io::Result<()> {
-        self.append(&format!("{{\"op\":\"done\",\"id\":{id}}}"))?;
+        self.append(&json::object(|w| {
+            w.key("op").str("done").key("id").u64(id);
+        }))?;
         self.pending.retain(|q| q.id != id);
         Ok(())
     }
@@ -264,7 +232,7 @@ mod tests {
         // Tear the last line mid-record (classic crash shape).
         let text = std::fs::read_to_string(&path).unwrap();
         let keep = text.len() - 10;
-        let f = OpenOptions::new().write(true).open(&path).unwrap();
+        let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         f.set_len(keep as u64).unwrap();
         drop(f);
         let mut q = SubmissionQueue::open(&path).unwrap();
@@ -279,30 +247,62 @@ mod tests {
 
     #[test]
     fn mid_file_corruption_stops_replay_at_the_flip() {
-        let path = tmp_path("corrupt");
-        {
+        // 0x08 leaves the file text (only the CRC knows); 0x80 makes the
+        // flipped byte a stray UTF-8 continuation byte. Same line, same
+        // cost: the queue keeps what came before it.
+        for mask in [0x08u8, 0x80] {
+            let path = tmp_path(&format!("corrupt-{mask:02x}"));
+            {
+                let mut q = SubmissionQueue::open(&path).unwrap();
+                q.submit(spec(1)).unwrap();
+                q.submit(spec(2)).unwrap();
+                q.submit(spec(3)).unwrap();
+            }
+            // Flip a bit inside the second submission's JSON.
+            let mut bytes = std::fs::read(&path).unwrap();
+            let text = String::from_utf8(bytes.clone()).unwrap();
+            let second = text
+                .match_indices("\"op\":\"submit\"")
+                .nth(1)
+                .map(|(i, _)| i)
+                .unwrap();
+            bytes[second + 20] ^= mask;
+            std::fs::write(&path, &bytes).unwrap();
             let mut q = SubmissionQueue::open(&path).unwrap();
-            q.submit(spec(1)).unwrap();
-            q.submit(spec(2)).unwrap();
-            q.submit(spec(3)).unwrap();
+            assert_eq!(
+                q.pending().len(),
+                1,
+                "mask {mask:#04x}: everything from the corrupt line on is dropped"
+            );
+            assert_eq!(q.pending()[0].spec, spec(1));
+            // The cut is on a line boundary: the log extends cleanly.
+            assert_eq!(q.submit(spec(4)).unwrap(), 2);
+            assert_eq!(SubmissionQueue::open(&path).unwrap().pending().len(), 2);
+            let _ = std::fs::remove_file(&path);
         }
-        // Flip a bit inside the second submission's JSON.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let text = String::from_utf8(bytes.clone()).unwrap();
-        let second = text
-            .match_indices("\"op\":\"submit\"")
-            .nth(1)
-            .map(|(i, _)| i)
-            .unwrap();
-        bytes[second + 20] ^= 0x08;
-        std::fs::write(&path, &bytes).unwrap();
-        let q = SubmissionQueue::open(&path).unwrap();
-        assert_eq!(
-            q.pending().len(),
-            1,
-            "everything from the corrupt line on is dropped"
+    }
+
+    #[test]
+    fn a_pending_submission_this_build_refuses_fails_open_by_name() {
+        // What an older build could have journaled: intact, sealed, and
+        // beyond the bounds. Pending, it stops the service with an error
+        // that says which campaign; retired, it is history.
+        let path = tmp_path("out-of-bounds");
+        let hostile = "{\"op\":\"submit\",\"id\":7,\"spec\":{\"workload\":\"bitcount\",\
+                       \"structure\":\"RegFile\",\"faults\":1000000000000,\"seed\":1}}";
+        std::fs::write(&path, seal(&header()) + &seal(hostile)).unwrap();
+        let err = SubmissionQueue::open(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(
+            msg.contains("campaign 7") && msg.contains("`faults`"),
+            "{msg}"
         );
-        assert_eq!(q.pending()[0].spec, spec(1));
+        let retired = seal(&header()) + &seal(hostile) + &seal("{\"op\":\"done\",\"id\":7}");
+        std::fs::write(&path, retired).unwrap();
+        let q = SubmissionQueue::open(&path).unwrap();
+        assert!(q.pending().is_empty());
+        assert_eq!(q.next_id(), 8);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -49,7 +49,7 @@
 
 use crate::chaos::ChaosInterposer;
 use crate::error::GridError;
-use crate::http::{response, HttpBuffer, HttpPoll, HttpRequest};
+use crate::http::{error_response, response, HttpBuffer, HttpPoll, HttpRequest};
 use crate::proto::{
     frame_bytes, negotiate, FrameBuffer, FrameError, Msg, MsgKind, WireStats, MIN_PROTO_VERSION,
 };
@@ -60,8 +60,9 @@ use crate::transport::{TcpTransport, Transport};
 use crate::worker::golden_memo;
 use avgi_faultsim::campaign::golden_for;
 use avgi_faultsim::journal::{
-    check_resumed_faults, config_hash, record_line, CampaignKey, DurabilityPolicy, Journal,
+    check_resumed_faults, config_hash, write_record, CampaignKey, DurabilityPolicy, Journal,
 };
+use avgi_faultsim::json::{self, Writer};
 use avgi_faultsim::sampling::sample_faults;
 use avgi_faultsim::telemetry::{CampaignObserver, MetricsCollector, MetricsSnapshot};
 use avgi_faultsim::{run_campaign, CampaignResult, InjectionResult};
@@ -382,6 +383,9 @@ impl Service {
     /// `POST /campaigns` does, for an embedding process. Callable between
     /// [`bind`](Service::bind) and [`run`](Service::run).
     pub fn submit(&mut self, spec: SubmitSpec) -> Result<u64, GridError> {
+        // Refused before it is journaled: a submission on disk is replayed
+        // by every restart.
+        spec.validate().map_err(GridError::Spec)?;
         let id = self.queue.submit(spec.clone())?;
         if let Err(e) = self.activate(id, spec) {
             // The submission journaled but cannot run; retire it so a
@@ -1210,64 +1214,46 @@ impl Service {
     fn handle_http(&mut self, req: HttpRequest) -> Vec<u8> {
         match req {
             HttpRequest::Submit(spec) => match self.submit(spec) {
-                Ok(id) => response(201, &format!("{{\"id\":{id}}}")),
-                Err(e) => {
-                    // The service's own disk failing is a 500; anything
-                    // else is a submission that cannot run.
-                    let status = if matches!(e, GridError::Io(_)) {
-                        500
-                    } else {
-                        400
-                    };
-                    response(
-                        status,
-                        &format!(
-                            "{{\"error\":\"{}\"}}",
-                            avgi_faultsim::json::escape(&e.to_string())
-                        ),
-                    )
-                }
+                Ok(id) => response(201, |w| {
+                    w.key("id").u64(id);
+                }),
+                // The service's own disk failing is a 500; anything else is
+                // a submission that cannot run.
+                Err(e @ GridError::Io(_)) => error_response(500, &e.to_string()),
+                Err(e) => error_response(400, &e.to_string()),
             },
             HttpRequest::Status(id) => match self.campaigns.get(&id) {
-                None => response(404, &format!("{{\"error\":\"no campaign {id}\"}}")),
-                Some(run) => {
-                    let mut body = format!(
-                        "{{\"id\":{id},\"done\":{},\"workload\":\"{}\",\"structure\":\"{}\",\"faults\":{},\"completed\":{}",
-                        run.done,
-                        avgi_faultsim::json::escape(&run.spec.workload),
-                        run.spec.structure.ident(),
-                        run.results.len(),
-                        run.completed(),
-                    );
+                None => error_response(404, &format!("no campaign {id}")),
+                Some(run) => response(200, |w| {
+                    w.key("id").u64(id);
+                    w.key("done").bool(run.done);
+                    w.key("workload").str(&run.spec.workload);
+                    w.key("structure").str(run.spec.structure.ident());
+                    w.key("faults").usize(run.results.len());
+                    w.key("completed").usize(run.completed());
                     if let Some(report) = &run.report {
-                        body.push_str(",\"report\":");
-                        body.push_str(report);
+                        w.key("report").raw(report);
                     }
-                    body.push('}');
-                    response(200, &body)
-                }
+                }),
             },
-            HttpRequest::Fleet => {
-                let campaigns = self
-                    .statuses()
-                    .iter()
-                    .map(|s| {
-                        format!(
-                            "{{\"id\":{},\"done\":{},\"faults\":{},\"completed\":{}}}",
-                            s.id, s.done, s.faults, s.completed
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(",");
-                let body = format!(
-                    "{{\"workers\":{},\"sessions\":{},\"campaigns\":[{campaigns}],\"wire\":{{\"v2\":{},\"v3\":{}}}}}",
-                    self.conns.len(),
-                    self.sessions.len(),
-                    wire_json(&self.wire_v2),
-                    wire_json(&self.wire_v3),
-                );
-                response(200, &body)
-            }
+            HttpRequest::Fleet => response(200, |w| {
+                w.key("workers").usize(self.conns.len());
+                w.key("sessions").usize(self.sessions.len());
+                w.key("campaigns").array(|w| {
+                    for s in self.statuses() {
+                        w.object(|w| {
+                            w.key("id").u64(s.id);
+                            w.key("done").bool(s.done);
+                            w.key("faults").usize(s.faults);
+                            w.key("completed").usize(s.completed);
+                        });
+                    }
+                });
+                w.key("wire").object(|w| {
+                    write_wire(w.key("v2"), &self.wire_v2);
+                    write_wire(w.key("v3"), &self.wire_v3);
+                });
+            }),
         }
     }
 }
@@ -1283,21 +1269,20 @@ fn idle_wait(idle_ticks: u32) -> Duration {
     Duration::from_micros(2_000 >> 4u32.saturating_sub(idle_ticks))
 }
 
-/// Serializes per-kind wire tallies for the `/fleet` endpoint.
-fn wire_json(wire: &WireStats) -> String {
-    let mut parts = Vec::new();
-    for kind in [MsgKind::Lease, MsgKind::BatchDone, MsgKind::Heartbeat] {
-        let (frames, bytes) = wire.of(kind);
-        parts.push(format!(
-            "\"{}\":{{\"frames\":{frames},\"bytes\":{bytes}}}",
-            kind.name()
-        ));
+/// Writes per-kind wire tallies for the `/fleet` endpoint.
+fn write_wire(w: &mut Writer<'_>, wire: &WireStats) {
+    fn tally(w: &mut Writer<'_>, name: &str, (frames, bytes): (u64, u64)) {
+        w.key(name).object(|w| {
+            w.key("frames").u64(frames);
+            w.key("bytes").u64(bytes);
+        });
     }
-    let (frames, bytes) = wire.total();
-    parts.push(format!(
-        "\"total\":{{\"frames\":{frames},\"bytes\":{bytes}}}"
-    ));
-    format!("{{{}}}", parts.join(","))
+    w.object(|w| {
+        for kind in [MsgKind::Lease, MsgKind::BatchDone, MsgKind::Heartbeat] {
+            tally(w, kind.name(), wire.of(kind));
+        }
+        tally(w, "total", wire.total());
+    });
 }
 
 /// The finished campaign's report: every result in index order (the exact
@@ -1341,17 +1326,17 @@ fn report_json<'a>(
     results: impl Iterator<Item = &'a InjectionResult>,
     telemetry: &MetricsSnapshot,
 ) -> String {
-    let records = results
-        .enumerate()
-        .map(|(i, r)| record_line(i, r).trim_end().to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{{\"workload\":\"{}\",\"structure\":\"{}\",\"golden_cycles\":{golden_cycles},\"results\":[{records}],\"telemetry\":{}}}",
-        avgi_faultsim::json::escape(workload),
-        structure.ident(),
-        telemetry.deterministic_counters_json(),
-    )
+    json::object(|w| {
+        w.key("workload").str(workload);
+        w.key("structure").str(structure.ident());
+        w.key("golden_cycles").u64(golden_cycles);
+        w.key("results").array(|w| {
+            for (i, r) in results.enumerate() {
+                write_record(w, i, r);
+            }
+        });
+        telemetry.write_deterministic(w.key("telemetry"));
+    })
 }
 
 /// Runs `spec` single-process: the reference every distributed outcome of
@@ -1415,6 +1400,65 @@ mod tests {
         // A restart must not resurrect it either.
         drop(svc);
         assert!(SubmissionQueue::open(&queue).unwrap().pending().is_empty());
+        let _ = std::fs::remove_file(&queue);
+    }
+
+    #[test]
+    fn an_out_of_bounds_submission_is_refused_before_it_is_journaled() {
+        // The in-process door. Journaled first (as the decoder-less door
+        // used to), `faults: 10^12` would abort in `sample_faults` before
+        // the retire-on-error path could run, and again on every restart.
+        let queue = std::env::temp_dir().join(format!(
+            "avgi-grid-bounds-queue-{}.jsonl",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&queue);
+        let mut svc = Service::bind(ServiceConfig {
+            queue: queue.clone(),
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let fresh = std::fs::read(&queue).unwrap();
+        let base = SubmitSpec::new("bitcount", Structure::RegFile, 8, 1);
+        for (field, hostile) in [
+            (
+                "faults",
+                SubmitSpec {
+                    faults: 1_000_000_000_000,
+                    ..base.clone()
+                },
+            ),
+            (
+                "faults",
+                SubmitSpec {
+                    faults: 0,
+                    ..base.clone()
+                },
+            ),
+            (
+                "checkpoints",
+                SubmitSpec {
+                    checkpoints: u32::MAX,
+                    ..base.clone()
+                },
+            ),
+            (
+                "burst",
+                SubmitSpec {
+                    burst_width: crate::spec::MAX_BURST + 1,
+                    ..base.clone()
+                },
+            ),
+        ] {
+            match svc.submit(hostile) {
+                Err(GridError::Spec(m)) => assert!(m.contains(&format!("`{field}`")), "{m}"),
+                other => panic!("{field}: expected a refused spec, got {other:?}"),
+            }
+        }
+        assert_eq!(std::fs::read(&queue).unwrap(), fresh, "nothing journaled");
+        assert_eq!(svc.queue.next_id(), 1, "no id spent");
+        assert!(svc.statuses().is_empty());
+        assert_eq!(svc.stats.campaigns_submitted, 0);
         let _ = std::fs::remove_file(&queue);
     }
 

@@ -12,7 +12,8 @@
 //! campaign instead of contributing wrong results.
 
 use avgi_faultsim::campaign::RunMode;
-use avgi_faultsim::json::Json;
+use avgi_faultsim::journal::{read_mode, structure_at, write_mode};
+use avgi_faultsim::json::{self, Json, Writer};
 use avgi_faultsim::CampaignConfig;
 use avgi_muarch::config::MuarchConfig;
 use avgi_muarch::fault::Structure;
@@ -47,6 +48,13 @@ impl ConfigPreset {
             "small" => Some(ConfigPreset::Small),
             _ => None,
         }
+    }
+
+    /// Reads the optional `preset` field of a spec document.
+    fn read(v: &Json) -> Result<Option<Self>, String> {
+        v.opt("preset", Json::str_at)?
+            .map(|name| Self::from_ident(name).ok_or_else(|| format!("unknown `preset` {name:?}")))
+            .transpose()
     }
 
     /// Builds the configuration this preset names.
@@ -106,70 +114,68 @@ impl CampaignSpec {
         ccfg
     }
 
-    /// Serializes the spec (embedded in the `welcome` frame).
+    /// Writes the spec object (embedded in the `welcome` and `spec` frames).
+    pub fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(|w| {
+            w.key("workload").str(&self.workload);
+            w.key("workload_id").usize(self.workload_id);
+            w.key("preset").str(self.preset.ident());
+            w.key("structure").str(self.structure.ident());
+            w.key("faults").usize(self.faults);
+            w.key("seed").u64(self.seed);
+            write_mode(w, self.mode);
+            w.key("burst").u64(self.burst_width.into());
+            w.key("checkpoints").u64(self.checkpoints.into());
+            w.key("golden_cycles").u64(self.golden_cycles);
+            w.key("config_hash").u64(self.config_hash);
+            w.key("lease_timeout_ms").u64(self.lease_timeout_ms);
+        });
+    }
+
+    /// [`write_json`](Self::write_json) into a fresh string.
     pub fn to_json(&self) -> String {
-        let (mode, ert) = match self.mode {
-            RunMode::EndToEnd => ("EndToEnd", None),
-            RunMode::Instrumented => ("Instrumented", None),
-            RunMode::FirstDeviation { ert_window } => ("FirstDeviation", ert_window),
-        };
-        let ert = ert.map_or_else(|| "null".to_string(), |n| n.to_string());
-        format!(
-            "{{\"workload\":\"{}\",\"workload_id\":{},\"preset\":\"{}\",\"structure\":\"{}\",\"faults\":{},\"seed\":{},\"mode\":\"{mode}\",\"ert_window\":{ert},\"burst\":{},\"checkpoints\":{},\"golden_cycles\":{},\"config_hash\":{},\"lease_timeout_ms\":{}}}",
-            avgi_faultsim::json::escape(&self.workload),
-            self.workload_id,
-            self.preset.ident(),
-            self.structure.ident(),
-            self.faults,
-            self.seed,
-            self.burst_width,
-            self.checkpoints,
-            self.golden_cycles,
-            self.config_hash,
-            self.lease_timeout_ms,
-        )
+        json::to_string(|w| self.write_json(w))
     }
 
     /// Decodes a spec from an already-parsed JSON value.
     pub fn from_json_value(v: &Json) -> Result<Self, String> {
-        let int = |key: &str| {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("spec: missing `{key}`"))
+        let spec = || -> Result<Self, String> {
+            Ok(CampaignSpec {
+                workload: v.str_at("workload")?.to_string(),
+                workload_id: v.usize_at("workload_id")?,
+                preset: ConfigPreset::read(v)?.ok_or("missing `preset`")?,
+                structure: structure_at(v, "structure")?,
+                faults: v.usize_at("faults")?,
+                seed: v.u64_at("seed")?,
+                mode: read_mode(v)?.ok_or("missing `mode`")?,
+                burst_width: v.u32_at("burst")?,
+                checkpoints: v.u32_at("checkpoints")?,
+                golden_cycles: v.u64_at("golden_cycles")?,
+                config_hash: v.u64_at("config_hash")?,
+                lease_timeout_ms: v.u64_at("lease_timeout_ms")?,
+            })
         };
-        let s = |key: &str| {
-            v.get(key)
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("spec: missing `{key}`"))
-        };
-        let ert = match v.get("ert_window") {
-            None | Some(Json::Null) => None,
-            Some(w) => Some(w.as_u64().ok_or("spec: bad ert_window")?),
-        };
-        let mode = match s("mode")? {
-            "EndToEnd" => RunMode::EndToEnd,
-            "Instrumented" => RunMode::Instrumented,
-            "FirstDeviation" => RunMode::FirstDeviation { ert_window: ert },
-            other => return Err(format!("spec: unknown mode {other:?}")),
-        };
-        Ok(CampaignSpec {
-            workload: s("workload")?.to_string(),
-            workload_id: int("workload_id")? as usize,
-            preset: ConfigPreset::from_ident(s("preset")?)
-                .ok_or_else(|| "spec: unknown preset".to_string())?,
-            structure: Structure::from_ident(s("structure")?)
-                .ok_or_else(|| "spec: unknown structure".to_string())?,
-            faults: int("faults")? as usize,
-            seed: int("seed")?,
-            mode,
-            burst_width: int("burst")? as u32,
-            checkpoints: int("checkpoints")? as u32,
-            golden_cycles: int("golden_cycles")?,
-            config_hash: int("config_hash")?,
-            lease_timeout_ms: int("lease_timeout_ms")?,
-        })
+        spec().map_err(|e| format!("spec: {e}"))
     }
 }
+
+/// Most injections one submission may ask for. A campaign costs the service
+/// its sampled fault list (24 B per fault) plus one result slot per fault
+/// (≈ 150 B) from activation on, and the paper's assessments are a few
+/// thousand injections per structure; 2²⁰ is 500× that and ≈ 180 MB.
+/// Unbounded, `"faults":1000000000000` asks `sample_faults` for 24 TB.
+pub const MAX_FAULTS: usize = 1 << 20;
+
+/// Most checkpoints one submission may ask for. Every worker leased the
+/// campaign reserves one `Snapshot` (≈ 1.7 KB) per checkpoint before it
+/// takes the first; the default is 8, and past a thousand the snapshots
+/// cost more than the prefix cycles they save.
+pub const MAX_CHECKPOINTS: u32 = 1024;
+
+/// Widest multi-bit burst one submission may ask for: one machine word of
+/// adjacent bits. The paper's multi-bit study (§VII.A) uses 2–4; every run
+/// materialises its burst as a fault list, so the width is an allocation.
+pub const MAX_BURST: u32 = 64;
 
 /// A tenant's campaign submission: what `POST /campaigns` accepts, what
 /// the durable submission queue journals, and what `grid_submit` sends.
@@ -241,92 +247,92 @@ impl SubmitSpec {
         }
     }
 
-    /// Serializes the submission (HTTP body / queue journal record).
-    pub fn to_json(&self) -> String {
-        let (mode, ert) = match self.mode {
-            RunMode::EndToEnd => ("EndToEnd", None),
-            RunMode::Instrumented => ("Instrumented", None),
-            RunMode::FirstDeviation { ert_window } => ("FirstDeviation", ert_window),
+    /// Refuses a submission the service could not carry: every campaign
+    /// must be positive in size and within [`MAX_FAULTS`],
+    /// [`MAX_CHECKPOINTS`] and [`MAX_BURST`]. Both doors run it before
+    /// anything is journaled — the decoder (HTTP body, queue replay) and
+    /// [`Service::submit`](crate::Service::submit) (in-process).
+    pub fn validate(&self) -> Result<(), String> {
+        let within = |field: &str, value: u64, max: u64| {
+            if value > max {
+                return Err(format!("`{field}` is {value}, above the limit of {max}"));
+            }
+            Ok(())
         };
-        let ert = ert.map_or_else(|| "null".to_string(), |n| n.to_string());
-        format!(
-            "{{\"workload\":\"{}\",\"preset\":\"{}\",\"structure\":\"{}\",\"faults\":{},\"seed\":{},\"mode\":\"{mode}\",\"ert_window\":{ert},\"burst\":{},\"checkpoints\":{},\"priority\":{},\"weight\":{},\"quota\":{}}}",
-            avgi_faultsim::json::escape(&self.workload),
-            self.preset.ident(),
-            self.structure.ident(),
-            self.faults,
-            self.seed,
-            self.burst_width,
-            self.checkpoints,
-            self.priority,
-            self.weight,
-            self.quota,
-        )
+        if self.faults == 0 {
+            return Err("`faults` must be positive".into());
+        }
+        within("faults", self.faults as u64, MAX_FAULTS as u64)?;
+        within(
+            "checkpoints",
+            self.checkpoints.into(),
+            MAX_CHECKPOINTS.into(),
+        )?;
+        within("burst", self.burst_width.into(), MAX_BURST.into())
     }
 
-    /// Decodes a submission from an already-parsed JSON value. The
-    /// scheduling knobs, preset, mode, burst, and checkpoints are optional
-    /// (defaults as in [`SubmitSpec::new`]); the campaign identity fields
-    /// are required.
+    /// Writes the submission object (HTTP body / queue journal record).
+    pub fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(|w| {
+            w.key("workload").str(&self.workload);
+            w.key("preset").str(self.preset.ident());
+            w.key("structure").str(self.structure.ident());
+            w.key("faults").usize(self.faults);
+            w.key("seed").u64(self.seed);
+            write_mode(w, self.mode);
+            w.key("burst").u64(self.burst_width.into());
+            w.key("checkpoints").u64(self.checkpoints.into());
+            w.key("priority").u64(self.priority.into());
+            w.key("weight").u64(self.weight.into());
+            w.key("quota").usize(self.quota);
+        });
+    }
+
+    /// [`write_json`](Self::write_json) into a fresh string.
+    pub fn to_json(&self) -> String {
+        json::to_string(|w| self.write_json(w))
+    }
+
+    /// Decodes and [`validate`](Self::validate)s a submission from an
+    /// already-parsed JSON value. The scheduling knobs, preset, mode,
+    /// burst, and checkpoints are optional (defaults as in
+    /// [`SubmitSpec::new`]); the campaign identity fields are required.
+    /// Every integer is range-checked against its field's type — nothing is
+    /// narrowed silently.
     pub fn from_json_value(v: &Json) -> Result<Self, String> {
-        let int = |key: &str| {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("submit: missing `{key}`"))
+        let spec = || -> Result<Self, String> {
+            let workload = v.str_at("workload")?;
+            if !avgi_workloads::NAMES.contains(&workload) {
+                return Err(format!("unknown workload `{workload}`"));
+            }
+            let d = SubmitSpec::new(
+                workload,
+                structure_at(v, "structure")?,
+                v.usize_at("faults")?,
+                v.u64_at("seed")?,
+            );
+            let u32_or = |key: &str, default: u32| -> Result<u32, String> {
+                Ok(v.opt(key, Json::u32_at)?.unwrap_or(default))
+            };
+            let spec = SubmitSpec {
+                preset: ConfigPreset::read(v)?.unwrap_or(d.preset),
+                mode: read_mode(v)?.unwrap_or(d.mode),
+                burst_width: u32_or("burst", d.burst_width)?,
+                checkpoints: u32_or("checkpoints", d.checkpoints)?,
+                priority: u32_or("priority", d.priority)?,
+                weight: u32_or("weight", d.weight)?.max(1),
+                quota: v.opt("quota", Json::usize_at)?.unwrap_or(d.quota),
+                ..d
+            };
+            spec.validate()?;
+            Ok(spec)
         };
-        let opt_int = |key: &str, default: u64| match v.get(key) {
-            None | Some(Json::Null) => Ok(default),
-            Some(n) => n.as_u64().ok_or_else(|| format!("submit: bad `{key}`")),
-        };
-        let workload = v
-            .get("workload")
-            .and_then(Json::as_str)
-            .ok_or("submit: missing `workload`")?
-            .to_string();
-        if !avgi_workloads::NAMES.contains(&workload.as_str()) {
-            return Err(format!("submit: unknown workload `{workload}`"));
-        }
-        let structure = v
-            .get("structure")
-            .and_then(Json::as_str)
-            .and_then(Structure::from_ident)
-            .ok_or("submit: missing or unknown `structure`")?;
-        let preset = match v.get("preset").and_then(Json::as_str) {
-            None => ConfigPreset::Big,
-            Some(p) => ConfigPreset::from_ident(p).ok_or("submit: unknown preset")?,
-        };
-        let ert = match v.get("ert_window") {
-            None | Some(Json::Null) => None,
-            Some(w) => Some(w.as_u64().ok_or("submit: bad ert_window")?),
-        };
-        let mode = match v.get("mode").and_then(Json::as_str) {
-            None | Some("Instrumented") => RunMode::Instrumented,
-            Some("EndToEnd") => RunMode::EndToEnd,
-            Some("FirstDeviation") => RunMode::FirstDeviation { ert_window: ert },
-            Some(other) => return Err(format!("submit: unknown mode {other:?}")),
-        };
-        let faults = int("faults")? as usize;
-        if faults == 0 {
-            return Err("submit: `faults` must be positive".into());
-        }
-        Ok(SubmitSpec {
-            workload,
-            preset,
-            structure,
-            faults,
-            seed: int("seed")?,
-            mode,
-            burst_width: opt_int("burst", 1)? as u32,
-            checkpoints: opt_int("checkpoints", 8)? as u32,
-            priority: opt_int("priority", 0)? as u32,
-            weight: opt_int("weight", 1)?.max(1) as u32,
-            quota: opt_int("quota", 0)? as usize,
-        })
+        spec().map_err(|e| format!("submit: {e}"))
     }
 
     /// Decodes a submission from JSON text.
     pub fn from_json(s: &str) -> Result<Self, String> {
-        Self::from_json_value(&avgi_faultsim::json::parse(s)?)
+        Self::from_json_value(&json::parse(s).map_err(|e| format!("submit: {e}"))?)
     }
 }
 

@@ -832,3 +832,43 @@ fn finished_campaigns_hold_no_journal_descriptor_and_still_serve_their_reports()
     let _ = worker.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn hostile_submissions_get_a_400_and_leave_the_queue_and_the_service_alone() {
+    // Three bodies that each used to take the process down — a stack
+    // overflow in the parser, 24 TB of fault list in `activate`, 6.7 TB of
+    // snapshots on every worker — the last two *after* being journaled, so
+    // every restart replayed them.
+    let dir = scratch("hostile-submit");
+    let svc = Harness::start(&dir, 8, None);
+    let honest = SubmitSpec::new("bitcount", Structure::RegFile, 8, 0x600D);
+    let before = submit(svc.http, &honest);
+    let queue = dir.join("queue.jsonl");
+    let journaled = std::fs::read(&queue).unwrap();
+
+    let faults = r#"{"workload":"bitcount","structure":"RegFile","faults":1000000000000,"seed":1}"#;
+    let checkpoints = r#"{"workload":"bitcount","structure":"RegFile","faults":8,"seed":1,"checkpoints":4000000000}"#;
+    for (body, names) in [
+        ("[".repeat(100_000), "nesting"),
+        (faults.to_string(), "`faults`"),
+        (checkpoints.to_string(), "`checkpoints`"),
+    ] {
+        let request = format!(
+            "POST /campaigns HTTP/1.1\r\nHost: svc\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let (status, resp) = http(svc.http, request).expect("service reachable");
+        assert_eq!(status, 400, "{resp}");
+        assert!(resp.contains(names), "{resp}");
+    }
+    assert_eq!(std::fs::read(&queue).unwrap(), journaled);
+
+    // Still serving, and the next id is the next id.
+    assert_eq!(submit(svc.http, &honest), before + 1);
+    let stats = svc.finish();
+    assert_eq!(stats.campaigns_submitted, 2);
+    // A restart replays two submissions, not five.
+    let pending = SubmissionQueue::open(&queue).unwrap();
+    assert_eq!(pending.pending().len(), 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
