@@ -4,10 +4,15 @@
 //! (reference substrate, interpreter identity, pipeline identity, campaign
 //! equality across verification tiers) and then
 //! [`avgi_faultsim::run_xcheck`] (batched vs. unbatched engine, fork
-//! anatomy) on the same campaign, and exits non-zero on the first
-//! divergence. The exhaustive versions of both live in `cargo test`
-//! (`faultsim/src/xcheck.rs`, `faultsim/tests/batched_equivalence.rs`); this
-//! command is the seconds-cheap gate that keeps every push honest.
+//! anatomy, run to the end) on the same campaign, and exits non-zero on the
+//! first divergence. That campaign is the production mode, whose ERT window
+//! keeps every run away from the convergence exit, so `run_xcheck` runs once
+//! more on the same faults as an end-to-end campaign and its `converge` line
+//! says how many runs took the golden's ending and were equal to their run
+//! to the end — none taking it fails the gate like a mismatch does. The
+//! exhaustive versions live in `cargo test` (`faultsim/src/xcheck.rs`,
+//! `faultsim/tests/{batched_equivalence,convergence}.rs`); this command is
+//! the seconds-cheap gate that keeps every push honest.
 
 use crate::args::{preset, workload_list, FromArg};
 use crate::GoldenCache;
@@ -47,6 +52,22 @@ pub fn run(mut a: crate::Args) -> ExitCode {
         match run_xcheck(w, &cfg, &golden, &ccfg) {
             Ok(r) => println!("{r}"),
             Err(e) => return fail("batched engine", e),
+        }
+        let end_to_end = CampaignConfig::new(Structure::RegFile, faults, RunMode::EndToEnd);
+        match run_xcheck(w, &cfg, &golden, &end_to_end) {
+            Ok(r) if r.converged == 0 => {
+                return fail("convergence", "no run took the exit".to_string())
+            }
+            Ok(r) => println!(
+                "converge `{}`: {} runs, {} converged, {} cycles charged, {} simulated, \
+                 mismatches 0",
+                w.name,
+                r.runs_compared,
+                r.converged,
+                r.cycles_charged,
+                r.cycles_charged - r.cycles_skipped
+            ),
+            Err(e) => return fail("convergence", e),
         }
     }
     println!(

@@ -381,7 +381,18 @@ pub fn campaign(
     args: &ExpArgs,
 ) -> CampaignResult {
     let ccfg = CampaignConfig::new(structure, args.faults, mode).with_seed(args.seed);
-    let c = run_campaign(workload, cfg, golden, &ccfg);
+    campaign_under(workload, cfg, golden, &ccfg)
+}
+
+/// Runs the campaign `ccfg` describes — observer and all — and reports its
+/// health.
+pub fn campaign_under(
+    workload: &Workload,
+    cfg: &MuarchConfig,
+    golden: &Arc<GoldenRun>,
+    ccfg: &CampaignConfig,
+) -> CampaignResult {
+    let c = run_campaign(workload, cfg, golden, ccfg);
     report_campaign_health(&c);
     c
 }

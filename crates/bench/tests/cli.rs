@@ -113,6 +113,29 @@ fn a_figure_command_runs_each_interleaved_shard_and_refuses_one_past_the_last() 
     assert!(stderr(&out).contains("--shard wants I/N, got `2/2`"));
 }
 
+/// The CI "xtier" step's invocation: besides its `xtier` and `xcheck` lines,
+/// each workload must report runs that took the convergence exit, every one
+/// equal to its run to the end.
+#[test]
+fn xtier_check_exercises_the_convergence_exit() {
+    let out = avgi(&[
+        "xtier_check",
+        "--workloads",
+        "bitcount,crc32",
+        "--faults",
+        "24",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = String::from_utf8_lossy(&out.stdout);
+    for workload in ["bitcount", "crc32"] {
+        let line = (text.lines())
+            .find(|l| l.starts_with(&format!("converge `{workload}`: 24 runs, ")))
+            .unwrap_or_else(|| panic!("no converge line for {workload}:\n{text}"));
+        assert!(line.ends_with(", mismatches 0"), "{line}");
+        assert!(!line.contains(" 0 converged"), "{line}");
+    }
+}
+
 /// The command word of every `run`/`runm` line of a script and of every
 /// `./target/release/avgi` invocation.
 fn commands_named_in(text: &str) -> Vec<String> {

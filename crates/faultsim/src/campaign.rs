@@ -333,6 +333,13 @@ impl CheckpointSet {
         }
     }
 
+    /// The snapshots strictly after `cycle`, in cycle order: the golden
+    /// machine at every later point a run injected at `cycle` can be
+    /// compared with it ([`Sim::converged_with`]).
+    pub fn after(&self, cycle: u64) -> &[Snapshot] {
+        &self.snaps[self.cycles.partition_point(|&c| c <= cycle)..]
+    }
+
     /// The snapshot at `index` (panics if out of range).
     pub fn snapshot(&self, index: usize) -> &Snapshot {
         &self.snaps[index]
@@ -733,13 +740,54 @@ impl Engine<'_> {
     /// Arms `fault` on a positioned simulator, runs it to the end the mode
     /// prescribes and turns the report into a result — the one
     /// run-finishing step both execution paths share.
-    fn finish(&self, sim: &mut Sim, fault: Fault) -> InjectionResult {
+    ///
+    /// `future` is the golden machine at the checkpoints after the
+    /// injection cycle ([`CheckpointSet::after`]; empty for a run that did
+    /// not resume from a set). The run stops at each on its way and, the
+    /// first time its live state equals the golden's
+    /// ([`Sim::converged_with`]), takes the golden's ending instead of
+    /// simulating it: the model is deterministic, so that is the ending it
+    /// would reach. The cycles not simulated are still charged — a result
+    /// never shows which way it was produced — and reported apart, through
+    /// [`CampaignObserver::on_converged`]. A run under an ERT window ends by
+    /// its own history within that window and is not compared.
+    fn finish(&self, sim: &mut Sim, fault: Fault, future: &[Snapshot]) -> InjectionResult {
         inject_burst(sim, fault, self.ccfg.burst_width, self.cfg);
-        let report = sim.run(&control_for(
-            self.ccfg.mode,
-            self.golden,
-            self.ccfg.wall_budget,
-        ));
+        let ctl = control_for(self.ccfg.mode, self.golden, self.ccfg.wall_budget);
+        let deadline = ctl.deadline();
+        let future = if ctl.ert_window.is_some() {
+            &[]
+        } else {
+            future
+        };
+        let mut ended = None;
+        for snap in future {
+            ended = sim.advance(snap.cycle(), &ctl, deadline);
+            if ended.is_some() {
+                break;
+            }
+            if sim.converged_with(snap) {
+                let golden = self.golden;
+                self.observer
+                    .on_converged(self.ccfg.structure, golden.cycles - snap.cycle());
+                if let Some(oracle) = &self.oracle {
+                    oracle.check_completed(&fault, &golden.output, &golden.output);
+                }
+                return InjectionResult {
+                    fault,
+                    outcome: RunOutcome::Completed,
+                    deviation: sim.first_deviation(),
+                    output_matches: Some(true),
+                    cycles: golden.cycles,
+                    post_inject_cycles: golden.cycles.saturating_sub(fault.cycle),
+                    abort_message: None,
+                };
+            }
+        }
+        let outcome = ended
+            .or_else(|| sim.advance(u64::MAX, &ctl, deadline))
+            .expect("an unbounded advance ends only with an outcome");
+        let report = sim.report(outcome, &ctl);
         if let Some(oracle) = &self.oracle {
             if let Some(output) = report.output.as_ref() {
                 oracle.check_completed(&fault, output, &self.golden.output);
@@ -769,10 +817,15 @@ impl Engine<'_> {
         checkpointed: bool,
     ) -> InjectionResult {
         match self.checkpoints.filter(|_| checkpointed) {
-            Some(set) => self.finish(rewind(scratch, set.nearest(fault.cycle)), fault),
+            Some(set) => self.finish(
+                rewind(scratch, set.nearest(fault.cycle)),
+                fault,
+                set.after(fault.cycle),
+            ),
             None => self.finish(
                 &mut Sim::new(&self.workload.program, self.cfg.clone()),
                 fault,
+                &[],
             ),
         }
     }
@@ -813,8 +866,8 @@ impl Engine<'_> {
     }
 
     /// The batched path: executes the runs `unit` names, all resuming from
-    /// `snap` and sorted ascending by injection cycle, off one shared
-    /// fault-free prefix.
+    /// `set`'s snapshot `snap_idx` and sorted ascending by injection cycle,
+    /// off one shared fault-free prefix.
     ///
     /// The carrier advances fault-free from the checkpoint; each run forks
     /// off it at the *beginning* of its injection cycle, arms its fault, and
@@ -833,9 +886,11 @@ impl Engine<'_> {
         &self,
         faults: &[Fault],
         unit: &[usize],
-        snap: &Snapshot,
+        set: &CheckpointSet,
+        snap_idx: usize,
         sims: &mut WorkerSims,
     ) -> Vec<(usize, InjectionResult, Duration)> {
+        let snap = set.snapshot(snap_idx);
         let prefix_ctl = control_for(self.ccfg.mode, self.golden, None);
         // Position the carrier at the batch's checkpoint (journaled restore
         // when the previous batch used the same snapshot).
@@ -859,7 +914,8 @@ impl Engine<'_> {
                     if let Some(f) = fork.as_mut() {
                         f.restore_from_sim(carrier);
                     }
-                    Some(self.finish(fork.get_or_insert_with(|| carrier.clone()), fault))
+                    let fork = fork.get_or_insert_with(|| carrier.clone());
+                    Some(self.finish(fork, fault, set.after(fault.cycle)))
                 });
                 match attempt {
                     Ok(Some(r)) => batched = Some(r),
@@ -970,9 +1026,8 @@ impl Engine<'_> {
                                 // journal append is a syscall, and one between
                                 // every two short runs is measurably slower
                                 // (`engine_rob_sha_journaled`).
-                                let snap = set.snapshot(snap_idx);
-                                for (i, r, elapsed) in self.run_batch(faults, unit, snap, &mut sims)
-                                {
+                                let done = self.run_batch(faults, unit, set, snap_idx, &mut sims);
+                                for (i, r, elapsed) in done {
                                     record(i, r, elapsed);
                                 }
                             }

@@ -411,6 +411,13 @@ pub trait CampaignObserver: Send + Sync {
     /// path they actually got.
     fn on_batching_disabled(&self, _reason: &str) {}
 
+    /// A run's live machine state equalled the golden's at a checkpoint, so
+    /// it took the golden's ending there: `skipped_cycles` of the cycles its
+    /// result is charged (`post_inject_cycles`) were not simulated. Fired
+    /// before the run's `on_run`. How often it fires depends on the
+    /// checkpoint count — a cost knob, like batching — not on the campaign.
+    fn on_converged(&self, _structure: Structure, _skipped_cycles: u64) {}
+
     /// The campaign finished (all planned runs accounted for).
     fn on_campaign_end(&self, _structure: Structure) {}
 }
@@ -436,6 +443,8 @@ pub struct MetricsCollector {
     resumed: AtomicU64,
     retries: AtomicU64,
     batching_disabled: AtomicU64,
+    converged_runs: AtomicU64,
+    cycles_skipped: AtomicU64,
     workers: AtomicU64,
     outcomes: [AtomicU64; OUTCOME_LABELS.len()],
     structures: [AtomicU64; 12],
@@ -462,6 +471,8 @@ impl MetricsCollector {
             resumed: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             batching_disabled: AtomicU64::new(0),
+            converged_runs: AtomicU64::new(0),
+            cycles_skipped: AtomicU64::new(0),
             workers: AtomicU64::new(0),
             outcomes: std::array::from_fn(|_| AtomicU64::new(0)),
             structures: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -515,6 +526,8 @@ impl MetricsCollector {
             resumed: self.resumed.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
             batching_disabled: self.batching_disabled.load(Ordering::Relaxed),
+            converged_runs: self.converged_runs.load(Ordering::Relaxed),
+            cycles_skipped: self.cycles_skipped.load(Ordering::Relaxed),
             workers: self.workers.load(Ordering::Relaxed),
             elapsed: self.elapsed(),
             outcomes: OUTCOME_LABELS
@@ -564,6 +577,12 @@ impl CampaignObserver for MetricsCollector {
         self.batching_disabled.fetch_add(1, Ordering::Relaxed);
     }
 
+    fn on_converged(&self, _structure: Structure, skipped_cycles: u64) {
+        self.converged_runs.fetch_add(1, Ordering::Relaxed);
+        self.cycles_skipped
+            .fetch_add(skipped_cycles, Ordering::Relaxed);
+    }
+
     fn on_worker_pool(&self, workers: usize) {
         // One collector may observe several consecutive campaigns; keep the
         // widest pool seen.
@@ -597,6 +616,16 @@ pub struct MetricsSnapshot {
     /// campaign identity, so — like `workers` — it is excluded from the
     /// deterministic subset and its wire format.
     pub batching_disabled: u64,
+    /// Freshly executed runs that took the golden's ending at a checkpoint
+    /// instead of simulating it, and …
+    pub converged_runs: u64,
+    /// … the cycles they did not simulate. Their `post_inject_cycles` still
+    /// charge what a run to the end costs, so `Σ post_inject_cycles −
+    /// cycles_skipped` is what the engine simulated. Both depend on the
+    /// checkpoint count (and on what a journal replayed), not on the
+    /// campaign identity, so like `batching_disabled` they are excluded
+    /// from the deterministic subset and its wire format.
+    pub cycles_skipped: u64,
     /// Widest effective worker pool observed (0 until an engine reports
     /// one). Host-dependent, so excluded from the deterministic subset.
     pub workers: u64,
@@ -677,6 +706,13 @@ impl MetricsSnapshot {
             self.aborted(),
             self.retries
         );
+        if self.converged_runs > 0 {
+            let _ = write!(
+                line,
+                " | converged {} ({} cycles skipped)",
+                self.converged_runs, self.cycles_skipped
+            );
+        }
         line
     }
 
@@ -716,6 +752,8 @@ impl MetricsSnapshot {
             w.key("retries").u64(self.retries);
             w.key("aborted").u64(self.aborted());
             w.key("batching_disabled").u64(self.batching_disabled);
+            w.key("converged_runs").u64(self.converged_runs);
+            w.key("cycles_skipped").u64(self.cycles_skipped);
             w.key("workers").u64(self.workers);
             w.key("elapsed_us").u64(micros(self.elapsed));
             w.key("runs_per_sec").f64(self.runs_per_sec(), 1);
@@ -759,6 +797,8 @@ impl MetricsSnapshot {
             resumed: 0,
             retries: 0,
             batching_disabled: 0,
+            converged_runs: 0,
+            cycles_skipped: 0,
             workers: 0,
             elapsed: Duration::ZERO,
             outcomes: OUTCOME_LABELS.iter().map(|&l| (l, 0)).collect(),
@@ -809,6 +849,8 @@ impl MetricsSnapshot {
         self.resumed += other.resumed;
         self.retries += other.retries;
         self.batching_disabled += other.batching_disabled;
+        self.converged_runs += other.converged_runs;
+        self.cycles_skipped += other.cycles_skipped;
         self.workers = self.workers.max(other.workers);
         self.elapsed = self.elapsed.max(other.elapsed);
         merge_labelled(&mut self.outcomes, &other.outcomes);
@@ -966,6 +1008,10 @@ impl CampaignObserver for ProgressObserver {
 
     fn on_batching_disabled(&self, reason: &str) {
         self.collector.on_batching_disabled(reason);
+    }
+
+    fn on_converged(&self, structure: Structure, skipped_cycles: u64) {
+        self.collector.on_converged(structure, skipped_cycles);
     }
 
     fn on_worker_pool(&self, workers: usize) {

@@ -4,7 +4,7 @@
 //! The batched engine claims bit-identity with the classic per-run engine:
 //! same [`InjectionResult`](crate::InjectionResult)s, same deterministic
 //! telemetry counters, same commit streams. This module *proves* it for a
-//! concrete campaign, three ways:
+//! concrete campaign, four ways:
 //!
 //! 1. **Substrate**: the golden capture is lockstep-verified against the
 //!    `avgi-refmodel` architectural interpreter — if the fault-free commit
@@ -20,6 +20,14 @@
 //!    everything before the first deviation — is additionally
 //!    lockstep-verified against the reference model via
 //!    [`avgi_refmodel::verify_trace_prefix`].
+//! 4. **Run to the end**: both engines of leg 2 resume from checkpoints, so
+//!    both finish a converged run from the golden's future
+//!    ([`Sim::converged_with`]) and their agreement says nothing about that
+//!    exit. The campaign runs a third time with no checkpoints at all —
+//!    every run simulated from reset to its own end, nothing to compare
+//!    with — and must again be equal in every observable. The report counts
+//!    the runs that took the exit and the cycles they were charged but did
+//!    not simulate.
 //!
 //! Any disagreement is reported as a human-readable error string naming the
 //! fault and the first differing observable.
@@ -56,6 +64,14 @@ pub struct XcheckReport {
     /// Fault-free prefix commits lockstep-verified against the reference
     /// model across all traced forks.
     pub prefix_commits_verified: u64,
+    /// Runs of the batched campaign that stopped at a checkpoint and took
+    /// the golden's ending — each found equal, like every other run, to its
+    /// run-to-the-end reference.
+    pub converged: u64,
+    /// Post-injection cycles the campaign's results are charged.
+    pub cycles_charged: u64,
+    /// Of those, cycles the converged runs did not simulate.
+    pub cycles_skipped: u64,
 }
 
 impl std::fmt::Display for XcheckReport {
@@ -103,12 +119,29 @@ pub fn run_xcheck(
     let batched = run_campaign(workload, cfg, golden, &batched_cfg);
     let unbatched = run_campaign(workload, cfg, golden, &unbatched_cfg);
     compare_campaigns(("batched", &batched), ("unbatched", &unbatched))?;
-    let bt = batched_metrics.snapshot().deterministic_counters_json();
+    let batched_snap = batched_metrics.snapshot();
+    let bt = batched_snap.deterministic_counters_json();
     let ut = unbatched_metrics.snapshot().deterministic_counters_json();
     if bt != ut {
         return Err(format!(
             "deterministic telemetry counters differ between engines:\n  batched:   {bt}\n  \
              unbatched: {ut}"
+        ));
+    }
+
+    // 4. Run to the end: no checkpoint set, so no run can stop early.
+    let reference_metrics = Arc::new(MetricsCollector::new());
+    let reference_cfg =
+        (batched_cfg.clone().with_checkpoints(0)).with_observer(reference_metrics.clone());
+    let reference = run_campaign(workload, cfg, golden, &reference_cfg);
+    compare_campaigns(("checkpointed", &batched), ("run to the end", &reference))?;
+    let reference_snap = reference_metrics.snapshot();
+    let rt = reference_snap.deterministic_counters_json();
+    if bt != rt || reference_snap.converged_runs != 0 {
+        return Err(format!(
+            "telemetry differs from the run-to-the-end reference ({} of its runs converged):\n  \
+             checkpointed:   {bt}\n  run to the end: {rt}",
+            reference_snap.converged_runs
         ));
     }
 
@@ -134,6 +167,9 @@ pub fn run_xcheck(
         telemetry_identical: true,
         forks_traced: sample.len(),
         prefix_commits_verified: prefix_commits,
+        converged: batched_snap.converged_runs,
+        cycles_charged: batched.total_post_inject_cycles(),
+        cycles_skipped: batched_snap.cycles_skipped,
     })
 }
 
@@ -396,6 +432,23 @@ mod tests {
         assert!(report.telemetry_identical);
         assert!(report.forks_traced > 0);
         assert!(report.prefix_commits_verified > 0);
+        assert_eq!(
+            (report.converged, report.cycles_skipped),
+            (0, 0),
+            "a run under an ERT window is not compared"
+        );
+    }
+
+    #[test]
+    fn xcheck_holds_converged_runs_to_their_run_to_the_end() {
+        let w = avgi_workloads::by_name("bitcount").unwrap();
+        let cfg = MuarchConfig::big();
+        let ccfg = CampaignConfig::new(Structure::RegFile, 24, RunMode::EndToEnd);
+        let report = run_xcheck(&w, &cfg, &golden_for(&w, &cfg), &ccfg)
+            .expect("clean campaign must cross-check");
+        assert_eq!(report.runs_compared, 24);
+        assert!(report.converged > 0, "no run took the exit");
+        assert!(report.cycles_skipped > 0 && report.cycles_skipped < report.cycles_charged);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Determinism contract of the telemetry layer: every counter outside the
 //! wall-clock family is a pure function of (seed, fault list, mode) — the
-//! thread count and any journal interruption/resume pattern must not show
-//! up in `deterministic_counters_json()`.
+//! thread count, any journal interruption/resume pattern and the checkpoint
+//! count (how many runs finish from the golden's future) must not show up
+//! in `deterministic_counters_json()`.
 
 use avgi_faultsim::{
     golden_for, run_campaign, run_campaign_journaled, CampaignConfig, MetricsCollector,
@@ -108,4 +109,44 @@ fn resumed_campaign_metrics_match_uninterrupted_run() {
     assert_eq!(resumed.completed, 16);
 
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn metrics_are_checkpoint_count_independent() {
+    let w = avgi_workloads::by_name("crc32").unwrap();
+    let cfg = MuarchConfig::big();
+    let golden = golden_for(&w, &cfg);
+    let observed = |checkpoints| {
+        let collector = Arc::new(MetricsCollector::new());
+        let ccfg = CampaignConfig::new(Structure::L1DData, 24, RunMode::EndToEnd)
+            .with_seed(3)
+            .with_checkpoints(checkpoints)
+            .with_observer(collector.clone());
+        run_campaign(&w, &cfg, &golden, &ccfg);
+        collector.snapshot()
+    };
+    let (to_the_end, converging) = (observed(0), observed(8));
+    assert_eq!(
+        to_the_end.deterministic_counters_json(),
+        converging.deterministic_counters_json(),
+        "a run that took the golden's ending must count exactly as one that simulated it"
+    );
+    // The exit happened, and is visible only outside the deterministic
+    // subset: in the counters, the dump and the progress line.
+    assert_eq!(
+        (to_the_end.converged_runs, to_the_end.cycles_skipped),
+        (0, 0)
+    );
+    assert!(converging.converged_runs > 0 && converging.cycles_skipped > 0);
+    let shown = format!("converged {} (", converging.converged_runs);
+    assert!(converging.progress_line().contains(&shown));
+    assert!(!to_the_end.progress_line().contains("converged"));
+    assert!(converging.to_json().contains("\"converged_runs\":"));
+    assert!(!converging
+        .deterministic_counters_json()
+        .contains("converged"));
+    let mut merged = to_the_end.clone();
+    merged.merge(&converging);
+    assert_eq!(merged.converged_runs, converging.converged_runs);
+    assert_eq!(merged.cycles_skipped, converging.cycles_skipped);
 }

@@ -295,17 +295,20 @@ impl Cache {
     /// this cache's contents were bit-identical to `snap` at that reset
     /// (enforced by the `Sim` snapshot machinery). O(touched lines).
     pub fn restore_from(&mut self, snap: &Cache) {
-        debug_assert_eq!(self.geom, snap.geom);
+        // The journal is each cache's own bookkeeping, never copied.
+        #[rustfmt::skip]
+        let Cache { geom, tags, data, lru, tick, touched: _, touched_gen: _, gen: _ } = snap;
+        debug_assert_eq!(self.geom, *geom);
         let lb = self.geom.line_bytes as usize;
         let touched = core::mem::take(&mut self.touched);
         for &li in &touched {
             let li = li as usize;
-            self.tags[li] = snap.tags[li];
-            self.lru[li] = snap.lru[li];
-            self.data[li * lb..(li + 1) * lb].copy_from_slice(&snap.data[li * lb..(li + 1) * lb]);
+            self.tags[li] = tags[li];
+            self.lru[li] = lru[li];
+            self.data[li * lb..(li + 1) * lb].copy_from_slice(&data[li * lb..(li + 1) * lb]);
         }
         self.touched = touched;
-        self.tick = snap.tick;
+        self.tick = *tick;
         self.clear_tracking();
     }
 
@@ -313,12 +316,33 @@ impl Cache {
     /// allocation-free fallback when the journal's baseline does not match
     /// `snap` (e.g. the scratch simulator switches checkpoints).
     pub fn copy_full_from(&mut self, snap: &Cache) {
-        debug_assert_eq!(self.geom, snap.geom);
-        self.tags.copy_from_slice(&snap.tags);
-        self.data.copy_from_slice(&snap.data);
-        self.lru.copy_from_slice(&snap.lru);
-        self.tick = snap.tick;
+        #[rustfmt::skip]
+        let Cache { geom, tags, data, lru, tick, touched: _, touched_gen: _, gen: _ } = snap;
+        debug_assert_eq!(self.geom, *geom);
+        self.tags.copy_from_slice(tags);
+        self.data.copy_from_slice(data);
+        self.lru.copy_from_slice(lru);
+        self.tick = *tick;
         self.clear_tracking();
+    }
+
+    /// A cache's share of
+    /// [`Sim::converged_with`](crate::pipeline::Sim::converged_with): tags,
+    /// LRU stamps and `tick` exactly, data where it is live.
+    pub fn converged_with(&self, snap: &Cache) -> bool {
+        #[rustfmt::skip]
+        let Cache { geom, tags, data, lru, tick, touched: _, touched_gen: _, gen: _ } = self;
+        let lb = geom.line_bytes as usize;
+        // Dead storage: the data of a line whose valid bit is clear (in both
+        // machines — the tag words are compared first). `lookup`, `fill`'s
+        // eviction and `drain_dirty` test `meta_valid` before anything reads
+        // the line, `read_resident`/`write_resident` are reached only
+        // through a hit or a fill, and `fill` overwrites the whole line
+        // before it sets the bit. (Such a line's tag and dirty bits are dead
+        // by the same argument; they are compared anyway.)
+        let lines = data.chunks_exact(lb).zip(snap.data.chunks_exact(lb));
+        (geom, tick, tags, lru) == (&snap.geom, &snap.tick, &snap.tags, &snap.lru)
+            && (lines.enumerate()).all(|(li, (a, b))| a == b || !self.meta_valid(li))
     }
 }
 
@@ -506,3 +530,7 @@ mod tests {
         assert_eq!(a.lookup(0x0800), b.lookup(0x0800));
     }
 }
+
+#[cfg(test)]
+#[path = "../tests/whitebox/cache_converged_with.rs"]
+mod converged_with_tests;

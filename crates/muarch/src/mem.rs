@@ -235,10 +235,12 @@ impl Memory {
     /// swaps. After the restore this image shares every page with `src`, so
     /// the dirty tracking restarts from a clean epoch.
     pub fn restore_from(&mut self, src: &Memory) {
-        debug_assert_eq!(self.pages.len(), src.pages.len());
-        self.code_limit = src.code_limit;
+        #[rustfmt::skip] // tracking and instrumentation are each image's own
+        let Memory { pages, code_limit, dirty: _, restore_pages_scanned: _ } = src;
+        debug_assert_eq!(self.pages.len(), pages.len());
+        self.code_limit = *code_limit;
         self.restore_pages_scanned += self.pages.len() as u64;
-        for (d, s) in self.pages.iter_mut().zip(&src.pages) {
+        for (d, s) in self.pages.iter_mut().zip(pages) {
             if !Arc::ptr_eq(d, s) {
                 *d = Arc::clone(s);
             }
@@ -257,27 +259,40 @@ impl Memory {
     /// snapshot-id check); when in doubt use the full-scan
     /// [`Memory::restore_from`].
     pub fn restore_from_dirty(&mut self, src: &Memory) {
-        debug_assert_eq!(self.pages.len(), src.pages.len());
-        self.code_limit = src.code_limit;
+        #[rustfmt::skip]
+        let Memory { pages, code_limit, dirty: _, restore_pages_scanned: _ } = src;
+        debug_assert_eq!(self.pages.len(), pages.len());
+        self.code_limit = *code_limit;
         for (w, word) in self.dirty.iter_mut().enumerate() {
             let mut bits = *word;
             while bits != 0 {
                 let pi = (w << 6) | bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 self.restore_pages_scanned += 1;
-                if !Arc::ptr_eq(&self.pages[pi], &src.pages[pi]) {
-                    self.pages[pi] = Arc::clone(&src.pages[pi]);
+                if !Arc::ptr_eq(&self.pages[pi], &pages[pi]) {
+                    self.pages[pi] = Arc::clone(&pages[pi]);
                 }
             }
             *word = 0;
         }
         #[cfg(debug_assertions)]
-        for (pi, (d, s)) in self.pages.iter().zip(&src.pages).enumerate() {
+        for (pi, (d, s)) in self.pages.iter().zip(pages).enumerate() {
             debug_assert!(
                 Arc::ptr_eq(d, s),
                 "page {pi} diverged from the restore source without being marked dirty"
             );
         }
+    }
+
+    /// Memory's share of
+    /// [`Sim::converged_with`](crate::pipeline::Sim::converged_with): the
+    /// same bytes everywhere. A page the two images still share is equal
+    /// without being read.
+    pub fn converged_with(&self, snap: &Memory) -> bool {
+        #[rustfmt::skip]
+        let Memory { pages, code_limit, dirty: _, restore_pages_scanned: _ } = self;
+        *code_limit == snap.code_limit
+            && (pages.iter().zip(&snap.pages)).all(|(a, b)| Arc::ptr_eq(a, b) || a == b)
     }
 
     /// Starts a fresh dirty-tracking epoch: this image is (or is about to

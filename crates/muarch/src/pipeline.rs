@@ -39,7 +39,7 @@ const FLAG_WRITES: u8 = 0b1000;
 /// neither: done), and its finish cycle lives in the parallel `rob_finish`
 /// array. Slot validity is defined by the ring bounds
 /// `[rob_head, rob_head + rob_count)`, not by an `Option` wrapper.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct RobEntry {
     seq: u64,
     pc: u32,
@@ -95,14 +95,14 @@ impl RobEntry {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct LqShadow {
     seq: u64,
     resolved: bool,
     paddr: u32,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct SqShadow {
     seq: u64,
     resolved: bool,
@@ -111,7 +111,7 @@ struct SqShadow {
     data: u32,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Fetched {
     pc: u32,
     raw: u32,
@@ -153,13 +153,15 @@ impl RunScratch {
     /// The single bump-reset: invalidate everything from the previous run,
     /// then adopt `src`'s live content.
     fn rewind_to(&mut self, src: &RunScratch) {
+        #[rustfmt::skip] // `gen` counts this arena's own rewinds
+        let RunScratch { gen: _, decode_q, trace, pending_faults } = src;
         self.gen += 1;
         self.decode_q.clear();
-        self.decode_q.extend(src.decode_q.iter().copied());
+        self.decode_q.extend(decode_q.iter().copied());
         self.trace.clear();
-        self.trace.extend_from_slice(&src.trace);
+        self.trace.extend_from_slice(trace);
         self.pending_faults.clear();
-        self.pending_faults.extend_from_slice(&src.pending_faults);
+        self.pending_faults.extend_from_slice(pending_faults);
     }
 }
 
@@ -172,6 +174,15 @@ fn copy_ring<T: Copy>(dst: &mut [T], src: &[T], head: usize, count: usize) {
     dst[head..head + first].copy_from_slice(&src[head..head + first]);
     let rest = count - first;
     dst[..rest].copy_from_slice(&src[..rest]);
+}
+
+/// Whether the live ring regions `[head, head + count)` (wrapping) of `a` and
+/// `b` are equal — [`copy_ring`]'s region, compared instead of copied.
+fn ring_eq<T: PartialEq>(a: &[T], b: &[T], head: usize, count: usize) -> bool {
+    let first = count.min(a.len() - head);
+    a.len() == b.len()
+        && a[head..head + first] == b[head..head + first]
+        && a[..count - first] == b[..count - first]
 }
 
 /// Next index in a ring of `len` slots. A compare, not `%`: ring lengths are
@@ -402,10 +413,40 @@ impl Sim {
 
     /// Runs to completion under `ctl` and reports.
     pub fn run(&mut self, ctl: &RunControl) -> RunReport {
-        let deadline = ctl
-            .wall_budget
-            .map(|budget| std::time::Instant::now() + budget);
-        let outcome = self.run_loop(ctl, deadline);
+        let outcome = self
+            .advance(u64::MAX, ctl, ctl.deadline())
+            .expect("an unbounded advance ends only with an outcome");
+        self.report(outcome, ctl)
+    }
+
+    /// Steps under `ctl` to the *beginning* of cycle `target` (no stage of
+    /// `target` has executed yet); `Some(outcome)` if the run ended first.
+    /// `deadline` is the run's wall-clock watchdog ([`RunControl::deadline`],
+    /// taken once however many calls advance the run), polled every
+    /// `WALL_CHECK_CYCLES` cycles so a pathological faulty run cannot stall
+    /// a campaign even when the cycle watchdog is generous.
+    pub fn advance(
+        &mut self,
+        target: u64,
+        ctl: &RunControl,
+        deadline: Option<std::time::Instant>,
+    ) -> Option<RunOutcome> {
+        while self.cycle < target {
+            if let Some(out) = self.step(ctl) {
+                return Some(out);
+            }
+            if self.cycle & (crate::run::WALL_CHECK_CYCLES - 1) == 0
+                && deadline.is_some_and(|d| std::time::Instant::now() >= d)
+            {
+                return Some(RunOutcome::WallClockExpired);
+            }
+        }
+        None
+    }
+
+    /// Closes a run that ended with `outcome` — however it was advanced
+    /// there — and builds its report.
+    pub fn report(&mut self, outcome: RunOutcome, ctl: &RunControl) -> RunReport {
         self.stats.rf_ace_cycles = self.rf.finalize_ace();
         let output = if outcome == RunOutcome::Completed {
             self.flush_caches();
@@ -423,24 +464,6 @@ impl Sim {
                 .then(|| core::mem::take(&mut self.scratch.trace)),
             inject_cycle: self.first_inject_cycle,
             stats: self.stats,
-        }
-    }
-
-    fn run_loop(&mut self, ctl: &RunControl, deadline: Option<std::time::Instant>) -> RunOutcome {
-        loop {
-            if let Some(out) = self.step(ctl) {
-                return out;
-            }
-            // Wall-clock watchdog: polled every WALL_CHECK_CYCLES cycles so
-            // a pathological faulty run cannot stall a campaign even when
-            // the cycle watchdog is generous.
-            if self.cycle & (crate::run::WALL_CHECK_CYCLES - 1) == 0 {
-                if let Some(d) = deadline {
-                    if std::time::Instant::now() >= d {
-                        return RunOutcome::WallClockExpired;
-                    }
-                }
-            }
         }
     }
 
@@ -472,20 +495,12 @@ impl Sim {
         None
     }
 
-    /// Advances the simulation to the *beginning* of cycle `target` (no
-    /// stage of `target` has executed yet), so the state can be snapshotted
-    /// as a checkpoint.
-    ///
-    /// Returns `Some(outcome)` if the run terminated before reaching
-    /// `target` (e.g. the program was shorter), `None` on success. A run
-    /// resumed from the snapshot behaves exactly like an uninterrupted one.
+    /// [`advance`](Sim::advance) with no wall-clock deadline — how a
+    /// fault-free prefix is walked to a checkpoint or an injection cycle. A
+    /// run resumed from a snapshot taken there behaves exactly like an
+    /// uninterrupted one.
     pub fn run_to_cycle(&mut self, target: u64, ctl: &RunControl) -> Option<RunOutcome> {
-        while self.cycle < target {
-            if let Some(out) = self.step(ctl) {
-                return Some(out);
-            }
-        }
-        None
+        self.advance(target, ctl, None)
     }
 
     // ----- fault application -----
@@ -1497,82 +1512,160 @@ impl Sim {
         self.scratch_base = None;
     }
 
+    /// Both restores. `src` is destructured without `..` — as `self` is in
+    /// [`Sim::converged_with`] — so a field added to `Sim` does not compile
+    /// until it is filed here as restored or as bookkeeping, and there as
+    /// compared or as bookkeeping.
     fn restore_impl(&mut self, src: &Sim, same_base: bool) {
+        #[rustfmt::skip] // one line per class
+        let Sim {
+            // Bookkeeping, not restored: the configuration is the same one
+            // (asserted below); the stamps are re-issued from this arena's
+            // generation; the callers set `scratch_base`.
+            cfg: _, rob_stamp: _, scratch_base: _,
+            // Scalars.
+            cycle, seq_next, fetch_pc, fetch_ready_cycle, fetch_paused, in_iq, ready, executing,
+            rob_head, rob_tail, rob_count, lq_head, lq_tail, lq_count, sq_head, sq_tail, sq_count,
+            output_addr, output_len, faults_next, first_inject_cycle, faults_applied,
+            commit_index, first_deviation, stats,
+            // Rings, live region only.
+            rob, rob_finish, lq, sq,
+            // Parts, each by its own restore.
+            rf, rob_img, lq_img, sq_img, l1i, l1d, l2, itlb, dtlb, mem, pred, scratch,
+        } = src;
         debug_assert_eq!(
             self.rob.len(),
-            src.rob.len(),
+            rob.len(),
             "restore across different configurations"
         );
-        self.cycle = src.cycle;
-        self.seq_next = src.seq_next;
-        self.fetch_pc = src.fetch_pc;
-        self.fetch_ready_cycle = src.fetch_ready_cycle;
-        self.fetch_paused = src.fetch_paused;
+        (self.cycle, self.seq_next, self.commit_index) = (*cycle, *seq_next, *commit_index);
+        (self.fetch_pc, self.fetch_ready_cycle, self.fetch_paused) =
+            (*fetch_pc, *fetch_ready_cycle, *fetch_paused);
+        (self.in_iq, self.ready, self.executing) = (*in_iq, *ready, *executing);
+        (self.rob_head, self.rob_tail, self.rob_count) = (*rob_head, *rob_tail, *rob_count);
+        (self.lq_head, self.lq_tail, self.lq_count) = (*lq_head, *lq_tail, *lq_count);
+        (self.sq_head, self.sq_tail, self.sq_count) = (*sq_head, *sq_tail, *sq_count);
+        (self.output_addr, self.output_len) = (*output_addr, *output_len);
+        (self.faults_next, self.faults_applied) = (*faults_next, *faults_applied);
+        (self.first_inject_cycle, self.first_deviation) = (*first_inject_cycle, *first_deviation);
+        self.stats = *stats;
         // One bump-reset for every growable per-run buffer; the generation
         // bump invalidates any ROB index that survives the rewind.
-        self.scratch.rewind_to(&src.scratch);
-        self.rf.restore_from(&src.rf);
+        self.scratch.rewind_to(scratch);
+        self.rf.restore_from(rf);
         // Shadow queues: copy only the live ring region — dead slots are
         // never read (validity is defined by the ring bounds), so restore
         // cost scales with occupancy. The injectable images stay full-copy:
         // faults may land in architecturally-free slots.
-        copy_ring(&mut self.rob, &src.rob, src.rob_head, src.rob_count);
-        self.in_iq = src.in_iq;
-        self.ready = src.ready;
-        self.executing = src.executing;
-        copy_ring(
-            &mut self.rob_finish,
-            &src.rob_finish,
-            src.rob_head,
-            src.rob_count,
-        );
-        let mut i = src.rob_head;
-        for _ in 0..src.rob_count {
+        copy_ring(&mut self.rob, rob, *rob_head, *rob_count);
+        copy_ring(&mut self.rob_finish, rob_finish, *rob_head, *rob_count);
+        let mut i = *rob_head;
+        for _ in 0..*rob_count {
             self.rob_stamp[i] = self.scratch.gen;
             i = wrap_inc(i, self.rob.len());
         }
-        self.rob_head = src.rob_head;
-        self.rob_tail = src.rob_tail;
-        self.rob_count = src.rob_count;
-        self.rob_img.restore_from(&src.rob_img);
-        copy_ring(&mut self.lq, &src.lq, src.lq_head, src.lq_count);
-        self.lq_head = src.lq_head;
-        self.lq_tail = src.lq_tail;
-        self.lq_count = src.lq_count;
-        self.lq_img.restore_from(&src.lq_img);
-        copy_ring(&mut self.sq, &src.sq, src.sq_head, src.sq_count);
-        self.sq_head = src.sq_head;
-        self.sq_tail = src.sq_tail;
-        self.sq_count = src.sq_count;
-        self.sq_img.restore_from(&src.sq_img);
-        if same_base {
-            self.l1i.restore_from(&src.l1i);
-            self.l1d.restore_from(&src.l1d);
-            self.l2.restore_from(&src.l2);
-        } else {
-            self.l1i.copy_full_from(&src.l1i);
-            self.l1d.copy_full_from(&src.l1d);
-            self.l2.copy_full_from(&src.l2);
+        copy_ring(&mut self.lq, lq, *lq_head, *lq_count);
+        copy_ring(&mut self.sq, sq, *sq_head, *sq_count);
+        self.rob_img.restore_from(rob_img);
+        self.lq_img.restore_from(lq_img);
+        self.sq_img.restore_from(sq_img);
+        for (cache, from) in [
+            (&mut self.l1i, l1i),
+            (&mut self.l1d, l1d),
+            (&mut self.l2, l2),
+        ] {
+            if same_base {
+                cache.restore_from(from);
+            } else {
+                cache.copy_full_from(from);
+            }
         }
-        self.itlb.restore_from(&src.itlb);
-        self.dtlb.restore_from(&src.dtlb);
+        self.itlb.restore_from(itlb);
+        self.dtlb.restore_from(dtlb);
         if same_base {
             // Only pages this scratch dirtied since it last synchronised
             // with the same snapshot can differ — the dirty bitset names
             // exactly those.
-            self.mem.restore_from_dirty(&src.mem);
+            self.mem.restore_from_dirty(mem);
         } else {
-            self.mem.restore_from(&src.mem);
+            self.mem.restore_from(mem);
         }
-        self.pred.restore_from(&src.pred);
-        self.output_addr = src.output_addr;
-        self.output_len = src.output_len;
-        self.faults_next = src.faults_next;
-        self.first_inject_cycle = src.first_inject_cycle;
-        self.faults_applied = src.faults_applied;
-        self.commit_index = src.commit_index;
-        self.first_deviation = src.first_deviation;
-        self.stats = src.stats;
+        self.pred.restore_from(pred);
+    }
+
+    /// Whether every bit that can influence this machine's future equals
+    /// the snapshot's. The model is deterministic, so a machine for which
+    /// this holds goes on, cycle for cycle, exactly as the snapshot's does:
+    /// same commits at the same cycles, same outcome, same final cycle
+    /// count, same output bytes.
+    ///
+    /// Compared is the *live* state, by one principle: storage whose own
+    /// valid/ready bit says "unoccupied" is dead — never read, and wholly
+    /// overwritten before it becomes occupied. It is applied in exactly two
+    /// places, each carrying its argument: [`Cache::converged_with`] (the
+    /// data of an invalid line) and [`RegFile::converged_with`] (the value
+    /// of a free or unproduced register). Everything else is compared
+    /// whole — the rings over the live region their bounds define, as the
+    /// restore copies them, and `rob_finish` over the `executing` slots
+    /// (`start_executing` writes a slot's finish cycle as it sets the bit;
+    /// until then the entry holds whatever the slot's last tenant left).
+    ///
+    /// A fault still armed is a future the snapshot does not have, so
+    /// either side holding one answers `false`. What a run *was* is not
+    /// compared: a [`RunControl`] that ends a run by its history (the ERT
+    /// window reads the injection cycle, `stop_at_first_deviation` the
+    /// recorded deviation) is the caller's to exclude.
+    pub fn converged_with(&self, snap: &Snapshot) -> bool {
+        #[rustfmt::skip] // one line per class
+        let Sim {
+            // Bookkeeping — the past, or this simulator's own accounting:
+            // counters and the deviation go into the report, the stamps and
+            // `scratch_base` guard the restore paths, and the fault cursor
+            // is spent once every armed fault is applied (checked below).
+            stats: _, first_deviation: _, first_inject_cycle: _, faults_applied: _,
+            rob_stamp: _, scratch_base: _, faults_next: _,
+            // Scalars.
+            cfg, cycle, seq_next, fetch_pc, fetch_ready_cycle, fetch_paused, in_iq, ready, executing,
+            rob_head, rob_tail, rob_count, lq_head, lq_tail, lq_count, sq_head, sq_tail, sq_count,
+            output_addr, output_len, commit_index,
+            // Rings, live region only.
+            rob, rob_finish, lq, sq,
+            // Parts, each by its own comparison.
+            rf, rob_img, lq_img, sq_img, l1i, l1d, l2, itlb, dtlb, mem, pred, scratch,
+        } = self;
+        #[rustfmt::skip] // the rewind count; the past, handed to the report; see `armed`
+        let RunScratch { gen: _, trace: _, pending_faults: _, decode_q } = scratch;
+        let o = &snap.sim;
+        let armed = |s: &Sim| s.faults_next < s.scratch.pending_faults.len();
+        // Cheapest and likeliest to differ first: a run that has not
+        // converged is usually out of step in a scalar.
+        !armed(self)
+            && !armed(o)
+            && (cycle, seq_next, commit_index) == (&o.cycle, &o.seq_next, &o.commit_index)
+            && (fetch_pc, fetch_ready_cycle, fetch_paused)
+                == (&o.fetch_pc, &o.fetch_ready_cycle, &o.fetch_paused)
+            && (in_iq, ready, executing) == (&o.in_iq, &o.ready, &o.executing)
+            && (rob_head, rob_tail, rob_count) == (&o.rob_head, &o.rob_tail, &o.rob_count)
+            && (lq_head, lq_tail, lq_count) == (&o.lq_head, &o.lq_tail, &o.lq_count)
+            && (sq_head, sq_tail, sq_count) == (&o.sq_head, &o.sq_tail, &o.sq_count)
+            && (output_addr, output_len, cfg) == (&o.output_addr, &o.output_len, &o.cfg)
+            && ring_eq(rob, &o.rob, *rob_head, *rob_count)
+            && ring_order(*executing, *rob_head).all(|i| rob_finish[i] == o.rob_finish[i])
+            && ring_eq(lq, &o.lq, *lq_head, *lq_count)
+            && ring_eq(sq, &o.sq, *sq_head, *sq_count)
+            && *decode_q == o.scratch.decode_q
+            && (rob_img, lq_img, sq_img) == (&o.rob_img, &o.lq_img, &o.sq_img)
+            && rf.converged_with(&o.rf)
+            && (itlb, dtlb, pred) == (&o.itlb, &o.dtlb, &o.pred)
+            && l1d.converged_with(&o.l1d)
+            && l1i.converged_with(&o.l1i)
+            && l2.converged_with(&o.l2)
+            && mem.converged_with(&o.mem)
+    }
+
+    /// The first commit-trace deviation recorded so far.
+    pub fn first_deviation(&self) -> Option<Deviation> {
+        self.first_deviation
     }
 }
 
@@ -1902,3 +1995,7 @@ mod tests {
         }
     }
 }
+
+#[cfg(test)]
+#[path = "../tests/whitebox/converged_with.rs"]
+mod converged_with_tests;

@@ -5,8 +5,10 @@
 //! injected storage array — it exists so speculation (and therefore
 //! hardware masking of faults in squashed wrong-path state) is real.
 
-/// Bimodal predictor + BTB.
-#[derive(Debug, Clone)]
+/// Bimodal predictor + BTB. `==` is what
+/// [`Sim::converged_with`](crate::pipeline::Sim::converged_with) compares:
+/// all of it.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Predictor {
     counters: Vec<u8>,
     btb_tags: Vec<u32>,
@@ -68,11 +70,13 @@ impl Predictor {
 
     /// Overwrites this predictor with `src`'s state without reallocating.
     pub fn restore_from(&mut self, src: &Predictor) {
-        debug_assert_eq!(self.counters.len(), src.counters.len());
-        self.counters.copy_from_slice(&src.counters);
-        self.btb_tags.copy_from_slice(&src.btb_tags);
-        self.btb_targets.copy_from_slice(&src.btb_targets);
-        self.btb_valid.copy_from_slice(&src.btb_valid);
+        #[rustfmt::skip]
+        let Predictor { counters, btb_tags, btb_targets, btb_valid } = src;
+        debug_assert_eq!(self.counters.len(), counters.len());
+        self.counters.copy_from_slice(counters);
+        self.btb_tags.copy_from_slice(btb_tags);
+        self.btb_targets.copy_from_slice(btb_targets);
+        self.btb_valid.copy_from_slice(btb_valid);
     }
 }
 

@@ -35,7 +35,11 @@ pub fn pack_sq(addr: u32, data: u32, seq: u16) -> u128 {
 }
 
 /// A fixed-size array of packed queue entries with bit-flip support.
-#[derive(Debug, Clone)]
+///
+/// `==` is what [`Sim::converged_with`](crate::pipeline::Sim::converged_with)
+/// compares: the whole image, free slots included — no dead-storage rule is
+/// claimed for it.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueueArray {
     entries: Vec<u128>,
     entry_bits: u32,
@@ -92,8 +96,10 @@ impl QueueArray {
 
     /// Overwrites this array with `src`'s contents without reallocating.
     pub fn restore_from(&mut self, src: &QueueArray) {
-        debug_assert_eq!(self.entry_bits, src.entry_bits);
-        self.entries.copy_from_slice(&src.entries);
+        #[rustfmt::skip]
+        let QueueArray { entries, entry_bits } = src;
+        debug_assert_eq!(self.entry_bits, *entry_bits);
+        self.entries.copy_from_slice(entries);
     }
 }
 

@@ -201,16 +201,44 @@ impl RegFile {
     /// Overwrites this register file with `src`'s state, reusing every
     /// existing allocation.
     pub fn restore_from(&mut self, src: &RegFile) {
-        debug_assert_eq!(self.values.len(), src.values.len());
-        self.values.copy_from_slice(&src.values);
-        self.ready.copy_from_slice(&src.ready);
-        self.waiters.copy_from_slice(&src.waiters);
-        self.rename = src.rename;
+        #[rustfmt::skip]
+        let RegFile { values, ready, waiters, rename, free, last_write, last_read, ace_cycles } = src;
+        debug_assert_eq!(self.values.len(), values.len());
+        self.values.copy_from_slice(values);
+        self.ready.copy_from_slice(ready);
+        self.waiters.copy_from_slice(waiters);
+        self.rename = *rename;
         self.free.clear();
-        self.free.extend_from_slice(&src.free);
-        self.last_write.copy_from_slice(&src.last_write);
-        self.last_read.copy_from_slice(&src.last_read);
-        self.ace_cycles = src.ace_cycles;
+        self.free.extend_from_slice(free);
+        self.last_write.copy_from_slice(last_write);
+        self.last_read.copy_from_slice(last_read);
+        self.ace_cycles = *ace_cycles;
+    }
+
+    /// The register file's share of
+    /// [`Sim::converged_with`](crate::pipeline::Sim::converged_with):
+    /// renaming state exactly, values where they are live.
+    pub fn converged_with(&self, snap: &RegFile) -> bool {
+        #[rustfmt::skip]
+        let RegFile {
+            values, ready, waiters, rename, free,
+            // ACE instrumentation: feeds `ExecStats::rf_ace_cycles` only.
+            last_write: _, last_read: _, ace_cycles: _,
+        } = self;
+        // Dead storage: the value of a register that is on the free list or
+        // not ready. `alloc` (which clears `ready`) precedes the `write`
+        // that sets it, which precedes any operand read, and in-order
+        // commit frees a register only after its last reader has issued (a
+        // squash frees it together with every reader) — so such a value is
+        // never read, and `write` replaces all 32 bits before it can be.
+        // The sets are compared exactly first, so they are the same sets in
+        // both machines.
+        (rename, free, ready, waiters) == (&snap.rename, &snap.free, &snap.ready, &snap.waiters)
+            && values
+                .iter()
+                .zip(&snap.values)
+                .enumerate()
+                .all(|(p, (a, b))| a == b || !ready[p] || free.contains(&(p as PhysReg)))
     }
 }
 

@@ -84,6 +84,13 @@ pub struct RunControl {
     pub wall_budget: Option<std::time::Duration>,
 }
 
+impl RunControl {
+    /// When a run starting now exhausts [`wall_budget`](Self::wall_budget).
+    pub fn deadline(&self) -> Option<std::time::Instant> {
+        self.wall_budget.map(|b| std::time::Instant::now() + b)
+    }
+}
+
 /// How often (in cycles) the wall-clock budget is polled. A power of two so
 /// the check compiles to a mask test on the hot path.
 pub const WALL_CHECK_CYCLES: u64 = 4096;

@@ -16,8 +16,10 @@ const VPN_MASK: u64 = 0xF_FFFF;
 const PFN_SHIFT: u32 = 20;
 const VALID_BIT: u32 = 40;
 
-/// A fully associative TLB with round-robin replacement.
-#[derive(Debug, Clone)]
+/// A fully associative TLB with round-robin replacement. `==` is what
+/// [`Sim::converged_with`](crate::pipeline::Sim::converged_with) compares:
+/// every entry, valid or not, and the replacement cursor.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tlb {
     /// Packed entries: bits `[0..20)` vpn, `[20..40)` pfn, bit 40 valid.
     entries: Vec<u64>,
@@ -82,9 +84,10 @@ impl Tlb {
 
     /// Overwrites this TLB with `src`'s state without reallocating.
     pub fn restore_from(&mut self, src: &Tlb) {
-        debug_assert_eq!(self.entries.len(), src.entries.len());
-        self.entries.copy_from_slice(&src.entries);
-        self.next = src.next;
+        let Tlb { entries, next } = src;
+        debug_assert_eq!(self.entries.len(), entries.len());
+        self.entries.copy_from_slice(entries);
+        self.next = *next;
     }
 }
 

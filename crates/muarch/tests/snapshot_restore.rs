@@ -8,12 +8,19 @@
 //! value from whatever run it executed last.
 //! `restore_into_a_mid_flight_scratch_continues_bit_identically` makes that
 //! loud for the back end's scheduling state; see its comment.
+//!
+//! `Sim::converged_with` is the same field list read instead of written: a
+//! simulator just spawned from, or rewound to, a snapshot must converge with
+//! it, and a simulator that converges with a snapshot must go on to the
+//! snapshot's own ending. The perturbation table — what flips the answer
+//! and what must not — needs the private state and lives in
+//! `tests/whitebox/`.
 
 use avgi_isa::asm::Assembler;
 use avgi_isa::reg::{A0, A1, A2, S0, S1, S2, T0, T1, T2, T3, T4, T5, ZERO};
 use avgi_muarch::config::MuarchConfig;
 use avgi_muarch::fault::{Fault, FaultSite, Structure};
-use avgi_muarch::mem::{DATA_BASE, OUTPUT_BASE};
+use avgi_muarch::mem::{Memory, DATA_BASE, OUTPUT_BASE};
 use avgi_muarch::pipeline::{capture_golden, Sim};
 use avgi_muarch::program::Program;
 use avgi_muarch::run::{RunControl, RunOutcome, RunReport};
@@ -321,4 +328,132 @@ fn restore_into_a_mid_flight_scratch(cfg: MuarchConfig) {
 fn restore_into_a_mid_flight_scratch_continues_bit_identically() {
     restore_into_a_mid_flight_scratch(MuarchConfig::big());
     restore_into_a_mid_flight_scratch(MuarchConfig::small());
+}
+
+fn rewound_simulators_converge(cfg: MuarchConfig) {
+    let p = scheduling_kernel();
+    let ctl = RunControl {
+        max_cycles: MAX,
+        ..Default::default()
+    };
+    let want = Sim::new(&p, cfg.clone()).run(&ctl);
+    let mut carrier = Sim::new(&p, cfg.clone());
+    let mut by_snapshot = Sim::new(&p, cfg.clone());
+    let mut by_sim = Sim::new(&p, cfg);
+    let mut at = SNAP_STRIDE;
+    while at + DIRTY_CYCLES < want.cycles {
+        assert!(carrier.run_to_cycle(at, &ctl).is_none());
+        let snap = carrier.snapshot();
+        assert!(carrier.converged_with(&snap), "the snapshotted sim @ {at}");
+        assert!(snap.spawn().converged_with(&snap), "spawn @ {at}");
+        // Both scratches arrive mid-flight somewhere else, journals dirty.
+        assert!(!by_snapshot.converged_with(&snap) && !by_sim.converged_with(&snap));
+        by_snapshot.restore_from(&snap);
+        assert!(by_snapshot.converged_with(&snap), "restore_from @ {at}");
+        by_sim.restore_from_sim(&carrier);
+        assert!(by_sim.converged_with(&snap), "restore_from_sim @ {at}");
+        // One cycle on, each is a different machine from the snapshot —
+        // and the same machine as the other.
+        assert!(by_snapshot.run_to_cycle(at + 1, &ctl).is_none());
+        assert!(!by_snapshot.converged_with(&snap), "one cycle past @ {at}");
+        assert!(by_sim.run_to_cycle(at + 1, &ctl).is_none());
+        assert!(by_sim.converged_with(&by_snapshot.snapshot()));
+        assert!(by_snapshot.run_to_cycle(at + DIRTY_CYCLES, &ctl).is_none());
+        assert!(by_sim.run_to_cycle(at + DIRTY_CYCLES / 2, &ctl).is_none());
+        at += SNAP_STRIDE;
+    }
+}
+
+#[test]
+fn spawned_and_rewound_simulators_converge_with_their_snapshot() {
+    rewound_simulators_converge(MuarchConfig::big());
+    rewound_simulators_converge(MuarchConfig::small());
+}
+
+#[test]
+fn convergence_is_refused_across_armed_faults_configurations_and_programs() {
+    let p = sum_program(300);
+    let ctl = RunControl {
+        max_cycles: MAX,
+        ..Default::default()
+    };
+    let at_100 = |cfg: MuarchConfig| {
+        let mut sim = Sim::new(&p, cfg);
+        assert!(sim.run_to_cycle(100, &ctl).is_none());
+        sim
+    };
+    let sim = at_100(MuarchConfig::big());
+    let snap = sim.snapshot();
+    assert!(sim.converged_with(&snap));
+
+    // A fault still to come, on either side, is a different future.
+    let mut armed = sim.clone();
+    armed.inject(reg_fault(26, 150));
+    assert!(!armed.converged_with(&snap));
+    assert!(!sim.converged_with(&armed.snapshot()));
+    assert!(!armed.converged_with(&armed.snapshot()));
+
+    // The same state under another configuration is a different future.
+    let mut slower = MuarchConfig::big();
+    slower.lat.div += 1; // `sum` divides nothing: identical up to here
+    assert!(!at_100(slower).converged_with(&snap));
+
+    // Memory is the same bytes *and* the same code region.
+    let (a, b) = (Memory::new(0x1000), Memory::new(0x2000));
+    assert!(a.converged_with(&Memory::new(0x1000)) && !a.converged_with(&b));
+}
+
+/// The claim `converged_with` makes, checked by running on: every single-bit
+/// fault in every register — and in one byte of every L1D line — is
+/// injected mid-flight into a run that is then compared with the fault-free
+/// machine at a later cycle. A run that converged must end exactly as the
+/// fault-free run does; a run that did not is left alone. Both answers
+/// must occur (dead and live registers, invalid and valid lines), or a rule
+/// has been widened to everything or narrowed to nothing.
+#[test]
+fn a_converged_faulty_run_ends_as_the_golden_run_does() {
+    let p = scheduling_kernel();
+    for cfg in [MuarchConfig::big(), MuarchConfig::small()] {
+        let golden = capture_golden(&p, &cfg, MAX);
+        let ctl = RunControl {
+            max_cycles: MAX,
+            golden: Some(golden.clone()),
+            ..Default::default()
+        };
+        let (inject_at, meet_at) = (golden.cycles / 3, golden.cycles / 3 + 400);
+        let mut carrier = Sim::new(&p, cfg.clone());
+        assert!(carrier.run_to_cycle(inject_at, &ctl).is_none());
+        let start = carrier.snapshot();
+        assert!(carrier.run_to_cycle(meet_at, &ctl).is_none());
+        let meet = carrier.snapshot();
+
+        let sites = (0..u64::from(cfg.phys_regs))
+            .map(|r| (Structure::RegFile, r * 32 + 7))
+            .chain((0..u64::from(cfg.l1d.lines())).map(|l| (Structure::L1DData, l * 512 + 3)));
+        let mut scratch = start.spawn();
+        let mut answers = std::collections::BTreeMap::new();
+        for (structure, bit) in sites {
+            scratch.restore_from(&start);
+            scratch.inject(Fault {
+                site: FaultSite { structure, bit },
+                cycle: inject_at,
+            });
+            let ended = scratch.run_to_cycle(meet_at, &ctl).is_some();
+            let converged = !ended && scratch.converged_with(&meet);
+            *answers.entry((structure, converged)).or_insert(0u32) += 1;
+            if converged {
+                let r = scratch.run(&ctl);
+                assert_eq!(r.outcome, RunOutcome::Completed, "{structure} bit {bit}");
+                assert_eq!(r.cycles, golden.cycles, "{structure} bit {bit}");
+                assert_eq!(r.output.as_deref(), Some(&golden.output[..]));
+                assert_eq!(r.first_deviation, None, "{structure} bit {bit}");
+            }
+        }
+        for key in [Structure::RegFile, Structure::L1DData] {
+            for converged in [false, true] {
+                let n = answers.get(&(key, converged)).copied().unwrap_or(0);
+                assert!(n > 0, "{}: no {key} fault answered {converged}", cfg.name);
+            }
+        }
+    }
 }

@@ -1,0 +1,356 @@
+//! White-box tests of [`Sim::converged_with`], compiled into the crate's
+//! unit tests as a child of `pipeline` (`#[path]`, see the end of
+//! `src/pipeline.rs`) so they can reach the simulator's private state.
+//! `tests/whitebox/` is not a test target of its own.
+//!
+//! One perturbation per part of the machine, applied to a simulator that
+//! equals its snapshot: a change to anything that can influence the future
+//! must flip the answer, a change to bookkeeping or to dead storage must
+//! not. Each entry is a mutation check of the comparison: drop the part
+//! from `converged_with` (or from a part's own comparison) and its entry
+//! fails by name; widen a dead-storage rule to occupied storage and the
+//! live-register / valid-line entries fail.
+
+use super::*;
+use crate::mem::{DATA_BASE, OUTPUT_BASE, PAGE_BYTES};
+use avgi_isa::asm::Assembler;
+use avgi_isa::reg::{A0, A1, A2, S0, S1, S2, T0, T1, T2, T3, T4, T5, ZERO};
+
+/// Loads, stores, a store→load forward, divide chains and an unpredictable
+/// branch per iteration: keeps every queue, set and waiter list populated.
+fn kernel() -> Program {
+    let mut a = Assembler::new(0);
+    a.li32(S0, DATA_BASE);
+    a.li32(S1, 0x0012_3457);
+    a.li32(S2, 120);
+    a.li32(A2, 7);
+    a.label("loop");
+    a.li32(T0, 1_103_515_245);
+    a.mul(S1, S1, T0);
+    a.addi(S1, S1, 1_234);
+    a.andi(T1, S1, 0xFC);
+    a.add(T2, S0, T1);
+    a.lw(T3, T2, 0);
+    a.andi(T4, S1, 0x40);
+    a.beq(T4, ZERO, "skip");
+    a.divu(T5, S1, A2);
+    a.divu(T5, T5, A2);
+    a.andi(T5, T5, 0xFC);
+    a.add(T5, S0, T5);
+    a.sw(T5, T3, 256);
+    a.lw(A1, T2, 256);
+    a.add(A0, A0, A1);
+    a.label("skip");
+    a.sw(T2, A0, 0);
+    a.lw(T3, T2, 0);
+    a.xor(A0, A0, T3);
+    a.addi(S2, S2, -1);
+    a.bne(S2, ZERO, "loop");
+    a.li32(T0, OUTPUT_BASE);
+    a.sw(T0, A0, 0);
+    a.halt();
+    let table: Vec<u8> = (0..512u32).map(|i| (i * 37 + 11) as u8).collect();
+    Program::new("kernel", a.assemble().unwrap(), 4).with_data(DATA_BASE, table)
+}
+
+fn ctl() -> RunControl {
+    RunControl {
+        max_cycles: 1_000_000,
+        ..RunControl::default()
+    }
+}
+
+/// A simulator mid-flight with something in every structure the table
+/// below perturbs, and its snapshot.
+fn mid_flight(cfg: MuarchConfig) -> (Sim, Snapshot) {
+    let mut sim = Sim::new(&kernel(), cfg);
+    assert!(sim.run_to_cycle(400, &ctl()).is_none());
+    loop {
+        let unproduced = (0..sim.cfg.phys_regs).any(|p| !sim.rf.is_ready(p as PhysReg));
+        if sim.rob_count > 2
+            && sim.rob_count < sim.rob.len()
+            && sim.lq_count > 0
+            && sim.sq_count > 0
+            && sim.lq_count < sim.lq.len()
+            && sim.sq_count < sim.sq.len()
+            && !sim.scratch.decode_q.is_empty()
+            && sim.executing != 0
+            && sim.in_iq & !sim.ready != 0
+            && unproduced
+        {
+            break;
+        }
+        assert!(sim.step(&ctl()).is_none(), "kernel ended before the state");
+    }
+    let snap = sim.snapshot();
+    (snap.spawn(), snap)
+}
+
+/// A physical register that is architecturally mapped and produced (live),
+/// one on the free list, and one allocated but not yet produced.
+fn registers(sim: &Sim) -> (u64, u64, u64) {
+    let live = (0..avgi_isa::NUM_ARCH_REGS)
+        .map(|a| sim.rf.lookup(a))
+        .find(|&p| sim.rf.is_ready(p))
+        .expect("a produced mapping");
+    let free = sim.rf.clone().alloc().expect("a free register");
+    let unproduced = (0..sim.cfg.phys_regs as PhysReg)
+        .find(|&p| !sim.rf.is_ready(p) && p != free)
+        .expect("checked by mid_flight");
+    (u64::from(live), u64::from(free), u64::from(unproduced))
+}
+
+/// The flat index of a line of `cache` that holds some line of memory, and
+/// of one that holds nothing (its valid bit is clear).
+fn lines(cache: &Cache) -> (u64, u64) {
+    let resident: Vec<u64> = (0..crate::mem::MEM_SIZE)
+        .step_by(cache.geometry().line_bytes as usize)
+        .filter_map(|a| cache.clone().lookup(a).map(|li| li as u64))
+        .collect();
+    let invalid = (0..u64::from(cache.geometry().lines())).find(|li| !resident.contains(li));
+    (resident[0], invalid.expect("an empty line"))
+}
+
+type Perturbation = (&'static str, Box<dyn Fn(&mut Sim)>);
+
+fn p(name: &'static str, f: impl Fn(&mut Sim) + 'static) -> Perturbation {
+    (name, Box::new(f))
+}
+
+#[test]
+fn a_perturbation_flips_the_answer_exactly_where_the_state_is_live() {
+    for cfg in [MuarchConfig::big(), MuarchConfig::small()] {
+        let (sim, snap) = mid_flight(cfg);
+        assert!(sim.converged_with(&snap));
+        let (live, free, unproduced) = registers(&sim);
+        let line_bits = u64::from(sim.cfg.l1d.line_bytes) * 8;
+        let (d_valid, d_invalid) = lines(&sim.l1d);
+        let (i_valid, i_invalid) = lines(&sim.l1i);
+        let (l2_valid, l2_invalid) = lines(&sim.l2);
+        let tag_bits = |c: &Cache| u64::from(crate::fault::tag_entry_bits(c.geometry().tag_bits()));
+        let (d_tag, l2_tag) = (tag_bits(&sim.l1d), tag_bits(&sim.l2));
+        let dead_rob = sim.rob_tail; // free: `mid_flight` left the ROB short of full
+        let rob_bits = u64::from(ROB_ENTRY_BITS);
+
+        let must_flip: Vec<Perturbation> = vec![
+            p("cycle", |s| s.cycle += 1),
+            p("seq_next", |s| s.seq_next += 1),
+            p("fetch_pc", |s| s.fetch_pc ^= 4),
+            p("fetch_ready_cycle", |s| s.fetch_ready_cycle += 1),
+            p("fetch_paused", |s| s.fetch_paused ^= true),
+            p("commit_index", |s| s.commit_index += 1),
+            p("output_addr", |s| s.output_addr += 4),
+            p("output_len", |s| s.output_len += 4),
+            p("in_iq", |s| s.in_iq ^= 1 << s.rob_head),
+            p("ready", |s| s.ready ^= 1 << s.rob_head),
+            p("executing", |s| s.executing ^= 1 << s.rob_head),
+            p("rob_head", |s| {
+                s.rob_head = wrap_inc(s.rob_head, s.rob.len())
+            }),
+            p("rob_tail", |s| {
+                s.rob_tail = wrap_inc(s.rob_tail, s.rob.len())
+            }),
+            p("rob_count", |s| s.rob_count -= 1),
+            p("lq_head", |s| s.lq_head = wrap_inc(s.lq_head, s.lq.len())),
+            p("lq_tail", |s| s.lq_tail = wrap_inc(s.lq_tail, s.lq.len())),
+            p("lq_count", |s| s.lq_count -= 1),
+            p("sq_head", |s| s.sq_head = wrap_inc(s.sq_head, s.sq.len())),
+            p("sq_tail", |s| s.sq_tail = wrap_inc(s.sq_tail, s.sq.len())),
+            p("sq_count", |s| s.sq_count -= 1),
+            p("live rob entry", |s| s.rob[s.rob_head].val ^= 1),
+            p("rob_finish, executing slot", |s| {
+                s.rob_finish[s.executing.trailing_zeros() as usize] += 1
+            }),
+            p("live lq entry", |s| s.lq[s.lq_head].paddr ^= 4),
+            p("live sq entry", |s| s.sq[s.sq_head].data ^= 1),
+            p("decode-queue entry", |s| {
+                s.scratch.decode_q[0].predicted_next ^= 4
+            }),
+            p("rob image, live slot", move |s| {
+                s.rob_img.flip_bit(s.rob_head as u64 * rob_bits)
+            }),
+            p("rob image, free slot", move |s| {
+                s.rob_img.flip_bit(dead_rob as u64 * rob_bits)
+            }),
+            p("lq image", |s| s.lq_img.flip_bit(3)),
+            p("sq image", |s| s.sq_img.flip_bit(3)),
+            p("register value, live", move |s| {
+                s.rf.flip_bit(live * 32 + 5)
+            }),
+            p("rename map", move |s| {
+                s.rf.remap(3, free as PhysReg);
+            }),
+            p("free list", move |s| s.rf.release(live as PhysReg)),
+            p("ready bit", move |s| {
+                s.rf.write(unproduced as PhysReg, 0);
+            }),
+            p("waiter bit", move |s| {
+                s.rf.add_waiter(unproduced as PhysReg, 63)
+            }),
+            p("itlb entry", |s| s.itlb.flip_bit(0)),
+            p("dtlb entry", |s| s.dtlb.flip_bit(0)),
+            p("predictor counter", |s| s.pred.train_direction(0x40, true)),
+            p("btb target", |s| s.pred.train_target(0x40, 0x80)),
+            p("l1d data, valid line", move |s| {
+                s.l1d.flip_data_bit(d_valid * line_bits)
+            }),
+            p("l1i data, valid line", move |s| {
+                s.l1i.flip_data_bit(i_valid * line_bits)
+            }),
+            p("l2 data, valid line", move |s| {
+                s.l2.flip_data_bit(l2_valid * line_bits)
+            }),
+            p("l1d tag", move |s| s.l1d.flip_tag_bit(d_valid * d_tag)),
+            p("l1d tag, invalid line", move |s| {
+                s.l1d.flip_tag_bit(d_invalid * d_tag)
+            }),
+            p("l2 tag", move |s| s.l2.flip_tag_bit(l2_valid * l2_tag)),
+            p("l1d hit (lru stamp, tick)", |s| {
+                let hit = (DATA_BASE..)
+                    .step_by(64)
+                    .find(|&a| s.l1d.lookup(a).is_some());
+                assert!(hit.is_some());
+            }),
+            p("memory byte, shared page", |s| {
+                s.mem.write_u8(DATA_BASE + 9 * PAGE_BYTES, 1)
+            }),
+            p("memory byte, split page", |s| {
+                let at = DATA_BASE + 9 * PAGE_BYTES;
+                s.mem.write_u8(at, 0); // same bytes, own page
+                s.mem.write_u8(at + 1, 1);
+            }),
+            p("armed fault", |s| {
+                s.inject(Fault {
+                    site: crate::fault::FaultSite {
+                        structure: Structure::RegFile,
+                        bit: 0,
+                    },
+                    cycle: s.cycle + 50,
+                })
+            }),
+        ];
+        let must_not: Vec<Perturbation> = vec![
+            p("stats", |s| s.stats.fetched += 1),
+            p("rob_stamp", |s| s.rob_stamp[s.rob_head] += 1),
+            p("scratch generation", |s| s.scratch.gen += 1),
+            p("recorded trace", |s| s.scratch.trace.clear()),
+            p("scratch_base", |s| s.scratch_base = None),
+            p("first_deviation", |s| {
+                s.first_deviation = Some(Deviation {
+                    index: 0,
+                    golden: s
+                        .scratch
+                        .trace
+                        .first()
+                        .copied()
+                        .unwrap_or_else(blank_commit),
+                    faulty: blank_commit(),
+                })
+            }),
+            p("first_inject_cycle", |s| s.first_inject_cycle = Some(7)),
+            p("applied fault", |s| {
+                let bit = 32 * u64::from(s.cfg.phys_regs) - 1;
+                s.inject(Fault {
+                    site: crate::fault::FaultSite {
+                        structure: Structure::RegFile,
+                        bit,
+                    },
+                    cycle: s.cycle - 1,
+                });
+                s.apply_due_faults();
+                s.rf.flip_bit(bit); // the state it flipped, put back
+            }),
+            p("dead rob entry", move |s| s.rob[dead_rob].val ^= 1),
+            p("rob_finish, free slot", move |s| {
+                s.rob_finish[dead_rob] += 1
+            }),
+            p("rob_finish, slot still to issue", |s| {
+                s.rob_finish[s.in_iq.trailing_zeros() as usize] += 1
+            }),
+            p("dead lq entry", |s| {
+                let t = s.lq_tail;
+                s.lq[t].paddr ^= 4
+            }),
+            p("dead sq entry", |s| {
+                let t = s.sq_tail;
+                s.sq[t].data ^= 1
+            }),
+            p("register value, free", move |s| {
+                s.rf.flip_bit(free * 32 + 5)
+            }),
+            p("register value, unproduced", move |s| {
+                s.rf.flip_bit(unproduced * 32 + 5)
+            }),
+            p("l1d data, invalid line", move |s| {
+                s.l1d.flip_data_bit(d_invalid * line_bits)
+            }),
+            p("l1i data, invalid line", move |s| {
+                s.l1i.flip_data_bit(i_invalid * line_bits)
+            }),
+            p("l2 data, invalid line", move |s| {
+                s.l2.flip_data_bit(l2_invalid * line_bits)
+            }),
+            p("cache journals", |s| {
+                s.l1d.clear_tracking();
+                s.l2.clear_tracking()
+            }),
+            p("memory page split, same bytes", |s| {
+                s.mem.write_u8(DATA_BASE, s.mem.read_u8(DATA_BASE))
+            }),
+            p("memory dirty set", |s| s.mem.clear_tracking()),
+        ];
+        for (what, perturb) in &must_flip {
+            let mut s = sim.clone();
+            perturb(&mut s);
+            assert!(!s.converged_with(&snap), "{}: {what}", sim.cfg.name);
+        }
+        for (what, perturb) in &must_not {
+            let mut s = sim.clone();
+            perturb(&mut s);
+            assert!(s.converged_with(&snap), "{}: {what}", sim.cfg.name);
+        }
+    }
+}
+
+fn blank_commit() -> CommitRecord {
+    CommitRecord {
+        cycle: 0,
+        pc: 0,
+        raw: 0,
+        ea: 0,
+        val: 0,
+    }
+}
+
+/// The other half of the dead-storage principle: what was dead and differed
+/// stays without effect — the perturbed machine runs on to the report the
+/// unperturbed one reaches, bit for bit.
+#[test]
+fn a_machine_differing_only_in_dead_storage_ends_identically() {
+    for cfg in [MuarchConfig::big(), MuarchConfig::small()] {
+        let (sim, snap) = mid_flight(cfg);
+        let want = snap.spawn().run(&ctl());
+        assert_eq!(want.outcome, RunOutcome::Completed);
+        let (_, free, unproduced) = registers(&sim);
+        let line_bits = u64::from(sim.cfg.l1d.line_bytes) * 8;
+        let mut s = sim.clone();
+        for bit in 0..32 {
+            s.rf.flip_bit(free * 32 + bit);
+            s.rf.flip_bit(unproduced * 32 + bit);
+        }
+        let (_, d_invalid) = lines(&sim.l1d);
+        let (_, i_invalid) = lines(&sim.l1i);
+        let (_, l2_invalid) = lines(&sim.l2);
+        for bit in 0..line_bits {
+            s.l1d.flip_data_bit(d_invalid * line_bits + bit);
+            s.l1i.flip_data_bit(i_invalid * line_bits + bit);
+            s.l2.flip_data_bit(l2_invalid * line_bits + bit);
+        }
+        assert!(s.converged_with(&snap));
+        let got = s.run(&ctl());
+        assert_eq!(
+            (got.outcome, got.cycles, &got.output, got.stats),
+            (want.outcome, want.cycles, &want.output, want.stats)
+        );
+    }
+}
