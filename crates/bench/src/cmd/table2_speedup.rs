@@ -7,11 +7,13 @@
 //! campaigns per structure:
 //!
 //! * traditional — end-to-end runs (the baseline column). Every run is
-//!   *charged* its cycles to the end of the program; a run whose machine
-//!   state converged with the golden's at a checkpoint did not simulate all
-//!   of them (DESIGN §13), so the last two columns give the cycles this
-//!   baseline actually simulated and AVGI's speed-up against that — the
-//!   faster, and therefore the honest, baseline to be measured against,
+//!   *charged* its cycles to the end of the program or of its window — the
+//!   paper's accounting, and the first seven columns; a run that provably
+//!   had the golden's future (a flip into dead storage, a machine state
+//!   equal to the golden's at a checkpoint) did not simulate all of them
+//!   (DESIGN §13), in either flow. The last two columns are the other
+//!   honest pair: the cycles this baseline actually simulated, and its
+//!   ratio to the cycles the full AVGI flow actually simulated,
 //! * insights 1&2 — stop at the first commit-trace deviation,
 //! * insight 3 — additionally stop Benign runs at the ERT window
 //!   (the full AVGI flow; the paper's "Maximum Sim Cycles" column is the
@@ -44,18 +46,19 @@ pub fn run(a: crate::Args) -> ExitCode {
             "ins3",
             "total",
             "conv Mcyc",
-            "vs conv",
+            "sim/sim",
         ],
         &[11, 11, 11, 11, 8, 8, 8, 11, 8],
     );
 
     let mut cache = GoldenCache::new();
     let mut grand = [0u64; 3];
-    let mut grand_simulated = 0;
+    let mut grand_simulated = [0u64; 2]; // [traditional, full AVGI]
     for &s in Structure::all() {
         let mut cost = [0u64; 3]; // [traditional, first-deviation, full AVGI]
-        // What the traditional campaigns are charged but did not simulate.
-        let skipped = Arc::new(MetricsCollector::new());
+        // What the traditional and the full-AVGI campaigns are charged but
+        // did not simulate.
+        let skipped = [(); 2].map(|()| Arc::new(MetricsCollector::new()));
         let mut window_desc = String::new();
         for w in &workloads {
             eprintln!("[table2] {} / {}", s, w.name);
@@ -67,24 +70,24 @@ pub fn run(a: crate::Args) -> ExitCode {
             };
             let traditional = CampaignConfig::new(s, args.faults, RunMode::EndToEnd)
                 .with_seed(args.seed)
-                .with_observer(skipped.clone());
+                .with_observer(skipped[0].clone());
             cost[0] += campaign_under(w, &cfg, &golden, &traditional).total_post_inject_cycles();
-            let avgi_modes = [
-                RunMode::FirstDeviation { ert_window: None },
-                RunMode::FirstDeviation {
-                    ert_window: Some(window),
-                },
-            ];
-            for (k, mode) in avgi_modes.into_iter().enumerate() {
-                cost[k + 1] +=
-                    campaign(w, &cfg, &golden, s, mode, &args).total_post_inject_cycles();
-            }
+            let first_deviation = RunMode::FirstDeviation { ert_window: None };
+            cost[1] += campaign(w, &cfg, &golden, s, first_deviation, &args)
+                .total_post_inject_cycles();
+            let ert_window = Some(window);
+            let full = CampaignConfig::new(s, args.faults, RunMode::FirstDeviation { ert_window })
+                .with_seed(args.seed)
+                .with_observer(skipped[1].clone());
+            cost[2] += campaign_under(w, &cfg, &golden, &full).total_post_inject_cycles();
         }
         for k in 0..3 {
             grand[k] += cost[k];
         }
-        let simulated = cost[0] - skipped.snapshot().cycles_skipped;
-        grand_simulated += simulated;
+        let simulated = [0, 1].map(|k| cost[2 * k] - skipped[k].snapshot().cycles_skipped);
+        for k in 0..2 {
+            grand_simulated[k] += simulated[k];
+        }
         let s12 = cost[0] as f64 / cost[1].max(1) as f64;
         let s3 = cost[0] as f64 / cost[2].max(1) as f64;
         println!(
@@ -96,8 +99,8 @@ pub fn run(a: crate::Args) -> ExitCode {
             s12,
             s3,
             s3,
-            simulated as f64 / 1e6,
-            simulated as f64 / cost[2].max(1) as f64,
+            simulated[0] as f64 / 1e6,
+            simulated[0] as f64 / simulated[1].max(1) as f64,
         );
     }
     println!(
@@ -113,11 +116,13 @@ pub fn run(a: crate::Args) -> ExitCode {
         grand[0] as f64 / grand[1].max(1) as f64,
     );
     println!(
-        "converging SFI baseline: {:.1} of the traditional {:.1} Mcycles simulated -> \
-         full-CPU speedup against it {:.1}x",
-        grand_simulated as f64 / 1e6,
+        "simulated, not charged: {:.1} of the traditional {:.1} Mcycles, {:.1} of AVGI's {:.1} \
+         -> full-CPU speedup, simulated against simulated, {:.1}x",
+        grand_simulated[0] as f64 / 1e6,
         grand[0] as f64 / 1e6,
-        grand_simulated as f64 / grand[2].max(1) as f64,
+        grand_simulated[1] as f64 / 1e6,
+        grand[2] as f64 / 1e6,
+        grand_simulated[0] as f64 / grand_simulated[1].max(1) as f64,
     );
     ExitCode::SUCCESS
 }

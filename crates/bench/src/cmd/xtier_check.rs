@@ -6,10 +6,11 @@
 //! [`avgi_faultsim::run_xcheck`] (batched vs. unbatched engine, fork
 //! anatomy, run to the end) on the same campaign, and exits non-zero on the
 //! first divergence. That campaign is the production mode, whose ERT window
-//! keeps every run away from the convergence exit, so `run_xcheck` runs once
-//! more on the same faults as an end-to-end campaign and its `converge` line
-//! says how many runs took the golden's ending and were equal to their run
-//! to the end — none taking it fails the gate like a mismatch does. The
+//! admits only the exit at the injection cycle, so `run_xcheck` runs once
+//! more on the same faults as an end-to-end campaign, which also takes the
+//! exits at later checkpoints. Each prints a `converge` line saying how many
+//! runs took the golden's ending and were equal to their run to the end —
+//! none taking it fails the gate like a mismatch does. The
 //! exhaustive versions live in `cargo test` (`faultsim/src/xcheck.rs`,
 //! `faultsim/tests/{batched_equivalence,convergence}.rs`); this command is
 //! the seconds-cheap gate that keeps every push honest.
@@ -49,25 +50,23 @@ pub fn run(mut a: crate::Args) -> ExitCode {
             Ok(r) => println!("{r}"),
             Err(e) => return fail("execution-tier", e),
         }
-        match run_xcheck(w, &cfg, &golden, &ccfg) {
-            Ok(r) => println!("{r}"),
-            Err(e) => return fail("batched engine", e),
-        }
         let end_to_end = CampaignConfig::new(Structure::RegFile, faults, RunMode::EndToEnd);
-        match run_xcheck(w, &cfg, &golden, &end_to_end) {
-            Ok(r) if r.converged == 0 => {
-                return fail("convergence", "no run took the exit".to_string())
+        for (mode, ccfg) in [("ERT-bounded", &ccfg), ("end-to-end", &end_to_end)] {
+            match run_xcheck(w, &cfg, &golden, ccfg) {
+                Ok(r) if r.converged == 0 => {
+                    return fail("convergence", format!("no {mode} run took the exit"))
+                }
+                Ok(r) => println!(
+                    "{r}\nconverge `{}` {mode}: {} runs, {} converged, {} cycles charged, {} \
+                     simulated, mismatches 0",
+                    w.name,
+                    r.runs_compared,
+                    r.converged,
+                    r.cycles_charged,
+                    r.cycles_charged - r.cycles_skipped
+                ),
+                Err(e) => return fail("batched engine", e),
             }
-            Ok(r) => println!(
-                "converge `{}`: {} runs, {} converged, {} cycles charged, {} simulated, \
-                 mismatches 0",
-                w.name,
-                r.runs_compared,
-                r.converged,
-                r.cycles_charged,
-                r.cycles_charged - r.cycles_skipped
-            ),
-            Err(e) => return fail("convergence", e),
         }
     }
     println!(

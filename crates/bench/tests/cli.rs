@@ -128,11 +128,13 @@ fn xtier_check_exercises_the_convergence_exit() {
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let text = String::from_utf8_lossy(&out.stdout);
     for workload in ["bitcount", "crc32"] {
-        let line = (text.lines())
-            .find(|l| l.starts_with(&format!("converge `{workload}`: 24 runs, ")))
-            .unwrap_or_else(|| panic!("no converge line for {workload}:\n{text}"));
-        assert!(line.ends_with(", mismatches 0"), "{line}");
-        assert!(!line.contains(" 0 converged"), "{line}");
+        for mode in ["ERT-bounded", "end-to-end"] {
+            let line = (text.lines())
+                .find(|l| l.starts_with(&format!("converge `{workload}` {mode}: 24 runs, ")))
+                .unwrap_or_else(|| panic!("no {mode} converge line for {workload}:\n{text}"));
+            assert!(line.ends_with(", mismatches 0"), "{line}");
+            assert!(!line.contains(" 0 converged"), "{line}");
+        }
     }
 }
 

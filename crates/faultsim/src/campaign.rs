@@ -18,7 +18,7 @@ use avgi_muarch::config::MuarchConfig;
 use avgi_muarch::fault::{Fault, Structure};
 use avgi_muarch::pipeline::{capture_golden, Sim, Snapshot};
 use avgi_muarch::program::Program;
-use avgi_muarch::run::{RunControl, RunOutcome, RunReport};
+use avgi_muarch::run::{RunControl, RunOutcome};
 use avgi_muarch::trace::{Deviation, GoldenRun};
 use avgi_refmodel::ExecTier;
 use avgi_workloads::Workload;
@@ -541,18 +541,16 @@ impl MaskedOracle {
     /// no-deviation claim are inconsistent with the architectural program.
     /// This validates the classification's internal consistency, not the
     /// ERT approximation itself (a latent fault past its residency is
-    /// Benign by the paper's §V.A definition).
-    fn check_ert_expired(&self, fault: &Fault, report: &RunReport) {
-        if report.first_deviation.is_some() {
-            return; // deviated runs are classified by the deviation, not ERT
-        }
+    /// Benign by the paper's §V.A definition). `committed` is the run's
+    /// commit count at the stop — all the check needs of it.
+    fn check_ert_expired(&self, fault: &Fault, committed: u64) {
         let mut tail = avgi_refmodel::FastModel::with_cache(&self.program, self.cache.clone());
-        let prefix = tail.run(report.stats.committed);
-        if prefix.outcome.is_some() || prefix.steps != report.stats.committed {
+        let prefix = tail.run(committed);
+        if prefix.outcome.is_some() || prefix.steps != committed {
             self.violations.lock().unwrap().push(format!(
-                "fault {fault:?}: ERT stop after {} commits, but the reference program ends \
-                 ({:?}) at step {}",
-                report.stats.committed, prefix.outcome, prefix.steps
+                "fault {fault:?}: ERT stop after {committed} commits, but the reference program \
+                 ends ({:?}) at step {}",
+                prefix.outcome, prefix.steps
             ));
             return;
         }
@@ -737,51 +735,97 @@ struct Engine<'a> {
 }
 
 impl Engine<'_> {
+    /// Whether every bit `fault` flips — the one site, or its burst — lies
+    /// in storage that is dead on `sim` ([`Sim::dead_on_arrival`]).
+    fn dead_on_arrival(&self, sim: &Sim, fault: Fault) -> bool {
+        match self.ccfg.burst_width {
+            0 | 1 => sim.dead_on_arrival(fault.site),
+            width => multi_bit_burst(fault, width, self.cfg)
+                .iter()
+                .all(|f| sim.dead_on_arrival(f.site)),
+        }
+    }
+
+    /// The ending a machine equal to the golden's from `from_cycle` on
+    /// reaches under `ctl` — the one place a result is derived instead of
+    /// simulated: the golden's own ending (the model is deterministic), cut
+    /// where [`Sim::step`]'s ERT test would cut it — with no deviation
+    /// recorded, at the end of cycle `e - 1` unless `halt` commits first.
+    /// The cycles not simulated are still charged — a result never shows how
+    /// it was produced — and reported through `on_converged`.
+    fn golden_ending(
+        &self,
+        fault: Fault,
+        deviation: Option<Deviation>,
+        from_cycle: u64,
+        ctl: &RunControl,
+    ) -> InjectionResult {
+        let golden = self.golden;
+        let ert_end = (ctl.ert_window.filter(|_| deviation.is_none()))
+            .map(|w| fault.cycle.saturating_add(w.max(1)))
+            .filter(|&e| e <= golden.cycles);
+        let (outcome, cycles) = match ert_end {
+            Some(e) => (RunOutcome::ErtExpired, e),
+            None => (RunOutcome::Completed, golden.cycles),
+        };
+        self.observer
+            .on_converged(self.ccfg.structure, cycles - from_cycle);
+        match (&self.oracle, ert_end) {
+            (Some(oracle), Some(e)) => {
+                let committed = golden.trace.partition_point(|r| r.cycle < e);
+                oracle.check_ert_expired(&fault, committed as u64);
+            }
+            (Some(oracle), None) => oracle.check_completed(&fault, &golden.output, &golden.output),
+            (None, _) => {}
+        }
+        InjectionResult {
+            fault,
+            outcome,
+            deviation,
+            output_matches: ert_end.is_none().then_some(true),
+            cycles,
+            post_inject_cycles: cycles.saturating_sub(fault.cycle),
+            abort_message: None,
+        }
+    }
+
     /// Arms `fault` on a positioned simulator, runs it to the end the mode
     /// prescribes and turns the report into a result — the one
     /// run-finishing step both execution paths share.
     ///
     /// `future` is the golden machine at the checkpoints after the
-    /// injection cycle ([`CheckpointSet::after`]; empty for a run that did
-    /// not resume from a set). The run stops at each on its way and, the
-    /// first time its live state equals the golden's
-    /// ([`Sim::converged_with`]), takes the golden's ending instead of
-    /// simulating it: the model is deterministic, so that is the ending it
-    /// would reach. The cycles not simulated are still charged — a result
-    /// never shows which way it was produced — and reported apart, through
-    /// [`CampaignObserver::on_converged`]. A run under an ERT window ends by
-    /// its own history within that window and is not compared.
-    fn finish(&self, sim: &mut Sim, fault: Fault, future: &[Snapshot]) -> InjectionResult {
+    /// injection cycle ([`CheckpointSet::after`]) for a run that resumed
+    /// from a set, `None` for the simulate-everything reference. A resumed
+    /// run takes [`golden_ending`](Engine::golden_ending) where it provably
+    /// has the golden's future: at its injection cycle — reached with the
+    /// fault armed and not yet due — if the flip goes into dead storage (a
+    /// fork was asked before the copy and says no again), and at the first
+    /// later checkpoint where its live state equals the golden's
+    /// ([`Sim::converged_with`]). A run under an ERT window takes the first
+    /// exit only: a comparison costs a fifth of a short window.
+    fn finish(&self, sim: &mut Sim, fault: Fault, future: Option<&[Snapshot]>) -> InjectionResult {
         inject_burst(sim, fault, self.ccfg.burst_width, self.cfg);
         let ctl = control_for(self.ccfg.mode, self.golden, self.ccfg.wall_budget);
         let deadline = ctl.deadline();
-        let future = if ctl.ert_window.is_some() {
-            &[]
-        } else {
-            future
-        };
         let mut ended = None;
-        for snap in future {
-            ended = sim.advance(snap.cycle(), &ctl, deadline);
-            if ended.is_some() {
-                break;
+        if let Some(future) = future {
+            ended = sim.advance(fault.cycle, &ctl, deadline);
+            if ended.is_none() && self.dead_on_arrival(sim, fault) {
+                return self.golden_ending(fault, sim.first_deviation(), fault.cycle, &ctl);
             }
-            if sim.converged_with(snap) {
-                let golden = self.golden;
-                self.observer
-                    .on_converged(self.ccfg.structure, golden.cycles - snap.cycle());
-                if let Some(oracle) = &self.oracle {
-                    oracle.check_completed(&fault, &golden.output, &golden.output);
+            let future = if ctl.ert_window.is_some() {
+                &[]
+            } else {
+                future
+            };
+            for snap in future {
+                if ended.is_some() {
+                    break;
                 }
-                return InjectionResult {
-                    fault,
-                    outcome: RunOutcome::Completed,
-                    deviation: sim.first_deviation(),
-                    output_matches: Some(true),
-                    cycles: golden.cycles,
-                    post_inject_cycles: golden.cycles.saturating_sub(fault.cycle),
-                    abort_message: None,
-                };
+                ended = sim.advance(snap.cycle(), &ctl, deadline);
+                if ended.is_none() && sim.converged_with(snap) {
+                    return self.golden_ending(fault, sim.first_deviation(), snap.cycle(), &ctl);
+                }
             }
         }
         let outcome = ended
@@ -793,7 +837,7 @@ impl Engine<'_> {
                 oracle.check_completed(&fault, output, &self.golden.output);
             }
             if report.outcome == RunOutcome::ErtExpired {
-                oracle.check_ert_expired(&fault, &report);
+                oracle.check_ert_expired(&fault, report.stats.committed);
             }
         }
         InjectionResult {
@@ -820,12 +864,12 @@ impl Engine<'_> {
             Some(set) => self.finish(
                 rewind(scratch, set.nearest(fault.cycle)),
                 fault,
-                set.after(fault.cycle),
+                Some(set.after(fault.cycle)),
             ),
             None => self.finish(
                 &mut Sim::new(&self.workload.program, self.cfg.clone()),
                 fault,
-                &[],
+                None,
             ),
         }
     }
@@ -869,9 +913,11 @@ impl Engine<'_> {
     /// `set`'s snapshot `snap_idx` and sorted ascending by injection cycle,
     /// off one shared fault-free prefix.
     ///
-    /// The carrier advances fault-free from the checkpoint; each run forks
-    /// off it at the *beginning* of its injection cycle, arms its fault, and
-    /// runs to its own end. [`Sim::step`] applies pending faults at the start
+    /// The carrier advances fault-free from the checkpoint; each run whose
+    /// fault is not dead on it there ([`Sim::dead_on_arrival`] — a dead one
+    /// takes the golden's ending unforked) forks off it at the *beginning*
+    /// of its injection cycle, arms its fault, and runs to its own end.
+    /// [`Sim::step`] applies pending faults at the start
     /// of the cycle they name, so a fork positioned at the beginning of
     /// `fault.cycle` with the fault newly armed is state-identical to an
     /// unbatched scratch that restored at the checkpoint, armed the same
@@ -911,11 +957,14 @@ impl Engine<'_> {
                     if carrier.run_to_cycle(fault.cycle, &prefix_ctl).is_some() {
                         return None; // carrier ended before the injection cycle
                     }
+                    if self.dead_on_arrival(carrier, fault) {
+                        return Some(self.golden_ending(fault, None, fault.cycle, &prefix_ctl));
+                    }
                     if let Some(f) = fork.as_mut() {
                         f.restore_from_sim(carrier);
                     }
                     let fork = fork.get_or_insert_with(|| carrier.clone());
-                    Some(self.finish(fork, fault, set.after(fault.cycle)))
+                    Some(self.finish(fork, fault, Some(set.after(fault.cycle))))
                 });
                 match attempt {
                     Ok(Some(r)) => batched = Some(r),
@@ -1329,6 +1378,42 @@ mod tests {
         for r in &c.results {
             if r.outcome == RunOutcome::Completed {
                 assert!(r.output_matches.is_some());
+            }
+        }
+    }
+
+    /// An ERT window of 0 or 1 closes at the end of the injection cycle —
+    /// after the flip — on every path. The unbatched path used to close a
+    /// 0-cycle window *before* it, at `cycles == fault.cycle`: a scratch
+    /// rewound to a checkpoint inherited the snapshot's vacuous "every armed
+    /// fault is applied".
+    #[test]
+    fn a_zero_ert_window_closes_after_the_flip_on_every_path() {
+        let w = avgi_workloads::by_name("bitcount").unwrap();
+        let cfg = MuarchConfig::big();
+        let golden = golden_for(&w, &cfg);
+        for &structure in Structure::all() {
+            for window in [0, 1] {
+                let mode = RunMode::FirstDeviation {
+                    ert_window: Some(window),
+                };
+                let base = CampaignConfig::new(structure, 12, mode);
+                let run = |checkpoints, batch| {
+                    let ccfg = base.clone().with_checkpoints(checkpoints).with_batch(batch);
+                    run_campaign(&w, &cfg, &golden, &ccfg).results
+                };
+                let reference = run(0, 1);
+                for r in &reference {
+                    let expired = r.outcome == RunOutcome::ErtExpired;
+                    assert!(!expired || r.cycles == r.fault.cycle + 1, "{r:?}");
+                }
+                for (checkpoints, batch) in [(0, 32), (8, 1), (8, 32)] {
+                    assert_eq!(
+                        run(checkpoints, batch),
+                        reference,
+                        "{structure:?} window={window} checkpoints={checkpoints} batch={batch}"
+                    );
+                }
             }
         }
     }

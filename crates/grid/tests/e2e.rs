@@ -64,13 +64,15 @@ fn three_workers_match_single_process_bit_for_bit() {
 #[test]
 fn worker_death_mid_campaign_converges_via_lease_reassignment() {
     let dir = scratch("e2e-death");
-    // Small batches: plenty of leases remain when the dying worker asks
-    // for its fatal second one, so the death always happens mid-campaign.
+    // One-run batches: plenty of leases remain when the dying worker asks
+    // for its fatal second one, so the death always happens mid-campaign
+    // (at 4 runs a lease the healthy worker, whose dead-on-arrival runs
+    // cost nothing, could on a loaded host drain all 12 first).
     // One worker dies holding a lease after its first completed batch; the
     // healthy worker must pick up the abandoned indices.
     let mut dying = worker();
     dying.max_batches = Some(1);
-    let (outcome, stats) = run_grid(service_config(&dir, 4), vec![dying, worker()]);
+    let (outcome, stats) = run_grid(service_config(&dir, 1), vec![dying, worker()]);
     assert_matches_reference(&outcome, &spec());
     assert!(
         stats.leases_reassigned >= 1,

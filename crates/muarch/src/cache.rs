@@ -326,23 +326,38 @@ impl Cache {
         self.clear_tracking();
     }
 
+    /// Dead storage: the data of a line whose valid bit is clear. `lookup`,
+    /// `fill`'s eviction and `drain_dirty` test `meta_valid` before anything
+    /// reads the line, `read_resident`/`write_resident`/`mark_dirty` are
+    /// reached only through a hit or a fill, and `fill` overwrites the whole
+    /// line before it sets the bit.
+    pub fn data_is_dead(&self, li: usize) -> bool {
+        !self.meta_valid(li)
+    }
+
+    /// Dead storage, as a mask over line `li`'s tag-array word: the tag and
+    /// dirty bits — never the valid bit — of a line whose
+    /// [`data_is_dead`](Cache::data_is_dead), by its argument: every reader
+    /// tests the valid bit first, `fill`'s `set_meta` rewrites the word.
+    pub fn dead_tag_bits(&self, li: usize) -> u32 {
+        let tag_bits = self.geom.tag_bits();
+        u32::from(self.data_is_dead(li)) * (((1 << tag_bits) - 1) | (1 << (tag_bits + 1)))
+    }
+
     /// A cache's share of
-    /// [`Sim::converged_with`](crate::pipeline::Sim::converged_with): tags,
-    /// LRU stamps and `tick` exactly, data where it is live.
+    /// [`Sim::converged_with`](crate::pipeline::Sim::converged_with): valid
+    /// bits, LRU stamps and `tick` exactly — so the two predicates above
+    /// name the same lines in both machines — tags and data where live.
     pub fn converged_with(&self, snap: &Cache) -> bool {
         #[rustfmt::skip]
         let Cache { geom, tags, data, lru, tick, touched: _, touched_gen: _, gen: _ } = self;
         let lb = geom.line_bytes as usize;
-        // Dead storage: the data of a line whose valid bit is clear (in both
-        // machines — the tag words are compared first). `lookup`, `fill`'s
-        // eviction and `drain_dirty` test `meta_valid` before anything reads
-        // the line, `read_resident`/`write_resident` are reached only
-        // through a hit or a fill, and `fill` overwrites the whole line
-        // before it sets the bit. (Such a line's tag and dirty bits are dead
-        // by the same argument; they are compared anyway.)
         let lines = data.chunks_exact(lb).zip(snap.data.chunks_exact(lb));
-        (geom, tick, tags, lru) == (&snap.geom, &snap.tick, &snap.tags, &snap.lru)
-            && (lines.enumerate()).all(|(li, (a, b))| a == b || !self.meta_valid(li))
+        (geom, tick, lru) == (&snap.geom, &snap.tick, &snap.lru)
+            && (tags.iter().zip(&snap.tags).enumerate())
+                .all(|(li, (a, b))| a == b || (a ^ b) & !self.dead_tag_bits(li) == 0)
+            && (*data == snap.data
+                || (lines.enumerate()).all(|(li, (a, b))| a == b || self.data_is_dead(li)))
     }
 }
 

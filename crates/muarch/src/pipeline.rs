@@ -9,7 +9,7 @@
 use crate::cache::{Cache, Eviction, MAX_LINE_BYTES};
 use crate::config::{LsqSlot, MuarchConfig, SlotSet};
 use crate::exec;
-use crate::fault::{Fault, Structure};
+use crate::fault::{tag_entry_bits, Fault, FaultSite, Structure};
 use crate::mem::{MemFault, Memory};
 use crate::predictor::Predictor;
 use crate::program::Program;
@@ -18,7 +18,7 @@ use crate::queues::{
 };
 use crate::regfile::{PhysReg, RegFile};
 use crate::run::{ExecStats, RunControl, RunOutcome, RunReport, TrapKind};
-use crate::tlb::Tlb;
+use crate::tlb::{Tlb, TLB_ENTRY_BITS};
 use crate::trace::{CommitRecord, Deviation, GoldenRun};
 use avgi_isa::instr::{decode, Instr};
 use avgi_isa::opcode::Opcode;
@@ -185,6 +185,12 @@ fn ring_eq<T: PartialEq>(a: &[T], b: &[T], head: usize, count: usize) -> bool {
         && a[..count - first] == b[..count - first]
 }
 
+/// Whether slot `i` of a ring of `len` lies in its live region
+/// `[head, head + count)` (wrapping).
+fn in_ring(i: usize, head: usize, count: usize, len: usize) -> bool {
+    (if i >= head { i - head } else { i + len - head }) < count
+}
+
 /// Next index in a ring of `len` slots. A compare, not `%`: ring lengths are
 /// run-time values, so a modulo here is a hardware divide on paths that run
 /// several times per simulated cycle.
@@ -300,7 +306,6 @@ pub struct Sim {
     // Fault injection.
     faults_next: usize, // cursor into `scratch.pending_faults` (applied prefix)
     first_inject_cycle: Option<u64>,
-    faults_applied: bool,
 
     // Snapshot id this scratch simulator was last synchronised with (gates
     // the journaled O(dirty) cache and memory restores in
@@ -377,7 +382,6 @@ impl Sim {
             output_len: program.output_len,
             faults_next: 0,
             first_inject_cycle: None,
-            faults_applied: false,
             scratch_base: None,
             commit_index: 0,
             first_deviation: None,
@@ -488,7 +492,9 @@ impl Sim {
             return Some(RunOutcome::Watchdog);
         }
         if let (Some(window), Some(at)) = (ctl.ert_window, self.first_inject_cycle) {
-            if self.faults_applied && self.first_deviation.is_none() && self.cycle >= at + window {
+            // The window opens once every armed fault has been applied.
+            let applied = self.faults_next == self.scratch.pending_faults.len();
+            if applied && self.first_deviation.is_none() && self.cycle >= at + window {
                 return Some(RunOutcome::ErtExpired);
             }
         }
@@ -511,15 +517,15 @@ impl Sim {
                 break;
             }
             self.faults_next += 1;
-            self.flip(f.site.structure, f.site.bit);
-        }
-        if self.faults_next == self.scratch.pending_faults.len() {
-            self.faults_applied = true;
+            self.flip(f.site);
         }
     }
 
-    fn flip(&mut self, s: Structure, bit: u64) {
-        match s {
+    /// Flips the storage bit `site` names, now — what an armed [`Fault`]
+    /// does at the beginning of its cycle. Panics if the bit is out of range.
+    pub fn flip(&mut self, site: FaultSite) {
+        let bit = site.bit;
+        match site.structure {
             Structure::L1ITag => self.l1i.flip_tag_bit(bit),
             Structure::L1IData => self.l1i.flip_data_bit(bit),
             Structure::L1DTag => self.l1d.flip_tag_bit(bit),
@@ -1526,7 +1532,7 @@ impl Sim {
             // Scalars.
             cycle, seq_next, fetch_pc, fetch_ready_cycle, fetch_paused, in_iq, ready, executing,
             rob_head, rob_tail, rob_count, lq_head, lq_tail, lq_count, sq_head, sq_tail, sq_count,
-            output_addr, output_len, faults_next, first_inject_cycle, faults_applied,
+            output_addr, output_len, faults_next, first_inject_cycle,
             commit_index, first_deviation, stats,
             // Rings, live region only.
             rob, rob_finish, lq, sq,
@@ -1546,7 +1552,7 @@ impl Sim {
         (self.lq_head, self.lq_tail, self.lq_count) = (*lq_head, *lq_tail, *lq_count);
         (self.sq_head, self.sq_tail, self.sq_count) = (*sq_head, *sq_tail, *sq_count);
         (self.output_addr, self.output_len) = (*output_addr, *output_len);
-        (self.faults_next, self.faults_applied) = (*faults_next, *faults_applied);
+        self.faults_next = *faults_next;
         (self.first_inject_cycle, self.first_deviation) = (*first_inject_cycle, *first_deviation);
         self.stats = *stats;
         // One bump-reset for every growable per-run buffer; the generation
@@ -1601,10 +1607,11 @@ impl Sim {
     ///
     /// Compared is the *live* state, by one principle: storage whose own
     /// valid/ready bit says "unoccupied" is dead — never read, and wholly
-    /// overwritten before it becomes occupied. It is applied in exactly two
-    /// places, each carrying its argument: [`Cache::converged_with`] (the
-    /// data of an invalid line) and [`RegFile::converged_with`] (the value
-    /// of a free or unproduced register). Everything else is compared
+    /// overwritten before it becomes occupied. Each application is one
+    /// predicate carrying its argument, skipped here and answered by
+    /// [`Sim::dead_on_arrival`]: [`RegFile::value_is_dead`],
+    /// [`Cache::data_is_dead`], [`Cache::dead_tag_bits`], [`Tlb::dead_bits`]
+    /// and the three `*_img_is_dead` below. Everything else is compared
     /// whole — the rings over the live region their bounds define, as the
     /// restore copies them, and `rob_finish` over the `executing` slots
     /// (`start_executing` writes a slot's finish cycle as it sets the bit;
@@ -1622,7 +1629,7 @@ impl Sim {
             // counters and the deviation go into the report, the stamps and
             // `scratch_base` guard the restore paths, and the fault cursor
             // is spent once every armed fault is applied (checked below).
-            stats: _, first_deviation: _, first_inject_cycle: _, faults_applied: _,
+            stats: _, first_deviation: _, first_inject_cycle: _,
             rob_stamp: _, scratch_base: _, faults_next: _,
             // Scalars.
             cfg, cycle, seq_next, fetch_pc, fetch_ready_cycle, fetch_paused, in_iq, ready, executing,
@@ -1654,13 +1661,68 @@ impl Sim {
             && ring_eq(lq, &o.lq, *lq_head, *lq_count)
             && ring_eq(sq, &o.sq, *sq_head, *sq_count)
             && *decode_q == o.scratch.decode_q
-            && (rob_img, lq_img, sq_img) == (&o.rob_img, &o.lq_img, &o.sq_img)
+            && rob_img.converged_with(&o.rob_img, |i| self.rob_img_is_dead(i))
+            && lq_img.converged_with(&o.lq_img, |i| self.lq_img_is_dead(i))
+            && sq_img.converged_with(&o.sq_img, |i| self.sq_img_is_dead(i))
             && rf.converged_with(&o.rf)
-            && (itlb, dtlb, pred) == (&o.itlb, &o.dtlb, &o.pred)
+            && itlb.converged_with(&o.itlb)
+            && dtlb.converged_with(&o.dtlb)
+            && *pred == o.pred
             && l1d.converged_with(&o.l1d)
             && l1i.converged_with(&o.l1i)
             && l2.converged_with(&o.l2)
             && mem.converged_with(&o.mem)
+    }
+
+    /// Dead storage: a ROB image slot outside the live ring. Only `commit`
+    /// checks the image, at the head; `dispatch` writes a slot as it enters.
+    fn rob_img_is_dead(&self, i: usize) -> bool {
+        !in_ring(i, self.rob_head, self.rob_count, self.rob.len())
+    }
+
+    /// Dead storage: an LQ image slot outside the live ring, or whose shadow
+    /// is not resolved. `commit` checks the image only `if sh.resolved`;
+    /// `dispatch` clears that, `issue_load` writes the slot as it sets it.
+    fn lq_img_is_dead(&self, i: usize) -> bool {
+        !(in_ring(i, self.lq_head, self.lq_count, self.lq.len()) && self.lq[i].resolved)
+    }
+
+    /// Dead storage: the SQ's, by the LQ's argument with `issue_store`.
+    fn sq_img_is_dead(&self, i: usize) -> bool {
+        !(in_ring(i, self.sq_head, self.sq_count, self.sq.len()) && self.sq[i].resolved)
+    }
+
+    /// Whether this machine would still be [`Sim::converged_with`] itself
+    /// after [`Sim::flip`]ping `site`: the bit lies in storage a dead-storage
+    /// predicate names, so nothing will ever read it. Read-only and O(1);
+    /// `false` for a bit out of range, which `flip` refuses.
+    pub fn dead_on_arrival(&self, site: FaultSite) -> bool {
+        let bit = site.bit;
+        let at = |per: u32| ((bit / u64::from(per)) as usize, bit % u64::from(per));
+        let tag = |c: &Cache| {
+            let (li, b) = at(tag_entry_bits(c.geometry().tag_bits()));
+            c.dead_tag_bits(li) >> b & 1 == 1
+        };
+        let data = |c: &Cache| c.data_is_dead(at(8 * c.geometry().line_bytes).0);
+        let tlb = |t: &Tlb| {
+            let (i, b) = at(TLB_ENTRY_BITS);
+            t.dead_bits(i) >> b & 1 == 1
+        };
+        bit < site.structure.bit_count(&self.cfg)
+            && match site.structure {
+                Structure::L1ITag => tag(&self.l1i),
+                Structure::L1IData => data(&self.l1i),
+                Structure::L1DTag => tag(&self.l1d),
+                Structure::L1DData => data(&self.l1d),
+                Structure::L2Tag => tag(&self.l2),
+                Structure::L2Data => data(&self.l2),
+                Structure::RegFile => self.rf.value_is_dead(at(32).0 as PhysReg),
+                Structure::Rob => self.rob_img_is_dead(at(ROB_ENTRY_BITS).0),
+                Structure::Lq => self.lq_img_is_dead(at(LQ_ENTRY_BITS).0),
+                Structure::Sq => self.sq_img_is_dead(at(SQ_ENTRY_BITS).0),
+                Structure::Itlb => tlb(&self.itlb),
+                Structure::Dtlb => tlb(&self.dtlb),
+            }
     }
 
     /// The first commit-trace deviation recorded so far.

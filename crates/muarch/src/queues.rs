@@ -35,11 +35,7 @@ pub fn pack_sq(addr: u32, data: u32, seq: u16) -> u128 {
 }
 
 /// A fixed-size array of packed queue entries with bit-flip support.
-///
-/// `==` is what [`Sim::converged_with`](crate::pipeline::Sim::converged_with)
-/// compares: the whole image, free slots included — no dead-storage rule is
-/// claimed for it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct QueueArray {
     entries: Vec<u128>,
     entry_bits: u32,
@@ -100,6 +96,18 @@ impl QueueArray {
         let QueueArray { entries, entry_bits } = src;
         debug_assert_eq!(self.entry_bits, *entry_bits);
         self.entries.copy_from_slice(entries);
+    }
+
+    /// An image's share of
+    /// [`Sim::converged_with`](crate::pipeline::Sim::converged_with): every
+    /// slot the pipeline — it owns the bounds and shadows — does not call `dead`.
+    pub fn converged_with(&self, snap: &QueueArray, dead: impl Fn(usize) -> bool) -> bool {
+        let QueueArray {
+            entries,
+            entry_bits,
+        } = self;
+        (*entry_bits, entries.len()) == (snap.entry_bits, snap.entries.len())
+            && (entries.iter().zip(&snap.entries).enumerate()).all(|(i, (a, b))| a == b || dead(i))
     }
 }
 

@@ -215,9 +215,20 @@ impl RegFile {
         self.ace_cycles = *ace_cycles;
     }
 
+    /// Dead storage: the value of a register that is on the free list or
+    /// not ready. `alloc` (which clears `ready`) precedes the `write` that
+    /// sets it, which precedes any operand read, and in-order commit frees a
+    /// register only after its last reader has issued (a squash frees it
+    /// together with every reader) — so such a value is never read, and
+    /// `write` replaces all 32 bits before it can be.
+    pub fn value_is_dead(&self, p: PhysReg) -> bool {
+        !self.ready[p as usize] || self.free.contains(&p)
+    }
+
     /// The register file's share of
     /// [`Sim::converged_with`](crate::pipeline::Sim::converged_with):
-    /// renaming state exactly, values where they are live.
+    /// renaming state exactly — so [`value_is_dead`](RegFile::value_is_dead)
+    /// names the same registers in both machines — and values where live.
     pub fn converged_with(&self, snap: &RegFile) -> bool {
         #[rustfmt::skip]
         let RegFile {
@@ -225,20 +236,9 @@ impl RegFile {
             // ACE instrumentation: feeds `ExecStats::rf_ace_cycles` only.
             last_write: _, last_read: _, ace_cycles: _,
         } = self;
-        // Dead storage: the value of a register that is on the free list or
-        // not ready. `alloc` (which clears `ready`) precedes the `write`
-        // that sets it, which precedes any operand read, and in-order
-        // commit frees a register only after its last reader has issued (a
-        // squash frees it together with every reader) — so such a value is
-        // never read, and `write` replaces all 32 bits before it can be.
-        // The sets are compared exactly first, so they are the same sets in
-        // both machines.
         (rename, free, ready, waiters) == (&snap.rename, &snap.free, &snap.ready, &snap.waiters)
-            && values
-                .iter()
-                .zip(&snap.values)
-                .enumerate()
-                .all(|(p, (a, b))| a == b || !ready[p] || free.contains(&(p as PhysReg)))
+            && (values.iter().zip(&snap.values).enumerate())
+                .all(|(p, (a, b))| a == b || self.value_is_dead(p as PhysReg))
     }
 }
 

@@ -16,10 +16,8 @@ const VPN_MASK: u64 = 0xF_FFFF;
 const PFN_SHIFT: u32 = 20;
 const VALID_BIT: u32 = 40;
 
-/// A fully associative TLB with round-robin replacement. `==` is what
-/// [`Sim::converged_with`](crate::pipeline::Sim::converged_with) compares:
-/// every entry, valid or not, and the replacement cursor.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A fully associative TLB with round-robin replacement.
+#[derive(Debug, Clone)]
 pub struct Tlb {
     /// Packed entries: bits `[0..20)` vpn, `[20..40)` pfn, bit 40 valid.
     entries: Vec<u64>,
@@ -88,6 +86,24 @@ impl Tlb {
         debug_assert_eq!(self.entries.len(), entries.len());
         self.entries.copy_from_slice(entries);
         self.next = *next;
+    }
+
+    /// Dead storage, as a mask over entry `i`: the vpn and pfn bits — never
+    /// the valid bit — of an entry whose valid bit is clear. `translate`
+    /// tests the valid bit before it reads either field, and `refill`
+    /// rewrites the whole entry as it sets the bit.
+    pub fn dead_bits(&self, i: usize) -> u64 {
+        u64::from(self.entries[i] >> VALID_BIT & 1 == 0) * ((1 << VALID_BIT) - 1)
+    }
+
+    /// A TLB's share of
+    /// [`Sim::converged_with`](crate::pipeline::Sim::converged_with): the
+    /// replacement cursor and valid bits exactly, vpn and pfn where live.
+    pub fn converged_with(&self, snap: &Tlb) -> bool {
+        let Tlb { entries, next } = self;
+        (*next, entries.len()) == (snap.next, snap.entries.len())
+            && (entries.iter().zip(&snap.entries).enumerate())
+                .all(|(i, (a, b))| (a ^ b) & !self.dead_bits(i) == 0)
     }
 }
 

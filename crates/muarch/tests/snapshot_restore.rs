@@ -14,7 +14,9 @@
 //! it, and a simulator that converges with a snapshot must go on to the
 //! snapshot's own ending. The perturbation table — what flips the answer
 //! and what must not — needs the private state and lives in
-//! `tests/whitebox/`.
+//! `tests/whitebox/`. `Sim::dead_on_arrival` is the same classification a
+//! third time, asked of one bit before it is flipped: it must answer, for
+//! every bit of the machine, exactly what flipping it and comparing answers.
 
 use avgi_isa::asm::Assembler;
 use avgi_isa::reg::{A0, A1, A2, S0, S1, S2, T0, T1, T2, T3, T4, T5, ZERO};
@@ -456,4 +458,91 @@ fn a_converged_faulty_run_ends_as_the_golden_run_does() {
             }
         }
     }
+}
+
+/// `dead_on_arrival` is `converged_with` asked in advance: at mid-flight
+/// cycles on both cores, for every bit of every structure, the predicate
+/// answers what flipping the bit and comparing the whole machine with its
+/// own snapshot answers (a few µs each, millions of them: ~20 s) — so it can never say more than the comparison, and
+/// a rule deleted from either side fails here. Both answers must occur in
+/// every structure (each claims a rule), or a rule has been widened to
+/// everything or narrowed to nothing.
+fn dead_on_arrival_is_converged_with_asked_before_the_flip(cfg: MuarchConfig) {
+    let p = scheduling_kernel();
+    let ctl = RunControl {
+        max_cycles: MAX,
+        ..Default::default()
+    };
+    let cycles = Sim::new(&p, cfg.clone()).run(&ctl).cycles;
+    let mut sim = Sim::new(&p, cfg.clone());
+    let mut answers = std::collections::BTreeMap::new();
+    // Six mid-flight cycles: windows filling, full (a ROB with no free
+    // slot) and draining, queues with and without resolved entries.
+    for at in [3, 15, 21, 39, 47, 68].map(|k| cycles * k / 73) {
+        assert!(sim.run_to_cycle(at, &ctl).is_none(), "kernel ended by {at}");
+        let snap = sim.snapshot();
+        let mut x = snap.spawn();
+        for &structure in Structure::all() {
+            for bit in 0..structure.bit_count(&cfg) {
+                let site = FaultSite { structure, bit };
+                x.flip(site);
+                let dead = x.converged_with(&snap);
+                x.flip(site);
+                let asked = sim.dead_on_arrival(site);
+                assert_eq!(asked, dead, "{}: {structure} bit {bit} @ {at}", cfg.name);
+                *answers.entry((structure, dead)).or_insert(0u64) += 1;
+            }
+            let bit = structure.bit_count(&cfg);
+            let beyond = FaultSite { structure, bit };
+            assert!(!sim.dead_on_arrival(beyond), "{structure}: out of range");
+        }
+        assert!(x.converged_with(&snap), "every flip was put back");
+    }
+    for &structure in Structure::all() {
+        for dead in [false, true] {
+            let n = answers.get(&(structure, dead)).copied().unwrap_or(0);
+            assert!(n > 0, "{}: no {structure} bit answered {dead}", cfg.name);
+        }
+    }
+}
+
+#[test]
+fn dead_on_arrival_is_converged_with_asked_before_the_flip_big() {
+    dead_on_arrival_is_converged_with_asked_before_the_flip(MuarchConfig::big());
+}
+
+#[test]
+fn dead_on_arrival_is_converged_with_asked_before_the_flip_small() {
+    dead_on_arrival_is_converged_with_asked_before_the_flip(MuarchConfig::small());
+}
+
+/// A snapshot of a machine that has stepped fault-free says "every armed
+/// fault is applied" — vacuously. Arming a fault on a simulator spawned
+/// from it must reopen the question: under an ERT window of 0 the run ends
+/// one cycle after its injection cycle, as a run armed from reset does,
+/// not before the flip.
+#[test]
+fn a_fault_armed_on_a_spawned_snapshot_is_not_yet_applied() {
+    let p = sum_program(300);
+    let cfg = MuarchConfig::big();
+    let golden = capture_golden(&p, &cfg, MAX);
+    let ctl = RunControl {
+        max_cycles: MAX,
+        golden: Some(golden),
+        ert_window: Some(0),
+        ..Default::default()
+    };
+    let fault = reg_fault(90, 150); // dead or live: nothing deviates in a cycle
+    let mut from_reset = Sim::new(&p, cfg);
+    let snap = {
+        let mut sim = from_reset.clone();
+        assert!(sim.run_to_cycle(100, &ctl).is_none());
+        sim.snapshot()
+    };
+    from_reset.inject(fault);
+    let want = from_reset.run(&ctl);
+    assert_eq!((want.outcome, want.cycles), (RunOutcome::ErtExpired, 151));
+    let mut spawned = snap.spawn();
+    spawned.inject(fault);
+    assert_reports_equal(&spawned.run(&ctl), &want);
 }

@@ -19,7 +19,7 @@ fn filled() -> Cache {
 }
 
 #[test]
-fn replacement_state_and_tags_are_compared_exactly() {
+fn replacement_state_and_live_tags_are_compared_exactly() {
     let snap = filled();
     let perturbed = |f: &dyn Fn(&mut Cache)| {
         let mut c = snap.clone();
@@ -31,9 +31,22 @@ fn replacement_state_and_tags_are_compared_exactly() {
     assert!(!perturbed(&|c| c.lru[0] += 1), "lru stamp, valid line");
     assert!(!perturbed(&|c| c.lru[7] += 1), "lru stamp, invalid line");
     assert!(!perturbed(&|c| c.tags[0] ^= 1), "tag, valid line");
-    assert!(!perturbed(&|c| c.tags[7] ^= 1), "tag, invalid line");
-    let dirty = 1 << (snap.geom.tag_bits() + 1);
-    assert!(!perturbed(&|c| c.tags[2] ^= dirty), "dirty bit");
+    let (valid, dirty) = (1 << snap.geom.tag_bits(), 2 << snap.geom.tag_bits());
+    assert!(!perturbed(&|c| c.tags[2] ^= dirty), "dirty bit, valid line");
+    assert!(!perturbed(&|c| c.tags[2] ^= valid), "valid bit, valid line");
+    assert!(
+        !perturbed(&|c| c.tags[7] ^= valid),
+        "valid bit, invalid line"
+    );
+    assert!(perturbed(&|c| c.tags[7] ^= 1), "tag, invalid line");
+    assert!(
+        perturbed(&|c| c.tags[7] ^= dirty),
+        "dirty bit, invalid line"
+    );
+    assert!(
+        perturbed(&|c| c.tags[7] ^= (valid - 1) | dirty),
+        "every dead bit"
+    );
     assert!(perturbed(&|c| c.clear_tracking()), "the journal");
     assert!(perturbed(&|c| c.touched.push(3)), "the journal");
 }

@@ -8,8 +8,9 @@
 //! must flip the answer, a change to bookkeeping or to dead storage must
 //! not. Each entry is a mutation check of the comparison: drop the part
 //! from `converged_with` (or from a part's own comparison) and its entry
-//! fails by name; widen a dead-storage rule to occupied storage and the
-//! live-register / valid-line entries fail.
+//! fails by name; widen a dead-storage rule to occupied storage — a live
+//! register, a valid line or its tag, any valid bit, a valid TLB entry, a
+//! live ROB slot, a live resolved LQ/SQ slot — and that entry fails.
 
 use super::*;
 use crate::mem::{DATA_BASE, OUTPUT_BASE, PAGE_BYTES};
@@ -77,6 +78,7 @@ fn mid_flight(cfg: MuarchConfig) -> (Sim, Snapshot) {
             && sim.executing != 0
             && sim.in_iq & !sim.ready != 0
             && unproduced
+            && lsq_slots(&sim).is_some()
         {
             break;
         }
@@ -84,6 +86,35 @@ fn mid_flight(cfg: MuarchConfig) -> (Sim, Snapshot) {
     }
     let snap = sim.snapshot();
     (snap.spawn(), snap)
+}
+
+/// Slots of the live LQ and SQ rings: `[lq resolved, lq unresolved, sq
+/// resolved, sq unresolved]`, as first bit indices into the images.
+fn lsq_slots(sim: &Sim) -> Option<[u64; 4]> {
+    let lq = |resolved| {
+        (0..sim.lq.len())
+            .find(|&i| {
+                in_ring(i, sim.lq_head, sim.lq_count, sim.lq.len())
+                    && sim.lq[i].resolved == resolved
+            })
+            .map(|i| i as u64 * u64::from(LQ_ENTRY_BITS))
+    };
+    let sq = |resolved| {
+        (0..sim.sq.len())
+            .find(|&i| {
+                in_ring(i, sim.sq_head, sim.sq_count, sim.sq.len())
+                    && sim.sq[i].resolved == resolved
+            })
+            .map(|i| i as u64 * u64::from(SQ_ENTRY_BITS))
+    };
+    Some([lq(true)?, lq(false)?, sq(true)?, sq(false)?])
+}
+
+/// A valid entry of `tlb` and an invalid one.
+fn tlb_entries(tlb: &Tlb) -> (u64, u64) {
+    let find = |valid| (0..tlb.len()).find(|&i| (tlb.dead_bits(i) == 0) == valid);
+    let (valid, invalid) = (find(true).unwrap(), find(false).expect("an empty entry"));
+    (valid as u64, invalid as u64)
 }
 
 /// A physical register that is architecturally mapped and produced (live),
@@ -131,6 +162,16 @@ fn a_perturbation_flips_the_answer_exactly_where_the_state_is_live() {
         let (d_tag, l2_tag) = (tag_bits(&sim.l1d), tag_bits(&sim.l2));
         let dead_rob = sim.rob_tail; // free: `mid_flight` left the ROB short of full
         let rob_bits = u64::from(ROB_ENTRY_BITS);
+        let [lq_resolved, lq_unresolved, sq_resolved, sq_unresolved] = lsq_slots(&sim).unwrap();
+        // Free likewise: `mid_flight` left both queues short of full.
+        let dead_lq = sim.lq_tail as u64 * u64::from(LQ_ENTRY_BITS);
+        let dead_sq = sim.sq_tail as u64 * u64::from(SQ_ENTRY_BITS);
+        let (i_tag, i_tag_bits) = (tag_bits(&sim.l1i), sim.l1i.geometry().tag_bits());
+        let (d_tag_bits, l2_tag_bits) =
+            (sim.l1d.geometry().tag_bits(), sim.l2.geometry().tag_bits());
+        let tlb_bits = u64::from(TLB_ENTRY_BITS);
+        let (it_valid, it_invalid) = tlb_entries(&sim.itlb);
+        let (dt_valid, dt_invalid) = tlb_entries(&sim.dtlb);
 
         let must_flip: Vec<Perturbation> = vec![
             p("cycle", |s| s.cycle += 1),
@@ -169,11 +210,12 @@ fn a_perturbation_flips_the_answer_exactly_where_the_state_is_live() {
             p("rob image, live slot", move |s| {
                 s.rob_img.flip_bit(s.rob_head as u64 * rob_bits)
             }),
-            p("rob image, free slot", move |s| {
-                s.rob_img.flip_bit(dead_rob as u64 * rob_bits)
+            p("lq image, live resolved slot", move |s| {
+                s.lq_img.flip_bit(lq_resolved + 3)
             }),
-            p("lq image", |s| s.lq_img.flip_bit(3)),
-            p("sq image", |s| s.sq_img.flip_bit(3)),
+            p("sq image, live resolved slot", move |s| {
+                s.sq_img.flip_bit(sq_resolved + 3)
+            }),
             p("register value, live", move |s| {
                 s.rf.flip_bit(live * 32 + 5)
             }),
@@ -187,8 +229,18 @@ fn a_perturbation_flips_the_answer_exactly_where_the_state_is_live() {
             p("waiter bit", move |s| {
                 s.rf.add_waiter(unproduced as PhysReg, 63)
             }),
-            p("itlb entry", |s| s.itlb.flip_bit(0)),
-            p("dtlb entry", |s| s.dtlb.flip_bit(0)),
+            p("itlb entry, valid", move |s| {
+                s.itlb.flip_bit(it_valid * tlb_bits)
+            }),
+            p("dtlb entry, valid", move |s| {
+                s.dtlb.flip_bit(dt_valid * tlb_bits + 20)
+            }),
+            p("itlb valid bit, invalid entry", move |s| {
+                s.itlb.flip_bit(it_invalid * tlb_bits + 40)
+            }),
+            p("dtlb valid bit, invalid entry", move |s| {
+                s.dtlb.flip_bit(dt_invalid * tlb_bits + 40)
+            }),
             p("predictor counter", |s| s.pred.train_direction(0x40, true)),
             p("btb target", |s| s.pred.train_target(0x40, 0x80)),
             p("l1d data, valid line", move |s| {
@@ -201,10 +253,22 @@ fn a_perturbation_flips_the_answer_exactly_where_the_state_is_live() {
                 s.l2.flip_data_bit(l2_valid * line_bits)
             }),
             p("l1d tag", move |s| s.l1d.flip_tag_bit(d_valid * d_tag)),
-            p("l1d tag, invalid line", move |s| {
-                s.l1d.flip_tag_bit(d_invalid * d_tag)
-            }),
+            p("l1i tag", move |s| s.l1i.flip_tag_bit(i_valid * i_tag)),
             p("l2 tag", move |s| s.l2.flip_tag_bit(l2_valid * l2_tag)),
+            p("l2 dirty bit, valid line", move |s| {
+                s.l2.flip_tag_bit(l2_valid * l2_tag + u64::from(l2_tag_bits) + 1)
+            }),
+            p("l1d valid bit, invalid line", move |s| {
+                s.l1d
+                    .flip_tag_bit(d_invalid * d_tag + u64::from(d_tag_bits))
+            }),
+            p("l1i valid bit, invalid line", move |s| {
+                s.l1i
+                    .flip_tag_bit(i_invalid * i_tag + u64::from(i_tag_bits))
+            }),
+            p("l2 valid bit, invalid line", move |s| {
+                s.l2.flip_tag_bit(l2_invalid * l2_tag + u64::from(l2_tag_bits))
+            }),
             p("l1d hit (lru stamp, tick)", |s| {
                 let hit = (DATA_BASE..)
                     .step_by(64)
@@ -274,6 +338,36 @@ fn a_perturbation_flips_the_answer_exactly_where_the_state_is_live() {
             p("dead sq entry", |s| {
                 let t = s.sq_tail;
                 s.sq[t].data ^= 1
+            }),
+            p("rob image, free slot", move |s| {
+                s.rob_img.flip_bit(dead_rob as u64 * rob_bits)
+            }),
+            p("lq image, free slot", move |s| {
+                s.lq_img.flip_bit(dead_lq + 3)
+            }),
+            p("sq image, free slot", move |s| {
+                s.sq_img.flip_bit(dead_sq + 3)
+            }),
+            p("lq image, live unresolved slot", move |s| {
+                s.lq_img.flip_bit(lq_unresolved + 3)
+            }),
+            p("sq image, live unresolved slot", move |s| {
+                s.sq_img.flip_bit(sq_unresolved + 3)
+            }),
+            p("itlb vpn, invalid entry", move |s| {
+                s.itlb.flip_bit(it_invalid * tlb_bits)
+            }),
+            p("dtlb pfn, invalid entry", move |s| {
+                s.dtlb.flip_bit(dt_invalid * tlb_bits + 20)
+            }),
+            p("l1d tag, invalid line", move |s| {
+                s.l1d.flip_tag_bit(d_invalid * d_tag)
+            }),
+            p("l1i tag, invalid line", move |s| {
+                s.l1i.flip_tag_bit(i_invalid * i_tag)
+            }),
+            p("l2 dirty bit, invalid line", move |s| {
+                s.l2.flip_tag_bit(l2_invalid * l2_tag + u64::from(l2_tag_bits) + 1)
             }),
             p("register value, free", move |s| {
                 s.rf.flip_bit(free * 32 + 5)
@@ -346,6 +440,21 @@ fn a_machine_differing_only_in_dead_storage_ends_identically() {
             s.l1i.flip_data_bit(i_invalid * line_bits + bit);
             s.l2.flip_data_bit(l2_invalid * line_bits + bit);
         }
+        // Every other bit the predicates name, all at once.
+        let mut widened = 0;
+        for &structure in Structure::all() {
+            for bit in 0..structure.bit_count(&sim.cfg) {
+                let site = crate::fault::FaultSite { structure, bit };
+                if !structure.is_cache_data() && sim.dead_on_arrival(site) {
+                    s.flip(site);
+                    widened += 1;
+                }
+            }
+        }
+        assert!(
+            widened > 1_000,
+            "{widened} dead bits outside the data arrays"
+        );
         assert!(s.converged_with(&snap));
         let got = s.run(&ctl());
         assert_eq!(
