@@ -15,7 +15,6 @@
 //! snapshot/restore hot path.
 
 use crate::config::CacheGeometry;
-use crate::fault::tag_entry_bits;
 
 /// Largest supported cache line, in bytes. Line buffers are inline arrays of
 /// this size so the per-cycle miss/eviction path never touches the heap.
@@ -49,6 +48,16 @@ impl Eviction {
     pub fn data(&self) -> &[u8] {
         &self.data[..self.len as usize]
     }
+}
+
+/// The two fault-addressable arrays of a cache level; a cell of either is
+/// one line's worth.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Array {
+    /// Per line: tag, valid bit, dirty bit.
+    Tag,
+    /// Per line: its `line_bytes` bytes.
+    Data,
 }
 
 /// One set-associative cache level.
@@ -242,40 +251,20 @@ impl Cache {
         out
     }
 
-    /// Number of injectable bits in the tag array.
-    pub fn tag_array_bits(&self) -> u64 {
-        self.tags.len() as u64 * u64::from(tag_entry_bits(self.geom.tag_bits()))
-    }
-
-    /// Number of injectable bits in the data array.
-    pub fn data_array_bits(&self) -> u64 {
-        self.data.len() as u64 * 8
-    }
-
-    /// Flips one bit in the tag array (flat bit index).
+    /// Flips bit `bit` of line `li`'s word in `array`: of its tag-array
+    /// word (tag, valid, dirty), or of its data.
     ///
     /// # Panics
     ///
-    /// Panics if `bit` is out of range.
-    pub fn flip_tag_bit(&mut self, bit: u64) {
-        let per = u64::from(tag_entry_bits(self.geom.tag_bits()));
-        let li = (bit / per) as usize;
-        let b = (bit % per) as u32;
-        assert!(li < self.tags.len(), "tag bit out of range");
+    /// Panics if `li` is out of range.
+    pub fn flip(&mut self, array: Array, li: usize, bit: u32) {
         self.note(li);
-        self.tags[li] ^= 1 << b;
-    }
-
-    /// Flips one bit in the data array (flat bit index).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit` is out of range.
-    pub fn flip_data_bit(&mut self, bit: u64) {
-        let byte = (bit / 8) as usize;
-        assert!(byte < self.data.len(), "data bit out of range");
-        self.note(byte / self.geom.line_bytes as usize);
-        self.data[byte] ^= 1 << (bit % 8);
+        match array {
+            Array::Tag => self.tags[li] ^= 1 << bit,
+            Array::Data => {
+                self.data[li * self.geom.line_bytes as usize + (bit / 8) as usize] ^= 1 << (bit % 8)
+            }
+        }
     }
 
     /// Resets the dirty-line journal: subsequent mutations are tracked
@@ -344,6 +333,15 @@ impl Cache {
         u32::from(self.data_is_dead(li)) * (((1 << tag_bits) - 1) | (1 << (tag_bits + 1)))
     }
 
+    /// Whether bit `bit` of line `li`'s word in `array` is dead storage, by
+    /// the two predicates above.
+    pub fn is_dead(&self, array: Array, li: usize, bit: u32) -> bool {
+        match array {
+            Array::Tag => self.dead_tag_bits(li) >> bit & 1 == 1,
+            Array::Data => self.data_is_dead(li),
+        }
+    }
+
     /// A cache's share of
     /// [`Sim::converged_with`](crate::pipeline::Sim::converged_with): valid
     /// bits, LRU stamps and `tick` exactly — so the two predicates above
@@ -364,7 +362,6 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MuarchConfig;
 
     fn small_cache() -> Cache {
         Cache::new(CacheGeometry {
@@ -426,7 +423,7 @@ mod tests {
         // Find the line and flip its lowest tag bit.
         // 0x1000: set = (0x1000 >> 6) & 3 = 0, tag = 0x1000 >> 8 = 0x10.
         // Line 0 (set 0, way 0) starts at tag-array bit 0.
-        c.flip_tag_bit(0); // tag bit 0 of line 0
+        c.flip(Array::Tag, 0, 0); // tag bit 0 of line 0
         assert!(
             c.lookup(0x1000).is_none(),
             "corrupted tag no longer matches"
@@ -438,7 +435,7 @@ mod tests {
         let mut c = small_cache();
         c.fill(0x1000, &line_of(5));
         let tagbits = c.geom.tag_bits();
-        c.flip_tag_bit(u64::from(tagbits)); // valid bit of line 0
+        c.flip(Array::Tag, 0, tagbits); // valid bit of line 0
         assert!(c.lookup(0x1000).is_none());
     }
 
@@ -446,7 +443,7 @@ mod tests {
     fn data_bit_flip_corrupts_read() {
         let mut c = small_cache();
         let (_, li) = c.fill(0x0000, &line_of(0));
-        c.flip_data_bit(u64::from(li as u32) * 64 * 8 + 3); // bit 3 of line's first byte
+        c.flip(Array::Data, li, 3); // bit 3 of line's first byte
         let mut b = [0u8; 1];
         c.read_resident(li, 0x0000, &mut b);
         assert_eq!(b[0], 8);
@@ -465,26 +462,12 @@ mod tests {
     }
 
     #[test]
-    fn bit_counts_match_fault_module() {
-        let cfg = MuarchConfig::big();
-        let c = Cache::new(cfg.l1d);
-        assert_eq!(
-            c.tag_array_bits(),
-            crate::fault::Structure::L1DTag.bit_count(&cfg)
-        );
-        assert_eq!(
-            c.data_array_bits(),
-            crate::fault::Structure::L1DData.bit_count(&cfg)
-        );
-    }
-
-    #[test]
     fn dirty_flip_can_silently_drop_writeback() {
         let mut c = small_cache();
         let (_, li) = c.fill(0x0000, &line_of(0));
         c.write_resident(li, 0, &[0xEE]);
         let tagbits = c.geom.tag_bits();
-        c.flip_tag_bit(u64::from(tagbits) + 1); // dirty bit of line 0
+        c.flip(Array::Tag, 0, tagbits + 1); // dirty bit of line 0
         assert!(
             c.drain_dirty().is_empty(),
             "dirty bit cleared by fault: writeback lost"
@@ -510,8 +493,8 @@ mod tests {
         let (_, li2) = scratch.fill(0x2000, &line_of(4));
         scratch.write_resident(li2, 0x2004, &[7, 7]);
         scratch.mark_dirty(li2);
-        scratch.flip_tag_bit(3);
-        scratch.flip_data_bit(64 * 8 + 5);
+        scratch.flip(Array::Tag, 0, 3);
+        scratch.flip(Array::Data, 1, 5);
         scratch.drain_dirty();
 
         scratch.restore_from(&base);

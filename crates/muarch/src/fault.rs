@@ -6,7 +6,7 @@
 //! Leveugle et al., the paper's \[1\]) then amounts to drawing a uniform bit
 //! index and a uniform cycle.
 
-use crate::config::MuarchConfig;
+use crate::config::{CacheGeometry, MuarchConfig};
 use core::fmt;
 
 /// The twelve fault-injection targets of the paper's evaluation (§II.D).
@@ -115,28 +115,35 @@ impl Structure {
         matches!(self, Structure::Rob | Structure::Lq | Structure::Sq)
     }
 
+    /// This structure's storage under `cfg`, as `(cells, bits per cell)`: a
+    /// cell is what one entry, register or cache line holds, and a flat
+    /// [`FaultSite::bit`] counts through cell 0's bits, then cell 1's.
+    pub fn cells(self, cfg: &MuarchConfig) -> (u64, u32) {
+        use crate::queues::{LQ_ENTRY_BITS, ROB_ENTRY_BITS, SQ_ENTRY_BITS};
+        use crate::tlb::TLB_ENTRY_BITS;
+        let tags = |g: &CacheGeometry| (g.lines(), tag_entry_bits(g.tag_bits()));
+        let data = |g: &CacheGeometry| (g.lines(), 8 * g.line_bytes);
+        let (cells, bits) = match self {
+            Structure::L1ITag => tags(&cfg.l1i),
+            Structure::L1IData => data(&cfg.l1i),
+            Structure::L1DTag => tags(&cfg.l1d),
+            Structure::L1DData => data(&cfg.l1d),
+            Structure::L2Tag => tags(&cfg.l2),
+            Structure::L2Data => data(&cfg.l2),
+            Structure::RegFile => (cfg.phys_regs, 32),
+            Structure::Rob => (cfg.rob_entries, ROB_ENTRY_BITS),
+            Structure::Lq => (cfg.lq_entries, LQ_ENTRY_BITS),
+            Structure::Sq => (cfg.sq_entries, SQ_ENTRY_BITS),
+            Structure::Itlb => (cfg.itlb_entries, TLB_ENTRY_BITS),
+            Structure::Dtlb => (cfg.dtlb_entries, TLB_ENTRY_BITS),
+        };
+        (u64::from(cells), bits)
+    }
+
     /// Number of injectable storage bits this structure holds under `cfg`.
     pub fn bit_count(self, cfg: &MuarchConfig) -> u64 {
-        match self {
-            Structure::L1ITag => {
-                u64::from(cfg.l1i.lines()) * u64::from(tag_entry_bits(cfg.l1i.tag_bits()))
-            }
-            Structure::L1IData => u64::from(cfg.l1i.capacity_bytes()) * 8,
-            Structure::L1DTag => {
-                u64::from(cfg.l1d.lines()) * u64::from(tag_entry_bits(cfg.l1d.tag_bits()))
-            }
-            Structure::L1DData => u64::from(cfg.l1d.capacity_bytes()) * 8,
-            Structure::L2Tag => {
-                u64::from(cfg.l2.lines()) * u64::from(tag_entry_bits(cfg.l2.tag_bits()))
-            }
-            Structure::L2Data => u64::from(cfg.l2.capacity_bytes()) * 8,
-            Structure::RegFile => u64::from(cfg.phys_regs) * 32,
-            Structure::Rob => u64::from(cfg.rob_entries) * u64::from(crate::queues::ROB_ENTRY_BITS),
-            Structure::Lq => u64::from(cfg.lq_entries) * u64::from(crate::queues::LQ_ENTRY_BITS),
-            Structure::Sq => u64::from(cfg.sq_entries) * u64::from(crate::queues::SQ_ENTRY_BITS),
-            Structure::Itlb => u64::from(cfg.itlb_entries) * u64::from(crate::tlb::TLB_ENTRY_BITS),
-            Structure::Dtlb => u64::from(cfg.dtlb_entries) * u64::from(crate::tlb::TLB_ENTRY_BITS),
-        }
+        let (cells, bits) = self.cells(cfg);
+        cells * u64::from(bits)
     }
 }
 

@@ -46,12 +46,14 @@ pub mod cache;
 pub mod config;
 pub mod exec;
 pub mod fault;
+pub mod hierarchy;
 pub mod mem;
 pub mod pipeline;
 pub mod predictor;
 pub mod program;
 pub mod queues;
 pub mod regfile;
+pub mod ring;
 pub mod run;
 pub mod tlb;
 pub mod trace;

@@ -169,20 +169,13 @@ impl RegFile {
         self.free.len()
     }
 
-    /// Total injectable bits (32 per physical register).
-    pub fn bit_count(&self) -> u64 {
-        self.values.len() as u64 * 32
-    }
-
-    /// Flips one value bit (flat index `reg * 32 + bit`).
+    /// Flips bit `bit` of physical register `p`'s value.
     ///
     /// # Panics
     ///
-    /// Panics if `bit` is out of range.
-    pub fn flip_bit(&mut self, bit: u64) {
-        let r = (bit / 32) as usize;
-        assert!(r < self.values.len(), "register bit out of range");
-        self.values[r] ^= 1 << (bit % 32);
+    /// Panics if `p` is out of range.
+    pub fn flip(&mut self, p: usize, bit: u32) {
+        self.values[p] ^= 1 << bit;
     }
 
     /// The slots currently registered as waiting on `p` (stale ones
@@ -208,8 +201,7 @@ impl RegFile {
         self.ready.copy_from_slice(ready);
         self.waiters.copy_from_slice(waiters);
         self.rename = *rename;
-        self.free.clear();
-        self.free.extend_from_slice(free);
+        self.free.clone_from(free);
         self.last_write.copy_from_slice(last_write);
         self.last_read.copy_from_slice(last_read);
         self.ace_cycles = *ace_cycles;
@@ -221,13 +213,13 @@ impl RegFile {
     /// register only after its last reader has issued (a squash frees it
     /// together with every reader) — so such a value is never read, and
     /// `write` replaces all 32 bits before it can be.
-    pub fn value_is_dead(&self, p: PhysReg) -> bool {
-        !self.ready[p as usize] || self.free.contains(&p)
+    pub fn is_dead(&self, p: usize, _bit: u32) -> bool {
+        !self.ready[p] || self.free.contains(&(p as PhysReg))
     }
 
     /// The register file's share of
     /// [`Sim::converged_with`](crate::pipeline::Sim::converged_with):
-    /// renaming state exactly — so [`value_is_dead`](RegFile::value_is_dead)
+    /// renaming state exactly — so [`is_dead`](RegFile::is_dead)
     /// names the same registers in both machines — and values where live.
     pub fn converged_with(&self, snap: &RegFile) -> bool {
         #[rustfmt::skip]
@@ -238,7 +230,7 @@ impl RegFile {
         } = self;
         (rename, free, ready, waiters) == (&snap.rename, &snap.free, &snap.ready, &snap.waiters)
             && (values.iter().zip(&snap.values).enumerate())
-                .all(|(p, (a, b))| a == b || self.value_is_dead(p as PhysReg))
+                .all(|(p, (a, b))| a == b || self.is_dead(p, 0))
     }
 }
 
@@ -310,14 +302,9 @@ mod tests {
     fn flip_bit_corrupts_value() {
         let mut rf = RegFile::new(32);
         rf.write(5, 0b100);
-        rf.flip_bit(5 * 32 + 2);
+        rf.flip(5, 2);
         assert_eq!(rf.read(5), 0);
-        rf.flip_bit(5 * 32 + 31);
+        rf.flip(5, 31);
         assert_eq!(rf.read(5), 0x8000_0000);
-    }
-
-    #[test]
-    fn bit_count() {
-        assert_eq!(RegFile::new(96).bit_count(), 96 * 32);
     }
 }

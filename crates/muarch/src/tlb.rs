@@ -63,21 +63,13 @@ impl Tlb {
         self.next = (self.next + 1) % self.entries.len();
     }
 
-    /// Total injectable bits.
-    pub fn bit_count(&self) -> u64 {
-        self.entries.len() as u64 * u64::from(TLB_ENTRY_BITS)
-    }
-
-    /// Flips one bit (flat index: `entry * TLB_ENTRY_BITS + bit_in_entry`).
+    /// Flips bit `bit` of entry `i`.
     ///
     /// # Panics
     ///
-    /// Panics if `bit` is out of range.
-    pub fn flip_bit(&mut self, bit: u64) {
-        let e = (bit / u64::from(TLB_ENTRY_BITS)) as usize;
-        let b = bit % u64::from(TLB_ENTRY_BITS);
-        assert!(e < self.entries.len(), "TLB bit out of range");
-        self.entries[e] ^= 1 << b;
+    /// Panics if `i` is out of range.
+    pub fn flip(&mut self, i: usize, bit: u32) {
+        self.entries[i] ^= 1 << bit;
     }
 
     /// Overwrites this TLB with `src`'s state without reallocating.
@@ -94,6 +86,11 @@ impl Tlb {
     /// rewrites the whole entry as it sets the bit.
     pub fn dead_bits(&self, i: usize) -> u64 {
         u64::from(self.entries[i] >> VALID_BIT & 1 == 0) * ((1 << VALID_BIT) - 1)
+    }
+
+    /// Whether bit `bit` of entry `i` is dead storage, by [`Tlb::dead_bits`].
+    pub fn is_dead(&self, i: usize, bit: u32) -> bool {
+        self.dead_bits(i) >> bit & 1 == 1
     }
 
     /// A TLB's share of
@@ -136,7 +133,7 @@ mod tests {
     fn pfn_flip_redirects_translation() {
         let mut t = Tlb::new(1);
         t.refill(0x3000);
-        t.flip_bit(u64::from(PFN_SHIFT)); // lowest pfn bit of entry 0
+        t.flip(0, PFN_SHIFT); // lowest pfn bit of entry 0
         assert_eq!(
             t.translate(0x3000),
             Some(0x2000),
@@ -148,7 +145,7 @@ mod tests {
     fn vpn_flip_makes_entry_unreachable() {
         let mut t = Tlb::new(1);
         t.refill(0x3000);
-        t.flip_bit(0); // lowest vpn bit
+        t.flip(0, 0); // lowest vpn bit
         assert_eq!(t.translate(0x3000), None);
         // ...but the corrupted entry now answers for a different page.
         assert_eq!(t.translate(0x2000), Some(0x3000));
@@ -158,12 +155,7 @@ mod tests {
     fn valid_flip_invalidates() {
         let mut t = Tlb::new(1);
         t.refill(0x3000);
-        t.flip_bit(u64::from(VALID_BIT));
+        t.flip(0, VALID_BIT);
         assert_eq!(t.translate(0x3000), None);
-    }
-
-    #[test]
-    fn bit_count() {
-        assert_eq!(Tlb::new(16).bit_count(), 16 * 41);
     }
 }

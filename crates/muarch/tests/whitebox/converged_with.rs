@@ -1,6 +1,6 @@
 //! White-box tests of [`Sim::converged_with`], compiled into the crate's
 //! unit tests as a child of `pipeline` (`#[path]`, see the end of
-//! `src/pipeline.rs`) so they can reach the simulator's private state.
+//! `src/pipeline/mod.rs`) so they can reach the simulator's private state.
 //! `tests/whitebox/` is not a test target of its own.
 //!
 //! One perturbation per part of the machine, applied to a simulator that
@@ -13,7 +13,10 @@
 //! live ROB slot, a live resolved LQ/SQ slot — and that entry fails.
 
 use super::*;
+use crate::cache::{Array, Cache};
+use crate::fault::{FaultSite, Structure};
 use crate::mem::{DATA_BASE, OUTPUT_BASE, PAGE_BYTES};
+use crate::tlb::Tlb;
 use avgi_isa::asm::Assembler;
 use avgi_isa::reg::{A0, A1, A2, S0, S1, S2, T0, T1, T2, T3, T4, T5, ZERO};
 
@@ -68,15 +71,12 @@ fn mid_flight(cfg: MuarchConfig) -> (Sim, Snapshot) {
     assert!(sim.run_to_cycle(400, &ctl()).is_none());
     loop {
         let unproduced = (0..sim.cfg.phys_regs).any(|p| !sim.rf.is_ready(p as PhysReg));
-        if sim.rob_count > 2
-            && sim.rob_count < sim.rob.len()
-            && sim.lq_count > 0
-            && sim.sq_count > 0
-            && sim.lq_count < sim.lq.len()
-            && sim.sq_count < sim.sq.len()
+        if sim.rob.len() > 2
+            && !(sim.rob.is_full() || sim.lq.is_full() || sim.sq.is_full())
+            && !(sim.lq.is_empty() || sim.sq.is_empty())
             && !sim.scratch.decode_q.is_empty()
-            && sim.executing != 0
-            && sim.in_iq & !sim.ready != 0
+            && sim.sched.executing != 0
+            && sim.sched.in_iq & !sim.sched.ready != 0
             && unproduced
             && lsq_slots(&sim).is_some()
         {
@@ -89,37 +89,34 @@ fn mid_flight(cfg: MuarchConfig) -> (Sim, Snapshot) {
 }
 
 /// Slots of the live LQ and SQ rings: `[lq resolved, lq unresolved, sq
-/// resolved, sq unresolved]`, as first bit indices into the images.
-fn lsq_slots(sim: &Sim) -> Option<[u64; 4]> {
+/// resolved, sq unresolved]`.
+fn lsq_slots(sim: &Sim) -> Option<[usize; 4]> {
     let lq = |resolved| {
-        (0..sim.lq.len())
-            .find(|&i| {
-                in_ring(i, sim.lq_head, sim.lq_count, sim.lq.len())
-                    && sim.lq[i].resolved == resolved
-            })
-            .map(|i| i as u64 * u64::from(LQ_ENTRY_BITS))
+        (0..sim.lq.capacity()).find(|&i| sim.lq.contains(i) && sim.lq[i].resolved == resolved)
     };
     let sq = |resolved| {
-        (0..sim.sq.len())
-            .find(|&i| {
-                in_ring(i, sim.sq_head, sim.sq_count, sim.sq.len())
-                    && sim.sq[i].resolved == resolved
-            })
-            .map(|i| i as u64 * u64::from(SQ_ENTRY_BITS))
+        (0..sim.sq.capacity()).find(|&i| sim.sq.contains(i) && sim.sq[i].resolved == resolved)
     };
     Some([lq(true)?, lq(false)?, sq(true)?, sq(false)?])
 }
 
+/// The first slot of `ring` outside its live region.
+fn free_slot<T: Entry>(ring: &Ring<T>) -> usize {
+    (0..ring.capacity())
+        .find(|&i| !ring.contains(i))
+        .expect("`mid_flight` left the ring short of full")
+}
+
 /// A valid entry of `tlb` and an invalid one.
-fn tlb_entries(tlb: &Tlb) -> (u64, u64) {
+fn tlb_entries(tlb: &Tlb) -> (usize, usize) {
     let find = |valid| (0..tlb.len()).find(|&i| (tlb.dead_bits(i) == 0) == valid);
     let (valid, invalid) = (find(true).unwrap(), find(false).expect("an empty entry"));
-    (valid as u64, invalid as u64)
+    (valid, invalid)
 }
 
 /// A physical register that is architecturally mapped and produced (live),
 /// one on the free list, and one allocated but not yet produced.
-fn registers(sim: &Sim) -> (u64, u64, u64) {
+fn registers(sim: &Sim) -> (usize, usize, usize) {
     let live = (0..avgi_isa::NUM_ARCH_REGS)
         .map(|a| sim.rf.lookup(a))
         .find(|&p| sim.rf.is_ready(p))
@@ -128,17 +125,21 @@ fn registers(sim: &Sim) -> (u64, u64, u64) {
     let unproduced = (0..sim.cfg.phys_regs as PhysReg)
         .find(|&p| !sim.rf.is_ready(p) && p != free)
         .expect("checked by mid_flight");
-    (u64::from(live), u64::from(free), u64::from(unproduced))
+    (
+        usize::from(live),
+        usize::from(free),
+        usize::from(unproduced),
+    )
 }
 
 /// The flat index of a line of `cache` that holds some line of memory, and
 /// of one that holds nothing (its valid bit is clear).
-fn lines(cache: &Cache) -> (u64, u64) {
-    let resident: Vec<u64> = (0..crate::mem::MEM_SIZE)
+fn lines(cache: &Cache) -> (usize, usize) {
+    let resident: Vec<usize> = (0..crate::mem::MEM_SIZE)
         .step_by(cache.geometry().line_bytes as usize)
-        .filter_map(|a| cache.clone().lookup(a).map(|li| li as u64))
+        .filter_map(|a| cache.clone().lookup(a))
         .collect();
-    let invalid = (0..u64::from(cache.geometry().lines())).find(|li| !resident.contains(li));
+    let invalid = (0..cache.geometry().lines() as usize).find(|li| !resident.contains(li));
     (resident[0], invalid.expect("an empty line"))
 }
 
@@ -154,71 +155,92 @@ fn a_perturbation_flips_the_answer_exactly_where_the_state_is_live() {
         let (sim, snap) = mid_flight(cfg);
         assert!(sim.converged_with(&snap));
         let (live, free, unproduced) = registers(&sim);
-        let line_bits = u64::from(sim.cfg.l1d.line_bytes) * 8;
-        let (d_valid, d_invalid) = lines(&sim.l1d);
-        let (i_valid, i_invalid) = lines(&sim.l1i);
-        let (l2_valid, l2_invalid) = lines(&sim.l2);
-        let tag_bits = |c: &Cache| u64::from(crate::fault::tag_entry_bits(c.geometry().tag_bits()));
-        let (d_tag, l2_tag) = (tag_bits(&sim.l1d), tag_bits(&sim.l2));
-        let dead_rob = sim.rob_tail; // free: `mid_flight` left the ROB short of full
-        let rob_bits = u64::from(ROB_ENTRY_BITS);
+        let (d_valid, d_invalid) = lines(&sim.hier.l1d);
+        let (i_valid, i_invalid) = lines(&sim.hier.l1i);
+        let (l2_valid, l2_invalid) = lines(&sim.hier.l2);
+        // Free: `mid_flight` left the ROB and both queues short of full.
+        let (dead_rob, dead_lq, dead_sq) =
+            (free_slot(&sim.rob), free_slot(&sim.lq), free_slot(&sim.sq));
         let [lq_resolved, lq_unresolved, sq_resolved, sq_unresolved] = lsq_slots(&sim).unwrap();
-        // Free likewise: `mid_flight` left both queues short of full.
-        let dead_lq = sim.lq_tail as u64 * u64::from(LQ_ENTRY_BITS);
-        let dead_sq = sim.sq_tail as u64 * u64::from(SQ_ENTRY_BITS);
-        let (i_tag, i_tag_bits) = (tag_bits(&sim.l1i), sim.l1i.geometry().tag_bits());
-        let (d_tag_bits, l2_tag_bits) =
-            (sim.l1d.geometry().tag_bits(), sim.l2.geometry().tag_bits());
-        let tlb_bits = u64::from(TLB_ENTRY_BITS);
-        let (it_valid, it_invalid) = tlb_entries(&sim.itlb);
-        let (dt_valid, dt_invalid) = tlb_entries(&sim.dtlb);
+        // Within a tag-array word: the valid bit; the dirty bit is the next.
+        let valid_bit = |c: &Cache| c.geometry().tag_bits();
+        let (i_valid_bit, d_valid_bit, l2_valid_bit) = (
+            valid_bit(&sim.hier.l1i),
+            valid_bit(&sim.hier.l1d),
+            valid_bit(&sim.hier.l2),
+        );
+        let (it_valid, it_invalid) = tlb_entries(&sim.hier.itlb);
+        let (dt_valid, dt_invalid) = tlb_entries(&sim.hier.dtlb);
 
         let must_flip: Vec<Perturbation> = vec![
             p("cycle", |s| s.cycle += 1),
             p("seq_next", |s| s.seq_next += 1),
-            p("fetch_pc", |s| s.fetch_pc ^= 4),
-            p("fetch_ready_cycle", |s| s.fetch_ready_cycle += 1),
-            p("fetch_paused", |s| s.fetch_paused ^= true),
+            p("front.pc", |s| s.front.pc ^= 4),
+            p("front.ready_cycle", |s| s.front.ready_cycle += 1),
+            p("front.paused", |s| s.front.paused ^= true),
             p("commit_index", |s| s.commit_index += 1),
             p("output_addr", |s| s.output_addr += 4),
             p("output_len", |s| s.output_len += 4),
-            p("in_iq", |s| s.in_iq ^= 1 << s.rob_head),
-            p("ready", |s| s.ready ^= 1 << s.rob_head),
-            p("executing", |s| s.executing ^= 1 << s.rob_head),
-            p("rob_head", |s| {
-                s.rob_head = wrap_inc(s.rob_head, s.rob.len())
+            p("sched.in_iq", |s| s.sched.in_iq ^= 1 << s.rob.head()),
+            p("sched.ready", |s| s.sched.ready ^= 1 << s.rob.head()),
+            p("sched.executing", |s| {
+                s.sched.executing ^= 1 << s.rob.head()
             }),
-            p("rob_tail", |s| {
-                s.rob_tail = wrap_inc(s.rob_tail, s.rob.len())
+            // Each ring's bounds, through the ring's own moves; one bound at
+            // a time is `ring.rs`'s own table.
+            p("rob, oldest retired", |s| {
+                s.rob.pop_head();
             }),
-            p("rob_count", |s| s.rob_count -= 1),
-            p("lq_head", |s| s.lq_head = wrap_inc(s.lq_head, s.lq.len())),
-            p("lq_tail", |s| s.lq_tail = wrap_inc(s.lq_tail, s.lq.len())),
-            p("lq_count", |s| s.lq_count -= 1),
-            p("sq_head", |s| s.sq_head = wrap_inc(s.sq_head, s.sq.len())),
-            p("sq_tail", |s| s.sq_tail = wrap_inc(s.sq_tail, s.sq.len())),
-            p("sq_count", |s| s.sq_count -= 1),
-            p("live rob entry", |s| s.rob[s.rob_head].val ^= 1),
+            p("rob, youngest squashed", |s| {
+                s.rob.pop_tail();
+            }),
+            p("rob, one dispatched", |s| {
+                s.rob.push(RobEntry::default());
+            }),
+            p("lq, oldest retired", |s| {
+                s.lq.pop_head();
+            }),
+            p("lq, youngest squashed", |s| {
+                s.lq.pop_tail();
+            }),
+            p("lq, one dispatched", |s| {
+                s.lq.push(LqShadow::default());
+            }),
+            p("sq, oldest retired", |s| {
+                s.sq.pop_head();
+            }),
+            p("sq, youngest squashed", |s| {
+                s.sq.pop_tail();
+            }),
+            p("sq, one dispatched", |s| {
+                s.sq.push(SqShadow::default());
+            }),
+            p("live rob entry", |s| {
+                let head = s.rob.head();
+                s.rob[head].val ^= 1
+            }),
             p("rob_finish, executing slot", |s| {
-                s.rob_finish[s.executing.trailing_zeros() as usize] += 1
+                s.rob_finish[s.sched.executing.trailing_zeros() as usize] += 1
             }),
-            p("live lq entry", |s| s.lq[s.lq_head].paddr ^= 4),
-            p("live sq entry", |s| s.sq[s.sq_head].data ^= 1),
+            p("live lq entry", |s| {
+                let head = s.lq.head();
+                s.lq[head].paddr ^= 4
+            }),
+            p("live sq entry", |s| {
+                let head = s.sq.head();
+                s.sq[head].data ^= 1
+            }),
             p("decode-queue entry", |s| {
                 s.scratch.decode_q[0].predicted_next ^= 4
             }),
-            p("rob image, live slot", move |s| {
-                s.rob_img.flip_bit(s.rob_head as u64 * rob_bits)
-            }),
+            p("rob image, live slot", |s| s.rob.flip(s.rob.head(), 0)),
             p("lq image, live resolved slot", move |s| {
-                s.lq_img.flip_bit(lq_resolved + 3)
+                s.lq.flip(lq_resolved, 3)
             }),
             p("sq image, live resolved slot", move |s| {
-                s.sq_img.flip_bit(sq_resolved + 3)
+                s.sq.flip(sq_resolved, 3)
             }),
-            p("register value, live", move |s| {
-                s.rf.flip_bit(live * 32 + 5)
-            }),
+            p("register value, live", move |s| s.rf.flip(live, 5)),
             p("rename map", move |s| {
                 s.rf.remap(3, free as PhysReg);
             }),
@@ -229,63 +251,57 @@ fn a_perturbation_flips_the_answer_exactly_where_the_state_is_live() {
             p("waiter bit", move |s| {
                 s.rf.add_waiter(unproduced as PhysReg, 63)
             }),
-            p("itlb entry, valid", move |s| {
-                s.itlb.flip_bit(it_valid * tlb_bits)
-            }),
-            p("dtlb entry, valid", move |s| {
-                s.dtlb.flip_bit(dt_valid * tlb_bits + 20)
-            }),
+            p("itlb entry, valid", move |s| s.hier.itlb.flip(it_valid, 0)),
+            p("dtlb entry, valid", move |s| s.hier.dtlb.flip(dt_valid, 20)),
             p("itlb valid bit, invalid entry", move |s| {
-                s.itlb.flip_bit(it_invalid * tlb_bits + 40)
+                s.hier.itlb.flip(it_invalid, 40)
             }),
             p("dtlb valid bit, invalid entry", move |s| {
-                s.dtlb.flip_bit(dt_invalid * tlb_bits + 40)
+                s.hier.dtlb.flip(dt_invalid, 40)
             }),
             p("predictor counter", |s| s.pred.train_direction(0x40, true)),
             p("btb target", |s| s.pred.train_target(0x40, 0x80)),
             p("l1d data, valid line", move |s| {
-                s.l1d.flip_data_bit(d_valid * line_bits)
+                s.hier.l1d.flip(Array::Data, d_valid, 0)
             }),
             p("l1i data, valid line", move |s| {
-                s.l1i.flip_data_bit(i_valid * line_bits)
+                s.hier.l1i.flip(Array::Data, i_valid, 0)
             }),
             p("l2 data, valid line", move |s| {
-                s.l2.flip_data_bit(l2_valid * line_bits)
+                s.hier.l2.flip(Array::Data, l2_valid, 0)
             }),
-            p("l1d tag", move |s| s.l1d.flip_tag_bit(d_valid * d_tag)),
-            p("l1i tag", move |s| s.l1i.flip_tag_bit(i_valid * i_tag)),
-            p("l2 tag", move |s| s.l2.flip_tag_bit(l2_valid * l2_tag)),
+            p("l1d tag", move |s| s.hier.l1d.flip(Array::Tag, d_valid, 0)),
+            p("l1i tag", move |s| s.hier.l1i.flip(Array::Tag, i_valid, 0)),
+            p("l2 tag", move |s| s.hier.l2.flip(Array::Tag, l2_valid, 0)),
             p("l2 dirty bit, valid line", move |s| {
-                s.l2.flip_tag_bit(l2_valid * l2_tag + u64::from(l2_tag_bits) + 1)
+                s.hier.l2.flip(Array::Tag, l2_valid, l2_valid_bit + 1)
             }),
             p("l1d valid bit, invalid line", move |s| {
-                s.l1d
-                    .flip_tag_bit(d_invalid * d_tag + u64::from(d_tag_bits))
+                s.hier.l1d.flip(Array::Tag, d_invalid, d_valid_bit)
             }),
             p("l1i valid bit, invalid line", move |s| {
-                s.l1i
-                    .flip_tag_bit(i_invalid * i_tag + u64::from(i_tag_bits))
+                s.hier.l1i.flip(Array::Tag, i_invalid, i_valid_bit)
             }),
             p("l2 valid bit, invalid line", move |s| {
-                s.l2.flip_tag_bit(l2_invalid * l2_tag + u64::from(l2_tag_bits))
+                s.hier.l2.flip(Array::Tag, l2_invalid, l2_valid_bit)
             }),
             p("l1d hit (lru stamp, tick)", |s| {
                 let hit = (DATA_BASE..)
                     .step_by(64)
-                    .find(|&a| s.l1d.lookup(a).is_some());
+                    .find(|&a| s.hier.l1d.lookup(a).is_some());
                 assert!(hit.is_some());
             }),
             p("memory byte, shared page", |s| {
-                s.mem.write_u8(DATA_BASE + 9 * PAGE_BYTES, 1)
+                s.hier.mem.write_u8(DATA_BASE + 9 * PAGE_BYTES, 1)
             }),
             p("memory byte, split page", |s| {
                 let at = DATA_BASE + 9 * PAGE_BYTES;
-                s.mem.write_u8(at, 0); // same bytes, own page
-                s.mem.write_u8(at + 1, 1);
+                s.hier.mem.write_u8(at, 0); // same bytes, own page
+                s.hier.mem.write_u8(at + 1, 1);
             }),
             p("armed fault", |s| {
                 s.inject(Fault {
-                    site: crate::fault::FaultSite {
+                    site: FaultSite {
                         structure: Structure::RegFile,
                         bit: 0,
                     },
@@ -295,10 +311,10 @@ fn a_perturbation_flips_the_answer_exactly_where_the_state_is_live() {
         ];
         let must_not: Vec<Perturbation> = vec![
             p("stats", |s| s.stats.fetched += 1),
-            p("rob_stamp", |s| s.rob_stamp[s.rob_head] += 1),
+            p("rob_stamp", |s| s.rob_stamp[s.rob.head()] += 1),
             p("scratch generation", |s| s.scratch.gen += 1),
             p("recorded trace", |s| s.scratch.trace.clear()),
-            p("scratch_base", |s| s.scratch_base = None),
+            p("hierarchy base", |s| s.hier.base = None),
             p("first_deviation", |s| {
                 s.first_deviation = Some(Deviation {
                     index: 0,
@@ -313,85 +329,73 @@ fn a_perturbation_flips_the_answer_exactly_where_the_state_is_live() {
             }),
             p("first_inject_cycle", |s| s.first_inject_cycle = Some(7)),
             p("applied fault", |s| {
-                let bit = 32 * u64::from(s.cfg.phys_regs) - 1;
+                let site = FaultSite {
+                    structure: Structure::RegFile,
+                    bit: 32 * u64::from(s.cfg.phys_regs) - 1,
+                };
                 s.inject(Fault {
-                    site: crate::fault::FaultSite {
-                        structure: Structure::RegFile,
-                        bit,
-                    },
+                    site,
                     cycle: s.cycle - 1,
                 });
                 s.apply_due_faults();
-                s.rf.flip_bit(bit); // the state it flipped, put back
+                s.flip(site); // the state it flipped, put back
             }),
             p("dead rob entry", move |s| s.rob[dead_rob].val ^= 1),
             p("rob_finish, free slot", move |s| {
                 s.rob_finish[dead_rob] += 1
             }),
             p("rob_finish, slot still to issue", |s| {
-                s.rob_finish[s.in_iq.trailing_zeros() as usize] += 1
+                s.rob_finish[s.sched.in_iq.trailing_zeros() as usize] += 1
             }),
-            p("dead lq entry", |s| {
-                let t = s.lq_tail;
-                s.lq[t].paddr ^= 4
-            }),
-            p("dead sq entry", |s| {
-                let t = s.sq_tail;
-                s.sq[t].data ^= 1
-            }),
-            p("rob image, free slot", move |s| {
-                s.rob_img.flip_bit(dead_rob as u64 * rob_bits)
-            }),
-            p("lq image, free slot", move |s| {
-                s.lq_img.flip_bit(dead_lq + 3)
-            }),
-            p("sq image, free slot", move |s| {
-                s.sq_img.flip_bit(dead_sq + 3)
-            }),
+            p("dead lq entry", move |s| s.lq[dead_lq].paddr ^= 4),
+            p("dead sq entry", move |s| s.sq[dead_sq].data ^= 1),
+            p("rob image, free slot", move |s| s.rob.flip(dead_rob, 0)),
+            p("lq image, free slot", move |s| s.lq.flip(dead_lq, 3)),
+            p("sq image, free slot", move |s| s.sq.flip(dead_sq, 3)),
             p("lq image, live unresolved slot", move |s| {
-                s.lq_img.flip_bit(lq_unresolved + 3)
+                s.lq.flip(lq_unresolved, 3)
             }),
             p("sq image, live unresolved slot", move |s| {
-                s.sq_img.flip_bit(sq_unresolved + 3)
+                s.sq.flip(sq_unresolved, 3)
             }),
             p("itlb vpn, invalid entry", move |s| {
-                s.itlb.flip_bit(it_invalid * tlb_bits)
+                s.hier.itlb.flip(it_invalid, 0)
             }),
             p("dtlb pfn, invalid entry", move |s| {
-                s.dtlb.flip_bit(dt_invalid * tlb_bits + 20)
+                s.hier.dtlb.flip(dt_invalid, 20)
             }),
             p("l1d tag, invalid line", move |s| {
-                s.l1d.flip_tag_bit(d_invalid * d_tag)
+                s.hier.l1d.flip(Array::Tag, d_invalid, 0)
             }),
             p("l1i tag, invalid line", move |s| {
-                s.l1i.flip_tag_bit(i_invalid * i_tag)
+                s.hier.l1i.flip(Array::Tag, i_invalid, 0)
             }),
             p("l2 dirty bit, invalid line", move |s| {
-                s.l2.flip_tag_bit(l2_invalid * l2_tag + u64::from(l2_tag_bits) + 1)
+                s.hier.l2.flip(Array::Tag, l2_invalid, l2_valid_bit + 1)
             }),
-            p("register value, free", move |s| {
-                s.rf.flip_bit(free * 32 + 5)
-            }),
+            p("register value, free", move |s| s.rf.flip(free, 5)),
             p("register value, unproduced", move |s| {
-                s.rf.flip_bit(unproduced * 32 + 5)
+                s.rf.flip(unproduced, 5)
             }),
             p("l1d data, invalid line", move |s| {
-                s.l1d.flip_data_bit(d_invalid * line_bits)
+                s.hier.l1d.flip(Array::Data, d_invalid, 0)
             }),
             p("l1i data, invalid line", move |s| {
-                s.l1i.flip_data_bit(i_invalid * line_bits)
+                s.hier.l1i.flip(Array::Data, i_invalid, 0)
             }),
             p("l2 data, invalid line", move |s| {
-                s.l2.flip_data_bit(l2_invalid * line_bits)
+                s.hier.l2.flip(Array::Data, l2_invalid, 0)
             }),
             p("cache journals", |s| {
-                s.l1d.clear_tracking();
-                s.l2.clear_tracking()
+                s.hier.l1d.clear_tracking();
+                s.hier.l2.clear_tracking()
             }),
             p("memory page split, same bytes", |s| {
-                s.mem.write_u8(DATA_BASE, s.mem.read_u8(DATA_BASE))
+                s.hier
+                    .mem
+                    .write_u8(DATA_BASE, s.hier.mem.read_u8(DATA_BASE))
             }),
-            p("memory dirty set", |s| s.mem.clear_tracking()),
+            p("memory dirty set", |s| s.hier.mem.clear_tracking()),
         ];
         for (what, perturb) in &must_flip {
             let mut s = sim.clone();
@@ -426,25 +430,24 @@ fn a_machine_differing_only_in_dead_storage_ends_identically() {
         let want = snap.spawn().run(&ctl());
         assert_eq!(want.outcome, RunOutcome::Completed);
         let (_, free, unproduced) = registers(&sim);
-        let line_bits = u64::from(sim.cfg.l1d.line_bytes) * 8;
         let mut s = sim.clone();
         for bit in 0..32 {
-            s.rf.flip_bit(free * 32 + bit);
-            s.rf.flip_bit(unproduced * 32 + bit);
+            s.rf.flip(free, bit);
+            s.rf.flip(unproduced, bit);
         }
-        let (_, d_invalid) = lines(&sim.l1d);
-        let (_, i_invalid) = lines(&sim.l1i);
-        let (_, l2_invalid) = lines(&sim.l2);
-        for bit in 0..line_bits {
-            s.l1d.flip_data_bit(d_invalid * line_bits + bit);
-            s.l1i.flip_data_bit(i_invalid * line_bits + bit);
-            s.l2.flip_data_bit(l2_invalid * line_bits + bit);
+        let (_, d_invalid) = lines(&sim.hier.l1d);
+        let (_, i_invalid) = lines(&sim.hier.l1i);
+        let (_, l2_invalid) = lines(&sim.hier.l2);
+        for bit in 0..sim.cfg.l1d.line_bytes * 8 {
+            s.hier.l1d.flip(Array::Data, d_invalid, bit);
+            s.hier.l1i.flip(Array::Data, i_invalid, bit);
+            s.hier.l2.flip(Array::Data, l2_invalid, bit);
         }
         // Every other bit the predicates name, all at once.
         let mut widened = 0;
         for &structure in Structure::all() {
             for bit in 0..structure.bit_count(&sim.cfg) {
-                let site = crate::fault::FaultSite { structure, bit };
+                let site = FaultSite { structure, bit };
                 if !structure.is_cache_data() && sim.dead_on_arrival(site) {
                     s.flip(site);
                     widened += 1;
