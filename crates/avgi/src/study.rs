@@ -10,7 +10,7 @@
 use crate::pipeline::{assess, exhaustive, AvgiOptions, ExhaustiveAssessment};
 use crate::report::EffectDistribution;
 use crate::weights::learn_weights;
-use avgi_faultsim::golden_for;
+use avgi_faultsim::verified_golden;
 use avgi_muarch::config::MuarchConfig;
 use avgi_muarch::fault::Structure;
 use avgi_workloads::Workload;
@@ -66,7 +66,12 @@ impl Study {
 /// Runs the full leave-one-out evaluation for one structure.
 ///
 /// `opts.seed`/`opts.faults` apply to both the training campaigns and the
-/// assessments.
+/// assessments. Golden runs come from [`verified_golden`], so every study
+/// in a process shares one verified capture per program.
+///
+/// # Panics
+///
+/// Panics if a workload's golden run fails verification.
 pub fn leave_one_out(
     structure: Structure,
     workloads: &[Workload],
@@ -77,7 +82,7 @@ pub fn leave_one_out(
         workloads
             .iter()
             .map(|w| {
-                let golden = golden_for(w, cfg);
+                let golden = verified_golden(w, cfg).unwrap_or_else(|e| panic!("{e}"));
                 (
                     exhaustive(w, cfg, &golden, structure, opts.faults, opts.seed),
                     golden,

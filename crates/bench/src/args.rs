@@ -173,8 +173,7 @@ pub struct ExpArgs {
 
 impl ExpArgs {
     /// Parses the whole argv of a command that takes only the common
-    /// options, with the given default sample size, then runs
-    /// [`validate_workloads`](crate::validate_workloads).
+    /// options, with the given default sample size.
     pub fn parse(mut a: Args, default_faults: usize) -> Self {
         let args = ExpArgs {
             faults: a.value("--faults N").unwrap_or(default_faults),
@@ -186,7 +185,6 @@ impl ExpArgs {
             shard: a.value_with("--shard I/N", shard),
         };
         a.finish();
-        crate::validate_workloads();
         args
     }
 

@@ -7,7 +7,7 @@
 //! This quantifies *why* the default windows in
 //! [`avgi_core::ert::default_ert_window`] sit where they do.
 
-use crate::{campaign, pct, print_header, ExpArgs, GoldenCache};
+use crate::{campaign, pct, print_header, ExpArgs, golden};
 use avgi_core::classify::classify_injection;
 use avgi_core::ImmClass;
 use avgi_faultsim::RunMode;
@@ -27,11 +27,10 @@ pub fn run(a: crate::Args) -> ExitCode {
 
     for structure in [Structure::RegFile, Structure::L1DData] {
         // Reference: unlimited window (insights 1&2 only).
-        let mut cache = GoldenCache::new();
         let mut reference_manifested = 0u64;
         let mut per_workload = Vec::new();
         for w in &workloads {
-            let golden = cache.get(w, &cfg);
+            let golden = golden(w, &cfg);
             let mode = RunMode::FirstDeviation { ert_window: None };
             let c = campaign(w, &cfg, &golden, structure, mode, &args);
             let manifested = c

@@ -5,9 +5,9 @@
 //! next-line L2 prefetcher and compares, for the L2 data array: run time,
 //! Benign fraction, and the escape (`ESC`) count on a streaming workload.
 
-use crate::{campaign, pct, print_header, ExpArgs};
+use crate::{campaign, golden, pct, print_header, ExpArgs};
 use avgi_core::{Imm, JointAnalysis};
-use avgi_faultsim::{golden_for, RunMode};
+use avgi_faultsim::RunMode;
 use avgi_muarch::fault::Structure;
 use std::process::ExitCode;
 
@@ -24,7 +24,7 @@ pub fn run(a: crate::Args) -> ExitCode {
         for prefetch in [false, true] {
             let mut cfg = args.config();
             cfg.prefetch_next_line = prefetch;
-            let golden = golden_for(w, &cfg);
+            let golden = golden(w, &cfg);
             let c = campaign(
                 w,
                 &cfg,

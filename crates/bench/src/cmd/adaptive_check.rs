@@ -18,7 +18,7 @@
 //! gate that keeps every push honest (the `xtier_check` idiom).
 
 use crate::args::{preset, workload_list, FromArg};
-use crate::GoldenCache;
+use crate::golden;
 use avgi_faultsim::{
     run_adaptive, run_campaign, weighted_estimate, wilson_interval, AdaptiveConfig, AdaptiveReport,
     CampaignConfig, RunMode, SiteGrid,
@@ -43,10 +43,9 @@ pub fn run(mut a: crate::Args) -> ExitCode {
     let cfg = preset(a.flag("--small")).config();
     a.finish();
 
-    let mut cache = GoldenCache::new();
     for w in &workloads {
         let name = w.name;
-        let golden = cache.get(w, &cfg);
+        let golden = golden(w, &cfg);
 
         // Uniform baseline at the full fault count.
         let ucfg =

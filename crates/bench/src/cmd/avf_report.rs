@@ -5,7 +5,7 @@
 //! cargo run --release -p avgi-bench --bin avgi -- avf_report --faults 300
 //! ```
 
-use crate::{pct, print_header, ExpArgs, ExpTelemetry, GoldenCache};
+use crate::{pct, print_header, ExpArgs, ExpTelemetry, golden};
 use avgi_core::fit::structure_fit;
 use avgi_core::pipeline::exhaustive_observed;
 use avgi_muarch::fault::Structure;
@@ -19,9 +19,8 @@ pub fn run(a: crate::Args) -> ExitCode {
         .workload
         .clone()
         .unwrap_or_else(|| avgi_workloads::by_name("dijkstra").expect("registered"));
-    let mut cache = GoldenCache::new();
     {
-        let golden = cache.get(&w, &cfg);
+        let golden = golden(&w, &cfg);
         println!(
             "\n=== {} ({} cycles, {} B output, {}) ===",
             w.name,

@@ -5,7 +5,7 @@
 //! cannot see logical masking. Reproduce the per-workload comparison and
 //! the overestimation ratios.
 
-use crate::{pct, print_header, ExpArgs, GoldenCache};
+use crate::{pct, print_header, ExpArgs, golden};
 use avgi_core::ace::ace_regfile;
 use avgi_core::pipeline::exhaustive;
 use avgi_muarch::fault::Structure;
@@ -14,7 +14,6 @@ use std::process::ExitCode;
 pub fn run(a: crate::Args) -> ExitCode {
     let args = ExpArgs::parse(a, 400);
     let cfg = args.config();
-    let mut cache = GoldenCache::new();
     println!(
         "Fig. 1 — register-file AVF: SFI vs. ACE analysis ({})",
         cfg.name
@@ -26,7 +25,7 @@ pub fn run(a: crate::Args) -> ExitCode {
 
     let mut ratios = Vec::new();
     for w in avgi_workloads::all() {
-        let golden = cache.get(&w, &cfg);
+        let golden = golden(&w, &cfg);
         let sfi = exhaustive(
             &w,
             &cfg,

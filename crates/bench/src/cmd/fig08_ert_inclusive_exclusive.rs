@@ -5,7 +5,7 @@
 //! effective-residency-time window loses (virtually) no manifestations,
 //! so the IMM distribution is unchanged while the simulated cycles drop.
 
-use crate::{campaign, pct, print_header, ExpArgs, GoldenCache};
+use crate::{campaign, pct, print_header, ExpArgs, golden};
 use avgi_core::classify::classify_injection;
 use avgi_core::ert::default_ert_window;
 use avgi_core::imm::{Imm, ImmClass, NUM_IMMS};
@@ -27,12 +27,11 @@ pub fn run(a: crate::Args) -> ExitCode {
     cols.extend(Imm::all().iter().map(|i| i.label()));
     print_header(&cols, &[14; NUM_IMMS + 3]);
 
-    let mut cache = GoldenCache::new();
     let mut worst_diff = 0.0f64;
     let mut pooled_inc = [0u64; NUM_IMMS];
     let mut pooled_exc = [0u64; NUM_IMMS];
     for w in avgi_workloads::all() {
-        let golden = cache.get(&w, &cfg);
+        let golden = golden(&w, &cfg);
         // Inclusive: instrumented end-to-end.
         let inc_campaign = campaign(&w, &cfg, &golden, structure, RunMode::Instrumented, &args);
         let inc = avgi_core::JointAnalysis::from_campaign(&inc_campaign);

@@ -19,7 +19,7 @@
 //!   (the full AVGI flow; the paper's "Maximum Sim Cycles" column is the
 //!   window used).
 
-use crate::{campaign, campaign_under, print_header, ExpArgs, GoldenCache};
+use crate::{campaign, campaign_under, print_header, ExpArgs, golden};
 use avgi_core::ert::default_ert_window;
 use avgi_faultsim::{CampaignConfig, MetricsCollector, RunMode};
 use avgi_muarch::fault::Structure;
@@ -51,7 +51,6 @@ pub fn run(a: crate::Args) -> ExitCode {
         &[11, 11, 11, 11, 8, 8, 8, 11, 8],
     );
 
-    let mut cache = GoldenCache::new();
     let mut grand = [0u64; 3];
     let mut grand_simulated = [0u64; 2]; // [traditional, full AVGI]
     for &s in Structure::all() {
@@ -62,7 +61,7 @@ pub fn run(a: crate::Args) -> ExitCode {
         let mut window_desc = String::new();
         for w in &workloads {
             eprintln!("[table2] {} / {}", s, w.name);
-            let golden = cache.get(w, &cfg);
+            let golden = golden(w, &cfg);
             let window = default_ert_window(s, golden.cycles);
             window_desc = match s {
                 Structure::Rob | Structure::Lq | Structure::Sq => "3%".to_string(),

@@ -5,7 +5,7 @@
 //! cargo run --release -p avgi-bench --bin avgi -- trace_dump --workload sha
 //! ```
 
-use crate::{ExpArgs, GoldenCache};
+use crate::{ExpArgs, golden};
 use avgi_isa::instr::disassemble;
 use std::process::ExitCode;
 
@@ -16,8 +16,7 @@ pub fn run(a: crate::Args) -> ExitCode {
         .workload
         .clone()
         .unwrap_or_else(|| avgi_workloads::by_name("bitcount").expect("registered"));
-    let mut cache = GoldenCache::new();
-    let golden = cache.get(&w, &cfg);
+    let golden = golden(&w, &cfg);
     println!(
         "golden trace of `{}` on {}: {} instructions, {} cycles (IPC {:.2})",
         w.name,

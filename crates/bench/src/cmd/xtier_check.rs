@@ -1,12 +1,11 @@
 //! CI smoke prover for the execution tiers and the batched engine.
 //!
-//! Per workload, runs the four-leg [`avgi_faultsim::run_xtier`] cross-check
-//! (reference substrate, interpreter identity, pipeline identity, campaign
-//! equality across verification tiers) and then
+//! Per workload, runs the three-leg [`avgi_faultsim::run_xtier`] cross-check
+//! (reference substrate, interpreter identity, pipeline identity) and then
 //! [`avgi_faultsim::run_xcheck`] (batched vs. unbatched engine, fork
-//! anatomy, run to the end) on the same campaign, and exits non-zero on the
-//! first divergence. That campaign is the production mode, whose ERT window
-//! admits only the exit at the injection cycle, so `run_xcheck` runs once
+//! anatomy, run to the end) on a register-file campaign, and exits non-zero
+//! on the first divergence. That campaign is the production mode, whose ERT
+//! window admits only the exit at the injection cycle, so `run_xcheck` runs once
 //! more on the same faults as an end-to-end campaign, which also takes the
 //! exits at later checkpoints. Each prints a `converge` line saying how many
 //! runs took the golden's ending and were equal to their run to the end —
@@ -16,7 +15,7 @@
 //! the seconds-cheap gate that keeps every push honest.
 
 use crate::args::{preset, workload_list, FromArg};
-use crate::GoldenCache;
+use crate::golden;
 use avgi_core::ert::default_ert_window;
 use avgi_faultsim::{run_xcheck, run_xtier, CampaignConfig, RunMode};
 use avgi_muarch::fault::Structure;
@@ -31,9 +30,8 @@ pub fn run(mut a: crate::Args) -> ExitCode {
     let cfg = preset(a.flag("--small")).config();
     a.finish();
 
-    let mut cache = GoldenCache::new();
     for w in &workloads {
-        let golden = cache.get(w, &cfg);
+        let golden = golden(w, &cfg);
         let window = default_ert_window(Structure::RegFile, golden.cycles);
         let ccfg = CampaignConfig::new(
             Structure::RegFile,
@@ -46,7 +44,7 @@ pub fn run(mut a: crate::Args) -> ExitCode {
             eprintln!("FAIL: {}: {what} cross-check failed:\n{e}", w.name);
             ExitCode::FAILURE
         };
-        match run_xtier(w, &cfg, &golden, &ccfg) {
+        match run_xtier(w, &golden) {
             Ok(r) => println!("{r}"),
             Err(e) => return fail("execution-tier", e),
         }

@@ -10,8 +10,8 @@
 //! stream results to an on-disk [journal](crate::journal) and resume
 //! bit-identically after an interruption ([`run_campaign_journaled`]).
 
-use crate::error::CampaignError;
-use crate::journal::{check_resumed_faults, CampaignKey, Journal};
+use crate::error::{CampaignError, GoldenError};
+use crate::journal::{check_resumed_faults, config_hash, CampaignKey, Journal};
 use crate::sampling::{multi_bit_burst, sample_faults};
 use crate::telemetry::{CampaignObserver, NullObserver};
 use avgi_muarch::config::MuarchConfig;
@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Arc, Mutex, Once, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How far each injected run simulates.
@@ -122,15 +122,6 @@ pub struct CampaignConfig {
     /// excluded from [`std::fmt::Debug`] output so journal keys and config
     /// hashes are unaffected.
     pub verify_masked: bool,
-    /// Which architectural execution tier runs the fault-free verification
-    /// work ([`verify_masked`](CampaignConfig::verify_masked) golden
-    /// lockstep + reference re-execution). Defaults to [`ExecTier::Fast`],
-    /// the pre-decoded interpreter; [`ExecTier::Reference`] selects the
-    /// step-at-a-time oracle. The tiers are bit-identical (the `--xtier`
-    /// cross-check proves it per campaign), so like `observer` and
-    /// `verify_masked` the knob never changes campaign results and is
-    /// excluded from [`std::fmt::Debug`] output.
-    pub verify_tier: ExecTier,
 }
 
 impl std::fmt::Debug for CampaignConfig {
@@ -166,7 +157,6 @@ impl CampaignConfig {
             batch: 32,
             observer: None,
             verify_masked: false,
-            verify_tier: ExecTier::Fast,
         }
     }
 
@@ -212,13 +202,6 @@ impl CampaignConfig {
     /// [`CampaignConfig::verify_masked`]).
     pub fn with_masked_verification(mut self) -> Self {
         self.verify_masked = true;
-        self
-    }
-
-    /// Selects the architectural tier for fault-free verification work (see
-    /// [`CampaignConfig::verify_tier`]).
-    pub fn with_verify_tier(mut self, tier: ExecTier) -> Self {
-        self.verify_tier = tier;
         self
     }
 
@@ -466,6 +449,58 @@ pub fn golden_for(workload: &Workload, cfg: &MuarchConfig) -> Arc<GoldenRun> {
     capture_golden(&workload.program, cfg, 50_000_000)
 }
 
+/// The golden run of `workload` under `cfg`: captured at most once per
+/// process and verified once, on capture.
+///
+/// A golden run is a pure function of the program and the configuration, so
+/// every campaign over the same pair shares one capture, and concurrent
+/// callers for one pair wait for it while other pairs are not held up. The
+/// key is the program image (code, data, entry, output range), the expected
+/// output and [`config_hash`] — never the name, so a custom workload that
+/// reuses a registry name is not served another program's run. A capture
+/// is served only if its commit trace passes Fast-tier lockstep against the
+/// architectural reference and its output equals `workload.expected`;
+/// otherwise every call for the pair returns the same [`GoldenError`].
+/// Served runs live for the life of the process.
+pub fn verified_golden(
+    workload: &Workload,
+    cfg: &MuarchConfig,
+) -> Result<Arc<GoldenRun>, GoldenError> {
+    type Key = (Vec<u32>, Vec<(u32, Vec<u8>)>, [u32; 3], Vec<u8>, u64);
+    type Cell = Arc<OnceLock<Result<Arc<GoldenRun>, GoldenError>>>;
+    static SERVED: Mutex<BTreeMap<Key, Cell>> = Mutex::new(BTreeMap::new());
+    let p = &workload.program;
+    let key = (
+        p.code.clone(),
+        p.data.clone(),
+        [p.entry, p.output_addr, p.output_len],
+        workload.expected.clone(),
+        config_hash(cfg),
+    );
+    let cell = SERVED
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .entry(key)
+        .or_default()
+        .clone();
+    cell.get_or_init(|| {
+        let golden = golden_for(workload, cfg);
+        avgi_refmodel::verify_golden_tier(p, &golden, ExecTier::Fast).map_err(|d| {
+            GoldenError::Lockstep {
+                workload: workload.name.to_string(),
+                divergence: d.to_string(),
+            }
+        })?;
+        if golden.output != workload.expected {
+            return Err(GoldenError::Output {
+                workload: workload.name.to_string(),
+            });
+        }
+        Ok(golden)
+    })
+    .clone()
+}
+
 /// Cycle budget an injected run gets before it is declared hung: twice the
 /// golden duration plus slack for short runs. Saturating — an adversarially
 /// long golden run must clamp to `u64::MAX`, not wrap around to a tiny
@@ -477,10 +512,8 @@ pub fn watchdog_budget(golden_cycles: u64) -> u64 {
 /// Architectural oracle backing [`CampaignConfig::verify_masked`].
 ///
 /// Built once per campaign: construction runs the workload on the
-/// `avgi-refmodel` interpreter of the configured
-/// [`verify_tier`](CampaignConfig::verify_tier) — the pre-decoded fast tier
-/// by default — and lockstep-verifies the golden pipeline capture against
-/// it, panicking immediately on any divergence —
+/// `avgi-refmodel` fast tier and lockstep-verifies the golden pipeline
+/// capture against it, panicking immediately on any divergence —
 /// if the fault-free substrate is architecturally wrong, every
 /// classification derived from it is garbage.
 ///
@@ -500,14 +533,15 @@ struct MaskedOracle {
 }
 
 impl MaskedOracle {
-    fn new(workload: &Workload, golden: &Arc<GoldenRun>, tier: ExecTier) -> Self {
-        if let Err(d) = avgi_refmodel::verify_golden_tier(&workload.program, golden, tier) {
+    fn new(workload: &Workload, golden: &Arc<GoldenRun>) -> Self {
+        if let Err(d) = avgi_refmodel::verify_golden_tier(&workload.program, golden, ExecTier::Fast)
+        {
             panic!(
                 "verify_masked: golden run of `{}` fails architectural lockstep:\n{d}",
                 workload.name
             );
         }
-        let (model, run) = avgi_refmodel::reference_run_tier(&workload.program, tier, 0);
+        let (model, run) = avgi_refmodel::reference_run_tier(&workload.program, ExecTier::Fast, 0);
         assert_eq!(
             run.outcome,
             Some(avgi_refmodel::RefOutcome::Completed),
@@ -1298,7 +1332,7 @@ impl ShardRunner {
             // golden run against the reference model and panics if the
             // substrate is wrong.
             oracle: (self.ccfg.verify_masked)
-                .then(|| MaskedOracle::new(&self.workload, &self.golden, self.ccfg.verify_tier)),
+                .then(|| MaskedOracle::new(&self.workload, &self.golden)),
         };
         engine.execute(faults, sink)
     }

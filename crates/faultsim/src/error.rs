@@ -105,3 +105,43 @@ impl From<crate::sampling::SamplingError> for CampaignError {
         CampaignError::Sampling(e)
     }
 }
+
+/// Why [`verified_golden`](crate::verified_golden) refused to serve a
+/// golden run. Cloneable, so every later call for the same pair returns it
+/// again.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum GoldenError {
+    /// The pipeline's fault-free commit trace diverges from the
+    /// architectural reference.
+    Lockstep {
+        /// Workload name.
+        workload: String,
+        /// The first divergence, as the reference model reports it.
+        divergence: String,
+    },
+    /// The fault-free output differs from the workload's expected bytes.
+    Output {
+        /// Workload name.
+        workload: String,
+    },
+}
+
+impl fmt::Display for GoldenError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            GoldenError::Lockstep {
+                workload,
+                divergence,
+            } => write!(
+                f,
+                "golden run of `{workload}` fails architectural lockstep:\n{divergence}"
+            ),
+            GoldenError::Output { workload } => write!(
+                f,
+                "golden run of `{workload}` does not produce the expected output"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for GoldenError {}

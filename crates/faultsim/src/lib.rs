@@ -47,10 +47,10 @@ pub use adaptive::{
 };
 pub use campaign::{
     golden_for, run_campaign, run_campaign_journaled, run_campaign_with_faults, run_one,
-    watchdog_budget, CampaignConfig, CampaignResult, CheckpointSet, InjectionResult, RunMode,
-    ShardRunner,
+    verified_golden, watchdog_budget, CampaignConfig, CampaignResult, CheckpointSet,
+    InjectionResult, RunMode, ShardRunner,
 };
-pub use error::CampaignError;
+pub use error::{CampaignError, GoldenError};
 pub use journal::{config_hash, crc32, CampaignKey, DurabilityPolicy, Journal};
 pub use sampling::{
     error_margin, error_margin_at, multi_bit_burst, sample_faults, sample_size, sample_size_at,

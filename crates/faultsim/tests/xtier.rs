@@ -10,13 +10,13 @@
 //! * `avgi_muarch::compare_backends` replays the fast tier against the
 //!   pipeline's recorded commit stream, record for record, outputs included.
 //!
-//! A second test runs the full four-leg [`avgi_faultsim::run_xtier`] prover
-//! (substrate, interpreter, pipeline, campaign-across-tiers) on two
-//! workloads — the same pair the CI smoke step checks.
+//! A second test runs the full three-leg [`avgi_faultsim::run_xtier`]
+//! prover (substrate, interpreter, pipeline) on two workloads — the same
+//! pair the CI smoke step checks.
 
-use avgi_faultsim::{run_xtier, watchdog_budget, CampaignConfig, RunMode};
+use avgi_faultsim::{run_xtier, watchdog_budget};
 use avgi_muarch::config::MuarchConfig;
-use avgi_muarch::{compare_backends, Structure, TraceBackend};
+use avgi_muarch::{compare_backends, TraceBackend};
 use avgi_refmodel::{verify_fast_tier, FastModel};
 
 #[test]
@@ -47,17 +47,8 @@ fn full_xtier_prover_passes_on_smoke_workloads() {
     for name in ["bitcount", "crc32"] {
         let w = avgi_workloads::by_name(name).unwrap();
         let golden = avgi_faultsim::golden_for(&w, &cfg);
-        let ccfg = CampaignConfig::new(
-            Structure::RegFile,
-            16,
-            RunMode::FirstDeviation {
-                ert_window: Some(2_000),
-            },
-        );
-        let report =
-            run_xtier(&w, &cfg, &golden, &ccfg).unwrap_or_else(|e| panic!("`{name}`: {e}"));
+        let report = run_xtier(&w, &golden).unwrap_or_else(|e| panic!("`{name}`: {e}"));
         assert_eq!(report.workload, name);
-        assert_eq!(report.runs_compared, 16);
         assert!(report.interp_steps > 0);
         assert!(report.commits_compared > 0);
     }

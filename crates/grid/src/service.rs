@@ -57,8 +57,7 @@ use crate::queue::SubmissionQueue;
 use crate::sched::FairScheduler;
 use crate::spec::{CampaignSpec, SubmitSpec};
 use crate::transport::{TcpTransport, Transport};
-use crate::worker::golden_memo;
-use avgi_faultsim::campaign::golden_for;
+use avgi_faultsim::campaign::{golden_for, verified_golden};
 use avgi_faultsim::journal::{
     check_resumed_faults, config_hash, write_record, CampaignKey, DurabilityPolicy, Journal,
 };
@@ -479,7 +478,8 @@ impl Service {
             GridError::Spec(format!("workload {:?} not in registry", workload.name))
         })?;
         let cfg = sub.preset.config();
-        let golden = golden_memo(workload_id, &workload, &cfg);
+        let golden =
+            verified_golden(&workload, &cfg).map_err(|e| GridError::Spec(e.to_string()))?;
         let faults = sample_faults(sub.structure, &cfg, golden.cycles, sub.faults, sub.seed)
             .map_err(|e| GridError::Spec(format!("fault sampling failed: {e}")))?;
         let spec = CampaignSpec {

@@ -25,10 +25,10 @@
 //! exchange — a lease for a campaign it holds no runtime for triggers a
 //! [`Msg::SpecRequest`] / [`Msg::Spec`] round trip, and the service never
 //! sends a spec unasked. Set-up is paid once per process where it can be:
-//! the golden run — the expensive part — is memoized per (program,
-//! configuration) for the life of the process (`golden_memo`; the registry
-//! bounds it), and built runtimes (fault list, checkpoints) sit in a
-//! least-recently-leased cache of [`RUNTIME_CACHE_CAPACITY`] campaigns, so
+//! the golden run — the expensive part — is served per (program,
+//! configuration) for the life of the process by [`verified_golden`] (the
+//! registry bounds it), and built runtimes (fault list, checkpoints) sit in
+//! a least-recently-leased cache of [`RUNTIME_CACHE_CAPACITY`] campaigns, so
 //! interleaved leases from different tenants share the rebuild while a
 //! long-lived worker's memory does not grow with the number of campaigns
 //! it has served. An evicted campaign that is leased again is rebuilt
@@ -56,7 +56,7 @@ use crate::proto::{
 };
 use crate::spec::CampaignSpec;
 use crate::transport::{TcpTransport, Transport};
-use avgi_faultsim::campaign::golden_for;
+use avgi_faultsim::campaign::verified_golden;
 use avgi_faultsim::journal::config_hash;
 use avgi_faultsim::telemetry::MetricsCollector;
 use avgi_faultsim::ShardRunner;
@@ -64,9 +64,8 @@ use avgi_muarch::config::MuarchConfig;
 use avgi_muarch::trace::GoldenRun;
 use avgi_rng::Rng;
 use avgi_workloads::Workload;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Worker-side configuration.
@@ -263,29 +262,6 @@ fn connect_with_retry(wcfg: &WorkerConfig) -> Result<Box<dyn Transport>, GridErr
     }
 }
 
-/// The golden run of `workload` (registry id `workload_id`) under `cfg`,
-/// captured at most once per process.
-///
-/// A golden run is a pure function of the program and the configuration, so
-/// every campaign over the same pair — on the service's `activate` and on a
-/// worker's [`rebuild`] alike — shares one capture. The registry bounds the
-/// memo (programs × presets), so it needs no size and evicts nothing.
-/// Concurrent callers for one pair wait for a single capture; other pairs
-/// are not held up.
-pub(crate) fn golden_memo(
-    workload_id: usize,
-    workload: &Workload,
-    cfg: &MuarchConfig,
-) -> Arc<GoldenRun> {
-    type Memo = BTreeMap<(usize, u64), Arc<OnceLock<Arc<GoldenRun>>>>;
-    static MEMO: Mutex<Memo> = Mutex::new(BTreeMap::new());
-    let cell = lock_clean(&MEMO)
-        .entry((workload_id, config_hash(cfg)))
-        .or_default()
-        .clone();
-    cell.get_or_init(|| golden_for(workload, cfg)).clone()
-}
-
 /// Rebuilds the campaign the spec describes and cross-checks it.
 fn rebuild(spec: &CampaignSpec) -> Result<(Workload, MuarchConfig, Arc<GoldenRun>), GridError> {
     let workload = avgi_workloads::by_index(spec.workload_id)
@@ -304,7 +280,7 @@ fn rebuild(spec: &CampaignSpec) -> Result<(Workload, MuarchConfig, Arc<GoldenRun
             spec.preset, spec.config_hash
         )));
     }
-    let golden = golden_memo(spec.workload_id, &workload, &cfg);
+    let golden = verified_golden(&workload, &cfg).map_err(|e| GridError::Spec(e.to_string()))?;
     if golden.cycles != spec.golden_cycles {
         return Err(GridError::Spec(format!(
             "golden run mismatch: local {} cycles, coordinator {}",
@@ -315,8 +291,8 @@ fn rebuild(spec: &CampaignSpec) -> Result<(Workload, MuarchConfig, Arc<GoldenRun
 }
 
 /// One campaign's locally rebuilt execution state (fault list and
-/// checkpoints; the golden run is shared through [`golden_memo`]), kept in
-/// [`Runtimes`] so interleaved leases from different tenants do not each
+/// checkpoints; the golden run is shared through [`verified_golden`]), kept
+/// in [`Runtimes`] so interleaved leases from different tenants do not each
 /// pay the rebuild.
 struct Runtime {
     spec: CampaignSpec,
@@ -806,7 +782,7 @@ mod tests {
             mode: RunMode::EndToEnd,
             burst_width: 1,
             checkpoints: 2,
-            golden_cycles: golden_memo(workload_id, &workload, &cfg).cycles,
+            golden_cycles: verified_golden(&workload, &cfg).unwrap().cycles,
             config_hash: config_hash(&cfg),
             lease_timeout_ms: 30_000,
         }
@@ -818,8 +794,11 @@ mod tests {
         let (workload, cfg, first) = rebuild(&honest).unwrap();
         let (_, _, again) = rebuild(&honest).unwrap();
         assert!(Arc::ptr_eq(&first, &again), "one capture per process");
-        assert_eq!(first.cycles, golden_for(&workload, &cfg).cycles);
-        // A memo hit skips the capture, never the checks: a spec that
+        assert_eq!(
+            first.cycles,
+            avgi_faultsim::golden_for(&workload, &cfg).cycles
+        );
+        // A served run skips the capture, never the checks: a spec that
         // disagrees with what this process captured is refused.
         let skewed = CampaignSpec {
             golden_cycles: honest.golden_cycles + 1,

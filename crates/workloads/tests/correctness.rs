@@ -16,6 +16,13 @@ fn check_all(cfg: MuarchConfig) {
             "{} output mismatch on {}",
             w.name, cfg.name
         );
+        // An all-zero reference would let a run that never writes its
+        // output region pass the equality above.
+        assert!(
+            w.expected.iter().any(|&b| b != 0),
+            "{}: all-zero reference output",
+            w.name
+        );
         assert!(
             golden.cycles > 1_000,
             "{}: implausibly short run ({} cycles)",

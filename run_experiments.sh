@@ -4,12 +4,6 @@
 # flag overrides the one named here, so `--faults 8` is a smoke run]
 set -e
 cd "$(dirname "$0")"
-# Persist golden captures across the figure binaries below: every binary
-# shares one on-disk GoldenCache, so each workload's fault-free run is
-# captured (and lockstep-verified) once per sweep instead of once per
-# process. Delete the directory to force fresh captures.
-AVGI_GOLDEN_CACHE="${AVGI_GOLDEN_CACHE:-results/golden-cache}"
-export AVGI_GOLDEN_CACHE
 run() {
   bin=$1; shift
   echo "=== $bin $* ==="
