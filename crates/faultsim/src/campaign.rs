@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Once, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, Once, OnceLock, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 /// How far each injected run simulates.
@@ -300,6 +300,60 @@ impl CheckpointSet {
         Ok(CheckpointSet { cycles, snaps })
     }
 
+    /// [`build`](CheckpointSet::build)'s set, shared while held: callers alive
+    /// together over one golden run (by identity), program, configuration and
+    /// `count` hold one `Arc` and wait for one build. The table holds the build
+    /// (`cell`) and the set weakly; a failed build is the shared `Err` warning.
+    fn shared(
+        workload: &Workload,
+        cfg: &MuarchConfig,
+        golden: &Arc<GoldenRun>,
+        count: u32,
+    ) -> Result<Arc<Self>, String> {
+        type Cell = OnceLock<Result<Arc<CheckpointSet>, String>>;
+        struct Entry {
+            golden: Weak<GoldenRun>,
+            key: (ImageKey, u32),
+            cell: Weak<Cell>,
+            set: Weak<CheckpointSet>,
+        }
+        static SHARED: Mutex<Vec<Entry>> = Mutex::new(Vec::new());
+        let lock = || SHARED.lock().unwrap_or_else(PoisonError::into_inner);
+        let key = (image_key(workload, cfg), count);
+        let cell = {
+            let mut table = lock();
+            table.retain(|e| {
+                e.golden.strong_count() > 0 && e.cell.strong_count() + e.set.strong_count() > 0
+            });
+            let mine = |e: &&Entry| e.golden.as_ptr() == Arc::as_ptr(golden) && e.key == key;
+            if let Some(set) = table.iter().filter(mine).find_map(|e| e.set.upgrade()) {
+                return Ok(set);
+            }
+            let building = table.iter().filter(mine).find_map(|e| e.cell.upgrade());
+            building.unwrap_or_else(|| {
+                let cell = Arc::new(Cell::new());
+                table.push(Entry {
+                    golden: Arc::downgrade(golden),
+                    key,
+                    cell: Arc::downgrade(&cell),
+                    set: Weak::new(),
+                });
+                cell
+            })
+        };
+        cell.get_or_init(|| {
+            let set = Self::build(workload, cfg, golden, count)
+                .map_err(|e| format!("checkpointing disabled, running fresh: {e}"))?;
+            let set = Arc::new(set);
+            let built = Arc::as_ptr(&cell);
+            for e in lock().iter_mut().filter(|e| e.cell.as_ptr() == built) {
+                e.set = Arc::downgrade(&set);
+            }
+            Ok(set)
+        })
+        .clone()
+    }
+
     /// The latest snapshot at or before `cycle`, ready to spawn or rewind a
     /// scratch simulator.
     pub fn nearest(&self, cycle: u64) -> &Snapshot {
@@ -449,6 +503,20 @@ pub fn golden_for(workload: &Workload, cfg: &MuarchConfig) -> Arc<GoldenRun> {
     capture_golden(&workload.program, cfg, 50_000_000)
 }
 
+/// The key [`verified_golden`] describes, shared by [`CheckpointSet::shared`].
+type ImageKey = (Vec<u32>, Vec<(u32, Vec<u8>)>, [u32; 3], Vec<u8>, u64);
+
+fn image_key(workload: &Workload, cfg: &MuarchConfig) -> ImageKey {
+    let p = &workload.program;
+    (
+        p.code.clone(),
+        p.data.clone(),
+        [p.entry, p.output_addr, p.output_len],
+        workload.expected.clone(),
+        config_hash(cfg),
+    )
+}
+
 /// The golden run of `workload` under `cfg`: captured at most once per
 /// process and verified once, on capture.
 ///
@@ -466,25 +534,17 @@ pub fn verified_golden(
     workload: &Workload,
     cfg: &MuarchConfig,
 ) -> Result<Arc<GoldenRun>, GoldenError> {
-    type Key = (Vec<u32>, Vec<(u32, Vec<u8>)>, [u32; 3], Vec<u8>, u64);
     type Cell = Arc<OnceLock<Result<Arc<GoldenRun>, GoldenError>>>;
-    static SERVED: Mutex<BTreeMap<Key, Cell>> = Mutex::new(BTreeMap::new());
-    let p = &workload.program;
-    let key = (
-        p.code.clone(),
-        p.data.clone(),
-        [p.entry, p.output_addr, p.output_len],
-        workload.expected.clone(),
-        config_hash(cfg),
-    );
+    static SERVED: Mutex<BTreeMap<ImageKey, Cell>> = Mutex::new(BTreeMap::new());
     let cell = SERVED
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
-        .entry(key)
+        .entry(image_key(workload, cfg))
         .or_default()
         .clone();
     cell.get_or_init(|| {
         let golden = golden_for(workload, cfg);
+        let p = &workload.program;
         avgi_refmodel::verify_golden_tier(p, &golden, ExecTier::Fast).map_err(|d| {
             GoldenError::Lockstep {
                 workload: workload.name.to_string(),
@@ -1212,7 +1272,7 @@ pub fn run_campaign_journaled(
 /// what every campaign entry point of this crate is a constructor over.
 ///
 /// Construction performs the per-campaign setup exactly once — the full
-/// fault list is sampled from `ccfg.seed`, the checkpoint set is built and
+/// fault list is sampled from `ccfg.seed`, the checkpoint set is taken and
 /// every setup degradation is decided — and
 /// [`run_indices`](ShardRunner::run_indices) then executes any subset of
 /// that list through the same engine as [`run_campaign`]. Because each
@@ -1226,19 +1286,19 @@ pub struct ShardRunner {
     golden: Arc<GoldenRun>,
     ccfg: CampaignConfig,
     faults: Vec<Fault>,
-    checkpoints: Option<CheckpointSet>,
+    checkpoints: Option<Arc<CheckpointSet>>,
     warnings: Vec<String>,
 }
 
 impl ShardRunner {
-    /// Samples the campaign's fault list and builds its checkpoint set.
+    /// Samples the campaign's fault list and takes its checkpoint set.
     ///
-    /// The runner owns copies of the workload and configuration (both are
-    /// cheap to clone next to the checkpoint set), so a long-lived worker
-    /// can cache one runner per tenant campaign without borrowing from
-    /// anything. Any observer already attached to `ccfg` is kept as the
-    /// default for [`run_indices`](ShardRunner::run_indices) calls that do
-    /// not supply their own.
+    /// The runner owns copies of the workload and configuration and a share
+    /// of the checkpoint set, so a long-lived worker can cache one runner per
+    /// tenant campaign without borrowing from anything. Any observer already
+    /// attached to `ccfg` is kept as the default for
+    /// [`run_indices`](ShardRunner::run_indices) calls that do not supply
+    /// their own.
     pub fn new(
         workload: &Workload,
         cfg: &MuarchConfig,
@@ -1250,7 +1310,7 @@ impl ShardRunner {
         Self::with_faults(workload, cfg, golden, ccfg, faults)
     }
 
-    /// [`new`](ShardRunner::new) over an explicit fault list. Builds the
+    /// [`new`](ShardRunner::new) over an explicit fault list. Takes the
     /// checkpoint set `ccfg` asks for, degrading to checkpoint-free
     /// execution (with a warning) when the golden prefix cannot support it;
     /// whether shared-prefix batching applies follows from `ccfg` and that
@@ -1265,8 +1325,8 @@ impl ShardRunner {
         let mut warnings = Vec::new();
         let checkpoints = match ccfg.checkpoints {
             0 => None,
-            count => CheckpointSet::build(workload, cfg, golden, count)
-                .map_err(|e| warnings.push(format!("checkpointing disabled, running fresh: {e}")))
+            count => CheckpointSet::shared(workload, cfg, golden, count)
+                .map_err(|w| warnings.push(w))
                 .ok(),
         };
         warnings.extend(ccfg.batching_warning(checkpoints.is_some()));
@@ -1324,7 +1384,7 @@ impl ShardRunner {
             cfg: &self.cfg,
             golden: &self.golden,
             ccfg: &self.ccfg,
-            checkpoints: self.checkpoints.as_ref(),
+            checkpoints: self.checkpoints.as_deref(),
             observer: (observer.as_deref())
                 .or(self.ccfg.observer.as_deref())
                 .unwrap_or(&NULL_OBSERVER),
@@ -1667,6 +1727,84 @@ mod tests {
         assert_eq!(set.nearest(quarter + 1).cycle(), quarter);
         assert_eq!(set.nearest(quarter - 1).cycle(), 0);
         assert!(set.nearest(golden.cycles).cycle() <= golden.cycles);
+    }
+
+    /// The checkpoint set a runner holds, if any.
+    fn set_of(runner: &ShardRunner) -> Option<&Arc<CheckpointSet>> {
+        runner.checkpoints.as_ref()
+    }
+
+    fn same_set(a: &ShardRunner, b: &ShardRunner) -> bool {
+        matches!((set_of(a), set_of(b)), (Some(x), Some(y)) if Arc::ptr_eq(x, y))
+    }
+
+    #[test]
+    fn runners_alive_together_share_one_checkpoint_set_per_key() {
+        let w = avgi_workloads::by_name("bitcount").unwrap();
+        let cfg = MuarchConfig::big();
+        // A golden run of this test's own: the table keys by identity, so
+        // no other test can hand it a set.
+        let golden = golden_for(&w, &cfg);
+        let ccfg = |count| {
+            CampaignConfig::new(Structure::RegFile, 4, RunMode::EndToEnd).with_checkpoints(count)
+        };
+        let runner = |cfg: &MuarchConfig, golden: &Arc<GoldenRun>, count| {
+            ShardRunner::new(&w, cfg, golden, &ccfg(count))
+        };
+        let a = runner(&cfg, &golden, 4);
+        let b = runner(&cfg, &golden, 4);
+        assert!(same_set(&a, &b), "same key, one set");
+        assert!(!same_set(&a, &runner(&cfg, &golden, 5)), "another count");
+        let twin = Arc::new((*golden).clone());
+        assert!(!same_set(&a, &runner(&cfg, &twin, 4)), "another golden Arc");
+        // A caller that pairs this golden run with another configuration
+        // gets snapshots of that configuration (or none), never these.
+        let small = MuarchConfig::small();
+        assert!(!same_set(&a, &runner(&small, &golden, 4)), "another config");
+
+        // Held weakly: the last runner frees the set, the next builds anew.
+        let held = Arc::downgrade(set_of(&a).unwrap());
+        drop((a, b));
+        assert!(held.upgrade().is_none(), "freed with its last runner");
+        let c = runner(&cfg, &golden, 4);
+        assert!(!Weak::ptr_eq(&held, &Arc::downgrade(set_of(&c).unwrap())));
+    }
+
+    #[test]
+    fn racing_runners_wait_for_one_checkpoint_build() {
+        let w = avgi_workloads::by_name("crc32").unwrap();
+        let cfg = MuarchConfig::big();
+        let golden = golden_for(&w, &cfg);
+        let ccfg = CampaignConfig::new(Structure::RegFile, 4, RunMode::EndToEnd);
+        let start = std::sync::Barrier::new(8);
+        let runners: Vec<ShardRunner> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        ShardRunner::new(&w, &cfg, &golden, &ccfg)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert!(runners.iter().all(|r| same_set(r, &runners[0])));
+    }
+
+    #[test]
+    fn a_failed_checkpoint_build_is_a_shared_warning_never_a_set() {
+        let w = avgi_workloads::by_name("bitcount").unwrap();
+        let cfg = MuarchConfig::big();
+        // Snapshot points past the program's real end: the prefix halts first.
+        let mut stretched = (*golden_for(&w, &cfg)).clone();
+        stretched.cycles *= 4;
+        let stretched = Arc::new(stretched);
+        let ccfg = CampaignConfig::new(Structure::RegFile, 4, RunMode::EndToEnd);
+        let a = ShardRunner::new(&w, &cfg, &stretched, &ccfg);
+        let b = ShardRunner::new(&w, &cfg, &stretched, &ccfg);
+        assert!(set_of(&a).is_none() && set_of(&b).is_none());
+        assert!(a.warnings()[0].starts_with("checkpointing disabled, running fresh: "));
+        assert_eq!(a.warnings(), b.warnings());
     }
 
     #[test]

@@ -201,6 +201,7 @@ pub fn response(status: u16, fill: impl FnOnce(&mut Writer<'_>)) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::MAX_CHECKPOINTS;
     use avgi_muarch::fault::Structure;
 
     /// A `Read` that hands out a script of chunks, then `WouldBlock`s.
@@ -341,7 +342,7 @@ mod tests {
         assert!(status.contains("400"), "{status}");
         assert!(body.contains("nesting"), "{body}");
         // Well-formed, and sized to take a worker or the service down:
-        // 24 TB of fault list, 6.7 TB of snapshots, a silently narrowed
+        // 24 TB of fault list, 444 TB of snapshots, a silently narrowed
         // integer (2^32 + 8 read as 8).
         let hostile = |field: &str, value: &str| {
             let mut fields = vec![
@@ -358,13 +359,14 @@ mod tests {
                 .collect();
             format!("{{{}}}", fields.join(","))
         };
+        let over = (MAX_CHECKPOINTS + 1).to_string();
         for (field, value) in [
             ("faults", "1000000000000"),
             ("faults", "1048577"),
             ("faults", "18446744073709551616"),
             ("checkpoints", "4000000000"),
             ("checkpoints", "4294967304"),
-            ("checkpoints", "1025"),
+            ("checkpoints", over.as_str()),
             ("burst", "65"),
             ("burst", "4294967297"),
             ("priority", "4294967296"),
@@ -382,7 +384,7 @@ mod tests {
             );
         }
         // The bounds themselves are accepted.
-        let at_the_limit = hostile("checkpoints", "1024, \"burst\":64");
+        let at_the_limit = hostile("checkpoints", &format!("{MAX_CHECKPOINTS}, \"burst\":64"));
         assert!(SubmitSpec::from_json(&at_the_limit).is_ok());
     }
 

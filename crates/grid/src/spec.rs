@@ -167,10 +167,12 @@ impl CampaignSpec {
 pub const MAX_FAULTS: usize = 1 << 20;
 
 /// Most checkpoints one submission may ask for. Every worker leased the
-/// campaign reserves one `Snapshot` (≈ 1.7 KB) per checkpoint before it
-/// takes the first; the default is 8, and past a thousand the snapshots
-/// cost more than the prefix cycles they save.
-pub const MAX_CHECKPOINTS: u32 = 1024;
+/// campaign holds a set of that many `Snapshot`s (shared with its other
+/// campaigns over the same golden run and count): ≈ 111 KB each under the
+/// `big` preset, ≈ 58 KB under `small`. The default is 8 (≈ 0.9 MB); 128 is
+/// 16× that and ≈ 14 MB per set, where 1024 let one submission make every
+/// leased worker hold ≈ 114 MB.
+pub const MAX_CHECKPOINTS: u32 = 128;
 
 /// Widest multi-bit burst one submission may ask for: one machine word of
 /// adjacent bits. The paper's multi-bit study (§VII.A) uses 2–4; every run

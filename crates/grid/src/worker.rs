@@ -24,18 +24,19 @@
 //! *unpinned*: leases name their campaign, and the worker owns the spec
 //! exchange — a lease for a campaign it holds no runtime for triggers a
 //! [`Msg::SpecRequest`] / [`Msg::Spec`] round trip, and the service never
-//! sends a spec unasked. Set-up is paid once per process where it can be:
-//! the golden run — the expensive part — is served per (program,
-//! configuration) for the life of the process by [`verified_golden`] (the
-//! registry bounds it), and built runtimes (fault list, checkpoints) sit in
-//! a least-recently-leased cache of [`RUNTIME_CACHE_CAPACITY`] campaigns, so
-//! interleaved leases from different tenants share the rebuild while a
-//! long-lived worker's memory does not grow with the number of campaigns
-//! it has served. An evicted campaign that is leased again is rebuilt
-//! through the same spec request. A v2 peer never sees any of this: the
-//! welcome frame pins it to one campaign and carries that campaign's spec,
-//! every lease implicitly belongs to it, and its frames stay byte-identical
-//! to the v2 wire.
+//! sends a spec unasked. Set-up is paid once where it can be: the golden run
+//! is served per (program, configuration) for the life of the process by
+//! [`verified_golden`] (the registry bounds it); its checkpoint set is built
+//! once and shared by every runtime alive over it with the same checkpoint
+//! count, and freed with the last of them; and built runtimes (a fault list
+//! and a share of a set) sit in a least-recently-leased cache of
+//! [`RUNTIME_CACHE_CAPACITY`] campaigns, so interleaved leases from
+//! different tenants share the rebuild while a long-lived worker's memory
+//! does not grow with the number of campaigns it has served. An evicted
+//! campaign that is leased again is rebuilt through the same spec request.
+//! A v2 peer never sees any of this: the welcome frame pins it to one
+//! campaign and carries that campaign's spec, every lease implicitly belongs
+//! to it, and its frames stay byte-identical to the v2 wire.
 //!
 //! ## Surviving the link
 //!
@@ -290,8 +291,8 @@ fn rebuild(spec: &CampaignSpec) -> Result<(Workload, MuarchConfig, Arc<GoldenRun
     Ok((workload, cfg, golden))
 }
 
-/// One campaign's locally rebuilt execution state (fault list and
-/// checkpoints; the golden run is shared through [`verified_golden`]), kept
+/// One campaign's locally rebuilt execution state (its fault list; the
+/// golden run and the checkpoint set are shared with other campaigns), kept
 /// in [`Runtimes`] so interleaved leases from different tenants do not each
 /// pay the rebuild.
 struct Runtime {
@@ -322,9 +323,12 @@ impl Runtime {
 }
 
 /// How many campaigns' runtimes a worker keeps built. A worker serves the
-/// campaigns that are live at once, not every campaign it ever saw, and a
-/// runtime (checkpoints above all) is megabytes: without a bound a worker's
-/// memory grows with the number of campaigns the service has finished.
+/// campaigns that are live at once, not every campaign it ever saw. The
+/// cache holds their fault lists plus one checkpoint set per distinct golden
+/// run and checkpoint count still leased (≈ 1 MB at the default 8 snapshots,
+/// ≈ 14 MB at [`MAX_CHECKPOINTS`](crate::spec::MAX_CHECKPOINTS)): without a
+/// bound a worker's memory grows with the number of campaigns the service
+/// has finished.
 pub const RUNTIME_CACHE_CAPACITY: usize = 8;
 
 /// The runtime cache: at most [`RUNTIME_CACHE_CAPACITY`] campaigns, least

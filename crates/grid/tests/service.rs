@@ -836,7 +836,7 @@ fn finished_campaigns_hold_no_journal_descriptor_and_still_serve_their_reports()
 #[test]
 fn hostile_submissions_get_a_400_and_leave_the_queue_and_the_service_alone() {
     // Three bodies that each used to take the process down — a stack
-    // overflow in the parser, 24 TB of fault list in `activate`, 6.7 TB of
+    // overflow in the parser, 24 TB of fault list in `activate`, 444 TB of
     // snapshots on every worker — the last two *after* being journaled, so
     // every restart replayed them.
     let dir = scratch("hostile-submit");
