@@ -17,7 +17,6 @@ use crate::telemetry::{CampaignObserver, NullObserver};
 use avgi_muarch::config::MuarchConfig;
 use avgi_muarch::fault::{Fault, Structure};
 use avgi_muarch::pipeline::{capture_golden, Sim, Snapshot};
-use avgi_muarch::program::Program;
 use avgi_muarch::run::{RunControl, RunOutcome};
 use avgi_muarch::trace::{Deviation, GoldenRun};
 use avgi_refmodel::ExecTier;
@@ -106,29 +105,12 @@ pub struct CampaignConfig {
     /// Excluded from the [`std::fmt::Debug`] identity (journal keys and config
     /// hashes), so journals written at any batch size resume interchangeably.
     pub batch: usize,
-    /// Debug-assert mode: differentially verify Masked classifications
-    /// against the `avgi-refmodel` architectural reference model.
-    ///
-    /// When set, the golden run is lockstep-checked against an independent
-    /// reference execution before any fault is injected (panicking if the
-    /// simulation substrate itself is architecturally wrong), and every
-    /// completed injected run whose output matches the golden output — i.e.
-    /// every run the campaign classifies Masked — is re-checked against the
-    /// reference model's own output bytes. Any violation panics *after* the
-    /// engine drains, with the offending faults listed: a violation means
-    /// classifications cannot be trusted, not that one run misbehaved.
-    ///
-    /// Verification never changes campaign results; like `observer` it is
-    /// excluded from [`std::fmt::Debug`] output so journal keys and config
-    /// hashes are unaffected.
-    pub verify_masked: bool,
 }
 
 impl std::fmt::Debug for CampaignConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Matches the previously derived output (the observer and the
-        // verify_masked debug mode are deliberately omitted: they carry no
-        // campaign identity).
+        // Matches the previously derived output (the observer and the batch
+        // size are deliberately omitted: they carry no campaign identity).
         f.debug_struct("CampaignConfig")
             .field("structure", &self.structure)
             .field("faults", &self.faults)
@@ -156,7 +138,6 @@ impl CampaignConfig {
             wall_budget: None,
             batch: 32,
             observer: None,
-            verify_masked: false,
         }
     }
 
@@ -195,13 +176,6 @@ impl CampaignConfig {
     /// [`ProgressObserver`](crate::telemetry::ProgressObserver)).
     pub fn with_observer(mut self, observer: Arc<dyn CampaignObserver>) -> Self {
         self.observer = Some(observer);
-        self
-    }
-
-    /// Enables reference-model verification of Masked classifications (see
-    /// [`CampaignConfig::verify_masked`]).
-    pub fn with_masked_verification(mut self) -> Self {
-        self.verify_masked = true;
         self
     }
 
@@ -569,113 +543,9 @@ pub fn watchdog_budget(golden_cycles: u64) -> u64 {
     golden_cycles.saturating_mul(2).saturating_add(20_000)
 }
 
-/// Architectural oracle backing [`CampaignConfig::verify_masked`].
-///
-/// Built once per campaign: construction runs the workload on the
-/// `avgi-refmodel` fast tier and lockstep-verifies the golden pipeline
-/// capture against it, panicking immediately on any divergence —
-/// if the fault-free substrate is architecturally wrong, every
-/// classification derived from it is garbage.
-///
-/// Per-run checks only *record* violations (engine workers run inside
-/// `catch_unwind`, where a panic would be silently folded into a
-/// [`RunOutcome::SimAbort`]); [`MaskedOracle::assert_clean`] panics with the
-/// collected list after the engine drains.
-struct MaskedOracle {
-    /// Output bytes of the independent reference execution.
-    expected: Vec<u8>,
-    /// The program, kept for post-ERT tail completion.
-    program: Program,
-    /// Pre-decoded block cache shared by every tail completion — built once
-    /// per campaign, like the fast tier's other consumers.
-    cache: Arc<avgi_refmodel::BlockCache>,
-    violations: Mutex<Vec<String>>,
-}
-
-impl MaskedOracle {
-    fn new(workload: &Workload, golden: &Arc<GoldenRun>) -> Self {
-        if let Err(d) = avgi_refmodel::verify_golden_tier(&workload.program, golden, ExecTier::Fast)
-        {
-            panic!(
-                "verify_masked: golden run of `{}` fails architectural lockstep:\n{d}",
-                workload.name
-            );
-        }
-        let (model, run) = avgi_refmodel::reference_run_tier(&workload.program, ExecTier::Fast, 0);
-        assert_eq!(
-            run.outcome,
-            Some(avgi_refmodel::RefOutcome::Completed),
-            "verify_masked: reference model did not complete `{}`",
-            workload.name
-        );
-        MaskedOracle {
-            expected: model.output(),
-            program: workload.program.clone(),
-            cache: Arc::new(avgi_refmodel::BlockCache::build(&workload.program)),
-            violations: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Re-check a completed injected run: a run whose output matches the
-    /// golden output (and will therefore classify Masked) must also match
-    /// the reference model's independently computed bytes.
-    fn check_completed(&self, fault: &Fault, output: &[u8], golden_output: &[u8]) {
-        if output == golden_output && output != self.expected {
-            self.violations.lock().unwrap().push(format!(
-                "fault {fault:?}: output matches golden but not the reference model"
-            ));
-        }
-    }
-
-    /// Re-check an `ErtExpired` run: the window elapsed with no deviation,
-    /// so the run will classify Benign on the strength of its deviation-free
-    /// commit prefix. Completing that prefix's *architectural tail* on the
-    /// fast tier (the commits the ERT stop skipped) must reach `Completed`
-    /// with the reference output — otherwise the committed count and the
-    /// no-deviation claim are inconsistent with the architectural program.
-    /// This validates the classification's internal consistency, not the
-    /// ERT approximation itself (a latent fault past its residency is
-    /// Benign by the paper's §V.A definition). `committed` is the run's
-    /// commit count at the stop — all the check needs of it.
-    fn check_ert_expired(&self, fault: &Fault, committed: u64) {
-        let mut tail = avgi_refmodel::FastModel::with_cache(&self.program, self.cache.clone());
-        let prefix = tail.run(committed);
-        if prefix.outcome.is_some() || prefix.steps != committed {
-            self.violations.lock().unwrap().push(format!(
-                "fault {fault:?}: ERT stop after {committed} commits, but the reference program \
-                 ends ({:?}) at step {}",
-                prefix.outcome, prefix.steps
-            ));
-            return;
-        }
-        let end = tail.run(avgi_refmodel::DEFAULT_MAX_STEPS);
-        if end.outcome != Some(avgi_refmodel::RefOutcome::Completed)
-            || tail.output() != self.expected
-        {
-            self.violations.lock().unwrap().push(format!(
-                "fault {fault:?}: post-ERT architectural tail does not complete with the \
-                 reference output (outcome {:?} after {} steps)",
-                end.outcome, end.steps
-            ));
-        }
-    }
-
-    fn assert_clean(&self, workload: &Workload) {
-        let violations = self.violations.lock().unwrap();
-        assert!(
-            violations.is_empty(),
-            "verify_masked: {} run(s) of `{}` classified Masked are not architecturally \
-             equivalent to the reference execution:\n{}",
-            violations.len(),
-            workload.name,
-            violations.join("\n")
-        );
-    }
-}
-
 /// Executes one injected run on a fresh simulator — the engine's unbatched
-/// path with no checkpoint, no observer and no oracle, which is what makes
-/// it the reference other paths are compared against.
+/// path with no checkpoint and no observer, which is what makes it the
+/// reference other paths are compared against.
 pub fn run_one(
     workload: &Workload,
     cfg: &MuarchConfig,
@@ -692,7 +562,6 @@ pub fn run_one(
         ccfg: &ccfg,
         checkpoints: None,
         observer: &NULL_OBSERVER,
-        oracle: None,
     };
     engine.run_unbatched(fault, &mut None, false)
 }
@@ -812,8 +681,7 @@ pub(crate) struct JournalSink<'a> {
 static NULL_OBSERVER: NullObserver = NullObserver;
 
 /// One engine invocation: the campaign context a [`ShardRunner`] owns plus
-/// what lives only as long as the call — the observer in force and the
-/// [`MaskedOracle`]. Every simulator a campaign creates, restores or steps
+/// what lives only as long as the call — the observer in force. Every simulator a campaign creates, restores or steps
 /// is driven from here, along one of two execution paths: *batched*
 /// (carrier + fork, [`Engine::run_batch`]) and *unbatched* (scratch or
 /// fresh simulator, [`Engine::run_unbatched`]). Both end in
@@ -825,7 +693,6 @@ struct Engine<'a> {
     ccfg: &'a CampaignConfig,
     checkpoints: Option<&'a CheckpointSet>,
     observer: &'a dyn CampaignObserver,
-    oracle: Option<MaskedOracle>,
 }
 
 impl Engine<'_> {
@@ -864,14 +731,6 @@ impl Engine<'_> {
         };
         self.observer
             .on_converged(self.ccfg.structure, cycles - from_cycle);
-        match (&self.oracle, ert_end) {
-            (Some(oracle), Some(e)) => {
-                let committed = golden.trace.partition_point(|r| r.cycle < e);
-                oracle.check_ert_expired(&fault, committed as u64);
-            }
-            (Some(oracle), None) => oracle.check_completed(&fault, &golden.output, &golden.output),
-            (None, _) => {}
-        }
         InjectionResult {
             fault,
             outcome,
@@ -926,14 +785,6 @@ impl Engine<'_> {
             .or_else(|| sim.advance(u64::MAX, &ctl, deadline))
             .expect("an unbounded advance ends only with an outcome");
         let report = sim.report(outcome, &ctl);
-        if let Some(oracle) = &self.oracle {
-            if let Some(output) = report.output.as_ref() {
-                oracle.check_completed(&fault, output, &self.golden.output);
-            }
-            if report.outcome == RunOutcome::ErtExpired {
-                oracle.check_ert_expired(&fault, report.stats.committed);
-            }
-        }
         InjectionResult {
             fault,
             outcome: report.outcome,
@@ -1187,12 +1038,6 @@ impl Engine<'_> {
 
         observer.on_campaign_end(ccfg.structure);
 
-        // Outside the workers' catch_unwind isolation: a violation here must
-        // be loud, not folded into a SimAbort tally.
-        if let Some(oracle) = &self.oracle {
-            oracle.assert_clean(self.workload);
-        }
-
         if let Some(e) = journal_err.into_inner().unwrap() {
             return Err(CampaignError::Io(e));
         }
@@ -1388,11 +1233,6 @@ impl ShardRunner {
             observer: (observer.as_deref())
                 .or(self.ccfg.observer.as_deref())
                 .unwrap_or(&NULL_OBSERVER),
-            // Built before any injection: construction lockstep-verifies the
-            // golden run against the reference model and panics if the
-            // substrate is wrong.
-            oracle: (self.ccfg.verify_masked)
-                .then(|| MaskedOracle::new(&self.workload, &self.golden)),
         };
         engine.execute(faults, sink)
     }
@@ -1600,33 +1440,6 @@ mod tests {
         let c = run_campaign(&w, &cfg, &golden, &ccfg);
         assert!(c.warnings.is_empty(), "got {:?}", c.warnings);
         assert_eq!(metrics.snapshot().batching_disabled, 0);
-    }
-
-    #[test]
-    fn post_ert_tail_verification_passes_on_a_clean_campaign() {
-        // `assert_clean` panics at campaign end if any ERT-expired run's
-        // architectural tail fails to complete with the reference output,
-        // so a passing campaign is the assertion; the any() guard makes
-        // sure the path was actually exercised.
-        let w = avgi_workloads::by_name("bitcount").unwrap();
-        let cfg = MuarchConfig::big();
-        let golden = golden_for(&w, &cfg);
-        let ccfg = CampaignConfig::new(
-            Structure::RegFile,
-            32,
-            RunMode::FirstDeviation {
-                ert_window: Some(500),
-            },
-        )
-        .with_masked_verification();
-        let c = run_campaign(&w, &cfg, &golden, &ccfg);
-        assert_eq!(c.len(), 32);
-        assert!(
-            c.results
-                .iter()
-                .any(|r| r.outcome == RunOutcome::ErtExpired),
-            "no ERT-expired run; the tail check was never exercised"
-        );
     }
 
     #[test]
@@ -2013,43 +1826,5 @@ mod tests {
                 "zero budget cannot complete"
             );
         }
-    }
-
-    #[test]
-    fn masked_verification_passes_and_preserves_results() {
-        let w = avgi_workloads::by_name("bitcount").unwrap();
-        let cfg = MuarchConfig::big();
-        let golden = golden_for(&w, &cfg);
-        let base = CampaignConfig::new(Structure::RegFile, 40, RunMode::EndToEnd);
-        let plain = run_campaign(&w, &cfg, &golden, &base);
-        let checked = run_campaign(&w, &cfg, &golden, &base.clone().with_masked_verification());
-        // The oracle is observational: it must not perturb sampling,
-        // outcomes, or classification.
-        assert_eq!(plain.results.len(), checked.results.len());
-        for (x, y) in plain.results.iter().zip(&checked.results) {
-            assert_eq!(x.fault, y.fault);
-            assert_eq!(x.outcome, y.outcome);
-            assert_eq!(x.output_matches, y.output_matches);
-        }
-        assert!(checked
-            .results
-            .iter()
-            .any(|r| r.output_matches == Some(true)));
-    }
-
-    #[test]
-    #[should_panic(expected = "lockstep")]
-    fn masked_verification_rejects_a_doctored_golden_trace() {
-        let w = avgi_workloads::by_name("bitcount").unwrap();
-        let cfg = MuarchConfig::big();
-        let golden = golden_for(&w, &cfg);
-        // Corrupt one golden output byte: the oracle's construction-time
-        // lockstep of the fault-free run must catch the substrate lying
-        // about architectural state before any injection happens.
-        let mut doctored = (*golden).clone();
-        doctored.output[0] ^= 0x01;
-        let ccfg = CampaignConfig::new(Structure::RegFile, 4, RunMode::EndToEnd)
-            .with_masked_verification();
-        let _ = run_campaign(&w, &cfg, &Arc::new(doctored), &ccfg);
     }
 }

@@ -34,8 +34,8 @@
 //!
 //! A second prover, [`run_xtier`], targets the *execution-tier*
 //! claim instead of the batching claim: the fast pre-decoded interpreter
-//! ([`avgi_refmodel::FastModel`]) must be bit-identical to both the
-//! reference interpreter and the cycle-accurate pipeline.
+//! must be bit-identical to both the reference interpreter and the
+//! cycle-accurate pipeline.
 
 use crate::campaign::{run_campaign, watchdog_budget, CampaignConfig, CampaignResult};
 use crate::sampling::sample_faults;
@@ -45,6 +45,7 @@ use avgi_muarch::fault::Fault;
 use avgi_muarch::pipeline::Sim;
 use avgi_muarch::run::{RunControl, RunReport};
 use avgi_muarch::trace::GoldenRun;
+use avgi_refmodel::ExecTier;
 use avgi_workloads::Workload;
 use std::sync::Arc;
 
@@ -102,14 +103,13 @@ pub fn run_xcheck(
         return Err("xcheck needs a batched configuration (batch > 1)".to_string());
     }
     // 1. Substrate: the golden stream itself must be architecturally right.
-    avgi_refmodel::verify_golden(&workload.program, golden)
+    avgi_refmodel::verify_golden_tier(&workload.program, golden, ExecTier::Reference)
         .map_err(|d| format!("golden run of `{}` fails lockstep: {d}", workload.name))?;
 
     // 2. Campaign equality, batched vs unbatched, telemetry included.
     let batched_metrics = Arc::new(MetricsCollector::new());
     let unbatched_metrics = Arc::new(MetricsCollector::new());
-    let mut batched_cfg = ccfg.clone().with_observer(batched_metrics.clone());
-    batched_cfg.verify_masked = false;
+    let batched_cfg = ccfg.clone().with_observer(batched_metrics.clone());
     let unbatched_cfg = batched_cfg
         .clone()
         .with_batch(1)
@@ -205,18 +205,15 @@ impl std::fmt::Display for XtierReport {
 ///    the reference and fast models side by side over the whole program,
 ///    comparing every `RefStep`, then re-runs the fast tier's
 ///    block-threaded batch path and requires the same end state.
-/// 3. **Pipeline identity**: the fast tier is replayed as an
-///    [`avgi_muarch::ExecBackend`] against the pipeline's recorded commit
-///    stream ([`avgi_muarch::TraceBackend`]); every commit's
-///    `(pc, raw, ea, val)` and the final output bytes must match.
+/// 3. **Pipeline identity**: the pipeline's recorded commit stream is
+///    lockstep-verified against the *fast* tier — the check
+///    [`verified_golden`](crate::verified_golden) makes in production. Every
+///    commit's `(pc, raw, ea, val)`, the end of both streams, completion and
+///    the final output bytes must match.
 pub fn run_xtier(workload: &Workload, golden: &GoldenRun) -> Result<XtierReport, String> {
     // 1. Substrate, pinned to the reference tier.
-    avgi_refmodel::verify_golden_tier(
-        &workload.program,
-        golden,
-        avgi_refmodel::ExecTier::Reference,
-    )
-    .map_err(|d| format!("golden run of `{}` fails lockstep: {d}", workload.name))?;
+    avgi_refmodel::verify_golden_tier(&workload.program, golden, ExecTier::Reference)
+        .map_err(|d| format!("golden run of `{}` fails lockstep: {d}", workload.name))?;
 
     // 2. Reference interpreter vs fast tier, step path and batch path.
     let interp_steps = avgi_refmodel::verify_fast_tier(&workload.program, 0).map_err(|e| {
@@ -227,16 +224,13 @@ pub fn run_xtier(workload: &Workload, golden: &GoldenRun) -> Result<XtierReport,
     })?;
 
     // 3. Fast tier vs the pipeline's commit stream.
-    let mut pipeline = avgi_muarch::TraceBackend::new(golden);
-    let mut fast = avgi_refmodel::FastModel::new(&workload.program);
-    let commits_compared =
-        avgi_muarch::compare_backends(&mut pipeline, &mut fast, watchdog_budget(golden.cycles))
-            .map_err(|e| format!("`{}`: fast tier diverges from pipeline: {e}", workload.name))?;
+    let fast = avgi_refmodel::verify_golden_tier(&workload.program, golden, ExecTier::Fast)
+        .map_err(|d| format!("`{}`: fast tier diverges from pipeline: {d}", workload.name))?;
 
     Ok(XtierReport {
         workload: workload.name.to_string(),
         interp_steps,
-        commits_compared,
+        commits_compared: fast.committed,
     })
 }
 

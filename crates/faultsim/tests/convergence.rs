@@ -13,11 +13,13 @@
 //! window. The per-structure totals are printed (`--nocapture`).
 
 use avgi_faultsim::{
-    golden_for, run_campaign, run_campaign_journaled, CampaignConfig, InjectionResult,
-    MetricsCollector, RunMode,
+    golden_for, run_campaign, run_campaign_journaled, run_campaign_with_faults, run_one,
+    watchdog_budget, CampaignConfig, InjectionResult, MetricsCollector, RunMode,
 };
 use avgi_muarch::config::MuarchConfig;
-use avgi_muarch::fault::Structure;
+use avgi_muarch::fault::{Fault, FaultSite, Structure};
+use avgi_muarch::pipeline::Sim;
+use avgi_muarch::run::{RunControl, RunOutcome};
 use avgi_muarch::trace::GoldenRun;
 use avgi_workloads::Workload;
 use std::sync::Arc;
@@ -151,7 +153,7 @@ fn exit_is_invisible_on_rijndael_small() {
 }
 
 #[test]
-fn exit_is_invisible_under_bursts_and_masked_verification() {
+fn exit_is_invisible_under_bursts() {
     let f = fixture("crc32", MuarchConfig::big());
     let window = |w| RunMode::FirstDeviation {
         ert_window: Some(w),
@@ -163,20 +165,72 @@ fn exit_is_invisible_under_bursts_and_masked_verification() {
             window(f.golden.cycles),
         ] {
             let base = CampaignConfig::new(structure, 16, mode).with_seed(0xB0457);
-            for (leg, base) in [
-                ("burst", base.clone().with_burst(4)),
-                // The oracle is fed the golden output for a run that exited
-                // as `Completed`, the golden commit count for one that
-                // exited as `ErtExpired`; it panics after the campaign if
-                // either was not the reference's.
-                ("verify", base.with_masked_verification()),
-            ] {
-                let (_, early) = assert_invisible(&f, &base);
-                assert!(
-                    early > 0,
-                    "{leg} / {structure:?} / {mode:?}: no run took the exit"
-                );
+            let (_, early) = assert_invisible(&f, &base.with_burst(4));
+            assert!(early > 0, "{structure:?} / {mode:?}: no run took the exit");
+        }
+    }
+}
+
+/// The ERT boundary at the golden's halt, which `halt` commits in cycle
+/// `golden.cycles`: a window that closes at the end of cycle
+/// `golden.cycles - 1` (`e == golden.cycles`) expires first, with
+/// `cycles == golden.cycles`; one that would close a cycle later is beaten
+/// by the halt, and the run completes with the golden's output. Both sides
+/// hold for a fault the carrier finds dead (the ending is derived) and one
+/// it does not (the run is simulated), on every path.
+#[test]
+fn ert_window_closing_at_the_golden_halt_expires_and_one_later_completes() {
+    const W: u64 = 16;
+    let f = fixture("bitcount", MuarchConfig::big());
+    let g = f.golden.cycles;
+    let at = g - W;
+    let structure = Structure::L1IData;
+    // The fault-free machine at the injection cycle says which sites are dead.
+    let mut fault_free = Sim::new(&f.w.program, f.cfg.clone());
+    let ctl = RunControl {
+        max_cycles: watchdog_budget(g),
+        ..Default::default()
+    };
+    assert_eq!(fault_free.run_to_cycle(at, &ctl), None);
+    let site = |dead: bool| {
+        (0..structure.bit_count(&f.cfg))
+            .map(|bit| FaultSite { structure, bit })
+            .find(|&s| fault_free.dead_on_arrival(s) == dead)
+            .map(|site| Fault { site, cycle: at })
+            .unwrap_or_else(|| panic!("no site with dead == {dead} at cycle {at}"))
+    };
+    let faults = [site(true), site(false)];
+
+    for (window, expired) in [(W, true), (W + 1, false)] {
+        let mode = RunMode::FirstDeviation {
+            ert_window: Some(window),
+        };
+        let reference: Vec<InjectionResult> = (faults.iter())
+            .map(|&fault| run_one(&f.w, &f.cfg, &f.golden, fault, mode, 1))
+            .collect();
+        for r in &reference {
+            let what = format!("window {window}, {:?}", r.fault);
+            if expired {
+                assert_eq!(r.outcome, RunOutcome::ErtExpired, "{what}");
+                assert_eq!((r.cycles, r.output_matches), (g, None), "{what}");
+            } else {
+                assert_eq!(r.outcome, RunOutcome::Completed, "{what}");
+                assert_eq!((r.cycles, r.output_matches), (g, Some(true)), "{what}");
             }
+            assert_eq!(r.deviation, None, "{what}");
+        }
+        let base = CampaignConfig::new(structure, faults.len(), mode);
+        for batch in [1, 32] {
+            let metrics = Arc::new(MetricsCollector::new());
+            let ccfg =
+                (base.clone().with_checkpoints(8).with_batch(batch)).with_observer(metrics.clone());
+            let c = run_campaign_with_faults(&f.w, &f.cfg, &f.golden, &ccfg, &faults);
+            assert_eq!(c.results, reference, "window {window} batch {batch}");
+            assert_eq!(
+                metrics.snapshot().converged_runs,
+                1,
+                "only the dead site exits"
+            );
         }
     }
 }

@@ -1,43 +1,49 @@
 //! Execution-tier identity across the whole workload suite.
 //!
-//! The fast pre-decoded interpreter is only usable for golden verification,
-//! masked re-runs, and reference sides if it is *bit-identical* to both the
-//! reference interpreter and the cycle-accurate pipeline — on every
-//! workload, not just the friendly ones. This test walks all fourteen:
+//! The fast pre-decoded interpreter is only usable for golden verification
+//! and reference sides if it is *bit-identical* to both the reference
+//! interpreter and the cycle-accurate pipeline — on every workload, not just
+//! the friendly ones. This test walks all fourteen:
 //!
 //! * `avgi_refmodel::verify_fast_tier` steps the reference and fast models
 //!   side by side (and re-runs the block-threaded batch path),
-//! * `avgi_muarch::compare_backends` replays the fast tier against the
-//!   pipeline's recorded commit stream, record for record, outputs included.
+//! * `avgi_refmodel::verify_golden_tier(.., ExecTier::Fast)` lockstep-checks
+//!   the pipeline's recorded commit stream against the fast tier, record for
+//!   record, outputs included, under both core presets — the check
+//!   `verified_golden` makes in production.
 //!
 //! A second test runs the full three-leg [`avgi_faultsim::run_xtier`]
 //! prover (substrate, interpreter, pipeline) on two workloads — the same
 //! pair the CI smoke step checks.
 
-use avgi_faultsim::{run_xtier, watchdog_budget};
+use avgi_faultsim::run_xtier;
 use avgi_muarch::config::MuarchConfig;
-use avgi_muarch::{compare_backends, TraceBackend};
-use avgi_refmodel::{verify_fast_tier, FastModel};
+use avgi_refmodel::{verify_fast_tier, verify_golden_tier, ExecTier};
 
 #[test]
 fn fast_tier_matches_the_pipeline_on_every_workload() {
-    let cfg = MuarchConfig::big();
     for w in avgi_workloads::all() {
         let steps = verify_fast_tier(&w.program, 0)
             .unwrap_or_else(|e| panic!("`{}`: fast tier diverges from reference: {e}", w.name));
         assert!(steps > 0, "`{}` retired no instructions", w.name);
 
-        let golden = avgi_faultsim::golden_for(&w, &cfg);
-        let mut pipeline = TraceBackend::new(&golden);
-        let mut fast = FastModel::new(&w.program);
-        let commits = compare_backends(&mut pipeline, &mut fast, watchdog_budget(golden.cycles))
-            .unwrap_or_else(|e| panic!("`{}`: fast tier diverges from pipeline: {e}", w.name));
-        assert_eq!(
-            commits,
-            golden.trace.len() as u64,
-            "`{}`: fast tier must cover the whole golden stream",
-            w.name
-        );
+        for cfg in [MuarchConfig::big(), MuarchConfig::small()] {
+            let golden = avgi_faultsim::golden_for(&w, &cfg);
+            let report =
+                verify_golden_tier(&w.program, &golden, ExecTier::Fast).unwrap_or_else(|d| {
+                    panic!(
+                        "`{}` / {}: fast tier diverges from pipeline: {d}",
+                        w.name, cfg.name
+                    )
+                });
+            assert_eq!(
+                report.committed,
+                golden.trace.len() as u64,
+                "`{}` / {}: fast tier must cover the whole golden stream",
+                w.name,
+                cfg.name
+            );
+        }
     }
 }
 
@@ -50,6 +56,6 @@ fn full_xtier_prover_passes_on_smoke_workloads() {
         let report = run_xtier(&w, &golden).unwrap_or_else(|e| panic!("`{name}`: {e}"));
         assert_eq!(report.workload, name);
         assert!(report.interp_steps > 0);
-        assert!(report.commits_compared > 0);
+        assert_eq!(report.commits_compared, golden.trace.len() as u64);
     }
 }

@@ -137,10 +137,12 @@ impl CampaignSpec {
         json::to_string(|w| self.write_json(w))
     }
 
-    /// Decodes a spec from an already-parsed JSON value.
+    /// Decodes a spec from an already-parsed JSON value, refusing one a
+    /// worker could not carry by the bounds a submission is held to
+    /// ([`SubmitSpec::validate`]).
     pub fn from_json_value(v: &Json) -> Result<Self, String> {
         let spec = || -> Result<Self, String> {
-            Ok(CampaignSpec {
+            let spec = CampaignSpec {
                 workload: v.str_at("workload")?.to_string(),
                 workload_id: v.usize_at("workload_id")?,
                 preset: ConfigPreset::read(v)?.ok_or("missing `preset`")?,
@@ -153,7 +155,9 @@ impl CampaignSpec {
                 golden_cycles: v.u64_at("golden_cycles")?,
                 config_hash: v.u64_at("config_hash")?,
                 lease_timeout_ms: v.u64_at("lease_timeout_ms")?,
-            })
+            };
+            check_size(spec.faults, spec.checkpoints, spec.burst_width)?;
+            Ok(spec)
         };
         spec().map_err(|e| format!("spec: {e}"))
     }
@@ -178,6 +182,24 @@ pub const MAX_CHECKPOINTS: u32 = 128;
 /// adjacent bits. The paper's multi-bit study (§VII.A) uses 2–4; every run
 /// materialises its burst as a fault list, so the width is an allocation.
 pub const MAX_BURST: u32 = 64;
+
+/// The size bounds of a campaign: positive in size and within
+/// [`MAX_FAULTS`], [`MAX_CHECKPOINTS`] and [`MAX_BURST`]. A submission is
+/// held to them before it is journaled, a spec before a worker builds it.
+fn check_size(faults: usize, checkpoints: u32, burst_width: u32) -> Result<(), String> {
+    let within = |field: &str, value: u64, max: u64| {
+        if value > max {
+            return Err(format!("`{field}` is {value}, above the limit of {max}"));
+        }
+        Ok(())
+    };
+    if faults == 0 {
+        return Err("`faults` must be positive".into());
+    }
+    within("faults", faults as u64, MAX_FAULTS as u64)?;
+    within("checkpoints", checkpoints.into(), MAX_CHECKPOINTS.into())?;
+    within("burst", burst_width.into(), MAX_BURST.into())
+}
 
 /// A tenant's campaign submission: what `POST /campaigns` accepts, what
 /// the durable submission queue journals, and what `grid_submit` sends.
@@ -255,22 +277,7 @@ impl SubmitSpec {
     /// anything is journaled — the decoder (HTTP body, queue replay) and
     /// [`Service::submit`](crate::Service::submit) (in-process).
     pub fn validate(&self) -> Result<(), String> {
-        let within = |field: &str, value: u64, max: u64| {
-            if value > max {
-                return Err(format!("`{field}` is {value}, above the limit of {max}"));
-            }
-            Ok(())
-        };
-        if self.faults == 0 {
-            return Err("`faults` must be positive".into());
-        }
-        within("faults", self.faults as u64, MAX_FAULTS as u64)?;
-        within(
-            "checkpoints",
-            self.checkpoints.into(),
-            MAX_CHECKPOINTS.into(),
-        )?;
-        within("burst", self.burst_width.into(), MAX_BURST.into())
+        check_size(self.faults, self.checkpoints, self.burst_width)
     }
 
     /// Writes the submission object (HTTP body / queue journal record).

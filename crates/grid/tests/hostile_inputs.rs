@@ -16,7 +16,7 @@ use avgi_faultsim::json::{parse, to_string, Json, Writer, MAX_DEPTH};
 use avgi_faultsim::telemetry::MetricsSnapshot;
 use avgi_faultsim::{InjectionResult, Journal, RunMode};
 use avgi_grid::proto::Msg;
-use avgi_grid::spec::{CampaignSpec, ConfigPreset};
+use avgi_grid::spec::{CampaignSpec, ConfigPreset, MAX_BURST, MAX_CHECKPOINTS, MAX_FAULTS};
 use avgi_grid::{SubmissionQueue, SubmitSpec};
 use avgi_muarch::fault::{Fault, FaultSite, Structure};
 use avgi_muarch::mem::MemFault;
@@ -410,4 +410,84 @@ fn every_reader_refuses_every_hostile_case_by_name() {
     // 18 readers; the batch frame alone has some sixty values to damage.
     assert!(cases.get() > 3_000, "only {} cases ran", cases.get());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A spec a worker could not carry — the sizes a submission is refused for —
+/// is refused by the same bounds, naming the field: as a document, and in
+/// the `welcome` and `spec` frames that carry it to a worker. The bounds
+/// themselves are accepted.
+#[test]
+fn a_spec_past_the_submission_bounds_is_refused_by_name() {
+    let spec = campaign_spec();
+    let carriers = |spec: &CampaignSpec| {
+        let frames = [
+            Msg::Welcome {
+                proto: 2,
+                session: 17,
+                campaign: 4,
+                spec: Some(spec.clone()),
+            },
+            Msg::Spec {
+                campaign: 6,
+                spec: spec.clone(),
+            },
+        ];
+        let doc = CampaignSpec::from_json_value(&parse(&spec.to_json()).unwrap()).map(drop);
+        let frames = frames.map(|m| Msg::decode(m.to_json().as_bytes()).map(drop));
+        [doc, frames[0].clone(), frames[1].clone()]
+    };
+    let at_the_bounds = CampaignSpec {
+        checkpoints: MAX_CHECKPOINTS,
+        burst_width: MAX_BURST,
+        ..spec.clone()
+    };
+    for ok in [
+        CampaignSpec {
+            faults: 1,
+            ..at_the_bounds.clone()
+        },
+        CampaignSpec {
+            faults: MAX_FAULTS,
+            ..at_the_bounds
+        },
+    ] {
+        for read in carriers(&ok) {
+            read.unwrap_or_else(|e| panic!("a spec at the bounds refused: {e}"));
+        }
+    }
+    for (field, hostile) in [
+        (
+            "faults",
+            CampaignSpec {
+                faults: 0,
+                ..spec.clone()
+            },
+        ),
+        (
+            "faults",
+            CampaignSpec {
+                faults: MAX_FAULTS + 1,
+                ..spec.clone()
+            },
+        ),
+        (
+            "checkpoints",
+            CampaignSpec {
+                checkpoints: MAX_CHECKPOINTS + 1,
+                ..spec.clone()
+            },
+        ),
+        (
+            "burst",
+            CampaignSpec {
+                burst_width: MAX_BURST + 1,
+                ..spec.clone()
+            },
+        ),
+    ] {
+        for read in carriers(&hostile) {
+            let e = read.expect_err(&format!("accepted: {hostile:?}"));
+            assert!(e.contains(&format!("`{field}`")), "{field}: {e}");
+        }
+    }
 }

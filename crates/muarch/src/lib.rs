@@ -41,7 +41,6 @@
 //! assert_eq!(report.cycles, golden.cycles, "deterministic timing");
 //! ```
 
-pub mod backend;
 pub mod cache;
 pub mod config;
 pub mod exec;
@@ -58,7 +57,6 @@ pub mod run;
 pub mod tlb;
 pub mod trace;
 
-pub use backend::{compare_backends, ArchCommit, BackendEnd, ExecBackend, TraceBackend};
 pub use config::MuarchConfig;
 pub use fault::{Fault, FaultSite, Structure};
 pub use pipeline::{capture_golden, Sim, Snapshot};

@@ -22,7 +22,7 @@ use avgi_muarch::mem::{DATA_BASE, OUTPUT_BASE};
 use avgi_muarch::pipeline::Sim;
 use avgi_muarch::program::Program;
 use avgi_muarch::run::{RunControl, RunOutcome};
-use avgi_refmodel::verify_report;
+use avgi_refmodel::{verify_report_tier, ExecTier};
 use avgi_rng::Rng;
 
 const SCRATCH_WORDS: u32 = 64;
@@ -181,7 +181,7 @@ fn ooo_simulator_commits_in_lockstep_with_reference_model() {
             RunOutcome::Completed,
             "case {case}: program must halt"
         );
-        let report = verify_report(&program, &r)
+        let report = verify_report_tier(&program, &r, ExecTier::Reference)
             .unwrap_or_else(|d| panic!("case {case}: lockstep divergence:\n{d}"));
         assert_eq!(
             report.committed,

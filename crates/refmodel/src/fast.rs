@@ -27,9 +27,6 @@
 //! inside this crate); what the fast tier adds — the decode cache, the block
 //! map, the flat memory — is exactly what the `--xtier` cross-check and the
 //! fuzz differential exercise.
-//!
-//! Both tiers implement [`ExecBackend`], the trait boundary `muarch` defines
-//! for cross-checking execution tiers against the cycle pipeline.
 
 use crate::model::{
     access_size, alu_value, cond_holds, extend_load, Effect, RefModel, RefOutcome, RefRun, RefStep,
@@ -38,7 +35,6 @@ use crate::model::{
 use avgi_isa::instr::decode;
 use avgi_isa::opcode::{Format, Opcode};
 use avgi_isa::NUM_ARCH_REGS;
-use avgi_muarch::backend::{ArchCommit, BackendEnd, ExecBackend};
 use avgi_muarch::mem::{MemFault, DATA_BASE, MEM_SIZE};
 use avgi_muarch::{Program, TrapKind};
 use std::sync::Arc;
@@ -53,16 +49,6 @@ pub enum ExecTier {
     /// stream at a fraction of the cost. The production fault-free tier.
     #[default]
     Fast,
-}
-
-impl ExecTier {
-    /// Short label for reports and bench columns.
-    pub fn label(self) -> &'static str {
-        match self {
-            ExecTier::Reference => "reference",
-            ExecTier::Fast => "fast",
-        }
-    }
 }
 
 /// One pre-decoded instruction: operands resolved to register indices,
@@ -575,14 +561,6 @@ impl TierModel {
         }
     }
 
-    /// Which tier this model runs on.
-    pub fn tier(&self) -> ExecTier {
-        match self {
-            TierModel::Reference(_) => ExecTier::Reference,
-            TierModel::Fast(_) => ExecTier::Fast,
-        }
-    }
-
     /// Execute one instruction; see [`RefModel::step`].
     pub fn step(&mut self) -> Option<RefStep> {
         match self {
@@ -596,22 +574,6 @@ impl TierModel {
         match self {
             TierModel::Reference(m) => m.run(max_steps),
             TierModel::Fast(m) => m.run(max_steps),
-        }
-    }
-
-    /// Current program counter.
-    pub fn pc(&self) -> u32 {
-        match self {
-            TierModel::Reference(m) => m.pc(),
-            TierModel::Fast(m) => m.pc(),
-        }
-    }
-
-    /// Instructions executed so far.
-    pub fn steps(&self) -> u64 {
-        match self {
-            TierModel::Reference(m) => m.steps(),
-            TierModel::Fast(m) => m.steps(),
         }
     }
 
@@ -629,67 +591,6 @@ impl TierModel {
             TierModel::Reference(m) => m.output(),
             TierModel::Fast(m) => m.output(),
         }
-    }
-}
-
-fn backend_end(outcome: Option<RefOutcome>) -> Option<BackendEnd> {
-    outcome.map(|o| match o {
-        RefOutcome::Completed => BackendEnd::Completed,
-        RefOutcome::Trap(kind) => BackendEnd::Trap(kind),
-    })
-}
-
-fn arch_commit(step: RefStep) -> ArchCommit {
-    ArchCommit {
-        pc: step.pc,
-        raw: step.raw,
-        ea: step.ea,
-        val: step.val,
-    }
-}
-
-impl ExecBackend for RefModel {
-    fn label(&self) -> &'static str {
-        "reference"
-    }
-    fn next_commit(&mut self) -> Option<ArchCommit> {
-        self.step().map(arch_commit)
-    }
-    fn end(&self) -> Option<BackendEnd> {
-        backend_end(self.outcome())
-    }
-    fn output_bytes(&self) -> Vec<u8> {
-        self.output()
-    }
-}
-
-impl ExecBackend for FastModel {
-    fn label(&self) -> &'static str {
-        "fast"
-    }
-    fn next_commit(&mut self) -> Option<ArchCommit> {
-        self.step().map(arch_commit)
-    }
-    fn end(&self) -> Option<BackendEnd> {
-        backend_end(self.outcome())
-    }
-    fn output_bytes(&self) -> Vec<u8> {
-        self.output()
-    }
-}
-
-impl ExecBackend for TierModel {
-    fn label(&self) -> &'static str {
-        self.tier().label()
-    }
-    fn next_commit(&mut self) -> Option<ArchCommit> {
-        self.step().map(arch_commit)
-    }
-    fn end(&self) -> Option<BackendEnd> {
-        backend_end(self.outcome())
-    }
-    fn output_bytes(&self) -> Vec<u8> {
-        self.output()
     }
 }
 

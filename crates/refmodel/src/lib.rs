@@ -23,10 +23,6 @@
 //!   the pipeline with valid-and-invalid instruction mixes and shrinks any
 //!   divergence to a minimal reproducer.
 //!
-//! Both tiers implement `muarch`'s
-//! [`ExecBackend`](avgi_muarch::backend::ExecBackend) trait, the commit-
-//! stream boundary the `--xtier` cross-check compares tiers across.
-//!
 //! The crate is `std`-only and uses only workspace-local dependencies, like
 //! the rest of the repository.
 
@@ -38,8 +34,8 @@ pub mod model;
 pub use fast::{verify_fast_tier, BlockCache, ExecTier, FastModel, TierModel};
 pub use fuzz::{run_fuzz, Coverage, FuzzConfig, FuzzFailure, FuzzReport};
 pub use lockstep::{
-    reference_run, reference_run_tier, verify_golden, verify_golden_tier, verify_report,
-    verify_report_tier, verify_trace_prefix, Divergence, Lockstep, LockstepReport,
+    reference_run_tier, verify_golden_tier, verify_report_tier, verify_trace_prefix, Divergence,
+    Lockstep, LockstepReport,
 };
 pub use model::{Effect, RefModel, RefOutcome, RefRun, RefStep, DEFAULT_MAX_STEPS};
 

@@ -127,15 +127,9 @@ pub struct Lockstep {
 }
 
 impl Lockstep {
-    /// Start a lockstep check for one program, from reset state, on the
-    /// oracle ([`ExecTier::Reference`]) tier.
-    pub fn new(program: &Program) -> Self {
-        Lockstep::with_tier(program, ExecTier::Reference)
-    }
-
-    /// Start a lockstep check on an explicit execution tier. The fast tier
-    /// yields an identical commit stream at a fraction of the cost; the
-    /// reference tier is the maximally independent oracle.
+    /// Start a lockstep check for one program, from reset state, on `tier`.
+    /// The fast tier yields an identical commit stream at a fraction of the
+    /// cost; the reference tier is the maximally independent oracle.
     pub fn with_tier(program: &Program, tier: ExecTier) -> Self {
         Lockstep {
             model: TierModel::new(program, tier),
@@ -146,11 +140,6 @@ impl Lockstep {
     /// Commits checked so far.
     pub fn committed(&self) -> u64 {
         self.committed
-    }
-
-    /// The underlying model (e.g. to inspect the PC on failure).
-    pub fn model(&self) -> &TierModel {
-        &self.model
     }
 
     /// Check one pipeline commit against the next reference instruction.
@@ -240,15 +229,11 @@ impl Lockstep {
     }
 }
 
-/// Lockstep-verify a captured golden run: full trace equality, matching
-/// completion, and matching output bytes — against the oracle tier.
-pub fn verify_golden(program: &Program, golden: &GoldenRun) -> Result<LockstepReport, Divergence> {
-    verify_golden_tier(program, golden, ExecTier::Reference)
-}
-
-/// [`verify_golden`] on an explicit execution tier. Campaign-time golden
-/// verification runs on [`ExecTier::Fast`]; the cross-checks that anchor the
-/// fast tier itself use [`ExecTier::Reference`].
+/// Lockstep-verify a captured golden run on `tier`: every commit's
+/// `pc`/`raw`/`ea`/`val`, neither stream ending early, completion, and the
+/// output bytes. Campaign-time golden verification runs on
+/// [`ExecTier::Fast`]; the cross-checks that anchor the fast tier itself use
+/// [`ExecTier::Reference`].
 pub fn verify_golden_tier(
     program: &Program,
     golden: &GoldenRun,
@@ -261,8 +246,8 @@ pub fn verify_golden_tier(
     ls.finish(RunOutcome::Completed, Some(&golden.output))
 }
 
-/// Lockstep-verify a fault-free [`RunReport`] that was collected with
-/// `record_trace` enabled.
+/// Lockstep-verify, on `tier`, a fault-free [`RunReport`] that was collected
+/// with `record_trace` enabled.
 ///
 /// Supports the three outcomes a fault-free run can produce: `Completed`
 /// (trace + output must match), `Trap` (trace must match and end in the same
@@ -273,11 +258,6 @@ pub fn verify_golden_tier(
 ///
 /// Panics if the report has no recorded trace — that is a harness bug, not a
 /// divergence.
-pub fn verify_report(program: &Program, report: &RunReport) -> Result<LockstepReport, Divergence> {
-    verify_report_tier(program, report, ExecTier::Reference)
-}
-
-/// [`verify_report`] on an explicit execution tier (same panics).
 pub fn verify_report_tier(
     program: &Program,
     report: &RunReport,
@@ -286,7 +266,7 @@ pub fn verify_report_tier(
     let trace = report
         .trace
         .as_ref()
-        .expect("verify_report requires RunControl::record_trace");
+        .expect("verify_report_tier requires RunControl::record_trace");
     let mut ls = Lockstep::with_tier(program, tier);
     for rec in trace {
         ls.on_commit(rec)?;
@@ -304,26 +284,15 @@ pub fn verify_trace_prefix(
     trace: &[CommitRecord],
     upto: usize,
 ) -> Result<u64, Divergence> {
-    let mut ls = Lockstep::new(program);
+    let mut ls = Lockstep::with_tier(program, ExecTier::Reference);
     for rec in trace.iter().take(upto) {
         ls.on_commit(rec)?;
     }
     Ok(ls.committed())
 }
 
-/// Run the reference model alone and return its outcome (used to sanity-check
-/// a program before fuzzing it, and by the workload startup validation).
-pub fn reference_run(program: &Program, max_steps: u64) -> (crate::model::RefModel, RefRun) {
-    let mut model = crate::model::RefModel::new(program);
-    let run = model.run(if max_steps == 0 {
-        DEFAULT_MAX_STEPS
-    } else {
-        max_steps
-    });
-    (model, run)
-}
-
-/// [`reference_run`] on an explicit execution tier.
+/// Run a model of `tier` alone, for `max_steps` steps (`0` = the default
+/// budget), and return it with its outcome.
 pub fn reference_run_tier(
     program: &Program,
     tier: ExecTier,
@@ -336,4 +305,70 @@ pub fn reference_run_tier(
         max_steps
     });
     (model, run)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use avgi_muarch::{capture_golden, MuarchConfig};
+
+    type Expect = Box<dyn Fn(&Divergence) -> bool>;
+
+    /// Every way a golden run can disagree with the architecture — one
+    /// commit field, a stream that ends early or runs on, one output byte —
+    /// is refused, and named, on both tiers.
+    #[test]
+    fn doctored_golden_runs_are_refused_on_both_tiers() {
+        let w = avgi_workloads::by_name("bitcount").unwrap();
+        let golden = capture_golden(&w.program, &MuarchConfig::big(), 50_000_000);
+        let (mid, byte) = (golden.trace.len() / 2, golden.output.len() / 2);
+        let doctor = |edit: &dyn Fn(&mut GoldenRun)| {
+            let mut g = (*golden).clone();
+            edit(&mut g);
+            g
+        };
+        let mut cases: Vec<(String, GoldenRun, Expect)> = Vec::new();
+        for name in ["pc", "raw", "ea", "val"] {
+            let flipped = doctor(&|g| {
+                let rec = &mut g.trace[mid];
+                match name {
+                    "pc" => rec.pc ^= 4,
+                    "raw" => rec.raw ^= 1,
+                    "ea" => rec.ea ^= 1,
+                    _ => rec.val ^= 1,
+                }
+            });
+            let expect: Expect = Box::new(move |d| {
+                matches!(d, Divergence::Commit { index, field, .. }
+                    if *index == mid as u64 && *field == name)
+            });
+            cases.push((
+                format!("`{name}` of commit #{mid} flipped"),
+                flipped,
+                expect,
+            ));
+        }
+        let dropped = doctor(&|g| g.trace.truncate(g.trace.len() - 1));
+        let expect: Expect = Box::new(|d| matches!(d, Divergence::Outcome { .. }));
+        cases.push(("last record dropped".into(), dropped, expect));
+        let appended = doctor(&|g| g.trace.push(*g.trace.last().unwrap()));
+        let expect: Expect = Box::new(|d| matches!(d, Divergence::ModelFinished { .. }));
+        cases.push(("a record appended".into(), appended, expect));
+        let output = doctor(&|g| g.output[byte] ^= 0x01);
+        let expect: Expect =
+            Box::new(move |d| matches!(d, Divergence::Output { offset, .. } if *offset == byte));
+        cases.push((format!("output byte {byte} flipped"), output, expect));
+
+        for tier in [ExecTier::Reference, ExecTier::Fast] {
+            let clean = verify_golden_tier(&w.program, &golden, tier)
+                .unwrap_or_else(|d| panic!("{tier:?}: the real golden run refused: {d}"));
+            assert_eq!(clean.committed, golden.trace.len() as u64);
+            for (what, doctored, expect) in &cases {
+                match verify_golden_tier(&w.program, doctored, tier) {
+                    Err(d) => assert!(expect(&d), "{tier:?}, {what}: wrong divergence: {d}"),
+                    Ok(r) => panic!("{tier:?}, {what}: accepted after {} commits", r.committed),
+                }
+            }
+        }
+    }
 }
