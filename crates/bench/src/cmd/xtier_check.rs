@@ -1,9 +1,9 @@
-//! CI smoke prover for the execution tiers and the batched engine.
+//! CI smoke prover for the execution tiers and the checkpointed engine.
 //!
 //! Per workload, runs the three-leg [`avgi_faultsim::run_xtier`] cross-check
 //! (reference substrate, interpreter identity, pipeline identity) and then
-//! [`avgi_faultsim::run_xcheck`] (batched vs. unbatched engine, fork
-//! anatomy, run to the end) on a register-file campaign, and exits non-zero
+//! [`avgi_faultsim::run_xcheck`] (checkpointed vs. run to the end, fork
+//! anatomy) on a register-file campaign, and exits non-zero
 //! on the first divergence. That campaign is the production mode, whose ERT
 //! window admits only the exit at the injection cycle, so `run_xcheck` runs once
 //! more on the same faults as an end-to-end campaign, which also takes the
@@ -63,7 +63,7 @@ pub fn run(mut a: crate::Args) -> ExitCode {
                     r.cycles_charged,
                     r.cycles_charged - r.cycles_skipped
                 ),
-                Err(e) => return fail("batched engine", e),
+                Err(e) => return fail("checkpointed engine", e),
             }
         }
     }

@@ -58,7 +58,7 @@ use std::sync::{Arc, Mutex};
 #[derive(Debug, Clone)]
 pub struct AdaptiveConfig {
     /// The underlying campaign: structure, budget (`faults`), seed, mode,
-    /// threads, checkpointing, batching — all engine knobs apply per batch.
+    /// threads, checkpointing, batch size — all engine knobs apply per batch.
     pub base: CampaignConfig,
     /// Injections per adaptive batch (the granularity at which the
     /// proposal re-adapts and the stopping rule is evaluated).
@@ -368,8 +368,9 @@ fn draw_batch(
 /// Runs an adaptive campaign (see the module docs).
 ///
 /// Fails with [`CampaignError::Sampling`] when the configuration is
-/// statistically meaningless: a confidence level outside (0, 1), a
-/// non-positive CI target, or a zero budget.
+/// statistically meaningless: a confidence level outside (0, 1), an
+/// explore floor outside (0, 1], a non-positive CI target, or a zero
+/// budget — before any run executes.
 pub fn run_adaptive(
     workload: &Workload,
     cfg: &MuarchConfig,
@@ -416,6 +417,9 @@ fn run_adaptive_engine(
     journal: Option<(Mutex<Journal>, BTreeMap<usize, InjectionResult>)>,
 ) -> Result<AdaptiveReport, CampaignError> {
     z_value(acfg.confidence)?;
+    if !(acfg.explore > 0.0 && acfg.explore <= 1.0) {
+        return Err(SamplingError::InvalidExplore.into());
+    }
     if let Some(t) = acfg.ci_target {
         if !(t.is_finite() && t > 0.0) {
             return Err(SamplingError::InvalidMargin.into());

@@ -2,7 +2,7 @@
 //! executed across worker threads.
 //!
 //! The engine is fault-tolerant: a panicking simulator run is isolated with
-//! [`std::panic::catch_unwind`], retried once without its checkpoint, and —
+//! [`std::panic::catch_unwind`], retried once from a fresh simulator, and —
 //! if it still fails — recorded as [`RunOutcome::SimAbort`] instead of
 //! poisoning the whole campaign; an optional per-run wall-clock budget turns
 //! runaway runs into [`RunOutcome::WallClockExpired`]. A campaign therefore
@@ -80,6 +80,11 @@ pub struct CampaignConfig {
     /// wall-clock limit is inherently host-speed-dependent: campaigns using
     /// it are *not* guaranteed reproducible run-to-run, which is why the
     /// default leaves it off.
+    ///
+    /// A run's clock starts when it is armed: at its injection cycle for a
+    /// run forked off a batch's carrier, at reset for a fresh run. The
+    /// carrier's fault-free walk to that cycle is charged to no run; it is
+    /// the golden prefix, which the golden run bounds.
     pub wall_budget: Option<Duration>,
     /// Telemetry observer driven by the engine (`None` = unobserved).
     ///
@@ -88,8 +93,8 @@ pub struct CampaignConfig {
     /// never changes campaign results; it is excluded from [`std::fmt::Debug`]
     /// output so journal keys and config hashes are unaffected.
     pub observer: Option<Arc<dyn CampaignObserver>>,
-    /// Maximum number of runs executed as one shared-prefix batch
-    /// (`<= 1` disables batching).
+    /// Maximum number of runs that share one fault-free carrier (`<= 1`
+    /// means one run per carrier).
     ///
     /// Consecutive runs (in injection-cycle order) that resume from the same
     /// checkpoint are grouped: one fault-free *carrier* simulator advances
@@ -97,10 +102,8 @@ pub struct CampaignConfig {
     /// its injection cycle via [`Sim::restore_from_sim`] — the prefix between
     /// the checkpoint and the injection cycle is simulated once per batch
     /// instead of once per run (the ZOFI observation, applied
-    /// per-checkpoint). Results are bit-identical with and without batching;
-    /// like `checkpoints`, the knob only moves cost. Batching is skipped when
-    /// checkpointing is disabled or a wall-clock budget is set (the budget is
-    /// accounted per whole run, which a shared prefix cannot attribute).
+    /// per-checkpoint). Results are bit-identical at every batch size; like
+    /// `checkpoints`, the knob only moves cost.
     ///
     /// Excluded from the [`std::fmt::Debug`] identity (journal keys and config
     /// hashes), so journals written at any batch size resume interchangeably.
@@ -165,7 +168,7 @@ impl CampaignConfig {
         self
     }
 
-    /// Sets the shared-prefix batch size (`<= 1` disables batching).
+    /// Sets the shared-prefix batch size (`<= 1` = one run per carrier).
     pub fn with_batch(mut self, batch: usize) -> Self {
         self.batch = batch;
         self
@@ -191,44 +194,16 @@ impl CampaignConfig {
             self.threads
         }
     }
-
-    /// Why shared-prefix batching, though requested (`batch > 1`), cannot
-    /// apply to a campaign under this configuration; `None` when it applies
-    /// or was not requested. Whether a checkpoint set exists is the one
-    /// input the configuration does not carry.
-    fn batching_blocker(&self, have_checkpoints: bool) -> Option<&'static str> {
-        if self.batch <= 1 {
-            None
-        } else if self.wall_budget.is_some() {
-            Some("a wall-clock budget is set (per-run accounting cannot share a prefix)")
-        } else if !have_checkpoints {
-            Some("no checkpoint set is available")
-        } else {
-            None
-        }
-    }
-
-    /// The warning such a campaign carries — without it the campaign falls
-    /// off a perf cliff with no way to tell which execution path it got.
-    /// An executor reports it through [`ShardRunner::warnings`]; a control
-    /// plane that holds only the configuration asks here for the same text.
-    pub fn batching_warning(&self, have_checkpoints: bool) -> Option<String> {
-        let reason = self.batching_blocker(have_checkpoints)?;
-        Some(format!(
-            "shared-prefix batching disabled (batch = {}): {reason}",
-            self.batch
-        ))
-    }
 }
 
 /// Mid-run simulator snapshots for skipping the pre-injection period.
 ///
 /// Snapshots are taken at evenly spaced cycles of the fault-free prefix;
 /// a faulty run resumes from the latest snapshot at or before its injection
-/// cycle and produces exactly the results of an uninterrupted run. Workers
-/// reuse one scratch [`Sim`] per thread and rewind it with
-/// [`Sim::restore_from`], so per-run setup is O(dirty state) rather than a
-/// full machine copy.
+/// cycle and produces exactly the results of an uninterrupted run. Each
+/// worker keeps one carrier [`Sim`] and rewinds it to a batch's snapshot
+/// with [`Sim::restore_from`], so per-batch setup is O(dirty state) rather
+/// than a full machine copy.
 #[derive(Debug, Clone)]
 pub struct CheckpointSet {
     cycles: Vec<u64>,
@@ -326,12 +301,6 @@ impl CheckpointSet {
             Ok(set)
         })
         .clone()
-    }
-
-    /// The latest snapshot at or before `cycle`, ready to spawn or rewind a
-    /// scratch simulator.
-    pub fn nearest(&self, cycle: u64) -> &Snapshot {
-        &self.snaps[self.nearest_index(cycle)]
     }
 
     /// Index of the latest snapshot at or before `cycle` — the batching key:
@@ -543,9 +512,9 @@ pub fn watchdog_budget(golden_cycles: u64) -> u64 {
     golden_cycles.saturating_mul(2).saturating_add(20_000)
 }
 
-/// Executes one injected run on a fresh simulator — the engine's unbatched
-/// path with no checkpoint and no observer, which is what makes it the
-/// reference other paths are compared against.
+/// Executes one injected run on a fresh simulator from reset — the engine's
+/// run with no checkpoint set and no observer, which is what makes it the
+/// reference the carrier and its forks are compared against.
 pub fn run_one(
     workload: &Workload,
     cfg: &MuarchConfig,
@@ -563,11 +532,11 @@ pub fn run_one(
         checkpoints: None,
         observer: &NULL_OBSERVER,
     };
-    engine.run_unbatched(fault, &mut None, false)
+    engine.run_fresh(fault)
 }
 
 /// Arms `fault` (or its spatial burst) on a simulator.
-fn inject_burst(sim: &mut Sim, fault: Fault, burst_width: u32, cfg: &MuarchConfig) {
+pub(crate) fn inject_burst(sim: &mut Sim, fault: Fault, burst_width: u32, cfg: &MuarchConfig) {
     if burst_width <= 1 {
         // The identity burst must not clamp the sampled bit: an ill-formed
         // bit index should fail loudly in the simulator (and be isolated by
@@ -581,9 +550,9 @@ fn inject_burst(sim: &mut Sim, fault: Fault, burst_width: u32, cfg: &MuarchConfi
 }
 
 /// The run control a mode prescribes — used identically by whole injected
-/// runs and by the fault-free carrier advance of the batched path, so a
-/// forked run's state evolution cannot differ from an unbatched run's.
-fn control_for(
+/// runs and by the fault-free carrier advance, so a forked run's state
+/// evolution cannot differ from a fresh run's.
+pub(crate) fn control_for(
     mode: RunMode,
     golden: &Arc<GoldenRun>,
     wall_budget: Option<Duration>,
@@ -644,16 +613,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Positions the simulator in `slot` at `snap`: rewound in place (O(dirty
-/// state), allocation-free) when one exists, spawned from the snapshot
-/// otherwise.
-fn rewind<'s>(slot: &'s mut Option<Sim>, snap: &Snapshot) -> &'s mut Sim {
-    if let Some(sim) = slot {
-        sim.restore_from(snap);
-    }
-    slot.get_or_insert_with(|| snap.spawn())
-}
-
 /// Per-worker simulators, kept across runs and batches so rewinds stay on
 /// the journaled-restore fast path while consecutive units share a
 /// checkpoint.
@@ -663,8 +622,6 @@ struct WorkerSims {
     carrier: Option<Sim>,
     /// Reusable fork target, rewound to the carrier per run.
     fork: Option<Sim>,
-    /// Scratch of the unbatched path (also the batched path's fallback).
-    scratch: Option<Sim>,
 }
 
 /// Where an engine invocation's results persist: the campaign's journal,
@@ -681,11 +638,13 @@ pub(crate) struct JournalSink<'a> {
 static NULL_OBSERVER: NullObserver = NullObserver;
 
 /// One engine invocation: the campaign context a [`ShardRunner`] owns plus
-/// what lives only as long as the call — the observer in force. Every simulator a campaign creates, restores or steps
-/// is driven from here, along one of two execution paths: *batched*
-/// (carrier + fork, [`Engine::run_batch`]) and *unbatched* (scratch or
-/// fresh simulator, [`Engine::run_unbatched`]). Both end in
-/// [`Engine::finish`].
+/// what lives only as long as the call — the observer in force. Every
+/// simulator a campaign creates, restores or steps is driven from here. A
+/// run is positioned one of two ways: forked off a batch's carrier at its
+/// injection cycle when the campaign has a checkpoint set
+/// ([`Engine::run_batch`]), or fresh from reset when it has none — the
+/// reference, and the retry of a failed fork ([`Engine::run_fresh`]). Both
+/// end in [`Engine::finish`].
 struct Engine<'a> {
     workload: &'a Workload,
     cfg: &'a MuarchConfig,
@@ -744,41 +703,34 @@ impl Engine<'_> {
 
     /// Arms `fault` on a positioned simulator, runs it to the end the mode
     /// prescribes and turns the report into a result — the one
-    /// run-finishing step both execution paths share.
+    /// run-finishing step both ways of positioning a run share.
     ///
-    /// `future` is the golden machine at the checkpoints after the
-    /// injection cycle ([`CheckpointSet::after`]) for a run that resumed
-    /// from a set, `None` for the simulate-everything reference. A resumed
-    /// run takes [`golden_ending`](Engine::golden_ending) where it provably
-    /// has the golden's future: at its injection cycle — reached with the
-    /// fault armed and not yet due — if the flip goes into dead storage (a
-    /// fork was asked before the copy and says no again), and at the first
-    /// later checkpoint where its live state equals the golden's
-    /// ([`Sim::converged_with`]). A run under an ERT window takes the first
-    /// exit only: a comparison costs a fifth of a short window.
-    fn finish(&self, sim: &mut Sim, fault: Fault, future: Option<&[Snapshot]>) -> InjectionResult {
+    /// `sim` stands at the beginning of the injection cycle (a fork off the
+    /// carrier, which has just found the flip live) or at reset (a fresh
+    /// run). `future` is the golden machine at the checkpoints after the
+    /// injection cycle ([`CheckpointSet::after`]) for a fork, `&[]` for a
+    /// fresh run. The run takes [`golden_ending`](Engine::golden_ending) at
+    /// the first of them where its live state equals the golden's
+    /// ([`Sim::converged_with`]). A run under an ERT window does not look:
+    /// a comparison costs a fifth of a short window. The wall-clock deadline
+    /// is taken here, when the run is armed.
+    fn finish(&self, sim: &mut Sim, fault: Fault, future: &[Snapshot]) -> InjectionResult {
         inject_burst(sim, fault, self.ccfg.burst_width, self.cfg);
         let ctl = control_for(self.ccfg.mode, self.golden, self.ccfg.wall_budget);
         let deadline = ctl.deadline();
+        let future = if ctl.ert_window.is_some() {
+            &[]
+        } else {
+            future
+        };
         let mut ended = None;
-        if let Some(future) = future {
-            ended = sim.advance(fault.cycle, &ctl, deadline);
-            if ended.is_none() && self.dead_on_arrival(sim, fault) {
-                return self.golden_ending(fault, sim.first_deviation(), fault.cycle, &ctl);
+        for snap in future {
+            ended = sim.advance(snap.cycle(), &ctl, deadline);
+            if ended.is_some() {
+                break;
             }
-            let future = if ctl.ert_window.is_some() {
-                &[]
-            } else {
-                future
-            };
-            for snap in future {
-                if ended.is_some() {
-                    break;
-                }
-                ended = sim.advance(snap.cycle(), &ctl, deadline);
-                if ended.is_none() && sim.converged_with(snap) {
-                    return self.golden_ending(fault, sim.first_deviation(), snap.cycle(), &ctl);
-                }
+            if sim.converged_with(snap) {
+                return self.golden_ending(fault, sim.first_deviation(), snap.cycle(), &ctl);
             }
         }
         let outcome = ended
@@ -796,54 +748,18 @@ impl Engine<'_> {
         }
     }
 
-    /// The unbatched path: one whole run from the nearest checkpoint on the
-    /// caller's scratch simulator, or — with `checkpointed` off or no set
-    /// available — from cycle 0 on a fresh one.
-    fn run_unbatched(
-        &self,
-        fault: Fault,
-        scratch: &mut Option<Sim>,
-        checkpointed: bool,
-    ) -> InjectionResult {
-        match self.checkpoints.filter(|_| checkpointed) {
-            Some(set) => self.finish(
-                rewind(scratch, set.nearest(fault.cycle)),
-                fault,
-                Some(set.after(fault.cycle)),
-            ),
-            None => self.finish(
-                &mut Sim::new(&self.workload.program, self.cfg.clone()),
-                fault,
-                None,
-            ),
-        }
+    /// One whole run on a fresh simulator from reset.
+    fn run_fresh(&self, fault: Fault) -> InjectionResult {
+        let mut sim = Sim::new(&self.workload.program, self.cfg.clone());
+        self.finish(&mut sim, fault, &[])
     }
 
-    /// [`run_unbatched`](Engine::run_unbatched) behind a panic boundary.
-    ///
-    /// A panicking run is retried once *without* its checkpoint (a corrupt or
-    /// mismatched snapshot is the most likely infrastructure cause); if the
-    /// retry also panics — or checkpointing was not in use — the run is
-    /// recorded as [`RunOutcome::SimAbort`] carrying the panic message. The
-    /// decision depends only on this run's own behaviour, so results stay
-    /// deterministic and thread-count-independent. A panic also discards the
-    /// worker's scratch simulator: it may have been torn mid-restore, and the
-    /// next run re-spawns a clean one from its checkpoint.
-    fn run_isolated(&self, fault: Fault, scratch: &mut Option<Sim>) -> InjectionResult {
-        let mut payload = match isolated(|| self.run_unbatched(fault, scratch, true)) {
-            Ok(r) => return r,
-            Err(p) => p,
-        };
-        *scratch = None;
-        if self.checkpoints.is_some() {
-            // Graceful degradation: retry once from a fresh simulator.
-            self.observer.on_retry(self.ccfg.structure);
-            payload = match isolated(|| self.run_unbatched(fault, &mut None, false)) {
-                Ok(r) => return r,
-                Err(p) => p,
-            };
-        }
-        InjectionResult {
+    /// [`run_fresh`](Engine::run_fresh) behind a panic boundary: a panicking
+    /// run is recorded as [`RunOutcome::SimAbort`] carrying the panic
+    /// message. The decision depends only on this run's own behaviour, so
+    /// results stay deterministic and thread-count-independent.
+    fn run_isolated(&self, fault: Fault) -> InjectionResult {
+        isolated(|| self.run_fresh(fault)).unwrap_or_else(|payload| InjectionResult {
             fault,
             outcome: RunOutcome::SimAbort,
             deviation: None,
@@ -851,28 +767,27 @@ impl Engine<'_> {
             cycles: 0,
             post_inject_cycles: 0,
             abort_message: Some(panic_message(payload.as_ref())),
-        }
+        })
     }
 
-    /// The batched path: executes the runs `unit` names, all resuming from
-    /// `set`'s snapshot `snap_idx` and sorted ascending by injection cycle,
-    /// off one shared fault-free prefix.
+    /// Executes the runs `unit` names, all resuming from `set`'s snapshot
+    /// `snap_idx` and sorted ascending by injection cycle, off one shared
+    /// fault-free prefix.
     ///
     /// The carrier advances fault-free from the checkpoint; each run whose
     /// fault is not dead on it there ([`Sim::dead_on_arrival`] — a dead one
     /// takes the golden's ending unforked) forks off it at the *beginning*
     /// of its injection cycle, arms its fault, and runs to its own end.
-    /// [`Sim::step`] applies pending faults at the start
-    /// of the cycle they name, so a fork positioned at the beginning of
-    /// `fault.cycle` with the fault newly armed is state-identical to an
-    /// unbatched scratch that restored at the checkpoint, armed the same
-    /// fault, and simulated forward — the intervening cycles are fault-free
-    /// in both, and the carrier advances under the exact [`control_for`] the
-    /// unbatched run would use. Any panic (or a carrier that terminates
-    /// before an injection cycle, which a valid golden run cannot cause)
-    /// drops the batch simulators and falls back to
-    /// [`run_isolated`](Engine::run_isolated) per remaining run, preserving
-    /// the unbatched path's retry/abort semantics exactly.
+    /// [`Sim::step`] applies pending faults at the start of the cycle they
+    /// name, so the fork is state-identical to a fresh run that armed the
+    /// same fault at reset and simulated forward — the cycles before the
+    /// injection cycle are fault-free in both, and the carrier advances
+    /// under the exact [`control_for`] the run uses. An attempt that panics,
+    /// or whose carrier ends before the injection cycle (which a valid
+    /// golden run cannot cause), drops both simulators — either may be torn
+    /// mid-update — and the run is retried once, fresh
+    /// ([`run_isolated`](Engine::run_isolated), `on_retry`). The unit's next
+    /// run re-spawns its carrier from the snapshot.
     fn run_batch(
         &self,
         faults: &[Fault],
@@ -883,49 +798,39 @@ impl Engine<'_> {
     ) -> Vec<(usize, InjectionResult, Duration)> {
         let snap = set.snapshot(snap_idx);
         let prefix_ctl = control_for(self.ccfg.mode, self.golden, None);
-        // Position the carrier at the batch's checkpoint (journaled restore
-        // when the previous batch used the same snapshot).
-        let mut carrier_ok = isolated(|| {
-            rewind(&mut sims.carrier, snap);
-        })
-        .is_ok();
-        if !carrier_ok {
+        // Rewind the carrier to the batch's checkpoint in place (O(dirty
+        // state), journaled when the previous batch used the same snapshot);
+        // a worker with none spawns it from the snapshot in the first attempt.
+        let rewound = isolated(|| {
+            if let Some(carrier) = sims.carrier.as_mut() {
+                carrier.restore_from(snap);
+            }
+        });
+        if rewound.is_err() {
             sims.carrier = None;
         }
         let mut out = Vec::with_capacity(unit.len());
         for &i in unit {
             let (fault, t0) = (faults[i], Instant::now());
-            let mut batched = None;
-            if let Some(carrier) = sims.carrier.as_mut().filter(|_| carrier_ok) {
-                let fork = &mut sims.fork;
-                let attempt = isolated(|| {
-                    if carrier.run_to_cycle(fault.cycle, &prefix_ctl).is_some() {
-                        return None; // carrier ended before the injection cycle
-                    }
-                    if self.dead_on_arrival(carrier, fault) {
-                        return Some(self.golden_ending(fault, None, fault.cycle, &prefix_ctl));
-                    }
-                    if let Some(f) = fork.as_mut() {
-                        f.restore_from_sim(carrier);
-                    }
-                    let fork = fork.get_or_insert_with(|| carrier.clone());
-                    Some(self.finish(fork, fault, Some(set.after(fault.cycle))))
-                });
-                match attempt {
-                    Ok(Some(r)) => batched = Some(r),
-                    Ok(None) => carrier_ok = false,
-                    Err(_) => {
-                        // The panic may have torn either simulator mid-update;
-                        // drop both and finish the batch on the fallback path
-                        // (which re-attempts this fault and owns the retry/abort
-                        // decision, exactly as the unbatched path would).
-                        sims.carrier = None;
-                        sims.fork = None;
-                        carrier_ok = false;
-                    }
+            let attempt = isolated(|| {
+                let carrier = sims.carrier.get_or_insert_with(|| snap.spawn());
+                if carrier.run_to_cycle(fault.cycle, &prefix_ctl).is_some() {
+                    return None; // carrier ended before the injection cycle
                 }
-            }
-            let r = batched.unwrap_or_else(|| self.run_isolated(fault, &mut sims.scratch));
+                if self.dead_on_arrival(carrier, fault) {
+                    return Some(self.golden_ending(fault, None, fault.cycle, &prefix_ctl));
+                }
+                if let Some(f) = sims.fork.as_mut() {
+                    f.restore_from_sim(carrier);
+                }
+                let fork = sims.fork.get_or_insert_with(|| carrier.clone());
+                Some(self.finish(fork, fault, set.after(fault.cycle)))
+            });
+            let r = attempt.ok().flatten().unwrap_or_else(|| {
+                (sims.carrier, sims.fork) = (None, None);
+                self.observer.on_retry(self.ccfg.structure);
+                self.run_isolated(fault)
+            });
             out.push((i, r, t0.elapsed()));
         }
         out
@@ -957,29 +862,22 @@ impl Engine<'_> {
         let mut pending: Vec<usize> = Vec::with_capacity(faults.len());
         pending.extend((0..faults.len()).filter(|i| results[*i].is_none()));
         // Work in injection-cycle order so consecutive runs on one worker tend
-        // to share a checkpoint, keeping the scratch simulator on the fast
-        // journaled-restore path. Results are stored by original index, so the
-        // output order (and determinism) is unchanged.
+        // to share a checkpoint, keeping the carrier on the fast journaled-
+        // restore path. Results are stored by original index, so the output
+        // order (and determinism) is unchanged.
         pending.sort_by_key(|&i| faults[i].cycle);
 
-        // Shared-prefix batching: split the cycle-sorted work into runs of
-        // consecutive faults resuming from the same checkpoint, capped at the
-        // configured batch size. With batching disabled (or inapplicable),
-        // each unit is a single run on the unbatched path.
-        let blocker = ccfg.batching_blocker(self.checkpoints.is_some());
-        if let Some(reason) = blocker {
-            observer.on_batching_disabled(reason);
-        }
-        let batch_set = self
-            .checkpoints
-            .filter(|_| ccfg.batch > 1 && blocker.is_none());
-        let units: Vec<(usize, &[usize])> = match batch_set {
+        // Split the cycle-sorted work into units of consecutive faults
+        // resuming from the same checkpoint, capped at the batch size: one
+        // carrier each. With no checkpoint set each unit is one fresh run.
+        let units: Vec<(usize, &[usize])> = match self.checkpoints {
             Some(set) => {
+                let cap = ccfg.batch.max(1);
                 let mut units: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
                 for (n, &i) in pending.iter().enumerate() {
                     let si = set.nearest_index(faults[i].cycle);
                     match units.last_mut() {
-                        Some((s, r)) if *s == si && r.len() < ccfg.batch => r.end = n + 1,
+                        Some((s, r)) if *s == si && r.len() < cap => r.end = n + 1,
                         _ => units.push((si, n..n + 1)),
                     }
                 }
@@ -989,8 +887,9 @@ impl Engine<'_> {
         };
 
         // One resolution of the pool size, shared by the spawn loop below and
-        // the worker-count figure telemetry reports.
-        let workers = ccfg.effective_threads().min(pending.len().max(1));
+        // the worker-count figure telemetry reports. The grain of parallelism
+        // is the unit, so a worker beyond the unit count would never get work.
+        let workers = ccfg.effective_threads().min(units.len().max(1));
         observer.on_worker_pool(workers);
         let next = AtomicUsize::new(0);
         let slots = Mutex::new(&mut results);
@@ -1014,7 +913,7 @@ impl Engine<'_> {
                         let Some(&(snap_idx, unit)) = units.get(n) else {
                             break;
                         };
-                        match batch_set {
+                        match self.checkpoints {
                             Some(set) => {
                                 // Recorded after the batch, not run by run: a
                                 // journal append is a syscall, and one between
@@ -1027,7 +926,7 @@ impl Engine<'_> {
                             }
                             None => {
                                 let t0 = Instant::now();
-                                let r = self.run_isolated(faults[unit[0]], &mut sims.scratch);
+                                let r = self.run_isolated(faults[unit[0]]);
                                 record(unit[0], r, t0.elapsed());
                             }
                         }
@@ -1157,9 +1056,8 @@ impl ShardRunner {
 
     /// [`new`](ShardRunner::new) over an explicit fault list. Takes the
     /// checkpoint set `ccfg` asks for, degrading to checkpoint-free
-    /// execution (with a warning) when the golden prefix cannot support it;
-    /// whether shared-prefix batching applies follows from `ccfg` and that
-    /// set, so its warning is decided here too, once per campaign.
+    /// execution (with a warning) when the golden prefix cannot support it.
+    /// `checkpoints == 0` asks for fresh runs, so it carries no warning.
     pub(crate) fn with_faults(
         workload: &Workload,
         cfg: &MuarchConfig,
@@ -1174,7 +1072,6 @@ impl ShardRunner {
                 .map_err(|w| warnings.push(w))
                 .ok(),
         };
-        warnings.extend(ccfg.batching_warning(checkpoints.is_some()));
         ShardRunner {
             workload: workload.clone(),
             cfg: cfg.clone(),
@@ -1191,10 +1088,9 @@ impl ShardRunner {
         &self.faults
     }
 
-    /// Setup degradations: checkpointing disabled, or shared-prefix
-    /// batching requested but inapplicable. They hold for every run of this
-    /// runner, so every result wrapped by [`result`](ShardRunner::result)
-    /// carries them.
+    /// Setup degradations: a checkpoint set that could not be built, so
+    /// every run goes fresh. They hold for every run of this runner, so
+    /// every result wrapped by [`result`](ShardRunner::result) carries them.
     pub fn warnings(&self) -> &[String] {
         &self.warnings
     }
@@ -1317,9 +1213,9 @@ mod tests {
     }
 
     /// An ERT window of 0 or 1 closes at the end of the injection cycle —
-    /// after the flip — on every path. The unbatched path used to close a
-    /// 0-cycle window *before* it, at `cycles == fault.cycle`: a scratch
-    /// rewound to a checkpoint inherited the snapshot's vacuous "every armed
+    /// after the flip — fresh or forked, at any batch size. A run rewound to
+    /// a checkpoint used to close a 0-cycle window *before* it, at `cycles
+    /// == fault.cycle`: it inherited the snapshot's vacuous "every armed
     /// fault is applied".
     #[test]
     fn a_zero_ert_window_closes_after_the_flip_on_every_path() {
@@ -1384,65 +1280,6 @@ mod tests {
     }
 
     #[test]
-    fn batching_disablement_is_reported_not_silent() {
-        use crate::telemetry::MetricsCollector;
-        let w = avgi_workloads::by_name("bitcount").unwrap();
-        let cfg = MuarchConfig::big();
-        let golden = golden_for(&w, &cfg);
-
-        // A wall budget forces per-run accounting; batching cannot engage.
-        let metrics = Arc::new(MetricsCollector::new());
-        let ccfg = CampaignConfig::new(Structure::RegFile, 8, RunMode::EndToEnd)
-            .with_wall_budget(Duration::from_secs(3_600))
-            .with_observer(metrics.clone());
-        assert!(ccfg.batch > 1, "batching is on by default");
-        let c = run_campaign(&w, &cfg, &golden, &ccfg);
-        assert_eq!(c.len(), 8);
-        assert!(
-            c.warnings
-                .iter()
-                .any(|w| w.contains("batching disabled") && w.contains("wall-clock budget")),
-            "expected a batching warning, got {:?}",
-            c.warnings
-        );
-        assert_eq!(metrics.snapshot().batching_disabled, 1);
-
-        // A shard of the same campaign says so too: the runner carries the
-        // warning, and every `run_indices` call reports the fallback.
-        let metrics = Arc::new(MetricsCollector::new());
-        let runner = ShardRunner::new(&w, &cfg, &golden, &ccfg);
-        assert_eq!(runner.warnings(), c.warnings);
-        for indices in [[0usize, 3], [5, 1]] {
-            runner.run_indices(&indices, Some(metrics.clone())).unwrap();
-        }
-        assert_eq!(metrics.snapshot().batching_disabled, 2);
-        assert_eq!(runner.warnings(), c.warnings, "decided once, not per call");
-
-        // No checkpoints at all: same counter, different reason.
-        let metrics = Arc::new(MetricsCollector::new());
-        let ccfg = CampaignConfig::new(Structure::RegFile, 8, RunMode::EndToEnd)
-            .with_checkpoints(0)
-            .with_observer(metrics.clone());
-        let c = run_campaign(&w, &cfg, &golden, &ccfg);
-        assert!(
-            c.warnings
-                .iter()
-                .any(|w| w.contains("batching disabled") && w.contains("no checkpoint set")),
-            "expected a batching warning, got {:?}",
-            c.warnings
-        );
-        assert_eq!(metrics.snapshot().batching_disabled, 1);
-
-        // The default configuration batches; nothing to warn about.
-        let metrics = Arc::new(MetricsCollector::new());
-        let ccfg = CampaignConfig::new(Structure::RegFile, 8, RunMode::EndToEnd)
-            .with_observer(metrics.clone());
-        let c = run_campaign(&w, &cfg, &golden, &ccfg);
-        assert!(c.warnings.is_empty(), "got {:?}", c.warnings);
-        assert_eq!(metrics.snapshot().batching_disabled, 0);
-    }
-
-    #[test]
     fn campaigns_are_reproducible_across_thread_counts() {
         let w = avgi_workloads::by_name("bitcount").unwrap();
         let cfg = MuarchConfig::big();
@@ -1463,6 +1300,32 @@ mod tests {
             assert_eq!(x.outcome, y.outcome);
             assert_eq!(x.cycles, y.cycles);
             assert_eq!(x.deviation, y.deviation);
+        }
+    }
+
+    /// The unit of work, not the run, is the grain of parallelism: sixteen
+    /// runs on one checkpoint are one carrier's, so a bigger pool would
+    /// spawn threads that never get work. Fresh runs are one unit each.
+    #[test]
+    fn the_worker_pool_is_sized_by_units_of_work() {
+        use crate::telemetry::MetricsCollector;
+        let w = avgi_workloads::by_name("bitcount").unwrap();
+        let cfg = MuarchConfig::big();
+        let golden = golden_for(&w, &cfg);
+        for (checkpoints, workers) in [(1, 1), (0, 4)] {
+            let metrics = Arc::new(MetricsCollector::new());
+            let ccfg = CampaignConfig {
+                threads: 4,
+                ..CampaignConfig::new(Structure::RegFile, 16, RunMode::EndToEnd)
+            }
+            .with_checkpoints(checkpoints)
+            .with_observer(metrics.clone());
+            assert_eq!(run_campaign(&w, &cfg, &golden, &ccfg).len(), 16);
+            assert_eq!(
+                metrics.snapshot().workers,
+                workers,
+                "checkpoints={checkpoints}"
+            );
         }
     }
 
@@ -1534,12 +1397,13 @@ mod tests {
         let golden = golden_for(&w, &cfg);
         let set = CheckpointSet::build(&w, &cfg, &golden, 4).unwrap();
         assert_eq!(set.len(), 4);
-        assert_eq!(set.nearest(0).cycle(), 0);
+        let nearest = |cycle| set.snapshot(set.nearest_index(cycle)).cycle();
+        assert_eq!(nearest(0), 0);
         let quarter = golden.cycles / 4;
-        assert_eq!(set.nearest(quarter).cycle(), quarter);
-        assert_eq!(set.nearest(quarter + 1).cycle(), quarter);
-        assert_eq!(set.nearest(quarter - 1).cycle(), 0);
-        assert!(set.nearest(golden.cycles).cycle() <= golden.cycles);
+        assert_eq!(nearest(quarter), quarter);
+        assert_eq!(nearest(quarter + 1), quarter);
+        assert_eq!(nearest(quarter - 1), 0);
+        assert!(nearest(golden.cycles) <= golden.cycles);
     }
 
     /// The checkpoint set a runner holds, if any.
@@ -1661,10 +1525,26 @@ mod tests {
 
     #[test]
     fn panicking_runs_are_isolated_and_recorded_as_aborts() {
+        use crate::telemetry::MetricsCollector;
         let w = avgi_workloads::by_name("bitcount").unwrap();
         let cfg = MuarchConfig::big();
         let golden = golden_for(&w, &cfg);
         let faults = poisoned_faults(&cfg, golden.cycles, 12, &[2, 7]);
+        // A failed fork is retried once, fresh; a run with no checkpoint set
+        // is already fresh, so it is not.
+        for (checkpoints, retries) in [(8, 2), (0, 0)] {
+            let metrics = Arc::new(MetricsCollector::new());
+            let ccfg = CampaignConfig::new(Structure::RegFile, 12, RunMode::Instrumented)
+                .with_checkpoints(checkpoints)
+                .with_observer(metrics.clone());
+            let c = run_campaign_with_faults(&w, &cfg, &golden, &ccfg, &faults);
+            assert_eq!(c.aborted_count(), 2);
+            assert_eq!(
+                metrics.snapshot().retries,
+                retries,
+                "checkpoints={checkpoints}"
+            );
+        }
         let ccfg = CampaignConfig::new(Structure::RegFile, 12, RunMode::Instrumented);
         let c = run_campaign_with_faults(&w, &cfg, &golden, &ccfg, &faults);
         // Every injection yields a result; the poisoned ones are aborts.

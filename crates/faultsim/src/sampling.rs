@@ -62,6 +62,10 @@ pub enum SamplingError {
     /// silently turned a caller bug (e.g. passing `95` instead of `0.95`)
     /// into a wrong-but-plausible sample size.
     InvalidConfidence,
+    /// An adaptive campaign's explore floor outside (0, 1] — or NaN: the
+    /// proposal's uniform share, which bounds every importance weight by
+    /// `1/explore`, must be a positive fraction.
+    InvalidExplore,
 }
 
 impl std::fmt::Display for SamplingError {
@@ -81,6 +85,9 @@ impl std::fmt::Display for SamplingError {
             }
             SamplingError::InvalidConfidence => {
                 write!(f, "confidence level must lie strictly inside (0, 1)")
+            }
+            SamplingError::InvalidExplore => {
+                write!(f, "explore floor must lie in (0, 1]")
             }
         }
     }

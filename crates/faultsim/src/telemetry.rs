@@ -397,25 +397,22 @@ pub trait CampaignObserver: Send + Sync {
 
     /// The engine resolved its worker pool: `workers` threads will execute
     /// this campaign (the *effective* count — a configured `0` has already
-    /// been resolved to the available cores and clamped to the pending run
-    /// count, so telemetry never echoes the raw configuration value).
+    /// been resolved to the available cores and clamped to the number of
+    /// units of work, runs that share a carrier or single fresh runs, so
+    /// telemetry never echoes the raw configuration value or counts a
+    /// thread that could get no work).
     fn on_worker_pool(&self, _workers: usize) {}
 
-    /// A panicking run is being retried without its checkpoint.
+    /// A run whose fork failed (a panic, or a carrier that ended before its
+    /// injection cycle) is being retried fresh from reset.
     fn on_retry(&self, _structure: Structure) {}
-
-    /// Shared-prefix batching was requested (`batch > 1`) but the engine
-    /// had to fall back to the classic per-run path — `reason` names why
-    /// (wall-clock budget set, or no checkpoint set available). Fired once
-    /// per affected engine invocation so campaigns can see which execution
-    /// path they actually got.
-    fn on_batching_disabled(&self, _reason: &str) {}
 
     /// A run's live machine state equalled the golden's at a checkpoint, so
     /// it took the golden's ending there: `skipped_cycles` of the cycles its
     /// result is charged (`post_inject_cycles`) were not simulated. Fired
     /// before the run's `on_run`. How often it fires depends on the
-    /// checkpoint count — a cost knob, like batching — not on the campaign.
+    /// checkpoint count — a cost knob, like the batch size — not on the
+    /// campaign.
     fn on_converged(&self, _structure: Structure, _skipped_cycles: u64) {}
 
     /// The campaign finished (all planned runs accounted for).
@@ -442,7 +439,6 @@ pub struct MetricsCollector {
     completed: AtomicU64,
     resumed: AtomicU64,
     retries: AtomicU64,
-    batching_disabled: AtomicU64,
     converged_runs: AtomicU64,
     cycles_skipped: AtomicU64,
     workers: AtomicU64,
@@ -470,7 +466,6 @@ impl MetricsCollector {
             completed: AtomicU64::new(0),
             resumed: AtomicU64::new(0),
             retries: AtomicU64::new(0),
-            batching_disabled: AtomicU64::new(0),
             converged_runs: AtomicU64::new(0),
             cycles_skipped: AtomicU64::new(0),
             workers: AtomicU64::new(0),
@@ -525,7 +520,6 @@ impl MetricsCollector {
             completed: self.completed.load(Ordering::Relaxed),
             resumed: self.resumed.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
-            batching_disabled: self.batching_disabled.load(Ordering::Relaxed),
             converged_runs: self.converged_runs.load(Ordering::Relaxed),
             cycles_skipped: self.cycles_skipped.load(Ordering::Relaxed),
             workers: self.workers.load(Ordering::Relaxed),
@@ -573,10 +567,6 @@ impl CampaignObserver for MetricsCollector {
         self.retries.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn on_batching_disabled(&self, _reason: &str) {
-        self.batching_disabled.fetch_add(1, Ordering::Relaxed);
-    }
-
     fn on_converged(&self, _structure: Structure, skipped_cycles: u64) {
         self.converged_runs.fetch_add(1, Ordering::Relaxed);
         self.cycles_skipped
@@ -608,14 +598,8 @@ pub struct MetricsSnapshot {
     pub completed: u64,
     /// Of `completed`, how many were replayed from a journal.
     pub resumed: u64,
-    /// Checkpoint-free retries of panicking runs.
+    /// Fresh retries of runs whose fork failed.
     pub retries: u64,
-    /// Engine invocations that requested shared-prefix batching but fell
-    /// back to the classic per-run path (wall-clock budget set, or no
-    /// checkpoint set). Depends on which engine path executed, not on the
-    /// campaign identity, so — like `workers` — it is excluded from the
-    /// deterministic subset and its wire format.
-    pub batching_disabled: u64,
     /// Freshly executed runs that took the golden's ending at a checkpoint
     /// instead of simulating it, and …
     pub converged_runs: u64,
@@ -623,8 +607,8 @@ pub struct MetricsSnapshot {
     /// charge what a run to the end costs, so `Σ post_inject_cycles −
     /// cycles_skipped` is what the engine simulated. Both depend on the
     /// checkpoint count (and on what a journal replayed), not on the
-    /// campaign identity, so like `batching_disabled` they are excluded
-    /// from the deterministic subset and its wire format.
+    /// campaign identity, so like `workers` they are excluded from the
+    /// deterministic subset and its wire format.
     pub cycles_skipped: u64,
     /// Widest effective worker pool observed (0 until an engine reports
     /// one). Host-dependent, so excluded from the deterministic subset.
@@ -751,7 +735,6 @@ impl MetricsSnapshot {
             w.key("resumed").u64(self.resumed);
             w.key("retries").u64(self.retries);
             w.key("aborted").u64(self.aborted());
-            w.key("batching_disabled").u64(self.batching_disabled);
             w.key("converged_runs").u64(self.converged_runs);
             w.key("cycles_skipped").u64(self.cycles_skipped);
             w.key("workers").u64(self.workers);
@@ -796,7 +779,6 @@ impl MetricsSnapshot {
             completed: 0,
             resumed: 0,
             retries: 0,
-            batching_disabled: 0,
             converged_runs: 0,
             cycles_skipped: 0,
             workers: 0,
@@ -848,7 +830,6 @@ impl MetricsSnapshot {
         self.completed += other.completed;
         self.resumed += other.resumed;
         self.retries += other.retries;
-        self.batching_disabled += other.batching_disabled;
         self.converged_runs += other.converged_runs;
         self.cycles_skipped += other.cycles_skipped;
         self.workers = self.workers.max(other.workers);
@@ -1004,10 +985,6 @@ impl CampaignObserver for ProgressObserver {
 
     fn on_retry(&self, structure: Structure) {
         self.collector.on_retry(structure);
-    }
-
-    fn on_batching_disabled(&self, reason: &str) {
-        self.collector.on_batching_disabled(reason);
     }
 
     fn on_converged(&self, structure: Structure, skipped_cycles: u64) {

@@ -1,43 +1,41 @@
-//! Lockstep cross-check of the shared-prefix batched engine (from the command
-//! line: `avgi xtier_check`, which runs both provers of this module).
+//! Lockstep cross-check of the checkpointed engine (from the command line:
+//! `avgi xtier_check`, which runs both provers of this module).
 //!
-//! The batched engine claims bit-identity with the classic per-run engine:
-//! same [`InjectionResult`](crate::InjectionResult)s, same deterministic
+//! A campaign with a checkpoint set forks every run off a fault-free carrier
+//! and takes the golden's ending wherever a run provably has the golden's
+//! future. It claims bit-identity with the fresh run from reset: same
+//! [`InjectionResult`](crate::InjectionResult)s, same deterministic
 //! telemetry counters, same commit streams. This module *proves* it for a
-//! concrete campaign, four ways:
+//! concrete campaign, three ways:
 //!
 //! 1. **Substrate**: the golden capture is lockstep-verified against the
 //!    `avgi-refmodel` architectural interpreter — if the fault-free commit
 //!    stream is wrong, equality between two engines proves nothing.
-//! 2. **Campaign equality**: the same campaign runs once batched and once
-//!    with batching disabled, each with a fresh metrics collector; every
-//!    per-run observable and the deterministic telemetry counters must be
-//!    equal.
+//! 2. **Checkpointed vs run to the end**: the campaign runs once as
+//!    configured and once with no checkpoints at all — every run simulated
+//!    fresh from reset to its own end — each with a fresh metrics
+//!    collector. Every per-run observable and the deterministic telemetry
+//!    counters must be equal, so every exit ([`Sim::dead_on_arrival`] at
+//!    injection, in every mode; [`Sim::converged_with`] at later
+//!    checkpoints) is held to the run it skipped. The report counts the runs
+//!    that took an exit and the cycles they were charged, not simulated.
 //! 3. **Fork anatomy**: for a sample of faults, the carrier/fork execution
-//!    is replayed with full trace recording next to a classic pre-armed run
-//!    from reset, and the two commit streams are compared record-for-record
+//!    is replayed with full trace recording next to a fresh run armed at
+//!    reset, and the two commit streams are compared record-for-record
 //!    (cycle numbers included). The fault-free prefix of each stream —
 //!    everything before the first deviation — is additionally
 //!    lockstep-verified against the reference model via
 //!    [`avgi_refmodel::verify_trace_prefix`].
-//! 4. **Run to the end**: both engines of leg 2 resume from checkpoints, so
-//!    both finish a run that has the golden's future from it
-//!    ([`Sim::dead_on_arrival`] at injection, in every mode;
-//!    [`Sim::converged_with`] at later checkpoints) and their agreement says
-//!    nothing about those exits. The campaign runs a third time with no
-//!    checkpoints at all — every run simulated from reset to its own end —
-//!    and must again be equal in every observable. The report counts the
-//!    runs that took an exit and the cycles they were charged, not simulated.
 //!
 //! Any disagreement is reported as a human-readable error string naming the
 //! fault and the first differing observable.
 //!
 //! A second prover, [`run_xtier`], targets the *execution-tier*
-//! claim instead of the batching claim: the fast pre-decoded interpreter
+//! claim instead of the engine claim: the fast pre-decoded interpreter
 //! must be bit-identical to both the reference interpreter and the
 //! cycle-accurate pipeline.
 
-use crate::campaign::{run_campaign, watchdog_budget, CampaignConfig, CampaignResult};
+use crate::campaign::{control_for, inject_burst, run_campaign, CampaignConfig, CampaignResult};
 use crate::sampling::sample_faults;
 use crate::telemetry::MetricsCollector;
 use avgi_muarch::config::MuarchConfig;
@@ -54,7 +52,8 @@ use std::sync::Arc;
 pub struct XcheckReport {
     /// Workload checked.
     pub workload: String,
-    /// Injected runs compared between the batched and unbatched engines.
+    /// Injected runs compared between the checkpointed campaign and its run
+    /// to the end.
     pub runs_compared: usize,
     /// Whether the deterministic telemetry counters were byte-identical.
     pub telemetry_identical: bool,
@@ -63,9 +62,9 @@ pub struct XcheckReport {
     /// Fault-free prefix commits lockstep-verified against the reference
     /// model across all traced forks.
     pub prefix_commits_verified: u64,
-    /// Runs of the batched campaign that took the golden's ending, at their
-    /// injection cycle or a later checkpoint — each found equal, like every
-    /// other run, to its run-to-the-end reference.
+    /// Runs of the checkpointed campaign that took the golden's ending, at
+    /// their injection cycle or a later checkpoint — each found equal, like
+    /// every other run, to its run-to-the-end reference.
     pub converged: u64,
     /// Post-injection cycles the campaign's results are charged.
     pub cycles_charged: u64,
@@ -87,64 +86,47 @@ impl std::fmt::Display for XcheckReport {
 /// How many faults get the expensive full-trace fork replay.
 const TRACED_FORKS: usize = 8;
 
-/// Cross-checks the batched engine against the unbatched engine and the
-/// architectural reference model for one campaign configuration.
+/// Cross-checks the checkpointed engine against fresh runs to the end and
+/// the architectural reference model for one campaign configuration.
 ///
-/// `ccfg.batch <= 1` is rejected: the check would compare the classic engine
-/// with itself. Observers on `ccfg` are replaced with fresh collectors (the
-/// comparison needs exclusive ones).
+/// Observers on `ccfg` are replaced with fresh collectors (the comparison
+/// needs exclusive ones).
 pub fn run_xcheck(
     workload: &Workload,
     cfg: &MuarchConfig,
     golden: &Arc<GoldenRun>,
     ccfg: &CampaignConfig,
 ) -> Result<XcheckReport, String> {
-    if ccfg.batch <= 1 {
-        return Err("xcheck needs a batched configuration (batch > 1)".to_string());
-    }
     // 1. Substrate: the golden stream itself must be architecturally right.
     avgi_refmodel::verify_golden_tier(&workload.program, golden, ExecTier::Reference)
         .map_err(|d| format!("golden run of `{}` fails lockstep: {d}", workload.name))?;
 
-    // 2. Campaign equality, batched vs unbatched, telemetry included.
-    let batched_metrics = Arc::new(MetricsCollector::new());
-    let unbatched_metrics = Arc::new(MetricsCollector::new());
-    let batched_cfg = ccfg.clone().with_observer(batched_metrics.clone());
-    let unbatched_cfg = batched_cfg
-        .clone()
-        .with_batch(1)
-        .with_observer(unbatched_metrics.clone());
-    let batched = run_campaign(workload, cfg, golden, &batched_cfg);
-    let unbatched = run_campaign(workload, cfg, golden, &unbatched_cfg);
-    compare_campaigns(("batched", &batched), ("unbatched", &unbatched))?;
-    let batched_snap = batched_metrics.snapshot();
-    let bt = batched_snap.deterministic_counters_json();
-    let ut = unbatched_metrics.snapshot().deterministic_counters_json();
-    if bt != ut {
-        return Err(format!(
-            "deterministic telemetry counters differ between engines:\n  batched:   {bt}\n  \
-             unbatched: {ut}"
-        ));
-    }
-
-    // 4. Run to the end: no checkpoint set, so no run can stop early.
+    // 2. Checkpointed vs run to the end: no checkpoint set, so no run can
+    // stop early.
+    let checkpointed_metrics = Arc::new(MetricsCollector::new());
     let reference_metrics = Arc::new(MetricsCollector::new());
-    let reference_cfg =
-        (batched_cfg.clone().with_checkpoints(0)).with_observer(reference_metrics.clone());
+    let checkpointed_cfg = ccfg.clone().with_observer(checkpointed_metrics.clone());
+    let reference_cfg = (ccfg.clone().with_checkpoints(0)).with_observer(reference_metrics.clone());
+    let checkpointed = run_campaign(workload, cfg, golden, &checkpointed_cfg);
     let reference = run_campaign(workload, cfg, golden, &reference_cfg);
-    compare_campaigns(("checkpointed", &batched), ("run to the end", &reference))?;
+    compare_campaigns(
+        ("checkpointed", &checkpointed),
+        ("run to the end", &reference),
+    )?;
+    let checkpointed_snap = checkpointed_metrics.snapshot();
+    let ct = checkpointed_snap.deterministic_counters_json();
     let reference_snap = reference_metrics.snapshot();
     let rt = reference_snap.deterministic_counters_json();
-    if bt != rt || reference_snap.converged_runs != 0 {
+    if ct != rt || reference_snap.converged_runs != 0 {
         return Err(format!(
             "telemetry differs from the run-to-the-end reference ({} of its runs converged):\n  \
-             checkpointed:   {bt}\n  run to the end: {rt}",
+             checkpointed:   {ct}\n  run to the end: {rt}",
             reference_snap.converged_runs
         ));
     }
 
     // 3. Fork anatomy: replay a sample of faults with full trace recording
-    // through both execution shapes and compare commit streams.
+    // through both ways of positioning a run and compare commit streams.
     let faults = sample_faults(ccfg.structure, cfg, golden.cycles, ccfg.faults, ccfg.seed)
         .map_err(|e| format!("fault sampling failed: {e}"))?;
     let step = (faults.len() / TRACED_FORKS).max(1);
@@ -161,13 +143,13 @@ pub fn run_xcheck(
 
     Ok(XcheckReport {
         workload: workload.name.to_string(),
-        runs_compared: batched.results.len(),
+        runs_compared: checkpointed.results.len(),
         telemetry_identical: true,
         forks_traced: sample.len(),
         prefix_commits_verified: prefix_commits,
-        converged: batched_snap.converged_runs,
-        cycles_charged: batched.total_post_inject_cycles(),
-        cycles_skipped: batched_snap.cycles_skipped,
+        converged: checkpointed_snap.converged_runs,
+        cycles_charged: checkpointed.total_post_inject_cycles(),
+        cycles_skipped: checkpointed_snap.cycles_skipped,
     })
 }
 
@@ -253,7 +235,8 @@ fn compare_campaigns(
     Ok(())
 }
 
-/// Replays one fault through both execution shapes with trace recording and
+/// Replays one fault — armed as its campaign arms it, burst included —
+/// through both ways of positioning a run with trace recording, and
 /// compares every commit record, the outcome, cycles, and output bytes; the
 /// fault-free prefix is lockstep-verified against the reference model.
 fn trace_fork(
@@ -263,37 +246,23 @@ fn trace_fork(
     ccfg: &CampaignConfig,
     fault: Fault,
 ) -> Result<u64, String> {
+    // The campaign's control without its wall clock, recording every
+    // commit — the carrier's too, so the fork's stream spans the whole run,
+    // exactly like the classic run's.
     let ctl = RunControl {
-        max_cycles: watchdog_budget(golden.cycles),
-        golden: Some(golden.clone()),
         record_trace: true,
-        ..match ccfg.mode {
-            crate::campaign::RunMode::FirstDeviation { ert_window } => RunControl {
-                stop_at_first_deviation: true,
-                ert_window,
-                ..Default::default()
-            },
-            _ => RunControl::default(),
-        }
+        ..control_for(ccfg.mode, golden, None)
     };
 
     // Classic shape: fresh simulator, fault pre-armed at reset.
     let mut classic = Sim::new(&workload.program, cfg.clone());
-    classic.inject(fault);
+    inject_burst(&mut classic, fault, ccfg.burst_width, cfg);
     let classic_report = classic.run(&ctl);
 
-    // Batched shape: fault-free carrier to the beginning of the injection
+    // Fork shape: fault-free carrier to the beginning of the injection
     // cycle, fork, arm, run.
     let mut carrier = Sim::new(&workload.program, cfg.clone());
-    // The carrier records the prefix commits so the fork's stream spans the
-    // whole run, exactly like the classic run's.
-    let prefix_ctl = RunControl {
-        max_cycles: watchdog_budget(golden.cycles),
-        golden: Some(golden.clone()),
-        record_trace: true,
-        ..Default::default()
-    };
-    if let Some(out) = carrier.run_to_cycle(fault.cycle, &prefix_ctl) {
+    if let Some(out) = carrier.run_to_cycle(fault.cycle, &ctl) {
         return Err(format!(
             "carrier terminated with {out:?} before injection cycle {} of fault {fault:?}",
             fault.cycle
@@ -301,7 +270,7 @@ fn trace_fork(
     }
     let mut fork = carrier.clone();
     fork.restore_from_sim(&carrier);
-    fork.inject(fault);
+    inject_burst(&mut fork, fault, ccfg.burst_width, cfg);
     let fork_report = fork.run(&ctl);
 
     compare_reports(&classic_report, &fork_report, &fault)?;
@@ -409,11 +378,16 @@ mod tests {
         assert!(report.commits_compared > 0);
     }
 
+    /// The fork-anatomy leg arms a burst campaign's faults as the campaign
+    /// does, so it replays the runs the campaign ran.
     #[test]
-    fn xcheck_rejects_unbatched_configs() {
+    fn xcheck_passes_on_a_burst_campaign() {
         let w = avgi_workloads::by_name("bitcount").unwrap();
         let cfg = MuarchConfig::big();
-        let ccfg = CampaignConfig::new(Structure::RegFile, 4, RunMode::EndToEnd).with_batch(1);
-        assert!(run_xcheck(&w, &cfg, &golden_for(&w, &cfg), &ccfg).is_err());
+        let ccfg = CampaignConfig::new(Structure::RegFile, 16, RunMode::EndToEnd).with_burst(2);
+        let report = run_xcheck(&w, &cfg, &golden_for(&w, &cfg), &ccfg)
+            .expect("burst campaign must cross-check");
+        assert_eq!(report.runs_compared, 16);
+        assert!(report.forks_traced > 0 && report.prefix_commits_verified > 0);
     }
 }

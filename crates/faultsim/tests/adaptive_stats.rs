@@ -21,6 +21,7 @@
 //! a given seed, so the "statistical" assertions are reproducible checks
 //! of fixed numbers, not flaky coin flips.
 
+use avgi_faultsim::telemetry::MetricsCollector;
 use avgi_faultsim::{
     golden_for, run_adaptive, run_adaptive_journaled, run_campaign, weighted_estimate,
     wilson_interval, AdaptiveConfig, AdaptiveReport, CampaignConfig, CampaignError, RunMode,
@@ -381,5 +382,21 @@ fn invalid_statistical_configs_error_before_any_run() {
     match run_adaptive(&w, &cfg, &golden, &base(0)) {
         Err(CampaignError::Sampling(SamplingError::ZeroSamples)) => {}
         other => panic!("zero budget must be rejected, got {other:?}"),
+    }
+    // Two batches, so a bad floor would first be read after the uniform
+    // warmup batch had been simulated.
+    for bad in [0.0, -1.0, 1.5, f64::NAN] {
+        let metrics = Arc::new(MetricsCollector::new());
+        let mut acfg = base(80).with_explore(bad);
+        acfg.base = acfg.base.with_observer(metrics.clone());
+        match run_adaptive(&w, &cfg, &golden, &acfg) {
+            Err(CampaignError::Sampling(SamplingError::InvalidExplore)) => {}
+            other => panic!("explore {bad} must be rejected, got {other:?}"),
+        }
+        assert_eq!(
+            metrics.snapshot().completed,
+            0,
+            "explore {bad}: runs executed"
+        );
     }
 }

@@ -1,6 +1,8 @@
-//! Property test: the shared-prefix batched engine is *observationally
+//! Property test: the carrier + fork engine is *observationally
 //! invisible*. Over random fault sets, every combination of worker threads
-//! ∈ {1, 4} and batch size ∈ {1, 8, 64} must produce:
+//! ∈ {1, 4} and batch size ∈ {1, 8, 64} — and the default configuration
+//! under a wall-clock budget — must produce, next to the fresh-run
+//! reference (no checkpoint set: every run simulated from reset):
 //!
 //! * the same [`CampaignResult`] records, in fault order,
 //! * the same deterministic telemetry counters, and
@@ -8,9 +10,6 @@
 //!   threads race for units, so on-disk record *order* is scheduling-
 //!   dependent, but the record *set* is pinned; the header line is skipped
 //!   because the campaign key legitimately includes the thread count).
-//!
-//! `batch = 1` disables batching entirely, so the batched engine is held to
-//! the classic engine across both axes at once.
 
 use avgi_faultsim::journal::crc32;
 use avgi_faultsim::telemetry::MetricsCollector;
@@ -19,6 +18,7 @@ use avgi_muarch::config::MuarchConfig;
 use avgi_muarch::Structure;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
 const FAULTS: usize = 24;
 const THREADS: [usize; 2] = [1, 4];
@@ -48,18 +48,10 @@ struct Observables {
     journal_hash: u32,
 }
 
-fn observe(f: &Fixture, base: &CampaignConfig, threads: usize, batch: usize) -> Observables {
+fn observe(f: &Fixture, ccfg: &CampaignConfig, tag: &str) -> Observables {
     let metrics = Arc::new(MetricsCollector::new());
-    let ccfg = CampaignConfig {
-        threads,
-        ..base.clone()
-    }
-    .with_batch(batch)
-    .with_observer(metrics.clone());
-    let path = tmp_path(&format!(
-        "{:?}-{}-t{threads}-b{batch}",
-        base.structure, base.seed
-    ));
+    let ccfg = ccfg.clone().with_observer(metrics.clone());
+    let path = tmp_path(&format!("{:?}-{}-{tag}", ccfg.structure, ccfg.seed));
     let _ = std::fs::remove_file(&path);
     let result = run_campaign_journaled(&f.w, &f.cfg, &f.golden, &ccfg, &path).unwrap();
     let text = std::fs::read_to_string(&path).unwrap();
@@ -75,28 +67,38 @@ fn observe(f: &Fixture, base: &CampaignConfig, threads: usize, batch: usize) -> 
 }
 
 fn assert_grid_identical(f: &Fixture, base: &CampaignConfig) {
-    let reference = observe(f, base, 1, 1);
+    let reference = observe(f, &base.clone().with_checkpoints(0), "fresh");
     assert_eq!(reference.result.len(), FAULTS);
+    let mut shapes: Vec<(String, CampaignConfig)> = Vec::new();
     for threads in THREADS {
         for batch in BATCHES {
-            if (threads, batch) == (1, 1) {
-                continue;
-            }
-            let v = observe(f, base, threads, batch);
-            assert_eq!(
-                v.result.results, reference.result.results,
-                "results differ at threads={threads} batch={batch} (seed {:#x}, {:?})",
-                base.seed, base.structure
-            );
-            assert_eq!(
-                v.counters, reference.counters,
-                "telemetry counters differ at threads={threads} batch={batch}"
-            );
-            assert_eq!(
-                v.journal_hash, reference.journal_hash,
-                "journal records differ at threads={threads} batch={batch}"
-            );
+            let ccfg = CampaignConfig {
+                threads,
+                ..base.clone()
+            };
+            shapes.push((
+                format!("threads={threads} batch={batch}"),
+                ccfg.with_batch(batch),
+            ));
         }
+    }
+    let budget = base.clone().with_wall_budget(Duration::from_secs(3_600));
+    shapes.push(("default + 1 h wall budget".to_string(), budget));
+    for (n, (shape, ccfg)) in shapes.iter().enumerate() {
+        let v = observe(f, ccfg, &format!("s{n}"));
+        assert_eq!(
+            v.result.results, reference.result.results,
+            "results differ at {shape} (seed {:#x}, {:?})",
+            base.seed, base.structure
+        );
+        assert_eq!(
+            v.counters, reference.counters,
+            "telemetry counters differ at {shape}"
+        );
+        assert_eq!(
+            v.journal_hash, reference.journal_hash,
+            "journal records differ at {shape}"
+        );
     }
 }
 

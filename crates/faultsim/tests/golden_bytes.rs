@@ -254,7 +254,6 @@ fn snapshot() -> MetricsSnapshot {
     s.completed = 9;
     s.resumed = 4;
     s.retries = 1;
-    s.batching_disabled = 2;
     s.converged_runs = 3;
     s.cycles_skipped = 4_321;
     s.workers = 3;
@@ -277,11 +276,13 @@ const DETERMINISTIC: &str = r#"{"planned":12,"completed":9,"retries":1,"aborted"
 const DETERMINISTIC_EMPTY: &str = r#"{"planned":0,"completed":0,"retries":0,"aborted":0,"outcomes":{"Completed":0,"Trap":0,"IntegrityViolation":0,"Watchdog":0,"StoppedAtDeviation":0,"ErtExpired":0,"WallClockExpired":0,"SimAbort":0},"classes":{},"structures":{},"post_inject_cycles_hist":[]}"#;
 
 // `converged_runs` and `cycles_skipped` joined the dump with the convergence
-// exit (DESIGN §13), next to `batching_disabled` and like it absent from the
-// deterministic document above; every other byte is the parent's.
-const METRICS: &str = r#"{"kind":"avgi-campaign-metrics","version":1,"campaign":7,"planned":12,"completed":9,"resumed":4,"retries":1,"aborted":2,"batching_disabled":2,"converged_runs":3,"cycles_skipped":4321,"workers":3,"elapsed_us":1234567,"runs_per_sec":4.1,"eta_us":740740,"outcomes":{"Completed":5,"Trap":2,"IntegrityViolation":0,"Watchdog":0,"StoppedAtDeviation":0,"ErtExpired":0,"WallClockExpired":0,"SimAbort":2},"classes":{"short \"runs\"":6,"long":3},"structures":{"RegFile":8,"L1DData":1},"post_inject_cycles_hist":[2,0,0,6,0,0,0,0,0,0,0,1],"wall_latency_us_hist":[0,0,0,0,0,5]}"#;
+// exit (DESIGN §13) and, like `workers`, are absent from the deterministic
+// document above. The counter of engine invocations that fell off the
+// carrier path left it when that path became the only one for a
+// checkpointed run; every other byte is the parent's.
+const METRICS: &str = r#"{"kind":"avgi-campaign-metrics","version":1,"campaign":7,"planned":12,"completed":9,"resumed":4,"retries":1,"aborted":2,"converged_runs":3,"cycles_skipped":4321,"workers":3,"elapsed_us":1234567,"runs_per_sec":4.1,"eta_us":740740,"outcomes":{"Completed":5,"Trap":2,"IntegrityViolation":0,"Watchdog":0,"StoppedAtDeviation":0,"ErtExpired":0,"WallClockExpired":0,"SimAbort":2},"classes":{"short \"runs\"":6,"long":3},"structures":{"RegFile":8,"L1DData":1},"post_inject_cycles_hist":[2,0,0,6,0,0,0,0,0,0,0,1],"wall_latency_us_hist":[0,0,0,0,0,5]}"#;
 
-const METRICS_EMPTY: &str = r#"{"kind":"avgi-campaign-metrics","version":1,"campaign":0,"planned":0,"completed":0,"resumed":0,"retries":0,"aborted":0,"batching_disabled":0,"converged_runs":0,"cycles_skipped":0,"workers":0,"elapsed_us":0,"runs_per_sec":0.0,"eta_us":null,"outcomes":{"Completed":0,"Trap":0,"IntegrityViolation":0,"Watchdog":0,"StoppedAtDeviation":0,"ErtExpired":0,"WallClockExpired":0,"SimAbort":0},"classes":{},"structures":{},"post_inject_cycles_hist":[],"wall_latency_us_hist":[]}"#;
+const METRICS_EMPTY: &str = r#"{"kind":"avgi-campaign-metrics","version":1,"campaign":0,"planned":0,"completed":0,"resumed":0,"retries":0,"aborted":0,"converged_runs":0,"cycles_skipped":0,"workers":0,"elapsed_us":0,"runs_per_sec":0.0,"eta_us":null,"outcomes":{"Completed":0,"Trap":0,"IntegrityViolation":0,"Watchdog":0,"StoppedAtDeviation":0,"ErtExpired":0,"WallClockExpired":0,"SimAbort":0},"classes":{},"structures":{},"post_inject_cycles_hist":[],"wall_latency_us_hist":[]}"#;
 
 const SITE_GRID: &str = r#"{"bits":4096,"cycles":1024,"bit_bins":2,"cycle_bins":3,"runs":[2,0,0,0,0,1],"affected":[1,0,0,0,0,1]}"#;
 

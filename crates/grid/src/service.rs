@@ -212,17 +212,16 @@ impl Run {
             .into_iter()
             .map(|r| r.expect("finalized campaign is complete"))
             .collect();
-        // The control plane runs nothing, so it reports the degradation the
-        // configuration alone decides; a worker whose checkpoint build
-        // failed says so itself (`Runtime::build`).
-        let warnings = ccfg.batching_warning(ccfg.checkpoints > 0);
+        // The control plane runs nothing, so no degradation is its to
+        // report; a worker whose checkpoint build failed says so itself
+        // (`Runtime::build`).
         GridOutcome {
             result: CampaignResult::new(
                 &self.spec.workload,
                 &ccfg,
                 self.spec.golden_cycles,
                 results,
-                warnings.into_iter().collect(),
+                Vec::new(),
             ),
             telemetry: self.telemetry,
         }
