@@ -202,11 +202,11 @@ impl CampaignConfig {
 /// a faulty run resumes from the latest snapshot at or before its injection
 /// cycle and produces exactly the results of an uninterrupted run. Each
 /// worker keeps one carrier [`Sim`] and rewinds it to a batch's snapshot
-/// with [`Sim::restore_from`], so per-batch setup is O(dirty state) rather
-/// than a full machine copy.
+/// with [`Sim::restore_from`], a copy into the buffers the carrier already
+/// owns rather than a fresh allocation.
 #[derive(Debug, Clone)]
 pub struct CheckpointSet {
-    cycles: Vec<u64>,
+    /// In cycle order; each stands at the cycle it was built for.
     snaps: Vec<Snapshot>,
 }
 
@@ -230,9 +230,7 @@ impl CheckpointSet {
             ..Default::default()
         };
         let mut sim = Sim::new(&workload.program, cfg.clone());
-        let mut cycles = Vec::with_capacity(count.max(1) as usize);
         let mut snaps = Vec::with_capacity(count.max(1) as usize);
-        cycles.push(0);
         snaps.push(sim.snapshot());
         for k in 1..count.max(1) {
             let target = golden.cycles * u64::from(k) / u64::from(count);
@@ -243,10 +241,10 @@ impl CheckpointSet {
                     target,
                 });
             }
-            cycles.push(target);
+            assert_eq!(sim.cycle(), target, "a checkpoint off its cycle");
             snaps.push(sim.snapshot());
         }
-        Ok(CheckpointSet { cycles, snaps })
+        Ok(CheckpointSet { snaps })
     }
 
     /// [`build`](CheckpointSet::build)'s set, shared while held: callers alive
@@ -306,7 +304,7 @@ impl CheckpointSet {
     /// Index of the latest snapshot at or before `cycle` — the batching key:
     /// runs sharing an index can share one fault-free carrier.
     pub fn nearest_index(&self, cycle: u64) -> usize {
-        match self.cycles.binary_search(&cycle) {
+        match self.snaps.binary_search_by_key(&cycle, Snapshot::cycle) {
             Ok(i) => i,
             Err(0) => 0,
             Err(i) => i - 1,
@@ -317,7 +315,7 @@ impl CheckpointSet {
     /// machine at every later point a run injected at `cycle` can be
     /// compared with it ([`Sim::converged_with`]).
     pub fn after(&self, cycle: u64) -> &[Snapshot] {
-        &self.snaps[self.cycles.partition_point(|&c| c <= cycle)..]
+        &self.snaps[self.snaps.partition_point(|s| s.cycle() <= cycle)..]
     }
 
     /// The snapshot at `index` (panics if out of range).
@@ -613,9 +611,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Per-worker simulators, kept across runs and batches so rewinds stay on
-/// the journaled-restore fast path while consecutive units share a
-/// checkpoint.
+/// Per-worker simulators, kept across runs and batches so every rewind
+/// copies into buffers already allocated.
 #[derive(Default)]
 struct WorkerSims {
     /// Fault-free simulator advanced through the golden prefix.
@@ -798,9 +795,8 @@ impl Engine<'_> {
     ) -> Vec<(usize, InjectionResult, Duration)> {
         let snap = set.snapshot(snap_idx);
         let prefix_ctl = control_for(self.ccfg.mode, self.golden, None);
-        // Rewind the carrier to the batch's checkpoint in place (O(dirty
-        // state), journaled when the previous batch used the same snapshot);
-        // a worker with none spawns it from the snapshot in the first attempt.
+        // Rewind the carrier to the batch's checkpoint in place; a worker
+        // with none spawns it from the snapshot in the first attempt.
         let rewound = isolated(|| {
             if let Some(carrier) = sims.carrier.as_mut() {
                 carrier.restore_from(snap);
@@ -862,9 +858,8 @@ impl Engine<'_> {
         let mut pending: Vec<usize> = Vec::with_capacity(faults.len());
         pending.extend((0..faults.len()).filter(|i| results[*i].is_none()));
         // Work in injection-cycle order so consecutive runs on one worker tend
-        // to share a checkpoint, keeping the carrier on the fast journaled-
-        // restore path. Results are stored by original index, so the output
-        // order (and determinism) is unchanged.
+        // to share a checkpoint, and with it a carrier. Results are stored by
+        // original index, so the output order (and determinism) is unchanged.
         pending.sort_by_key(|&i| faults[i].cycle);
 
         // Split the cycle-sorted work into units of consecutive faults
@@ -1260,9 +1255,15 @@ mod tests {
 
     #[test]
     fn nearest_index_boundaries() {
+        let w = avgi_workloads::by_name("bitcount").unwrap();
+        let mut sim = Sim::new(&w.program, MuarchConfig::big());
+        let ctl = RunControl::default();
+        let snaps = [10, 100, 250].map(|c| {
+            assert!(sim.run_to_cycle(c, &ctl).is_none());
+            sim.snapshot()
+        });
         let set = CheckpointSet {
-            cycles: vec![10, 100, 250],
-            snaps: Vec::new(),
+            snaps: snaps.to_vec(),
         };
         // Before the first snapshot: clamps to index 0.
         assert_eq!(set.nearest_index(0), 0);
@@ -1277,6 +1278,11 @@ mod tests {
         // Past the last snapshot: the last index, not one past it.
         assert_eq!(set.nearest_index(251), 2);
         assert_eq!(set.nearest_index(u64::MAX), 2);
+        // The snapshots strictly after a cycle.
+        assert_eq!(set.after(9).len(), 3);
+        assert_eq!(set.after(10).len(), 2);
+        assert_eq!(set.after(249).len(), 1);
+        assert!(set.after(250).is_empty());
     }
 
     #[test]

@@ -1043,6 +1043,11 @@ impl Service {
                 r.fault
             )));
         }
+        if let Some(field) = undescribed_field(&telemetry, &results) {
+            return Ok(Some(format!(
+                "telemetry `{field}` does not describe its batch"
+            )));
+        }
         let rec = self.leases.remove(&lease).expect("ownership checked above");
         self.sched.completed(campaign, rec.indices.len());
         for (i, r) in results {
@@ -1255,6 +1260,38 @@ impl Service {
             }),
         }
     }
+}
+
+/// The first field of a batch's telemetry delta that cannot be the count of
+/// its `results`, if any: every run is planned and completed once, counts at
+/// most once in each per-run tally, and skips at most the cycles it charged.
+/// A delta that passes adds at most a lease's worth to the campaign's
+/// counters, so [`MetricsSnapshot::merge`] cannot overflow on a peer's word.
+fn undescribed_field(
+    t: &MetricsSnapshot,
+    results: &[(usize, InjectionResult)],
+) -> Option<&'static str> {
+    let runs = results.len() as u64;
+    let charged: u128 = (results.iter())
+        .map(|(_, r)| u128::from(r.post_inject_cycles))
+        .sum();
+    let over = |counts: &[u64]| counts.iter().any(|&n| n > runs);
+    let over_labelled = |counts: &[(&str, u64)]| counts.iter().any(|&(_, n)| n > runs);
+    [
+        ("planned", t.planned != runs),
+        ("completed", t.completed != runs),
+        ("resumed", t.resumed > runs),
+        ("retries", t.retries > runs),
+        ("converged_runs", t.converged_runs > runs),
+        ("outcomes", over_labelled(&t.outcomes)),
+        ("classes", over_labelled(&t.classes)),
+        ("structures", t.structures.iter().any(|&(_, n)| n > runs)),
+        ("post_inject_cycles", over(&t.post_inject_cycles.counts)),
+        ("wall_latency_us", over(&t.wall_latency_us.counts)),
+        ("cycles_skipped", u128::from(t.cycles_skipped) > charged),
+    ]
+    .into_iter()
+    .find_map(|(field, wrong)| wrong.then_some(field))
 }
 
 /// How long the loop waits after its `idle_ticks`-th consecutive idle tick:

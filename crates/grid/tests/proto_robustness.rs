@@ -5,13 +5,23 @@
 //! reassign any lease the bad peer held, and still deliver a campaign
 //! bit-identical to the single-process reference — proving nothing the bad
 //! peer did was double-counted or lost.
+//!
+//! Under all of them sits the decoder:
+//! `binary_decode_survives_mutated_hot_frames` feeds `Msg::decode` seeded
+//! mutations of the three binary messages, and every one must come back
+//! `Ok` or `Err`, never a panic.
 
 mod common;
 
+use avgi_faultsim::telemetry::{CampaignObserver, MetricsCollector};
 use avgi_faultsim::RunMode;
-use avgi_grid::proto::{read_frame, send, write_frame, Msg, MIN_PROTO_VERSION};
+use avgi_grid::proto::{
+    put_varint, read_frame, send, write_frame, Msg, MIN_PROTO_VERSION, PROTO_VERSION,
+};
+use avgi_grid::service::reference_outcome;
 use avgi_grid::{GridOutcome, ServiceConfig, ServiceStats, SubmitSpec, WorkerConfig};
 use avgi_muarch::Structure;
+use avgi_rng::Rng;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -171,4 +181,119 @@ fn late_report_after_reassignment_is_discarded_wholly() {
     assert_matches_reference(&outcome);
     assert!(stats.batches_rejected >= 1, "{stats:?}");
     assert!(stats.leases_reassigned >= 1, "{stats:?}");
+}
+
+/// The binary frames a v3 link carries, as a worker and the service
+/// produce them: a 16-index lease, a heartbeat, and the 16-result
+/// `batch_done` answering the lease, with its real telemetry delta.
+fn hot_frames() -> [Vec<u8>; 3] {
+    let spec = SubmitSpec::new("bitcount", Structure::RegFile, 16, 0xF022);
+    let results: Vec<_> = (reference_outcome(&spec).unwrap().result.results)
+        .into_iter()
+        .enumerate()
+        .collect();
+    let collector = MetricsCollector::new();
+    collector.on_campaign_start(spec.structure, results.len());
+    for (_, r) in &results {
+        collector.on_run(spec.structure, r, Duration::from_micros(40));
+    }
+    let (lease, campaign) = (0x1_2345, 7);
+    [
+        Msg::Lease {
+            lease,
+            campaign,
+            indices: (0..results.len()).collect(),
+        },
+        Msg::Heartbeat { lease, campaign },
+        Msg::BatchDone {
+            lease,
+            campaign,
+            results,
+            telemetry: collector.snapshot(),
+        },
+    ]
+    .map(|msg| msg.encode(PROTO_VERSION))
+}
+
+/// Damages `frame` one of five ways: flipped bits, a truncation, an
+/// extension, a varint spliced over a random span, or an oversized varint
+/// (a run of continuation bytes).
+fn mutate(frame: &[u8], rng: &mut Rng) -> Vec<u8> {
+    let mut out = frame.to_vec();
+    let at = |rng: &mut Rng, len: usize| rng.gen_range_usize(len + 1);
+    match rng.gen_range_u64(5) {
+        0 => {
+            for _ in 0..1 + rng.gen_range_u64(4) {
+                let bit = rng.gen_range_usize(out.len() * 8);
+                out[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+        1 => out.truncate(rng.gen_range_usize(out.len())),
+        2 => out.extend((0..1 + rng.gen_range_u64(16)).map(|_| rng.next_u32() as u8)),
+        3 => {
+            let random = rng.next_u64();
+            let value = *rng.choose(&[
+                0,
+                1,
+                0x7f,
+                0x80,
+                0xff,
+                0x100,
+                u64::from(u32::MAX),
+                1 << 32,
+                u64::MAX,
+                random,
+            ]);
+            let mut varint = Vec::new();
+            put_varint(&mut varint, value);
+            let from = at(rng, out.len());
+            let to = (from + rng.gen_range_usize(12)).min(out.len());
+            out.splice(from..to, varint);
+        }
+        _ => {
+            let from = at(rng, out.len());
+            let run = 1 + rng.gen_range_usize(14);
+            let tail = rng.next_u32() as u8 & 0x7f;
+            let varint = std::iter::repeat_n(0xffu8, run).chain([tail]);
+            out.splice(from..from, varint);
+        }
+    }
+    out
+}
+
+#[test]
+fn binary_decode_survives_mutated_hot_frames() {
+    const SEED: u64 = 0xDEC0_DE5E_ED00;
+    const CASES: u64 = 120_000;
+    let frames = hot_frames();
+    let encode = |msg: &Msg| msg.encode(PROTO_VERSION);
+    let mut decoded = 0u64;
+    for case in 0..CASES {
+        let seed = SEED ^ case;
+        let mut rng = Rng::seed_from_u64(seed);
+        let frame = &frames[(case % 3) as usize];
+        let damaged = mutate(frame, &mut rng);
+        let checked = std::panic::catch_unwind(|| {
+            let Ok(msg) = Msg::decode(&damaged) else {
+                return Ok(false);
+            };
+            let once = encode(&msg);
+            let again = Msg::decode(&once).map(|m| encode(&m));
+            match again {
+                Ok(twice) if twice == once => Ok(true),
+                Ok(_) => Err("re-encoding is not a fixed point".to_string()),
+                Err(e) => Err(format!("its re-encoding does not decode: {e}")),
+            }
+        });
+        match checked {
+            Ok(Ok(ok)) => decoded += u64::from(ok),
+            Ok(Err(why)) => panic!("case {case} (seed {seed:#x}): {why}; input {damaged:02x?}"),
+            Err(_) => panic!("case {case} (seed {seed:#x}): decode panicked on {damaged:02x?}"),
+        }
+    }
+    // Both answers occur: the mutations reach past the first bad byte.
+    assert!(
+        0 < decoded && decoded < CASES,
+        "{decoded} of {CASES} decoded"
+    );
 }

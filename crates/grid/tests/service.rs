@@ -11,6 +11,7 @@
 
 mod common;
 
+use avgi_faultsim::telemetry::{CampaignObserver, MetricsCollector};
 use avgi_faultsim::{CampaignError, DurabilityPolicy, RunMode};
 use avgi_grid::proto::{
     read_frame, send, Msg, MsgKind, WireStats, MIN_PROTO_VERSION, PROTO_VERSION,
@@ -749,6 +750,78 @@ fn a_parked_peer_that_swallows_its_pushed_lease_expires_and_a_parked_worker_fini
     // the worker's only batch.
     assert_eq!(requests.of(MsgKind::LeaseRequest).0, 3);
     assert_eq!((wstats.batches, wstats.reconnects), (1, 0), "{wstats:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_batch_whose_telemetry_overstates_its_runs_is_refused_and_its_lease_requeued() {
+    // The adversary reports the right results for its lease with a telemetry
+    // delta claiming `u64::MAX` completed runs. Merged, that count overflows
+    // (a panic under overflow checks, a wrapped total otherwise) and the
+    // report stops being the single-process one.
+    let dir = scratch("telemetry-overstated");
+    let svc = Harness::start(&dir, 8, None);
+    let spec = SubmitSpec::new("bitcount", Structure::RegFile, 8, 0x7E1E);
+    let id = submit(svc.http, &spec);
+    let mut adversary = TcpStream::connect(&svc.fabric).unwrap();
+    adversary.set_nodelay(true).unwrap();
+    adversary
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let next = |stream: &mut TcpStream| Msg::decode(&read_frame(stream).unwrap()).unwrap();
+    let hello = Msg::Hello {
+        proto: PROTO_VERSION,
+        session: None,
+    };
+    send(&mut adversary, &hello, MIN_PROTO_VERSION).unwrap();
+    assert!(matches!(next(&mut adversary), Msg::Welcome { .. }));
+    send(&mut adversary, &Msg::LeaseRequest, PROTO_VERSION).unwrap();
+    let (lease, campaign, indices) = match next(&mut adversary) {
+        Msg::Lease {
+            lease,
+            campaign,
+            indices,
+        } => (lease, campaign, indices),
+        other => panic!("expected a lease, got {other:?}"),
+    };
+
+    // Honest results, and the delta an honest worker would send for them —
+    // but for one field.
+    let reference = reference_outcome(&spec).unwrap().result.results;
+    let results: Vec<_> = indices.iter().map(|&i| (i, reference[i].clone())).collect();
+    let collector = MetricsCollector::new();
+    collector.on_campaign_start(spec.structure, results.len());
+    for (_, r) in &results {
+        collector.on_run(spec.structure, r, Duration::ZERO);
+    }
+    let mut telemetry = collector.snapshot();
+    telemetry.completed = u64::MAX;
+    let report = Msg::BatchDone {
+        lease,
+        campaign,
+        results,
+        telemetry,
+    };
+    send(&mut adversary, &report, PROTO_VERSION).unwrap();
+    match next(&mut adversary) {
+        Msg::Reject { reason } => assert!(reason.contains("`completed`"), "{reason}"),
+        other => panic!("expected a rejection, got {other:?}"),
+    }
+    drop(adversary);
+
+    // The lease went back to the queue; an honest worker finishes the
+    // campaign as if the adversary had never reported.
+    let honest = {
+        let wcfg = worker_config(&svc.fabric, 0x5EED_0650);
+        std::thread::spawn(move || avgi_grid::run_worker(&wcfg))
+    };
+    let body = wait_done(svc.http, id, Duration::from_secs(60));
+    let stats = svc.finish();
+    let _ = honest.join().unwrap();
+    assert_eq!(report_of(&body), reference_for(&spec));
+    assert_eq!(stats.protocol_errors, 1, "{stats:?}");
+    assert_eq!(stats.leases_reassigned, 1, "{stats:?}");
+    assert_eq!(stats.leases_granted, 2, "{stats:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -8,11 +8,9 @@
 //! cache experiments exercise.
 //!
 //! Storage is a single flat backing buffer per cache (no per-line heap
-//! objects), evicted lines travel in inline fixed-size buffers
-//! ([`Eviction`]), and every mutation is journaled per line so a scratch
-//! simulator can be restored to a snapshot by copying back only the lines a
-//! run actually touched ([`Cache::restore_from`]) — the O(dirty) half of the
-//! snapshot/restore hot path.
+//! objects) and evicted lines travel in inline fixed-size buffers
+//! ([`Eviction`]), so a restore ([`Cache::restore_from`]) is three slice
+//! copies into buffers the cache already owns.
 
 use crate::config::CacheGeometry;
 
@@ -72,12 +70,6 @@ pub struct Cache {
     /// LRU age per line (not fault-injectable; control logic, not storage).
     lru: Vec<u32>,
     tick: u32,
-    /// Dirty-line journal: flat indices of lines whose tag/data/LRU state
-    /// changed since the last [`Cache::clear_tracking`], deduplicated via
-    /// `touched_gen`.
-    touched: Vec<u32>,
-    touched_gen: Vec<u32>,
-    gen: u32,
 }
 
 impl Cache {
@@ -94,9 +86,6 @@ impl Cache {
             data: vec![0; lines * geom.line_bytes as usize],
             lru: vec![0; lines],
             tick: 0,
-            touched: Vec::new(),
-            touched_gen: vec![0; lines],
-            gen: 1,
         }
     }
 
@@ -129,17 +118,7 @@ impl Cache {
         self.tags[li] >> (self.geom.tag_bits() + 1) & 1 == 1
     }
 
-    /// Journals `li` as modified since the last tracking reset.
-    #[inline]
-    fn note(&mut self, li: usize) {
-        if self.touched_gen[li] != self.gen {
-            self.touched_gen[li] = self.gen;
-            self.touched.push(li as u32);
-        }
-    }
-
     fn set_meta(&mut self, li: usize, tag: u32, valid: bool, dirty: bool) {
-        self.note(li);
         self.tags[li] = tag
             | (u32::from(valid) << self.geom.tag_bits())
             | (u32::from(dirty) << (self.geom.tag_bits() + 1));
@@ -152,7 +131,6 @@ impl Cache {
     }
 
     fn touch(&mut self, li: usize) {
-        self.note(li);
         self.tick = self.tick.wrapping_add(1);
         self.lru[li] = self.tick;
     }
@@ -258,7 +236,6 @@ impl Cache {
     ///
     /// Panics if `li` is out of range.
     pub fn flip(&mut self, array: Array, li: usize, bit: u32) {
-        self.note(li);
         match array {
             Array::Tag => self.tags[li] ^= 1 << bit,
             Array::Data => {
@@ -267,52 +244,16 @@ impl Cache {
         }
     }
 
-    /// Resets the dirty-line journal: subsequent mutations are tracked
-    /// relative to the cache's current contents.
-    pub fn clear_tracking(&mut self) {
-        self.touched.clear();
-        if self.gen == u32::MAX {
-            self.touched_gen.fill(0);
-            self.gen = 1;
-        } else {
-            self.gen += 1;
-        }
-    }
-
-    /// Restores this cache to `snap`'s state by copying back only the lines
-    /// journaled as touched since the last tracking reset — valid only when
-    /// this cache's contents were bit-identical to `snap` at that reset
-    /// (enforced by the `Sim` snapshot machinery). O(touched lines).
+    /// Overwrites this cache with `snap`'s state, reusing every
+    /// allocation.
     pub fn restore_from(&mut self, snap: &Cache) {
-        // The journal is each cache's own bookkeeping, never copied.
         #[rustfmt::skip]
-        let Cache { geom, tags, data, lru, tick, touched: _, touched_gen: _, gen: _ } = snap;
-        debug_assert_eq!(self.geom, *geom);
-        let lb = self.geom.line_bytes as usize;
-        let touched = core::mem::take(&mut self.touched);
-        for &li in &touched {
-            let li = li as usize;
-            self.tags[li] = tags[li];
-            self.lru[li] = lru[li];
-            self.data[li * lb..(li + 1) * lb].copy_from_slice(&data[li * lb..(li + 1) * lb]);
-        }
-        self.touched = touched;
-        self.tick = *tick;
-        self.clear_tracking();
-    }
-
-    /// Restores this cache to `snap`'s state by copying everything — the
-    /// allocation-free fallback when the journal's baseline does not match
-    /// `snap` (e.g. the scratch simulator switches checkpoints).
-    pub fn copy_full_from(&mut self, snap: &Cache) {
-        #[rustfmt::skip]
-        let Cache { geom, tags, data, lru, tick, touched: _, touched_gen: _, gen: _ } = snap;
+        let Cache { geom, tags, data, lru, tick } = snap;
         debug_assert_eq!(self.geom, *geom);
         self.tags.copy_from_slice(tags);
         self.data.copy_from_slice(data);
         self.lru.copy_from_slice(lru);
         self.tick = *tick;
-        self.clear_tracking();
     }
 
     /// Dead storage: the data of a line whose valid bit is clear. `lookup`,
@@ -348,7 +289,7 @@ impl Cache {
     /// name the same lines in both machines — tags and data where live.
     pub fn converged_with(&self, snap: &Cache) -> bool {
         #[rustfmt::skip]
-        let Cache { geom, tags, data, lru, tick, touched: _, touched_gen: _, gen: _ } = self;
+        let Cache { geom, tags, data, lru, tick } = self;
         let lb = geom.line_bytes as usize;
         let lines = data.chunks_exact(lb).zip(snap.data.chunks_exact(lb));
         (geom, tick, lru) == (&snap.geom, &snap.tick, &snap.lru)
@@ -474,20 +415,17 @@ mod tests {
         );
     }
 
-    /// Exercises every mutation kind against the journaled restore: after
-    /// `restore_from`, the scratch must be observationally identical to the
-    /// snapshot it started from.
+    /// Exercises every mutation kind against the restore: a scratch cache
+    /// diverged through each of them must, after `restore_from`, be
+    /// observationally identical to the snapshot.
     #[test]
-    fn journaled_restore_undoes_every_mutation_kind() {
+    fn restore_undoes_every_mutation_kind() {
         let mut base = small_cache();
         base.fill(0x0000, &line_of(1));
         let (_, li) = base.fill(0x1000, &line_of(2));
         base.write_resident(li, 0x1000, &[0x55]);
 
         let mut scratch = base.clone();
-        scratch.clear_tracking(); // sync point: scratch == base
-
-        // Mutate through every tracked path.
         scratch.lookup(0x0000); // LRU touch
         scratch.fill(0x0200, &line_of(9)); // fill + possible eviction
         let (_, li2) = scratch.fill(0x2000, &line_of(4));
@@ -496,10 +434,12 @@ mod tests {
         scratch.flip(Array::Tag, 0, 3);
         scratch.flip(Array::Data, 1, 5);
         scratch.drain_dirty();
+        assert!(!scratch.converged_with(&base), "the scratch diverged");
 
         scratch.restore_from(&base);
 
         // Bit-identical observables: same hits, same data, same dirty set.
+        assert!(scratch.converged_with(&base));
         for addr in [0x0000u32, 0x1000, 0x0200, 0x2000] {
             assert_eq!(
                 scratch.lookup(addr).is_some(),
@@ -510,22 +450,6 @@ mod tests {
         let d_s = scratch.drain_dirty();
         let d_b = base.drain_dirty();
         assert_eq!(d_s, d_b, "dirty lines diverged after restore");
-    }
-
-    #[test]
-    fn full_copy_restore_matches_journaled_restore() {
-        let mut base = small_cache();
-        base.fill(0x0400, &line_of(3));
-        let mut a = base.clone();
-        a.clear_tracking();
-        let mut b = base.clone();
-        a.fill(0x0800, &line_of(8));
-        b.fill(0x0c00, &line_of(9));
-        a.restore_from(&base); // journaled path
-        b.copy_full_from(&base); // full path
-        assert_eq!(a.drain_dirty(), b.drain_dirty());
-        assert_eq!(a.lookup(0x0400), b.lookup(0x0400));
-        assert_eq!(a.lookup(0x0800), b.lookup(0x0800));
     }
 }
 

@@ -34,10 +34,6 @@ pub struct Hierarchy {
     /// geometry.
     lat: Latencies,
     prefetch_next_line: bool,
-    /// Id of the snapshot this hierarchy was last synchronised with: the
-    /// cache journals and memory's dirty-page set are trusted against that
-    /// snapshot only — see [`Hierarchy::restore_from`].
-    pub(crate) base: Option<u64>,
 }
 
 impl Hierarchy {
@@ -52,7 +48,6 @@ impl Hierarchy {
             mem,
             lat: cfg.lat,
             prefetch_next_line: cfg.prefetch_next_line,
-            base: None,
         }
     }
 
@@ -194,43 +189,21 @@ impl Hierarchy {
         }
     }
 
-    /// Declares this hierarchy bit-identical to snapshot `id`'s, from which
-    /// the journals count from now on.
-    pub fn rebase(&mut self, id: u64) {
-        self.l1i.clear_tracking();
-        self.l1d.clear_tracking();
-        self.l2.clear_tracking();
-        self.mem.clear_tracking();
-        self.base = Some(id);
-    }
-
     /// Overwrites this hierarchy with `src`'s state, reusing every
-    /// allocation. `id` names the snapshot `src` belongs to, `None` for a
-    /// live simulator's. Restoring to the snapshot this hierarchy was last
-    /// synchronised with copies back only what the journals name — the lines
-    /// touched and the pages dirtied since; anything else has no journal to
-    /// certify and takes the full (still allocation-free) copy.
-    pub fn restore_from(&mut self, src: &Hierarchy, id: Option<u64>) {
+    /// allocation: each part by its own restore.
+    pub fn restore_from(&mut self, src: &Hierarchy) {
         #[rustfmt::skip]
-        let Hierarchy { l1i, l1d, l2, itlb, dtlb, mem, lat, prefetch_next_line, base: _ } = src;
+        let Hierarchy { l1i, l1d, l2, itlb, dtlb, mem, lat, prefetch_next_line } = src;
         debug_assert_eq!(
             (self.lat, self.prefetch_next_line),
             (*lat, *prefetch_next_line)
         );
-        if id.is_some() && self.base == id {
-            self.l1i.restore_from(l1i);
-            self.l1d.restore_from(l1d);
-            self.l2.restore_from(l2);
-            self.mem.restore_from_dirty(mem);
-        } else {
-            self.l1i.copy_full_from(l1i);
-            self.l1d.copy_full_from(l1d);
-            self.l2.copy_full_from(l2);
-            self.mem.restore_from(mem);
-        }
+        self.l1i.restore_from(l1i);
+        self.l1d.restore_from(l1d);
+        self.l2.restore_from(l2);
+        self.mem.restore_from(mem);
         self.itlb.restore_from(itlb);
         self.dtlb.restore_from(dtlb);
-        self.base = id;
     }
 
     /// The hierarchy's share of
@@ -238,7 +211,7 @@ impl Hierarchy {
     /// part by its own comparison, the likeliest to differ first.
     pub fn converged_with(&self, snap: &Hierarchy) -> bool {
         #[rustfmt::skip]
-        let Hierarchy { l1i, l1d, l2, itlb, dtlb, mem, lat, prefetch_next_line, base: _ } = self;
+        let Hierarchy { l1i, l1d, l2, itlb, dtlb, mem, lat, prefetch_next_line } = self;
         (lat, prefetch_next_line) == (&snap.lat, &snap.prefetch_next_line)
             && itlb.converged_with(&snap.itlb)
             && dtlb.converged_with(&snap.dtlb)

@@ -39,7 +39,6 @@ pub const PAGE_BYTES: u32 = 4096;
 /// Page size as a usize (copy-on-write granularity).
 pub const PAGE_SIZE: usize = PAGE_BYTES as usize;
 const NUM_PAGES: usize = (MEM_SIZE as usize) / PAGE_SIZE;
-const DIRTY_WORDS: usize = NUM_PAGES.div_ceil(64);
 
 type Page = [u8; PAGE_SIZE];
 
@@ -86,14 +85,6 @@ impl std::error::Error for MemFault {}
 pub struct Memory {
     pages: Vec<Arc<Page>>,
     code_limit: u32,
-    /// Bitset of pages this image has written since the last
-    /// [`Memory::clear_tracking`] / restore. A restore against the image the
-    /// tracking epoch started from ([`Memory::restore_from_dirty`]) only has
-    /// to look at these pages instead of `ptr_eq`-scanning all of them.
-    dirty: [u64; DIRTY_WORDS],
-    /// Pages examined by restore calls — instrumentation for the dirty-path
-    /// regression tests.
-    restore_pages_scanned: u64,
 }
 
 impl Memory {
@@ -105,14 +96,7 @@ impl Memory {
         Memory {
             pages: (0..NUM_PAGES).map(|_| zero_page()).collect(),
             code_limit,
-            dirty: [0; DIRTY_WORDS],
-            restore_pages_scanned: 0,
         }
-    }
-
-    #[inline]
-    fn mark_dirty(&mut self, page: usize) {
-        self.dirty[page >> 6] |= 1u64 << (page & 63);
     }
 
     /// End of the code region (exclusive).
@@ -166,7 +150,6 @@ impl Memory {
         while !src.is_empty() {
             let (pi, off) = (a / PAGE_SIZE, a % PAGE_SIZE);
             let n = src.len().min(PAGE_SIZE - off);
-            self.mark_dirty(pi);
             Arc::make_mut(&mut self.pages[pi])[off..off + n].copy_from_slice(&src[..n]);
             src = &src[n..];
             a += n;
@@ -207,7 +190,6 @@ impl Memory {
     /// Raw byte write (no protection check); used when loading images.
     pub fn write_u8(&mut self, addr: u32, v: u8) {
         let a = addr as usize;
-        self.mark_dirty(a / PAGE_SIZE);
         Arc::make_mut(&mut self.pages[a / PAGE_SIZE])[a % PAGE_SIZE] = v;
     }
 
@@ -232,55 +214,15 @@ impl Memory {
     /// contents: pages already shared with `src` are left untouched; any
     /// page this image split off (dirtied) is dropped and re-pointed at
     /// `src`'s page. Cost is O(pages) pointer compares plus O(dirty) `Arc`
-    /// swaps. After the restore this image shares every page with `src`, so
-    /// the dirty tracking restarts from a clean epoch.
+    /// swaps; afterwards this image shares every page with `src`.
     pub fn restore_from(&mut self, src: &Memory) {
-        #[rustfmt::skip] // tracking and instrumentation are each image's own
-        let Memory { pages, code_limit, dirty: _, restore_pages_scanned: _ } = src;
+        let Memory { pages, code_limit } = src;
         debug_assert_eq!(self.pages.len(), pages.len());
         self.code_limit = *code_limit;
-        self.restore_pages_scanned += self.pages.len() as u64;
         for (d, s) in self.pages.iter_mut().zip(pages) {
             if !Arc::ptr_eq(d, s) {
                 *d = Arc::clone(s);
             }
-        }
-        self.dirty = [0; DIRTY_WORDS];
-    }
-
-    /// Like [`Memory::restore_from`], but trusting the dirty-page bitset:
-    /// only pages written since the tracking epoch started are examined,
-    /// making restore O(dirtied pages) instead of O(all pages).
-    ///
-    /// Sound only when this image was bit-identical to `src` (and all-shared
-    /// with it) when the current tracking epoch began — i.e. `src` is the
-    /// same immutable snapshot image this one was spawned from or last
-    /// restored to. The caller owns that gating (the `Sim` uses its
-    /// snapshot-id check); when in doubt use the full-scan
-    /// [`Memory::restore_from`].
-    pub fn restore_from_dirty(&mut self, src: &Memory) {
-        #[rustfmt::skip]
-        let Memory { pages, code_limit, dirty: _, restore_pages_scanned: _ } = src;
-        debug_assert_eq!(self.pages.len(), pages.len());
-        self.code_limit = *code_limit;
-        for (w, word) in self.dirty.iter_mut().enumerate() {
-            let mut bits = *word;
-            while bits != 0 {
-                let pi = (w << 6) | bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.restore_pages_scanned += 1;
-                if !Arc::ptr_eq(&self.pages[pi], &pages[pi]) {
-                    self.pages[pi] = Arc::clone(&pages[pi]);
-                }
-            }
-            *word = 0;
-        }
-        #[cfg(debug_assertions)]
-        for (pi, (d, s)) in self.pages.iter().zip(pages).enumerate() {
-            debug_assert!(
-                Arc::ptr_eq(d, s),
-                "page {pi} diverged from the restore source without being marked dirty"
-            );
         }
     }
 
@@ -289,31 +231,9 @@ impl Memory {
     /// same bytes everywhere. A page the two images still share is equal
     /// without being read.
     pub fn converged_with(&self, snap: &Memory) -> bool {
-        #[rustfmt::skip]
-        let Memory { pages, code_limit, dirty: _, restore_pages_scanned: _ } = self;
+        let Memory { pages, code_limit } = self;
         *code_limit == snap.code_limit
             && (pages.iter().zip(&snap.pages)).all(|(a, b)| Arc::ptr_eq(a, b) || a == b)
-    }
-
-    /// Starts a fresh dirty-tracking epoch: this image is (or is about to
-    /// be made) bit-identical to some base image, and subsequent writes are
-    /// what [`Memory::restore_from_dirty`] will undo.
-    pub fn clear_tracking(&mut self) {
-        self.dirty = [0; DIRTY_WORDS];
-    }
-
-    /// Number of pages this image has written since the tracking epoch
-    /// started.
-    pub fn dirty_page_count(&self) -> usize {
-        self.dirty.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Cumulative count of pages examined by restore calls
-    /// ([`Memory::restore_from`] counts every page; `restore_from_dirty`
-    /// counts only the dirtied ones) — the regression-test observable for
-    /// the dirty-path optimisation.
-    pub fn restore_pages_scanned(&self) -> u64 {
-        self.restore_pages_scanned
     }
 
     /// Number of pages physically shared (same backing allocation) between
@@ -435,47 +355,6 @@ mod tests {
         assert_eq!(b.read_u8(DATA_BASE + 1), 0xCC);
         assert_eq!(a.read_u32(DATA_BASE), 7);
         assert_eq!(a.read_u8(DATA_BASE + 1), 0);
-    }
-
-    #[test]
-    fn dirty_restore_touches_only_dirtied_pages() {
-        let mut base = Memory::new(0x1000);
-        base.load_image(DATA_BASE, &[7u8; 64]);
-        let mut scratch = base.clone();
-        scratch.clear_tracking(); // epoch starts: scratch ≡ base, all shared
-        scratch.write_u8(DATA_BASE, 1);
-        scratch.write_u8(DATA_BASE + PAGE_BYTES, 2);
-        scratch.write_u32(OUTPUT_BASE, 3);
-        assert_eq!(scratch.dirty_page_count(), 3);
-        let before = scratch.restore_pages_scanned();
-        scratch.restore_from_dirty(&base);
-        assert_eq!(
-            scratch.restore_pages_scanned() - before,
-            3,
-            "dirty restore must scan exactly the dirtied pages, not all {}",
-            base.page_count()
-        );
-        assert_eq!(scratch.shared_pages_with(&base), base.page_count());
-        assert_eq!(scratch.read_u8(DATA_BASE), 7);
-        assert_eq!(scratch.read_u32(OUTPUT_BASE), 0);
-        // The epoch reset: a second dirty restore scans nothing.
-        let before = scratch.restore_pages_scanned();
-        scratch.restore_from_dirty(&base);
-        assert_eq!(scratch.restore_pages_scanned() - before, 0);
-    }
-
-    #[test]
-    fn full_restore_resets_the_tracking_epoch() {
-        let base = Memory::new(0x1000);
-        let mut scratch = base.clone();
-        scratch.write_u8(DATA_BASE, 9);
-        scratch.restore_from(&base); // full scan, then tracking restarts
-        assert_eq!(scratch.dirty_page_count(), 0);
-        scratch.write_u8(DATA_BASE, 5);
-        let before = scratch.restore_pages_scanned();
-        scratch.restore_from_dirty(&base);
-        assert_eq!(scratch.restore_pages_scanned() - before, 1);
-        assert_eq!(scratch.read_u8(DATA_BASE), 0);
     }
 
     #[test]

@@ -1,26 +1,21 @@
 //! Snapshot, restore, compare: the three walks over the whole machine.
 //!
-//! [`Sim::restore_impl`] destructures its source and [`Sim::converged_with`]
-//! destructures `self` *exhaustively* — no `..` — and every part does the
-//! same for its own struct, so a field added to `Sim` or to a part does not
-//! compile until it is filed in both walks, as state (restored, compared) or
-//! as bookkeeping. Each walk is one line per part.
+//! [`Sim::restore_from_sim`] destructures its source and
+//! [`Sim::converged_with`] destructures `self` *exhaustively* — no `..` —
+//! and every part does the same for its own struct, so a field added to
+//! `Sim` or to a part does not compile until it is filed in both walks, as
+//! state (restored, compared) or as bookkeeping. Each walk is one line per
+//! part.
 
 use super::{ring_order, RunScratch, Sim};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static NEXT_SNAPSHOT_ID: AtomicU64 = AtomicU64::new(1);
 
 /// An immutable image of a [`Sim`] at one instant, taken with
-/// [`Sim::snapshot`].
-///
-/// The unique snapshot id gates the journaled O(dirty) cache restore: a
-/// scratch simulator remembers which snapshot it was last synchronised with
-/// and only trusts its dirty-line journal against that same snapshot.
+/// [`Sim::snapshot`]: a simulator to [`spawn`](Snapshot::spawn) copies of,
+/// rewind others to ([`Sim::restore_from`]) and compare them with
+/// ([`Sim::converged_with`]).
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     sim: Sim,
-    id: u64,
 }
 
 impl Snapshot {
@@ -34,59 +29,38 @@ impl Snapshot {
         &self.sim
     }
 
-    /// Builds a scratch simulator synchronised with this snapshot, eligible
-    /// for the fast journaled restore on subsequent
-    /// [`Sim::restore_from`] calls.
+    /// A new simulator in this snapshot's state: a `Clone`, so memory
+    /// pages stay shared with the snapshot until written.
     pub fn spawn(&self) -> Sim {
-        let mut s = self.sim.clone();
-        s.hier.rebase(self.id);
-        s
+        self.sim.clone()
     }
 }
 
 impl Sim {
     /// Captures an immutable image of the full machine state.
     ///
-    /// The capture itself is a `Clone` (memory pages are copy-on-write
-    /// shared, so it is far cheaper than a deep copy); the payoff is
-    /// [`Sim::restore_from`], which rewinds a scratch simulator to the
-    /// snapshot in O(dirty state) without allocating.
+    /// The capture is a `Clone`: memory pages are copy-on-write shared, so
+    /// it is far cheaper than a deep copy.
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            sim: self.clone(),
-            id: NEXT_SNAPSHOT_ID.fetch_add(1, Ordering::Relaxed),
-        }
+        Snapshot { sim: self.clone() }
     }
 
-    /// Rewinds this simulator to `snap`'s state in place, reusing every
-    /// existing allocation.
-    ///
-    /// Memory re-attaches to the snapshot's pages (CoW: only pages this
-    /// simulator dirtied are re-pointed). Caches use their dirty-line
-    /// journal when this simulator was last synchronised with the *same*
-    /// snapshot (the common campaign case: one worker hammering one
-    /// checkpoint), and fall back to a full — but still allocation-free —
-    /// copy when switching checkpoints. A restored simulator behaves
+    /// Rewinds this simulator to `snap`'s state in place, as
+    /// [`Sim::restore_from_sim`] does. A restored simulator behaves
     /// bit-identically to a fresh `snap.spawn()`.
     pub fn restore_from(&mut self, snap: &Snapshot) {
-        self.restore_impl(&snap.sim, Some(snap.id));
+        self.restore_from_sim(&snap.sim);
     }
 
-    /// Rewinds this simulator to the state of another *live* simulator —
-    /// the shared-prefix fork primitive: a campaign batch advances one
-    /// fault-free carrier, then forks each injected run off it at its
-    /// injection cycle.
+    /// Rewinds this simulator to the state of another simulator in place,
+    /// reusing every existing allocation — the fork primitive: a campaign
+    /// batch advances one fault-free carrier, then forks each injected run
+    /// off it at its injection cycle.
     ///
-    /// There is no snapshot id to certify the dirty-line and dirty-page
-    /// journals against, so caches and memory take the full (still
-    /// allocation-free) restore path; subsequent [`Sim::restore_from`]
-    /// calls also fall back to full copies until re-based on a snapshot.
+    /// Memory re-attaches to `src`'s pages (copy-on-write: only pages this
+    /// simulator dirtied are re-pointed); every other part is copied into
+    /// the buffers this simulator already owns.
     pub fn restore_from_sim(&mut self, src: &Sim) {
-        self.restore_impl(src, None);
-    }
-
-    /// Both restores; `id` is the snapshot `src` belongs to, if any.
-    fn restore_impl(&mut self, src: &Sim, id: Option<u64>) {
         #[rustfmt::skip] // one line per class, no `..`: see the module header
         let Sim {
             // Bookkeeping, not restored: the configuration is the same one
@@ -121,7 +95,7 @@ impl Sim {
         }
         self.lq.restore_from(lq);
         self.sq.restore_from(sq);
-        self.hier.restore_from(hier, id);
+        self.hier.restore_from(hier);
         self.pred.restore_from(pred);
     }
 
@@ -159,8 +133,8 @@ impl Sim {
         let Sim {
             // Bookkeeping — the past, or this simulator's own accounting:
             // counters and the deviation go into the report, the stamps
-            // guard the restore paths, and the fault cursor is spent once
-            // every armed fault is applied (checked below).
+            // guard the restore, and the fault cursor is spent once every
+            // armed fault is applied (checked below).
             stats: _, first_deviation: _, first_inject_cycle: _, rob_stamp: _, faults_next: _,
             // Scalars and latches, by `==`.
             cfg, cycle, seq_next, front, sched, output_addr, output_len, commit_index,

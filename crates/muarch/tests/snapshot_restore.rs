@@ -105,9 +105,8 @@ fn restore_reproduces_fresh_spawn_report() {
 
 #[test]
 fn restore_across_different_snapshots_stays_exact() {
-    // Switching a scratch simulator between checkpoints exercises the
-    // full-copy fallback; coming back to a snapshot re-arms the journaled
-    // fast path. Both must stay bit-exact.
+    // A scratch simulator switched between checkpoints, and brought back
+    // to one it left, must stay bit-exact on every restore.
     let p = sum_program(900);
     let cfg = MuarchConfig::big();
     let golden = capture_golden(&p, &cfg, MAX);
@@ -348,7 +347,7 @@ fn rewound_simulators_converge(cfg: MuarchConfig) {
         let snap = carrier.snapshot();
         assert!(carrier.converged_with(&snap), "the snapshotted sim @ {at}");
         assert!(snap.spawn().converged_with(&snap), "spawn @ {at}");
-        // Both scratches arrive mid-flight somewhere else, journals dirty.
+        // Both scratches arrive mid-flight somewhere else, state dirty.
         assert!(!by_snapshot.converged_with(&snap) && !by_sim.converged_with(&snap));
         by_snapshot.restore_from(&snap);
         assert!(by_snapshot.converged_with(&snap), "restore_from @ {at}");

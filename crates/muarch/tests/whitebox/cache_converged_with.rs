@@ -47,8 +47,6 @@ fn replacement_state_and_live_tags_are_compared_exactly() {
         perturbed(&|c| c.tags[7] ^= (valid - 1) | dirty),
         "every dead bit"
     );
-    assert!(perturbed(&|c| c.clear_tracking()), "the journal");
-    assert!(perturbed(&|c| c.touched.push(3)), "the journal");
 }
 
 #[test]

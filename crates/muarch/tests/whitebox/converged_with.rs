@@ -314,7 +314,6 @@ fn a_perturbation_flips_the_answer_exactly_where_the_state_is_live() {
             p("rob_stamp", |s| s.rob_stamp[s.rob.head()] += 1),
             p("scratch generation", |s| s.scratch.gen += 1),
             p("recorded trace", |s| s.scratch.trace.clear()),
-            p("hierarchy base", |s| s.hier.base = None),
             p("first_deviation", |s| {
                 s.first_deviation = Some(Deviation {
                     index: 0,
@@ -386,16 +385,11 @@ fn a_perturbation_flips_the_answer_exactly_where_the_state_is_live() {
             p("l2 data, invalid line", move |s| {
                 s.hier.l2.flip(Array::Data, l2_invalid, 0)
             }),
-            p("cache journals", |s| {
-                s.hier.l1d.clear_tracking();
-                s.hier.l2.clear_tracking()
-            }),
             p("memory page split, same bytes", |s| {
                 s.hier
                     .mem
                     .write_u8(DATA_BASE, s.hier.mem.read_u8(DATA_BASE))
             }),
-            p("memory dirty set", |s| s.hier.mem.clear_tracking()),
         ];
         for (what, perturb) in &must_flip {
             let mut s = sim.clone();
