@@ -18,27 +18,35 @@
 //! with the [exhaustive SFI baseline](pipeline::exhaustive) and an
 //! [ACE-analysis baseline](ace) for comparison, and [FIT](fit) reporting.
 //!
+//! Only phase 2 simulates, and it is one campaign in [`avgi_mode`];
+//! phases 3–5 are a fold over its results,
+//! [`AvgiAssessment::from_campaign`]. [`assess`] is the two in one call;
+//! running the campaign yourself lets you observe, shard or distribute it.
+//!
 //! ```no_run
-//! use avgi_core::pipeline::{assess, exhaustive, AvgiOptions};
+//! use avgi_core::pipeline::{avgi_mode, exhaustive, AvgiAssessment, AvgiOptions};
 //! use avgi_core::weights::learn_weights;
-//! use avgi_faultsim::golden_for;
+//! use avgi_faultsim::{golden_for, run_campaign};
 //! use avgi_muarch::{MuarchConfig, Structure};
 //!
 //! let cfg = MuarchConfig::big();
 //! let workloads = avgi_workloads::all();
+//! let structure = Structure::RegFile;
 //! // Learn weights from exhaustive campaigns on all-but-one workload...
 //! let analyses: Vec<_> = workloads[1..]
 //!     .iter()
 //!     .map(|w| {
 //!         let golden = golden_for(w, &cfg);
-//!         exhaustive(w, &cfg, &golden, Structure::RegFile, 500, 1).analysis
+//!         exhaustive(w, &cfg, &golden, structure, 500, 1).analysis
 //!     })
 //!     .collect();
 //! let weights = learn_weights(&analyses, None);
-//! // ...then assess the held-out workload with AVGI.
+//! // ...then run the held-out workload's AVGI campaign and fold it.
 //! let target = &workloads[0];
 //! let golden = golden_for(target, &cfg);
-//! let report = assess(target, &cfg, &golden, &weights, &AvgiOptions::default());
+//! let ccfg = AvgiOptions::default().campaign(structure, avgi_mode(structure, golden.cycles));
+//! let campaign = run_campaign(target, &cfg, &golden, &ccfg);
+//! let report = AvgiAssessment::from_campaign(&campaign, target.output_bytes(), &weights);
 //! println!("{}: {}", target.name, report.predicted);
 //! ```
 
@@ -61,8 +69,8 @@ pub use esc::EscModel;
 pub use fit::{chip_fit, structure_fit, RAW_FIT_PER_BIT};
 pub use imm::{FaultEffect, Imm, ImmClass, NUM_EFFECTS, NUM_IMMS};
 pub use pipeline::{
-    assess, exhaustive, exhaustive_observed, AvgiAssessment, AvgiOptions, ExhaustiveAssessment,
+    assess, avgi_mode, exhaustive, AvgiAssessment, AvgiOptions, ExhaustiveAssessment,
 };
 pub use report::{grid_report, imm_collector, imm_labels, EffectDistribution, TelemetrySummary};
-pub use study::{leave_one_out, Study, StudyRow};
+pub use study::{leave_one_out, leave_one_out_with, Study, StudyRow};
 pub use weights::{learn_weights, WeightTable};

@@ -3,10 +3,16 @@
 //! | phase | what happens | where |
 //! |-------|--------------|-------|
 //! | 1 Configuration | program, fault list, target structure | [`AvgiOptions`] |
-//! | 2 Microarchitecture-detailed simulation | run until the fault reaches commit, bounded by the ERT window | `RunMode::FirstDeviation` |
+//! | 2 Microarchitecture-detailed simulation | run until the fault reaches commit, bounded by the ERT window | [`avgi_mode`] |
 //! | 3 IMM classification | first deviation → one of the eight IMMs | [`crate::classify`] |
 //! | 4 Effects classification | per-structure IMM weights + ESC estimation | [`crate::weights`], [`crate::esc`] |
 //! | 5 Final cross-layer AVF | assemble the Masked/SDC/Crash report | [`AvgiAssessment`] |
+//!
+//! Phase 2 is the only one that simulates: it is one campaign, and whoever
+//! runs it chooses how (observed, sharded, in-process). Phases 3–5 are a
+//! pure fold over its results, [`AvgiAssessment::from_campaign`].
+//! [`assess`] and [`exhaustive`] run the campaign with
+//! [`avgi_faultsim::run_campaign`] and fold it.
 
 use crate::analysis::JointAnalysis;
 use crate::classify::classify_injection;
@@ -15,8 +21,7 @@ use crate::esc::EscModel;
 use crate::imm::{FaultEffect, Imm, ImmClass, NUM_IMMS};
 use crate::report::EffectDistribution;
 use crate::weights::WeightTable;
-use avgi_faultsim::telemetry::CampaignObserver;
-use avgi_faultsim::{run_campaign, CampaignConfig, RunMode};
+use avgi_faultsim::{run_campaign, CampaignConfig, CampaignResult, RunMode};
 use avgi_muarch::config::MuarchConfig;
 use avgi_muarch::fault::Structure;
 use avgi_muarch::trace::GoldenRun;
@@ -30,14 +35,6 @@ pub struct AvgiOptions {
     pub faults: usize,
     /// Sampling seed.
     pub seed: u64,
-    /// Apply the effective-residency-time stop (insight 3). Disable to
-    /// measure the contribution of insights 1–2 alone, as Table II does.
-    pub use_ert: bool,
-    /// Override the ERT window (cycles); `None` uses
-    /// [`default_ert_window`].
-    pub ert_window: Option<u64>,
-    /// ESC estimation model.
-    pub esc: EscModel,
 }
 
 impl Default for AvgiOptions {
@@ -45,10 +42,23 @@ impl Default for AvgiOptions {
         AvgiOptions {
             faults: 2_000,
             seed: 0xA461_0001,
-            use_ert: true,
-            ert_window: None,
-            esc: EscModel::default(),
         }
+    }
+}
+
+impl AvgiOptions {
+    /// The campaign on `structure` in `mode` at this budget and seed.
+    pub fn campaign(&self, structure: Structure, mode: RunMode) -> CampaignConfig {
+        CampaignConfig::new(structure, self.faults, mode).with_seed(self.seed)
+    }
+}
+
+/// The phase-2 run mode of the AVGI flow on `structure`: stop at the first
+/// commit-trace deviation, or at the structure's [`default_ert_window`]
+/// after injection, whichever comes first.
+pub fn avgi_mode(structure: Structure, golden_cycles: u64) -> RunMode {
+    RunMode::FirstDeviation {
+        ert_window: Some(default_ert_window(structure, golden_cycles)),
     }
 }
 
@@ -75,15 +85,86 @@ pub struct AvgiAssessment {
     pub cost_cycles: u64,
 }
 
-/// Runs the full AVGI methodology for one (workload, structure) pair.
+impl AvgiAssessment {
+    /// Phases 3–5 over a finished phase-2 campaign: classify every run into
+    /// its IMM, weigh the IMM histogram with `weights`, fold in the ESC
+    /// estimate for a program writing `output_bytes`, and assemble the
+    /// report.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` were learned for another structure than the
+    /// campaign's.
+    pub fn from_campaign(
+        campaign: &CampaignResult,
+        output_bytes: u32,
+        weights: &WeightTable,
+    ) -> Self {
+        let structure = campaign.structure;
+        assert_eq!(weights.structure, structure, "weights of another structure");
+        // Phase 3: IMM classification.
+        let mut imm_counts = [0u64; NUM_IMMS];
+        let mut benign = 0u64;
+        for r in &campaign.results {
+            match classify_injection(r) {
+                ImmClass::Benign => benign += 1,
+                ImmClass::Manifested(i) => imm_counts[i.index()] += 1,
+            }
+        }
+        let total = campaign.len() as u64;
+
+        // Phase 4: weights + ESC estimation.
+        let esc_estimate = if structure.is_esc_eligible() {
+            EscModel::default().esc_count(output_bytes, total, benign)
+        } else {
+            0.0
+        };
+        let mut masked = benign as f64 - esc_estimate;
+        let mut sdc = esc_estimate;
+        let mut crash = 0.0;
+        for imm in Imm::all() {
+            let n = imm_counts[imm.index()] as f64;
+            masked += n * weights.weight(*imm, FaultEffect::Masked);
+            sdc += n * weights.weight(*imm, FaultEffect::Sdc);
+            crash += n * weights.weight(*imm, FaultEffect::Crash);
+        }
+        // IMMs with no training support contribute nothing above; renormalize
+        // over what was distributed so the report stays a distribution.
+        let distributed = masked + sdc + crash;
+        let predicted = if distributed > 0.0 {
+            EffectDistribution {
+                masked: masked / distributed,
+                sdc: sdc / distributed,
+                crash: crash / distributed,
+            }
+        } else {
+            EffectDistribution {
+                masked: 1.0,
+                sdc: 0.0,
+                crash: 0.0,
+            }
+        };
+
+        // Phase 5: assemble.
+        AvgiAssessment {
+            workload: campaign.workload.clone(),
+            structure,
+            predicted,
+            imm_counts,
+            benign,
+            esc_estimate,
+            total,
+            cost_cycles: campaign.total_post_inject_cycles(),
+        }
+    }
+}
+
+/// Runs the full AVGI methodology for one (workload, structure) pair: the
+/// [`avgi_mode`] campaign on the weight table's structure, then
+/// [`AvgiAssessment::from_campaign`].
 ///
 /// `weights` must have been learned on *other* workloads (leave-one-out)
 /// for an honest accuracy evaluation.
-///
-/// # Panics
-///
-/// Panics if `weights.structure` differs from the requested structure
-/// implied by the weight table.
 pub fn assess(
     workload: &Workload,
     cfg: &MuarchConfig,
@@ -92,75 +173,9 @@ pub fn assess(
     opts: &AvgiOptions,
 ) -> AvgiAssessment {
     let structure = weights.structure;
-    // Phases 2-3: first-deviation campaign with the ERT stop.
-    let ert = if opts.use_ert {
-        Some(
-            opts.ert_window
-                .unwrap_or_else(|| default_ert_window(structure, golden.cycles)),
-        )
-    } else {
-        None
-    };
-    let mode = RunMode::FirstDeviation { ert_window: ert };
-    let campaign = run_campaign(
-        workload,
-        cfg,
-        golden,
-        &CampaignConfig::new(structure, opts.faults, mode).with_seed(opts.seed),
-    );
-    let mut imm_counts = [0u64; NUM_IMMS];
-    let mut benign = 0u64;
-    for r in &campaign.results {
-        match classify_injection(r) {
-            ImmClass::Benign => benign += 1,
-            ImmClass::Manifested(i) => imm_counts[i.index()] += 1,
-        }
-    }
-    let total = campaign.len() as u64;
-
-    // Phase 4: weights + ESC estimation.
-    let esc_estimate = if structure.is_esc_eligible() {
-        opts.esc.esc_count(workload.output_bytes(), total, benign)
-    } else {
-        0.0
-    };
-    let mut masked = benign as f64 - esc_estimate;
-    let mut sdc = esc_estimate;
-    let mut crash = 0.0;
-    for imm in Imm::all() {
-        let n = imm_counts[imm.index()] as f64;
-        masked += n * weights.weight(*imm, FaultEffect::Masked);
-        sdc += n * weights.weight(*imm, FaultEffect::Sdc);
-        crash += n * weights.weight(*imm, FaultEffect::Crash);
-    }
-    // IMMs with no training support contribute nothing above; renormalize
-    // over what was distributed so the report stays a distribution.
-    let distributed = masked + sdc + crash;
-    let predicted = if distributed > 0.0 {
-        EffectDistribution {
-            masked: masked / distributed,
-            sdc: sdc / distributed,
-            crash: crash / distributed,
-        }
-    } else {
-        EffectDistribution {
-            masked: 1.0,
-            sdc: 0.0,
-            crash: 0.0,
-        }
-    };
-
-    // Phase 5: assemble.
-    AvgiAssessment {
-        workload: workload.name.to_string(),
-        structure,
-        predicted,
-        imm_counts,
-        benign,
-        esc_estimate,
-        total,
-        cost_cycles: campaign.total_post_inject_cycles(),
-    }
+    let ccfg = opts.campaign(structure, avgi_mode(structure, golden.cycles));
+    let campaign = run_campaign(workload, cfg, golden, &ccfg);
+    AvgiAssessment::from_campaign(&campaign, workload.output_bytes(), weights)
 }
 
 /// The exhaustive (traditional, accelerated) SFI baseline: end-to-end runs
@@ -176,6 +191,19 @@ pub struct ExhaustiveAssessment {
     pub cost_cycles: u64,
 }
 
+impl ExhaustiveAssessment {
+    /// The baseline's fold over a finished [`RunMode::Instrumented`]
+    /// campaign.
+    pub fn from_campaign(campaign: &CampaignResult) -> Self {
+        let analysis = JointAnalysis::from_campaign(campaign);
+        ExhaustiveAssessment {
+            effect: EffectDistribution::from_array(analysis.effect_distribution()),
+            cost_cycles: campaign.total_post_inject_cycles(),
+            analysis,
+        }
+    }
+}
+
 /// Runs the exhaustive baseline for one (workload, structure) pair.
 pub fn exhaustive(
     workload: &Workload,
@@ -185,31 +213,8 @@ pub fn exhaustive(
     faults: usize,
     seed: u64,
 ) -> ExhaustiveAssessment {
-    exhaustive_observed(workload, cfg, golden, structure, faults, seed, None)
-}
-
-/// Like [`exhaustive`], but attaching a telemetry observer to the campaign
-/// (e.g. [`crate::report::imm_collector`] behind a
-/// [`avgi_faultsim::telemetry::ProgressObserver`]). Observation never
-/// changes the assessment.
-pub fn exhaustive_observed(
-    workload: &Workload,
-    cfg: &MuarchConfig,
-    golden: &Arc<GoldenRun>,
-    structure: Structure,
-    faults: usize,
-    seed: u64,
-    observer: Option<Arc<dyn CampaignObserver>>,
-) -> ExhaustiveAssessment {
-    let mut ccfg = CampaignConfig::new(structure, faults, RunMode::Instrumented).with_seed(seed);
-    ccfg.observer = observer;
-    let campaign = run_campaign(workload, cfg, golden, &ccfg);
-    let analysis = JointAnalysis::from_campaign(&campaign);
-    ExhaustiveAssessment {
-        effect: EffectDistribution::from_array(analysis.effect_distribution()),
-        cost_cycles: campaign.total_post_inject_cycles(),
-        analysis,
-    }
+    let ccfg = AvgiOptions { faults, seed }.campaign(structure, RunMode::Instrumented);
+    ExhaustiveAssessment::from_campaign(&run_campaign(workload, cfg, golden, &ccfg))
 }
 
 #[cfg(test)]
@@ -237,7 +242,6 @@ mod tests {
         let opts = AvgiOptions {
             faults: 60,
             seed: 2,
-            ..Default::default()
         };
         let a = assess(target, &cfg, &golden, &weights, &opts);
         assert!(a.predicted.is_normalized(), "{:?}", a.predicted);
@@ -263,7 +267,6 @@ mod tests {
         let opts = AvgiOptions {
             faults: 40,
             seed: 4,
-            ..Default::default()
         };
         let a = assess(&ws, &cfg, &golden, &weights, &opts);
         assert_eq!(a.esc_estimate, 0.0, "RF is not a cache data array");

@@ -6,17 +6,22 @@
 //! workloads and produce an AVGI assessment of the held-out one. Each
 //! [`StudyRow`] pairs ground truth with prediction and carries both
 //! campaigns' simulation costs.
+//!
+//! [`leave_one_out_with`] is the one place that knows which campaigns a
+//! study needs; the caller's executor runs them.
 
-use crate::pipeline::{assess, exhaustive, AvgiOptions, ExhaustiveAssessment};
+use crate::pipeline::{avgi_mode, AvgiAssessment, AvgiOptions, ExhaustiveAssessment};
 use crate::report::EffectDistribution;
 use crate::weights::learn_weights;
-use avgi_faultsim::verified_golden;
+use avgi_faultsim::{run_campaign, verified_golden, CampaignConfig, CampaignResult, RunMode};
 use avgi_muarch::config::MuarchConfig;
 use avgi_muarch::fault::Structure;
+use avgi_muarch::trace::GoldenRun;
 use avgi_workloads::Workload;
+use std::sync::Arc;
 
 /// One held-out workload's ground truth vs. AVGI prediction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StudyRow {
     /// Held-out workload name.
     pub workload: String,
@@ -63,11 +68,8 @@ impl Study {
     }
 }
 
-/// Runs the full leave-one-out evaluation for one structure.
-///
-/// `opts.seed`/`opts.faults` apply to both the training campaigns and the
-/// assessments. Golden runs come from [`verified_golden`], so every study
-/// in a process shares one verified capture per program.
+/// Runs the full leave-one-out evaluation for one structure, every
+/// campaign through [`run_campaign`].
 ///
 /// # Panics
 ///
@@ -78,17 +80,35 @@ pub fn leave_one_out(
     cfg: &MuarchConfig,
     opts: &AvgiOptions,
 ) -> Study {
-    let exhaustives: Vec<(ExhaustiveAssessment, std::sync::Arc<avgi_muarch::GoldenRun>)> =
-        workloads
-            .iter()
-            .map(|w| {
-                let golden = verified_golden(w, cfg).unwrap_or_else(|e| panic!("{e}"));
-                (
-                    exhaustive(w, cfg, &golden, structure, opts.faults, opts.seed),
-                    golden,
-                )
-            })
-            .collect();
+    leave_one_out_with(structure, workloads, cfg, opts, run_campaign)
+}
+
+/// [`leave_one_out`] with every campaign executed by `run`: per workload,
+/// first the [`RunMode::Instrumented`] ground truth and training campaign,
+/// then (once all of those are in) the [`avgi_mode`] assessment campaign,
+/// both at `opts.faults` and `opts.seed`. The rest is a fold over their
+/// results. Golden runs come from [`verified_golden`], so every study in a
+/// process shares one verified capture per program.
+///
+/// # Panics
+///
+/// Panics if a workload's golden run fails verification.
+pub fn leave_one_out_with(
+    structure: Structure,
+    workloads: &[Workload],
+    cfg: &MuarchConfig,
+    opts: &AvgiOptions,
+    mut run: impl FnMut(&Workload, &MuarchConfig, &Arc<GoldenRun>, &CampaignConfig) -> CampaignResult,
+) -> Study {
+    let exhaustives: Vec<(ExhaustiveAssessment, Arc<GoldenRun>)> = workloads
+        .iter()
+        .map(|w| {
+            let golden = verified_golden(w, cfg).unwrap_or_else(|e| panic!("{e}"));
+            let ccfg = opts.campaign(structure, RunMode::Instrumented);
+            let truth = ExhaustiveAssessment::from_campaign(&run(w, cfg, &golden, &ccfg));
+            (truth, golden)
+        })
+        .collect();
     let analyses: Vec<_> = exhaustives
         .iter()
         .map(|(e, _)| e.analysis.clone())
@@ -98,7 +118,9 @@ pub fn leave_one_out(
         .zip(&exhaustives)
         .map(|(w, (ex, golden))| {
             let weights = learn_weights(&analyses, Some(w.name));
-            let a = assess(w, cfg, golden, &weights, opts);
+            let ccfg = opts.campaign(structure, avgi_mode(structure, golden.cycles));
+            let campaign = run(w, cfg, golden, &ccfg);
+            let a = AvgiAssessment::from_campaign(&campaign, w.output_bytes(), &weights);
             StudyRow {
                 workload: w.name.to_string(),
                 real: ex.effect,
@@ -122,7 +144,6 @@ mod tests {
         let opts = AvgiOptions {
             faults: 50,
             seed: 5,
-            ..Default::default()
         };
         let s = leave_one_out(Structure::Dtlb, &workloads, &cfg, &opts);
         assert_eq!(s.rows.len(), 3);
@@ -133,5 +154,43 @@ mod tests {
         }
         assert!(s.speedup() >= 1.0);
         assert!(s.worst_diff() <= 1.0);
+    }
+
+    #[test]
+    fn a_study_is_two_campaigns_per_workload_through_the_callers_executor() {
+        let cfg = MuarchConfig::big();
+        let workloads: Vec<Workload> = ["bitcount", "crc32"]
+            .map(|n| avgi_workloads::by_name(n).expect("registered"))
+            .to_vec();
+        let opts = AvgiOptions {
+            faults: 12,
+            seed: 9,
+        };
+        let structure = Structure::RegFile;
+        let mut seen = Vec::new();
+        let study = leave_one_out_with(structure, &workloads, &cfg, &opts, |w, c, g, ccfg| {
+            seen.push((w.name, g.cycles, ccfg.mode, ccfg.faults, ccfg.seed));
+            run_campaign(w, c, g, ccfg)
+        });
+        let goldens: Vec<u64> = workloads
+            .iter()
+            .map(|w| verified_golden(w, &cfg).unwrap().cycles)
+            .collect();
+        let mut want: Vec<_> = workloads
+            .iter()
+            .zip(&goldens)
+            .map(|(w, &g)| (w.name, g, RunMode::Instrumented, 12, 9))
+            .collect();
+        want.extend(
+            workloads
+                .iter()
+                .zip(&goldens)
+                .map(|(w, &g)| (w.name, g, avgi_mode(structure, g), 12, 9)),
+        );
+        assert_eq!(seen, want);
+        assert_eq!(
+            study.rows,
+            leave_one_out(structure, &workloads, &cfg, &opts).rows
+        );
     }
 }

@@ -1,5 +1,5 @@
-//! The one argv parser of the `avgi` command, plus the three flag groups
-//! its commands share.
+//! The one argv parser of the `avgi` command, plus the flag groups its
+//! commands share (the experiment group is [`crate::Exp`]).
 //!
 //! [`Args`] is a pull cursor: a command asks for each flag it knows
 //! ([`flag`](Args::flag), [`value`](Args::value)) and then calls
@@ -10,10 +10,8 @@
 //! lets `run_experiments.sh --faults 8` override the budget each call site
 //! already names.
 
-use avgi_core::pipeline::AvgiOptions;
 use avgi_faultsim::{DurabilityPolicy, RunMode};
 use avgi_grid::{ConfigPreset, ServiceConfig, SubmitSpec};
-use avgi_muarch::config::MuarchConfig;
 use avgi_muarch::fault::Structure;
 use avgi_workloads::Workload;
 use std::path::PathBuf;
@@ -54,8 +52,13 @@ pub fn workload_list(s: &str) -> Option<Vec<Workload>> {
     s.split(',').map(avgi_workloads::by_name).collect()
 }
 
+/// Parses a count of at least one.
+pub fn positive(s: &str) -> Option<usize> {
+    usize::from_arg(s).filter(|&n| n > 0)
+}
+
 /// Parses `I/N` with `0 <= I < N` (0-based interleaved shard).
-fn shard(s: &str) -> Option<(usize, usize)> {
+pub fn shard(s: &str) -> Option<(usize, usize)> {
     let (i, n) = s.split_once('/')?;
     let (i, n) = (usize::from_arg(i)?, usize::from_arg(n)?);
     (i < n).then_some((i, n))
@@ -145,60 +148,6 @@ impl Args {
         if let Err(msg) = self.check() {
             eprintln!("{msg}");
             std::process::exit(2);
-        }
-    }
-}
-
-/// Common command-line options of the experiment commands.
-#[derive(Debug, Clone)]
-pub struct ExpArgs {
-    /// Faults per (structure, workload) campaign.
-    pub faults: usize,
-    /// Sampling seed.
-    pub seed: u64,
-    /// Use the small (Cortex-A15-like) configuration.
-    pub small: bool,
-    /// Restrict to one workload (tools that support it).
-    pub workload: Option<Workload>,
-    /// Write a machine-readable telemetry dump here.
-    pub metrics: Option<PathBuf>,
-    /// Minimum milliseconds between live progress lines.
-    pub progress_ms: u64,
-    /// Offline sharding: run only interleaved shard `I` of `N` of every
-    /// campaign (`--shard I/N`). Each shard is a uniform subsample, so
-    /// per-shard statistics remain unbiased; `N` processes (or machines)
-    /// cover the full sample between them.
-    pub shard: Option<(usize, usize)>,
-}
-
-impl ExpArgs {
-    /// Parses the whole argv of a command that takes only the common
-    /// options, with the given default sample size.
-    pub fn parse(mut a: Args, default_faults: usize) -> Self {
-        let args = ExpArgs {
-            faults: a.value("--faults N").unwrap_or(default_faults),
-            seed: a.value("--seed S").unwrap_or(0xA461_0001),
-            small: a.flag("--small"),
-            workload: a.value_with("--workload NAME", avgi_workloads::by_name),
-            metrics: a.value("--metrics PATH"),
-            progress_ms: a.value("--progress-ms N").unwrap_or(2_000),
-            shard: a.value_with("--shard I/N", shard),
-        };
-        a.finish();
-        args
-    }
-
-    /// The selected microarchitecture configuration.
-    pub fn config(&self) -> MuarchConfig {
-        preset(self.small).config()
-    }
-
-    /// The AVGI flow at this budget and seed (the leave-one-out studies).
-    pub fn avgi_options(&self) -> AvgiOptions {
-        AvgiOptions {
-            faults: self.faults,
-            seed: self.seed,
-            ..Default::default()
         }
     }
 }

@@ -7,7 +7,7 @@
 //! This quantifies *why* the default windows in
 //! [`avgi_core::ert::default_ert_window`] sit where they do.
 
-use crate::{campaign, pct, print_header, ExpArgs, golden};
+use crate::{golden, pct, print_header, Exp};
 use avgi_core::classify::classify_injection;
 use avgi_core::ImmClass;
 use avgi_faultsim::RunMode;
@@ -15,13 +15,13 @@ use avgi_muarch::fault::Structure;
 use std::process::ExitCode;
 
 pub fn run(a: crate::Args) -> ExitCode {
-    let args = ExpArgs::parse(a, 250);
-    let cfg = args.config();
+    let exp = Exp::parse(a, 250);
+    let cfg = &exp.cfg;
     let workloads = avgi_workloads::all();
     println!(
         "Ablation — ERT window sweep ({}, {} faults x {} workloads)",
         cfg.name,
-        args.faults,
+        exp.opts.faults,
         workloads.len()
     );
 
@@ -30,9 +30,9 @@ pub fn run(a: crate::Args) -> ExitCode {
         let mut reference_manifested = 0u64;
         let mut per_workload = Vec::new();
         for w in &workloads {
-            let golden = golden(w, &cfg);
+            let golden = golden(w, cfg);
             let mode = RunMode::FirstDeviation { ert_window: None };
-            let c = campaign(w, &cfg, &golden, structure, mode, &args);
+            let c = exp.run(w, cfg, &golden, &exp.opts.campaign(structure, mode));
             let manifested = c
                 .results
                 .iter()
@@ -58,7 +58,7 @@ pub fn run(a: crate::Args) -> ExitCode {
                 let mode = RunMode::FirstDeviation {
                     ert_window: Some(window),
                 };
-                let c = campaign(w, &cfg, golden, structure, mode, &args);
+                let c = exp.run(w, cfg, golden, &exp.opts.campaign(structure, mode));
                 cost += c.total_post_inject_cycles();
                 captured += c
                     .results
@@ -77,5 +77,6 @@ pub fn run(a: crate::Args) -> ExitCode {
         "\nthe knee of coverage-vs-cost is where the default windows sit; the paper's \
          'pessimistic timeframes' (§V.A) correspond to the high-coverage end."
     );
+    exp.finish();
     ExitCode::SUCCESS
 }

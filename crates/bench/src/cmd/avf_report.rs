@@ -5,22 +5,22 @@
 //! cargo run --release -p avgi-bench --bin avgi -- avf_report --faults 300
 //! ```
 
-use crate::{pct, print_header, ExpArgs, ExpTelemetry, golden};
+use crate::{golden, pct, print_header, Exp};
 use avgi_core::fit::structure_fit;
-use avgi_core::pipeline::exhaustive_observed;
+use avgi_core::pipeline::ExhaustiveAssessment;
+use avgi_faultsim::RunMode;
 use avgi_muarch::fault::Structure;
 use std::process::ExitCode;
 
-pub fn run(a: crate::Args) -> ExitCode {
-    let args = ExpArgs::parse(a, 250);
-    let telemetry = ExpTelemetry::from_args(&args);
-    let cfg = args.config();
-    let w = args
-        .workload
-        .clone()
+pub fn run(mut a: crate::Args) -> ExitCode {
+    let exp = Exp::claim(&mut a, 250, None);
+    let w = a
+        .value_with("--workload NAME", avgi_workloads::by_name)
         .unwrap_or_else(|| avgi_workloads::by_name("dijkstra").expect("registered"));
+    a.finish();
+    let cfg = &exp.cfg;
     {
-        let golden = golden(&w, &cfg);
+        let golden = golden(&w, cfg);
         println!(
             "\n=== {} ({} cycles, {} B output, {}) ===",
             w.name,
@@ -34,16 +34,9 @@ pub fn run(a: crate::Args) -> ExitCode {
         );
         let mut chip_fit = 0.0;
         for &s in Structure::all() {
-            let e = exhaustive_observed(
-                &w,
-                &cfg,
-                &golden,
-                s,
-                args.faults,
-                args.seed,
-                Some(telemetry.observer()),
-            );
-            let fit = structure_fit(s, &cfg, e.effect.avf());
+            let c = exp.run(&w, cfg, &golden, &exp.opts.campaign(s, RunMode::Instrumented));
+            let e = ExhaustiveAssessment::from_campaign(&c);
+            let fit = structure_fit(s, cfg, e.effect.avf());
             chip_fit += fit;
             println!(
                 "{:>11} {:>8} {:>8} {:>8} {:>8} {:>10.4}",
@@ -57,6 +50,6 @@ pub fn run(a: crate::Args) -> ExitCode {
         }
         println!("{:>11} {:>46.4}", "CHIP FIT", chip_fit);
     }
-    telemetry.finish();
+    exp.finish();
     ExitCode::SUCCESS
 }

@@ -3,15 +3,14 @@
 //! fast way to inspect the simulator's fault phenomenology and derive ERT
 //! windows and ESC calibration.
 
-use crate::{analysis_grid, pct, print_header, ExpArgs};
+use crate::{analysis_grid, pct, print_header, Exp};
 use avgi_core::imm::{FaultEffect, Imm};
 use avgi_muarch::fault::Structure;
 use std::process::ExitCode;
 
 pub fn run(a: crate::Args) -> ExitCode {
-    let args = ExpArgs::parse(a, 200);
-    let telemetry = crate::ExpTelemetry::from_args(&args);
-    let analyses = analysis_grid(Structure::all(), &args, &telemetry);
+    let exp = Exp::parse(a, 200);
+    let analyses = analysis_grid(Structure::all(), &exp);
 
     println!("\n== IMM distribution over corruptions (mean across workloads) ==");
     let mut cols = vec!["structure", "benign%"];
@@ -75,6 +74,6 @@ pub fn run(a: crate::Args) -> ExitCode {
             }
         }
     }
-    telemetry.finish();
+    exp.finish();
     ExitCode::SUCCESS
 }

@@ -5,15 +5,16 @@
 //! cannot see logical masking. Reproduce the per-workload comparison and
 //! the overestimation ratios.
 
-use crate::{pct, print_header, ExpArgs, golden};
+use crate::{golden, pct, print_header, Exp};
 use avgi_core::ace::ace_regfile;
-use avgi_core::pipeline::exhaustive;
+use avgi_core::pipeline::ExhaustiveAssessment;
+use avgi_faultsim::RunMode;
 use avgi_muarch::fault::Structure;
 use std::process::ExitCode;
 
 pub fn run(a: crate::Args) -> ExitCode {
-    let args = ExpArgs::parse(a, 400);
-    let cfg = args.config();
+    let exp = Exp::parse(a, 400);
+    let cfg = &exp.cfg;
     println!(
         "Fig. 1 — register-file AVF: SFI vs. ACE analysis ({})",
         cfg.name
@@ -25,18 +26,12 @@ pub fn run(a: crate::Args) -> ExitCode {
 
     let mut ratios = Vec::new();
     for w in avgi_workloads::all() {
-        let golden = golden(&w, &cfg);
-        let sfi = exhaustive(
-            &w,
-            &cfg,
-            &golden,
-            Structure::RegFile,
-            args.faults,
-            args.seed,
-        )
-        .effect
-        .avf();
-        let ace = ace_regfile(&golden, &cfg).avf();
+        let golden = golden(&w, cfg);
+        let ccfg = exp.opts.campaign(Structure::RegFile, RunMode::Instrumented);
+        let sfi = ExhaustiveAssessment::from_campaign(&exp.run(&w, cfg, &golden, &ccfg))
+            .effect
+            .avf();
+        let ace = ace_regfile(&golden, cfg).avf();
         let ratio = if sfi > 0.0 { ace / sfi } else { f64::INFINITY };
         ratios.push(ratio);
         println!(
@@ -55,5 +50,6 @@ pub fn run(a: crate::Args) -> ExitCode {
         finite.iter().copied().fold(f64::INFINITY, f64::min),
         finite.iter().copied().fold(0.0, f64::max),
     );
+    exp.finish();
     ExitCode::SUCCESS
 }

@@ -6,7 +6,7 @@
 //! (L1I data, L1D data, RF, ROB/LQ/SQ) and report the cross-workload
 //! spread.
 
-use crate::{analysis_grid, pct, print_header, ExpArgs};
+use crate::{analysis_grid, pct, print_header, Exp};
 use avgi_core::imm::{Imm, NUM_IMMS};
 use avgi_core::JointAnalysis;
 use avgi_muarch::fault::Structure;
@@ -60,11 +60,10 @@ fn panel(analyses: &[JointAnalysis], structure: Structure) {
 }
 
 pub fn run(a: crate::Args) -> ExitCode {
-    let args = ExpArgs::parse(a, 300);
-    let cfg = args.config();
+    let exp = Exp::parse(a, 300);
     println!(
         "Fig. 3 — IMM distribution per structure across workloads ({}, {} faults/cell)",
-        cfg.name, args.faults
+        exp.cfg.name, exp.opts.faults
     );
     let structures = [
         Structure::L1IData,
@@ -74,8 +73,7 @@ pub fn run(a: crate::Args) -> ExitCode {
         Structure::Lq,
         Structure::Sq,
     ];
-    let telemetry = crate::ExpTelemetry::from_args(&args);
-    let analyses = analysis_grid(&structures, &args, &telemetry);
+    let analyses = analysis_grid(&structures, &exp);
     for s in structures {
         panel(&analyses, s);
     }
@@ -83,6 +81,6 @@ pub fn run(a: crate::Args) -> ExitCode {
         "\npaper comparison: distributions are structure-specific and roughly uniform \
          across workloads; ROB/LQ/SQ manifest only as PRE."
     );
-    telemetry.finish();
+    exp.finish();
     ExitCode::SUCCESS
 }

@@ -6,20 +6,18 @@
 //! within a few percent. Print the three probability panels and the
 //! per-IMM standard deviations.
 
-use crate::{analysis_grid, pct, print_header, ExpArgs};
+use crate::{analysis_grid, pct, print_header, Exp};
 use avgi_core::imm::{FaultEffect, Imm, NUM_IMMS};
 use avgi_muarch::fault::Structure;
 use std::process::ExitCode;
 
 pub fn run(a: crate::Args) -> ExitCode {
-    let args = ExpArgs::parse(a, 400);
-    let cfg = args.config();
+    let exp = Exp::parse(a, 400);
     println!(
         "Fig. 4 — P(final effect | IMM) for L1I data across workloads ({}, {} faults/cell)",
-        cfg.name, args.faults
+        exp.cfg.name, exp.opts.faults
     );
-    let telemetry = crate::ExpTelemetry::from_args(&args);
-    let analyses = analysis_grid(&[Structure::L1IData], &args, &telemetry);
+    let analyses = analysis_grid(&[Structure::L1IData], &exp);
 
     for effect in FaultEffect::all() {
         println!("\n--- P({effect} | IMM) ---");
@@ -56,6 +54,6 @@ pub fn run(a: crate::Args) -> ExitCode {
         println!("{row}");
     }
     println!("\npaper comparison: per-IMM std-dev across workloads in the 0.1%-2.4% band.");
-    telemetry.finish();
+    exp.finish();
     ExitCode::SUCCESS
 }

@@ -6,22 +6,20 @@
 //! (e.g. IRP on the register file — the paper's "practically cannot
 //! happen" entries).
 
-use crate::{analysis_grid, pct, print_header, ExpArgs};
+use crate::{analysis_grid, pct, print_header, Exp};
 use avgi_core::imm::{FaultEffect, Imm};
 use avgi_core::weights::learn_weights;
 use avgi_muarch::fault::Structure;
 use std::process::ExitCode;
 
 pub fn run(a: crate::Args) -> ExitCode {
-    let args = ExpArgs::parse(a, 300);
-    let cfg = args.config();
+    let exp = Exp::parse(a, 300);
     println!(
         "Fig. 5 — IMM weights per structure ({}, {} faults/cell)",
-        cfg.name, args.faults
+        exp.cfg.name, exp.opts.faults
     );
-    let telemetry = crate::ExpTelemetry::from_args(&args);
     for &s in Structure::all() {
-        let analyses = analysis_grid(&[s], &args, &telemetry);
+        let analyses = analysis_grid(&[s], &exp);
         let table = learn_weights(&analyses, None);
         println!("\n--- {} ---", s.label());
         print_header(
@@ -54,6 +52,6 @@ pub fn run(a: crate::Args) -> ExitCode {
         "\npaper comparison: weights are structure-specific; unobserved IMMs (e.g. IRP/UNO/OFS \
          on the register file) match the paper's zero-probability entries."
     );
-    telemetry.finish();
+    exp.finish();
     ExitCode::SUCCESS
 }

@@ -7,20 +7,19 @@
 //! workload is one dot; here each row is one dot, with the ideal
 //! `predicted == real` diagonal expressed as the error column.
 
-use crate::{analysis_grid, print_header, ExpArgs};
+use crate::{analysis_grid, print_header, Exp};
 use avgi_core::esc::EscModel;
 use avgi_core::imm::Imm;
 use avgi_muarch::fault::Structure;
 use std::process::ExitCode;
 
 pub fn run(a: crate::Args) -> ExitCode {
-    let args = ExpArgs::parse(a, 400);
-    let cfg = args.config();
+    let exp = Exp::parse(a, 400);
     let workloads = avgi_workloads::all();
     let model = EscModel::default();
     println!(
         "Fig. 7 — predicted vs. real ESC fault counts ({}, {} faults/cell, scale {})",
-        cfg.name, args.faults, model.scale
+        exp.cfg.name, exp.opts.faults, model.scale
     );
 
     let structures = [
@@ -29,11 +28,10 @@ pub fn run(a: crate::Args) -> ExitCode {
         Structure::L2Tag,
         Structure::L2Data,
     ];
-    let telemetry = crate::ExpTelemetry::from_args(&args);
     let mut total_abs_err = 0.0;
     let mut rows = 0u32;
     for &s in &structures {
-        let analyses = analysis_grid(&[s], &args, &telemetry);
+        let analyses = analysis_grid(&[s], &exp);
         println!("\n--- {} ---", s.label());
         print_header(
             &[
@@ -63,6 +61,6 @@ pub fn run(a: crate::Args) -> ExitCode {
          paper reports small divergences around the diagonal that do not move the final AVF.",
         total_abs_err / f64::from(rows.max(1))
     );
-    telemetry.finish();
+    exp.finish();
     ExitCode::SUCCESS
 }

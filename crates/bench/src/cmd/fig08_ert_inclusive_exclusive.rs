@@ -5,23 +5,23 @@
 //! effective-residency-time window loses (virtually) no manifestations,
 //! so the IMM distribution is unchanged while the simulated cycles drop.
 
-use crate::{campaign, pct, print_header, ExpArgs, golden};
+use crate::{golden, pct, print_header, Exp};
 use avgi_core::classify::classify_injection;
-use avgi_core::ert::default_ert_window;
 use avgi_core::imm::{Imm, ImmClass, NUM_IMMS};
+use avgi_core::pipeline::avgi_mode;
 use avgi_faultsim::RunMode;
 use avgi_muarch::fault::Structure;
 use std::process::ExitCode;
 
 pub fn run(a: crate::Args) -> ExitCode {
-    let args = ExpArgs::parse(a, 400);
-    let cfg = args.config();
+    let exp = Exp::parse(a, 400);
+    let cfg = &exp.cfg;
     let structure = Structure::L1IData;
     println!(
         "Fig. 8 — IMM distribution inclusive vs. exclusive (ERT stop) for {} ({}, {} faults)",
         structure.label(),
         cfg.name,
-        args.faults
+        exp.opts.faults
     );
     let mut cols = vec!["workload", "mode", "cost Mcyc"];
     cols.extend(Imm::all().iter().map(|i| i.label()));
@@ -31,20 +31,18 @@ pub fn run(a: crate::Args) -> ExitCode {
     let mut pooled_inc = [0u64; NUM_IMMS];
     let mut pooled_exc = [0u64; NUM_IMMS];
     for w in avgi_workloads::all() {
-        let golden = golden(&w, &cfg);
+        let golden = golden(&w, cfg);
         // Inclusive: instrumented end-to-end.
-        let inc_campaign = campaign(&w, &cfg, &golden, structure, RunMode::Instrumented, &args);
+        let inclusive = exp.opts.campaign(structure, RunMode::Instrumented);
+        let inc_campaign = exp.run(&w, cfg, &golden, &inclusive);
         let inc = avgi_core::JointAnalysis::from_campaign(&inc_campaign);
         // Trace-visible distribution (ESC excluded), matching what the
         // exclusive (early-stopped) flow can observe.
         let inc_dist = inc.visible_imm_distribution();
         let inc_cost = inc_campaign.total_post_inject_cycles();
         // Exclusive: first-deviation + ERT window.
-        let window = default_ert_window(structure, golden.cycles);
-        let exclusive = RunMode::FirstDeviation {
-            ert_window: Some(window),
-        };
-        let exc_campaign = campaign(&w, &cfg, &golden, structure, exclusive, &args);
+        let exclusive = exp.opts.campaign(structure, avgi_mode(structure, golden.cycles));
+        let exc_campaign = exp.run(&w, cfg, &golden, &exclusive);
         let mut exc_counts = [0u64; NUM_IMMS];
         let mut corruptions = 0u64;
         let mut exc_cost = 0u64;
@@ -114,5 +112,6 @@ pub fn run(a: crate::Args) -> ExitCode {
         pct(pooled_diff),
         pct(worst_diff),
     );
+    exp.finish();
     ExitCode::SUCCESS
 }

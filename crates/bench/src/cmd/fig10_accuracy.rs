@@ -6,27 +6,27 @@
 //! The paper's claim: the distributions are virtually identical, SDC
 //! included.
 
-use crate::{pct, print_accuracy_tables, ExpArgs};
+use crate::{pct, print_accuracy_tables, Exp};
 use avgi_muarch::fault::Structure;
 use std::process::ExitCode;
 
 pub fn run(a: crate::Args) -> ExitCode {
-    let args = ExpArgs::parse(a, 250);
-    let cfg = args.config();
+    let exp = Exp::parse(a, 250);
     println!(
         "Fig. 10 — Real vs. AVGI fault-effect distributions ({}, {} faults/campaign)",
-        cfg.name, args.faults
+        exp.cfg.name, exp.opts.faults
     );
-    let (worst, sdc_worst) = print_accuracy_tables(Structure::all(), &cfg, &args, "avgi");
+    let (worst, sdc_worst) = print_accuracy_tables(Structure::all(), &exp, "avgi");
     let margin =
-        avgi_faultsim::error_margin(args.faults, avgi_faultsim::Confidence::C99).unwrap_or(1.0);
+        avgi_faultsim::error_margin(exp.opts.faults, avgi_faultsim::Confidence::C99).unwrap_or(1.0);
     println!(
         "\nworst per-class |real - AVGI| across all structures/workloads: {} \
          (SDC only: {}); statistical error margin at n={}: {}",
         pct(worst),
         pct(sdc_worst),
-        args.faults,
+        exp.opts.faults,
         pct(margin),
     );
+    exp.finish();
     ExitCode::SUCCESS
 }

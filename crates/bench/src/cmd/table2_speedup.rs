@@ -19,20 +19,20 @@
 //!   (the full AVGI flow; the paper's "Maximum Sim Cycles" column is the
 //!   window used).
 
-use crate::{campaign, campaign_under, print_header, ExpArgs, golden};
+use crate::{golden, print_header, Exp};
 use avgi_core::ert::default_ert_window;
-use avgi_faultsim::{CampaignConfig, MetricsCollector, RunMode};
+use avgi_core::pipeline::avgi_mode;
+use avgi_faultsim::RunMode;
 use avgi_muarch::fault::Structure;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 pub fn run(a: crate::Args) -> ExitCode {
-    let args = ExpArgs::parse(a, 200);
-    let cfg = args.config();
+    let exp = Exp::parse(a, 200);
+    let cfg = &exp.cfg;
     let workloads = avgi_workloads::all();
     println!(
         "Table II — assessment cost per structure, {} faults x {} workloads ({})",
-        args.faults,
+        exp.opts.faults,
         workloads.len(),
         cfg.name
     );
@@ -55,35 +55,33 @@ pub fn run(a: crate::Args) -> ExitCode {
     let mut grand_simulated = [0u64; 2]; // [traditional, full AVGI]
     for &s in Structure::all() {
         let mut cost = [0u64; 3]; // [traditional, first-deviation, full AVGI]
-        // What the traditional and the full-AVGI campaigns are charged but
-        // did not simulate.
-        let skipped = [(); 2].map(|()| Arc::new(MetricsCollector::new()));
+        // What each campaign is charged but did not simulate: the change in
+        // the command collector's `cycles_skipped` while it runs.
+        let mut skipped = [0u64; 3];
         let mut window_desc = String::new();
         for w in &workloads {
-            eprintln!("[table2] {} / {}", s, w.name);
-            let golden = golden(w, &cfg);
-            let window = default_ert_window(s, golden.cycles);
+            let golden = golden(w, cfg);
             window_desc = match s {
                 Structure::Rob | Structure::Lq | Structure::Sq => "3%".to_string(),
-                _ => format!("{window}"),
+                _ => format!("{}", default_ert_window(s, golden.cycles)),
             };
-            let traditional = CampaignConfig::new(s, args.faults, RunMode::EndToEnd)
-                .with_seed(args.seed)
-                .with_observer(skipped[0].clone());
-            cost[0] += campaign_under(w, &cfg, &golden, &traditional).total_post_inject_cycles();
-            let first_deviation = RunMode::FirstDeviation { ert_window: None };
-            cost[1] += campaign(w, &cfg, &golden, s, first_deviation, &args)
-                .total_post_inject_cycles();
-            let ert_window = Some(window);
-            let full = CampaignConfig::new(s, args.faults, RunMode::FirstDeviation { ert_window })
-                .with_seed(args.seed)
-                .with_observer(skipped[1].clone());
-            cost[2] += campaign_under(w, &cfg, &golden, &full).total_post_inject_cycles();
+            let modes = [
+                RunMode::EndToEnd,
+                RunMode::FirstDeviation { ert_window: None },
+                avgi_mode(s, golden.cycles),
+            ];
+            for (k, mode) in modes.into_iter().enumerate() {
+                let before = exp.metrics().cycles_skipped;
+                cost[k] += exp
+                    .run(w, cfg, &golden, &exp.opts.campaign(s, mode))
+                    .total_post_inject_cycles();
+                skipped[k] += exp.metrics().cycles_skipped - before;
+            }
         }
         for k in 0..3 {
             grand[k] += cost[k];
         }
-        let simulated = [0, 1].map(|k| cost[2 * k] - skipped[k].snapshot().cycles_skipped);
+        let simulated = [0, 2].map(|k| cost[k] - skipped[k]);
         for k in 0..2 {
             grand_simulated[k] += simulated[k];
         }
@@ -123,5 +121,6 @@ pub fn run(a: crate::Args) -> ExitCode {
         grand[2] as f64 / 1e6,
         grand_simulated[0] as f64 / grand_simulated[1].max(1) as f64,
     );
+    exp.finish();
     ExitCode::SUCCESS
 }

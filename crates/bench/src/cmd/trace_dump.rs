@@ -5,17 +5,17 @@
 //! cargo run --release -p avgi-bench --bin avgi -- trace_dump --workload sha
 //! ```
 
-use crate::{ExpArgs, golden};
+use crate::args::preset;
+use crate::golden;
 use avgi_isa::instr::disassemble;
 use std::process::ExitCode;
 
-pub fn run(a: crate::Args) -> ExitCode {
-    let args = ExpArgs::parse(a, 0);
-    let cfg = args.config();
-    let w = args
-        .workload
-        .clone()
+pub fn run(mut a: crate::Args) -> ExitCode {
+    let w = a
+        .value_with("--workload NAME", avgi_workloads::by_name)
         .unwrap_or_else(|| avgi_workloads::by_name("bitcount").expect("registered"));
+    let cfg = preset(a.flag("--small")).config();
+    a.finish();
     let golden = golden(&w, &cfg);
     println!(
         "golden trace of `{}` on {}: {} instructions, {} cycles (IPC {:.2})",

@@ -14,9 +14,9 @@
 //! `faultsim/tests/{batched_equivalence,convergence}.rs`); this command is
 //! the seconds-cheap gate that keeps every push honest.
 
-use crate::args::{preset, workload_list, FromArg};
+use crate::args::{positive, preset, workload_list};
 use crate::golden;
-use avgi_core::ert::default_ert_window;
+use avgi_core::pipeline::avgi_mode;
 use avgi_faultsim::{run_xcheck, run_xtier, CampaignConfig, RunMode};
 use avgi_muarch::fault::Structure;
 use std::process::ExitCode;
@@ -25,21 +25,14 @@ pub fn run(mut a: crate::Args) -> ExitCode {
     let workloads = a
         .value_with("--workloads A,B", workload_list)
         .unwrap_or_else(|| workload_list("bitcount,crc32").expect("registered"));
-    let positive = |s: &str| usize::from_arg(s).filter(|&n| n > 0);
-    let faults = a.value_with("--faults N", positive).unwrap_or(24);
+    let faults = a.value_with("--faults N>=1", positive).unwrap_or(24);
     let cfg = preset(a.flag("--small")).config();
     a.finish();
 
     for w in &workloads {
         let golden = golden(w, &cfg);
-        let window = default_ert_window(Structure::RegFile, golden.cycles);
-        let ccfg = CampaignConfig::new(
-            Structure::RegFile,
-            faults,
-            RunMode::FirstDeviation {
-                ert_window: Some(window),
-            },
-        );
+        let mode = avgi_mode(Structure::RegFile, golden.cycles);
+        let ccfg = CampaignConfig::new(Structure::RegFile, faults, mode);
         let fail = |what: &str, e: String| {
             eprintln!("FAIL: {}: {what} cross-check failed:\n{e}", w.name);
             ExitCode::FAILURE

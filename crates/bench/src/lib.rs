@@ -3,21 +3,25 @@
 //! One executable, `avgi`, with one command per table/figure of the paper
 //! (see `DESIGN.md` §3 for the index) plus the smoke provers and the grid
 //! front ends ([`cmd`]), over one argv parser ([`args`]) and shared
-//! plumbing: verified golden runs, campaign grids, fixed-width tables.
+//! plumbing: verified golden runs, the one campaign executor ([`Exp`]),
+//! fixed-width tables.
 //!
 //! Every experiment command accepts `--faults N` (sample size per campaign,
-//! default tuned to finish in minutes), `--seed S`, and `--small` (use the
-//! Cortex-A15-like configuration).
+//! at least one; the default is tuned to finish in minutes), `--seed S`,
+//! `--small` (use the Cortex-A15-like configuration; not on `fig12`, whose
+//! subject it is), `--metrics PATH`, `--progress-ms N` and `--shard I/N`.
 
 pub mod args;
 pub mod cmd;
 
-pub use args::{Args, ExpArgs};
+pub use args::Args;
 
-use avgi_core::study::leave_one_out;
+use args::{positive, preset, shard};
+use avgi_core::pipeline::AvgiOptions;
+use avgi_core::study::leave_one_out_with;
 use avgi_core::JointAnalysis;
-use avgi_faultsim::telemetry::{CampaignObserver, MetricsCollector, ProgressObserver};
-use avgi_faultsim::{run_campaign, verified_golden, CampaignConfig, CampaignResult, RunMode};
+use avgi_faultsim::telemetry::{MetricsSnapshot, ProgressObserver};
+use avgi_faultsim::{verified_golden, CampaignConfig, CampaignResult, RunMode, ShardRunner};
 use avgi_muarch::config::MuarchConfig;
 use avgi_muarch::fault::Structure;
 use avgi_muarch::trace::GoldenRun;
@@ -26,48 +30,100 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The experiment commands' telemetry bundle: an IMM-tallying
-/// [`MetricsCollector`] behind a stderr [`ProgressObserver`], plus the
-/// optional `metrics.json` destination from `--metrics`.
+/// An experiment command's campaign flags and the one executor every
+/// campaign it runs goes through.
 ///
-/// One bundle observes every campaign a command runs;
-/// [`finish`](ExpTelemetry::finish) prints the folded summary and writes
-/// the dump.
-pub struct ExpTelemetry {
-    collector: Arc<MetricsCollector>,
+/// [`run`](Exp::run) attaches the command's observer (an IMM-tallying
+/// [`avgi_faultsim::MetricsCollector`] behind a stderr
+/// [`ProgressObserver`]), runs only interleaved shard `I` of `N` under
+/// `--shard I/N`, and prints the campaign's health;
+/// [`finish`](Exp::finish) prints the folded telemetry summary and writes
+/// the `--metrics` dump.
+pub struct Exp {
+    /// Faults per campaign and sampling seed.
+    pub opts: AvgiOptions,
+    /// The microarchitecture configuration.
+    pub cfg: MuarchConfig,
+    /// Offline sharding: run only interleaved shard `I` of `N` of every
+    /// campaign (`--shard I/N`). Each shard is a uniform subsample, so
+    /// per-shard statistics remain unbiased; `N` processes (or machines)
+    /// cover the full sample between them.
+    shard: Option<(usize, usize)>,
     observer: Arc<ProgressObserver>,
-    metrics_path: Option<PathBuf>,
+    metrics: Option<PathBuf>,
 }
 
-impl ExpTelemetry {
-    /// Builds the bundle from parsed arguments.
-    pub fn from_args(args: &ExpArgs) -> Self {
-        let collector = Arc::new(avgi_core::imm_collector());
-        let observer = Arc::new(ProgressObserver::stderr(
-            collector.clone(),
-            Duration::from_millis(args.progress_ms),
-        ));
-        ExpTelemetry {
-            collector,
-            observer,
-            metrics_path: args.metrics.clone(),
+impl Exp {
+    /// Parses the whole argv of a command that takes only the experiment
+    /// flags, with the given default sample size.
+    pub fn parse(mut a: Args, default_faults: usize) -> Self {
+        let exp = Exp::claim(&mut a, default_faults, None);
+        a.finish();
+        exp
+    }
+
+    /// Claims the experiment flags from `a`. `cfg` fixes the configuration;
+    /// `None` lets `--small` choose it.
+    pub fn claim(a: &mut Args, default_faults: usize, cfg: Option<MuarchConfig>) -> Self {
+        let opts = AvgiOptions {
+            faults: a
+                .value_with("--faults N>=1", positive)
+                .unwrap_or(default_faults),
+            seed: a.value("--seed S").unwrap_or(0xA461_0001),
+        };
+        let cfg = cfg.unwrap_or_else(|| preset(a.flag("--small")).config());
+        let metrics = a.value("--metrics PATH");
+        let progress = Duration::from_millis(a.value("--progress-ms N").unwrap_or(2_000));
+        let observer = ProgressObserver::stderr(Arc::new(avgi_core::imm_collector()), progress);
+        Exp {
+            opts,
+            cfg,
+            shard: a.value_with("--shard I/N", shard),
+            observer: Arc::new(observer),
+            metrics,
         }
     }
 
-    /// The observer to attach to campaigns.
-    pub fn observer(&self) -> Arc<dyn CampaignObserver> {
-        self.observer.clone()
+    /// Runs the campaign `ccfg` describes under the command's observer —
+    /// only shard `I` of `N` under `--shard I/N` — and reports its health.
+    pub fn run(
+        &self,
+        workload: &Workload,
+        cfg: &MuarchConfig,
+        golden: &Arc<GoldenRun>,
+        ccfg: &CampaignConfig,
+    ) -> CampaignResult {
+        let (index, count) = self.shard.unwrap_or((0, 1));
+        let of = self
+            .shard
+            .map_or_else(String::new, |(i, n)| format!(", shard {i}/{n}"));
+        eprintln!(
+            "[campaign] {} / {} ({} faults{of})",
+            ccfg.structure, workload.name, ccfg.faults
+        );
+        let runner = ShardRunner::new(workload, cfg, golden, ccfg);
+        let results = runner
+            .run_interleaved(index, count, Some(self.observer.clone()))
+            .expect("argv admits only 0 <= I < N");
+        let c = runner.result(results.into_iter().map(|(_, r)| r).collect());
+        report_campaign_health(&c);
+        c
+    }
+
+    /// The command's telemetry so far, over every campaign it has run.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.observer.collector().snapshot()
     }
 
     /// Prints the folded telemetry summary to stderr and, when `--metrics`
     /// was given, writes the machine-readable dump.
     pub fn finish(&self) {
-        let snap = self.collector.snapshot();
+        let snap = self.metrics();
         if snap.completed == 0 {
             return;
         }
         eprint!("{}", avgi_core::TelemetrySummary(&snap));
-        if let Some(path) = &self.metrics_path {
+        if let Some(path) = &self.metrics {
             match std::fs::write(path, snap.to_json()) {
                 Ok(()) => eprintln!("[telemetry] wrote {}", path.display()),
                 Err(e) => eprintln!("[telemetry] could not write {}: {e}", path.display()),
@@ -119,79 +175,17 @@ fn report_campaign_health(c: &CampaignResult) {
     }
 }
 
-/// Runs one campaign at the budget and seed of `args` and reports its
-/// health.
-pub fn campaign(
-    workload: &Workload,
-    cfg: &MuarchConfig,
-    golden: &Arc<GoldenRun>,
-    structure: Structure,
-    mode: RunMode,
-    args: &ExpArgs,
-) -> CampaignResult {
-    let ccfg = CampaignConfig::new(structure, args.faults, mode).with_seed(args.seed);
-    campaign_under(workload, cfg, golden, &ccfg)
-}
-
-/// Runs the campaign `ccfg` describes — observer and all — and reports its
-/// health.
-pub fn campaign_under(
-    workload: &Workload,
-    cfg: &MuarchConfig,
-    golden: &Arc<GoldenRun>,
-    ccfg: &CampaignConfig,
-) -> CampaignResult {
-    let c = run_campaign(workload, cfg, golden, ccfg);
-    report_campaign_health(&c);
-    c
-}
-
-/// Runs an instrumented (end-to-end + deviation capture) campaign under
-/// `observer` and returns its joint analysis. With `--shard I/N` only
-/// interleaved shard `I` of `N` executes — a uniform subsample of the
-/// campaign, for splitting a figure's work across independent processes.
-fn instrumented_analysis(
-    workload: &Workload,
-    cfg: &MuarchConfig,
-    golden: &Arc<GoldenRun>,
-    structure: Structure,
-    args: &ExpArgs,
-    observer: Arc<dyn CampaignObserver>,
-) -> JointAnalysis {
-    let ccfg =
-        CampaignConfig::new(structure, args.faults, RunMode::Instrumented).with_seed(args.seed);
-    let c = match args.shard {
-        None => run_campaign(workload, cfg, golden, &ccfg.with_observer(observer)),
-        Some((index, count)) => {
-            let runner = avgi_faultsim::ShardRunner::new(workload, cfg, golden, &ccfg);
-            let results = runner
-                .run_interleaved(index, count, Some(observer))
-                .expect("argv admits only 0 <= I < N");
-            runner.result(results.into_iter().map(|(_, r)| r).collect())
-        }
-    };
-    report_campaign_health(&c);
-    JointAnalysis::from_campaign(&c)
-}
-
-/// Runs instrumented campaigns for every (structure, workload) pair — all
-/// workloads, on the configuration, budget, seed and shard `args` name —
-/// printing progress to stderr. `telemetry` observes every campaign.
-pub fn analysis_grid(
-    structures: &[Structure],
-    args: &ExpArgs,
-    telemetry: &ExpTelemetry,
-) -> Vec<JointAnalysis> {
-    let (cfg, workloads) = (args.config(), avgi_workloads::all());
-    let shard = args
-        .shard
-        .map_or_else(String::new, |(i, n)| format!(", shard {i}/{n}"));
+/// Instrumented (end-to-end + deviation capture) campaigns for every
+/// (structure, workload) pair, all workloads, through `exp`, folded into
+/// their joint analyses.
+pub fn analysis_grid(structures: &[Structure], exp: &Exp) -> Vec<JointAnalysis> {
+    let workloads = avgi_workloads::all();
     let mut out = Vec::with_capacity(structures.len() * workloads.len());
     for &s in structures {
+        let ccfg = exp.opts.campaign(s, RunMode::Instrumented);
         for w in &workloads {
-            eprintln!("[grid] {s} / {} ({} faults{shard})", w.name, args.faults);
-            let (golden, observer) = (golden(w, &cfg), telemetry.observer());
-            out.push(instrumented_analysis(w, &cfg, &golden, s, args, observer));
+            let c = exp.run(w, &exp.cfg, &golden(w, &exp.cfg), &ccfg);
+            out.push(JointAnalysis::from_campaign(&c));
         }
     }
     out
@@ -200,12 +194,7 @@ pub fn analysis_grid(
 /// Prints one Real-vs-predicted table per structure (the body of Figs. 10
 /// and 12; `tag` labels the predicted columns). Returns the worst
 /// per-class and the worst SDC-only absolute difference.
-pub fn print_accuracy_tables(
-    structures: &[Structure],
-    cfg: &MuarchConfig,
-    args: &ExpArgs,
-    tag: &str,
-) -> (f64, f64) {
+pub fn print_accuracy_tables(structures: &[Structure], exp: &Exp, tag: &str) -> (f64, f64) {
     let workloads = avgi_workloads::all();
     let cols = ["Msk", "SDC", "Crs"].map(|c| (format!("real {c}"), format!("{tag} {c}")));
     let mut header = vec!["workload"];
@@ -215,12 +204,10 @@ pub fn print_accuracy_tables(
     for &s in structures {
         println!("\n--- {} ---", s.label());
         print_header(&header, &[14, 9, 9, 9, 9, 9, 9, 8]);
-        eprintln!(
-            "[loo:{s}] {} workloads x {} faults",
-            workloads.len(),
-            args.faults
-        );
-        for r in leave_one_out(s, &workloads, cfg, &args.avgi_options()).rows {
+        let study = leave_one_out_with(s, &workloads, &exp.cfg, &exp.opts, |w, c, g, cc| {
+            exp.run(w, c, g, cc)
+        });
+        for r in study.rows {
             worst = worst.max(r.max_abs_diff());
             sdc_worst = sdc_worst.max((r.real.sdc - r.predicted.sdc).abs());
             println!(

@@ -52,7 +52,7 @@ fn an_argv_error_prints_usage_and_exits_2_before_anything_starts() {
     let err = stderr(&out);
     assert!(err.contains("unknown argument `--fault`"), "{err}");
     assert!(
-        err.contains("usage: avgi fig10_accuracy [--faults N] [--seed S]"),
+        err.contains("usage: avgi fig10_accuracy [--faults N>=1] [--seed S]"),
         "{err}"
     );
 
@@ -111,6 +111,67 @@ fn a_figure_command_runs_each_interleaved_shard_and_refuses_one_past_the_last() 
     assert_eq!(out.status.code(), Some(2));
     assert!(out.stdout.is_empty());
     assert!(stderr(&out).contains("--shard wants I/N, got `2/2`"));
+}
+
+#[test]
+fn a_campaign_of_no_faults_is_refused() {
+    for cmd in [
+        "fig10_accuracy",
+        "fig01_ace_vs_sfi",
+        "avf_report",
+        "xtier_check",
+    ] {
+        let out = avgi(&[cmd, "--faults", "0"]);
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        assert!(out.stdout.is_empty(), "{cmd}");
+        let err = stderr(&out);
+        assert!(err.contains("--faults wants N>=1, got `0`"), "{cmd}: {err}");
+    }
+}
+
+/// Every campaign a command runs goes through one executor, so a command
+/// that used to ignore `--shard` and `--metrics` honours both.
+#[test]
+fn every_campaign_command_shards_and_dumps_its_metrics() {
+    let path = std::env::temp_dir().join(format!("avgi-cli-fig01-{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let metrics = path.to_str().expect("utf-8 temp path");
+    let argv = [
+        "fig01_ace_vs_sfi",
+        "--small",
+        "--faults",
+        "2",
+        "--shard",
+        "0/2",
+        "--metrics",
+        metrics,
+    ];
+    let out = avgi(&argv);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(stderr(&out).contains("shard 0/2"), "{}", stderr(&out));
+    let text = std::fs::read_to_string(&path).expect("the metrics dump was written");
+    let _ = std::fs::remove_file(&path);
+    // One run per workload: interleaved shard 0 of a 2-fault campaign.
+    assert!(text.starts_with('{'), "{text}");
+    assert!(text.contains("\"completed\":14,"), "{text}");
+}
+
+#[test]
+fn a_flag_a_command_does_not_use_is_refused() {
+    for argv in [
+        &["fig01_ace_vs_sfi", "--workload", "sha"][..],
+        &["trace_dump", "--faults", "3"],
+        &["fig12_case_study", "--small"],
+    ] {
+        let out = avgi(argv);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}");
+        assert!(out.stdout.is_empty(), "{argv:?}");
+        assert!(
+            stderr(&out).contains(&format!("unknown argument `{}`", argv[1])),
+            "{argv:?}: {}",
+            stderr(&out)
+        );
+    }
 }
 
 /// The CI "xtier" step's invocation: besides its `xtier` and `xcheck` lines,

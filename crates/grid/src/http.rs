@@ -27,9 +27,13 @@ use avgi_faultsim::json::{self, Writer};
 use std::io::Read;
 
 /// Upper bound on the request head (request line + headers).
-const MAX_HEAD: usize = 16 << 10;
+pub const MAX_HEAD: usize = 16 << 10;
 /// Upper bound on a request body (a [`SubmitSpec`] is < 1 KiB).
-const MAX_BODY: usize = 256 << 10;
+pub const MAX_BODY: usize = 256 << 10;
+/// Bytes one [`HttpBuffer::poll`] reads at most. A buffer holds at most a
+/// head past [`MAX_HEAD`] by one read, a body of [`MAX_BODY`], and one more
+/// read: `MAX_HEAD + READ_CHUNK + MAX_BODY + READ_CHUNK` bytes.
+pub const READ_CHUNK: usize = 4096;
 
 /// A routed control-plane request.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,16 +76,10 @@ impl HttpBuffer {
     /// `WouldBlock`/`TimedOut`/`Interrupted` map to [`HttpPoll::Pending`];
     /// real I/O errors surface as `Err` (close the connection).
     pub fn poll(&mut self, r: &mut (impl Read + ?Sized)) -> std::io::Result<HttpPoll> {
-        let mut tmp = [0u8; 4096];
+        let mut tmp = [0u8; READ_CHUNK];
         match r.read(&mut tmp) {
-            Ok(0) => {
-                return Ok(if self.buf.is_empty() {
-                    HttpPoll::Closed
-                } else {
-                    // Half a request then EOF: nothing to respond to.
-                    HttpPoll::Closed
-                });
-            }
+            // EOF, with or without half a request: nothing to respond to.
+            Ok(0) => return Ok(HttpPoll::Closed),
             Ok(n) => self.buf.extend_from_slice(&tmp[..n]),
             Err(e)
                 if matches!(

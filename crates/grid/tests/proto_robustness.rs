@@ -6,15 +6,19 @@
 //! bit-identical to the single-process reference — proving nothing the bad
 //! peer did was double-counted or lost.
 //!
-//! Under all of them sits the decoder:
+//! Under all of them sit the two parsers a peer reaches:
 //! `binary_decode_survives_mutated_hot_frames` feeds `Msg::decode` seeded
 //! mutations of the three binary messages, and every one must come back
-//! `Ok` or `Err`, never a panic.
+//! `Ok` or `Err`, never a panic; `http_heads_survive_mutated_requests`
+//! feeds `HttpBuffer::poll` seeded mutations of the three HTTP requests in
+//! random fragments, and every poll must come back `Pending`, `Request` or
+//! `Bad` within the buffer's bound.
 
 mod common;
 
 use avgi_faultsim::telemetry::{CampaignObserver, MetricsCollector};
 use avgi_faultsim::RunMode;
+use avgi_grid::http::{HttpBuffer, HttpPoll, MAX_BODY, MAX_HEAD, READ_CHUNK};
 use avgi_grid::proto::{
     put_varint, read_frame, send, write_frame, Msg, MIN_PROTO_VERSION, PROTO_VERSION,
 };
@@ -22,7 +26,7 @@ use avgi_grid::service::reference_outcome;
 use avgi_grid::{GridOutcome, ServiceConfig, ServiceStats, SubmitSpec, WorkerConfig};
 use avgi_muarch::Structure;
 use avgi_rng::Rng;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -295,5 +299,171 @@ fn binary_decode_survives_mutated_hot_frames() {
     assert!(
         0 < decoded && decoded < CASES,
         "{decoded} of {CASES} decoded"
+    );
+}
+
+/// The three requests the HTTP surface routes, as `grid_submit` and a
+/// status poller send them.
+fn http_requests() -> [Vec<u8>; 3] {
+    let body = SubmitSpec::new("bitcount", Structure::RegFile, 64, 0x5EED).to_json();
+    [
+        format!(
+            "POST /campaigns HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Type: application/json\r\n\
+             Content-Length: {}\r\n\r\n{body}",
+            body.len()
+        ),
+        "GET /campaigns/7 HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n".to_string(),
+        "GET /fleet HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: 0\r\n\r\n".to_string(),
+    ]
+    .map(String::into_bytes)
+}
+
+/// The most a [`HttpBuffer`] may hold: a head past [`MAX_HEAD`] by one
+/// read, a body of [`MAX_BODY`], and one more read.
+const BOUND: usize = MAX_HEAD + READ_CHUNK + MAX_BODY + READ_CHUNK;
+
+/// Damages `request` one of six ways: flipped bits, a truncation, random
+/// bytes spliced in, a length-like token spliced over a random span, a
+/// terminator or line break spliced in, or a copied span; and, rarely, a
+/// flood of more bytes than a buffer may hold.
+fn mutate_request(request: &[u8], rng: &mut Rng) -> Vec<u8> {
+    let mut out = request.to_vec();
+    let at = rng.gen_range_usize(out.len() + 1);
+    let to = (at + rng.gen_range_usize(12)).min(out.len());
+    match rng.gen_range_u64(6) {
+        0 => {
+            for _ in 0..1 + rng.gen_range_u64(4) {
+                let bit = rng.gen_range_usize(out.len() * 8);
+                out[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+        1 => out.truncate(at),
+        2 => {
+            let noise: Vec<u8> = (0..1 + rng.gen_range_u64(16))
+                .map(|_| rng.next_u32() as u8)
+                .collect();
+            out.splice(at..to, noise);
+        }
+        3 => {
+            let token = rng
+                .choose(&[
+                    "0".to_string(),
+                    "-1".to_string(),
+                    "1".to_string(),
+                    MAX_BODY.to_string(),
+                    (MAX_BODY + 1).to_string(),
+                    u64::MAX.to_string(),
+                    "99999999999999999999999".to_string(),
+                    " ".to_string(),
+                    "/campaigns/".to_string(),
+                    "HTTP/1.".to_string(),
+                    "Content-Length:".to_string(),
+                ])
+                .clone();
+            out.splice(at..to, token.into_bytes());
+        }
+        4 => {
+            let cut = *rng.choose(&[&b"\r\n\r\n"[..], b"\r\n", b"\r", b"\n", b":", b"\xff"]);
+            out.splice(at..to, cut.iter().copied());
+        }
+        5 if rng.gen_bool(0.05) => {
+            // More bytes than a buffer may hold: a head that never ends, or
+            // a body at or past the bound behind its own length header.
+            let flood = std::iter::repeat_n(*rng.choose(&[b'a', b'\r', b'\n', 0]), BOUND);
+            match out.windows(4).position(|w| w == b"\r\n\r\n") {
+                Some(end) if rng.gen_bool(0.5) => {
+                    let length = rng.choose(&[MAX_BODY, MAX_BODY + 1, usize::MAX]);
+                    let header = format!("\r\nContent-Length: {length}");
+                    out.splice(end..end, header.into_bytes());
+                    out.extend(flood);
+                }
+                _ => drop(out.splice(at..at, flood)),
+            }
+        }
+        _ => {
+            let copy = out[at..to].to_vec();
+            out.splice(at..at, copy);
+        }
+    }
+    out
+}
+
+/// A socket handing out `bytes` in random fragments, with a `WouldBlock`
+/// now and then; `WouldBlock` for good once drained (the peer holds the
+/// connection open). Counts what it handed out.
+struct Fragments<'a> {
+    bytes: &'a [u8],
+    at: usize,
+    max: usize,
+    rng: Rng,
+}
+
+impl Read for Fragments<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.at == self.bytes.len() || self.rng.gen_bool(0.1) {
+            return Err(std::io::ErrorKind::WouldBlock.into());
+        }
+        let room = buf.len().min(self.max).min(self.bytes.len() - self.at);
+        let n = 1 + self.rng.gen_range_usize(room);
+        buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+        self.at += n;
+        Ok(n)
+    }
+}
+
+#[test]
+fn http_heads_survive_mutated_requests() {
+    const SEED: u64 = 0x4177_9B0D_F022;
+    const CASES: u64 = 50_000;
+    let requests = http_requests();
+    let (mut routed, mut refused) = (0u64, 0u64);
+    for case in 0..CASES {
+        let seed = SEED ^ case;
+        let mut rng = Rng::seed_from_u64(seed);
+        let damaged = mutate_request(&requests[(case % 3) as usize], &mut rng);
+        let max = (*rng.choose(&[1, 7, 64, 512, READ_CHUNK])).max(damaged.len() / 64);
+        // Every poll either makes progress or is one of the socket's
+        // scattered `WouldBlock`s, so this many polls drain it.
+        let polls = 4 * damaged.len() + 64;
+        let mut socket = Fragments {
+            bytes: &damaged,
+            at: 0,
+            max,
+            rng,
+        };
+        let checked = std::panic::catch_unwind(move || {
+            let mut buffer = HttpBuffer::new();
+            for _ in 0..polls {
+                let poll = buffer
+                    .poll(&mut socket)
+                    .map_err(|e| format!("I/O error {e}"))?;
+                // The buffer appends and never drains: it holds what it read.
+                if socket.at > BOUND {
+                    return Err(format!("the buffer holds {} bytes", socket.at));
+                }
+                match poll {
+                    HttpPoll::Pending => {}
+                    HttpPoll::Request(_) => return Ok(Some(true)),
+                    HttpPoll::Bad(response) if response.starts_with(b"HTTP/1.1 4") => {
+                        return Ok(Some(false))
+                    }
+                    other => return Err(format!("poll returned {other:?}")),
+                }
+            }
+            Ok(None)
+        });
+        match checked {
+            Ok(Ok(Some(true))) => routed += 1,
+            Ok(Ok(Some(false))) => refused += 1,
+            Ok(Ok(None)) => {}
+            Ok(Err(why)) => panic!("case {case} (seed {seed:#x}): {why}"),
+            Err(_) => panic!("case {case} (seed {seed:#x}): poll panicked"),
+        }
+    }
+    // All three answers occur: some damage is harmless, some is refused,
+    // and some leaves a request that never completes.
+    assert!(
+        0 < routed && 0 < refused && routed + refused < CASES,
+        "{routed} routed, {refused} refused of {CASES}"
     );
 }

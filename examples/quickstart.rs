@@ -36,11 +36,7 @@ fn main() {
     // 2. Assess the held-out workload with AVGI (first-deviation stop + ERT
     //    window + ESC estimation)...
     let golden = golden_for(target, &cfg);
-    let opts = AvgiOptions {
-        faults,
-        seed: 2,
-        ..Default::default()
-    };
+    let opts = AvgiOptions { faults, seed: 2 };
     let avgi = assess(target, &cfg, &golden, &weights, &opts);
 
     // 3. ...and compare against the exhaustive ground truth.

@@ -6,10 +6,9 @@
 //! cargo run --release --example watch_campaign
 //! ```
 
-use avgi_repro::core::ert::default_ert_window;
-use avgi_repro::core::{imm_collector, TelemetrySummary};
+use avgi_repro::core::{avgi_mode, imm_collector, TelemetrySummary};
 use avgi_repro::faultsim::telemetry::ProgressObserver;
-use avgi_repro::faultsim::{golden_for, CampaignConfig, RunMode};
+use avgi_repro::faultsim::{golden_for, CampaignConfig};
 use avgi_repro::muarch::{MuarchConfig, Structure};
 use std::sync::Arc;
 use std::time::Duration;
@@ -29,16 +28,9 @@ fn main() {
     ));
 
     let structure = Structure::RegFile;
-    let window = default_ert_window(structure, golden.cycles);
-    let ccfg = CampaignConfig::new(
-        structure,
-        400,
-        RunMode::FirstDeviation {
-            ert_window: Some(window),
-        },
-    )
-    .with_checkpoints(8)
-    .with_observer(progress.clone());
+    let ccfg = CampaignConfig::new(structure, 400, avgi_mode(structure, golden.cycles))
+        .with_checkpoints(8)
+        .with_observer(progress.clone());
 
     let result = avgi_repro::faultsim::run_campaign(&w, &cfg, &golden, &ccfg);
 

@@ -9,7 +9,7 @@ run() {
   echo "=== $bin $* ==="
   cargo run --release -p avgi-bench --bin avgi -- "$bin" "$@" >"results/$bin.txt" 2>"results/$bin.log"
 }
-# Campaign-driving binaries also emit machine-readable telemetry: live
+# Every campaign-driving command also emits machine-readable telemetry: live
 # progress snapshots land in results/$bin.log, final counters + latency
 # histograms in results/$bin.metrics.json.
 runm() {
@@ -18,14 +18,14 @@ runm() {
 }
 # (fig02 runs no campaign and takes no flags)
 run fig02_imm_diagram
-run fig01_ace_vs_sfi --faults 400 "$@"
+runm fig01_ace_vs_sfi --faults 400 "$@"
 runm fig04_effects_per_imm --faults 400 "$@"
-run fig08_ert_inclusive_exclusive --faults 400 "$@"
+runm fig08_ert_inclusive_exclusive --faults 400 "$@"
 runm fig07_esc_prediction --faults 300 "$@"
 runm fig03_imm_distribution --faults 300 "$@"
-run table2_speedup --faults 200 "$@"
+runm table2_speedup --faults 200 "$@"
 runm fig05_imm_weights --faults 200 "$@"
-run fig10_accuracy --faults 200 "$@"
-run fig12_case_study --faults 150 "$@"
-run fig11_fit_rates --faults 150 "$@"
+runm fig10_accuracy --faults 200 "$@"
+runm fig12_case_study --faults 150 "$@"
+runm fig11_fit_rates --faults 150 "$@"
 echo "all experiments complete"

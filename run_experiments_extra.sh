@@ -8,7 +8,7 @@ run() {
   echo "=== $bin $* ==="
   cargo run --release -p avgi-bench --bin avgi -- "$bin" "$@" >"results/$bin.txt" 2>"results/$bin.log"
 }
-# Campaign-driving binaries also emit machine-readable telemetry: live
+# Every campaign-driving command also emits machine-readable telemetry: live
 # progress snapshots land in results/$bin.log, final counters + latency
 # histograms in results/$bin.metrics.json.
 runm() {
@@ -18,9 +18,10 @@ runm() {
 runm fig03_imm_distribution --faults 250 "$@"
 runm fig04_effects_per_imm --faults 2000 "$@"
 runm fig07_esc_prediction --faults 250 "$@"
-run fig08_ert_inclusive_exclusive --faults 300 "$@"
-run ablation_ert_window --faults 150 "$@"
-run ablation_prefetch --faults 200 "$@"
+runm fig08_ert_inclusive_exclusive --faults 300 "$@"
+runm ablation_ert_window --faults 150 "$@"
+runm ablation_prefetch --faults 200 "$@"
 runm avf_report --faults 200 --workload dijkstra "$@"
-run trace_dump --workload sha "$@"
+# (trace_dump runs no campaign and takes only --workload and --small)
+run trace_dump --workload sha
 echo "extras complete"

@@ -29,7 +29,6 @@ fn methodology_end_to_end_on_register_file() {
     let opts = AvgiOptions {
         faults: FAULTS,
         seed: 12,
-        ..Default::default()
     };
     let avgi = assess(target, &cfg, &golden, &weights, &opts);
     let real = exhaustive(target, &cfg, &golden, Structure::RegFile, FAULTS, 12);
