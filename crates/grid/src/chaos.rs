@@ -21,8 +21,8 @@
 use crate::transport::Transport;
 use avgi_rng::Rng;
 use std::io::{Read, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// What fraction of frames suffer each fate (independent cumulative draws;
@@ -206,12 +206,12 @@ impl Decider {
 /// Reads pass through untouched; writes are reassembled into whole frames
 /// (the wrapper understands the `length + payload + crc` layout from
 /// [`crate::proto`]) and each completed frame draws its fate from the
-/// decision stream. A severed connection poisons every clone of the
-/// transport, mimicking a socket teardown.
+/// decision stream. A severed connection poisons the handle, mimicking a
+/// socket teardown. Only the stats are shared: the interposer reports them.
 pub struct ChaosTransport {
     inner: Box<dyn Transport>,
-    decider: Arc<Mutex<Decider>>,
-    dead: Arc<AtomicBool>,
+    decider: Decider,
+    dead: bool,
     stats: Arc<ChaosStats>,
     wbuf: Vec<u8>,
 }
@@ -232,11 +232,11 @@ impl ChaosTransport {
             .wrapping_add(stream_id.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         ChaosTransport {
             inner,
-            decider: Arc::new(Mutex::new(Decider {
+            decider: Decider {
                 policy,
                 rng: Rng::seed_from_u64(seed),
-            })),
-            dead: Arc::new(AtomicBool::new(false)),
+            },
+            dead: false,
             stats,
             wbuf: Vec::new(),
         }
@@ -292,10 +292,7 @@ impl ChaosTransport {
             }
             let mut frame: Vec<u8> = self.wbuf.drain(..total).collect();
             let (fate, corrupt_bit, cut, delay) = {
-                let mut d = self
-                    .decider
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                let d = &mut self.decider;
                 let fate = d.fate();
                 // Draw the auxiliary values unconditionally so the decision
                 // stream advances identically whatever the fate.
@@ -330,7 +327,7 @@ impl ChaosTransport {
                     self.stats.severed.fetch_add(1, Ordering::Relaxed);
                     let _ = Self::write_full(&mut *self.inner, &frame[..cut]);
                     let _ = self.inner.flush();
-                    self.dead.store(true, Ordering::SeqCst);
+                    self.dead = true;
                     let _ = self.inner.shutdown();
                     return Err(Self::broken());
                 }
@@ -345,7 +342,7 @@ impl ChaosTransport {
 
 impl Read for ChaosTransport {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if self.dead.load(Ordering::SeqCst) {
+        if self.dead {
             return Err(Self::broken());
         }
         self.inner.read(buf)
@@ -354,7 +351,7 @@ impl Read for ChaosTransport {
 
 impl Write for ChaosTransport {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        if self.dead.load(Ordering::SeqCst) {
+        if self.dead {
             return Err(Self::broken());
         }
         self.wbuf.extend_from_slice(buf);
@@ -363,7 +360,7 @@ impl Write for ChaosTransport {
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        if self.dead.load(Ordering::SeqCst) {
+        if self.dead {
             return Err(Self::broken());
         }
         self.inner.flush()
@@ -371,16 +368,6 @@ impl Write for ChaosTransport {
 }
 
 impl Transport for ChaosTransport {
-    fn try_clone(&self) -> std::io::Result<Box<dyn Transport>> {
-        Ok(Box::new(ChaosTransport {
-            inner: self.inner.try_clone()?,
-            decider: self.decider.clone(),
-            dead: self.dead.clone(),
-            stats: self.stats.clone(),
-            wbuf: Vec::new(),
-        }))
-    }
-
     fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
         self.inner.set_read_timeout(timeout)
     }
@@ -398,6 +385,8 @@ impl Transport for ChaosTransport {
 mod tests {
     use super::*;
     use crate::proto::{write_frame, FrameBuffer, FrameError};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Mutex;
 
     /// A loopback transport: writes land in a shared buffer the test reads.
     #[derive(Default)]
@@ -424,13 +413,6 @@ mod tests {
     }
 
     impl Transport for Loopback {
-        fn try_clone(&self) -> std::io::Result<Box<dyn Transport>> {
-            Ok(Box::new(Loopback {
-                out: self.out.clone(),
-                down: self.down.clone(),
-            }))
-        }
-
         fn set_read_timeout(&self, _t: Option<Duration>) -> std::io::Result<()> {
             Ok(())
         }
@@ -510,7 +492,7 @@ mod tests {
     }
 
     #[test]
-    fn sever_truncates_and_poisons_every_handle() {
+    fn sever_truncates_and_poisons_the_handle() {
         let policy = ChaosPolicy {
             sever: 1.0,
             ..ChaosPolicy::calm(3)
@@ -527,7 +509,6 @@ mod tests {
             0,
             stats.clone(),
         );
-        let mut clone = Transport::try_clone(&t).unwrap();
         assert!(write_frame(&mut t, b"doomed").is_err());
         assert!(down.load(Ordering::SeqCst), "socket must be shut down");
         // The peer got a strict prefix of the frame: a torn frame.
@@ -539,10 +520,10 @@ mod tests {
         let sent = out.lock().unwrap().clone();
         assert!(!sent.is_empty() && sent.len() < full.len());
         assert_eq!(sent[..], full[..sent.len()]);
-        // Every clone is poisoned.
-        assert!(write_frame(&mut clone, b"after").is_err());
+        // The handle is poisoned both ways.
+        assert!(write_frame(&mut t, b"after").is_err());
         let mut buf = [0u8; 1];
-        assert!(clone.read(&mut buf).is_err());
+        assert!(t.read(&mut buf).is_err());
     }
 
     #[test]

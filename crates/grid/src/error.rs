@@ -2,17 +2,6 @@
 
 use crate::proto::FrameError;
 use avgi_faultsim::error::CampaignError;
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// Locks a mutex, recovering the guard from a poisoned lock.
-///
-/// What the worker's heartbeat thread shares with its session loop (the
-/// connection's write half, the active-lease slot) has no multi-step
-/// invariant, so a poisoned lock carries no torn state: a panicking
-/// heartbeat thread must not wedge the session.
-pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// How a grid campaign failed.
 #[derive(Debug)]

@@ -39,6 +39,11 @@
 //! assert_eq!(outcomes.remove(&id).unwrap().result.len(), 500);
 //! ```
 //!
+//! Every connection has exactly one owner — the service's loop thread on one
+//! end, a worker's session thread on the other — and both read frames
+//! through the one decoder, [`proto::FrameBuffer`]. Nothing in the fabric
+//! takes a lock.
+//!
 //! The fabric is also hardened against *itself* failing: frames carry a
 //! CRC32 trailer, workers hold session tokens and reconnect with jittered
 //! exponential backoff ([`Backoff`]), the service sheds excess connections,

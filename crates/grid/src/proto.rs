@@ -172,38 +172,6 @@ fn check_crc(payload: Vec<u8>, trailer: [u8; 4]) -> Result<Vec<u8>, FrameError> 
     Ok(payload)
 }
 
-/// Reads one frame payload.
-///
-/// Distinguishes a clean close at a frame boundary ([`FrameError::Closed`])
-/// from a truncated frame ([`FrameError::Io`] with `UnexpectedEof`),
-/// refuses an oversized length prefix before reading any payload, and
-/// rejects a corrupted payload via its CRC trailer.
-pub fn read_frame(r: &mut (impl Read + ?Sized)) -> Result<Vec<u8>, FrameError> {
-    let mut prefix = [0u8; 4];
-    let mut got = 0;
-    while got < prefix.len() {
-        match r.read(&mut prefix[got..])? {
-            0 if got == 0 => return Err(FrameError::Closed),
-            0 => {
-                return Err(FrameError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "truncated length prefix",
-                )))
-            }
-            n => got += n,
-        }
-    }
-    let len = u32::from_be_bytes(prefix);
-    if len > MAX_FRAME {
-        return Err(FrameError::TooLarge(len));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    let mut trailer = [0u8; FRAME_CRC_BYTES];
-    r.read_exact(&mut trailer)?;
-    check_crc(payload, trailer)
-}
-
 /// Capacity a [`FrameBuffer`] shrinks back to after draining a frame that
 /// forced a larger allocation. Covers every hot-path frame (leases and
 /// heartbeats are tens of bytes; a binary batch of hundreds of results
@@ -211,14 +179,13 @@ pub fn read_frame(r: &mut (impl Read + ?Sized)) -> Result<Vec<u8>, FrameError> {
 /// buffer — and the growth no longer outlives the frame.
 pub const FRAME_BUF_RETAIN: usize = 64 << 10;
 
-/// An incremental frame decoder for sockets read with a timeout or in
+/// The one frame decoder, for sockets read with a timeout or in
 /// nonblocking mode.
 ///
-/// [`read_frame`] assumes a blocking stream: abandoning it on a read
-/// timeout mid-frame would tear the stream position. The service's event
-/// loop reads nonblocking sockets instead; `FrameBuffer` accumulates
-/// whatever bytes arrive and yields a frame only once it is complete, so a
-/// timeout or `WouldBlock` between polls never desynchronizes the stream.
+/// The service's event loop reads nonblocking sockets, the worker reads
+/// with a timeout; `FrameBuffer` accumulates whatever bytes arrive and
+/// yields a frame only once it is complete, so a timeout or `WouldBlock`
+/// between polls never desynchronizes the stream.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
@@ -234,6 +201,11 @@ impl FrameBuffer {
     /// behaviour after oversized frames).
     pub fn capacity(&self) -> usize {
         self.buf.capacity()
+    }
+
+    /// Bytes read but not yet yielded as a frame.
+    pub fn buffered(&self) -> usize {
+        self.buf.len()
     }
 
     fn take_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
@@ -1130,49 +1102,9 @@ pub fn send(w: &mut (impl Write + ?Sized), msg: &Msg, proto: u64) -> std::io::Re
     Ok(payload.len())
 }
 
-/// Reads and decodes one message.
-pub fn recv(r: &mut (impl Read + ?Sized)) -> Result<Msg, FrameError> {
-    let payload = read_frame(r)?;
-    Msg::decode(&payload).map_err(FrameError::Malformed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn frames_round_trip() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        write_frame(&mut buf, b"").unwrap();
-        let mut r = &buf[..];
-        assert_eq!(read_frame(&mut r).unwrap(), b"hello");
-        assert_eq!(read_frame(&mut r).unwrap(), b"");
-        assert!(matches!(read_frame(&mut r), Err(FrameError::Closed)));
-    }
-
-    #[test]
-    fn oversized_prefix_is_refused_without_reading_payload() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&u32::MAX.to_be_bytes());
-        buf.extend_from_slice(b"junk");
-        match read_frame(&mut &buf[..]) {
-            Err(FrameError::TooLarge(n)) => assert_eq!(n, u32::MAX),
-            other => panic!("expected TooLarge, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn truncated_frames_error_distinctly() {
-        // Torn length prefix.
-        let buf = [0u8, 0];
-        assert!(matches!(read_frame(&mut &buf[..]), Err(FrameError::Io(_))));
-        // Complete prefix, torn payload.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&10u32.to_be_bytes());
-        buf.extend_from_slice(b"shor");
-        assert!(matches!(read_frame(&mut &buf[..]), Err(FrameError::Io(_))));
-    }
 
     #[test]
     fn version_negotiation_matrix() {
@@ -1525,6 +1457,7 @@ mod tests {
     fn frame_buffer_reassembles_split_frames() {
         let mut wire = Vec::new();
         write_frame(&mut wire, b"first").unwrap();
+        write_frame(&mut wire, b"").unwrap();
         write_frame(&mut wire, b"second").unwrap();
         let mut fb = FrameBuffer::new();
         // Feed the bytes one at a time: every intermediate poll must report
@@ -1535,7 +1468,7 @@ mod tests {
                 got.push(f);
             }
         }
-        assert_eq!(got, vec![b"first".to_vec(), b"second".to_vec()]);
+        assert_eq!(got, vec![b"first".to_vec(), vec![], b"second".to_vec()]);
         assert!(matches!(fb.poll(&mut &[][..]), Err(FrameError::Closed)));
     }
 
@@ -1574,42 +1507,34 @@ mod tests {
         let mut fb = FrameBuffer::new();
         let mut wire = u32::MAX.to_be_bytes().to_vec();
         wire.extend_from_slice(b"junk");
-        assert!(matches!(
-            fb.poll(&mut &wire[..]),
-            Err(FrameError::TooLarge(_))
-        ));
-        // A peer vanishing mid-frame is an I/O error, not a clean close.
-        let mut fb = FrameBuffer::new();
-        let torn = 10u32.to_be_bytes();
-        assert!(fb.poll(&mut &torn[..]).unwrap().is_none());
-        assert!(matches!(fb.poll(&mut &[][..]), Err(FrameError::Io(_))));
+        match fb.poll(&mut &wire[..]) {
+            Err(FrameError::TooLarge(n)) => assert_eq!(n, u32::MAX),
+            other => panic!("expected TooLarge, got {other:?}"),
+        }
+        // A peer vanishing mid-frame is an I/O error, not a clean close:
+        // inside the length prefix, right after it, or inside the payload.
+        let mut torn_payload = 10u32.to_be_bytes().to_vec();
+        torn_payload.extend_from_slice(b"shor");
+        for torn in [&[0u8, 0][..], &10u32.to_be_bytes(), &torn_payload] {
+            let mut fb = FrameBuffer::new();
+            assert!(fb.poll(&mut &torn[..]).unwrap().is_none());
+            assert_eq!(fb.buffered(), torn.len());
+            assert!(matches!(fb.poll(&mut &[][..]), Err(FrameError::Io(_))));
+        }
     }
 
     #[test]
     fn corrupted_payload_fails_the_crc_check() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"pristine").unwrap();
-        // Flip one payload bit: both the blocking reader and the
-        // incremental buffer must reject the frame.
-        wire[6] ^= 0x10;
-        match read_frame(&mut &wire[..]) {
-            Err(FrameError::Crc { expected, found }) => assert_ne!(expected, found),
-            other => panic!("expected CRC mismatch, got {other:?}"),
+        // Flip one payload bit, or one trailer bit: the frame is refused.
+        for at in [6, 4 + b"pristine".len() + FRAME_CRC_BYTES - 1] {
+            let mut wire = Vec::new();
+            write_frame(&mut wire, b"pristine").unwrap();
+            wire[at] ^= 0x10;
+            match FrameBuffer::new().poll(&mut &wire[..]) {
+                Err(FrameError::Crc { expected, found }) => assert_ne!(expected, found),
+                other => panic!("expected CRC mismatch, got {other:?}"),
+            }
         }
-        let mut fb = FrameBuffer::new();
-        assert!(matches!(
-            fb.poll(&mut &wire[..]),
-            Err(FrameError::Crc { .. })
-        ));
-        // A flipped trailer bit is equally fatal.
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"pristine").unwrap();
-        let last = wire.len() - 1;
-        wire[last] ^= 0x01;
-        assert!(matches!(
-            read_frame(&mut &wire[..]),
-            Err(FrameError::Crc { .. })
-        ));
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! exercised without real network failures.
 //!
 //! The trait deliberately mirrors the small slice of [`TcpStream`] the
-//! fabric actually uses: blocking reads with an optional timeout,
-//! `try_clone` for the worker's split reader/writer (heartbeats ride a
-//! cloned write handle while the main loop blocks in reads), and `shutdown`
-//! for deliberate disconnects.
+//! fabric actually uses: reads with an optional timeout (the worker),
+//! nonblocking mode (the service's event loop), and `shutdown` for
+//! deliberate disconnects. Each connection has exactly one owner — the
+//! service's loop thread or a worker's session thread — so a transport is
+//! never shared or cloned.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -19,15 +20,11 @@ use std::time::Duration;
 
 /// A bidirectional byte stream a grid peer talks over.
 ///
-/// Implementations must behave like a socket: reads and writes on separate
-/// [`try_clone`](Transport::try_clone) handles may proceed concurrently,
-/// and [`shutdown`](Transport::shutdown) takes down every handle to the
-/// same connection.
+/// Implementations must behave like a socket: a read that times out or
+/// would block consumes nothing, and [`shutdown`](Transport::shutdown)
+/// takes the connection down for the peer too.
 pub trait Transport: Read + Write + Send {
-    /// A second, independently usable handle to the same connection.
-    fn try_clone(&self) -> std::io::Result<Box<dyn Transport>>;
-
-    /// Sets the read timeout for this handle (like
+    /// Sets the read timeout (like
     /// [`TcpStream::set_read_timeout`]).
     fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()>;
 
@@ -36,7 +33,7 @@ pub trait Transport: Read + Write + Send {
     /// runs every accepted connection nonblocking; workers stay blocking.
     fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()>;
 
-    /// Tears down the connection for every handle.
+    /// Tears down the connection.
     fn shutdown(&self) -> std::io::Result<()>;
 }
 
@@ -77,12 +74,6 @@ impl Write for TcpTransport {
 }
 
 impl Transport for TcpTransport {
-    fn try_clone(&self) -> std::io::Result<Box<dyn Transport>> {
-        Ok(Box::new(TcpTransport {
-            stream: self.stream.try_clone()?,
-        }))
-    }
-
     fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
         self.stream.set_read_timeout(timeout)
     }
@@ -106,7 +97,7 @@ mod tests {
     use std::net::TcpListener;
 
     #[test]
-    fn tcp_transport_round_trips_and_clones() {
+    fn tcp_transport_round_trips() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
@@ -117,8 +108,7 @@ mod tests {
             t.write_all(&buf).unwrap();
         });
         let mut t = TcpTransport::connect(&addr.to_string()).unwrap();
-        let mut w = Transport::try_clone(&t).unwrap();
-        w.write_all(b"hello").unwrap();
+        t.write_all(b"hello").unwrap();
         let mut back = [0u8; 5];
         t.read_exact(&mut back).unwrap();
         assert_eq!(&back, b"hello");

@@ -8,15 +8,22 @@
 //! spec's `golden_cycles` and `config_hash` cross-checks, and then loops:
 //! request a lease, run the leased indices through the shared
 //! [`ShardRunner`] hot path, report the results plus a fresh per-batch
-//! telemetry delta. A heartbeat thread keeps the active lease alive while
-//! long batches execute, so slow workers are distinguished from dead ones.
+//! telemetry delta.
+//!
+//! One thread owns each session's connection, as the service's loop thread
+//! owns its side: it alone writes, and it reads every frame through the one
+//! [`FrameBuffer`] decoder. A lease computes on a scoped thread while the
+//! session thread waits for its results a heartbeat interval at a time,
+//! sending a `heartbeat` each time the wait runs out, so slow workers are
+//! distinguished from dead ones and a short batch sends none.
 //!
 //! A worker asks for work once. When the service has none it answers
-//! `Drain` and *parks* the connection; the worker then sits in its blocking
-//! read, sending nothing, and the service pushes it the next lease the
-//! moment one exists. Only after a whole silent `read_timeout` does a
-//! parked worker ask again — a liveness probe, and what recovers a pushed
-//! lease that a faulty link dropped.
+//! `Drain` and *parks* the connection; the worker then sits in its read,
+//! sending nothing, and the service pushes it the next lease the moment one
+//! exists. Only after a whole silent `read_timeout` does a parked worker
+//! ask again — a liveness probe, and what recovers a pushed lease that a
+//! faulty link dropped. A frame half-read when that timeout fires stays
+//! buffered, so asking again never tears the stream.
 //!
 //! ## One worker, many campaigns
 //!
@@ -42,31 +49,35 @@
 //!
 //! The welcome carries a session token, and when a connection dies
 //! mid-campaign (I/O error, corrupt frame, mid-session rejection) the
-//! worker reconnects with exponential backoff plus deterministic jitter,
-//! re-presents the token, verifies any re-pinned spec is unchanged, and
-//! retransmits its last unacknowledged batch report. The coordinator's
+//! worker reconnects with exponential backoff plus deterministic jitter —
+//! one handshake loop and one attempt budget for the first attach and
+//! every re-attach — re-presents the token, verifies any re-pinned spec is
+//! unchanged, and retransmits its last unacknowledged batch report.
+//! Replayed frames (a second welcome, a lease already taken, a spec
+//! already built) are skipped where they land. The coordinator's
 //! first-responder-wins dedup makes the retransmission idempotent: if the
 //! lease survived the outage the report is accepted once, and if it
 //! expired the report is silently discarded and the indices re-execute
 //! deterministically elsewhere — either way nothing is double-counted.
 
 use crate::chaos::ChaosInterposer;
-use crate::error::{lock_clean, GridError};
+use crate::error::GridError;
 use crate::proto::{
-    recv, send, FrameError, Msg, MsgKind, WireStats, MIN_PROTO_VERSION, PROTO_VERSION,
+    send, FrameBuffer, FrameError, Msg, MsgKind, WireStats, MIN_PROTO_VERSION, PROTO_VERSION,
 };
 use crate::spec::CampaignSpec;
 use crate::transport::{TcpTransport, Transport};
 use avgi_faultsim::campaign::verified_golden;
 use avgi_faultsim::journal::config_hash;
-use avgi_faultsim::telemetry::MetricsCollector;
+use avgi_faultsim::telemetry::{CampaignObserver, MetricsCollector};
 use avgi_faultsim::ShardRunner;
 use avgi_muarch::config::MuarchConfig;
 use avgi_muarch::trace::GoldenRun;
 use avgi_rng::Rng;
 use avgi_workloads::Workload;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::VecDeque;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Worker-side configuration.
@@ -81,10 +92,10 @@ pub struct WorkerConfig {
     /// coordinator restarting mid-campaign).
     pub connect_timeout: Duration,
     /// How long a read may sit silent before the coordinator is presumed
-    /// gone and the session is retried. The coordinator answers every
-    /// request promptly, so this is a liveness bound, not pacing; it also
-    /// caps the heartbeat interval (a beat is always sent well inside one
-    /// timeout window).
+    /// gone and the session is retried (a parked worker asks again
+    /// instead). The coordinator answers every request promptly, so this is
+    /// a liveness bound, not pacing; it also caps the heartbeat interval (a
+    /// beat is always sent well inside one timeout window).
     pub read_timeout: Duration,
     /// Session-loss budget: how many *consecutive* failed handshake
     /// attempts the worker tolerates before giving up and reporting the
@@ -364,11 +375,58 @@ impl Runtimes {
     }
 }
 
+/// One connection, owned by the session loop alone: the transport, the
+/// decoder holding whatever part of a frame has arrived, and the dialect
+/// both ends speak.
+struct Link {
+    stream: Box<dyn Transport>,
+    frames: FrameBuffer,
+    proto: u64,
+}
+
+impl Link {
+    fn send(&mut self, wcfg: &WorkerConfig, msg: &Msg) -> std::io::Result<()> {
+        let n = send(&mut *self.stream, msg, self.proto)?;
+        wcfg.tally(msg.kind(), n);
+        Ok(())
+    }
+
+    /// The next message, or `None` once a read has heard nothing for a
+    /// whole `read_timeout`. A partial frame stays buffered across that
+    /// silence, so the caller may ask again without tearing the stream.
+    fn read_msg(&mut self) -> Result<Option<Msg>, GridError> {
+        loop {
+            let held = self.frames.buffered();
+            match self.frames.poll(&mut *self.stream) {
+                Ok(Some(frame)) => {
+                    return Msg::decode(&frame)
+                        .map(Some)
+                        .map_err(|e| FrameError::Malformed(e).into())
+                }
+                Ok(None) if self.frames.buffered() == held => return Ok(None),
+                Ok(None) => {}
+                Err(FrameError::Closed) => {
+                    return Err(GridError::Protocol(
+                        "coordinator closed the connection".into(),
+                    ))
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+}
+
+/// What a session is lost to when the coordinator falls silent.
+fn silent(wcfg: &WorkerConfig) -> GridError {
+    GridError::Io(std::io::Error::new(
+        std::io::ErrorKind::TimedOut,
+        format!("coordinator silent for {:?}", wcfg.read_timeout),
+    ))
+}
+
 /// A completed handshake.
 struct Attach {
-    stream: Box<dyn Transport>,
-    /// The version both ends agreed to speak.
-    proto: u64,
+    link: Link,
     session: u64,
     /// The campaign `spec` is pinned to (0 when unpinned).
     campaign: u64,
@@ -377,28 +435,25 @@ struct Attach {
     spec: Option<CampaignSpec>,
 }
 
-/// What a handshake attempt produced.
-enum Handshake {
-    /// Welcomed in (possibly re-attached).
-    Attached(Attach),
-    /// Every campaign finished while we were away; nothing left to do.
-    Finished,
-}
-
-/// Connects and handshakes, presenting `session` when re-attaching.
+/// Connects and handshakes, presenting `session` when re-attaching; `None`
+/// when every campaign finished and there is nothing left to do.
 /// Duplicate frames from a chaotic link are tolerated: any number of
 /// welcomes may arrive and the first one wins.
-fn establish(wcfg: &WorkerConfig, session: Option<u64>) -> Result<Handshake, GridError> {
-    let mut stream = connect_with_retry(wcfg)?;
+fn establish(wcfg: &WorkerConfig, session: Option<u64>) -> Result<Option<Attach>, GridError> {
+    let stream = connect_with_retry(wcfg)?;
     stream.set_read_timeout(Some(wcfg.read_timeout))?;
+    // The hello itself is always JSON — the dialect is negotiated BY it.
+    let mut link = Link {
+        stream,
+        frames: FrameBuffer::new(),
+        proto: MIN_PROTO_VERSION,
+    };
     let hello = Msg::Hello {
         proto: wcfg.proto,
         session,
     };
-    // The hello itself is always JSON — the dialect is negotiated BY it.
-    let n = send(&mut *stream, &hello, MIN_PROTO_VERSION)?;
-    wcfg.tally(MsgKind::Hello, n);
-    match recv(&mut *stream)? {
+    link.send(wcfg, &hello)?;
+    match link.read_msg()?.ok_or_else(|| silent(wcfg))? {
         Msg::Welcome {
             proto,
             session,
@@ -411,15 +466,15 @@ fn establish(wcfg: &WorkerConfig, session: Option<u64>) -> Result<Handshake, Gri
                     wcfg.proto
                 )));
             }
-            Ok(Handshake::Attached(Attach {
-                stream,
-                proto,
+            link.proto = proto;
+            Ok(Some(Attach {
+                link,
                 session,
                 campaign,
                 spec,
             }))
         }
-        Msg::Done => Ok(Handshake::Finished),
+        Msg::Done => Ok(None),
         Msg::Reject { reason } => Err(GridError::Protocol(reason)),
         other => Err(GridError::Protocol(format!(
             "expected welcome, got {other:?}"
@@ -427,20 +482,11 @@ fn establish(wcfg: &WorkerConfig, session: Option<u64>) -> Result<Handshake, Gri
     }
 }
 
-/// Why one session ended.
-enum SessionEnd {
-    /// The coordinator said the campaign is complete (or the death-test
-    /// hook fired): the worker is done for good.
-    Finished,
-    /// The link failed; the session may be worth re-attaching.
-    Lost(GridError),
-}
-
-/// Session-loss errors worth a reconnect. `Spec` and `Campaign` failures
-/// are environmental (wrong binary, wrong registry) and never heal by
-/// retrying; everything link-shaped — including a handshake rejection,
-/// which under chaos is usually a corrupted hello — is retryable within
-/// the attempt budget.
+/// Errors worth a reconnect. `Spec` and `Campaign` failures are
+/// environmental (wrong binary, wrong registry) and never heal by retrying;
+/// everything link-shaped — including a handshake rejection, which under
+/// chaos is usually a corrupted hello — is retryable within the attempt
+/// budget.
 fn retryable(e: &GridError) -> bool {
     matches!(
         e,
@@ -448,21 +494,21 @@ fn retryable(e: &GridError) -> bool {
     )
 }
 
-/// Absorbs a freshly pinned spec into the runtime cache, erroring if it
-/// contradicts what we already built for that campaign (a coordinator
-/// must never mutate a campaign mid-flight).
-fn absorb_pinned(
+/// Absorbs a spec into the runtime cache, erroring if it contradicts what
+/// we already built for that campaign (a coordinator must never mutate a
+/// campaign mid-flight). The same spec again is a replay and changes
+/// nothing.
+fn absorb_spec(
     runtimes: &mut Runtimes,
     campaign: u64,
-    spec: Option<CampaignSpec>,
+    spec: CampaignSpec,
     wcfg: &WorkerConfig,
     stats: &mut WorkerStats,
 ) -> Result<(), GridError> {
-    let Some(spec) = spec else { return Ok(()) };
     match runtimes.get(campaign) {
-        Some(rt) if rt.spec != spec => Err(GridError::Spec(
-            "campaign spec changed across reconnect".into(),
-        )),
+        Some(rt) if rt.spec != spec => Err(GridError::Spec(format!(
+            "campaign {campaign}'s spec changed mid-flight"
+        ))),
         Some(_) => Ok(()),
         None => {
             runtimes.insert(campaign, Runtime::build(spec, wcfg)?);
@@ -480,288 +526,196 @@ fn absorb_pinned(
 /// merged campaigns live on the coordinator.
 pub fn run_worker(wcfg: &WorkerConfig) -> Result<WorkerStats, GridError> {
     let mut backoff = Backoff::new(wcfg.backoff_base, wcfg.backoff_cap, wcfg.jitter_seed);
-    // Even the first handshake retries within the budget: on a chaotic link
-    // the very first welcome can be a casualty.
-    let mut attach = loop {
-        match establish(wcfg, None) {
-            Ok(Handshake::Attached(attach)) => break attach,
-            Ok(Handshake::Finished) => return Ok(WorkerStats::default()),
-            Err(e) if retryable(&e) && backoff.attempts() < wcfg.reconnect_attempts => {
-                let delay = backoff.next_delay();
-                eprintln!(
-                    "avgi-grid worker: handshake attempt {} failed ({e}); retrying in {delay:?}",
-                    backoff.attempts()
-                );
-                std::thread::sleep(delay);
-            }
-            Err(e) => return Err(e),
-        }
-    };
-    backoff.reset();
     let mut stats = WorkerStats::default();
     let mut runtimes = Runtimes::default();
-    absorb_pinned(
-        &mut runtimes,
-        attach.campaign,
-        attach.spec.take(),
-        wcfg,
-        &mut stats,
-    )?;
-    let mut session = attach.session;
-    let mut proto = attach.proto;
-    let mut stream = attach.stream;
-
+    // The token to re-present; `None` until the first welcome.
+    let mut session = None;
     // The last batch report whose delivery is unconfirmed; retransmitted on
     // re-attach (idempotent — see the module docs).
     let mut pending: Option<Msg> = None;
+    // Why the last handshake or session failed. Even the first handshake
+    // retries within the budget: on a chaotic link the very first welcome
+    // can be a casualty.
+    let mut lost: Option<GridError> = None;
     loop {
-        let end = drive_session(wcfg, proto, stream, &mut runtimes, &mut stats, &mut pending);
-        let lost = match end {
-            Ok(SessionEnd::Finished) => return Ok(stats),
-            Ok(SessionEnd::Lost(e)) => e,
-            Err(e) => return Err(e),
-        };
-        // Re-attach loop: each failed attempt burns budget and backs off.
-        stream = loop {
+        if let Some(e) = lost.take() {
             if backoff.attempts() >= wcfg.reconnect_attempts {
                 eprintln!(
-                    "avgi-grid worker: session {session} unrecoverable after {} attempts: {lost}",
+                    "avgi-grid worker: giving up after {} attempts: {e}",
                     backoff.attempts()
                 );
-                return Err(lost);
+                return Err(e);
             }
             let delay = backoff.next_delay();
+            let what = session.map_or("handshake failed".into(), |s| format!("session {s} lost"));
             eprintln!(
-                "avgi-grid worker: session {session} lost ({lost}); re-attach attempt {} in {delay:?}",
+                "avgi-grid worker: {what} ({e}); attempt {} in {delay:?}",
                 backoff.attempts()
             );
             std::thread::sleep(delay);
-            match establish(wcfg, Some(session)) {
-                Ok(Handshake::Attached(mut attach)) => {
-                    absorb_pinned(
-                        &mut runtimes,
-                        attach.campaign,
-                        attach.spec.take(),
-                        wcfg,
-                        &mut stats,
-                    )?;
-                    session = attach.session;
-                    proto = attach.proto;
-                    stats.reconnects += 1;
-                    backoff.reset();
-                    break attach.stream;
-                }
-                // Everything finished during the outage: our pending report
-                // is moot (its indices completed — via us or a
-                // reassignment), so this is success.
-                Ok(Handshake::Finished) => return Ok(stats),
-                Err(e) if retryable(&e) => {
-                    eprintln!("avgi-grid worker: re-attach failed: {e}");
-                }
-                Err(e) => return Err(e),
+        }
+        let attempt = establish(wcfg, session).and_then(|attach| {
+            // Everything finished while we were away: a pending report is
+            // moot (its indices completed — via us or a reassignment).
+            let Some(mut attach) = attach else {
+                return Ok(());
+            };
+            if let Some(spec) = attach.spec.take() {
+                absorb_spec(&mut runtimes, attach.campaign, spec, wcfg, &mut stats)?;
             }
-        };
+            if session.replace(attach.session).is_some() {
+                stats.reconnects += 1;
+            }
+            backoff.reset();
+            drive_session(wcfg, attach.link, &mut runtimes, &mut stats, &mut pending)
+        });
+        match attempt {
+            Ok(()) => return Ok(stats),
+            Err(e) if retryable(&e) => lost = Some(e),
+            Err(e) => return Err(e),
+        }
     }
 }
 
-/// The heartbeat thread's view of the lease currently executing.
-#[derive(Debug, Clone, Copy)]
-struct ActiveLease {
-    lease: u64,
-    campaign: u64,
-    beat: Duration,
-}
-
-/// Runs one connected session to its end. `Err` is fatal (no reconnect).
+/// Runs one connected session until the coordinator says `Done` (or the
+/// death-test hook fires). A [retryable] error loses the session; any
+/// other is fatal.
+///
+/// Every message is handled where it lands, so a pushed lease that crosses
+/// a repeated lease request, or a `Drain` that crosses a spec request,
+/// costs nothing: leases queue until their runtime is built and run in
+/// order. A chaotic link replays frames, and each replay is skipped: a
+/// welcome (the handshake consumed the first), a lease at or before the
+/// newest this link delivered (leases on one connection come in increasing
+/// id order), a spec for a campaign already built (one that differs from
+/// the build is refused).
 fn drive_session(
     wcfg: &WorkerConfig,
-    proto: u64,
-    stream: Box<dyn Transport>,
+    mut link: Link,
     runtimes: &mut Runtimes,
     stats: &mut WorkerStats,
     pending: &mut Option<Msg>,
-) -> Result<SessionEnd, GridError> {
-    let mut stream = stream;
-    // The heartbeat thread shares the write half of the connection and the
-    // identity of the lease currently executing; the pacing is clamped per
-    // campaign (see [`heartbeat_interval`]) so several missed beats are
-    // needed before the coordinator declares us dead.
-    let writer = Arc::new(Mutex::new(stream.try_clone()?));
-    let current_lease: Arc<Mutex<Option<ActiveLease>>> = Arc::new(Mutex::new(None));
-    let stop = Arc::new(AtomicBool::new(false));
-    let heartbeat = {
-        let writer = writer.clone();
-        let current_lease = current_lease.clone();
-        let stop = stop.clone();
-        let wire = wcfg.wire.clone();
-        std::thread::spawn(move || {
-            let mut last = Instant::now();
-            while !stop.load(Ordering::SeqCst) {
-                // Sleep in short steps so shutdown never waits a full beat.
-                std::thread::sleep(Duration::from_millis(10));
-                let Some(active) = *lock_clean(&current_lease) else {
-                    continue;
-                };
-                if last.elapsed() < active.beat {
-                    continue;
+) -> Result<(), GridError> {
+    // Retransmit the batch whose delivery the last session never confirmed.
+    if let Some(msg) = pending.as_ref() {
+        link.send(wcfg, msg)?;
+    }
+    // Leases taken and not yet run, oldest first, and the newest lease id.
+    let mut leases: VecDeque<(u64, u64, Vec<usize>)> = VecDeque::new();
+    let mut taken: Option<u64> = None;
+    // The campaign whose spec this link asked for and has not received.
+    let mut spec_asked = None;
+    // A lease request is unanswered.
+    let mut asked = false;
+    // Answered `Drain`: the service has parked this connection and pushes
+    // the next lease unasked, so the worker reads without asking.
+    let mut parked = false;
+    loop {
+        // Run every lease whose runtime is built; fetch the spec the next
+        // one lacks (its campaign never leased here, or evicted since).
+        while let Some(&(lease, campaign, _)) = leases.front() {
+            let Some(rt) = runtimes.lease(campaign) else {
+                if spec_asked != Some(campaign) {
+                    link.send(wcfg, &Msg::SpecRequest { campaign })?;
+                    spec_asked = Some(campaign);
                 }
-                last = Instant::now();
-                let beat = Msg::Heartbeat {
-                    lease: active.lease,
-                    campaign: active.campaign,
-                };
-                match send(&mut **lock_clean(&writer), &beat, proto) {
-                    Ok(n) => {
-                        if let Some(w) = &wire {
-                            w.record(MsgKind::Heartbeat, n);
-                        }
-                    }
-                    Err(_) => return, // coordinator gone; main thread will notice
-                }
-            }
-        })
-    };
-
-    let outcome = (|| -> Result<SessionEnd, GridError> {
-        let lost = |e: GridError| Ok(SessionEnd::Lost(e));
-        // Retransmit the batch whose delivery the last session never
-        // confirmed.
-        if let Some(msg) = pending.as_ref() {
-            match send(&mut **lock_clean(&writer), msg, proto) {
-                Ok(n) => wcfg.tally(msg.kind(), n),
-                Err(e) => return lost(e.into()),
-            }
-        }
-        // Answered `Drain`: the service has parked this connection and
-        // pushes the next lease unasked, so the worker reads without asking.
-        let mut parked = false;
-        'ask: loop {
-            if !parked {
-                match send(&mut **lock_clean(&writer), &Msg::LeaseRequest, proto) {
-                    Ok(n) => wcfg.tally(MsgKind::LeaseRequest, n),
-                    Err(e) => return lost(e.into()),
-                }
-            }
-            // Read until a usable reply: a chaotic link may replay stale
-            // welcomes, which the handshake already consumed once.
-            let reply = loop {
-                match recv(&mut *stream) {
-                    Ok(Msg::Welcome { .. }) => continue,
-                    Ok(msg) => break msg,
-                    // A parked connection is silent by design. After a
-                    // whole `read_timeout` of it, ask again: that tells a
-                    // live service from a dead one, and fetches a pushed
-                    // lease the link lost. (Only a service that stalls for
-                    // that long in the middle of a frame can time out a
-                    // read that has consumed bytes; the next frame's length
-                    // or CRC check then fails and the session is lost, as
-                    // it is on any timeout when not parked.)
-                    Err(FrameError::Io(e))
-                        if parked
-                            && matches!(
-                                e.kind(),
-                                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                            ) =>
-                    {
-                        parked = false;
-                        continue 'ask;
-                    }
-                    Err(FrameError::Closed) => {
-                        return lost(GridError::Protocol(
-                            "coordinator closed the connection".into(),
-                        ))
-                    }
-                    Err(e) => return lost(e.into()),
-                }
+                break;
             };
-            // An in-order reply proves every earlier frame we sent — the
-            // retransmission included — was consumed.
-            *pending = None;
-            parked = matches!(reply, Msg::Drain);
-            match reply {
-                Msg::Lease {
-                    lease,
-                    campaign,
-                    indices,
-                } => {
-                    if wcfg
-                        .max_batches
-                        .is_some_and(|max| stats.batches as usize >= max)
-                    {
-                        // Test hook: die abruptly with a lease in hand. The
-                        // shutdown closes the connection even though the
-                        // heartbeat thread still holds a cloned handle.
-                        let _ = stream.shutdown();
-                        return Ok(SessionEnd::Finished);
-                    }
-                    // No runtime for this campaign (never leased, or
-                    // evicted since): fetch its spec and build one first.
-                    while runtimes.get(campaign).is_none() {
-                        match send(
-                            &mut **lock_clean(&writer),
-                            &Msg::SpecRequest { campaign },
-                            proto,
-                        ) {
-                            Ok(n) => wcfg.tally(MsgKind::SpecRequest, n),
-                            Err(e) => return lost(e.into()),
-                        }
-                        match recv(&mut *stream) {
-                            Ok(Msg::Spec { campaign: c, spec }) => {
-                                runtimes.insert(c, Runtime::build(spec, wcfg)?);
-                                stats.campaigns += 1;
-                            }
-                            Ok(Msg::Welcome { .. }) => continue,
-                            Ok(Msg::Done) => return Ok(SessionEnd::Finished),
-                            Ok(Msg::Reject { reason }) => return lost(GridError::Protocol(reason)),
-                            Ok(other) => {
-                                return lost(GridError::Protocol(format!(
-                                    "expected spec for campaign {campaign}, got {other:?}"
-                                )))
-                            }
-                            Err(FrameError::Closed) => {
-                                return lost(GridError::Protocol(
-                                    "coordinator closed the connection".into(),
-                                ))
-                            }
-                            Err(e) => return lost(e.into()),
-                        }
-                    }
-                    let rt = runtimes.lease(campaign).expect("runtime built above");
-                    *lock_clean(&current_lease) = Some(ActiveLease {
-                        lease,
-                        campaign,
-                        beat: rt.beat,
-                    });
-                    let collector = Arc::new(MetricsCollector::new());
-                    let results = rt.runner.run_indices(&indices, Some(collector.clone()))?;
-                    *lock_clean(&current_lease) = None;
-                    stats.batches += 1;
-                    stats.runs += results.len() as u64;
-                    let report = Msg::BatchDone {
-                        lease,
-                        campaign,
-                        results,
-                        telemetry: collector.snapshot(),
-                    };
-                    let sent = send(&mut **lock_clean(&writer), &report, proto);
-                    // Hold the report for retransmission until the next
-                    // in-order reply confirms it arrived.
-                    *pending = Some(report);
-                    match sent {
-                        Ok(n) => wcfg.tally(MsgKind::BatchDone, n),
-                        Err(e) => return lost(e.into()),
-                    }
+            let (_, _, indices) = leases.pop_front().expect("front exists");
+            let report = compute(wcfg, &mut link, rt, lease, campaign, &indices)?;
+            stats.batches += 1;
+            stats.runs += indices.len() as u64;
+            // Held for retransmission until the next lease or `Drain`
+            // confirms it arrived.
+            link.send(wcfg, pending.insert(report))?;
+        }
+        if leases.is_empty() && !parked && !asked {
+            link.send(wcfg, &Msg::LeaseRequest)?;
+            asked = true;
+        }
+        let Some(msg) = link.read_msg()? else {
+            // A parked connection is silent by design. After a whole
+            // `read_timeout` of it, ask again: that tells a live service
+            // from a dead one, and fetches a pushed lease the link lost.
+            if parked && leases.is_empty() {
+                parked = false;
+                continue;
+            }
+            return Err(silent(wcfg));
+        };
+        match msg {
+            Msg::Welcome { .. } => {}
+            Msg::Lease { lease, .. } if taken.is_some_and(|t| lease <= t) => {}
+            Msg::Lease {
+                lease,
+                campaign,
+                indices,
+            } => {
+                if wcfg
+                    .max_batches
+                    .is_some_and(|max| stats.batches as usize >= max)
+                {
+                    // Test hook: die abruptly with a lease in hand.
+                    let _ = link.stream.shutdown();
+                    return Ok(());
                 }
-                Msg::Drain => {}
-                Msg::Done => return Ok(SessionEnd::Finished),
-                Msg::Reject { reason } => return lost(GridError::Protocol(reason)),
-                other => return lost(GridError::Protocol(format!("unexpected message {other:?}"))),
+                taken = Some(lease);
+                leases.push_back((lease, campaign, indices));
+                (asked, parked) = (false, false);
+                *pending = None;
+            }
+            Msg::Drain => {
+                (asked, parked) = (false, true);
+                *pending = None;
+            }
+            Msg::Spec { campaign, spec } => {
+                absorb_spec(runtimes, campaign, spec, wcfg, stats)?;
+                spec_asked = spec_asked.filter(|&c| c != campaign);
+            }
+            Msg::Done => return Ok(()),
+            Msg::Reject { reason } => return Err(GridError::Protocol(reason)),
+            other => return Err(GridError::Protocol(format!("unexpected message {other:?}"))),
+        }
+    }
+}
+
+/// Runs one lease on a scoped thread while this thread, the link's only
+/// user, keeps the lease alive: it waits for the results a heartbeat
+/// interval at a time and sends a `heartbeat` each time the wait runs out.
+/// Returns the batch report.
+fn compute(
+    wcfg: &WorkerConfig,
+    link: &mut Link,
+    rt: &Runtime,
+    lease: u64,
+    campaign: u64,
+    indices: &[usize],
+) -> Result<Msg, GridError> {
+    let collector = Arc::new(MetricsCollector::new());
+    let observer: Arc<dyn CampaignObserver> = collector.clone();
+    let results = std::thread::scope(|s| {
+        let (done, results) = mpsc::channel();
+        let work = s.spawn(move || done.send(rt.runner.run_indices(indices, Some(observer))));
+        loop {
+            match results.recv_timeout(rt.beat) {
+                Ok(results) => return results,
+                // A beat the link fails to carry is lost with the link,
+                // which the report's send finds.
+                Err(RecvTimeoutError::Timeout) => {
+                    let _ = link.send(wcfg, &Msg::Heartbeat { lease, campaign });
+                }
+                Err(RecvTimeoutError::Disconnected) => {
+                    std::panic::resume_unwind(work.join().unwrap_err())
+                }
             }
         }
-    })();
-    stop.store(true, Ordering::SeqCst);
-    let _ = heartbeat.join();
-    outcome
+    })?;
+    Ok(Msg::BatchDone {
+        lease,
+        campaign,
+        results,
+        telemetry: collector.snapshot(),
+    })
 }
 
 #[cfg(test)]

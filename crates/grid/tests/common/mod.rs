@@ -1,19 +1,21 @@
 //! What the fabric's integration tests share: a scratch directory, the
-//! acceptance check against the single-process reference, and a
-//! one-campaign service (one in-process `submit`, `exit_after: Some(1)`,
-//! the typed outcome).
+//! acceptance check against the single-process reference, a one-campaign
+//! service (one in-process `submit`, `exit_after: Some(1)`, the typed
+//! outcome), and a raw peer's frame reader.
 
 #![allow(dead_code)] // every test crate uses its own subset
 
+use avgi_grid::proto::{FrameBuffer, Msg};
 use avgi_grid::service::reference_outcome;
 use avgi_grid::{
     GridError, GridOutcome, Service, ServiceConfig, ServiceStats, SubmitSpec, WorkerConfig,
     WorkerStats,
 };
 use std::collections::BTreeMap;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// A scratch directory unique to one test (queue + journals live here).
 pub fn scratch(name: &str) -> PathBuf {
@@ -36,6 +38,21 @@ pub fn assert_matches_reference(outcome: &GridOutcome, spec: &SubmitSpec) {
         reference.telemetry.deterministic_counters_json(),
         "merged telemetry must be bit-identical to single-process"
     );
+}
+
+/// The next message a raw peer reads from `stream`, through the one frame
+/// decoder; `frames` keeps whatever that read took past the frame.
+pub fn next_msg(stream: &mut TcpStream, frames: &mut FrameBuffer) -> Msg {
+    let start = Instant::now();
+    loop {
+        if let Some(frame) = frames.poll(stream).unwrap() {
+            return Msg::decode(&frame).unwrap();
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(60),
+            "no frame within 60 s"
+        );
+    }
 }
 
 type Served = Result<(ServiceStats, BTreeMap<u64, GridOutcome>), GridError>;

@@ -12,7 +12,8 @@
 //! `Ok` or `Err`, never a panic; `http_heads_survive_mutated_requests`
 //! feeds `HttpBuffer::poll` seeded mutations of the three HTTP requests in
 //! random fragments, and every poll must come back `Pending`, `Request` or
-//! `Bad` within the buffer's bound.
+//! `Bad` within the buffer's bound. A case that fails is reported with its
+//! index, its seed and its input minimised under the same check.
 
 mod common;
 
@@ -20,7 +21,7 @@ use avgi_faultsim::telemetry::{CampaignObserver, MetricsCollector};
 use avgi_faultsim::RunMode;
 use avgi_grid::http::{HttpBuffer, HttpPoll, MAX_BODY, MAX_HEAD, READ_CHUNK};
 use avgi_grid::proto::{
-    put_varint, read_frame, send, write_frame, Msg, MIN_PROTO_VERSION, PROTO_VERSION,
+    put_varint, send, write_frame, FrameBuffer, Msg, MIN_PROTO_VERSION, PROTO_VERSION,
 };
 use avgi_grid::service::reference_outcome;
 use avgi_grid::{GridOutcome, ServiceConfig, ServiceStats, SubmitSpec, WorkerConfig};
@@ -84,9 +85,10 @@ fn assert_matches_reference(outcome: &GridOutcome) {
     assert_eq!(outcome.telemetry.completed, FAULTS as u64);
 }
 
-/// Performs the hello/welcome handshake on a raw socket. The adversary
-/// speaks proto v2 so every frame on its link stays JSON.
-fn handshake(stream: &mut TcpStream) {
+/// Performs the hello/welcome handshake on a raw socket, returning the
+/// decoder for the rest of the link. The adversary speaks proto v2 so every
+/// frame on its link stays JSON.
+fn handshake(stream: &mut TcpStream) -> FrameBuffer {
     send(
         stream,
         &Msg::Hello {
@@ -96,8 +98,9 @@ fn handshake(stream: &mut TcpStream) {
         MIN_PROTO_VERSION,
     )
     .unwrap();
-    match Msg::decode(&read_frame(stream).unwrap()).unwrap() {
-        Msg::Welcome { .. } => {}
+    let mut frames = FrameBuffer::new();
+    match common::next_msg(stream, &mut frames) {
+        Msg::Welcome { .. } => frames,
         other => panic!("expected welcome, got {other:?}"),
     }
 }
@@ -140,9 +143,9 @@ fn silent_leaseholder_expires_and_work_is_reassigned_once() {
     // sweep fires quickly; the healthy worker then redoes the indices and
     // the totals must show no double count.
     let (outcome, stats) = run_with_adversary(Duration::from_millis(500), |mut stream| {
-        handshake(&mut stream);
+        let mut frames = handshake(&mut stream);
         send(&mut stream, &Msg::LeaseRequest, MIN_PROTO_VERSION).unwrap();
-        match Msg::decode(&read_frame(&mut stream).unwrap()).unwrap() {
+        match common::next_msg(&mut stream, &mut frames) {
             Msg::Lease { indices, .. } => assert!(!indices.is_empty()),
             other => panic!("expected a lease, got {other:?}"),
         }
@@ -164,9 +167,9 @@ fn late_report_after_reassignment_is_discarded_wholly() {
     // service must reject the whole report — results and telemetry —
     // or the campaign would double-count.
     let (outcome, stats) = run_with_adversary(Duration::from_millis(400), |mut stream| {
-        handshake(&mut stream);
+        let mut frames = handshake(&mut stream);
         send(&mut stream, &Msg::LeaseRequest, MIN_PROTO_VERSION).unwrap();
-        let (lease, indices) = match Msg::decode(&read_frame(&mut stream).unwrap()).unwrap() {
+        let (lease, indices) = match common::next_msg(&mut stream, &mut frames) {
             Msg::Lease { lease, indices, .. } => (lease, indices),
             other => panic!("expected a lease, got {other:?}"),
         };
@@ -265,34 +268,100 @@ fn mutate(frame: &[u8], rng: &mut Rng) -> Vec<u8> {
     out
 }
 
+/// Decodes `payload` as a peer's frame: `Ok(true)` when it decodes and
+/// its re-encoding is a fixed point, `Ok(false)` when it is refused, and
+/// `Err` naming what went wrong — a panic included.
+fn decode_check(payload: &[u8]) -> Result<bool, String> {
+    let encode = |msg: &Msg| msg.encode(PROTO_VERSION);
+    std::panic::catch_unwind(|| {
+        let Ok(msg) = Msg::decode(payload) else {
+            return Ok(false);
+        };
+        let once = encode(&msg);
+        let again = Msg::decode(&once).map(|m| encode(&m));
+        match again {
+            Ok(twice) if twice == once => Ok(true),
+            Ok(_) => Err("re-encoding is not a fixed point".to_string()),
+            Err(e) => Err(format!("its re-encoding does not decode: {e}")),
+        }
+    })
+    .unwrap_or_else(|_| Err("decode panicked".to_string()))
+}
+
+/// Shrinks `input` while `fails` still holds of it: deletes byte ranges,
+/// halving their width down to one byte, and keeps every deletion after
+/// which the check still fails. The result is one-minimal: deleting any
+/// single byte makes the check pass.
+fn minimise(mut input: Vec<u8>, fails: impl Fn(&[u8]) -> bool) -> Vec<u8> {
+    let mut width = input.len().div_ceil(2).max(1);
+    loop {
+        let before = input.len();
+        let mut at = 0;
+        while at + width <= input.len() {
+            let mut shorter = input.clone();
+            shorter.drain(at..at + width);
+            if fails(&shorter) {
+                input = shorter;
+            } else {
+                at += width;
+            }
+        }
+        if width > 1 {
+            width = width.div_ceil(2);
+        } else if input.len() == before {
+            return input;
+        }
+    }
+}
+
+/// Panics with a failing case: its index, its seed, why, and its input
+/// shrunk by [`minimise`] under the same check.
+fn fail(case: u64, seed: u64, why: &str, input: &[u8], fails: impl Fn(&[u8]) -> bool) -> ! {
+    let smallest = minimise(input.to_vec(), fails);
+    panic!(
+        "case {case} (seed {seed:#x}): {why}; input minimised from {} to {} bytes: {smallest:02x?}",
+        input.len(),
+        smallest.len()
+    )
+}
+
+#[test]
+fn a_failing_input_is_minimised_before_it_is_reported() {
+    // A synthetic check that fails while 0xab comes before 0xcd.
+    let fails = |input: &[u8]| {
+        let ab = input.iter().position(|&b| b == 0xab);
+        ab.is_some_and(|at| input[at..].contains(&0xcd))
+    };
+    let input: Vec<u8> = (0..=255u8).rev().chain(0..=255).collect();
+    assert!(fails(&input));
+    assert_eq!(minimise(input.clone(), fails), [0xab, 0xcd]);
+    // What passes is returned whole; what fails without any byte shrinks
+    // to nothing.
+    assert_eq!(minimise(vec![1, 2, 3], |_| false), [1, 2, 3]);
+    assert_eq!(minimise(vec![1, 2, 3], |_| true), [0u8; 0]);
+    let report = std::panic::catch_unwind(|| fail(7, 0x5EED, "synthetic", &input, fails));
+    let report = *report.unwrap_err().downcast::<String>().unwrap();
+    assert_eq!(
+        report,
+        "case 7 (seed 0x5eed): synthetic; input minimised from 512 to 2 bytes: [ab, cd]"
+    );
+}
+
 #[test]
 fn binary_decode_survives_mutated_hot_frames() {
     const SEED: u64 = 0xDEC0_DE5E_ED00;
     const CASES: u64 = 120_000;
     let frames = hot_frames();
-    let encode = |msg: &Msg| msg.encode(PROTO_VERSION);
     let mut decoded = 0u64;
     for case in 0..CASES {
         let seed = SEED ^ case;
         let mut rng = Rng::seed_from_u64(seed);
-        let frame = &frames[(case % 3) as usize];
-        let damaged = mutate(frame, &mut rng);
-        let checked = std::panic::catch_unwind(|| {
-            let Ok(msg) = Msg::decode(&damaged) else {
-                return Ok(false);
-            };
-            let once = encode(&msg);
-            let again = Msg::decode(&once).map(|m| encode(&m));
-            match again {
-                Ok(twice) if twice == once => Ok(true),
-                Ok(_) => Err("re-encoding is not a fixed point".to_string()),
-                Err(e) => Err(format!("its re-encoding does not decode: {e}")),
-            }
-        });
-        match checked {
-            Ok(Ok(ok)) => decoded += u64::from(ok),
-            Ok(Err(why)) => panic!("case {case} (seed {seed:#x}): {why}; input {damaged:02x?}"),
-            Err(_) => panic!("case {case} (seed {seed:#x}): decode panicked on {damaged:02x?}"),
+        let damaged = mutate(&frames[(case % 3) as usize], &mut rng);
+        match decode_check(&damaged) {
+            Ok(ok) => decoded += u64::from(ok),
+            Err(why) => fail(case, seed, &why, &damaged, |input| {
+                decode_check(input).is_err()
+            }),
         }
     }
     // Both answers occur: the mutations reach past the first bad byte.
@@ -411,6 +480,45 @@ impl Read for Fragments<'_> {
     }
 }
 
+/// Feeds `damaged` to an [`HttpBuffer`] through a [`Fragments`] socket
+/// handing out at most `max` bytes a read: `Ok(Some(true))` when a request
+/// is routed, `Ok(Some(false))` when it is refused with a 4xx, `Ok(None)`
+/// when it never completes, and `Err` naming what went wrong — a panic,
+/// an I/O error, another answer, or a buffer past [`BOUND`].
+fn poll_check(damaged: &[u8], max: usize, rng: Rng) -> Result<Option<bool>, String> {
+    // Every poll either makes progress or is one of the socket's scattered
+    // `WouldBlock`s, so this many polls drain it.
+    let polls = 4 * damaged.len() + 64;
+    let mut socket = Fragments {
+        bytes: damaged,
+        at: 0,
+        max,
+        rng,
+    };
+    std::panic::catch_unwind(move || {
+        let mut buffer = HttpBuffer::new();
+        for _ in 0..polls {
+            let poll = buffer
+                .poll(&mut socket)
+                .map_err(|e| format!("I/O error {e}"))?;
+            // The buffer appends and never drains: it holds what it read.
+            if socket.at > BOUND {
+                return Err(format!("the buffer holds {} bytes", socket.at));
+            }
+            match poll {
+                HttpPoll::Pending => {}
+                HttpPoll::Request(_) => return Ok(Some(true)),
+                HttpPoll::Bad(response) if response.starts_with(b"HTTP/1.1 4") => {
+                    return Ok(Some(false))
+                }
+                other => return Err(format!("poll returned {other:?}")),
+            }
+        }
+        Ok(None)
+    })
+    .unwrap_or_else(|_| Err("poll panicked".to_string()))
+}
+
 #[test]
 fn http_heads_survive_mutated_requests() {
     const SEED: u64 = 0x4177_9B0D_F022;
@@ -422,42 +530,13 @@ fn http_heads_survive_mutated_requests() {
         let mut rng = Rng::seed_from_u64(seed);
         let damaged = mutate_request(&requests[(case % 3) as usize], &mut rng);
         let max = (*rng.choose(&[1, 7, 64, 512, READ_CHUNK])).max(damaged.len() / 64);
-        // Every poll either makes progress or is one of the socket's
-        // scattered `WouldBlock`s, so this many polls drain it.
-        let polls = 4 * damaged.len() + 64;
-        let mut socket = Fragments {
-            bytes: &damaged,
-            at: 0,
-            max,
-            rng,
-        };
-        let checked = std::panic::catch_unwind(move || {
-            let mut buffer = HttpBuffer::new();
-            for _ in 0..polls {
-                let poll = buffer
-                    .poll(&mut socket)
-                    .map_err(|e| format!("I/O error {e}"))?;
-                // The buffer appends and never drains: it holds what it read.
-                if socket.at > BOUND {
-                    return Err(format!("the buffer holds {} bytes", socket.at));
-                }
-                match poll {
-                    HttpPoll::Pending => {}
-                    HttpPoll::Request(_) => return Ok(Some(true)),
-                    HttpPoll::Bad(response) if response.starts_with(b"HTTP/1.1 4") => {
-                        return Ok(Some(false))
-                    }
-                    other => return Err(format!("poll returned {other:?}")),
-                }
-            }
-            Ok(None)
-        });
-        match checked {
-            Ok(Ok(Some(true))) => routed += 1,
-            Ok(Ok(Some(false))) => refused += 1,
-            Ok(Ok(None)) => {}
-            Ok(Err(why)) => panic!("case {case} (seed {seed:#x}): {why}"),
-            Err(_) => panic!("case {case} (seed {seed:#x}): poll panicked"),
+        match poll_check(&damaged, max, rng.clone()) {
+            Ok(Some(true)) => routed += 1,
+            Ok(Some(false)) => refused += 1,
+            Ok(None) => {}
+            Err(why) => fail(case, seed, &why, &damaged, |input| {
+                poll_check(input, max, rng.clone()).is_err()
+            }),
         }
     }
     // All three answers occur: some damage is harmless, some is refused,

@@ -14,7 +14,7 @@ mod common;
 use avgi_faultsim::telemetry::{CampaignObserver, MetricsCollector};
 use avgi_faultsim::{CampaignError, DurabilityPolicy, RunMode};
 use avgi_grid::proto::{
-    read_frame, send, Msg, MsgKind, WireStats, MIN_PROTO_VERSION, PROTO_VERSION,
+    send, FrameBuffer, Msg, MsgKind, WireStats, MIN_PROTO_VERSION, PROTO_VERSION,
 };
 use avgi_grid::service::{reference_outcome, reference_report};
 use avgi_grid::worker::RUNTIME_CACHE_CAPACITY;
@@ -370,6 +370,42 @@ fn chaos_storm_on_one_tenant_leaves_every_tenant_bit_identical() {
 }
 
 #[test]
+fn a_link_that_delivers_every_service_frame_twice_costs_no_session() {
+    // Every frame the service sends arrives twice: each welcome, lease,
+    // spec, drain and done. Read as an answer, a second lease or spec
+    // would cost the worker its session; it skips each replay instead.
+    let dir = scratch("duplicated");
+    let chaos = Arc::new(ChaosInterposer::new(ChaosPolicy {
+        duplicate: 1.0,
+        ..ChaosPolicy::calm(0xD0_0B1E)
+    }));
+    let svc = Harness::start(&dir, 4, Some(chaos.clone()));
+    let spec = SubmitSpec::new("bitcount", Structure::RegFile, 24, 0xD0B1E);
+    let id = submit(svc.http, &spec);
+    let workers: Vec<_> = (0..2)
+        .map(|i| {
+            let wcfg = worker_config(&svc.fabric, 0x5EED_0900 + i);
+            std::thread::spawn(move || avgi_grid::run_worker(&wcfg))
+        })
+        .collect();
+    let body = wait_done(svc.http, id, Duration::from_secs(120));
+    let stats = svc.finish();
+    for t in workers {
+        let wstats = t.join().unwrap().unwrap();
+        assert_eq!(wstats.reconnects, 0, "{wstats:?}");
+    }
+
+    assert_eq!(report_of(&body), reference_for(&spec));
+    assert!(chaos.stats().duplicated.load(Ordering::Relaxed) > 0);
+    assert_eq!(stats.sessions_reattached, 0, "{stats:?}");
+    assert_eq!(stats.protocol_errors, 0, "{stats:?}");
+    // No replayed lease was run twice, none expired.
+    assert_eq!(stats.batches_rejected, 0, "{stats:?}");
+    assert_eq!(stats.leases_reassigned, 0, "{stats:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn service_restart_resumes_queued_campaigns_bit_identically() {
     let dir = scratch("resume");
     let queue_path = dir.join("queue.jsonl");
@@ -707,7 +743,8 @@ fn a_parked_peer_that_swallows_its_pushed_lease_expires_and_a_parked_worker_fini
     adversary
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
-    let next = |stream: &mut TcpStream| Msg::decode(&read_frame(stream).unwrap()).unwrap();
+    let mut frames = FrameBuffer::new();
+    let mut next = |stream: &mut TcpStream| common::next_msg(stream, &mut frames);
     let hello = Msg::Hello {
         proto: PROTO_VERSION,
         session: None,
@@ -768,7 +805,8 @@ fn a_batch_whose_telemetry_overstates_its_runs_is_refused_and_its_lease_requeued
     adversary
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
-    let next = |stream: &mut TcpStream| Msg::decode(&read_frame(stream).unwrap()).unwrap();
+    let mut frames = FrameBuffer::new();
+    let mut next = |stream: &mut TcpStream| common::next_msg(stream, &mut frames);
     let hello = Msg::Hello {
         proto: PROTO_VERSION,
         session: None,

@@ -19,10 +19,10 @@ runm() {
 # (fig02 runs no campaign and takes no flags)
 run fig02_imm_diagram
 runm fig01_ace_vs_sfi --faults 400 "$@"
-runm fig04_effects_per_imm --faults 400 "$@"
-runm fig08_ert_inclusive_exclusive --faults 400 "$@"
-runm fig07_esc_prediction --faults 300 "$@"
-runm fig03_imm_distribution --faults 300 "$@"
+runm fig04_effects_per_imm --faults 2000 "$@"
+runm fig08_ert_inclusive_exclusive --faults 300 "$@"
+runm fig07_esc_prediction --faults 250 "$@"
+runm fig03_imm_distribution --faults 250 "$@"
 runm table2_speedup --faults 200 "$@"
 runm fig05_imm_weights --faults 200 "$@"
 runm fig10_accuracy --faults 200 "$@"

@@ -1,5 +1,6 @@
 #!/bin/sh
-# Ablations and tools (run after run_experiments.sh).
+# Ablations and tools (run after run_experiments.sh, which runs every figure
+# and table once; no command here repeats one of its commands).
 # Usage: sh run_experiments_extra.sh [extra args passed to every command]
 set -e
 cd "$(dirname "$0")"
@@ -15,10 +16,6 @@ runm() {
   bin=$1; shift
   run "$bin" --metrics "results/$bin.metrics.json" "$@"
 }
-runm fig03_imm_distribution --faults 250 "$@"
-runm fig04_effects_per_imm --faults 2000 "$@"
-runm fig07_esc_prediction --faults 250 "$@"
-runm fig08_ert_inclusive_exclusive --faults 300 "$@"
 runm ablation_ert_window --faults 150 "$@"
 runm ablation_prefetch --faults 200 "$@"
 runm avf_report --faults 200 --workload dijkstra "$@"
