@@ -345,7 +345,6 @@ mod tests {
             mode: RunMode::Instrumented,
             golden_cycles: 100,
             results,
-            warnings: Vec::new(),
         };
         let text = grid_report(&result, &c.snapshot());
         assert!(text.contains(&format!("{} / bitcount", Structure::RegFile)));

@@ -145,15 +145,10 @@ pub fn golden(workload: &Workload, cfg: &MuarchConfig) -> Arc<GoldenRun> {
     verified_golden(workload, cfg).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Prints campaign-health diagnostics to stderr — engine warnings (e.g.
-/// checkpointing degraded), the per-structure abort rate, and wall-clock
-/// expiries — so an unhealthy simulator is visible in experiment output
-/// instead of silently folding into the crash column. Healthy campaigns
-/// print nothing.
+/// Prints the per-structure abort rate to stderr, so an unhealthy simulator
+/// is visible in experiment output instead of silently folding into the
+/// crash column. Healthy campaigns print nothing.
 fn report_campaign_health(c: &CampaignResult) {
-    for msg in &c.warnings {
-        eprintln!("[health] {} / {}: {msg}", c.structure, c.workload);
-    }
     if c.aborted_count() > 0 {
         eprintln!(
             "[health] {} / {}: {} of {} runs aborted in the simulator (abort rate {:.2}%)",
@@ -162,15 +157,6 @@ fn report_campaign_health(c: &CampaignResult) {
             c.aborted_count(),
             c.len(),
             c.abort_rate() * 100.0
-        );
-    }
-    if c.wall_expired_count() > 0 {
-        eprintln!(
-            "[health] {} / {}: {} of {} runs exceeded the wall-clock budget",
-            c.structure,
-            c.workload,
-            c.wall_expired_count(),
-            c.len()
         );
     }
 }

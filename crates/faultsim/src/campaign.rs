@@ -4,11 +4,14 @@
 //! The engine is fault-tolerant: a panicking simulator run is isolated with
 //! [`std::panic::catch_unwind`], retried once from a fresh simulator, and —
 //! if it still fails — recorded as [`RunOutcome::SimAbort`] instead of
-//! poisoning the whole campaign; an optional per-run wall-clock budget turns
-//! runaway runs into [`RunOutcome::WallClockExpired`]. A campaign therefore
-//! always yields exactly N classified results. Campaigns can additionally
-//! stream results to an on-disk [journal](crate::journal) and resume
-//! bit-identically after an interruption ([`run_campaign_journaled`]).
+//! poisoning the whole campaign. A run ends only by what the simulated
+//! machine does; a hang is caught by the cycle watchdog
+//! ([`watchdog_budget`]). A campaign therefore always yields exactly N
+//! classified results, the same ones under any execution shape. A golden
+//! run whose fault-free prefix cannot reach its own checkpoints is refused
+//! when the campaign is set up, never worked around. Campaigns can
+//! additionally stream results to an on-disk [journal](crate::journal) and
+//! resume bit-identically after an interruption ([`run_campaign_journaled`]).
 
 use crate::error::{CampaignError, GoldenError};
 use crate::journal::{check_resumed_faults, config_hash, CampaignKey, Journal};
@@ -71,21 +74,6 @@ pub struct CampaignConfig {
     /// *both* the traditional and the AVGI flow (§IV.B). Results are
     /// bit-identical with and without it.
     pub checkpoints: u32,
-    /// Per-run wall-clock budget (`None` = unlimited, the default).
-    ///
-    /// A run that exceeds the budget ends with
-    /// [`RunOutcome::WallClockExpired`], which classifies like a watchdog
-    /// crash. The clock is polled every
-    /// [`avgi_muarch::run::WALL_CHECK_CYCLES`] simulated cycles. Note that a
-    /// wall-clock limit is inherently host-speed-dependent: campaigns using
-    /// it are *not* guaranteed reproducible run-to-run, which is why the
-    /// default leaves it off.
-    ///
-    /// A run's clock starts when it is armed: at its injection cycle for a
-    /// run forked off a batch's carrier, at reset for a fresh run. The
-    /// carrier's fault-free walk to that cycle is charged to no run; it is
-    /// the golden prefix, which the golden run bounds.
-    pub wall_budget: Option<Duration>,
     /// Telemetry observer driven by the engine (`None` = unobserved).
     ///
     /// The observer sees every run — fresh, retried, or replayed from a
@@ -112,8 +100,9 @@ pub struct CampaignConfig {
 
 impl std::fmt::Debug for CampaignConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Matches the previously derived output (the observer and the batch
-        // size are deliberately omitted: they carry no campaign identity).
+        // Hand-written because the observer has no `Debug`; the observer
+        // and the batch size carry no campaign identity, so both are left
+        // out. Nothing hashes this rendering.
         f.debug_struct("CampaignConfig")
             .field("structure", &self.structure)
             .field("faults", &self.faults)
@@ -122,7 +111,6 @@ impl std::fmt::Debug for CampaignConfig {
             .field("threads", &self.threads)
             .field("burst_width", &self.burst_width)
             .field("checkpoints", &self.checkpoints)
-            .field("wall_budget", &self.wall_budget)
             .finish()
     }
 }
@@ -138,7 +126,6 @@ impl CampaignConfig {
             threads: 0,
             burst_width: 1,
             checkpoints: 8,
-            wall_budget: None,
             batch: 32,
             observer: None,
         }
@@ -159,12 +146,6 @@ impl CampaignConfig {
     /// Sets the checkpoint count (`0` disables checkpointing).
     pub fn with_checkpoints(mut self, count: u32) -> Self {
         self.checkpoints = count;
-        self
-    }
-
-    /// Sets the per-run wall-clock budget.
-    pub fn with_wall_budget(mut self, budget: Duration) -> Self {
-        self.wall_budget = Some(budget);
         self
     }
 
@@ -216,8 +197,8 @@ impl CheckpointSet {
     ///
     /// Fails with [`CampaignError::CheckpointPrefixEnded`] if the fault-free
     /// prefix terminates before a snapshot point (a sign of a golden run
-    /// captured under a different configuration); [`run_campaign`] degrades
-    /// to checkpoint-free execution when it hits this.
+    /// captured under a different configuration); [`run_campaign`] refuses
+    /// to start on such a golden run.
     pub fn build(
         workload: &Workload,
         cfg: &MuarchConfig,
@@ -250,14 +231,18 @@ impl CheckpointSet {
     /// [`build`](CheckpointSet::build)'s set, shared while held: callers alive
     /// together over one golden run (by identity), program, configuration and
     /// `count` hold one `Arc` and wait for one build. The table holds the build
-    /// (`cell`) and the set weakly; a failed build is the shared `Err` warning.
+    /// (`cell`) and the set weakly.
+    ///
+    /// Panics with the [`build`](CheckpointSet::build) error when the golden
+    /// run cannot reach its own checkpoints, like [`ShardRunner::new`] on a
+    /// golden run it cannot sample: such a campaign does not start.
     fn shared(
         workload: &Workload,
         cfg: &MuarchConfig,
         golden: &Arc<GoldenRun>,
         count: u32,
-    ) -> Result<Arc<Self>, String> {
-        type Cell = OnceLock<Result<Arc<CheckpointSet>, String>>;
+    ) -> Arc<Self> {
+        type Cell = OnceLock<Arc<CheckpointSet>>;
         struct Entry {
             golden: Weak<GoldenRun>,
             key: (ImageKey, u32),
@@ -274,7 +259,7 @@ impl CheckpointSet {
             });
             let mine = |e: &&Entry| e.golden.as_ptr() == Arc::as_ptr(golden) && e.key == key;
             if let Some(set) = table.iter().filter(mine).find_map(|e| e.set.upgrade()) {
-                return Ok(set);
+                return set;
             }
             let building = table.iter().filter(mine).find_map(|e| e.cell.upgrade());
             building.unwrap_or_else(|| {
@@ -290,13 +275,13 @@ impl CheckpointSet {
         };
         cell.get_or_init(|| {
             let set = Self::build(workload, cfg, golden, count)
-                .map_err(|e| format!("checkpointing disabled, running fresh: {e}"))?;
+                .unwrap_or_else(|e| panic!("cannot checkpoint this golden run: {e}"));
             let set = Arc::new(set);
             let built = Arc::as_ptr(&cell);
             for e in lock().iter_mut().filter(|e| e.cell.as_ptr() == built) {
                 e.set = Arc::downgrade(&set);
             }
-            Ok(set)
+            set
         })
         .clone()
     }
@@ -367,9 +352,6 @@ pub struct CampaignResult {
     pub golden_cycles: u64,
     /// Per-injection observables, in sampling order.
     pub results: Vec<InjectionResult>,
-    /// Non-fatal degradations the engine worked around (e.g. checkpoint
-    /// construction failing and the campaign falling back to fresh runs).
-    pub warnings: Vec<String>,
 }
 
 impl CampaignResult {
@@ -382,7 +364,6 @@ impl CampaignResult {
         ccfg: &CampaignConfig,
         golden_cycles: u64,
         results: Vec<InjectionResult>,
-        warnings: Vec<String>,
     ) -> Self {
         CampaignResult {
             workload: workload.to_string(),
@@ -390,7 +371,6 @@ impl CampaignResult {
             mode: ccfg.mode,
             golden_cycles,
             results,
-            warnings,
         }
     }
 
@@ -427,14 +407,6 @@ impl CampaignResult {
         } else {
             self.aborted_count() as f64 / self.results.len() as f64
         }
-    }
-
-    /// Number of runs that exceeded the per-run wall-clock budget.
-    pub fn wall_expired_count(&self) -> usize {
-        self.results
-            .iter()
-            .filter(|r| r.outcome == RunOutcome::WallClockExpired)
-            .count()
     }
 }
 
@@ -527,6 +499,7 @@ pub fn run_one(
         cfg,
         golden,
         ccfg: &ccfg,
+        ctl: control_for(mode, golden),
         checkpoints: None,
         observer: &NULL_OBSERVER,
     };
@@ -547,18 +520,13 @@ pub(crate) fn inject_burst(sim: &mut Sim, fault: Fault, burst_width: u32, cfg: &
     }
 }
 
-/// The run control a mode prescribes — used identically by whole injected
-/// runs and by the fault-free carrier advance, so a forked run's state
+/// The run control a mode prescribes. An engine invocation builds it once
+/// and steps its carriers and every run under it, so a forked run's state
 /// evolution cannot differ from a fresh run's.
-pub(crate) fn control_for(
-    mode: RunMode,
-    golden: &Arc<GoldenRun>,
-    wall_budget: Option<Duration>,
-) -> RunControl {
+pub(crate) fn control_for(mode: RunMode, golden: &Arc<GoldenRun>) -> RunControl {
     let mut ctl = RunControl {
         max_cycles: watchdog_budget(golden.cycles),
         golden: Some(golden.clone()),
-        wall_budget,
         ..Default::default()
     };
     if let RunMode::FirstDeviation { ert_window } = mode {
@@ -635,7 +603,8 @@ pub(crate) struct JournalSink<'a> {
 static NULL_OBSERVER: NullObserver = NullObserver;
 
 /// One engine invocation: the campaign context a [`ShardRunner`] owns plus
-/// what lives only as long as the call — the observer in force. Every
+/// what lives only as long as the call — the run control every carrier and
+/// run steps under, and the observer in force. Every
 /// simulator a campaign creates, restores or steps is driven from here. A
 /// run is positioned one of two ways: forked off a batch's carrier at its
 /// injection cycle when the campaign has a checkpoint set
@@ -647,6 +616,7 @@ struct Engine<'a> {
     cfg: &'a MuarchConfig,
     golden: &'a Arc<GoldenRun>,
     ccfg: &'a CampaignConfig,
+    ctl: RunControl,
     checkpoints: Option<&'a CheckpointSet>,
     observer: &'a dyn CampaignObserver,
 }
@@ -664,10 +634,11 @@ impl Engine<'_> {
     }
 
     /// The ending a machine equal to the golden's from `from_cycle` on
-    /// reaches under `ctl` — the one place a result is derived instead of
-    /// simulated: the golden's own ending (the model is deterministic), cut
-    /// where [`Sim::step`]'s ERT test would cut it — with no deviation
-    /// recorded, at the end of cycle `e - 1` unless `halt` commits first.
+    /// reaches under the engine's control — the one place a result is
+    /// derived instead of simulated: the golden's own ending (the model is
+    /// deterministic), cut where [`Sim::step`]'s ERT test would cut it — with
+    /// no deviation recorded, at the end of cycle `e - 1` unless `halt`
+    /// commits first.
     /// The cycles not simulated are still charged — a result never shows how
     /// it was produced — and reported through `on_converged`.
     fn golden_ending(
@@ -675,10 +646,9 @@ impl Engine<'_> {
         fault: Fault,
         deviation: Option<Deviation>,
         from_cycle: u64,
-        ctl: &RunControl,
     ) -> InjectionResult {
         let golden = self.golden;
-        let ert_end = (ctl.ert_window.filter(|_| deviation.is_none()))
+        let ert_end = (self.ctl.ert_window.filter(|_| deviation.is_none()))
             .map(|w| fault.cycle.saturating_add(w.max(1)))
             .filter(|&e| e <= golden.cycles);
         let (outcome, cycles) = match ert_end {
@@ -709,12 +679,10 @@ impl Engine<'_> {
     /// fresh run. The run takes [`golden_ending`](Engine::golden_ending) at
     /// the first of them where its live state equals the golden's
     /// ([`Sim::converged_with`]). A run under an ERT window does not look:
-    /// a comparison costs a fifth of a short window. The wall-clock deadline
-    /// is taken here, when the run is armed.
+    /// a comparison costs a fifth of a short window.
     fn finish(&self, sim: &mut Sim, fault: Fault, future: &[Snapshot]) -> InjectionResult {
         inject_burst(sim, fault, self.ccfg.burst_width, self.cfg);
-        let ctl = control_for(self.ccfg.mode, self.golden, self.ccfg.wall_budget);
-        let deadline = ctl.deadline();
+        let ctl = &self.ctl;
         let future = if ctl.ert_window.is_some() {
             &[]
         } else {
@@ -722,18 +690,18 @@ impl Engine<'_> {
         };
         let mut ended = None;
         for snap in future {
-            ended = sim.advance(snap.cycle(), &ctl, deadline);
+            ended = sim.run_to_cycle(snap.cycle(), ctl);
             if ended.is_some() {
                 break;
             }
             if sim.converged_with(snap) {
-                return self.golden_ending(fault, sim.first_deviation(), snap.cycle(), &ctl);
+                return self.golden_ending(fault, sim.first_deviation(), snap.cycle());
             }
         }
         let outcome = ended
-            .or_else(|| sim.advance(u64::MAX, &ctl, deadline))
-            .expect("an unbounded advance ends only with an outcome");
-        let report = sim.report(outcome, &ctl);
+            .or_else(|| sim.run_to_cycle(u64::MAX, ctl))
+            .expect("an unbounded run ends only with an outcome");
+        let report = sim.report(outcome, ctl);
         InjectionResult {
             fault,
             outcome: report.outcome,
@@ -778,8 +746,8 @@ impl Engine<'_> {
     /// [`Sim::step`] applies pending faults at the start of the cycle they
     /// name, so the fork is state-identical to a fresh run that armed the
     /// same fault at reset and simulated forward — the cycles before the
-    /// injection cycle are fault-free in both, and the carrier advances
-    /// under the exact [`control_for`] the run uses. An attempt that panics,
+    /// injection cycle are fault-free in both, and the carrier steps under
+    /// the engine's one control, the one the run uses. An attempt that panics,
     /// or whose carrier ends before the injection cycle (which a valid
     /// golden run cannot cause), drops both simulators — either may be torn
     /// mid-update — and the run is retried once, fresh
@@ -794,7 +762,6 @@ impl Engine<'_> {
         sims: &mut WorkerSims,
     ) -> Vec<(usize, InjectionResult, Duration)> {
         let snap = set.snapshot(snap_idx);
-        let prefix_ctl = control_for(self.ccfg.mode, self.golden, None);
         // Rewind the carrier to the batch's checkpoint in place; a worker
         // with none spawns it from the snapshot in the first attempt.
         let rewound = isolated(|| {
@@ -810,11 +777,11 @@ impl Engine<'_> {
             let (fault, t0) = (faults[i], Instant::now());
             let attempt = isolated(|| {
                 let carrier = sims.carrier.get_or_insert_with(|| snap.spawn());
-                if carrier.run_to_cycle(fault.cycle, &prefix_ctl).is_some() {
+                if carrier.run_to_cycle(fault.cycle, &self.ctl).is_some() {
                     return None; // carrier ended before the injection cycle
                 }
                 if self.dead_on_arrival(carrier, fault) {
-                    return Some(self.golden_ending(fault, None, fault.cycle, &prefix_ctl));
+                    return Some(self.golden_ending(fault, None, fault.cycle));
                 }
                 if let Some(f) = sims.fork.as_mut() {
                     f.restore_from_sim(carrier);
@@ -946,10 +913,12 @@ impl Engine<'_> {
 ///
 /// Fault sampling is deterministic in `ccfg.seed`; execution is parallel
 /// but the result order matches the sampling order, so campaigns are
-/// reproducible run-to-run regardless of thread count (unless a wall-clock
-/// budget is set). Individual simulator failures are isolated and recorded
-/// as [`RunOutcome::SimAbort`], so the campaign always returns exactly
-/// `ccfg.faults` results.
+/// reproducible run-to-run regardless of thread count. Individual simulator
+/// failures are isolated and recorded as [`RunOutcome::SimAbort`], so the
+/// campaign always returns exactly `ccfg.faults` results.
+///
+/// Panics if the golden run cannot be sampled or cannot reach its own
+/// checkpoints ([`ShardRunner::new`]).
 pub fn run_campaign(
     workload: &Workload,
     cfg: &MuarchConfig,
@@ -1011,8 +980,8 @@ pub fn run_campaign_journaled(
 /// what every campaign entry point of this crate is a constructor over.
 ///
 /// Construction performs the per-campaign setup exactly once — the full
-/// fault list is sampled from `ccfg.seed`, the checkpoint set is taken and
-/// every setup degradation is decided — and
+/// fault list is sampled from `ccfg.seed` and the checkpoint set is taken,
+/// or the campaign is refused — and
 /// [`run_indices`](ShardRunner::run_indices) then executes any subset of
 /// that list through the same engine as [`run_campaign`]. Because each
 /// injected run is deterministic and independent, the results of a
@@ -1026,7 +995,6 @@ pub struct ShardRunner {
     ccfg: CampaignConfig,
     faults: Vec<Fault>,
     checkpoints: Option<Arc<CheckpointSet>>,
-    warnings: Vec<String>,
 }
 
 impl ShardRunner {
@@ -1038,6 +1006,10 @@ impl ShardRunner {
     /// attached to `ccfg` is kept as the default for
     /// [`run_indices`](ShardRunner::run_indices) calls that do not supply
     /// their own.
+    ///
+    /// Panics if the golden run cannot be sampled or its fault-free prefix
+    /// cannot reach its own checkpoints: the campaign runs one way or does
+    /// not start.
     pub fn new(
         workload: &Workload,
         cfg: &MuarchConfig,
@@ -1050,9 +1022,8 @@ impl ShardRunner {
     }
 
     /// [`new`](ShardRunner::new) over an explicit fault list. Takes the
-    /// checkpoint set `ccfg` asks for, degrading to checkpoint-free
-    /// execution (with a warning) when the golden prefix cannot support it.
-    /// `checkpoints == 0` asks for fresh runs, so it carries no warning.
+    /// checkpoint set `ccfg` asks for ([`CheckpointSet::shared`]);
+    /// `checkpoints == 0` asks for fresh runs.
     pub(crate) fn with_faults(
         workload: &Workload,
         cfg: &MuarchConfig,
@@ -1060,12 +1031,9 @@ impl ShardRunner {
         ccfg: &CampaignConfig,
         faults: Vec<Fault>,
     ) -> Self {
-        let mut warnings = Vec::new();
         let checkpoints = match ccfg.checkpoints {
             0 => None,
-            count => CheckpointSet::shared(workload, cfg, golden, count)
-                .map_err(|w| warnings.push(w))
-                .ok(),
+            count => Some(CheckpointSet::shared(workload, cfg, golden, count)),
         };
         ShardRunner {
             workload: workload.clone(),
@@ -1074,20 +1042,12 @@ impl ShardRunner {
             ccfg: ccfg.clone(),
             faults,
             checkpoints,
-            warnings,
         }
     }
 
     /// The full sampled fault list (index space shared by every shard).
     pub fn faults(&self) -> &[Fault] {
         &self.faults
-    }
-
-    /// Setup degradations: a checkpoint set that could not be built, so
-    /// every run goes fresh. They hold for every run of this runner, so
-    /// every result wrapped by [`result`](ShardRunner::result) carries them.
-    pub fn warnings(&self) -> &[String] {
-        &self.warnings
     }
 
     /// The golden run the shards replay against.
@@ -1097,13 +1057,7 @@ impl ShardRunner {
 
     /// Wraps results this runner produced as a [`CampaignResult`].
     pub fn result(&self, results: Vec<InjectionResult>) -> CampaignResult {
-        CampaignResult::new(
-            self.workload.name,
-            &self.ccfg,
-            self.golden.cycles,
-            results,
-            self.warnings.clone(),
-        )
+        CampaignResult::new(self.workload.name, &self.ccfg, self.golden.cycles, results)
     }
 
     /// One engine invocation over `faults` (the runner's own list, a subset
@@ -1120,6 +1074,7 @@ impl ShardRunner {
             cfg: &self.cfg,
             golden: &self.golden,
             ccfg: &self.ccfg,
+            ctl: control_for(self.ccfg.mode, &self.golden),
             checkpoints: self.checkpoints.as_deref(),
             observer: (observer.as_deref())
                 .or(self.ccfg.observer.as_deref())
@@ -1197,8 +1152,6 @@ mod tests {
         assert_eq!(c.len(), 40);
         assert!(c.total_post_inject_cycles() > 0);
         assert_eq!(c.aborted_count(), 0);
-        assert_eq!(c.wall_expired_count(), 0);
-        assert!(c.warnings.is_empty());
         // Every completed run reports an output comparison.
         for r in &c.results {
             if r.outcome == RunOutcome::Completed {
@@ -1475,7 +1428,10 @@ mod tests {
     }
 
     #[test]
-    fn a_failed_checkpoint_build_is_a_shared_warning_never_a_set() {
+    #[should_panic(
+        expected = "cannot checkpoint this golden run: fault-free prefix ended (Completed)"
+    )]
+    fn a_golden_run_that_cannot_reach_its_checkpoints_is_refused() {
         let w = avgi_workloads::by_name("bitcount").unwrap();
         let cfg = MuarchConfig::big();
         // Snapshot points past the program's real end: the prefix halts first.
@@ -1483,11 +1439,7 @@ mod tests {
         stretched.cycles *= 4;
         let stretched = Arc::new(stretched);
         let ccfg = CampaignConfig::new(Structure::RegFile, 4, RunMode::EndToEnd);
-        let a = ShardRunner::new(&w, &cfg, &stretched, &ccfg);
-        let b = ShardRunner::new(&w, &cfg, &stretched, &ccfg);
-        assert!(set_of(&a).is_none() && set_of(&b).is_none());
-        assert!(a.warnings()[0].starts_with("checkpointing disabled, running fresh: "));
-        assert_eq!(a.warnings(), b.warnings());
+        ShardRunner::new(&w, &cfg, &stretched, &ccfg);
     }
 
     #[test]
@@ -1684,33 +1636,6 @@ mod tests {
             let (idx, back) = crate::journal::parse_record(line.trim_end()).unwrap();
             assert_eq!(idx, i);
             assert_eq!(&back, r);
-        }
-    }
-
-    #[test]
-    fn zero_wall_budget_expires_long_runs() {
-        use avgi_muarch::run::WALL_CHECK_CYCLES;
-        let w = avgi_workloads::by_name("sha").unwrap();
-        let cfg = MuarchConfig::big();
-        let golden = golden_for(&w, &cfg);
-        assert!(
-            golden.cycles > WALL_CHECK_CYCLES,
-            "workload too short to reach the first wall-clock poll"
-        );
-        // Fresh runs from cycle 0 with a zero budget: every run reaches the
-        // first poll point before it can complete.
-        let ccfg = CampaignConfig::new(Structure::RegFile, 10, RunMode::EndToEnd)
-            .with_checkpoints(0)
-            .with_wall_budget(Duration::ZERO);
-        let c = run_campaign(&w, &cfg, &golden, &ccfg);
-        assert_eq!(c.len(), 10);
-        assert!(c.wall_expired_count() > 0);
-        for r in &c.results {
-            assert_ne!(
-                r.outcome,
-                RunOutcome::Completed,
-                "zero budget cannot complete"
-            );
         }
     }
 }

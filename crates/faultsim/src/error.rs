@@ -14,8 +14,8 @@ use core::fmt;
 #[derive(Debug)]
 pub enum CampaignError {
     /// The fault-free prefix terminated before a requested snapshot point,
-    /// so the checkpoint set cannot be built. `run_campaign` degrades to
-    /// checkpoint-free execution when it hits this.
+    /// so the checkpoint set cannot be built. A campaign over such a golden
+    /// run refuses to start: `run_campaign` panics with this error.
     CheckpointPrefixEnded {
         /// How the prefix run ended.
         outcome: RunOutcome,

@@ -15,10 +15,11 @@
 //!
 //! The campaign engine is fault-tolerant: a panicking simulator run is
 //! isolated and recorded as [`avgi_muarch::run::RunOutcome::SimAbort`] (crash
-//! family) instead of taking the campaign down, runaway runs can be bounded
-//! by a wall-clock budget ([`CampaignConfig::with_wall_budget`]), and long
-//! campaigns can be journaled to disk and resumed bit-identically
-//! ([`run_campaign_journaled`]). See `DESIGN.md` §6 for the failure model.
+//! family) instead of taking the campaign down, a run ends only by what the
+//! simulated machine does (a hang by the cycle watchdog,
+//! [`watchdog_budget`]), and long campaigns can be journaled to disk and
+//! resumed bit-identically ([`run_campaign_journaled`]). See `DESIGN.md` §6
+//! for the failure model.
 //!
 //! ```no_run
 //! use avgi_faultsim::{golden_for, run_campaign, CampaignConfig, RunMode};

@@ -246,12 +246,12 @@ fn trace_fork(
     ccfg: &CampaignConfig,
     fault: Fault,
 ) -> Result<u64, String> {
-    // The campaign's control without its wall clock, recording every
-    // commit — the carrier's too, so the fork's stream spans the whole run,
-    // exactly like the classic run's.
+    // The campaign's control, recording every commit — the carrier's too,
+    // so the fork's stream spans the whole run, exactly like the classic
+    // run's.
     let ctl = RunControl {
         record_trace: true,
-        ..control_for(ccfg.mode, golden, None)
+        ..control_for(ccfg.mode, golden)
     };
 
     // Classic shape: fresh simulator, fault pre-armed at reset.

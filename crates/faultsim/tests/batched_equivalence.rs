@@ -1,15 +1,16 @@
 //! Property test: the carrier + fork engine is *observationally
 //! invisible*. Over random fault sets, every combination of worker threads
-//! ∈ {1, 4} and batch size ∈ {1, 8, 64} — and the default configuration
-//! under a wall-clock budget — must produce, next to the fresh-run
-//! reference (no checkpoint set: every run simulated from reset):
+//! ∈ {1, 4} and batch size ∈ {1, 8, 64} must produce, next to the
+//! fresh-run reference (no checkpoint set: every run simulated from reset):
 //!
 //! * the same [`CampaignResult`] records, in fault order,
 //! * the same deterministic telemetry counters, and
-//! * the same journal records (compared as a sorted-line CRC — worker
-//!   threads race for units, so on-disk record *order* is scheduling-
-//!   dependent, but the record *set* is pinned; the header line is skipped
-//!   because the campaign key legitimately includes the thread count).
+//! * the same journal: the byte-identical header line — the campaign key
+//!   names no thread count, batch size or checkpoint count, which is what
+//!   lets a journal written under one shape resume under another — and the
+//!   same record set (compared as a CRC over the header and the sorted
+//!   records: worker threads race for units, so on-disk record *order* is
+//!   scheduling-dependent).
 
 use avgi_faultsim::journal::crc32;
 use avgi_faultsim::telemetry::MetricsCollector;
@@ -18,7 +19,6 @@ use avgi_muarch::config::MuarchConfig;
 use avgi_muarch::Structure;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 const FAULTS: usize = 24;
 const THREADS: [usize; 2] = [1, 4];
@@ -56,9 +56,12 @@ fn observe(f: &Fixture, ccfg: &CampaignConfig, tag: &str) -> Observables {
     let result = run_campaign_journaled(&f.w, &f.cfg, &f.golden, &ccfg, &path).unwrap();
     let text = std::fs::read_to_string(&path).unwrap();
     let _ = std::fs::remove_file(&path);
-    let mut records: Vec<&str> = text.lines().skip(1).collect();
+    let mut lines = text.lines();
+    let header = lines.next().expect("a journal opens with its header");
+    let mut records: Vec<&str> = lines.collect();
     assert_eq!(records.len(), FAULTS, "one journal record per fault");
     records.sort_unstable();
+    records.insert(0, header);
     Observables {
         result,
         counters: metrics.snapshot().deterministic_counters_json(),
@@ -82,8 +85,6 @@ fn assert_grid_identical(f: &Fixture, base: &CampaignConfig) {
             ));
         }
     }
-    let budget = base.clone().with_wall_budget(Duration::from_secs(3_600));
-    shapes.push(("default + 1 h wall budget".to_string(), budget));
     for (n, (shape, ccfg)) in shapes.iter().enumerate() {
         let v = observe(f, ccfg, &format!("s{n}"));
         assert_eq!(
@@ -97,7 +98,7 @@ fn assert_grid_identical(f: &Fixture, base: &CampaignConfig) {
         );
         assert_eq!(
             v.journal_hash, reference.journal_hash,
-            "journal records differ at {shape}"
+            "journal header or records differ at {shape}"
         );
     }
 }

@@ -212,16 +212,12 @@ impl Run {
             .into_iter()
             .map(|r| r.expect("finalized campaign is complete"))
             .collect();
-        // The control plane runs nothing, so no degradation is its to
-        // report; a worker whose checkpoint build failed says so itself
-        // (`Runtime::build`).
         GridOutcome {
             result: CampaignResult::new(
                 &self.spec.workload,
                 &ccfg,
                 self.spec.golden_cycles,
                 results,
-                Vec::new(),
             ),
             telemetry: self.telemetry,
         }

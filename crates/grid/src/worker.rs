@@ -319,12 +319,6 @@ impl Runtime {
         let mut ccfg = spec.campaign_config();
         ccfg.threads = wcfg.threads;
         let runner = ShardRunner::new(&workload, &cfg, &golden, &ccfg);
-        for msg in runner.warnings() {
-            eprintln!(
-                "avgi-grid worker: {} / {}: {msg}",
-                spec.structure, spec.workload
-            );
-        }
         let beat = heartbeat_interval(
             Duration::from_millis(spec.lease_timeout_ms),
             wcfg.read_timeout,

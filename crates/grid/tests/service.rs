@@ -536,8 +536,6 @@ fn service_restart_refuses_a_doctored_journal_and_finishes_an_honest_one() {
     .serve()
     .unwrap();
     assert_eq!(outcomes[&id].result.results, reference.results);
-    assert!(reference.warnings.is_empty());
-    assert_eq!(outcomes[&id].result.warnings, reference.warnings);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -329,37 +329,12 @@ impl Sim {
     /// Runs to completion under `ctl` and reports.
     pub fn run(&mut self, ctl: &RunControl) -> RunReport {
         let outcome = self
-            .advance(u64::MAX, ctl, ctl.deadline())
-            .expect("an unbounded advance ends only with an outcome");
+            .run_to_cycle(u64::MAX, ctl)
+            .expect("an unbounded run ends only with an outcome");
         self.report(outcome, ctl)
     }
 
-    /// Steps under `ctl` to the *beginning* of cycle `target` (no stage of
-    /// `target` has executed yet); `Some(outcome)` if the run ended first.
-    /// `deadline` is the run's wall-clock watchdog ([`RunControl::deadline`],
-    /// taken once however many calls advance the run), polled every
-    /// `WALL_CHECK_CYCLES` cycles so a pathological faulty run cannot stall
-    /// a campaign even when the cycle watchdog is generous.
-    pub fn advance(
-        &mut self,
-        target: u64,
-        ctl: &RunControl,
-        deadline: Option<std::time::Instant>,
-    ) -> Option<RunOutcome> {
-        while self.cycle < target {
-            if let Some(out) = self.step(ctl) {
-                return Some(out);
-            }
-            if self.cycle & (crate::run::WALL_CHECK_CYCLES - 1) == 0
-                && deadline.is_some_and(|d| std::time::Instant::now() >= d)
-            {
-                return Some(RunOutcome::WallClockExpired);
-            }
-        }
-        None
-    }
-
-    /// Closes a run that ended with `outcome` — however it was advanced
+    /// Closes a run that ended with `outcome` — however it was stepped
     /// there — and builds its report.
     pub fn report(&mut self, outcome: RunOutcome, ctl: &RunControl) -> RunReport {
         self.stats.rf_ace_cycles = self.rf.finalize_ace();
@@ -412,12 +387,19 @@ impl Sim {
         None
     }
 
-    /// [`advance`](Sim::advance) with no wall-clock deadline — how a
-    /// fault-free prefix is walked to a checkpoint or an injection cycle. A
-    /// run resumed from a snapshot taken there behaves exactly like an
+    /// Steps under `ctl` to the *beginning* of cycle `target` (no stage of
+    /// `target` has executed yet); `Some(outcome)` if the run ended first.
+    /// This is how a fault-free prefix is walked to a checkpoint or an
+    /// injection cycle, and how a faulty run is carried to its end; a run
+    /// resumed from a snapshot taken there behaves exactly like an
     /// uninterrupted one.
     pub fn run_to_cycle(&mut self, target: u64, ctl: &RunControl) -> Option<RunOutcome> {
-        self.advance(target, ctl, None)
+        while self.cycle < target {
+            if let Some(out) = self.step(ctl) {
+                return Some(out);
+            }
+        }
+        None
     }
 
     /// Current cycle (for tests and instrumentation).

@@ -34,11 +34,11 @@ pub enum RunOutcome {
     /// Early stop: the effective-residency-time window elapsed with no
     /// deviation (AVGI insight 3); the fault is Benign for IMM purposes.
     ErtExpired,
-    /// The per-run wall-clock budget ([`RunControl::wall_budget`]) expired.
-    /// Treated exactly like [`RunOutcome::Watchdog`]: the run is a hang for
-    /// classification purposes, but the bound holds even when the cycle
-    /// watchdog is generous and a pathological faulty state collapses the
-    /// simulation rate.
+    /// A per-run wall-clock budget expired. No engine produces it: a run
+    /// ends only by what the simulated machine does, and a hang is
+    /// [`RunOutcome::Watchdog`]. The value stays because every report's
+    /// outcome counters, the journal and the wire codecs name it.
+    /// Classified like `Watchdog`.
     WallClockExpired,
     /// The simulator itself panicked while executing this run (an internal
     /// invariant was violated by the injected state). Produced by the
@@ -77,23 +77,7 @@ pub struct RunControl {
     pub ert_window: Option<u64>,
     /// Record the full commit trace (golden-capture runs).
     pub record_trace: bool,
-    /// Wall-clock budget for the run, checked every [`WALL_CHECK_CYCLES`]
-    /// cycles; expiry ends the run with [`RunOutcome::WallClockExpired`].
-    /// `None` (the default) disables the check and keeps runs fully
-    /// deterministic.
-    pub wall_budget: Option<std::time::Duration>,
 }
-
-impl RunControl {
-    /// When a run starting now exhausts [`wall_budget`](Self::wall_budget).
-    pub fn deadline(&self) -> Option<std::time::Instant> {
-        self.wall_budget.map(|b| std::time::Instant::now() + b)
-    }
-}
-
-/// How often (in cycles) the wall-clock budget is polled. A power of two so
-/// the check compiles to a mask test on the hot path.
-pub const WALL_CHECK_CYCLES: u64 = 4096;
 
 /// Performance/behaviour counters for one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

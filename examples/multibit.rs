@@ -29,15 +29,11 @@ fn main() {
             &CampaignConfig::new(Structure::L1DData, faults, RunMode::Instrumented)
                 .with_burst(width),
         );
-        for msg in &c.warnings {
-            eprintln!("[health] {msg}");
-        }
-        if c.aborted_count() > 0 || c.wall_expired_count() > 0 {
+        if c.aborted_count() > 0 {
             eprintln!(
-                "[health] burst width {width}: {} aborted ({:.2}%), {} wall-clock expired",
+                "[health] burst width {width}: {} aborted ({:.2}%)",
                 c.aborted_count(),
-                c.abort_rate() * 100.0,
-                c.wall_expired_count()
+                c.abort_rate() * 100.0
             );
         }
         let a = JointAnalysis::from_campaign(&c);

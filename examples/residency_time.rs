@@ -41,17 +41,13 @@ fn main() {
                 &golden,
                 &CampaignConfig::new(s, faults, RunMode::Instrumented),
             );
-            for msg in &c.warnings {
-                eprintln!("[health] {} / {}: {msg}", s.label(), w.name);
-            }
-            if c.aborted_count() > 0 || c.wall_expired_count() > 0 {
+            if c.aborted_count() > 0 {
                 eprintln!(
-                    "[health] {} / {}: {} aborted ({:.2}%), {} wall-clock expired",
+                    "[health] {} / {}: {} aborted ({:.2}%)",
                     s.label(),
                     w.name,
                     c.aborted_count(),
-                    c.abort_rate() * 100.0,
-                    c.wall_expired_count()
+                    c.abort_rate() * 100.0
                 );
             }
             analyses.push(JointAnalysis::from_campaign(&c));
