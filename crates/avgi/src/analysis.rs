@@ -54,19 +54,6 @@ pub fn try_final_effect(r: &InjectionResult) -> Result<FaultEffect, EffectError>
     }
 }
 
-/// Panicking wrapper over [`try_final_effect`], kept for callers that have
-/// already established the campaign ran end-to-end.
-///
-/// # Panics
-///
-/// Panics if the run has no final effect (see [`EffectError`]).
-pub fn final_effect(r: &InjectionResult) -> FaultEffect {
-    match try_final_effect(r) {
-        Ok(e) => e,
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// Joint (IMM class × final effect) counts for one instrumented campaign.
 ///
 /// Row `NUM_IMMS` holds the Benign class (hardware-masked faults, which
@@ -79,12 +66,9 @@ pub struct JointAnalysis {
     pub structure: Structure,
     /// `counts[imm_or_benign][effect]`.
     pub counts: [[u64; NUM_EFFECTS]; NUM_IMMS + 1],
-    /// Maximum observed manifestation latency (first-deviation cycle minus
-    /// injection cycle) — the raw material of the effective-residency-time
-    /// analysis (§V.A).
-    pub max_manifestation_latency: u64,
-    /// All observed manifestation latencies, sorted ascending (for
-    /// quantile-based ERT window derivation).
+    /// Every observed manifestation latency (first-deviation cycle minus
+    /// injection cycle), sorted ascending — the raw material of the
+    /// effective-residency-time analysis (§V.A); the last is the maximum.
     pub manifestation_latencies: Vec<u64>,
     /// Total injections.
     pub total: u64,
@@ -114,7 +98,6 @@ impl JointAnalysis {
             workload: c.workload.clone(),
             structure: c.structure,
             counts,
-            max_manifestation_latency: lats.last().copied().unwrap_or(0),
             manifestation_latencies: lats,
             total: c.results.len() as u64,
         }
@@ -238,7 +221,6 @@ mod tests {
             workload: "w".into(),
             structure: Structure::L1DData,
             counts,
-            max_manifestation_latency: 0,
             manifestation_latencies: Vec::new(),
             total: 10,
         };

@@ -9,8 +9,9 @@
 //! The windows below are *pessimistic* defaults measured on this
 //! simulator's workloads (the analogue of the paper's Table II "Maximum
 //! Sim Cycles" column, scaled with the ~1000× shorter executions); the
-//! `fig08`/`table2` experiments re-derive them with
-//! [`measure_ert_window`].
+//! experiments use them as they stand, and [`ert_window_for_coverage`]
+//! derives a window from observed manifestation latencies for comparison
+//! (`examples/residency_time.rs`).
 
 use crate::analysis::JointAnalysis;
 use avgi_muarch::fault::Structure;
@@ -60,21 +61,6 @@ pub fn ert_window_for_coverage(
     Some(w + w * margin_percent / 100)
 }
 
-/// Derives a pessimistic ERT window from instrumented campaigns: the
-/// maximum observed manifestation latency across analyses, padded by
-/// `margin_percent`.
-///
-/// Returns `None` when no manifestation was ever observed (the structure
-/// never produced a deviation — e.g. ROB/LQ/SQ, whose `PRE` crashes carry
-/// no deviation record; their residency is bounded by occupancy instead).
-pub fn measure_ert_window(analyses: &[JointAnalysis], margin_percent: u64) -> Option<u64> {
-    let max = analyses.iter().map(|a| a.max_manifestation_latency).max()?;
-    if max == 0 {
-        return None;
-    }
-    Some(max + max * margin_percent / 100)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,17 +94,9 @@ mod tests {
             workload: "w".into(),
             structure: Structure::RegFile,
             counts: [[0; NUM_EFFECTS]; NUM_IMMS + 1],
-            max_manifestation_latency: lat,
-            manifestation_latencies: if lat > 0 { vec![lat] } else { Vec::new() },
+            manifestation_latencies: vec![lat],
             total: 0,
         }
-    }
-
-    #[test]
-    fn measured_window_adds_margin() {
-        assert_eq!(measure_ert_window(&[mk(100), mk(250)], 20), Some(300));
-        assert_eq!(measure_ert_window(&[mk(0)], 20), None);
-        assert_eq!(measure_ert_window(&[], 20), None);
     }
 
     #[test]

@@ -62,15 +62,15 @@ pub mod report;
 pub mod study;
 pub mod weights;
 
-pub use analysis::{final_effect, try_final_effect, EffectError, JointAnalysis};
+pub use analysis::{try_final_effect, EffectError, JointAnalysis};
 pub use classify::{classify_conditions, classify_injection, Conditions};
-pub use ert::{default_ert_window, ert_window_for_coverage, measure_ert_window};
+pub use ert::{default_ert_window, ert_window_for_coverage};
 pub use esc::EscModel;
 pub use fit::{chip_fit, structure_fit, RAW_FIT_PER_BIT};
 pub use imm::{FaultEffect, Imm, ImmClass, NUM_EFFECTS, NUM_IMMS};
 pub use pipeline::{
     assess, avgi_mode, exhaustive, AvgiAssessment, AvgiOptions, ExhaustiveAssessment,
 };
-pub use report::{grid_report, imm_collector, imm_labels, EffectDistribution, TelemetrySummary};
+pub use report::{imm_collector, imm_labels, EffectDistribution, TelemetrySummary};
 pub use study::{leave_one_out, leave_one_out_with, Study, StudyRow};
 pub use weights::{learn_weights, WeightTable};

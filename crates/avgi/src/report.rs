@@ -1,10 +1,8 @@
 //! Effect distributions and report helpers.
 
-use crate::analysis::try_final_effect;
 use crate::classify::classify_injection;
-use crate::imm::{FaultEffect, Imm, ImmClass, NUM_EFFECTS};
+use crate::imm::{Imm, ImmClass, NUM_EFFECTS};
 use avgi_faultsim::telemetry::{HistogramSnapshot, MetricsCollector, MetricsSnapshot};
-use avgi_faultsim::CampaignResult;
 
 /// A Masked/SDC/Crash probability split (one AVF report row).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -152,50 +150,6 @@ impl core::fmt::Display for TelemetrySummary<'_> {
     }
 }
 
-/// Renders a merged campaign — e.g. the outcome of a distributed `avgi-grid`
-/// run, where results and telemetry arrive separately — as one report:
-/// campaign header, the Masked/SDC/Crash split over every run with a final
-/// effect, and the folded [`TelemetrySummary`].
-///
-/// Works for any run mode: early-stopped runs (which have no final effect)
-/// are tallied and reported rather than crashing the report.
-pub fn grid_report(result: &CampaignResult, telemetry: &MetricsSnapshot) -> String {
-    use core::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "campaign: {} / {} ({:?}, {} faults, golden {} cycles)",
-        result.structure,
-        result.workload,
-        result.mode,
-        result.len(),
-        result.golden_cycles
-    );
-    let mut counts = [0u64; NUM_EFFECTS];
-    let mut early = 0u64;
-    for r in &result.results {
-        match try_final_effect(r) {
-            Ok(FaultEffect::Masked) => counts[0] += 1,
-            Ok(FaultEffect::Sdc) => counts[1] += 1,
-            Ok(FaultEffect::Crash) => counts[2] += 1,
-            Err(_) => early += 1,
-        }
-    }
-    let decided: u64 = counts.iter().sum();
-    if decided > 0 {
-        let d = EffectDistribution::from_array(counts.map(|n| n as f64 / decided as f64));
-        let _ = writeln!(out, "effects:  {d} (AVF {:.1}%)", d.avf() * 100.0);
-    }
-    if early > 0 {
-        let _ = writeln!(
-            out,
-            "          {early} runs stopped early (no final effect)"
-        );
-    }
-    let _ = write!(out, "{}", TelemetrySummary(telemetry));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,59 +253,5 @@ mod tests {
         assert!(text.contains("IMM classes:"));
         assert!(text.contains("ESC"));
         assert!(text.contains("post-injection cycles per run:"));
-    }
-
-    #[test]
-    fn grid_report_folds_results_and_telemetry() {
-        use avgi_faultsim::telemetry::CampaignObserver;
-        use avgi_faultsim::{InjectionResult, RunMode};
-        use avgi_muarch::fault::{Fault, FaultSite, Structure};
-        use avgi_muarch::run::RunOutcome;
-        use std::time::Duration;
-
-        let base = InjectionResult {
-            fault: Fault {
-                site: FaultSite {
-                    structure: Structure::RegFile,
-                    bit: 0,
-                },
-                cycle: 5,
-            },
-            outcome: RunOutcome::Completed,
-            deviation: None,
-            output_matches: Some(true),
-            cycles: 100,
-            post_inject_cycles: 95,
-            abort_message: None,
-        };
-        let sdc = InjectionResult {
-            output_matches: Some(false),
-            ..base.clone()
-        };
-        let early = InjectionResult {
-            outcome: RunOutcome::StoppedAtDeviation,
-            output_matches: None,
-            ..base.clone()
-        };
-        let results = vec![base.clone(), base.clone(), sdc, early];
-        let c = MetricsCollector::new();
-        c.on_campaign_start(Structure::RegFile, results.len());
-        for r in &results {
-            c.on_run(Structure::RegFile, r, Duration::from_micros(10));
-        }
-        let result = CampaignResult {
-            workload: "bitcount".into(),
-            structure: Structure::RegFile,
-            mode: RunMode::Instrumented,
-            golden_cycles: 100,
-            results,
-        };
-        let text = grid_report(&result, &c.snapshot());
-        assert!(text.contains(&format!("{} / bitcount", Structure::RegFile)));
-        assert!(text.contains("4 faults"));
-        // 3 decided runs: 2 masked, 1 SDC -> AVF 33.3%.
-        assert!(text.contains("AVF 33.3%"), "{text}");
-        assert!(text.contains("1 runs stopped early"));
-        assert!(text.contains("4/4 runs"));
     }
 }

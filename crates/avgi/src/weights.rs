@@ -94,7 +94,6 @@ mod tests {
             workload: workload.to_string(),
             structure: Structure::RegFile,
             counts,
-            max_manifestation_latency: 0,
             manifestation_latencies: Vec::new(),
             total: ifc_masked + ifc_crash + 10,
         }

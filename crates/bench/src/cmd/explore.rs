@@ -42,7 +42,7 @@ pub fn run(a: crate::Args) -> ExitCode {
         }
         let maxlat = group
             .iter()
-            .map(|a| a.max_manifestation_latency)
+            .filter_map(|a| a.manifestation_latencies.last().copied())
             .max()
             .unwrap_or(0);
         let mut row = format!("{:>11} {:>11}", s.label(), pct(benign));

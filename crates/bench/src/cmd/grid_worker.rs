@@ -1,7 +1,7 @@
 //! Distributed-campaign worker (`DESIGN.md` §10, §15).
 //!
-//! Connects to a `grid_coordinator` or `grid_service`, rebuilds campaigns
-//! locally from their specs (workload, configuration, golden run, fault
+//! Connects to a `grid_service`, rebuilds campaigns locally from their
+//! specs (workload, configuration, golden run, fault
 //! list, checkpoints — all deterministic), and executes leases until the
 //! peer declares the work done.
 //!

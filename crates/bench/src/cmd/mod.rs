@@ -3,7 +3,6 @@
 //! and the table [`main`] dispatches on.
 
 use crate::Args;
-use avgi_grid::GridOutcome;
 use std::process::ExitCode;
 
 /// One `avgi <name>` command.
@@ -46,34 +45,9 @@ commands! {
     fuzz_diff: "differential fuzzing: pipeline vs. reference model",
     xtier_check: "smoke prover: execution tiers and batched engine bit-identical",
     adaptive_check: "smoke prover: adaptive sampling agrees with uniform, 1 vs. 4 threads",
-    grid_coordinator: "one-campaign control plane for grid_worker processes",
-    grid_worker: "worker: executes leases from a coordinator or service",
+    grid_worker: "worker: executes leases from grid_service",
     grid_service: "multi-campaign control plane with the HTTP surface",
     grid_submit: "HTTP client: submit a campaign to grid_service, wait, verify",
-    grid_chaos: "chaos soak: service + workers under seeded link faults",
-}
-
-/// `--verify` of the in-process grid commands: the merged `outcome` must
-/// equal the single-process `reference` of the same submission in every
-/// result and every deterministic telemetry counter. Says which on stderr.
-fn outcome_matches(tag: &str, reference: &GridOutcome, outcome: &GridOutcome) -> bool {
-    let results_ok = outcome.result.results == reference.result.results;
-    if !results_ok {
-        eprintln!("[{tag}] verify FAIL: merged results differ from single-process reference");
-    }
-    let grid = outcome.telemetry.deterministic_counters_json();
-    let local = reference.telemetry.deterministic_counters_json();
-    if grid != local {
-        eprintln!("[{tag}] verify FAIL: merged telemetry counters differ");
-        eprintln!("[{tag}]   grid: {grid}");
-        eprintln!("[{tag}]    ref: {local}");
-    } else if results_ok {
-        eprintln!(
-            "[{tag}] verify OK: {} results and telemetry counters bit-identical to single-process",
-            reference.result.len()
-        );
-    }
-    results_ok && grid == local
 }
 
 /// Runs `avgi <argv>`: looks the command up and hands it the rest. No or an

@@ -26,7 +26,7 @@ fn no_or_unknown_command_lists_every_command_and_exits_2() {
             assert!(err.contains(c.name), "{args:?}: list lacks {}", c.name);
         }
     }
-    assert_eq!(COMMANDS.len(), 24);
+    assert_eq!(COMMANDS.len(), 22);
     assert!(stderr(&avgi(&["fig99_nothing"])).contains("unknown command `fig99_nothing`"));
 }
 
@@ -75,7 +75,7 @@ fn an_argv_error_prints_usage_and_exits_2_before_anything_starts() {
     assert!(!queue.exists(), "the service must not have started");
 
     // The one integer rule reaches every numeric flag of every command.
-    for cmd in ["grid_submit", "grid_coordinator", "fig10_accuracy"] {
+    for cmd in ["grid_submit", "fig10_accuracy"] {
         let out = avgi(&[cmd, "--seed", "0xA4610001", "--stop-here"]);
         let err = stderr(&out);
         assert_eq!(out.status.code(), Some(2), "{cmd}");
@@ -229,7 +229,7 @@ fn scripts_and_ci_name_only_registered_commands() {
     for (file, at_least) in [
         ("run_experiments.sh", 11),
         ("run_experiments_extra.sh", 4),
-        (".github/workflows/ci.yml", 12),
+        (".github/workflows/ci.yml", 10),
     ] {
         let text = std::fs::read_to_string(format!("{root}/{file}")).expect(file);
         let named = commands_named_in(&text);

@@ -15,8 +15,8 @@
 //! changes the merged campaign*: frame CRCs turn corruption into detected
 //! connection drops, session-token reconnect turns drops into retries, and
 //! first-responder-wins lease accounting makes every retransmission
-//! idempotent. `grid/tests/chaos.rs` and the `grid_chaos` bin hold the
-//! fabric to that contract bit-for-bit.
+//! idempotent. `grid/tests/chaos.rs` holds the fabric to that contract
+//! bit-for-bit, with chaos on one side of the link or both.
 
 use crate::transport::Transport;
 use avgi_rng::Rng;

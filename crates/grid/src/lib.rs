@@ -55,8 +55,8 @@
 //!
 //! The protocol (frame layout, lease state machine, merge semantics) is
 //! documented in `DESIGN.md` §10 and the service in §15; `README.md` shows
-//! the two-terminal localhost workflow via the `grid_coordinator` (one
-//! campaign) or `grid_service` (many) and `grid_worker` binaries.
+//! the localhost workflow through the `avgi` commands `grid_service` (the
+//! control plane), `grid_worker` (a worker) and `grid_submit` (a client).
 
 pub mod chaos;
 pub mod error;

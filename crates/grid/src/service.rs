@@ -73,6 +73,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Live worker-connection cap; beyond it a new peer is shed with a
+/// [`Msg::Reject`] and closed.
+pub const MAX_CONNS: usize = 64;
+
 /// Control-plane configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -99,11 +103,8 @@ pub struct ServiceConfig {
     /// Cooperative shutdown: when this flag flips true the service drains
     /// the fleet and returns (the embedding test or process owns the flag).
     pub stop: Option<Arc<std::sync::atomic::AtomicBool>>,
-    /// Live worker-connection cap; beyond it new peers are shed with a
-    /// `Reject` frame.
-    pub max_conns: usize,
     /// Fault injection on every accepted worker connection's outbound
-    /// frames (`None` = plain TCP). Test/soak instrumentation; see
+    /// frames (`None` = plain TCP). Test instrumentation; see
     /// [`crate::chaos`].
     pub chaos: Option<Arc<ChaosInterposer>>,
 }
@@ -121,7 +122,6 @@ impl Default for ServiceConfig {
             deadline: None,
             exit_after: None,
             stop: None,
-            max_conns: 64,
             chaos: None,
         }
     }
@@ -629,7 +629,7 @@ impl Service {
                         close_after_flush: false,
                         parked: false,
                     };
-                    if self.conns.len() >= self.cfg.max_conns {
+                    if self.conns.len() >= MAX_CONNS {
                         self.stats.connections_shed += 1;
                         self.push(
                             &mut conn,

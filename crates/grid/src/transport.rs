@@ -1,8 +1,8 @@
 //! The byte-stream abstraction under the frame protocol.
 //!
-//! Production connections are plain TCP ([`TcpTransport`]); tests and the
-//! `grid_chaos` soak bin interpose a [`ChaosTransport`](crate::chaos::ChaosTransport)
-//! that injects deterministic, seeded faults into the stream. Everything
+//! Production connections are plain TCP ([`TcpTransport`]); tests
+//! interpose a [`ChaosTransport`](crate::chaos::ChaosTransport) that
+//! injects deterministic, seeded faults into the stream. Everything
 //! above this layer — framing, the lease state machine, reconnect — is
 //! written against `dyn Transport`, so the fabric's failure handling can be
 //! exercised without real network failures.

@@ -119,7 +119,7 @@ pub struct WorkerConfig {
     /// worker dying mid-campaign (`None` = run to completion).
     pub max_batches: Option<usize>,
     /// Fault injection on this worker's outbound frames (`None` = plain
-    /// TCP). Test/soak instrumentation; see [`crate::chaos`].
+    /// TCP). Test instrumentation; see [`crate::chaos`].
     pub chaos: Option<Arc<ChaosInterposer>>,
     /// Per-kind tallies of this worker's *outbound* frames (`None` = no
     /// accounting). The bins use this to report how many bytes the binary

@@ -46,8 +46,9 @@ fn grid_config(dir: &std::path::Path) -> ServiceConfig {
     }
 }
 
-/// `grid_chaos`'s retry budgets: a worker whose last `Done` chaos ate gives
-/// up on the exited service in seconds.
+/// Short retry budgets: a worker whose last `Done` chaos ate gives up on
+/// the exited service in seconds, not through the production-sized
+/// reconnect budget.
 fn worker_config(jitter_seed: u64) -> WorkerConfig {
     let mut w = WorkerConfig::new(String::new());
     w.threads = 2;
@@ -107,25 +108,68 @@ fn chaotic_links_both_ways_stay_bit_identical_across_seeds() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn worker_death_under_chaos_still_converges_bit_identically() {
-    let dir = scratch("chaos-death");
-    let coord_chaos = Arc::new(ChaosInterposer::new(ChaosPolicy::stormy(0xDEAD_C4A0)));
+/// One worker per jitter seed; the first dies abruptly after one batch,
+/// lease in hand, and the others inherit the abandoned indices — all
+/// through links injured by `service_side` and, when given, `worker_side`.
+fn worker_death_under(
+    dir: &std::path::Path,
+    service_side: ChaosPolicy,
+    worker_side: Option<ChaosPolicy>,
+    jitter_seeds: &[u64],
+) {
+    let worker_chaos = worker_side.map(|p| Arc::new(ChaosInterposer::new(p)));
     let grid = ServiceConfig {
-        chaos: Some(coord_chaos.clone()),
-        ..grid_config(&dir)
+        chaos: Some(Arc::new(ChaosInterposer::new(service_side))),
+        ..grid_config(dir)
     };
-    // One worker dies abruptly holding a lease; the healthy one inherits
-    // the abandoned indices — all through a lossy service link.
-    let mut dying = worker_config(0xD1E);
-    dying.max_batches = Some(1);
-    let healthy = worker_config(0x11EA_17B1);
-    let (outcome, stats) = run_chaos_grid(grid, vec![dying, healthy]);
+    let workers = jitter_seeds
+        .iter()
+        .enumerate()
+        .map(|(i, &seed)| {
+            let mut w = worker_config(seed);
+            w.chaos = worker_chaos.clone();
+            if i == 0 {
+                w.max_batches = Some(1);
+            }
+            w
+        })
+        .collect();
+    let (outcome, stats) = run_chaos_grid(grid, workers);
     assert_matches_reference(&outcome, &spec());
     assert!(
         stats.leases_reassigned >= 1,
-        "the dead worker's lease must be reassigned, stats: {stats:?}"
+        "the dead worker's lease must be reassigned ({service_side:?}), stats: {stats:?}"
     );
+}
+
+#[test]
+fn worker_death_under_chaos_still_converges_bit_identically() {
+    let dir = scratch("chaos-death");
+    // A lossy service link, one dying worker and one healthy one.
+    worker_death_under(
+        &dir,
+        ChaosPolicy::stormy(0xDEAD_C4A0),
+        None,
+        &[0xD1E, 0x11EA_17B1],
+    );
+    // Every fault class on both sides of the link, three workers, two seeds.
+    let mix = |seed| ChaosPolicy {
+        seed,
+        drop: 0.05,
+        corrupt: 0.05,
+        duplicate: 0.03,
+        sever: 0.02,
+        delay: 0.05,
+        max_delay: Duration::from_millis(5),
+    };
+    for seed in [0xC4A0_u64, 0xC4A1] {
+        worker_death_under(
+            &dir,
+            mix(seed),
+            Some(mix(seed ^ 0xFF)),
+            &[seed, seed + 1, seed + 2],
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

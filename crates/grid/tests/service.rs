@@ -16,7 +16,7 @@ use avgi_faultsim::{CampaignError, DurabilityPolicy, RunMode};
 use avgi_grid::proto::{
     send, FrameBuffer, Msg, MsgKind, WireStats, MIN_PROTO_VERSION, PROTO_VERSION,
 };
-use avgi_grid::service::{reference_outcome, reference_report};
+use avgi_grid::service::{reference_outcome, reference_report, MAX_CONNS};
 use avgi_grid::worker::RUNTIME_CACHE_CAPACITY;
 use avgi_grid::{
     ChaosInterposer, ChaosPolicy, GridOutcome, Service, ServiceConfig, ServiceStats,
@@ -218,7 +218,7 @@ fn interleaved_tenants(name: &str, chaos: Option<Arc<ChaosInterposer>>) {
             let mut wcfg = worker_config(&svc.fabric, 0x5EED_0100 + i);
             if stormy {
                 // A worker whose last `Done` the storm ate should give up
-                // on the exited service in seconds (`grid_chaos`'s budgets).
+                // on the exited service in seconds, as in `chaos.rs`.
                 wcfg.connect_timeout = Duration::from_secs(1);
                 wcfg.reconnect_attempts = 4;
             }
@@ -726,6 +726,30 @@ fn an_idle_worker_asks_once_and_is_leased_without_asking_again() {
     assert_eq!(requests.of(MsgKind::SpecRequest).0, 1);
     assert_eq!(stats.protocol_errors, 0, "{stats:?}");
     assert_eq!((wstats.batches, wstats.reconnects), (2, 0), "{wstats:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_connection_past_the_cap_is_shed_with_a_reject() {
+    let dir = scratch("shed");
+    let svc = Harness::start(&dir, 8, None);
+    // The cap's worth of peers that connect and say nothing. The service
+    // accepts in connect order, so these fill every slot.
+    let idle: Vec<TcpStream> = (0..MAX_CONNS)
+        .map(|_| TcpStream::connect(&svc.fabric).unwrap())
+        .collect();
+    let mut late = TcpStream::connect(&svc.fabric).unwrap();
+    // Bounded reads, so a service that lets it in fails the test in
+    // `next_msg`'s 60 s rather than hanging to the service's deadline.
+    late.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+    let mut frames = FrameBuffer::new();
+    match common::next_msg(&mut late, &mut frames) {
+        Msg::Reject { reason } => assert_eq!(reason, "service at connection capacity"),
+        other => panic!("expected a reject, got {other:?}"),
+    }
+    drop(idle);
+    let stats = svc.finish();
+    assert_eq!(stats.connections_shed, 1, "{stats:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
