@@ -622,14 +622,19 @@ struct Engine<'a> {
 }
 
 impl Engine<'_> {
-    /// Whether every bit `fault` flips — the one site, or its burst — lies
-    /// in storage that is dead on `sim` ([`Sim::dead_on_arrival`]).
-    fn dead_on_arrival(&self, sim: &Sim, fault: Fault) -> bool {
+    /// Whether no bit `fault` flips — the one site, or its burst — is ever
+    /// read: each lies in storage that is dead on `sim`
+    /// ([`Sim::dead_on_arrival`]), or in a register the golden run frees
+    /// before it reads it again
+    /// ([`UnAceIndex::covers`](avgi_muarch::regfile::UnAceIndex::covers)).
+    /// `sim` stands at the fault's cycle on the golden path.
+    fn never_read(&self, sim: &Sim, fault: Fault) -> bool {
+        let unread = |f: &Fault| {
+            sim.dead_on_arrival(f.site) || self.golden.rf_un_ace.covers(f.site, f.cycle)
+        };
         match self.ccfg.burst_width {
-            0 | 1 => sim.dead_on_arrival(fault.site),
-            width => multi_bit_burst(fault, width, self.cfg)
-                .iter()
-                .all(|f| sim.dead_on_arrival(f.site)),
+            0 | 1 => unread(&fault),
+            width => multi_bit_burst(fault, width, self.cfg).iter().all(unread),
         }
     }
 
@@ -740,9 +745,9 @@ impl Engine<'_> {
     /// fault-free prefix.
     ///
     /// The carrier advances fault-free from the checkpoint; each run whose
-    /// fault is not dead on it there ([`Sim::dead_on_arrival`] — a dead one
-    /// takes the golden's ending unforked) forks off it at the *beginning*
-    /// of its injection cycle, arms its fault, and runs to its own end.
+    /// fault may be read ([`Engine::never_read`] — one never read takes the
+    /// golden's ending unforked) forks off it at the *beginning* of its
+    /// injection cycle, arms its fault, and runs to its own end.
     /// [`Sim::step`] applies pending faults at the start of the cycle they
     /// name, so the fork is state-identical to a fresh run that armed the
     /// same fault at reset and simulated forward — the cycles before the
@@ -780,7 +785,7 @@ impl Engine<'_> {
                 if carrier.run_to_cycle(fault.cycle, &self.ctl).is_some() {
                     return None; // carrier ended before the injection cycle
                 }
-                if self.dead_on_arrival(carrier, fault) {
+                if self.never_read(carrier, fault) {
                     return Some(self.golden_ending(fault, None, fault.cycle));
                 }
                 if let Some(f) = sims.fork.as_mut() {

@@ -15,10 +15,14 @@
 //!    configured and once with no checkpoints at all — every run simulated
 //!    fresh from reset to its own end — each with a fresh metrics
 //!    collector. Every per-run observable and the deterministic telemetry
-//!    counters must be equal, so every exit ([`Sim::dead_on_arrival`] at
-//!    injection, in every mode; [`Sim::converged_with`] at later
-//!    checkpoints) is held to the run it skipped. The report counts the runs
-//!    that took an exit and the cycles they were charged, not simulated.
+//!    counters must be equal, so every exit is held to the run it skipped:
+//!    at injection, in every mode, a flip into dead storage
+//!    ([`Sim::dead_on_arrival`]) or into a register the golden run frees
+//!    before reading it again
+//!    ([`GoldenRun::rf_un_ace`](avgi_muarch::trace::GoldenRun::rf_un_ace));
+//!    later, a machine equal to the golden's at a checkpoint
+//!    ([`Sim::converged_with`]). The report counts the runs that took an
+//!    exit and the cycles they were charged, not simulated.
 //! 3. **Fork anatomy**: for a sample of faults, the carrier/fork execution
 //!    is replayed with full trace recording next to a fresh run armed at
 //!    reset, and the two commit streams are compared record-for-record

@@ -7,6 +7,10 @@
 //! where every run is simulated from reset to its own end and nothing is
 //! asked of, or compared with, anything.
 //!
+//! The exits at injection are two: a flip into storage dead at that cycle,
+//! and a flip into a register the golden run frees before it reads it
+//! again (`un_ace_register_exit_is_invisible`).
+//!
 //! The proof is not allowed to be vacuous. Every leg counts the runs that
 //! took an exit (`MetricsSnapshot::converged_runs`); every structure with a
 //! known dead or converging share must have some, with or without an ERT
@@ -305,6 +309,40 @@ fn ert_bounded_exit_is_invisible_on_qsort_big() {
 #[test]
 fn ert_bounded_exit_is_invisible_on_qsort_small() {
     ert_bounded_exit_is_invisible("qsort", MuarchConfig::small());
+}
+
+/// The third exit, across paths: a register-file campaign run with a
+/// checkpoint set — where a flip the golden run frees before reading
+/// (`GoldenRun::rf_un_ace`) takes the golden's ending unforked — returns
+/// the results of the same campaign run fresh from reset, on both cores,
+/// under the AVGI window and end to end. Every index hit is a run that
+/// took an exit (`converged_runs` counts them with the dead-on-arrival and
+/// later exits), and each leg has hits, or the exit is not exercised.
+#[test]
+fn un_ace_register_exit_is_invisible() {
+    const N: usize = 60;
+    for cfg in [MuarchConfig::big(), MuarchConfig::small()] {
+        for workload in ["crc32", "sha", "bitcount", "qsort"] {
+            let f = fixture(workload, cfg.clone());
+            for mode in [
+                RunMode::FirstDeviation {
+                    ert_window: Some(1_200),
+                },
+                RunMode::EndToEnd,
+            ] {
+                let what = format!("{workload} / {} / {mode:?}", f.cfg.name);
+                let base = CampaignConfig::new(Structure::RegFile, N, mode).with_seed(0x3E817);
+                let (reference, ..) = observed(&f, base.clone().with_checkpoints(0));
+                let (results, exited, _) = observed(&f, base.with_checkpoints(8));
+                assert_eq!(results, reference, "{what}");
+                let hits = (results.iter())
+                    .filter(|r| f.golden.rf_un_ace.covers(r.fault.site, r.fault.cycle))
+                    .count() as u64;
+                assert!(hits > 0, "{what}: no fault hit the index");
+                assert!(exited >= hits, "{what}: {exited} exits < {hits} index hits");
+            }
+        }
+    }
 }
 
 /// A journal written under one checkpoint count and cut in half resumes

@@ -135,11 +135,6 @@ impl ChaosInterposer {
         }
     }
 
-    /// The policy this interposer applies.
-    pub fn policy(&self) -> &ChaosPolicy {
-        &self.policy
-    }
-
     /// The shared fault tally across every wrapped stream.
     pub fn stats(&self) -> &Arc<ChaosStats> {
         &self.stats

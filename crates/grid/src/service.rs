@@ -177,7 +177,7 @@ pub struct CampaignStatus {
 #[derive(Debug)]
 pub struct GridOutcome {
     /// The merged campaign result — bit-identical to a single-process
-    /// [`run_campaign`](avgi_faultsim::run_campaign) of the same spec.
+    /// [`run_campaign`] of the same spec.
     pub result: CampaignResult,
     /// Merged telemetry: the sum of every accepted batch delta (plus the
     /// journal replay on resume). Its deterministic counters match a

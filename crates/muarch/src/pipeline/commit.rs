@@ -85,7 +85,7 @@ impl Sim {
             self.stats.squashed += 1;
             if e.dest_arch != NO_DEST {
                 self.rf.remap(e.dest_arch, e.prev_phys);
-                self.rf.release(e.new_phys);
+                self.release(e.new_phys);
             }
             if e.is_load && !self.lq.is_empty() {
                 let t = self.lq.pop_tail();
@@ -163,7 +163,7 @@ impl Sim {
 
             let halt = e.decoded.is_some_and(|i| i.op == Opcode::Halt);
             if e.dest_arch != NO_DEST {
-                self.rf.release(e.prev_phys);
+                self.release(e.prev_phys);
             }
             self.rob.pop_head();
 
@@ -172,6 +172,13 @@ impl Sim {
             }
         }
         None
+    }
+
+    /// Frees `p` this cycle, logging the tenancy's un-ACE tail if this run
+    /// keeps the log (golden capture).
+    fn release(&mut self, p: PhysReg) {
+        self.rf
+            .release(p, self.cycle, self.scratch.rf_tails.as_mut());
     }
 
     fn record_commit(&mut self, rec: CommitRecord, ctl: &RunControl) {

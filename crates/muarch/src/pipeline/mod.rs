@@ -30,7 +30,7 @@ use crate::hierarchy::Hierarchy;
 use crate::predictor::Predictor;
 use crate::program::Program;
 use crate::queues::{pack_lq, pack_rob, pack_sq, LQ_ENTRY_BITS, ROB_ENTRY_BITS, SQ_ENTRY_BITS};
-use crate::regfile::{PhysReg, RegFile};
+use crate::regfile::{PhysReg, RegFile, UnAceIndex};
 use crate::ring::{Entry, Ring};
 use crate::run::{ExecStats, RunControl, RunOutcome, RunReport, TrapKind};
 use crate::trace::{CommitRecord, Deviation, GoldenRun};
@@ -157,8 +157,8 @@ struct Scheduler {
     executing: SlotSet,
 }
 
-/// The growable per-run buffers (decode queue, trace, armed faults), grouped
-/// into one arena-style unit with a generation counter.
+/// The growable per-run buffers (decode queue, trace, register tails, armed
+/// faults), grouped into one arena-style unit with a generation counter.
 ///
 /// Rewinding a scratch simulator resets these as a single bump:
 /// [`RunScratch::rewind_to`] advances the generation and refills every
@@ -173,6 +173,11 @@ struct RunScratch {
     gen: u64,
     decode_q: VecDeque<Fetched>,
     trace: Vec<CommitRecord>,
+    /// The log of un-ACE tails, in release order ([`RegFile::release`]):
+    /// kept by golden capture for
+    /// [`GoldenRun::rf_un_ace`](crate::trace::GoldenRun::rf_un_ace), by no
+    /// other run.
+    rf_tails: Option<Vec<u64>>,
     pending_faults: Vec<Fault>, // sorted by cycle, ascending
 }
 
@@ -182,6 +187,7 @@ impl RunScratch {
             gen: 0,
             decode_q: VecDeque::with_capacity(2 * cfg.fetch_width as usize + 2),
             trace: Vec::new(),
+            rf_tails: None,
             pending_faults: Vec::new(),
         }
     }
@@ -190,10 +196,11 @@ impl RunScratch {
     /// then adopt `src`'s live content.
     fn rewind_to(&mut self, src: &RunScratch) {
         #[rustfmt::skip] // `gen` counts this arena's own rewinds
-        let RunScratch { gen: _, decode_q, trace, pending_faults } = src;
+        let RunScratch { gen: _, decode_q, trace, rf_tails, pending_faults } = src;
         self.gen += 1;
         self.decode_q.clone_from(decode_q);
         self.trace.clone_from(trace);
+        self.rf_tails.clone_from(rf_tails);
         self.pending_faults.clone_from(pending_faults);
     }
 }
@@ -265,8 +272,8 @@ pub struct Sim {
 
     stats: ExecStats,
 
-    // Per-run growable buffers (decode queue, trace, armed faults), reset as
-    // one unit — see [`RunScratch`].
+    // Per-run growable buffers (decode queue, trace, tails, armed faults),
+    // reset as one unit — see [`RunScratch`].
     scratch: RunScratch,
 }
 
@@ -434,6 +441,7 @@ pub fn capture_golden(program: &Program, cfg: &MuarchConfig, max_cycles: u64) ->
     // Pre-size the trace from a committed-instruction estimate (IPC ≈ 1,
     // bounded) so recording does not grow the vector incrementally.
     sim.reserve_trace((max_cycles as usize).clamp(4096, 1 << 18));
+    sim.scratch.rf_tails = Some(Vec::new());
     let ctl = RunControl {
         max_cycles,
         record_trace: true,
@@ -448,8 +456,11 @@ pub fn capture_golden(program: &Program, cfg: &MuarchConfig, max_cycles: u64) ->
         report.outcome,
         report.cycles,
     );
+    let log = sim.scratch.rf_tails.take().expect("capture keeps the log");
+    let rf_un_ace = UnAceIndex::from_log(log);
     Arc::new(GoldenRun {
         trace: report.trace.expect("trace recorded"),
+        rf_un_ace,
         cycles: report.cycles,
         output: report.output.expect("completed"),
         stats: report.stats,

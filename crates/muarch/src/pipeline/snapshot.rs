@@ -142,7 +142,7 @@ impl Sim {
             rf, rob, rob_finish, lq, sq, hier, pred, scratch,
         } = self;
         #[rustfmt::skip] // the rewind count; the past, handed to the report; see `armed`
-        let RunScratch { gen: _, trace: _, pending_faults: _, decode_q } = scratch;
+        let RunScratch { gen: _, trace: _, rf_tails: _, pending_faults: _, decode_q } = scratch;
         let o = &snap.sim;
         let armed = |s: &Sim| s.faults_next < s.scratch.pending_faults.len();
         // Cheapest and likeliest to differ first: a run that has not

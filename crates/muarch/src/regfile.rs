@@ -11,9 +11,137 @@
 //! instead of polling every issue-queue entry every cycle.
 
 use crate::config::SlotSet;
+use crate::fault::{FaultSite, Structure};
+use core::ops::RangeInclusive;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Physical register identifier.
 pub type PhysReg = u16;
+
+/// Field masks of an [`UnAceIndex`] log word: `release cycle << 32 | tail
+/// length << 8 | register`.
+const TAIL_LEN_MASK: u64 = (1 << 24) - 1;
+const TAIL_REG_MASK: u64 = (1 << 8) - 1;
+
+/// Per physical register, the un-ACE tails of its tenancies in a golden
+/// run: the cycles in which a flip of the register's value is never read,
+/// because the run frees the register (commit or squash) before its next
+/// read. A flip at such a cycle leaves the machine equal to the golden's
+/// once the free makes the value dead, so its run has the golden's ending.
+///
+/// Golden capture only appends, one word per tenancy in release order
+/// ([`RegFile::release`]): a flat log, written front to back. The first
+/// query buckets it by register (a flat array plus per-register offsets)
+/// and frees it, so a golden run no campaign asks about never pays for the
+/// bucketing, and the index holds 8 bytes per tenancy. A tail longer than
+/// 2^24 − 1 cycles keeps only its last cycles; a tenancy of a register
+/// past 255, or released at or after cycle 2^32, has no entry.
+#[derive(Debug, Default)]
+pub struct UnAceIndex {
+    /// The capture's log, until the first query takes it.
+    log: Mutex<Vec<u64>>,
+    buckets: OnceLock<Buckets>,
+}
+
+/// [`UnAceIndex`]'s log words bucketed by register:
+/// `words[offsets[r]..offsets[r + 1]]` are register `r`'s, ascending by
+/// release cycle.
+#[derive(Debug, Clone)]
+struct Buckets {
+    offsets: Vec<u32>,
+    words: Vec<u64>,
+}
+
+impl Clone for UnAceIndex {
+    fn clone(&self) -> Self {
+        UnAceIndex {
+            log: Mutex::new(self.log().clone()),
+            buckets: self.buckets.clone(),
+        }
+    }
+}
+
+impl UnAceIndex {
+    /// An index over a capture's log, as [`RegFile::release`] wrote it.
+    pub(crate) fn from_log(mut log: Vec<u64>) -> Self {
+        log.shrink_to_fit();
+        UnAceIndex {
+            log: Mutex::new(log),
+            buckets: OnceLock::new(),
+        }
+    }
+
+    fn log(&self) -> MutexGuard<'_, Vec<u64>> {
+        // The log is only ever taken whole, so no panic leaves it torn.
+        self.log.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn buckets(&self) -> &Buckets {
+        self.buckets.get_or_init(|| {
+            let log = core::mem::take(&mut *self.log());
+            let reg = |w: u64| (w & TAIL_REG_MASK) as usize;
+            let mut offsets = vec![0u32; TAIL_REG_MASK as usize + 2];
+            for &w in &log {
+                offsets[reg(w) + 1] += 1;
+            }
+            for r in 1..offsets.len() {
+                offsets[r] += offsets[r - 1];
+            }
+            let mut next = offsets.clone();
+            let mut words = vec![0; log.len()];
+            for &w in &log {
+                let at = &mut next[reg(w)];
+                words[*at as usize] = w;
+                *at += 1;
+            }
+            Buckets { offsets, words }
+        })
+    }
+
+    /// Register `reg`'s log words, ascending by release cycle.
+    fn bucket(&self, reg: usize) -> &[u64] {
+        let b = self.buckets();
+        match (b.offsets.get(reg), b.offsets.get(reg + 1)) {
+            (Some(&lo), Some(&hi)) => &b.words[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+
+    /// Register `reg`'s tails, ascending, as inclusive cycle ranges.
+    pub fn tails(&self, reg: usize) -> impl Iterator<Item = RangeInclusive<u64>> + '_ {
+        self.bucket(reg).iter().map(|&w| {
+            let release = w >> 32;
+            release + 1 - (w >> 8 & TAIL_LEN_MASK)..=release
+        })
+    }
+
+    /// Whether a flip of `site` at the beginning of `cycle` lies in an
+    /// un-ACE tail: a register-file bit whose register the golden run frees
+    /// at or after `cycle` and does not read from `cycle` until then.
+    pub fn covers(&self, site: FaultSite, cycle: u64) -> bool {
+        if site.structure != Structure::RegFile {
+            return false;
+        }
+        // Tenancies of one register do not overlap: the first tail ending
+        // at or after `cycle` is the only one that can hold it.
+        let bucket = self.bucket((site.bit / u64::from(u32::BITS)) as usize);
+        let first_ending = bucket.partition_point(|&w| w >> 32 < cycle);
+        bucket.get(first_ending).is_some_and(|&w| {
+            let release = w >> 32;
+            release - (w >> 8 & TAIL_LEN_MASK) < cycle
+        })
+    }
+
+    /// Number of tenancies with a tail.
+    pub fn len(&self) -> usize {
+        self.buckets().words.len()
+    }
+
+    /// Whether no tenancy has a tail.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
 
 /// Physical register file + renaming state.
 #[derive(Debug, Clone)]
@@ -158,10 +286,32 @@ impl RegFile {
         core::mem::replace(&mut self.rename[arch as usize], new)
     }
 
-    /// Returns a register to the free list (commit frees the overwritten
-    /// mapping; squash frees the speculative one).
-    pub fn release(&mut self, p: PhysReg) {
+    /// Returns a register to the free list at `cycle` (commit frees the
+    /// overwritten mapping; squash frees the speculative one). With a `log`
+    /// (golden capture), appends the ending tenancy's un-ACE tail to it as
+    /// one [`UnAceIndex`] word: the cycles from the last read + 1 through
+    /// `cycle`, in which a flip of the value is never read before the free
+    /// makes it dead. A read in `cycle` itself leaves no tail; neither does
+    /// a value never produced (the whole tenancy was already
+    /// [`is_dead`](RegFile::is_dead)).
+    pub fn release(&mut self, p: PhysReg, cycle: u64, log: Option<&mut Vec<u64>>) {
+        if let Some(log) = log {
+            self.log_tail(p, cycle, log);
+        }
         self.free.push(p);
+    }
+
+    // Out of line: only golden capture logs, and the faulty runs' cycle
+    // loop is measurably slower with the logging inlined into every free.
+    #[cold]
+    #[inline(never)]
+    fn log_tail(&self, p: PhysReg, cycle: u64, log: &mut Vec<u64>) {
+        let i = usize::from(p);
+        let len = cycle.saturating_sub(self.last_read[i]);
+        let fits = u64::from(p) <= TAIL_REG_MASK && cycle <= u64::from(u32::MAX);
+        if len > 0 && self.ready[i] && fits {
+            log.push(cycle << 32 | len.min(TAIL_LEN_MASK) << 8 | u64::from(p));
+        }
     }
 
     /// Number of free physical registers.
@@ -258,7 +408,7 @@ mod tests {
         assert_eq!(rf.write(p, 99), 0, "nobody waited");
         assert!(rf.is_ready(p));
         assert_eq!(rf.read(p), 99);
-        rf.release(prev);
+        rf.release(prev, 0, None);
         // Two free regs were consumed/released: allocator still works.
         assert!(rf.alloc().is_some());
         assert!(rf.alloc().is_some());
@@ -281,7 +431,7 @@ mod tests {
         let mut rf = RegFile::new(25);
         let p = rf.alloc().unwrap();
         rf.add_waiter(p, 7);
-        rf.release(p); // squashed before its value was produced
+        rf.release(p, 0, None); // squashed before its value was produced
         assert_eq!(rf.alloc_at(10), Some(p));
         assert_eq!(rf.write(p, 5), 0, "stale waiter survived reallocation");
     }
@@ -296,6 +446,63 @@ mod tests {
         dst.add_waiter(q, 40);
         dst.restore_from(&src);
         assert_eq!(dst.write(p, 0), 1 << 11);
+    }
+
+    /// The un-ACE log of both kinds of free: a commit frees the previous
+    /// mapping of a redefined register, a squash the speculative
+    /// destination. A tail runs from the cycle after the last read through
+    /// the release cycle, or from the cycle after allocation when nothing
+    /// read the value.
+    #[test]
+    fn release_logs_the_un_ace_tail_of_both_frees() {
+        let mut rf = RegFile::new(26);
+        let mut log = Vec::new();
+        // Commit: arch 3 (phys 3, value produced at reset) is read at 5 and
+        // 7, redefined, and its old mapping freed when the redefinition
+        // commits at 12.
+        rf.read_at(3, 5);
+        rf.read_at(3, 7);
+        let p = rf.alloc_at(8).unwrap();
+        let prev = rf.remap(3, p);
+        rf.release(prev, 12, Some(&mut log));
+        // Squash: the redefinition's value, produced and never read, is
+        // freed by a squash at 20.
+        rf.write(p, 1);
+        rf.release(p, 20, Some(&mut log));
+        let index = UnAceIndex::from_log(log);
+        assert_eq!(index.len(), 2);
+        assert_eq!(index.tails(3).collect::<Vec<_>>(), [8..=12]);
+        assert_eq!(index.tails(usize::from(p)).collect::<Vec<_>>(), [9..=20]);
+        let site = |reg: PhysReg, bit: u64| FaultSite {
+            structure: Structure::RegFile,
+            bit: u64::from(reg) * 32 + bit,
+        };
+        for (cycle, covered) in [(7, false), (8, true), (12, true), (13, false)] {
+            assert_eq!(index.covers(site(3, 31), cycle), covered, "cycle {cycle}");
+        }
+        let other = FaultSite {
+            structure: Structure::Rob,
+            bit: 3 * 32,
+        };
+        assert!(!index.covers(other, 10), "another structure");
+        assert!(!index.covers(site(200, 0), 10), "a register past the file");
+    }
+
+    /// No tail: a register read in its release cycle, a value never
+    /// produced, and a register never released; and without a log, a
+    /// release records nothing.
+    #[test]
+    fn release_logs_nothing_without_an_unread_produced_value() {
+        let mut rf = RegFile::new(26);
+        let mut log = Vec::new();
+        rf.read_at(4, 9);
+        rf.release(4, 9, Some(&mut log)); // read in its release cycle
+        let p = rf.alloc_at(3).unwrap();
+        rf.release(p, 10, Some(&mut log)); // squashed before its value
+        rf.read_at(5, 2); // arch 5 is never released
+        rf.release(6, 11, None); // no log
+        assert!(log.is_empty(), "{log:x?}");
+        assert!(UnAceIndex::from_log(log).is_empty());
     }
 
     #[test]

@@ -48,6 +48,10 @@ pub struct Deviation {
 pub struct GoldenRun {
     /// Full commit trace.
     pub trace: Vec<CommitRecord>,
+    /// Per physical register, the cycles at which a flip of its value is
+    /// never read before the run frees the register: the exit at injection
+    /// a campaign takes beyond dead storage.
+    pub rf_un_ace: crate::regfile::UnAceIndex,
     /// Total execution cycles.
     pub cycles: u64,
     /// Bytes of the program's output region after the post-run cache flush.
@@ -115,6 +119,7 @@ mod golden_tests {
                     val: 0,
                 },
             ],
+            rf_un_ace: Default::default(),
             cycles: 10,
             output: vec![],
             stats: crate::run::ExecStats::default(),

@@ -515,6 +515,119 @@ fn dead_on_arrival_is_converged_with_asked_before_the_flip_small() {
     dead_on_arrival_is_converged_with_asked_before_the_flip(MuarchConfig::small());
 }
 
+/// The third exit's claim, checked by running on: for every tenancy in the
+/// golden run's un-ACE index (`GoldenRun::rf_un_ace`), a flip of its
+/// register at the tail's first cycle, at one cycle between and at its
+/// release cycle leaves the machine, once the release cycle has run (at the
+/// beginning of the next one), equal to the fault-free machine. A tail
+/// ending at the golden's halt is held to the golden's ending instead.
+/// The index must reach past dead storage — some flips land in a register
+/// `dead_on_arrival` calls live — or it proves nothing the first exit does
+/// not. And a register the run never releases has no tail: the program
+/// never writes most architectural registers, whose identity mappings
+/// (physical registers 0..24) stay put all run.
+///
+/// A read in the release cycle would end a tenancy without a tail, but
+/// the stage order cannot produce one (a cycle frees registers in
+/// writeback and commit, before it issues); `regfile.rs`'s unit tests
+/// check that case at the register file.
+fn un_ace_tails_converge_by_their_release(cfg: MuarchConfig) {
+    const STRIDE: u64 = 64;
+    let p = scheduling_kernel();
+    let golden = capture_golden(&p, &cfg, MAX);
+    let ctl = RunControl {
+        max_cycles: MAX,
+        ..Default::default()
+    };
+    // The fault-free machine every STRIDE cycles, to stand at any cycle.
+    let mut walker = Sim::new(&p, cfg.clone());
+    let mut every = vec![walker.snapshot()];
+    while walker.run_to_cycle(walker.cycle() + STRIDE, &ctl).is_none() {
+        every.push(walker.snapshot());
+    }
+    let at = |cycle: u64| {
+        let mut sim = every[(cycle / STRIDE) as usize].spawn();
+        assert!(
+            sim.run_to_cycle(cycle, &ctl).is_none(),
+            "fault-free to {cycle}"
+        );
+        sim
+    };
+    let (mut flips, mut beyond_dead) = (0u64, 0u64);
+    for reg in 0..cfg.phys_regs as usize {
+        for (k, tail) in golden.rf_un_ace.tails(reg).enumerate() {
+            let (first, release) = (*tail.start(), *tail.end());
+            let site = FaultSite {
+                structure: Structure::RegFile,
+                bit: (reg * 32 + k % 32) as u64,
+            };
+            let what = |c| {
+                format!(
+                    "{}: phys {reg} tail {first}..={release}, flip @ {c}",
+                    cfg.name
+                )
+            };
+            let meet = (release < golden.cycles).then(|| at(release + 1).snapshot());
+            let start = at(first);
+            for c in [first, (first + release) / 2, release] {
+                let mut x = start.clone();
+                assert!(x.run_to_cycle(c, &ctl).is_none());
+                assert!(golden.rf_un_ace.covers(site, c), "{}", what(c));
+                beyond_dead += u64::from(!x.dead_on_arrival(site));
+                x.flip(site);
+                match &meet {
+                    Some(meet) => {
+                        assert!(x.run_to_cycle(release + 1, &ctl).is_none(), "{}", what(c));
+                        assert!(x.converged_with(meet), "{}", what(c));
+                    }
+                    None => {
+                        let r = x.run(&ctl);
+                        assert_eq!(
+                            (r.outcome, r.cycles),
+                            (RunOutcome::Completed, golden.cycles)
+                        );
+                        assert_eq!(r.output.as_deref(), Some(&golden.output[..]), "{}", what(c));
+                    }
+                }
+                flips += 1;
+            }
+        }
+    }
+    assert!(
+        beyond_dead > 0,
+        "{}: every flip was dead on arrival",
+        cfg.name
+    );
+    println!(
+        "{}: {} tails, {flips} flips converged, {beyond_dead} of them into live registers",
+        cfg.name,
+        golden.rf_un_ace.len()
+    );
+    // Physical registers 0..24 start mapped to their architectural
+    // namesakes; the kernel writes twelve of them, and a register it never
+    // writes is never released.
+    let written = [A0, A1, A2, S0, S1, S2, T0, T1, T2, T3, T4, T5].map(|r| r.index());
+    for arch in 0..24 {
+        let tails = golden.rf_un_ace.tails(usize::from(arch)).count();
+        assert_eq!(
+            tails > 0,
+            written.contains(&arch),
+            "{}: arch {arch}",
+            cfg.name
+        );
+    }
+}
+
+#[test]
+fn un_ace_tails_converge_by_their_release_big() {
+    un_ace_tails_converge_by_their_release(MuarchConfig::big());
+}
+
+#[test]
+fn un_ace_tails_converge_by_their_release_small() {
+    un_ace_tails_converge_by_their_release(MuarchConfig::small());
+}
+
 /// A snapshot of a machine that has stepped fault-free says "every armed
 /// fault is applied" — vacuously. Arming a fault on a simulator spawned
 /// from it must reopen the question: under an ERT window of 0 the run ends

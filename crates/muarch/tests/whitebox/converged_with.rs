@@ -244,7 +244,9 @@ fn a_perturbation_flips_the_answer_exactly_where_the_state_is_live() {
             p("rename map", move |s| {
                 s.rf.remap(3, free as PhysReg);
             }),
-            p("free list", move |s| s.rf.release(live as PhysReg)),
+            p("free list", move |s| {
+                s.rf.release(live as PhysReg, 0, None);
+            }),
             p("ready bit", move |s| {
                 s.rf.write(unproduced as PhysReg, 0);
             }),

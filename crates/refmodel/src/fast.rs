@@ -1,7 +1,7 @@
 //! The fast architectural execution tier: a pre-decoded, basic-block
 //! threaded interpreter.
 //!
-//! [`RefModel`](crate::RefModel) re-decodes every instruction word on every
+//! [`RefModel`] re-decodes every instruction word on every
 //! step and routes all memory traffic through the pipeline's paged
 //! copy-on-write store. That is the right shape for an *oracle* — maximally
 //! independent, trivially auditable — but it is far too slow to be the
@@ -9,7 +9,7 @@
 //! tier:
 //!
 //! * the program is decoded **once** into a [`BlockCache`]: one compact
-//!   dispatch-ready [`FastOp`] per code word, with branch/jump targets and
+//!   dispatch-ready `FastOp` per code word, with branch/jump targets and
 //!   access sizes pre-computed, plus a basic-block map recording, for every
 //!   slot, where its straight-line run ends;
 //! * memory is a single flat byte array (the address space is only 768 KiB),
@@ -123,7 +123,7 @@ impl FastOp {
     }
 }
 
-/// A program decoded once into dispatch-ready form: one [`FastOp`] and the
+/// A program decoded once into dispatch-ready form: one `FastOp` and the
 /// raw word per code slot, plus the basic-block map. Immutable and shared
 /// (`Arc`) across every [`FastModel`] of the same program — the code region
 /// is write-protected (stores below `DATA_BASE` fault), so pre-decoding is
