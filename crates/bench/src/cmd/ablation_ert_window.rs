@@ -1,18 +1,27 @@
 //! Ablation: ERT window size vs. accuracy and cost.
 //!
 //! Insight 3 trades a stop window against manifestation coverage. For the
-//! register file and the L1D data array, sweep windows from the measured
-//! median latency up to 2× the maximum and report, per window: the
-//! fraction of manifestations still captured, and the campaign cost.
-//! This quantifies *why* the default windows in
+//! register file and the L1D data array, one unwindowed first-deviation
+//! campaign per workload (insights 1&2 only, the reference) is folded
+//! ([`CampaignResult::under`]) into each window of the fixed list
+//! 200 … 30 000 cycles; per window the table reports the fraction of the
+//! reference's manifestations still captured, and the campaign cost. This
+//! quantifies *why* the default windows in
 //! [`avgi_core::ert::default_ert_window`] sit where they do.
 
 use crate::{golden, pct, print_header, Exp};
 use avgi_core::classify::classify_injection;
 use avgi_core::ImmClass;
-use avgi_faultsim::RunMode;
+use avgi_faultsim::{CampaignResult, RunMode};
 use avgi_muarch::fault::Structure;
 use std::process::ExitCode;
+
+fn manifested(c: &CampaignResult) -> u64 {
+    c.results
+        .iter()
+        .filter(|r| matches!(classify_injection(r), ImmClass::Manifested(_)))
+        .count() as u64
+}
 
 pub fn run(a: crate::Args) -> ExitCode {
     let exp = Exp::parse(a, 250);
@@ -26,21 +35,11 @@ pub fn run(a: crate::Args) -> ExitCode {
     );
 
     for structure in [Structure::RegFile, Structure::L1DData] {
-        // Reference: unlimited window (insights 1&2 only).
-        let mut reference_manifested = 0u64;
-        let mut per_workload = Vec::new();
-        for w in &workloads {
-            let golden = golden(w, cfg);
-            let mode = RunMode::FirstDeviation { ert_window: None };
-            let c = exp.run(w, cfg, &golden, &exp.opts.campaign(structure, mode));
-            let manifested = c
-                .results
-                .iter()
-                .filter(|r| matches!(classify_injection(r), ImmClass::Manifested(_)))
-                .count() as u64;
-            reference_manifested += manifested;
-            per_workload.push((w.clone(), golden));
-        }
+        let mode = RunMode::FirstDeviation { ert_window: None };
+        let reference: Vec<CampaignResult> = (workloads.iter())
+            .map(|w| exp.run(w, cfg, &golden(w, cfg), &exp.opts.campaign(structure, mode)))
+            .collect();
+        let reference_manifested: u64 = reference.iter().map(manifested).sum();
 
         println!(
             "\n--- {} (reference: {} manifestations) ---",
@@ -52,19 +51,13 @@ pub fn run(a: crate::Args) -> ExitCode {
             &[10, 9, 9, 10],
         );
         for window in [200u64, 800, 2_000, 5_000, 12_000, 30_000] {
-            let mut captured = 0u64;
-            let mut cost = 0u64;
-            for (w, golden) in &per_workload {
-                let mode = RunMode::FirstDeviation {
-                    ert_window: Some(window),
-                };
-                let c = exp.run(w, cfg, golden, &exp.opts.campaign(structure, mode));
+            let mode = RunMode::FirstDeviation {
+                ert_window: Some(window),
+            };
+            let (mut captured, mut cost) = (0u64, 0u64);
+            for c in reference.iter().map(|c| c.under(mode)) {
+                captured += manifested(&c);
                 cost += c.total_post_inject_cycles();
-                captured += c
-                    .results
-                    .iter()
-                    .filter(|r| matches!(classify_injection(r), ImmClass::Manifested(_)))
-                    .count() as u64;
             }
             println!(
                 "{window:>10} {captured:>9} {:>9} {:>10.1}",

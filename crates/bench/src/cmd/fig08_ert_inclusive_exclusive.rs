@@ -4,6 +4,8 @@
 //! Insight 3's validation: stopping every simulation at the
 //! effective-residency-time window loses (virtually) no manifestations,
 //! so the IMM distribution is unchanged while the simulated cycles drop.
+//! Only the inclusive campaign is simulated: the exclusive leg is it folded
+//! into the AVGI mode ([`avgi_faultsim::CampaignResult::under`]).
 
 use crate::{golden, pct, print_header, Exp};
 use avgi_core::classify::classify_injection;
@@ -41,8 +43,7 @@ pub fn run(a: crate::Args) -> ExitCode {
         let inc_dist = inc.visible_imm_distribution();
         let inc_cost = inc_campaign.total_post_inject_cycles();
         // Exclusive: first-deviation + ERT window.
-        let exclusive = exp.opts.campaign(structure, avgi_mode(structure, golden.cycles));
-        let exc_campaign = exp.run(&w, cfg, &golden, &exclusive);
+        let exc_campaign = inc_campaign.under(avgi_mode(structure, golden.cycles));
         let mut exc_counts = [0u64; NUM_IMMS];
         let mut corruptions = 0u64;
         let mut exc_cost = 0u64;

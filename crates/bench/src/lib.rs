@@ -161,7 +161,8 @@ fn report_campaign_health(c: &CampaignResult) {
     }
 }
 
-/// Instrumented (end-to-end + deviation capture) campaigns for every
+/// Instrumented (end-to-end, the same run under the label of the §III
+/// analysis) campaigns for every
 /// (structure, workload) pair, all workloads, through `exp`, folded into
 /// their joint analyses.
 pub fn analysis_grid(structures: &[Structure], exp: &Exp) -> Vec<JointAnalysis> {

@@ -39,9 +39,11 @@ pub enum RunMode {
     /// classify the final effect. Pre-injection cycles are skipped by
     /// checkpointing in both flows (§IV.B), so cost is counted post-injection.
     EndToEnd,
-    /// Like [`RunMode::EndToEnd`], but additionally records the first
-    /// commit-trace deviation — the instrumented runs behind the paper's
-    /// §III joint HVF/AVF analysis (and behind weight learning).
+    /// The same run as [`RunMode::EndToEnd`] under a second label: both
+    /// record the first commit-trace deviation, and their results are
+    /// identical. The label names the §III joint HVF/AVF analysis (and
+    /// weight learning) in journals and specs, and stays until their next
+    /// format bump.
     Instrumented,
     /// The AVGI production mode (insights 1–3): stop at the first deviation,
     /// or `ert_window` cycles after injection if nothing deviated.
@@ -339,6 +341,79 @@ pub struct InjectionResult {
     pub abort_message: Option<String>,
 }
 
+impl InjectionResult {
+    /// The result this run would have produced under `mode`, a mode that
+    /// stops no later than the one that produced it — the one place a
+    /// window cuts a run above the simulator. The model is deterministic,
+    /// so a run cut short is the longer run of the same fault, cut.
+    ///
+    /// Under [`RunMode::EndToEnd`] or [`RunMode::Instrumented`] the result
+    /// is unchanged, and so is a [`RunOutcome::SimAbort`] under any mode.
+    /// Under [`RunMode::FirstDeviation`], with `e = fault.cycle + max(w, 1)`
+    /// for a window `w` and `c` the deviating commit's cycle:
+    ///
+    /// * a deviation before the window closes (`c < e`, or no window) stops
+    ///   the run there: the result is kept if the run ended in that very
+    ///   cycle (a trap or halt in the deviating commit), else it is
+    ///   [`RunOutcome::StoppedAtDeviation`] at `c`;
+    /// * otherwise a run that reached `e` is [`RunOutcome::ErtExpired`] at
+    ///   `e`, with no deviation. A run ending in cycle `e` or later reached
+    ///   it, except a [`RunOutcome::Watchdog`] ending in cycle `e`:
+    ///   [`Sim::step`] tests the watchdog before the window;
+    /// * otherwise the result is unchanged.
+    ///
+    /// Only [`CampaignResult::under`] checks that `mode` is coarser than
+    /// the source's; a result does not carry its mode.
+    pub fn under(&self, mode: RunMode) -> InjectionResult {
+        let RunMode::FirstDeviation { ert_window } = mode else {
+            return self.clone();
+        };
+        if self.outcome == RunOutcome::SimAbort {
+            return self.clone();
+        }
+        let end = ert_window.map(|w| self.fault.cycle.saturating_add(w.max(1)));
+        let cut = |outcome, cycles: u64| InjectionResult {
+            outcome,
+            output_matches: None,
+            cycles,
+            post_inject_cycles: cycles.saturating_sub(self.fault.cycle),
+            ..self.clone()
+        };
+        if let Some(c) = self.deviation.map(|d| d.faulty.cycle) {
+            if end.is_none_or(|e| c < e) {
+                return if self.cycles == c {
+                    self.clone()
+                } else {
+                    cut(RunOutcome::StoppedAtDeviation, c)
+                };
+            }
+        }
+        let reached = |e| match self.outcome {
+            RunOutcome::Watchdog => e < self.cycles,
+            _ => e <= self.cycles,
+        };
+        match end {
+            Some(e) if reached(e) => InjectionResult {
+                deviation: None,
+                ..cut(RunOutcome::ErtExpired, e)
+            },
+            _ => self.clone(),
+        }
+    }
+}
+
+/// How far a mode lets a run go, ordered: one mode projects to another
+/// ([`CampaignResult::under`]) only if its reach is at least the other's.
+fn reach(mode: RunMode) -> (u8, u64) {
+    match mode {
+        RunMode::EndToEnd | RunMode::Instrumented => (2, 0),
+        RunMode::FirstDeviation { ert_window: None } => (1, 0),
+        RunMode::FirstDeviation {
+            ert_window: Some(w),
+        } => (0, w),
+    }
+}
+
 /// A finished campaign: the golden reference plus every injection result.
 #[derive(Debug, Clone)]
 pub struct CampaignResult {
@@ -371,6 +446,29 @@ impl CampaignResult {
             mode: ccfg.mode,
             golden_cycles,
             results,
+        }
+    }
+
+    /// The campaign this one's fault list would have produced under `mode`:
+    /// every result [projected](InjectionResult::under), field for field
+    /// what simulating the campaign under `mode` returns, at no simulation.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming both modes, unless `mode` is coarser than this
+    /// campaign's own or equal to it: `EndToEnd`/`Instrumented` ⊇
+    /// `FirstDeviation { None }` ⊇ `FirstDeviation { Some(w) }` ⊇
+    /// `FirstDeviation { Some(w' <= w) }`.
+    pub fn under(&self, mode: RunMode) -> CampaignResult {
+        assert!(
+            reach(mode) <= reach(self.mode),
+            "a {:?} campaign cannot be projected to the finer mode {mode:?}",
+            self.mode
+        );
+        CampaignResult {
+            mode,
+            results: self.results.iter().map(|r| r.under(mode)).collect(),
+            ..self.clone()
         }
     }
 
@@ -641,9 +739,7 @@ impl Engine<'_> {
     /// The ending a machine equal to the golden's from `from_cycle` on
     /// reaches under the engine's control — the one place a result is
     /// derived instead of simulated: the golden's own ending (the model is
-    /// deterministic), cut where [`Sim::step`]'s ERT test would cut it — with
-    /// no deviation recorded, at the end of cycle `e - 1` unless `halt`
-    /// commits first.
+    /// deterministic), [under](InjectionResult::under) the campaign's mode.
     /// The cycles not simulated are still charged — a result never shows how
     /// it was produced — and reported through `on_converged`.
     fn golden_ending(
@@ -652,25 +748,20 @@ impl Engine<'_> {
         deviation: Option<Deviation>,
         from_cycle: u64,
     ) -> InjectionResult {
-        let golden = self.golden;
-        let ert_end = (self.ctl.ert_window.filter(|_| deviation.is_none()))
-            .map(|w| fault.cycle.saturating_add(w.max(1)))
-            .filter(|&e| e <= golden.cycles);
-        let (outcome, cycles) = match ert_end {
-            Some(e) => (RunOutcome::ErtExpired, e),
-            None => (RunOutcome::Completed, golden.cycles),
-        };
-        self.observer
-            .on_converged(self.ccfg.structure, cycles - from_cycle);
-        InjectionResult {
+        let cycles = self.golden.cycles;
+        let r = InjectionResult {
             fault,
-            outcome,
+            outcome: RunOutcome::Completed,
             deviation,
-            output_matches: ert_end.is_none().then_some(true),
+            output_matches: Some(true),
             cycles,
             post_inject_cycles: cycles.saturating_sub(fault.cycle),
             abort_message: None,
         }
+        .under(self.ccfg.mode);
+        self.observer
+            .on_converged(self.ccfg.structure, r.cycles - from_cycle);
+        r
     }
 
     /// Arms `fault` on a positioned simulator, runs it to the end the mode
@@ -1143,6 +1234,7 @@ impl ShardRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use avgi_muarch::run::TrapKind;
 
     fn small_campaign(structure: Structure, mode: RunMode, n: usize) -> CampaignResult {
         let w = avgi_workloads::by_name("sha").unwrap();
@@ -1198,6 +1290,206 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// `InjectionResult::under` and `CampaignResult::under` on hand-built
+    /// results: the boundaries a sampled campaign may never hit.
+    mod under {
+        use super::*;
+
+        /// A hand-built run of a flip at cycle 100 that ended with `outcome`
+        /// in cycle `cycles`, its first deviating commit in cycle `deviated`.
+        fn ended(outcome: RunOutcome, cycles: u64, deviated: Option<u64>) -> InjectionResult {
+            use avgi_muarch::fault::FaultSite;
+            use avgi_muarch::trace::CommitRecord;
+            let record = |cycle, val| CommitRecord {
+                cycle,
+                pc: 0x40,
+                raw: 0x13,
+                ea: 0,
+                val,
+            };
+            InjectionResult {
+                fault: Fault {
+                    site: FaultSite {
+                        structure: Structure::RegFile,
+                        bit: 3,
+                    },
+                    cycle: 100,
+                },
+                outcome,
+                deviation: deviated.map(|c| Deviation {
+                    index: 7,
+                    golden: record(c, 0),
+                    faulty: record(c, 1),
+                }),
+                output_matches: (outcome == RunOutcome::Completed).then_some(deviated.is_none()),
+                cycles,
+                post_inject_cycles: cycles.saturating_sub(100),
+                abort_message: None,
+            }
+        }
+
+        fn window(w: u64) -> RunMode {
+            RunMode::FirstDeviation {
+                ert_window: Some(w),
+            }
+        }
+
+        /// `source` cut to `outcome` in cycle `cycles`, as a projection cuts it.
+        fn cut(source: &InjectionResult, outcome: RunOutcome, cycles: u64) -> InjectionResult {
+            InjectionResult {
+                outcome,
+                output_matches: None,
+                cycles,
+                post_inject_cycles: cycles - source.fault.cycle,
+                deviation: source
+                    .deviation
+                    .filter(|_| outcome != RunOutcome::ErtExpired),
+                ..source.clone()
+            }
+        }
+
+        /// `Sim::step` tests the watchdog before the ERT window, so a window
+        /// closing in the cycle the watchdog fires loses to it; one cycle
+        /// earlier it wins. Any other ending in cycle `e` loses to the window.
+        #[test]
+        fn a_window_closing_as_the_watchdog_fires_loses_to_it() {
+            let hung = ended(RunOutcome::Watchdog, 1_000, None);
+            assert_eq!(hung.under(window(900)), hung);
+            let expired = cut(&hung, RunOutcome::ErtExpired, 999);
+            assert_eq!(hung.under(window(899)), expired);
+            let trapped = ended(
+                RunOutcome::Trap(TrapKind::UndefinedInstruction),
+                1_000,
+                None,
+            );
+            let expired = cut(&trapped, RunOutcome::ErtExpired, 1_000);
+            assert_eq!(trapped.under(window(900)), expired);
+            // A deviation before the window still stops a hung run there.
+            let hung = ended(RunOutcome::Watchdog, 1_000, Some(300));
+            let stopped = cut(&hung, RunOutcome::StoppedAtDeviation, 300);
+            assert_eq!(hung.under(window(900)), stopped);
+        }
+
+        /// A run that ended in its deviating commit's own cycle (the commit
+        /// trapped) keeps its ending under any window that has not closed; one
+        /// that ran on is stopped at the deviation; a deviation at or after the
+        /// window's close is dropped with the rest of the run.
+        #[test]
+        fn a_trap_in_the_deviating_commit_keeps_its_outcome() {
+            let trap = RunOutcome::Trap(TrapKind::UndefinedInstruction);
+            let trapped = ended(trap, 150, Some(150));
+            for mode in [RunMode::FirstDeviation { ert_window: None }, window(51)] {
+                assert_eq!(trapped.under(mode), trapped, "{mode:?}");
+            }
+            let expired = cut(&trapped, RunOutcome::ErtExpired, 150);
+            assert_eq!(trapped.under(window(50)), expired);
+            let ran_on = ended(trap, 151, Some(150));
+            let stopped = cut(&ran_on, RunOutcome::StoppedAtDeviation, 150);
+            assert_eq!(ran_on.under(window(51)), stopped);
+            assert_eq!(stopped.deviation, ran_on.deviation);
+            let completed = ended(RunOutcome::Completed, 5_000, Some(400));
+            let expired = cut(&completed, RunOutcome::ErtExpired, 400);
+            assert_eq!(completed.under(window(300)), expired);
+            assert_eq!(expired.deviation, None);
+        }
+
+        /// The window opens with the flip: a window of 0 closes, like one of 1,
+        /// at the end of the injection cycle.
+        #[test]
+        fn window_zero_projects_as_window_one() {
+            let trap = RunOutcome::Trap(TrapKind::UndefinedInstruction);
+            for source in [
+                ended(RunOutcome::Completed, 2_000, None),
+                ended(RunOutcome::Completed, 2_000, Some(100)),
+                ended(RunOutcome::Watchdog, 101, None),
+                ended(trap, 100, Some(100)),
+                ended(trap, 101, None),
+            ] {
+                assert_eq!(
+                    source.under(window(0)),
+                    source.under(window(1)),
+                    "{source:?}"
+                );
+            }
+            let expired = ended(RunOutcome::Completed, 2_000, None).under(window(0));
+            assert_eq!(
+                (expired.outcome, expired.cycles),
+                (RunOutcome::ErtExpired, 101)
+            );
+        }
+
+        /// The golden run commits `halt` in cycle `golden.cycles`, after a
+        /// window closing at the end of the cycle before: that window expires,
+        /// one closing a cycle later is beaten by the halt.
+        #[test]
+        fn a_window_closing_at_the_golden_halt_expires() {
+            let golden = ended(RunOutcome::Completed, 2_000, None);
+            let expired = cut(&golden, RunOutcome::ErtExpired, 2_000);
+            assert_eq!(golden.under(window(1_900)), expired);
+            assert_eq!(golden.under(window(1_901)), golden);
+        }
+
+        #[test]
+        fn a_simulator_abort_passes_through_every_mode() {
+            let aborted = InjectionResult {
+                abort_message: Some("index out of bounds".into()),
+                ..ended(RunOutcome::SimAbort, 0, None)
+            };
+            for mode in [
+                RunMode::EndToEnd,
+                RunMode::Instrumented,
+                RunMode::FirstDeviation { ert_window: None },
+                window(0),
+                window(30_000),
+            ] {
+                assert_eq!(aborted.under(mode), aborted, "{mode:?}");
+            }
+        }
+
+        fn campaign(mode: RunMode) -> CampaignResult {
+            CampaignResult {
+                workload: "hand-built".into(),
+                structure: Structure::RegFile,
+                mode,
+                golden_cycles: 2_000,
+                results: vec![ended(RunOutcome::Completed, 2_000, Some(400))],
+            }
+        }
+
+        #[test]
+        fn a_campaign_projects_to_its_own_mode_and_every_coarser_one() {
+            let no_window = RunMode::FirstDeviation { ert_window: None };
+            for (from, to) in [
+                (RunMode::Instrumented, RunMode::EndToEnd),
+                (RunMode::EndToEnd, RunMode::Instrumented),
+                (RunMode::EndToEnd, window(200)),
+                (no_window, no_window),
+                (window(200), window(200)),
+                (window(200), window(0)),
+            ] {
+                assert_eq!(campaign(from).under(to).mode, to);
+            }
+        }
+
+        #[test]
+        #[should_panic(
+            expected = "a FirstDeviation { ert_window: Some(200) } campaign cannot be projected to the \
+                    finer mode FirstDeviation { ert_window: Some(201) }"
+        )]
+        fn a_campaign_refuses_a_longer_window() {
+            campaign(window(200)).under(window(201));
+        }
+
+        #[test]
+        #[should_panic(
+            expected = "a FirstDeviation { ert_window: None } campaign cannot be projected to the \
+                    finer mode EndToEnd"
+        )]
+        fn a_campaign_refuses_to_run_on_past_a_stop() {
+            campaign(RunMode::FirstDeviation { ert_window: None }).under(RunMode::EndToEnd);
         }
     }
 

@@ -7,11 +7,17 @@
 //!
 //! Three [`RunMode`]s map to the paper's flows:
 //!
-//! * [`RunMode::EndToEnd`] — the traditional accelerated SFI baseline,
-//! * [`RunMode::Instrumented`] — end-to-end *plus* first-deviation capture
-//!   (the §III joint HVF/AVF analysis used to learn IMM weights),
+//! * [`RunMode::EndToEnd`] — the traditional accelerated SFI baseline; it
+//!   records the first commit-trace deviation too,
+//! * [`RunMode::Instrumented`] — the same run under a second label, the
+//!   §III joint HVF/AVF analysis used to learn IMM weights (kept until the
+//!   journal and spec formats' next version bump),
 //! * [`RunMode::FirstDeviation`] — the AVGI production mode (stop at first
 //!   corruption; optional effective-residency-time window).
+//!
+//! A mode that stops earlier is a fold of one that stops later: the
+//! simulator is deterministic, so [`CampaignResult::under`] derives a
+//! campaign's results under a coarser mode without simulating.
 //!
 //! The campaign engine is fault-tolerant: a panicking simulator run is
 //! isolated and recorded as [`avgi_muarch::run::RunOutcome::SimAbort`] (crash

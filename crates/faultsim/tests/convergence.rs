@@ -311,6 +311,83 @@ fn ert_bounded_exit_is_invisible_on_qsort_small() {
     ert_bounded_exit_is_invisible("qsort", MuarchConfig::small());
 }
 
+/// The AVGI flow's window for `structure` under a golden run of
+/// `golden_cycles` (`avgi_core::ert::default_ert_window`, out of this
+/// crate's reach).
+fn default_window(structure: Structure, golden_cycles: u64) -> u64 {
+    match structure {
+        Structure::RegFile => 1_200,
+        Structure::Itlb => 600,
+        Structure::Dtlb => 1_500,
+        Structure::L1ITag => 5_000,
+        Structure::L1IData => 7_000,
+        Structure::L1DTag => 3_000,
+        Structure::Rob | Structure::Lq | Structure::Sq => (golden_cycles * 3 / 100).max(200),
+        Structure::L2Tag => 9_000,
+        Structure::L1DData => 12_000,
+        Structure::L2Data => 16_000,
+    }
+}
+
+/// A windowed run is a fold of the longer run: a `FirstDeviation` campaign
+/// returns, field for field, the end-to-end campaign of the same fault list
+/// projected to its mode (`CampaignResult::under`), and the unwindowed
+/// first-deviation campaign projected likewise. Every structure, both
+/// cores, windows {none, 1, the AVGI default, 30 000}. Not vacuous: the
+/// projections of the end-to-end campaigns keep some results, and stop
+/// some at their deviation and expire some at the window.
+#[test]
+fn a_windowed_campaign_is_a_fold_of_the_longer_one() {
+    const N: usize = 16;
+    let (mut kept, mut stopped, mut expired) = (0u64, 0u64, 0u64);
+    for cfg in [MuarchConfig::big(), MuarchConfig::small()] {
+        for workload in ["crc32", "sha", "rijndael"] {
+            let f = fixture(workload, cfg.clone());
+            for &structure in Structure::all() {
+                let run = |mode| {
+                    let ccfg = CampaignConfig::new(structure, N, mode).with_seed(0xF01D);
+                    run_campaign(&f.w, &f.cfg, &f.golden, &ccfg)
+                };
+                let end_to_end = run(RunMode::EndToEnd);
+                let unwindowed = run(RunMode::FirstDeviation { ert_window: None });
+                let default = default_window(structure, f.golden.cycles);
+                for ert_window in [None, Some(1), Some(default), Some(30_000)] {
+                    let mode = RunMode::FirstDeviation { ert_window };
+                    let simulated = match ert_window {
+                        None => unwindowed.clone(),
+                        Some(_) => run(mode),
+                    };
+                    for source in [&end_to_end, &unwindowed] {
+                        let what = format!(
+                            "{workload} / {} / {structure:?}: {:?} under {mode:?}",
+                            f.cfg.name, source.mode
+                        );
+                        let projected = source.under(mode);
+                        assert_eq!(projected.mode, mode, "{what}");
+                        assert_eq!(projected.results, simulated.results, "{what}");
+                    }
+                    for (p, r) in simulated.results.iter().zip(&end_to_end.results) {
+                        match p.outcome {
+                            _ if p == r => kept += 1,
+                            RunOutcome::StoppedAtDeviation => stopped += 1,
+                            RunOutcome::ErtExpired => expired += 1,
+                            _ => unreachable!("a projection keeps, stops or expires a run"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+    println!(
+        "fold: {kept} end-to-end results kept, {stopped} stopped at their deviation, \
+         {expired} expired at the window"
+    );
+    assert!(
+        kept > 0 && stopped > 0 && expired > 0,
+        "the fold is vacuous"
+    );
+}
+
 /// The third exit, across paths: a register-file campaign run with a
 /// checkpoint set — where a flip the golden run frees before reading
 /// (`GoldenRun::rf_un_ace`) takes the golden's ending unforked — returns

@@ -100,6 +100,10 @@ fn first_deviation_campaign_matches_instrumented_classification() {
         )
         .with_seed(31),
     );
+    // The early-stopped campaign is the instrumented one, cut at each
+    // deviation: a fold of it, field for field.
+    let folded = instrumented.under(RunMode::FirstDeviation { ert_window: None });
+    assert_eq!(folded.results, early.results);
     for (a, b) in instrumented.results.iter().zip(&early.results) {
         assert_eq!(a.fault, b.fault);
         let ca = classify_injection(a);
