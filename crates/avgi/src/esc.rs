@@ -15,7 +15,7 @@
 //! (kilobyte outputs and kilobyte caches instead of megabytes), the
 //! equation carries an explicit calibration scale; [`EscModel::default`]
 //! holds the value calibrated once against instrumented campaigns on this
-//! simulator (see the `fig07_esc_prediction` experiment).
+//! simulator (see Fig. 7 of the `paper` experiment).
 
 /// The ESC estimation model (the paper's equation plus a scale constant).
 #[derive(Debug, Clone, Copy, PartialEq)]

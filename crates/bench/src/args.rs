@@ -1,5 +1,5 @@
 //! The one argv parser of the `avgi` command, plus the flag groups its
-//! commands share (the experiment group is [`crate::Exp`]).
+//! commands share (the experiment group is [`crate::Matrix`]).
 //!
 //! [`Args`] is a pull cursor: a command asks for each flag it knows
 //! ([`flag`](Args::flag), [`value`](Args::value)) and then calls

@@ -9,7 +9,7 @@
 //! quantifies *why* the default windows in
 //! [`avgi_core::ert::default_ert_window`] sit where they do.
 
-use crate::{golden, pct, print_header, Exp};
+use crate::{pct, print_header, Matrix};
 use avgi_core::classify::classify_injection;
 use avgi_core::ImmClass;
 use avgi_faultsim::{CampaignResult, RunMode};
@@ -24,22 +24,22 @@ fn manifested(c: &CampaignResult) -> u64 {
 }
 
 pub fn run(a: crate::Args) -> ExitCode {
-    let exp = Exp::parse(a, 250);
-    let cfg = &exp.cfg;
+    let m = Matrix::parse(a, 250);
+    let cfg = &m.cfg;
     let workloads = avgi_workloads::all();
     println!(
         "Ablation — ERT window sweep ({}, {} faults x {} workloads)",
         cfg.name,
-        exp.opts.faults,
+        m.opts.faults,
         workloads.len()
     );
 
     for structure in [Structure::RegFile, Structure::L1DData] {
         let mode = RunMode::FirstDeviation { ert_window: None };
-        let reference: Vec<CampaignResult> = (workloads.iter())
-            .map(|w| exp.run(w, cfg, &golden(w, cfg), &exp.opts.campaign(structure, mode)))
+        let reference: Vec<_> = (workloads.iter())
+            .map(|w| m.cell(w, cfg, structure, mode))
             .collect();
-        let reference_manifested: u64 = reference.iter().map(manifested).sum();
+        let reference_manifested: u64 = reference.iter().map(|c| manifested(&c.result)).sum();
 
         println!(
             "\n--- {} (reference: {} manifestations) ---",
@@ -55,7 +55,7 @@ pub fn run(a: crate::Args) -> ExitCode {
                 ert_window: Some(window),
             };
             let (mut captured, mut cost) = (0u64, 0u64);
-            for c in reference.iter().map(|c| c.under(mode)) {
+            for c in reference.iter().map(|c| c.result.under(mode)) {
                 captured += manifested(&c);
                 cost += c.total_post_inject_cycles();
             }
@@ -70,6 +70,6 @@ pub fn run(a: crate::Args) -> ExitCode {
         "\nthe knee of coverage-vs-cost is where the default windows sit; the paper's \
          'pessimistic timeframes' (§V.A) correspond to the high-coverage end."
     );
-    exp.finish();
+    m.finish();
     ExitCode::SUCCESS
 }

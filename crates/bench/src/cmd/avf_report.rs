@@ -5,7 +5,7 @@
 //! cargo run --release -p avgi-bench --bin avgi -- avf_report --faults 300
 //! ```
 
-use crate::{golden, pct, print_header, Exp};
+use crate::{golden, pct, print_header, Matrix};
 use avgi_core::fit::structure_fit;
 use avgi_core::pipeline::ExhaustiveAssessment;
 use avgi_faultsim::RunMode;
@@ -13,12 +13,12 @@ use avgi_muarch::fault::Structure;
 use std::process::ExitCode;
 
 pub fn run(mut a: crate::Args) -> ExitCode {
-    let exp = Exp::claim(&mut a, 250, None);
+    let m = Matrix::claim(&mut a, 250);
     let w = a
         .value_with("--workload NAME", avgi_workloads::by_name)
         .unwrap_or_else(|| avgi_workloads::by_name("dijkstra").expect("registered"));
     a.finish();
-    let cfg = &exp.cfg;
+    let cfg = &m.cfg;
     {
         let golden = golden(&w, cfg);
         println!(
@@ -34,8 +34,8 @@ pub fn run(mut a: crate::Args) -> ExitCode {
         );
         let mut chip_fit = 0.0;
         for &s in Structure::all() {
-            let c = exp.run(&w, cfg, &golden, &exp.opts.campaign(s, RunMode::Instrumented));
-            let e = ExhaustiveAssessment::from_campaign(&c);
+            let c = m.cell(&w, cfg, s, RunMode::Instrumented);
+            let e = ExhaustiveAssessment::from_campaign(&c.result);
             let fit = structure_fit(s, cfg, e.effect.avf());
             chip_fit += fit;
             println!(
@@ -50,6 +50,6 @@ pub fn run(mut a: crate::Args) -> ExitCode {
         }
         println!("{:>11} {:>46.4}", "CHIP FIT", chip_fit);
     }
-    exp.finish();
+    m.finish();
     ExitCode::SUCCESS
 }

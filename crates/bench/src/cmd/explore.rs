@@ -3,14 +3,13 @@
 //! fast way to inspect the simulator's fault phenomenology and derive ERT
 //! windows and ESC calibration.
 
-use crate::{analysis_grid, pct, print_header, Exp};
+use crate::{pct, print_header, Matrix};
 use avgi_core::imm::{FaultEffect, Imm};
 use avgi_muarch::fault::Structure;
 use std::process::ExitCode;
 
 pub fn run(a: crate::Args) -> ExitCode {
-    let exp = Exp::parse(a, 200);
-    let analyses = analysis_grid(Structure::all(), &exp);
+    let m = Matrix::parse(a, 200);
 
     println!("\n== IMM distribution over corruptions (mean across workloads) ==");
     let mut cols = vec!["structure", "benign%"];
@@ -19,7 +18,7 @@ pub fn run(a: crate::Args) -> ExitCode {
     let widths = vec![11usize; cols.len()];
     print_header(&cols, &widths);
     for &s in Structure::all() {
-        let group: Vec<_> = analyses.iter().filter(|a| a.structure == s).collect();
+        let group = m.analyses(s);
         let n = group.len() as f64;
         let benign: f64 = group
             .iter()
@@ -61,7 +60,7 @@ pub fn run(a: crate::Args) -> ExitCode {
 
     println!("\n== per-workload ESC (no-deviation SDC) counts on cache data arrays ==");
     for &s in &[Structure::L1DData, Structure::L2Data] {
-        for a in analyses.iter().filter(|a| a.structure == s) {
+        for a in m.analyses(s) {
             let esc = a.imm_count(Imm::Esc);
             if esc > 0 {
                 println!(
@@ -74,6 +73,6 @@ pub fn run(a: crate::Args) -> ExitCode {
             }
         }
     }
-    exp.finish();
+    m.finish();
     ExitCode::SUCCESS
 }

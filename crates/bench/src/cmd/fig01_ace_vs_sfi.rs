@@ -5,16 +5,14 @@
 //! cannot see logical masking. Reproduce the per-workload comparison and
 //! the overestimation ratios.
 
-use crate::{golden, pct, print_header, Exp};
+use crate::{golden, pct, print_header, Matrix};
 use avgi_core::ace::ace_regfile;
 use avgi_core::pipeline::ExhaustiveAssessment;
 use avgi_faultsim::RunMode;
 use avgi_muarch::fault::Structure;
-use std::process::ExitCode;
 
-pub fn run(a: crate::Args) -> ExitCode {
-    let exp = Exp::parse(a, 400);
-    let cfg = &exp.cfg;
+pub fn print(m: &Matrix) {
+    let cfg = &m.cfg;
     println!(
         "Fig. 1 — register-file AVF: SFI vs. ACE analysis ({})",
         cfg.name
@@ -27,8 +25,8 @@ pub fn run(a: crate::Args) -> ExitCode {
     let mut ratios = Vec::new();
     for w in avgi_workloads::all() {
         let golden = golden(&w, cfg);
-        let ccfg = exp.opts.campaign(Structure::RegFile, RunMode::Instrumented);
-        let sfi = ExhaustiveAssessment::from_campaign(&exp.run(&w, cfg, &golden, &ccfg))
+        let truth = m.cell(&w, cfg, Structure::RegFile, RunMode::Instrumented);
+        let sfi = ExhaustiveAssessment::from_campaign(&truth.result)
             .effect
             .avf();
         let ace = ace_regfile(&golden, cfg).avf();
@@ -50,6 +48,4 @@ pub fn run(a: crate::Args) -> ExitCode {
         finite.iter().copied().fold(f64::INFINITY, f64::min),
         finite.iter().copied().fold(0.0, f64::max),
     );
-    exp.finish();
-    ExitCode::SUCCESS
 }

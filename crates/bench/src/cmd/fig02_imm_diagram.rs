@@ -7,10 +7,8 @@
 
 use avgi_core::classify::{classify_conditions, Conditions};
 use std::collections::BTreeMap;
-use std::process::ExitCode;
 
-pub fn run(a: crate::Args) -> ExitCode {
-    a.finish();
+pub fn print() {
     println!("Fig. 2 — IMM classification diagram: 256-combination census\n");
     let mut counts: BTreeMap<String, u32> = BTreeMap::new();
     for bits in 0..=255u8 {
@@ -44,5 +42,4 @@ pub fn run(a: crate::Args) -> ExitCode {
         "diagram must be complete and mutually exclusive"
     );
     println!("\ncomplete and mutually exclusive: every combination reaches exactly one class");
-    ExitCode::SUCCESS
 }

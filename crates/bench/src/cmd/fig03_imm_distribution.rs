@@ -6,21 +6,16 @@
 //! (L1I data, L1D data, RF, ROB/LQ/SQ) and report the cross-workload
 //! spread.
 
-use crate::{analysis_grid, pct, print_header, Exp};
+use crate::{pct, print_header, Matrix};
 use avgi_core::imm::{Imm, NUM_IMMS};
-use avgi_core::JointAnalysis;
 use avgi_muarch::fault::Structure;
-use std::process::ExitCode;
 
-fn panel(analyses: &[JointAnalysis], structure: Structure) {
+fn panel(m: &Matrix, structure: Structure) {
     println!("\n--- {} ---", structure.label());
     let mut cols = vec!["workload", "corrupt"];
     cols.extend(Imm::all().iter().map(|i| i.label()));
     print_header(&cols, &[14; NUM_IMMS + 2]);
-    let group: Vec<&JointAnalysis> = analyses
-        .iter()
-        .filter(|a| a.structure == structure)
-        .collect();
+    let group = m.analyses(structure);
     let mut avg = [0.0f64; NUM_IMMS];
     let mut per_workload: Vec<[f64; NUM_IMMS]> = Vec::new();
     for a in &group {
@@ -59,11 +54,10 @@ fn panel(analyses: &[JointAnalysis], structure: Structure) {
     }
 }
 
-pub fn run(a: crate::Args) -> ExitCode {
-    let exp = Exp::parse(a, 300);
+pub fn print(m: &Matrix) {
     println!(
         "Fig. 3 — IMM distribution per structure across workloads ({}, {} faults/cell)",
-        exp.cfg.name, exp.opts.faults
+        m.cfg.name, m.opts.faults
     );
     let structures = [
         Structure::L1IData,
@@ -73,14 +67,11 @@ pub fn run(a: crate::Args) -> ExitCode {
         Structure::Lq,
         Structure::Sq,
     ];
-    let analyses = analysis_grid(&structures, &exp);
     for s in structures {
-        panel(&analyses, s);
+        panel(m, s);
     }
     println!(
         "\npaper comparison: distributions are structure-specific and roughly uniform \
          across workloads; ROB/LQ/SQ manifest only as PRE."
     );
-    exp.finish();
-    ExitCode::SUCCESS
 }

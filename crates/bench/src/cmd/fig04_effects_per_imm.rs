@@ -6,18 +6,16 @@
 //! within a few percent. Print the three probability panels and the
 //! per-IMM standard deviations.
 
-use crate::{analysis_grid, pct, print_header, Exp};
+use crate::{pct, print_header, Matrix};
 use avgi_core::imm::{FaultEffect, Imm, NUM_IMMS};
 use avgi_muarch::fault::Structure;
-use std::process::ExitCode;
 
-pub fn run(a: crate::Args) -> ExitCode {
-    let exp = Exp::parse(a, 400);
+pub fn print(m: &Matrix) {
     println!(
         "Fig. 4 — P(final effect | IMM) for L1I data across workloads ({}, {} faults/cell)",
-        exp.cfg.name, exp.opts.faults
+        m.cfg.name, m.opts.faults
     );
-    let analyses = analysis_grid(&[Structure::L1IData], &exp);
+    let analyses = m.analyses(Structure::L1IData);
 
     for effect in FaultEffect::all() {
         println!("\n--- P({effect} | IMM) ---");
@@ -54,6 +52,4 @@ pub fn run(a: crate::Args) -> ExitCode {
         println!("{row}");
     }
     println!("\npaper comparison: per-IMM std-dev across workloads in the 0.1%-2.4% band.");
-    exp.finish();
-    ExitCode::SUCCESS
 }

@@ -6,21 +6,18 @@
 //! (e.g. IRP on the register file — the paper's "practically cannot
 //! happen" entries).
 
-use crate::{analysis_grid, pct, print_header, Exp};
+use crate::{pct, print_header, Matrix};
 use avgi_core::imm::{FaultEffect, Imm};
 use avgi_core::weights::learn_weights;
 use avgi_muarch::fault::Structure;
-use std::process::ExitCode;
 
-pub fn run(a: crate::Args) -> ExitCode {
-    let exp = Exp::parse(a, 300);
+pub fn print(m: &Matrix) {
     println!(
         "Fig. 5 — IMM weights per structure ({}, {} faults/cell)",
-        exp.cfg.name, exp.opts.faults
+        m.cfg.name, m.opts.faults
     );
     for &s in Structure::all() {
-        let analyses = analysis_grid(&[s], &exp);
-        let table = learn_weights(&analyses, None);
+        let table = learn_weights(&m.analyses(s), None);
         println!("\n--- {} ---", s.label());
         print_header(
             &["IMM", "Masked", "SDC", "Crash", "support"],
@@ -52,6 +49,4 @@ pub fn run(a: crate::Args) -> ExitCode {
         "\npaper comparison: weights are structure-specific; unobserved IMMs (e.g. IRP/UNO/OFS \
          on the register file) match the paper's zero-probability entries."
     );
-    exp.finish();
-    ExitCode::SUCCESS
 }

@@ -7,19 +7,17 @@
 //! workload is one dot; here each row is one dot, with the ideal
 //! `predicted == real` diagonal expressed as the error column.
 
-use crate::{analysis_grid, print_header, Exp};
+use crate::{print_header, Matrix};
 use avgi_core::esc::EscModel;
 use avgi_core::imm::Imm;
 use avgi_muarch::fault::Structure;
-use std::process::ExitCode;
 
-pub fn run(a: crate::Args) -> ExitCode {
-    let exp = Exp::parse(a, 400);
+pub fn print(m: &Matrix) {
     let workloads = avgi_workloads::all();
     let model = EscModel::default();
     println!(
         "Fig. 7 — predicted vs. real ESC fault counts ({}, {} faults/cell, scale {})",
-        exp.cfg.name, exp.opts.faults, model.scale
+        m.cfg.name, m.opts.faults, model.scale
     );
 
     let structures = [
@@ -31,7 +29,6 @@ pub fn run(a: crate::Args) -> ExitCode {
     let mut total_abs_err = 0.0;
     let mut rows = 0u32;
     for &s in &structures {
-        let analyses = analysis_grid(&[s], &exp);
         println!("\n--- {} ---", s.label());
         print_header(
             &[
@@ -39,7 +36,7 @@ pub fn run(a: crate::Args) -> ExitCode {
             ],
             &[14, 8, 8, 9, 9, 7],
         );
-        for (a, w) in analyses.iter().zip(&workloads) {
+        for (a, w) in m.analyses(s).iter().zip(&workloads) {
             let real = a.imm_count(Imm::Esc);
             let pred = model.esc_count(w.output_bytes(), a.total, a.benign_count());
             let err = pred - real as f64;
@@ -61,6 +58,4 @@ pub fn run(a: crate::Args) -> ExitCode {
          paper reports small divergences around the diagonal that do not move the final AVF.",
         total_abs_err / f64::from(rows.max(1))
     );
-    exp.finish();
-    ExitCode::SUCCESS
 }

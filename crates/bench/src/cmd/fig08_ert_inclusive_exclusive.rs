@@ -7,23 +7,21 @@
 //! Only the inclusive campaign is simulated: the exclusive leg is it folded
 //! into the AVGI mode ([`avgi_faultsim::CampaignResult::under`]).
 
-use crate::{golden, pct, print_header, Exp};
+use crate::{golden, pct, print_header, Matrix};
 use avgi_core::classify::classify_injection;
 use avgi_core::imm::{Imm, ImmClass, NUM_IMMS};
 use avgi_core::pipeline::avgi_mode;
 use avgi_faultsim::RunMode;
 use avgi_muarch::fault::Structure;
-use std::process::ExitCode;
 
-pub fn run(a: crate::Args) -> ExitCode {
-    let exp = Exp::parse(a, 400);
-    let cfg = &exp.cfg;
+pub fn print(m: &Matrix) {
+    let cfg = &m.cfg;
     let structure = Structure::L1IData;
     println!(
         "Fig. 8 — IMM distribution inclusive vs. exclusive (ERT stop) for {} ({}, {} faults)",
         structure.label(),
         cfg.name,
-        exp.opts.faults
+        m.opts.faults
     );
     let mut cols = vec!["workload", "mode", "cost Mcyc"];
     cols.extend(Imm::all().iter().map(|i| i.label()));
@@ -35,35 +33,26 @@ pub fn run(a: crate::Args) -> ExitCode {
     for w in avgi_workloads::all() {
         let golden = golden(&w, cfg);
         // Inclusive: instrumented end-to-end.
-        let inclusive = exp.opts.campaign(structure, RunMode::Instrumented);
-        let inc_campaign = exp.run(&w, cfg, &golden, &inclusive);
-        let inc = avgi_core::JointAnalysis::from_campaign(&inc_campaign);
+        let inc_campaign = &m.cell(&w, cfg, structure, RunMode::Instrumented).result;
+        let inc = avgi_core::JointAnalysis::from_campaign(inc_campaign);
         // Trace-visible distribution (ESC excluded), matching what the
         // exclusive (early-stopped) flow can observe.
         let inc_dist = inc.visible_imm_distribution();
         let inc_cost = inc_campaign.total_post_inject_cycles();
-        // Exclusive: first-deviation + ERT window.
+        // Exclusive: first-deviation + ERT window. Its runs stop at the
+        // deviation or the window, so they have no final effect and
+        // `JointAnalysis::from_campaign` (which needs one per run) refuses
+        // them: the IMMs are tallied here.
         let exc_campaign = inc_campaign.under(avgi_mode(structure, golden.cycles));
+        let exc_cost = exc_campaign.total_post_inject_cycles();
         let mut exc_counts = [0u64; NUM_IMMS];
-        let mut corruptions = 0u64;
-        let mut exc_cost = 0u64;
         for r in &exc_campaign.results {
-            exc_cost += r.post_inject_cycles;
             if let ImmClass::Manifested(i) = classify_injection(r) {
                 exc_counts[i.index()] += 1;
-                corruptions += 1;
             }
         }
-        let exc_dist: Vec<f64> = exc_counts
-            .iter()
-            .map(|&c| {
-                if corruptions > 0 {
-                    c as f64 / corruptions as f64
-                } else {
-                    0.0
-                }
-            })
-            .collect();
+        let corruptions: u64 = exc_counts.iter().sum();
+        let exc_dist = exc_counts.map(|c| c as f64 / corruptions.max(1) as f64);
 
         let mut row = format!(
             "{:>14} {:>14} {:>14.1}",
@@ -113,6 +102,4 @@ pub fn run(a: crate::Args) -> ExitCode {
         pct(pooled_diff),
         pct(worst_diff),
     );
-    exp.finish();
-    ExitCode::SUCCESS
 }

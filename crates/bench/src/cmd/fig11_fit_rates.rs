@@ -5,19 +5,15 @@
 //! workloads (mean AVF). The paper's accuracy claim: ≤1.45 % per
 //! structure, 0.2 % for the whole chip.
 
-use crate::{print_header, Exp};
+use crate::{print_header, Matrix};
 use avgi_core::fit::{structure_fit, RAW_FIT_PER_BIT};
-use avgi_core::study::leave_one_out_with;
 use avgi_muarch::fault::Structure;
-use std::process::ExitCode;
 
-pub fn run(a: crate::Args) -> ExitCode {
-    let exp = Exp::parse(a, 250);
-    let (cfg, opts) = (&exp.cfg, &exp.opts);
-    let workloads = avgi_workloads::all();
+pub fn print(m: &Matrix) {
+    let cfg = &m.cfg;
     println!(
         "Fig. 11 — FIT rates per structure and whole chip ({}, {} faults/campaign, raw {} FIT/bit)",
-        cfg.name, exp.opts.faults, RAW_FIT_PER_BIT
+        cfg.name, m.opts.faults, RAW_FIT_PER_BIT
     );
     print_header(
         &[
@@ -36,8 +32,7 @@ pub fn run(a: crate::Args) -> ExitCode {
     let mut chip_avgi = 0.0;
     let mut worst = 0.0f64;
     for &s in Structure::all() {
-        let study = leave_one_out_with(s, &workloads, cfg, opts, |w, c, g, cc| exp.run(w, c, g, cc));
-        let rows = study.rows;
+        let rows = m.study(s, cfg).rows;
         let n = rows.len() as f64;
         let real_avf = rows.iter().map(|r| r.real.avf()).sum::<f64>() / n;
         let avgi_avf = rows.iter().map(|r| r.predicted.avf()).sum::<f64>() / n;
@@ -72,6 +67,4 @@ pub fn run(a: crate::Args) -> ExitCode {
          (paper: <=1.45% per structure, 0.2% chip); worst structure here {:.2}%",
         chip_real, chip_avgi, chip_diff, worst,
     );
-    exp.finish();
-    ExitCode::SUCCESS
 }

@@ -1,6 +1,7 @@
 //! The commands of the `avgi` executable: one module per command, named
 //! after the `results/<name>.{txt,log}` files the experiment scripts write,
-//! and the table [`main`] dispatches on.
+//! and the table [`main`] dispatches on; plus one module per table/figure
+//! of the paper, each a `print` that the `paper` command calls in order.
 
 use crate::Args;
 use std::process::ExitCode;
@@ -25,18 +26,20 @@ macro_rules! commands {
     };
 }
 
+mod fig01_ace_vs_sfi;
+mod fig02_imm_diagram;
+mod fig03_imm_distribution;
+mod fig04_effects_per_imm;
+mod fig05_imm_weights;
+mod fig07_esc_prediction;
+mod fig08_ert_inclusive_exclusive;
+mod fig10_accuracy;
+mod fig11_fit_rates;
+mod fig12_case_study;
+mod table2_speedup;
+
 commands! {
-    fig01_ace_vs_sfi: "Fig. 1: ACE-analysis vs. SFI AVF of the register file",
-    fig02_imm_diagram: "Fig. 2: the IMM classification diagram, 256-combination census",
-    fig03_imm_distribution: "Fig. 3: IMM breakdown per structure across workloads",
-    fig04_effects_per_imm: "Fig. 4: final-effect probabilities per IMM (L1I data)",
-    fig05_imm_weights: "Fig. 5: the IMM weighting factors per structure",
-    fig07_esc_prediction: "Fig. 7: predicted vs. real ESC fault counts",
-    fig08_ert_inclusive_exclusive: "Fig. 8: IMM distribution, full run vs. ERT stop",
-    table2_speedup: "Table II: assessment cost, AVGI vs. traditional SFI",
-    fig10_accuracy: "Fig. 10: AVGI vs. exhaustive fault-effect distributions",
-    fig11_fit_rates: "Fig. 11: FIT rates per structure and whole chip",
-    fig12_case_study: "Fig. 12: accuracy on the second microarchitecture",
+    paper: "every table and figure of the paper (Figs. 1-5, 7, 8, 10-12, Table II)",
     ablation_ert_window: "ablation: ERT window size vs. coverage and cost",
     ablation_prefetch: "ablation: next-line L2 prefetch vs. cache-fault behaviour",
     avf_report: "AVF + FIT report for one workload across all structures",

@@ -6,7 +6,9 @@
 //! (both flows skip pre-injection cycles via checkpointing, §IV.B). Two
 //! campaigns per structure and workload, and a fold of the first:
 //!
-//! * traditional — end-to-end runs (the baseline column). Every run is
+//! * traditional — end-to-end runs (the baseline column: the study's
+//!   [`RunMode::Instrumented`] ground truth, the same run as
+//!   [`RunMode::EndToEnd`] under its second label). Every run is
 //!   *charged* its cycles to the end of the program or of its window — the
 //!   paper's accounting, and the first seven columns; a run that provably
 //!   had the golden's future (a flip into dead storage, a machine state
@@ -20,20 +22,18 @@
 //!   (the full AVGI flow; the paper's "Maximum Sim Cycles" column is the
 //!   window used).
 
-use crate::{golden, print_header, Exp};
+use crate::{golden, print_header, Matrix};
 use avgi_core::ert::default_ert_window;
 use avgi_core::pipeline::avgi_mode;
 use avgi_faultsim::RunMode;
 use avgi_muarch::fault::Structure;
-use std::process::ExitCode;
 
-pub fn run(a: crate::Args) -> ExitCode {
-    let exp = Exp::parse(a, 200);
-    let cfg = &exp.cfg;
+pub fn print(m: &Matrix) {
+    let cfg = &m.cfg;
     let workloads = avgi_workloads::all();
     println!(
         "Table II — assessment cost per structure, {} faults x {} workloads ({})",
-        exp.opts.faults,
+        m.opts.faults,
         workloads.len(),
         cfg.name
     );
@@ -56,9 +56,7 @@ pub fn run(a: crate::Args) -> ExitCode {
     let mut grand_simulated = [0u64; 2]; // [traditional, full AVGI]
     for &s in Structure::all() {
         let mut cost = [0u64; 3]; // [traditional, first-deviation, full AVGI]
-        // What each simulated campaign is charged but did not simulate: the
-        // change in the command collector's `cycles_skipped` while it runs.
-        let mut skipped = [0u64; 2]; // [traditional, full AVGI]
+        let mut skipped = [0u64; 2]; // charged, not simulated: [traditional, full AVGI]
         let mut window_desc = String::new();
         for w in &workloads {
             let golden = golden(w, cfg);
@@ -66,18 +64,15 @@ pub fn run(a: crate::Args) -> ExitCode {
                 Structure::Rob | Structure::Lq | Structure::Sq => "3%".to_string(),
                 _ => format!("{}", default_ert_window(s, golden.cycles)),
             };
-            let mut run = |k: usize, mode| {
-                let before = exp.metrics().cycles_skipped;
-                let c = exp.run(w, cfg, &golden, &exp.opts.campaign(s, mode));
-                skipped[k] += exp.metrics().cycles_skipped - before;
-                c
-            };
-            let traditional = run(0, RunMode::EndToEnd);
-            let avgi = run(1, avgi_mode(s, golden.cycles));
-            let first_deviation = traditional.under(RunMode::FirstDeviation { ert_window: None });
-            for (k, c) in [traditional, first_deviation, avgi].iter().enumerate() {
-                cost[k] += c.total_post_inject_cycles();
-            }
+            let traditional = m.cell(w, cfg, s, RunMode::Instrumented);
+            let avgi = m.cell(w, cfg, s, avgi_mode(s, golden.cycles));
+            skipped[0] += traditional.cycles_skipped;
+            skipped[1] += avgi.cycles_skipped;
+            let first_deviation =
+                (traditional.result).under(RunMode::FirstDeviation { ert_window: None });
+            cost[0] += traditional.result.total_post_inject_cycles();
+            cost[1] += first_deviation.total_post_inject_cycles();
+            cost[2] += avgi.result.total_post_inject_cycles();
         }
         for k in 0..3 {
             grand[k] += cost[k];
@@ -122,6 +117,4 @@ pub fn run(a: crate::Args) -> ExitCode {
         grand[2] as f64 / 1e6,
         grand_simulated[0] as f64 / grand_simulated[1].max(1) as f64,
     );
-    exp.finish();
-    ExitCode::SUCCESS
 }

@@ -1,15 +1,15 @@
 //! # avgi-bench — the experiment harness
 //!
-//! One executable, `avgi`, with one command per table/figure of the paper
-//! (see `DESIGN.md` §3 for the index) plus the smoke provers and the grid
-//! front ends ([`cmd`]), over one argv parser ([`args`]) and shared
-//! plumbing: verified golden runs, the one campaign executor ([`Exp`]),
-//! fixed-width tables.
+//! One executable, `avgi`, whose `paper` command prints every table and
+//! figure of the paper (see `DESIGN.md` §3 for the index), beside the
+//! ablations, the smoke provers and the grid front ends ([`cmd`]), over one
+//! argv parser ([`args`]) and shared plumbing: verified golden runs, the one
+//! store every campaign comes from ([`Matrix`]), fixed-width tables.
 //!
 //! Every experiment command accepts `--faults N` (sample size per campaign,
-//! at least one; the default is tuned to finish in minutes), `--seed S`,
-//! `--small` (use the Cortex-A15-like configuration; not on `fig12`, whose
-//! subject it is), `--metrics PATH`, `--progress-ms N` and `--shard I/N`.
+//! at least one), `--seed S`, `--small` (use the Cortex-A15-like
+//! configuration; Fig. 12 is on it either way), `--metrics PATH`,
+//! `--progress-ms N` and `--shard I/N`.
 
 pub mod args;
 pub mod cmd;
@@ -18,31 +18,45 @@ pub use args::Args;
 
 use args::{positive, preset, shard};
 use avgi_core::pipeline::AvgiOptions;
-use avgi_core::study::leave_one_out_with;
+use avgi_core::study::{leave_one_out_with, Study};
 use avgi_core::JointAnalysis;
-use avgi_faultsim::telemetry::{MetricsSnapshot, ProgressObserver};
-use avgi_faultsim::{verified_golden, CampaignConfig, CampaignResult, RunMode, ShardRunner};
+use avgi_faultsim::telemetry::ProgressObserver;
+use avgi_faultsim::{verified_golden, CampaignResult, RunMode, ShardRunner};
 use avgi_muarch::config::MuarchConfig;
 use avgi_muarch::fault::Structure;
 use avgi_muarch::trace::GoldenRun;
 use avgi_workloads::Workload;
+use std::cell::RefCell;
 use std::path::PathBuf;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// An experiment command's campaign flags and the one executor every
-/// campaign it runs goes through.
+/// One campaign of a [`Matrix`].
+pub struct Cell {
+    /// The campaign's results.
+    pub result: CampaignResult,
+    /// The cycles its runs were charged but did not simulate: the change in
+    /// the matrix collector's `cycles_skipped` while it ran.
+    pub cycles_skipped: u64,
+}
+
+/// What names a cell: core configuration, workload, structure, run mode.
+type Key = (MuarchConfig, &'static str, Structure, RunMode);
+
+/// An experiment command's campaign flags and every campaign it asks for,
+/// each simulated once.
 ///
-/// [`run`](Exp::run) attaches the command's observer (an IMM-tallying
-/// [`avgi_faultsim::MetricsCollector`] behind a stderr
-/// [`ProgressObserver`]), runs only interleaved shard `I` of `N` under
-/// `--shard I/N`, and prints the campaign's health;
-/// [`finish`](Exp::finish) prints the folded telemetry summary and writes
-/// the `--metrics` dump.
-pub struct Exp {
+/// [`cell`](Matrix::cell) simulates a campaign on its first request, under
+/// the command's observer (an IMM-tallying
+/// [`avgi_faultsim::MetricsCollector`] behind a stderr [`ProgressObserver`]),
+/// only interleaved shard `I` of `N` under `--shard I/N`, printing its
+/// `[campaign]` line and its health. [`finish`](Matrix::finish) prints the
+/// folded telemetry summary and writes the `--metrics` dump.
+pub struct Matrix {
     /// Faults per campaign and sampling seed.
     pub opts: AvgiOptions,
-    /// The microarchitecture configuration.
+    /// The microarchitecture configuration `--small` chose.
     pub cfg: MuarchConfig,
     /// Offline sharding: run only interleaved shard `I` of `N` of every
     /// campaign (`--shard I/N`). Each shard is a uniform subsample, so
@@ -51,74 +65,98 @@ pub struct Exp {
     shard: Option<(usize, usize)>,
     observer: Arc<ProgressObserver>,
     metrics: Option<PathBuf>,
+    cells: RefCell<Vec<(Key, Rc<Cell>)>>,
 }
 
-impl Exp {
+impl Matrix {
     /// Parses the whole argv of a command that takes only the experiment
     /// flags, with the given default sample size.
     pub fn parse(mut a: Args, default_faults: usize) -> Self {
-        let exp = Exp::claim(&mut a, default_faults, None);
+        let m = Matrix::claim(&mut a, default_faults);
         a.finish();
-        exp
+        m
     }
 
-    /// Claims the experiment flags from `a`. `cfg` fixes the configuration;
-    /// `None` lets `--small` choose it.
-    pub fn claim(a: &mut Args, default_faults: usize, cfg: Option<MuarchConfig>) -> Self {
+    /// Claims the experiment flags from `a`.
+    pub fn claim(a: &mut Args, default_faults: usize) -> Self {
         let opts = AvgiOptions {
             faults: a
                 .value_with("--faults N>=1", positive)
                 .unwrap_or(default_faults),
             seed: a.value("--seed S").unwrap_or(0xA461_0001),
         };
-        let cfg = cfg.unwrap_or_else(|| preset(a.flag("--small")).config());
+        let cfg = preset(a.flag("--small")).config();
         let metrics = a.value("--metrics PATH");
         let progress = Duration::from_millis(a.value("--progress-ms N").unwrap_or(2_000));
         let observer = ProgressObserver::stderr(Arc::new(avgi_core::imm_collector()), progress);
-        Exp {
+        Matrix {
             opts,
             cfg,
             shard: a.value_with("--shard I/N", shard),
             observer: Arc::new(observer),
             metrics,
+            cells: RefCell::default(),
         }
     }
 
-    /// Runs the campaign `ccfg` describes under the command's observer —
-    /// only shard `I` of `N` under `--shard I/N` — and reports its health.
-    pub fn run(
-        &self,
-        workload: &Workload,
-        cfg: &MuarchConfig,
-        golden: &Arc<GoldenRun>,
-        ccfg: &CampaignConfig,
-    ) -> CampaignResult {
+    /// The campaign on structure `s` in `mode` of `w` under `cfg`, at the
+    /// matrix's faults and seed: simulated on the first request, the stored
+    /// cell on every later one.
+    pub fn cell(&self, w: &Workload, cfg: &MuarchConfig, s: Structure, mode: RunMode) -> Rc<Cell> {
+        let key = (cfg.clone(), w.name, s, mode);
+        if let Some((_, cell)) = self.cells.borrow().iter().find(|(k, _)| *k == key) {
+            return cell.clone();
+        }
         let (index, count) = self.shard.unwrap_or((0, 1));
-        let of = self
-            .shard
-            .map_or_else(String::new, |(i, n)| format!(", shard {i}/{n}"));
+        let of = (self.shard).map_or_else(String::new, |(i, n)| format!(", shard {i}/{n}"));
+        let faults = self.opts.faults;
         eprintln!(
-            "[campaign] {} / {} ({} faults{of})",
-            ccfg.structure, workload.name, ccfg.faults
+            "[campaign] {s} / {} ({faults} faults, {mode:?}{of}) on {}",
+            w.name, cfg.name
         );
-        let runner = ShardRunner::new(workload, cfg, golden, ccfg);
+        let skipped = || self.observer.collector().snapshot().cycles_skipped;
+        let before = skipped();
+        let runner = ShardRunner::new(w, cfg, &golden(w, cfg), &self.opts.campaign(s, mode));
         let results = runner
             .run_interleaved(index, count, Some(self.observer.clone()))
             .expect("argv admits only 0 <= I < N");
-        let c = runner.result(results.into_iter().map(|(_, r)| r).collect());
-        report_campaign_health(&c);
-        c
+        let result = runner.result(results.into_iter().map(|(_, r)| r).collect());
+        report_campaign_health(&result);
+        let cycles_skipped = skipped() - before;
+        let cell = Rc::new(Cell {
+            result,
+            cycles_skipped,
+        });
+        self.cells.borrow_mut().push((key, cell.clone()));
+        cell
     }
 
-    /// The command's telemetry so far, over every campaign it has run.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.observer.collector().snapshot()
+    /// The joint analyses of the ground-truth ([`RunMode::Instrumented`])
+    /// campaigns on `s` under the matrix's core, one per workload in
+    /// [`avgi_workloads::all`] order.
+    pub fn analyses(&self, s: Structure) -> Vec<JointAnalysis> {
+        (avgi_workloads::all().iter())
+            .map(|w| self.cell(w, &self.cfg, s, RunMode::Instrumented))
+            .map(|c| JointAnalysis::from_campaign(&c.result))
+            .collect()
+    }
+
+    /// The leave-one-out study of `s` under `cfg` over every workload, each
+    /// of its campaigns a cell.
+    pub fn study(&self, s: Structure, cfg: &MuarchConfig) -> Study {
+        leave_one_out_with(
+            s,
+            &avgi_workloads::all(),
+            cfg,
+            &self.opts,
+            |w, c, _, ccfg| self.cell(w, c, ccfg.structure, ccfg.mode).result.clone(),
+        )
     }
 
     /// Prints the folded telemetry summary to stderr and, when `--metrics`
     /// was given, writes the machine-readable dump.
     pub fn finish(&self) {
-        let snap = self.metrics();
+        let snap = self.observer.collector().snapshot();
         if snap.completed == 0 {
             return;
         }
@@ -161,28 +199,15 @@ fn report_campaign_health(c: &CampaignResult) {
     }
 }
 
-/// Instrumented (end-to-end, the same run under the label of the §III
-/// analysis) campaigns for every
-/// (structure, workload) pair, all workloads, through `exp`, folded into
-/// their joint analyses.
-pub fn analysis_grid(structures: &[Structure], exp: &Exp) -> Vec<JointAnalysis> {
-    let workloads = avgi_workloads::all();
-    let mut out = Vec::with_capacity(structures.len() * workloads.len());
-    for &s in structures {
-        let ccfg = exp.opts.campaign(s, RunMode::Instrumented);
-        for w in &workloads {
-            let c = exp.run(w, &exp.cfg, &golden(w, &exp.cfg), &ccfg);
-            out.push(JointAnalysis::from_campaign(&c));
-        }
-    }
-    out
-}
-
-/// Prints one Real-vs-predicted table per structure (the body of Figs. 10
-/// and 12; `tag` labels the predicted columns). Returns the worst
+/// Prints one Real-vs-predicted table per structure under `cfg` (the body
+/// of Figs. 10 and 12; `tag` labels the predicted columns). Returns the worst
 /// per-class and the worst SDC-only absolute difference.
-pub fn print_accuracy_tables(structures: &[Structure], exp: &Exp, tag: &str) -> (f64, f64) {
-    let workloads = avgi_workloads::all();
+pub fn print_accuracy_tables(
+    structures: &[Structure],
+    m: &Matrix,
+    cfg: &MuarchConfig,
+    tag: &str,
+) -> (f64, f64) {
     let cols = ["Msk", "SDC", "Crs"].map(|c| (format!("real {c}"), format!("{tag} {c}")));
     let mut header = vec!["workload"];
     header.extend(cols.iter().flat_map(|(r, p)| [r.as_str(), p.as_str()]));
@@ -191,10 +216,7 @@ pub fn print_accuracy_tables(structures: &[Structure], exp: &Exp, tag: &str) -> 
     for &s in structures {
         println!("\n--- {} ---", s.label());
         print_header(&header, &[14, 9, 9, 9, 9, 9, 9, 8]);
-        let study = leave_one_out_with(s, &workloads, &exp.cfg, &exp.opts, |w, c, g, cc| {
-            exp.run(w, c, g, cc)
-        });
-        for r in study.rows {
+        for r in m.study(s, cfg).rows {
             worst = worst.max(r.max_abs_diff());
             sdc_worst = sdc_worst.max((r.real.sdc - r.predicted.sdc).abs());
             println!(

@@ -26,33 +26,78 @@ fn no_or_unknown_command_lists_every_command_and_exits_2() {
             assert!(err.contains(c.name), "{args:?}: list lacks {}", c.name);
         }
     }
-    assert_eq!(COMMANDS.len(), 22);
+    assert_eq!(COMMANDS.len(), 12);
     assert!(stderr(&avgi(&["fig99_nothing"])).contains("unknown command `fig99_nothing`"));
 }
 
 #[test]
 fn a_command_without_a_campaign_runs_to_exit_0() {
-    let out = avgi(&["fig02_imm_diagram"]);
+    let out = avgi(&["trace_dump", "--workload", "bitcount"]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("256-combination census"), "{text}");
-    assert!(
-        text.lines()
-            .any(|l| l.trim_start().starts_with("sum") && l.contains("256")),
-        "{text}"
-    );
+    assert!(text.starts_with("golden trace of `bitcount`"), "{text}");
+    assert!(!stderr(&out).contains("[campaign]"), "{}", stderr(&out));
+}
+
+/// The eleven figures' titles, in the order `paper` prints them.
+const TITLES: [&str; 11] = [
+    "Fig. 1 — ",
+    "Fig. 2 — ",
+    "Fig. 3 — ",
+    "Fig. 4 — ",
+    "Fig. 5 — ",
+    "Fig. 7 — ",
+    "Fig. 8 — ",
+    "Table II — ",
+    "Fig. 10 — ",
+    "Fig. 11 — ",
+    "Fig. 12 — ",
+];
+
+/// Every figure is a fold over one matrix: 12 structures x 14 workloads,
+/// one ground-truth and one AVGI campaign each, plus the same on 3
+/// structures of the small core for Fig. 12, which `--small` shares.
+#[test]
+fn the_paper_simulates_each_campaign_once() {
+    for (flags, campaigns) in [(&[][..], 420), (&["--small"], 336)] {
+        let mut argv = vec!["paper", "--faults", "2"];
+        argv.extend(flags);
+        let out = avgi(&argv);
+        assert_eq!(out.status.code(), Some(0), "{argv:?}: {}", stderr(&out));
+        let text = String::from_utf8_lossy(&out.stdout);
+        let at: Vec<usize> = (TITLES.iter())
+            .map(|t| text.lines().position(|l| l.starts_with(t)))
+            .map(|at| at.unwrap_or_else(|| panic!("{argv:?}: a title is missing:\n{text}")))
+            .collect();
+        assert!(at.windows(2).all(|w| w[0] < w[1]), "{argv:?}: {at:?}");
+        assert!(text.contains("256-combination census"), "{text}");
+        assert!(
+            text.lines()
+                .any(|l| l.trim_start().starts_with("sum") && l.contains("256")),
+            "{text}"
+        );
+        let err = stderr(&out);
+        let mut lines: Vec<&str> = err
+            .lines()
+            .filter(|l| l.starts_with("[campaign] "))
+            .collect();
+        assert_eq!(lines.len(), campaigns, "{argv:?}");
+        lines.sort_unstable();
+        lines.dedup();
+        assert_eq!(lines.len(), campaigns, "{argv:?}: a campaign ran twice");
+    }
 }
 
 #[test]
 fn an_argv_error_prints_usage_and_exits_2_before_anything_starts() {
     // Figure command: the typo is reported before any campaign runs.
-    let out = avgi(&["fig10_accuracy", "--fault", "3"]);
+    let out = avgi(&["paper", "--fault", "3"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(out.stdout.is_empty());
     let err = stderr(&out);
     assert!(err.contains("unknown argument `--fault`"), "{err}");
     assert!(
-        err.contains("usage: avgi fig10_accuracy [--faults N>=1] [--seed S]"),
+        err.contains("usage: avgi paper [--faults N>=1] [--seed S]"),
         "{err}"
     );
 
@@ -75,7 +120,7 @@ fn an_argv_error_prints_usage_and_exits_2_before_anything_starts() {
     assert!(!queue.exists(), "the service must not have started");
 
     // The one integer rule reaches every numeric flag of every command.
-    for cmd in ["grid_submit", "fig10_accuracy"] {
+    for cmd in ["grid_submit", "paper"] {
         let out = avgi(&[cmd, "--seed", "0xA4610001", "--stop-here"]);
         let err = stderr(&out);
         assert_eq!(out.status.code(), Some(2), "{cmd}");
@@ -88,16 +133,7 @@ fn an_argv_error_prints_usage_and_exits_2_before_anything_starts() {
 
 #[test]
 fn a_figure_command_runs_each_interleaved_shard_and_refuses_one_past_the_last() {
-    let run = |shard| {
-        avgi(&[
-            "fig04_effects_per_imm",
-            "--faults",
-            "3",
-            "--small",
-            "--shard",
-            shard,
-        ])
-    };
+    let run = |shard| avgi(&["paper", "--faults", "3", "--small", "--shard", shard]);
     for shard in ["0/2", "1/2"] {
         let out = run(shard);
         assert_eq!(out.status.code(), Some(0), "{shard}: {}", stderr(&out));
@@ -115,12 +151,7 @@ fn a_figure_command_runs_each_interleaved_shard_and_refuses_one_past_the_last() 
 
 #[test]
 fn a_campaign_of_no_faults_is_refused() {
-    for cmd in [
-        "fig10_accuracy",
-        "fig01_ace_vs_sfi",
-        "avf_report",
-        "xtier_check",
-    ] {
+    for cmd in ["paper", "avf_report", "xtier_check"] {
         let out = avgi(&[cmd, "--faults", "0"]);
         assert_eq!(out.status.code(), Some(2), "{cmd}");
         assert!(out.stdout.is_empty(), "{cmd}");
@@ -133,11 +164,11 @@ fn a_campaign_of_no_faults_is_refused() {
 /// that used to ignore `--shard` and `--metrics` honours both.
 #[test]
 fn every_campaign_command_shards_and_dumps_its_metrics() {
-    let path = std::env::temp_dir().join(format!("avgi-cli-fig01-{}.json", std::process::id()));
+    let path = std::env::temp_dir().join(format!("avgi-cli-paper-{}.json", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let metrics = path.to_str().expect("utf-8 temp path");
     let argv = [
-        "fig01_ace_vs_sfi",
+        "paper",
         "--small",
         "--faults",
         "2",
@@ -151,17 +182,16 @@ fn every_campaign_command_shards_and_dumps_its_metrics() {
     assert!(stderr(&out).contains("shard 0/2"), "{}", stderr(&out));
     let text = std::fs::read_to_string(&path).expect("the metrics dump was written");
     let _ = std::fs::remove_file(&path);
-    // One run per workload: interleaved shard 0 of a 2-fault campaign.
+    // One run per campaign: interleaved shard 0 of a 2-fault campaign.
     assert!(text.starts_with('{'), "{text}");
-    assert!(text.contains("\"completed\":14,"), "{text}");
+    assert!(text.contains("\"completed\":336,"), "{text}");
 }
 
 #[test]
 fn a_flag_a_command_does_not_use_is_refused() {
     for argv in [
-        &["fig01_ace_vs_sfi", "--workload", "sha"][..],
+        &["paper", "--workload", "sha"][..],
         &["trace_dump", "--faults", "3"],
-        &["fig12_case_study", "--small"],
     ] {
         let out = avgi(argv);
         assert_eq!(out.status.code(), Some(2), "{argv:?}");
@@ -227,7 +257,7 @@ fn commands_named_in(text: &str) -> Vec<String> {
 fn scripts_and_ci_name_only_registered_commands() {
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     for (file, at_least) in [
-        ("run_experiments.sh", 11),
+        ("run_experiments.sh", 1),
         ("run_experiments_extra.sh", 4),
         (".github/workflows/ci.yml", 10),
     ] {

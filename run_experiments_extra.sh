@@ -1,6 +1,6 @@
 #!/bin/sh
-# Ablations and tools (run after run_experiments.sh, which runs every figure
-# and table once; no command here repeats one of its commands).
+# Ablations and tools (run after run_experiments.sh, whose one `avgi paper`
+# call prints every figure and table; no command here is `paper`).
 # Usage: sh run_experiments_extra.sh [extra args passed to every command]
 set -e
 cd "$(dirname "$0")"
