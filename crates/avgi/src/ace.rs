@@ -9,21 +9,10 @@
 //! flip a branch, values whose corruption never reaches the output) — and
 //! is why the paper's Fig. 1 shows ACE AVFs 1.2–3× above SFI ground truth.
 //!
-//! Two estimators are provided:
-//!
-//! * [`ace_regfile`] — the microarchitectural estimator, using the
-//!   simulator's per-physical-register ACE instrumentation
-//!   ([`avgi_muarch::run::ExecStats::rf_ace_cycles`]). This is the Fig. 1
-//!   baseline.
-//! * [`ace_regfile_architectural`] — an architecture-level approximation
-//!   that only sees the commit trace. Because in-order commit compresses
-//!   the out-of-order timeline (producer and consumer often commit in the
-//!   same burst regardless of how long the value sat in the issue window),
-//!   it *underestimates* physical-register exposure — an instructive
-//!   ablation on why microarchitecture-blind analyses mislead (§VIII).
+//! The estimator, [`ace_regfile`], reads the simulator's
+//! per-physical-register ACE instrumentation
+//! ([`avgi_muarch::run::ExecStats::rf_ace_cycles`]).
 
-use avgi_isa::instr::decode;
-use avgi_isa::opcode::{Format, Opcode};
 use avgi_muarch::config::MuarchConfig;
 use avgi_muarch::trace::GoldenRun;
 
@@ -60,54 +49,6 @@ pub fn ace_regfile(golden: &GoldenRun, cfg: &MuarchConfig) -> AceResult {
     }
 }
 
-fn reads_of(op: Opcode) -> (bool, bool) {
-    let uses_rs1 = matches!(op.format(), Format::R | Format::I | Format::S) && op != Opcode::Lui;
-    let uses_rs2 = matches!(op.format(), Format::R | Format::S);
-    (uses_rs1, uses_rs2)
-}
-
-/// Architecture-level ACE approximation from the commit trace alone:
-/// per architectural register, the interval from a value's producing commit
-/// to its last consuming commit.
-///
-/// Systematically *below* [`ace_regfile`] on out-of-order cores — see the
-/// module docs.
-pub fn ace_regfile_architectural(golden: &GoldenRun, cfg: &MuarchConfig) -> AceResult {
-    const NREG: usize = avgi_isa::NUM_ARCH_REGS as usize;
-    let mut last_write = [0u64; NREG];
-    let mut last_read: [Option<u64>; NREG] = [None; NREG];
-    let mut ace_cycles = 0u64;
-
-    for rec in &golden.trace {
-        let Ok(instr) = decode(rec.raw) else { continue };
-        let (r1, r2) = reads_of(instr.op);
-        if r1 && !instr.rs1.is_zero() {
-            last_read[instr.rs1.index() as usize] = Some(rec.cycle);
-        }
-        if r2 && !instr.rs2.is_zero() {
-            last_read[instr.rs2.index() as usize] = Some(rec.cycle);
-        }
-        if instr.op.writes_rd() && !instr.rd.is_zero() {
-            let rd = instr.rd.index() as usize;
-            if let Some(lr) = last_read[rd] {
-                ace_cycles += lr.saturating_sub(last_write[rd]);
-            }
-            last_write[rd] = rec.cycle;
-            last_read[rd] = None;
-        }
-    }
-    for r in 0..NREG {
-        if let Some(lr) = last_read[r] {
-            ace_cycles += lr.saturating_sub(last_write[r]);
-        }
-    }
-    AceResult {
-        ace_cycles,
-        total_cycles: golden.cycles,
-        phys_regs: cfg.phys_regs,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,23 +63,6 @@ mod tests {
             let avf = r.avf();
             assert!(avf > 0.0, "{}: zero ACE AVF", w.name);
             assert!(avf < 1.0, "{}: AVF {avf} out of range", w.name);
-        }
-    }
-
-    #[test]
-    fn microarchitectural_ace_exceeds_architectural_approximation() {
-        // Commit-time compression hides issue-window exposure: the
-        // trace-only estimate must not exceed the instrumented one.
-        let cfg = MuarchConfig::big();
-        for name in ["sha", "dijkstra", "blowfish"] {
-            let w = avgi_workloads::by_name(name).unwrap();
-            let golden = golden_for(&w, &cfg);
-            let micro = ace_regfile(&golden, &cfg).avf();
-            let arch = ace_regfile_architectural(&golden, &cfg).avf();
-            assert!(
-                micro >= arch,
-                "{name}: microarchitectural {micro} < architectural {arch}"
-            );
         }
     }
 

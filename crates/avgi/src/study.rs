@@ -18,6 +18,7 @@ use avgi_muarch::config::MuarchConfig;
 use avgi_muarch::fault::Structure;
 use avgi_muarch::trace::GoldenRun;
 use avgi_workloads::Workload;
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// One held-out workload's ground truth vs. AVGI prediction.
@@ -88,24 +89,25 @@ pub fn leave_one_out(
 /// then (once all of those are in) the [`avgi_mode`] assessment campaign,
 /// both at `opts.faults` and `opts.seed`. The rest is a fold over their
 /// results. Golden runs come from [`verified_golden`], so every study in a
-/// process shares one verified capture per program.
+/// process shares one verified capture per program. `run` may return the
+/// result itself or anything that lends it, such as a stored campaign.
 ///
 /// # Panics
 ///
 /// Panics if a workload's golden run fails verification.
-pub fn leave_one_out_with(
+pub fn leave_one_out_with<R: Borrow<CampaignResult>>(
     structure: Structure,
     workloads: &[Workload],
     cfg: &MuarchConfig,
     opts: &AvgiOptions,
-    mut run: impl FnMut(&Workload, &MuarchConfig, &Arc<GoldenRun>, &CampaignConfig) -> CampaignResult,
+    mut run: impl FnMut(&Workload, &MuarchConfig, &Arc<GoldenRun>, &CampaignConfig) -> R,
 ) -> Study {
     let exhaustives: Vec<(ExhaustiveAssessment, Arc<GoldenRun>)> = workloads
         .iter()
         .map(|w| {
             let golden = verified_golden(w, cfg).unwrap_or_else(|e| panic!("{e}"));
             let ccfg = opts.campaign(structure, RunMode::Instrumented);
-            let truth = ExhaustiveAssessment::from_campaign(&run(w, cfg, &golden, &ccfg));
+            let truth = ExhaustiveAssessment::from_campaign(run(w, cfg, &golden, &ccfg).borrow());
             (truth, golden)
         })
         .collect();
@@ -120,7 +122,7 @@ pub fn leave_one_out_with(
             let weights = learn_weights(&analyses, Some(w.name));
             let ccfg = opts.campaign(structure, avgi_mode(structure, golden.cycles));
             let campaign = run(w, cfg, golden, &ccfg);
-            let a = AvgiAssessment::from_campaign(&campaign, w.output_bytes(), &weights);
+            let a = AvgiAssessment::from_campaign(campaign.borrow(), w.output_bytes(), &weights);
             StudyRow {
                 workload: w.name.to_string(),
                 real: ex.effect,

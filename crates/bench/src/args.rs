@@ -13,7 +13,6 @@
 use avgi_faultsim::{DurabilityPolicy, RunMode};
 use avgi_grid::{ConfigPreset, ServiceConfig, SubmitSpec};
 use avgi_muarch::fault::Structure;
-use avgi_workloads::Workload;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -45,12 +44,7 @@ macro_rules! from_arg {
         })*
     };
 }
-from_arg!(int: u64, u32, usize; str: f64, String, PathBuf);
-
-/// Parses a comma-separated list of workload names.
-pub fn workload_list(s: &str) -> Option<Vec<Workload>> {
-    s.split(',').map(avgi_workloads::by_name).collect()
-}
+from_arg!(int: u64, u32, usize; str: String, PathBuf);
 
 /// Parses a count of at least one.
 pub fn positive(s: &str) -> Option<usize> {

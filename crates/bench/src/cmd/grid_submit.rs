@@ -116,7 +116,13 @@ pub fn run(mut a: crate::Args) -> ExitCode {
         eprintln!("[verify] FAIL: finished campaign {id} carries no report");
         return ExitCode::FAILURE;
     };
-    let reference = reference_outcome(&spec).expect("workload validated at argv");
+    let reference = match reference_outcome(&spec) {
+        Ok(reference) => reference,
+        Err(e) => {
+            eprintln!("[verify] FAIL: no single-process reference: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let expect = reference_report(
         &spec.workload,
         spec.structure,

@@ -12,10 +12,8 @@
 //! `--proto 2` pins the worker to the JSON wire dialect (what a previous
 //! release would speak); the default negotiates the binary v3 dialect.
 
-use avgi_grid::proto::WireStats;
 use avgi_grid::{run_worker, WorkerConfig};
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 pub fn run(mut a: crate::Args) -> ExitCode {
@@ -23,8 +21,6 @@ pub fn run(mut a: crate::Args) -> ExitCode {
         a.value::<String>("--connect ADDR")
             .unwrap_or_else(|| "127.0.0.1:4810".into()),
     );
-    let wire = Arc::new(WireStats::new());
-    wcfg.wire = Some(wire.clone());
     wcfg.threads = a.value("--threads N").unwrap_or(wcfg.threads);
     wcfg.proto = a.value("--proto N").unwrap_or(wcfg.proto);
     wcfg.connect_timeout = a
@@ -38,7 +34,6 @@ pub fn run(mut a: crate::Args) -> ExitCode {
                 "[worker] done: {} runtimes built, {} batches, {} runs",
                 stats.campaigns, stats.batches, stats.runs
             );
-            eprintln!("[worker] wire: {}", wire.summary());
             ExitCode::SUCCESS
         }
         Err(e) => {

@@ -46,8 +46,6 @@ commands! {
     explore: "per-structure IMM, effect and latency overview",
     trace_dump: "disassembled golden commit trace of a workload",
     fuzz_diff: "differential fuzzing: pipeline vs. reference model",
-    xtier_check: "smoke prover: execution tiers and batched engine bit-identical",
-    adaptive_check: "smoke prover: adaptive sampling agrees with uniform, 1 vs. 4 threads",
     grid_worker: "worker: executes leases from grid_service",
     grid_service: "multi-campaign control plane with the HTTP surface",
     grid_submit: "HTTP client: submit a campaign to grid_service, wait, verify",

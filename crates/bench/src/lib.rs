@@ -2,9 +2,10 @@
 //!
 //! One executable, `avgi`, whose `paper` command prints every table and
 //! figure of the paper (see `DESIGN.md` §3 for the index), beside the
-//! ablations, the smoke provers and the grid front ends ([`cmd`]), over one
-//! argv parser ([`args`]) and shared plumbing: verified golden runs, the one
-//! store every campaign comes from ([`Matrix`]), fixed-width tables.
+//! ablations, the differential fuzzer and the grid front ends ([`cmd`]),
+//! over one argv parser ([`args`]) and shared plumbing: verified golden
+//! runs, the one store every campaign comes from ([`Matrix`]), fixed-width
+//! tables.
 //!
 //! Every experiment command accepts `--faults N` (sample size per campaign,
 //! at least one), `--seed S`, `--small` (use the Cortex-A15-like
@@ -26,6 +27,7 @@ use avgi_muarch::config::MuarchConfig;
 use avgi_muarch::fault::Structure;
 use avgi_muarch::trace::GoldenRun;
 use avgi_workloads::Workload;
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::path::PathBuf;
 use std::rc::Rc;
@@ -39,6 +41,15 @@ pub struct Cell {
     /// The cycles its runs were charged but did not simulate: the change in
     /// the matrix collector's `cycles_skipped` while it ran.
     pub cycles_skipped: u64,
+}
+
+/// A stored cell lent to a study as its campaign result.
+struct Lent(Rc<Cell>);
+
+impl Borrow<CampaignResult> for Lent {
+    fn borrow(&self) -> &CampaignResult {
+        &self.0.result
+    }
 }
 
 /// What names a cell: core configuration, workload, structure, run mode.
@@ -142,14 +153,14 @@ impl Matrix {
     }
 
     /// The leave-one-out study of `s` under `cfg` over every workload, each
-    /// of its campaigns a cell.
+    /// of its campaigns a cell, lent to the study without a copy.
     pub fn study(&self, s: Structure, cfg: &MuarchConfig) -> Study {
         leave_one_out_with(
             s,
             &avgi_workloads::all(),
             cfg,
             &self.opts,
-            |w, c, _, ccfg| self.cell(w, c, ccfg.structure, ccfg.mode).result.clone(),
+            |w, c, _, ccfg| Lent(self.cell(w, c, ccfg.structure, ccfg.mode)),
         )
     }
 

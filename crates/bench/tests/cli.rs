@@ -26,7 +26,7 @@ fn no_or_unknown_command_lists_every_command_and_exits_2() {
             assert!(err.contains(c.name), "{args:?}: list lacks {}", c.name);
         }
     }
-    assert_eq!(COMMANDS.len(), 12);
+    assert_eq!(COMMANDS.len(), 10);
     assert!(stderr(&avgi(&["fig99_nothing"])).contains("unknown command `fig99_nothing`"));
 }
 
@@ -151,7 +151,7 @@ fn a_figure_command_runs_each_interleaved_shard_and_refuses_one_past_the_last() 
 
 #[test]
 fn a_campaign_of_no_faults_is_refused() {
-    for cmd in ["paper", "avf_report", "xtier_check"] {
+    for cmd in ["paper", "avf_report", "ablation_prefetch"] {
         let out = avgi(&[cmd, "--faults", "0"]);
         assert_eq!(out.status.code(), Some(2), "{cmd}");
         assert!(out.stdout.is_empty(), "{cmd}");
@@ -204,31 +204,6 @@ fn a_flag_a_command_does_not_use_is_refused() {
     }
 }
 
-/// The CI "xtier" step's invocation: besides its `xtier` and `xcheck` lines,
-/// each workload must report runs that took the convergence exit, every one
-/// equal to its run to the end.
-#[test]
-fn xtier_check_exercises_the_convergence_exit() {
-    let out = avgi(&[
-        "xtier_check",
-        "--workloads",
-        "bitcount,crc32",
-        "--faults",
-        "24",
-    ]);
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    let text = String::from_utf8_lossy(&out.stdout);
-    for workload in ["bitcount", "crc32"] {
-        for mode in ["ERT-bounded", "end-to-end"] {
-            let line = (text.lines())
-                .find(|l| l.starts_with(&format!("converge `{workload}` {mode}: 24 runs, ")))
-                .unwrap_or_else(|| panic!("no {mode} converge line for {workload}:\n{text}"));
-            assert!(line.ends_with(", mismatches 0"), "{line}");
-            assert!(!line.contains(" 0 converged"), "{line}");
-        }
-    }
-}
-
 /// The command word of every `run`/`runm` line of a script and of every
 /// `./target/release/avgi` invocation.
 fn commands_named_in(text: &str) -> Vec<String> {
@@ -259,7 +234,7 @@ fn scripts_and_ci_name_only_registered_commands() {
     for (file, at_least) in [
         ("run_experiments.sh", 1),
         ("run_experiments_extra.sh", 4),
-        (".github/workflows/ci.yml", 10),
+        (".github/workflows/ci.yml", 7),
     ] {
         let text = std::fs::read_to_string(format!("{root}/{file}")).expect(file);
         let named = commands_named_in(&text);

@@ -33,8 +33,7 @@
 //! alike — after the batch, so the drawn faults — and therefore results,
 //! weights, and the early-stop point — are identical across thread counts
 //! and across journal interruptions by construction.
-//! `faultsim/tests/adaptive_stats.rs` asserts all of this empirically, and
-//! `avgi adaptive_check` re-proves it in CI.
+//! `faultsim/tests/adaptive_stats.rs` asserts all of this empirically.
 
 use crate::campaign::{CampaignConfig, CampaignResult, InjectionResult, JournalSink, ShardRunner};
 use crate::error::CampaignError;

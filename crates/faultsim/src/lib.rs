@@ -63,7 +63,7 @@ pub use sampling::{
     error_margin, error_margin_at, multi_bit_burst, sample_faults, sample_size, sample_size_at,
     wilson_interval, z_value, Confidence, SamplingError,
 };
-pub use xcheck::{run_xcheck, run_xtier, XcheckReport, XtierReport};
+pub use xcheck::{run_xcheck, XcheckReport};
 
 pub use telemetry::{
     outcome_class, CampaignObserver, HistogramSnapshot, LatencyHistogram, MetricsCollector,

@@ -1,5 +1,4 @@
-//! Lockstep cross-check of the checkpointed engine (from the command line:
-//! `avgi xtier_check`, which runs both provers of this module).
+//! Lockstep cross-check of the checkpointed engine.
 //!
 //! A campaign with a checkpoint set forks every run off a fault-free carrier
 //! and takes the golden's ending wherever a run provably has the golden's
@@ -34,10 +33,11 @@
 //! Any disagreement is reported as a human-readable error string naming the
 //! fault and the first differing observable.
 //!
-//! A second prover, [`run_xtier`], targets the *execution-tier*
-//! claim instead of the engine claim: the fast pre-decoded interpreter
-//! must be bit-identical to both the reference interpreter and the
-//! cycle-accurate pipeline.
+//! `cargo test` runs the prover on register-file campaigns of bitcount and
+//! crc32, on both cores, under the AVGI window and end to end (this
+//! module's tests). The execution-tier claim — the fast interpreter is
+//! bit-identical to the reference one and to the pipeline — is proved by
+//! `tests/xtier.rs` and `avgi-refmodel`'s `workloads_lockstep`, not here.
 
 use crate::campaign::{control_for, inject_burst, run_campaign, CampaignConfig, CampaignResult};
 use crate::sampling::sample_faults;
@@ -154,69 +154,6 @@ pub fn run_xcheck(
         converged: checkpointed_snap.converged_runs,
         cycles_charged: checkpointed.total_post_inject_cycles(),
         cycles_skipped: checkpointed_snap.cycles_skipped,
-    })
-}
-
-/// Outcome of a clean execution-tier cross-check (see [`run_xtier`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct XtierReport {
-    /// Workload checked.
-    pub workload: String,
-    /// Architectural steps proven bit-identical between the reference
-    /// interpreter and the fast tier (step-by-step *and* batched `run`).
-    pub interp_steps: u64,
-    /// Commit records compared between the pipeline's golden trace and the
-    /// fast tier.
-    pub commits_compared: u64,
-}
-
-impl std::fmt::Display for XtierReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "xtier `{}`: {} interpreter steps bit-identical across tiers, {} pipeline commits \
-             matched",
-            self.workload, self.interp_steps, self.commits_compared
-        )
-    }
-}
-
-/// Proves the two execution tiers interchangeable for one workload, three
-/// ways:
-///
-/// 1. **Substrate**: the golden capture is lockstep-verified against the
-///    *reference* tier — the slow interpreter anchors the whole proof, so it
-///    never delegates to the tier under test.
-/// 2. **Interpreter identity**: [`avgi_refmodel::verify_fast_tier`] steps
-///    the reference and fast models side by side over the whole program,
-///    comparing every `RefStep`, then re-runs the fast tier's
-///    block-threaded batch path and requires the same end state.
-/// 3. **Pipeline identity**: the pipeline's recorded commit stream is
-///    lockstep-verified against the *fast* tier — the check
-///    [`verified_golden`](crate::verified_golden) makes in production. Every
-///    commit's `(pc, raw, ea, val)`, the end of both streams, completion and
-///    the final output bytes must match.
-pub fn run_xtier(workload: &Workload, golden: &GoldenRun) -> Result<XtierReport, String> {
-    // 1. Substrate, pinned to the reference tier.
-    avgi_refmodel::verify_golden_tier(&workload.program, golden, ExecTier::Reference)
-        .map_err(|d| format!("golden run of `{}` fails lockstep: {d}", workload.name))?;
-
-    // 2. Reference interpreter vs fast tier, step path and batch path.
-    let interp_steps = avgi_refmodel::verify_fast_tier(&workload.program, 0).map_err(|e| {
-        format!(
-            "`{}`: fast tier diverges from reference: {e}",
-            workload.name
-        )
-    })?;
-
-    // 3. Fast tier vs the pipeline's commit stream.
-    let fast = avgi_refmodel::verify_golden_tier(&workload.program, golden, ExecTier::Fast)
-        .map_err(|d| format!("`{}`: fast tier diverges from pipeline: {d}", workload.name))?;
-
-    Ok(XtierReport {
-        workload: workload.name.to_string(),
-        interp_steps,
-        commits_compared: fast.committed,
     })
 }
 
@@ -338,48 +275,54 @@ mod tests {
     use crate::campaign::{golden_for, RunMode};
     use avgi_muarch::fault::Structure;
 
+    /// Runs the prover on a 24-fault register-file campaign of bitcount and
+    /// of crc32, on both cores, in the mode `mode` picks from the golden
+    /// run's length; every campaign must pass every leg with some run
+    /// taking an exit.
+    fn check_rf_campaigns(mode: impl Fn(u64) -> RunMode) -> Vec<XcheckReport> {
+        let mut reports = Vec::new();
+        for name in ["bitcount", "crc32"] {
+            let w = avgi_workloads::by_name(name).unwrap();
+            for cfg in [MuarchConfig::big(), MuarchConfig::small()] {
+                let golden = golden_for(&w, &cfg);
+                let ccfg = CampaignConfig::new(Structure::RegFile, 24, mode(golden.cycles));
+                let what = format!("{name} / {} / {:?}", cfg.name, ccfg.mode);
+                let report = run_xcheck(&w, &cfg, &golden, &ccfg)
+                    .unwrap_or_else(|e| panic!("{what}: clean campaign must cross-check: {e}"));
+                assert_eq!(report.runs_compared, 24, "{what}");
+                assert!(report.telemetry_identical, "{what}");
+                assert!(report.forks_traced > 0, "{what}");
+                assert!(report.prefix_commits_verified > 0, "{what}");
+                assert!(report.converged > 0, "{what}: no run took the exit");
+                reports.push(report);
+            }
+        }
+        reports
+    }
+
+    /// Under the AVGI flow's register-file window, the exits taken are the
+    /// ones at the injection cycle.
     #[test]
     fn xcheck_passes_on_a_clean_campaign() {
-        let w = avgi_workloads::by_name("bitcount").unwrap();
-        let cfg = MuarchConfig::big();
-        let ccfg = CampaignConfig::new(
-            Structure::RegFile,
-            24,
-            RunMode::FirstDeviation {
-                ert_window: Some(2_000),
-            },
-        );
-        let report = run_xcheck(&w, &cfg, &golden_for(&w, &cfg), &ccfg)
-            .expect("clean campaign must cross-check");
-        assert_eq!(report.runs_compared, 24);
-        assert!(report.telemetry_identical);
-        assert!(report.forks_traced > 0);
-        assert!(report.prefix_commits_verified > 0);
-        assert!(
-            report.converged > 0 && report.cycles_skipped > 0,
-            "no run under the ERT window exited at its injection cycle"
-        );
+        let avgi_window = |cycles| RunMode::FirstDeviation {
+            ert_window: Some(avgi_core::default_ert_window(Structure::RegFile, cycles)),
+        };
+        for report in check_rf_campaigns(avgi_window) {
+            assert!(report.cycles_skipped > 0, "{}", report.workload);
+        }
     }
 
+    /// End to end, where runs also exit at later checkpoints, the exits
+    /// skip some of the charged cycles and never all of them.
     #[test]
     fn xcheck_holds_converged_runs_to_their_run_to_the_end() {
-        let w = avgi_workloads::by_name("bitcount").unwrap();
-        let cfg = MuarchConfig::big();
-        let ccfg = CampaignConfig::new(Structure::RegFile, 24, RunMode::EndToEnd);
-        let report = run_xcheck(&w, &cfg, &golden_for(&w, &cfg), &ccfg)
-            .expect("clean campaign must cross-check");
-        assert_eq!(report.runs_compared, 24);
-        assert!(report.converged > 0, "no run took the exit");
-        assert!(report.cycles_skipped > 0 && report.cycles_skipped < report.cycles_charged);
-    }
-
-    #[test]
-    fn xtier_passes_on_a_clean_workload() {
-        let w = avgi_workloads::by_name("bitcount").unwrap();
-        let cfg = MuarchConfig::big();
-        let report = run_xtier(&w, &golden_for(&w, &cfg)).expect("tiers must be interchangeable");
-        assert!(report.interp_steps > 0);
-        assert!(report.commits_compared > 0);
+        for r in check_rf_campaigns(|_| RunMode::EndToEnd) {
+            assert!(
+                r.cycles_skipped > 0 && r.cycles_skipped < r.cycles_charged,
+                "{}",
+                r.workload
+            );
+        }
     }
 
     /// The fork-anatomy leg arms a burst campaign's faults as the campaign

@@ -337,26 +337,47 @@ fn degenerate_posteriors_fall_back_to_uniform() {
 
 /// CI-driven early stopping: the campaign stops at the first batch
 /// boundary past warmup whose Wilson half-width meets the target, leaving
-/// the rest of the budget unspent and reporting the saving.
+/// the rest of the budget unspent and reporting the saving. The stopped
+/// campaign is the same on 1 and 4 threads, and its AVF interval still
+/// overlaps the uniform one of three times its budget. Two budgets and
+/// targets on crc32: 600 runs at 0.05, and 160 at 0.06 (stops at 120).
 #[test]
 fn early_stopping_respects_the_ci_target() {
     let (w, cfg, golden) = setup("crc32");
-    let rep = run_adaptive(
-        &w,
-        &cfg,
-        &golden,
-        &adaptive_cfg(Structure::RegFile, 600, 1).with_ci_target(0.05),
-    )
-    .unwrap();
-    assert!(rep.stopped_early);
-    assert!(rep.runs_used() < 600, "budget must not be exhausted");
-    assert!(rep.runs_used() > 40, "stopping before warmup ends is bogus");
-    assert!(rep.estimate.half_width() <= 0.05);
-    assert!(rep.runs_saved_pct() > 0.0);
-    let expected = 100.0 * (600 - rep.runs_used()) as f64 / 600.0;
-    assert!((rep.runs_saved_pct() - expected).abs() < 1e-12);
-    // The stop is a batch boundary, not an arbitrary run index.
-    assert_eq!(rep.runs_used() % 40, 0);
+    for (budget, target) in [(600, 0.05), (160, 0.06)] {
+        let what = format!("budget {budget}, target {target}");
+        let run = |threads| {
+            let mut acfg = adaptive_cfg(Structure::RegFile, budget, 1).with_ci_target(target);
+            acfg.base.threads = threads;
+            run_adaptive(&w, &cfg, &golden, &acfg).unwrap()
+        };
+        let rep = run(1);
+        assert_reports_identical(&rep, &run(4), &what);
+        assert!(rep.stopped_early, "{what}");
+        assert!(
+            rep.runs_used() < budget,
+            "{what}: budget must not be exhausted"
+        );
+        assert!(
+            rep.runs_used() > 40,
+            "{what}: stopping before warmup ends is bogus"
+        );
+        assert!(rep.estimate.half_width() <= target, "{what}");
+        assert!(rep.runs_saved_pct() > 0.0, "{what}");
+        let expected = 100.0 * (budget - rep.runs_used()) as f64 / budget as f64;
+        assert!((rep.runs_saved_pct() - expected).abs() < 1e-12, "{what}");
+        // The stop is a batch boundary, not an arbitrary run index.
+        assert_eq!(rep.runs_used() % 40, 0, "{what}");
+        let uniform_runs = BUDGET_RATIO * budget;
+        let ((u_avf, u_avf_ci), _) =
+            uniform_estimates(&w, &cfg, &golden, Structure::RegFile, uniform_runs, 1);
+        assert!(
+            overlaps(rep.estimate.avf_interval, u_avf_ci),
+            "{what}: adaptive AVF {:.3} {:?} disagrees with uniform {u_avf:.3} {u_avf_ci:?}",
+            rep.estimate.avf,
+            rep.estimate.avf_interval,
+        );
+    }
 }
 
 /// Statistically meaningless configurations fail before any run executes,

@@ -16,6 +16,8 @@
 //! known dead or converging share must have some, with or without an ERT
 //! window. The per-structure totals are printed (`--nocapture`).
 
+use avgi_core::default_ert_window;
+use avgi_core::pipeline::avgi_mode;
 use avgi_faultsim::{
     golden_for, run_campaign, run_campaign_journaled, run_campaign_with_faults, run_one,
     watchdog_budget, CampaignConfig, InjectionResult, MetricsCollector, RunMode,
@@ -311,24 +313,6 @@ fn ert_bounded_exit_is_invisible_on_qsort_small() {
     ert_bounded_exit_is_invisible("qsort", MuarchConfig::small());
 }
 
-/// The AVGI flow's window for `structure` under a golden run of
-/// `golden_cycles` (`avgi_core::ert::default_ert_window`, out of this
-/// crate's reach).
-fn default_window(structure: Structure, golden_cycles: u64) -> u64 {
-    match structure {
-        Structure::RegFile => 1_200,
-        Structure::Itlb => 600,
-        Structure::Dtlb => 1_500,
-        Structure::L1ITag => 5_000,
-        Structure::L1IData => 7_000,
-        Structure::L1DTag => 3_000,
-        Structure::Rob | Structure::Lq | Structure::Sq => (golden_cycles * 3 / 100).max(200),
-        Structure::L2Tag => 9_000,
-        Structure::L1DData => 12_000,
-        Structure::L2Data => 16_000,
-    }
-}
-
 /// A windowed run is a fold of the longer run: a `FirstDeviation` campaign
 /// returns, field for field, the end-to-end campaign of the same fault list
 /// projected to its mode (`CampaignResult::under`), and the unwindowed
@@ -350,7 +334,7 @@ fn a_windowed_campaign_is_a_fold_of_the_longer_one() {
                 };
                 let end_to_end = run(RunMode::EndToEnd);
                 let unwindowed = run(RunMode::FirstDeviation { ert_window: None });
-                let default = default_window(structure, f.golden.cycles);
+                let default = default_ert_window(structure, f.golden.cycles);
                 for ert_window in [None, Some(1), Some(default), Some(30_000)] {
                     let mode = RunMode::FirstDeviation { ert_window };
                     let simulated = match ert_window {
@@ -402,9 +386,7 @@ fn un_ace_register_exit_is_invisible() {
         for workload in ["crc32", "sha", "bitcount", "qsort"] {
             let f = fixture(workload, cfg.clone());
             for mode in [
-                RunMode::FirstDeviation {
-                    ert_window: Some(1_200),
-                },
+                avgi_mode(Structure::RegFile, f.golden.cycles),
                 RunMode::EndToEnd,
             ] {
                 let what = format!("{workload} / {} / {mode:?}", f.cfg.name);

@@ -12,11 +12,9 @@
 //!   record, outputs included, under both core presets — the check
 //!   `verified_golden` makes in production.
 //!
-//! A second test runs the full three-leg [`avgi_faultsim::run_xtier`]
-//! prover (substrate, interpreter, pipeline) on two workloads — the same
-//! pair the CI smoke step checks.
+//! The same stream lockstep-checked on the reference tier, which anchors
+//! the proof, is `avgi-refmodel`'s `workloads_lockstep` test.
 
-use avgi_faultsim::run_xtier;
 use avgi_muarch::config::MuarchConfig;
 use avgi_refmodel::{verify_fast_tier, verify_golden_tier, ExecTier};
 
@@ -44,18 +42,5 @@ fn fast_tier_matches_the_pipeline_on_every_workload() {
                 cfg.name
             );
         }
-    }
-}
-
-#[test]
-fn full_xtier_prover_passes_on_smoke_workloads() {
-    let cfg = MuarchConfig::big();
-    for name in ["bitcount", "crc32"] {
-        let w = avgi_workloads::by_name(name).unwrap();
-        let golden = avgi_faultsim::golden_for(&w, &cfg);
-        let report = run_xtier(&w, &golden).unwrap_or_else(|e| panic!("`{name}`: {e}"));
-        assert_eq!(report.workload, name);
-        assert!(report.interp_steps > 0);
-        assert_eq!(report.commits_compared, golden.trace.len() as u64);
     }
 }

@@ -820,20 +820,6 @@ impl WireStats {
             (f + kf, b + kb)
         })
     }
-
-    /// One log line listing every kind with traffic.
-    pub fn summary(&self) -> String {
-        use core::fmt::Write as _;
-        let (frames, bytes) = self.total();
-        let mut line = format!("{frames} frames, {bytes} bytes on the wire");
-        for &kind in &MsgKind::ALL {
-            let (f, b) = self.of(kind);
-            if f > 0 {
-                let _ = write!(line, " | {} {f}x {b}B", kind.name());
-            }
-        }
-        line
-    }
 }
 
 impl Msg {
@@ -1094,12 +1080,9 @@ impl Msg {
     }
 }
 
-/// Writes one message as a frame in the connection's negotiated dialect,
-/// returning the payload length (for [`WireStats`] tallies).
-pub fn send(w: &mut (impl Write + ?Sized), msg: &Msg, proto: u64) -> std::io::Result<usize> {
-    let payload = msg.encode(proto);
-    write_frame(w, &payload)?;
-    Ok(payload.len())
+/// Writes one message as a frame in the connection's negotiated dialect.
+pub fn send(w: &mut (impl Write + ?Sized), msg: &Msg, proto: u64) -> std::io::Result<()> {
+    write_frame(w, &msg.encode(proto))
 }
 
 #[cfg(test)]
@@ -1448,9 +1431,6 @@ mod tests {
             (1, 100 + FRAME_OVERHEAD as u64)
         );
         assert_eq!(stats.total().0, 3);
-        let s = stats.summary();
-        assert!(s.contains("heartbeat 2x"));
-        assert!(s.contains("batch_done 1x"));
     }
 
     #[test]

@@ -57,7 +57,7 @@ use crate::queue::SubmissionQueue;
 use crate::sched::FairScheduler;
 use crate::spec::{CampaignSpec, SubmitSpec};
 use crate::transport::{TcpTransport, Transport};
-use avgi_faultsim::campaign::{golden_for, verified_golden};
+use avgi_faultsim::campaign::verified_golden;
 use avgi_faultsim::journal::{
     check_resumed_faults, config_hash, write_record, CampaignKey, DurabilityPolicy, Journal,
 };
@@ -1371,16 +1371,19 @@ fn report_json<'a>(
     })
 }
 
-/// Runs `spec` single-process: the reference every distributed outcome of
-/// the same submission must equal bit for bit (what `--verify` in the bins
-/// and the fabric's tests compare against). `None` for an unknown workload.
-pub fn reference_outcome(spec: &SubmitSpec) -> Option<GridOutcome> {
-    let workload = avgi_workloads::by_name(&spec.workload)?;
+/// Runs `spec` single-process on the verified golden run a service would
+/// activate it on: the reference every distributed outcome of the same
+/// submission must equal bit for bit (what `--verify` in the bins and the
+/// fabric's tests compare against). An unknown workload or a golden run
+/// that fails verification is a [`GridError::Spec`], as in activation.
+pub fn reference_outcome(spec: &SubmitSpec) -> Result<GridOutcome, GridError> {
+    let workload = avgi_workloads::by_name(&spec.workload)
+        .ok_or_else(|| GridError::Spec(format!("unknown workload `{}`", spec.workload)))?;
     let cfg = spec.preset.config();
-    let golden = golden_for(&workload, &cfg);
+    let golden = verified_golden(&workload, &cfg).map_err(|e| GridError::Spec(e.to_string()))?;
     let collector = Arc::new(MetricsCollector::new());
     let ccfg = spec.campaign_config().with_observer(collector.clone());
-    Some(GridOutcome {
+    Ok(GridOutcome {
         result: run_campaign(&workload, &cfg, &golden, &ccfg),
         telemetry: collector.snapshot(),
     })

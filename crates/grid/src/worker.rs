@@ -62,9 +62,7 @@
 
 use crate::chaos::ChaosInterposer;
 use crate::error::GridError;
-use crate::proto::{
-    send, FrameBuffer, FrameError, Msg, MsgKind, WireStats, MIN_PROTO_VERSION, PROTO_VERSION,
-};
+use crate::proto::{send, FrameBuffer, FrameError, Msg, MIN_PROTO_VERSION, PROTO_VERSION};
 use crate::spec::CampaignSpec;
 use crate::transport::{TcpTransport, Transport};
 use avgi_faultsim::campaign::verified_golden;
@@ -121,10 +119,6 @@ pub struct WorkerConfig {
     /// Fault injection on this worker's outbound frames (`None` = plain
     /// TCP). Test instrumentation; see [`crate::chaos`].
     pub chaos: Option<Arc<ChaosInterposer>>,
-    /// Per-kind tallies of this worker's *outbound* frames (`None` = no
-    /// accounting). The bins use this to report how many bytes the binary
-    /// dialect saves on `batch_done` versus JSON.
-    pub wire: Option<Arc<WireStats>>,
 }
 
 impl WorkerConfig {
@@ -142,13 +136,6 @@ impl WorkerConfig {
             proto: PROTO_VERSION,
             max_batches: None,
             chaos: None,
-            wire: None,
-        }
-    }
-
-    fn tally(&self, kind: MsgKind, payload_len: usize) {
-        if let Some(w) = &self.wire {
-            w.record(kind, payload_len);
         }
     }
 }
@@ -379,10 +366,8 @@ struct Link {
 }
 
 impl Link {
-    fn send(&mut self, wcfg: &WorkerConfig, msg: &Msg) -> std::io::Result<()> {
-        let n = send(&mut *self.stream, msg, self.proto)?;
-        wcfg.tally(msg.kind(), n);
-        Ok(())
+    fn send(&mut self, msg: &Msg) -> std::io::Result<()> {
+        send(&mut *self.stream, msg, self.proto)
     }
 
     /// The next message, or `None` once a read has heard nothing for a
@@ -446,7 +431,7 @@ fn establish(wcfg: &WorkerConfig, session: Option<u64>) -> Result<Option<Attach>
         proto: wcfg.proto,
         session,
     };
-    link.send(wcfg, &hello)?;
+    link.send(&hello)?;
     match link.read_msg()?.ok_or_else(|| silent(wcfg))? {
         Msg::Welcome {
             proto,
@@ -592,7 +577,7 @@ fn drive_session(
 ) -> Result<(), GridError> {
     // Retransmit the batch whose delivery the last session never confirmed.
     if let Some(msg) = pending.as_ref() {
-        link.send(wcfg, msg)?;
+        link.send(msg)?;
     }
     // Leases taken and not yet run, oldest first, and the newest lease id.
     let mut leases: VecDeque<(u64, u64, Vec<usize>)> = VecDeque::new();
@@ -610,21 +595,21 @@ fn drive_session(
         while let Some(&(lease, campaign, _)) = leases.front() {
             let Some(rt) = runtimes.lease(campaign) else {
                 if spec_asked != Some(campaign) {
-                    link.send(wcfg, &Msg::SpecRequest { campaign })?;
+                    link.send(&Msg::SpecRequest { campaign })?;
                     spec_asked = Some(campaign);
                 }
                 break;
             };
             let (_, _, indices) = leases.pop_front().expect("front exists");
-            let report = compute(wcfg, &mut link, rt, lease, campaign, &indices)?;
+            let report = compute(&mut link, rt, lease, campaign, &indices)?;
             stats.batches += 1;
             stats.runs += indices.len() as u64;
             // Held for retransmission until the next lease or `Drain`
             // confirms it arrived.
-            link.send(wcfg, pending.insert(report))?;
+            link.send(pending.insert(report))?;
         }
         if leases.is_empty() && !parked && !asked {
-            link.send(wcfg, &Msg::LeaseRequest)?;
+            link.send(&Msg::LeaseRequest)?;
             asked = true;
         }
         let Some(msg) = link.read_msg()? else {
@@ -678,7 +663,6 @@ fn drive_session(
 /// interval at a time and sends a `heartbeat` each time the wait runs out.
 /// Returns the batch report.
 fn compute(
-    wcfg: &WorkerConfig,
     link: &mut Link,
     rt: &Runtime,
     lease: u64,
@@ -696,7 +680,7 @@ fn compute(
                 // A beat the link fails to carry is lost with the link,
                 // which the report's send finds.
                 Err(RecvTimeoutError::Timeout) => {
-                    let _ = link.send(wcfg, &Msg::Heartbeat { lease, campaign });
+                    let _ = link.send(&Msg::Heartbeat { lease, campaign });
                 }
                 Err(RecvTimeoutError::Disconnected) => {
                     std::panic::resume_unwind(work.join().unwrap_err())

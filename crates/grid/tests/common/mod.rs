@@ -5,7 +5,7 @@
 
 #![allow(dead_code)] // every test crate uses its own subset
 
-use avgi_grid::proto::{FrameBuffer, Msg};
+use avgi_grid::proto::{FrameBuffer, Msg, WireStats};
 use avgi_grid::service::reference_outcome;
 use avgi_grid::{
     GridError, GridOutcome, Service, ServiceConfig, ServiceStats, SubmitSpec, WorkerConfig,
@@ -14,6 +14,7 @@ use avgi_grid::{
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -59,6 +60,9 @@ type Served = Result<(ServiceStats, BTreeMap<u64, GridOutcome>), GridError>;
 /// A running one-campaign service.
 pub struct OneCampaign {
     pub addr: SocketAddr,
+    /// The service's tallies of the frames it sent and read in the binary
+    /// dialect.
+    pub wire_v3: Arc<WireStats>,
     id: u64,
     thread: JoinHandle<Served>,
 }
@@ -74,8 +78,14 @@ impl OneCampaign {
         .unwrap();
         let id = service.submit(spec.clone()).unwrap();
         let addr = service.local_addr().unwrap();
+        let (_, wire_v3) = service.wire_stats();
         let thread = std::thread::spawn(move || service.serve());
-        OneCampaign { addr, id, thread }
+        OneCampaign {
+            addr,
+            wire_v3,
+            id,
+            thread,
+        }
     }
 
     /// Starts one worker thread per configuration, pointed at the service.

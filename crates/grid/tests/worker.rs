@@ -8,13 +8,12 @@ mod common;
 use avgi_faultsim::journal::config_hash;
 use avgi_faultsim::{golden_for, RunMode};
 use avgi_grid::proto::{
-    frame_bytes, send, FrameBuffer, Msg, MsgKind, WireStats, MIN_PROTO_VERSION, PROTO_VERSION,
+    frame_bytes, send, FrameBuffer, Msg, MsgKind, MIN_PROTO_VERSION, PROTO_VERSION,
 };
 use avgi_grid::{CampaignSpec, ConfigPreset, ServiceConfig, SubmitSpec, WorkerConfig};
 use avgi_muarch::Structure;
 use std::io::Write;
 use std::net::TcpListener;
-use std::sync::Arc;
 use std::time::Duration;
 
 #[test]
@@ -39,11 +38,10 @@ fn heartbeats_keep_a_lease_alive_through_a_batch_three_timeouts_long() {
         },
         &spec,
     );
-    let wire = Arc::new(WireStats::new());
     let mut wcfg = WorkerConfig::new(String::new());
     wcfg.threads = 1;
-    wcfg.wire = Some(wire.clone());
     let worker = service.spawn_workers(vec![wcfg]).pop().unwrap();
+    let wire = service.wire_v3.clone();
     let (outcome, stats) = service.finish();
     let wstats = worker.join().unwrap().unwrap();
 
@@ -51,7 +49,8 @@ fn heartbeats_keep_a_lease_alive_through_a_batch_three_timeouts_long() {
     assert_eq!(stats.leases_granted, 1, "{stats:?}");
     assert_eq!(stats.leases_reassigned, 0, "{stats:?}");
     assert_eq!((wstats.batches, wstats.reconnects), (1, 0), "{wstats:?}");
-    // Nine beats span three lease timeouts: the batch outlived them.
+    // Nine beats the service read span three lease timeouts: the batch
+    // outlived them.
     let beats = wire.of(MsgKind::Heartbeat).0;
     assert!(
         beats >= 9,

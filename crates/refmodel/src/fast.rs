@@ -25,8 +25,8 @@
 //! bytes for every program, valid or hostile. ALU, branch, and load
 //! extension semantics are shared with `model.rs` (one source of ISA truth
 //! inside this crate); what the fast tier adds — the decode cache, the block
-//! map, the flat memory — is exactly what the `--xtier` cross-check and the
-//! fuzz differential exercise.
+//! map, the flat memory — is exactly what the tier cross-check
+//! (`avgi-faultsim`'s `xtier` test) and the fuzz differential exercise.
 
 use crate::model::{
     access_size, alu_value, cond_holds, extend_load, Effect, RefModel, RefOutcome, RefRun, RefStep,
@@ -600,7 +600,7 @@ impl TierModel {
 /// must land in the same final state as the stepped execution. Returns the
 /// number of steps compared.
 ///
-/// This is the tier-vs-tier leg of the `--xtier` cross-check.
+/// This is the tier-vs-tier leg of `avgi-faultsim`'s `xtier` test.
 pub fn verify_fast_tier(program: &Program, max_steps: u64) -> Result<u64, String> {
     let budget = if max_steps == 0 {
         DEFAULT_MAX_STEPS

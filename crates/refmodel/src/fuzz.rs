@@ -599,7 +599,7 @@ pub fn run_one(
     // The reference side of the differential runs on the fast tier: the
     // block-cache decode and trap paths get hammered by the same hostile
     // corpus the pipeline does (the tiers themselves are pinned equal by
-    // `verify_fast_tier` and the `--xtier` cross-check).
+    // `verify_fast_tier` in `avgi-faultsim`'s `xtier` test).
     let verdict = verify_report_tier(&program, &report, ExecTier::Fast);
     (report.outcome, report.trace, verdict)
 }
