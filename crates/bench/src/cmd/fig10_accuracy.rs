@@ -15,8 +15,7 @@ pub fn print(m: &Matrix) {
         m.cfg.name, m.opts.faults
     );
     let (worst, sdc_worst) = print_accuracy_tables(Structure::all(), m, &m.cfg, "avgi");
-    let margin =
-        avgi_faultsim::error_margin(m.opts.faults, avgi_faultsim::Confidence::C99).unwrap_or(1.0);
+    let margin = avgi_faultsim::error_margin_at(m.opts.faults, 0.99).unwrap_or(1.0);
     println!(
         "\nworst per-class |real - AVGI| across all structures/workloads: {} \
          (SDC only: {}); statistical error margin at n={}: {}",

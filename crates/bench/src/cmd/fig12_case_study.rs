@@ -18,8 +18,7 @@ pub fn print(m: &Matrix) {
     );
     let structures = [Structure::L1IData, Structure::L1DData, Structure::RegFile];
     let (worst, sdc_worst) = print_accuracy_tables(&structures, m, &cfg, "pred");
-    let margin =
-        avgi_faultsim::error_margin(m.opts.faults, avgi_faultsim::Confidence::C99).unwrap_or(1.0);
+    let margin = avgi_faultsim::error_margin_at(m.opts.faults, 0.99).unwrap_or(1.0);
     println!(
         "\nworst per-class |real - predict| on the second microarchitecture: {} \
          (SDC only: {}); SFI error margin at n={}: {} \

@@ -3,7 +3,7 @@
 //! Serves many concurrent fault-injection campaigns over one shared worker
 //! fleet: campaigns arrive over HTTP (`grid_submit`), survive restarts in
 //! a durable submission queue, and are leased out fair-share to whatever
-//! `grid_worker`s connect — v3 (binary wire) and v2 (JSON) alike.
+//! `grid_worker`s connect (a hello below protocol v3 is refused).
 //!
 //! ```text
 //! avgi grid_service --bind 127.0.0.1:4810 --http 127.0.0.1:4811 \

@@ -6,11 +6,8 @@
 //! peer declares the work done.
 //!
 //! ```text
-//! avgi grid_worker --connect 127.0.0.1:4810 [--threads N] [--connect-timeout-s N] [--proto N]
+//! avgi grid_worker --connect 127.0.0.1:4810 [--threads N] [--connect-timeout-s N]
 //! ```
-//!
-//! `--proto 2` pins the worker to the JSON wire dialect (what a previous
-//! release would speak); the default negotiates the binary v3 dialect.
 
 use avgi_grid::{run_worker, WorkerConfig};
 use std::process::ExitCode;
@@ -22,7 +19,6 @@ pub fn run(mut a: crate::Args) -> ExitCode {
             .unwrap_or_else(|| "127.0.0.1:4810".into()),
     );
     wcfg.threads = a.value("--threads N").unwrap_or(wcfg.threads);
-    wcfg.proto = a.value("--proto N").unwrap_or(wcfg.proto);
     wcfg.connect_timeout = a
         .value("--connect-timeout-s N")
         .map_or(wcfg.connect_timeout, Duration::from_secs);

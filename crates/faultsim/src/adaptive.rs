@@ -29,15 +29,13 @@
 //!
 //! Determinism contract: the batch schedule is a pure function of
 //! `(seed, batch results so far)`. The driver owns the posterior and folds
-//! each batch's returned results into it — executed and journal-replayed
-//! alike — after the batch, so the drawn faults — and therefore results,
-//! weights, and the early-stop point — are identical across thread counts
-//! and across journal interruptions by construction.
+//! each batch's returned results into it after the batch, so the drawn
+//! faults — and therefore results, weights, and the early-stop point — are
+//! identical across thread counts by construction.
 //! `faultsim/tests/adaptive_stats.rs` asserts all of this empirically.
 
-use crate::campaign::{CampaignConfig, CampaignResult, InjectionResult, JournalSink, ShardRunner};
+use crate::campaign::{CampaignConfig, CampaignResult, InjectionResult, ShardRunner};
 use crate::error::CampaignError;
-use crate::journal::{CampaignKey, Journal};
 use crate::sampling::{wilson_interval, z_value, SamplingError};
 use crate::telemetry::{outcome_class, OutcomeClass, SiteGrid};
 use avgi_muarch::config::MuarchConfig;
@@ -45,9 +43,7 @@ use avgi_muarch::fault::{Fault, FaultSite};
 use avgi_muarch::trace::GoldenRun;
 use avgi_rng::Rng;
 use avgi_workloads::Workload;
-use std::collections::BTreeMap;
-use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Parameters of an adaptive campaign.
 ///
@@ -376,45 +372,6 @@ pub fn run_adaptive(
     golden: &Arc<GoldenRun>,
     acfg: &AdaptiveConfig,
 ) -> Result<AdaptiveReport, CampaignError> {
-    run_adaptive_engine(workload, cfg, golden, acfg, None)
-}
-
-/// Runs an adaptive campaign journaled to `path`, resuming mid-adaptation.
-///
-/// The journal is the standard campaign journal keyed by the *base*
-/// campaign (budget as the fault count). Resume replays journaled results
-/// batch by batch: the posterior is rebuilt from each replayed batch in
-/// schedule order, so the regenerated proposals — and therefore the
-/// regenerated fault draws — are bit-identical to the interrupted run's,
-/// and only missing runs execute. The adaptive knobs are not part of the
-/// journal header; changing them between runs changes the drawn faults and
-/// is caught by the per-record fault cross-check
-/// ([`CampaignError::JournalMismatch`]), exactly like a corrupted journal.
-pub fn run_adaptive_journaled(
-    workload: &Workload,
-    cfg: &MuarchConfig,
-    golden: &Arc<GoldenRun>,
-    acfg: &AdaptiveConfig,
-    path: &Path,
-) -> Result<AdaptiveReport, CampaignError> {
-    let key = CampaignKey::new(workload.name, cfg, golden.cycles, &acfg.base);
-    let (journal, done) = Journal::open(path, &key)?;
-    run_adaptive_engine(
-        workload,
-        cfg,
-        golden,
-        acfg,
-        Some((Mutex::new(journal), done)),
-    )
-}
-
-fn run_adaptive_engine(
-    workload: &Workload,
-    cfg: &MuarchConfig,
-    golden: &Arc<GoldenRun>,
-    acfg: &AdaptiveConfig,
-    journal: Option<(Mutex<Journal>, BTreeMap<usize, InjectionResult>)>,
-) -> Result<AdaptiveReport, CampaignError> {
     z_value(acfg.confidence)?;
     if !(acfg.explore > 0.0 && acfg.explore <= 1.0) {
         return Err(SamplingError::InvalidExplore.into());
@@ -445,26 +402,16 @@ fn run_adaptive_engine(
     let mut estimate: Option<WeightedEstimate> = None;
 
     while results.len() < budget {
-        let start = results.len();
-        let m = (budget - start).min(batch_runs);
+        let m = (budget - results.len()).min(batch_runs);
         let mut rng = Rng::seed_from_u64(batch_seed(acfg.base.seed, batches));
         // The proposal reads a posterior that holds completed batches only,
-        // which is what makes the schedule thread-count- and
-        // resume-invariant.
+        // which is what makes the schedule thread-count-invariant.
         let proposal =
             (batches >= acfg.warmup_batches).then(|| build_proposal(&grid, acfg.explore));
         let (faults, batch_weights) =
             draw_batch(&grid, proposal.as_ref(), acfg.base.structure, m, &mut rng);
 
-        // Resume: journaled results for this batch's global indices replay
-        // instead of re-executing, once the engine has cross-checked that
-        // each names the fault the schedule regenerates for its index.
-        let sink = journal.as_ref().map(|(journal, done)| JournalSink {
-            journal,
-            done,
-            offset: start,
-        });
-        let batch_results = runner.execute(&faults, None, sink)?;
+        let batch_results = runner.execute(&faults, None, None)?;
         for r in &batch_results {
             grid.record(r);
         }

@@ -687,15 +687,11 @@ struct WorkerSims {
     fork: Option<Sim>,
 }
 
-/// Where an engine invocation's results persist: the campaign's journal,
-/// the results it already held when it was opened, and the campaign-global
-/// index of the invocation's first fault — the adaptive driver runs one
-/// invocation per batch against a single journal, so local indices are
-/// rebased before they hit the disk format.
+/// Where an engine invocation's results persist: the campaign's journal and
+/// the results it already held when it was opened.
 pub(crate) struct JournalSink<'a> {
     pub(crate) journal: &'a Mutex<Journal>,
     pub(crate) done: &'a BTreeMap<usize, InjectionResult>,
-    pub(crate) offset: usize,
 }
 
 static NULL_OBSERVER: NullObserver = NullObserver;
@@ -905,17 +901,17 @@ impl Engine<'_> {
     ) -> Result<Vec<InjectionResult>, CampaignError> {
         let (observer, ccfg) = (self.observer, self.ccfg);
         if let Some(s) = &sink {
-            check_resumed_faults(s.done, faults, s.offset)?;
+            check_resumed_faults(s.done, faults)?;
         }
         observer.on_campaign_start(ccfg.structure, faults.len());
 
         let mut results: Vec<Option<InjectionResult>> = vec![None; faults.len()];
         if let Some(s) = &sink {
-            for (&i, r) in s.done.range(s.offset..s.offset + faults.len()) {
+            for (&i, r) in s.done.range(..faults.len()) {
                 // Journaled results replay into the tallies without a
                 // wall-clock sample (no simulation happens on resume).
                 observer.on_resumed(ccfg.structure, r);
-                results[i - s.offset] = Some(r.clone());
+                results[i] = Some(r.clone());
             }
         }
         let mut pending: Vec<usize> = Vec::with_capacity(faults.len());
@@ -955,7 +951,7 @@ impl Engine<'_> {
         let record = |i: usize, r: InjectionResult, elapsed: Duration| {
             observer.on_run(ccfg.structure, &r, elapsed);
             if let Some(s) = &sink {
-                if let Err(e) = s.journal.lock().unwrap().append(s.offset + i, &r) {
+                if let Err(e) = s.journal.lock().unwrap().append(i, &r) {
                     journal_err.lock().unwrap().get_or_insert(e);
                 }
             }
@@ -1065,7 +1061,6 @@ pub fn run_campaign_journaled(
     let sink = JournalSink {
         journal: &Mutex::new(journal),
         done: &done,
-        offset: 0,
     };
     let results = runner.execute(&runner.faults, None, Some(sink))?;
     Ok(runner.result(results))

@@ -257,19 +257,16 @@ fn check_header(expected: &Json, found: &Json) -> Result<(), CampaignError> {
 }
 
 /// The resume cross-check every journal consumer runs: each journaled
-/// result at a campaign-global index in `offset..offset + faults.len()`
-/// must name the fault the campaign regenerates for that index
-/// (`faults[index - offset]`). The key already pins the sampling inputs, so
+/// result at an index below `faults.len()` must name the fault the campaign
+/// regenerates for that index. The key already pins the sampling inputs, so
 /// a [`CampaignError::JournalMismatch`] on `fault` means the journal is
-/// corrupt in a way the header check could not see — or, for an adaptive
-/// schedule, that knobs outside the header changed between runs.
+/// corrupt in a way the header check could not see.
 pub fn check_resumed_faults(
     done: &BTreeMap<usize, InjectionResult>,
     faults: &[Fault],
-    offset: usize,
 ) -> Result<(), CampaignError> {
-    for (&i, r) in done.range(offset..offset + faults.len()) {
-        let expected = faults[i - offset];
+    for (&i, r) in done.range(..faults.len()) {
+        let expected = faults[i];
         if r.fault != expected {
             return Err(CampaignError::JournalMismatch {
                 field: "fault",

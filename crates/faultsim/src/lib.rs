@@ -49,8 +49,8 @@ pub mod telemetry;
 pub mod xcheck;
 
 pub use adaptive::{
-    build_proposal, run_adaptive, run_adaptive_journaled, weighted_estimate, AdaptiveConfig,
-    AdaptiveReport, Proposal, WeightedEstimate,
+    build_proposal, run_adaptive, weighted_estimate, AdaptiveConfig, AdaptiveReport, Proposal,
+    WeightedEstimate,
 };
 pub use campaign::{
     golden_for, run_campaign, run_campaign_journaled, run_campaign_with_faults, run_one,
@@ -60,8 +60,8 @@ pub use campaign::{
 pub use error::{CampaignError, GoldenError};
 pub use journal::{config_hash, crc32, CampaignKey, DurabilityPolicy, Journal};
 pub use sampling::{
-    error_margin, error_margin_at, multi_bit_burst, sample_faults, sample_size, sample_size_at,
-    wilson_interval, z_value, Confidence, SamplingError,
+    error_margin_at, multi_bit_burst, sample_faults, sample_size_at, wilson_interval, z_value,
+    SamplingError,
 };
 pub use xcheck::{run_xcheck, XcheckReport};
 

@@ -4,52 +4,19 @@
 //!
 //! The paper's operating point — 2,000 faults per (structure, workload) —
 //! corresponds to a 2.88 % error margin at 99 % confidence, which
-//! [`error_margin`] reproduces exactly.
+//! [`error_margin_at`] reproduces exactly.
 
 use avgi_muarch::config::MuarchConfig;
 use avgi_muarch::fault::{Fault, FaultSite, Structure};
 use avgi_rng::Rng;
 
-/// Confidence levels with their normal-distribution z-values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Confidence {
-    /// 90 % (z = 1.645).
-    C90,
-    /// 95 % (z = 1.960).
-    C95,
-    /// 99 % (z = 2.576), the paper's choice.
-    C99,
-}
-
-impl Confidence {
-    /// The two-sided z-value.
-    pub fn z(self) -> f64 {
-        match self {
-            Confidence::C90 => 1.645,
-            Confidence::C95 => 1.960,
-            Confidence::C99 => 2.576,
-        }
-    }
-
-    /// The confidence level as a fraction in (0, 1), for the continuous
-    /// APIs ([`z_value`], [`sample_size_at`], [`wilson_interval`]).
-    pub fn level(self) -> f64 {
-        match self {
-            Confidence::C90 => 0.90,
-            Confidence::C95 => 0.95,
-            Confidence::C99 => 0.99,
-        }
-    }
-}
-
-/// A statistically meaningless input to [`error_margin`] or
-/// [`sample_size`].
+/// A statistically meaningless input to a sampling or estimation call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SamplingError {
-    /// `error_margin` was asked about an empty campaign: no margin exists
+    /// `error_margin_at` was asked about an empty campaign: no margin exists
     /// for zero samples.
     ZeroSamples,
-    /// `sample_size` was given a margin that is zero, negative, NaN, or
+    /// `sample_size_at` was given a margin that is zero, negative, NaN, or
     /// infinite: no finite campaign achieves it.
     InvalidMargin,
     /// `sample_faults` was asked to sample injection cycles from a golden
@@ -95,49 +62,16 @@ impl std::fmt::Display for SamplingError {
 
 impl std::error::Error for SamplingError {}
 
-/// Error margin for `n` samples at the given confidence, with the
-/// worst-case proportion p = 0.5 (infinite fault population).
-///
-/// Fails with [`SamplingError::ZeroSamples`] for `n == 0` (the naive
-/// formula would divide by zero and report an infinite margin).
-///
-/// ```
-/// use avgi_faultsim::sampling::{error_margin, Confidence};
-/// let e = error_margin(2_000, Confidence::C99).unwrap();
-/// assert!((e - 0.0288).abs() < 0.0002, "paper's operating point");
-/// ```
-pub fn error_margin(n: usize, confidence: Confidence) -> Result<f64, SamplingError> {
-    if n == 0 {
-        return Err(SamplingError::ZeroSamples);
-    }
-    Ok(confidence.z() * (0.25 / n as f64).sqrt())
-}
-
-/// Sample size needed for error margin `e` at the given confidence
-/// (worst-case p = 0.5, infinite population).
-///
-/// Fails with [`SamplingError::InvalidMargin`] unless `e` is finite and
-/// positive. For margins so tight the count overflows `usize`, the result
-/// saturates at `usize::MAX` (the float-to-int cast saturates) rather than
-/// wrapping.
-pub fn sample_size(e: f64, confidence: Confidence) -> Result<usize, SamplingError> {
-    if !(e.is_finite() && e > 0.0) {
-        return Err(SamplingError::InvalidMargin);
-    }
-    let z = confidence.z();
-    Ok((z * z * 0.25 / (e * e)).ceil() as usize)
-}
-
-/// The two-sided z-value for a continuous confidence level in (0, 1) —
-/// the inverse normal CDF evaluated at `(1 + confidence) / 2`.
+/// The two-sided z-value for a confidence level in (0, 1) — the inverse
+/// normal CDF evaluated at `(1 + confidence) / 2`.
 ///
 /// Fails with [`SamplingError::InvalidConfidence`] for levels at or outside
 /// the open unit interval (including NaN): confidence is a probability, and
 /// silently clamping `95` to mean "95 %" would manufacture a plausible but
 /// wrong answer. Uses the Acklam rational approximation of the probit
-/// function (absolute error < 1.2e-9 over the whole domain), so the named
-/// [`Confidence`] levels round-trip: `z_value(c.level())` agrees with
-/// `c.z()` to the three decimals the enum tabulates.
+/// function (absolute error < 1.2e-9 over the whole domain), so the
+/// tabulated levels come back to their three decimals: 1.645, 1.960 and
+/// 2.576 at 90, 95 and 99 %.
 pub fn z_value(confidence: f64) -> Result<f64, SamplingError> {
     if !(confidence > 0.0 && confidence < 1.0) {
         return Err(SamplingError::InvalidConfidence);
@@ -192,7 +126,18 @@ fn probit(p: f64) -> f64 {
     }
 }
 
-/// [`error_margin`] at a continuous confidence level in (0, 1).
+/// Error margin for `n` samples at a confidence level in (0, 1), with the
+/// worst-case proportion p = 0.5 (infinite fault population).
+///
+/// Fails with [`SamplingError::ZeroSamples`] for `n == 0` (the naive
+/// formula would divide by zero and report an infinite margin), and with
+/// [`SamplingError::InvalidConfidence`] for a level outside (0, 1).
+///
+/// ```
+/// use avgi_faultsim::sampling::error_margin_at;
+/// let e = error_margin_at(2_000, 0.99).unwrap();
+/// assert!((e - 0.0288).abs() < 0.0002, "paper's operating point");
+/// ```
 pub fn error_margin_at(n: usize, confidence: f64) -> Result<f64, SamplingError> {
     if n == 0 {
         return Err(SamplingError::ZeroSamples);
@@ -200,12 +145,15 @@ pub fn error_margin_at(n: usize, confidence: f64) -> Result<f64, SamplingError> 
     Ok(z_value(confidence)? * (0.25 / n as f64).sqrt())
 }
 
-/// [`sample_size`] at a continuous confidence level in (0, 1).
+/// Sample size needed for error margin `e` at a confidence level in (0, 1)
+/// (worst-case p = 0.5, infinite population).
 ///
-/// Unlike the enum-typed [`sample_size`], the level here is caller data
-/// (e.g. a `--confidence 0.95` flag), so it is validated: levels at or
-/// outside (0, 1) fail with [`SamplingError::InvalidConfidence`] instead of
-/// being clamped into a silently wrong campaign size.
+/// Levels at or outside (0, 1) fail with
+/// [`SamplingError::InvalidConfidence`] instead of being clamped into a
+/// silently wrong campaign size; a margin that is not finite and positive
+/// fails with [`SamplingError::InvalidMargin`]. For margins so tight the
+/// count overflows `usize`, the result saturates at `usize::MAX` (the
+/// float-to-int cast saturates) rather than wrapping.
 pub fn sample_size_at(e: f64, confidence: f64) -> Result<usize, SamplingError> {
     let z = z_value(confidence)?;
     if !(e.is_finite() && e > 0.0) {
@@ -218,7 +166,7 @@ pub fn sample_size_at(e: f64, confidence: f64) -> Result<usize, SamplingError> {
 /// rate at the given confidence after observing proportion `p_hat` over `n`
 /// (possibly *effective*, hence fractional) samples.
 ///
-/// Unlike the Wald interval behind [`error_margin`], Wilson stays inside
+/// Unlike the Wald interval behind [`error_margin_at`], Wilson stays inside
 /// `[0, 1]` and behaves at the extremes (`p_hat` near 0 or 1, small `n`) —
 /// exactly the regime an adaptive campaign's early-stopping rule lives in.
 /// `p_hat` is clamped to `[0, 1]` (a Horvitz–Thompson estimate can
@@ -294,43 +242,37 @@ mod tests {
 
     #[test]
     fn paper_operating_point() {
-        let e = error_margin(2_000, Confidence::C99).unwrap();
+        let e = error_margin_at(2_000, 0.99).unwrap();
         assert!((e - 0.0288).abs() < 2e-4, "got {e}");
         // Inverse direction.
-        let n = sample_size(0.0288, Confidence::C99).unwrap();
+        let n = sample_size_at(0.0288, 0.99).unwrap();
         assert!((1_900..2_100).contains(&n), "got {n}");
     }
 
     #[test]
     fn margin_shrinks_with_samples() {
-        let m = |n, c| error_margin(n, c).unwrap();
-        assert!(m(4_000, Confidence::C99) < m(1_000, Confidence::C99));
-        assert!(m(1_000, Confidence::C90) < m(1_000, Confidence::C99));
+        let m = |n, c| error_margin_at(n, c).unwrap();
+        assert!(m(4_000, 0.99) < m(1_000, 0.99));
+        assert!(m(1_000, 0.90) < m(1_000, 0.99));
     }
 
     #[test]
     fn degenerate_sampling_inputs_are_domain_errors() {
-        // Pre-fix, these divided by zero: error_margin(0, _) returned inf
-        // and sample_size(0.0, _) cast inf to usize.
-        assert_eq!(
-            error_margin(0, Confidence::C99),
-            Err(SamplingError::ZeroSamples)
-        );
+        // Pre-fix, these divided by zero: the margin of 0 samples was inf,
+        // and the size for a 0.0 margin cast inf to usize.
+        assert_eq!(error_margin_at(0, 0.99), Err(SamplingError::ZeroSamples));
         for bad in [0.0, -0.1, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             assert_eq!(
-                sample_size(bad, Confidence::C95),
+                sample_size_at(bad, 0.95),
                 Err(SamplingError::InvalidMargin),
                 "margin {bad}"
             );
         }
         // One sample is degenerate but defined; a large finite margin too.
-        assert!(error_margin(1, Confidence::C90).unwrap().is_finite());
-        assert_eq!(sample_size(1.0, Confidence::C90).unwrap(), 1);
+        assert!(error_margin_at(1, 0.90).unwrap().is_finite());
+        assert_eq!(sample_size_at(1.0, 0.90).unwrap(), 1);
         // Ludicrously tight margins saturate instead of wrapping.
-        assert_eq!(
-            sample_size(f64::MIN_POSITIVE, Confidence::C99).unwrap(),
-            usize::MAX
-        );
+        assert_eq!(sample_size_at(f64::MIN_POSITIVE, 0.99).unwrap(), usize::MAX);
     }
 
     #[test]
@@ -364,17 +306,30 @@ mod tests {
 
     #[test]
     fn continuous_confidence_agrees_with_the_named_levels() {
-        for c in [Confidence::C90, Confidence::C95, Confidence::C99] {
-            let z = z_value(c.level()).unwrap();
+        for (level, tabulated) in [(0.90, 1.645), (0.95, 1.960), (0.99, 2.576)] {
+            let z = z_value(level).unwrap();
             assert!(
-                (z - c.z()).abs() < 5e-4,
-                "{c:?}: probit {z} vs tabulated {}",
-                c.z()
+                (z - tabulated).abs() < 5e-4,
+                "{level}: probit {z} vs tabulated {tabulated}"
             );
-            let n_enum = sample_size(0.0288, c).unwrap();
-            let n_cont = sample_size_at(0.0288, c.level()).unwrap();
-            assert!(n_enum.abs_diff(n_cont) <= 2, "{c:?}: {n_enum} vs {n_cont}");
         }
+        // Figs. 10 and 12 print the margin at 99 % to one decimal of a
+        // percent. For n = 1 up to the paper's 2 000 that is the digit the
+        // tabulated z = 2.576 gives, but at three n where 2.576 (0.00017
+        // above the probit) tips the margin over a rounding boundary: there
+        // the probit's digit is one lower, and the correctly rounded one.
+        let tipped: Vec<usize> = (1..=2_000usize)
+            .filter(|&n| {
+                let printed = |z: f64| format!("{:.1}", 100.0 * z * (0.25 / n as f64).sqrt());
+                let e = error_margin_at(n, 0.99).unwrap();
+                format!("{:.1}", 100.0 * e) != printed(2.576)
+            })
+            .collect();
+        assert_eq!(tipped, [256, 291, 677]);
+        assert_eq!(
+            format!("{:.1}", 100.0 * error_margin_at(256, 0.99).unwrap()),
+            "8.0"
+        );
         // Deep tails exercise the tail branch of the approximation.
         let z = z_value(0.999_999).unwrap();
         assert!((4.0..6.0).contains(&z), "got {z}");

@@ -10,8 +10,7 @@
 //!    lands on a high-precision uniform ground truth.
 //! 2. **Determinism** — the adaptive schedule (drawn faults, weights,
 //!    estimates, posterior) is a pure function of the seed: invariant
-//!    under thread count and under journal interrupt/resume, including
-//!    kills in the middle of a batch.
+//!    under thread count.
 //! 3. **Degenerate-posterior safety** — all-Masked posteriors, budgets
 //!    smaller than one batch, and unit explore floors degrade to exact
 //!    uniform sampling with unit weights instead of diverging, and
@@ -23,9 +22,8 @@
 
 use avgi_faultsim::telemetry::MetricsCollector;
 use avgi_faultsim::{
-    golden_for, run_adaptive, run_adaptive_journaled, run_campaign, weighted_estimate,
-    wilson_interval, AdaptiveConfig, AdaptiveReport, CampaignConfig, CampaignError, RunMode,
-    SamplingError, SiteGrid,
+    golden_for, run_adaptive, run_campaign, weighted_estimate, wilson_interval, AdaptiveConfig,
+    AdaptiveReport, CampaignConfig, CampaignError, RunMode, SamplingError, SiteGrid,
 };
 use avgi_muarch::config::MuarchConfig;
 use avgi_muarch::fault::Structure;
@@ -202,59 +200,10 @@ fn adaptive_schedule_is_thread_count_invariant() {
     assert_reports_identical(&reports[0], &reports[1], "1 vs 4 threads");
 }
 
-/// Satellite: journal resume mid-adaptive-phase. A campaign killed after
-/// batch N — or in the *middle* of a batch — must resume into a final
-/// report and posterior state bit-identical to an uninterrupted run's.
-#[test]
-fn resume_mid_adaptation_is_bit_identical() {
-    let (w, cfg, golden) = setup("crc32");
-    let mut acfg = adaptive_cfg(Structure::RegFile, 120, 21);
-    acfg.base.threads = 2;
-
-    // Ground truth: the same campaign without any journal at all.
-    let reference = run_adaptive(&w, &cfg, &golden, &acfg).unwrap();
-
-    let dir = std::env::temp_dir();
-    let full = dir.join(format!("avgi-adaptive-full-{}.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&full);
-    let journaled = run_adaptive_journaled(&w, &cfg, &golden, &acfg, &full).unwrap();
-    assert_reports_identical(&reference, &journaled, "journaled vs plain");
-
-    // Kill-and-resume: truncate the finished journal to its header plus the
-    // first `keep` records and resume from the torn copy. 40 = exactly
-    // after the warmup batch; 70 = mid-batch-2 (30 of its 40 runs done).
-    let bytes = std::fs::read_to_string(&full).unwrap();
-    let lines: Vec<&str> = bytes.split_inclusive('\n').collect();
-    assert!(lines.len() > 1 + 120 - 40, "journal shorter than expected");
-    for keep in [40usize, 70] {
-        let torn = dir.join(format!(
-            "avgi-adaptive-torn-{}-{}.jsonl",
-            keep,
-            std::process::id()
-        ));
-        std::fs::write(&torn, lines[..1 + keep].concat()).unwrap();
-        let resumed = run_adaptive_journaled(&w, &cfg, &golden, &acfg, &torn).unwrap();
-        assert_reports_identical(&reference, &resumed, "resumed after kill");
-        std::fs::remove_file(&torn).unwrap();
-    }
-
-    // The adaptive knobs are part of the schedule's identity even though
-    // they are not in the journal header: resuming with a different explore
-    // floor regenerates different post-warmup faults, and the per-record
-    // fault cross-check refuses the journal instead of mixing estimators.
-    let mut tilted = acfg.clone();
-    tilted.explore = 0.25;
-    match run_adaptive_journaled(&w, &cfg, &golden, &tilted, &full) {
-        Err(CampaignError::JournalMismatch { field, .. }) => assert_eq!(field, "fault"),
-        other => panic!("changed adaptive knobs must be rejected, got {other:?}"),
-    }
-    std::fs::remove_file(&full).unwrap();
-}
-
 /// The posterior is a function of results and nothing else: however the
-/// results came to be — one worker, four, or a journal replay after a kill
-/// at a batch boundary — the reported grid is a fresh `SiteGrid` folded
-/// over exactly the reported results, and the drawn fault list is the same.
+/// results came to be — one worker or four — the reported grid is a fresh
+/// `SiteGrid` folded over exactly the reported results, and the drawn fault
+/// list is the same.
 #[test]
 fn posterior_is_a_fold_over_results() {
     let (w, cfg, golden) = setup("crc32");
@@ -263,21 +212,10 @@ fn posterior_is_a_fold_over_results() {
         acfg.base.threads = threads;
         acfg
     };
-    let path =
-        std::env::temp_dir().join(format!("avgi-adaptive-fold-{}.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    run_adaptive_journaled(&w, &cfg, &golden, &acfg(2), &path).unwrap();
-    // Kill after batch 2: header plus the first 80 records survive.
-    let text = std::fs::read_to_string(&path).unwrap();
-    let kept: Vec<&str> = text.split_inclusive('\n').take(1 + 80).collect();
-    std::fs::write(&path, kept.concat()).unwrap();
-
     let reports = [
         run_adaptive(&w, &cfg, &golden, &acfg(1)).unwrap(),
         run_adaptive(&w, &cfg, &golden, &acfg(4)).unwrap(),
-        run_adaptive_journaled(&w, &cfg, &golden, &acfg(2), &path).unwrap(),
     ];
-    std::fs::remove_file(&path).unwrap();
     let drawn = |r: &AdaptiveReport| {
         r.campaign
             .results
@@ -285,7 +223,7 @@ fn posterior_is_a_fold_over_results() {
             .map(|x| x.fault)
             .collect::<Vec<_>>()
     };
-    for (report, what) in reports.iter().zip(["1 thread", "4 threads", "resumed"]) {
+    for (report, what) in reports.iter().zip(["1 thread", "4 threads"]) {
         let g = &report.grid;
         let mut fold = SiteGrid::new(g.bits, g.cycles, g.bit_bins, g.cycle_bins);
         for r in &report.campaign.results {

@@ -39,6 +39,11 @@
 //! assert_eq!(outcomes.remove(&id).unwrap().result.len(), 500);
 //! ```
 //!
+//! There is one kind of worker session: it speaks protocol v3
+//! ([`proto::PROTO_VERSION`]) and serves every campaign — leases name their
+//! campaign, and a worker fetches the spec of one it holds no runtime for. A
+//! `hello` below v3 is refused with a reason naming its version.
+//!
 //! Every connection has exactly one owner — the service's loop thread on one
 //! end, a worker's session thread on the other — and both read frames
 //! through the one decoder, [`proto::FrameBuffer`]. Nothing in the fabric

@@ -32,20 +32,16 @@
 //! labelled counters object per batch; the binary encoding drops the label
 //! text and the base-10 digits, which is where the fault-free path's wire
 //! cost lives (ZOFI's lesson applied to the link). [`WireStats`] tallies
-//! per-message-kind frames and bytes so the shrink is measurable, not
-//! asserted.
+//! per-message-kind frames and bytes on the live link.
 //!
-//! # Version negotiation
+//! # Version
 //!
-//! The worker's `hello` carries the highest version it speaks; the
-//! coordinator answers `welcome` with [`negotiate`]d `min(peer, ours)`, or
-//! rejects peers older than [`MIN_PROTO_VERSION`]. Both sides then encode
-//! hot messages per the negotiated version ([`Msg::encode`]); decoding is
-//! version-blind because the payload's first byte already names the
-//! dialect. A v2 peer (JSON-only, single-campaign) therefore interoperates
-//! with a v3 coordinator: it never sees a binary frame, and the campaign
-//! fields v3 added to JSON messages are omitted when zero, so the v2 wire
-//! shape is byte-identical to what a v2 coordinator emits.
+//! The worker's `hello` names its protocol version. The service refuses a
+//! peer below [`PROTO_VERSION`] with a `reject` naming the version it
+//! offered, and welcomes any other at [`PROTO_VERSION`]. Every session then
+//! speaks the binary dialect for the hot messages; decoding
+//! ([`Msg::decode`]) needs no version because the payload's first byte
+//! already names the dialect.
 //!
 //! The CRC turns link-level bit corruption (see [`crate::chaos`]) into a
 //! detected connection drop instead of a silently wrong lease id or fault
@@ -64,20 +60,11 @@ use avgi_muarch::trace::{CommitRecord, Deviation};
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Highest protocol version this build speaks. Version 2 added frame CRC
-/// trailers and session-token reconnect; version 3 added binary hot
-/// messages, multi-campaign leases, and the spec exchange.
+/// The protocol version this build speaks, and the oldest it accepts.
+/// Version 2 added frame CRC trailers and session-token reconnect; version
+/// 3 added binary hot messages, multi-campaign leases, and the spec
+/// exchange.
 pub const PROTO_VERSION: u64 = 3;
-
-/// Oldest peer version still accepted at hello.
-pub const MIN_PROTO_VERSION: u64 = 2;
-
-/// Resolves the version a connection will speak: the lower of the peer's
-/// advertised maximum and ours, or `None` when the peer is too old.
-pub fn negotiate(peer: u64) -> Option<u64> {
-    let v = peer.min(PROTO_VERSION);
-    (v >= MIN_PROTO_VERSION).then_some(v)
-}
 
 /// Upper bound on a frame payload (a batch of a few thousand records fits
 /// with a wide margin; anything larger is a corrupt or hostile prefix).
@@ -636,7 +623,7 @@ fn get_telemetry(r: &mut BinReader<'_>) -> Result<MetricsSnapshot, String> {
 pub enum Msg {
     /// Worker → coordinator: first frame on a fresh connection.
     Hello {
-        /// The highest [`PROTO_VERSION`] the worker speaks.
+        /// The protocol version the worker speaks.
         proto: u64,
         /// `None` for a brand-new worker; `Some(token)` when reconnecting
         /// mid-campaign to re-attach to an existing session (and its live
@@ -645,17 +632,10 @@ pub enum Msg {
     },
     /// Coordinator → worker: handshake accepted.
     Welcome {
-        /// The negotiated protocol version this connection will speak.
+        /// The protocol version this connection speaks ([`PROTO_VERSION`]).
         proto: u64,
         /// The session token to present when reconnecting.
         session: u64,
-        /// Campaign id `spec` belongs to (`0` when no spec is pinned).
-        campaign: u64,
-        /// The campaign to rebuild locally. `Some` for v2 peers (which
-        /// are pinned to one campaign for their whole session); `None` on
-        /// a v3 link, where the service sends [`Msg::Spec`] per campaign
-        /// instead.
-        spec: Option<CampaignSpec>,
     },
     /// Worker → coordinator: ready for (more) work.
     LeaseRequest,
@@ -693,18 +673,17 @@ pub enum Msg {
         /// The batch's mergeable telemetry delta (deterministic counters).
         telemetry: MetricsSnapshot,
     },
-    /// Coordinator → worker (v3): the spec for a campaign the worker is
-    /// about to receive leases for. Sent once per campaign per session,
-    /// and again on [`Msg::SpecRequest`].
+    /// Coordinator → worker: the spec of a campaign the worker holds a
+    /// lease for, in answer to [`Msg::SpecRequest`].
     Spec {
         /// The campaign the spec describes.
         campaign: u64,
         /// The campaign definition.
         spec: CampaignSpec,
     },
-    /// Worker → coordinator (v3): the worker holds a lease for `campaign`
-    /// but no spec (e.g. it reconnected and lost its cache); resend
-    /// [`Msg::Spec`].
+    /// Worker → coordinator: the worker holds a lease for `campaign` but
+    /// no runtime for it (its first lease of the campaign, or the runtime
+    /// was evicted since); answered with [`Msg::Spec`].
     SpecRequest {
         /// The campaign whose spec is missing.
         campaign: u64,
@@ -779,10 +758,8 @@ impl MsgKind {
 }
 
 /// Per-stream wire accounting in the style of `ChaosStats`: lock-free
-/// frame and payload-byte tallies per message kind, split by direction at
-/// the call site (each endpoint keeps one `WireStats` per connection or
-/// per negotiated protocol version — that split is what makes the v3
-/// `batch_done` shrink measurable against v2 JSON on a mixed fleet).
+/// frame and wire-byte tallies per message kind (the service keeps one for
+/// every frame it sends and reads).
 #[derive(Debug, Default)]
 pub struct WireStats {
     frames: [AtomicU64; MsgKind::ALL.len()],
@@ -842,9 +819,7 @@ impl Msg {
 
     /// Serializes the message to its JSON frame payload.
     ///
-    /// Campaign ids are emitted only when non-zero, so single-campaign
-    /// traffic keeps the exact v2 wire shape (and a v2 peer's parser —
-    /// which ignores unknown keys — stays compatible when they do appear).
+    /// A hot message's campaign id is emitted only when non-zero.
     pub fn to_json(&self) -> String {
         fn tagged(w: &mut Writer<'_>, campaign: u64) {
             if campaign != 0 {
@@ -859,19 +834,9 @@ impl Msg {
                     w.key("proto").u64(*proto);
                     w.key("session").opt(*session, Writer::u64);
                 }
-                Msg::Welcome {
-                    proto,
-                    session,
-                    campaign,
-                    spec,
-                } => {
+                Msg::Welcome { proto, session } => {
                     w.key("proto").u64(*proto);
-                    w.key("spec").opt(spec.as_ref(), |w, spec| {
-                        spec.write_json(w);
-                        w
-                    });
                     w.key("session").u64(*session);
-                    tagged(w, *campaign);
                 }
                 Msg::Lease {
                     lease,
@@ -918,7 +883,7 @@ impl Msg {
     /// Parses a JSON frame payload back into a message.
     pub fn from_json(payload: &str) -> Result<Msg, String> {
         let v = json::parse(payload)?;
-        // Absent on v2 peers and on single-campaign traffic.
+        // Absent from a hot message of campaign 0.
         let campaign = v.opt("campaign", Json::u64_at)?.unwrap_or(0);
         Ok(match v.str_at("t")? {
             "hello" => Msg::Hello {
@@ -926,11 +891,8 @@ impl Msg {
                 session: v.opt("session", Json::u64_at)?,
             },
             "welcome" => Msg::Welcome {
-                // A welcome without `proto` is from a v2 coordinator.
-                proto: v.opt("proto", Json::u64_at)?.unwrap_or(2),
+                proto: v.u64_at("proto")?,
                 session: v.u64_at("session")?,
-                campaign,
-                spec: v.opt("spec", |v, key| CampaignSpec::from_json_value(v.at(key)?))?,
             },
             "lease_request" => Msg::LeaseRequest,
             "lease" => Msg::Lease {
@@ -975,12 +937,14 @@ impl Msg {
         })
     }
 
-    /// Encodes the message for a connection speaking `proto`.
+    /// Encodes the message's frame payload: binary for the hot messages
+    /// (`lease`, `batch_done`, `heartbeat`) at `proto` 3 or above, JSON for
+    /// everything else. Decoding ([`Msg::decode`]) needs no version because
+    /// the first payload byte names the dialect.
     ///
-    /// At v3+, the hot messages (`lease`, `batch_done`, `heartbeat`) use
-    /// the binary dialect; everything else — and everything on a v2 link —
-    /// is JSON. Decoding ([`Msg::decode`]) needs no version because the
-    /// first payload byte names the dialect.
+    /// Every session speaks [`PROTO_VERSION`] ([`send`]); a `proto` below 3
+    /// and the JSON arms of the hot messages stay only because `benchmark/`
+    /// measures them, until ROADMAP item 8a moves it off them.
     pub fn encode(&self, proto: u64) -> Vec<u8> {
         if proto >= 3 {
             match self {
@@ -1080,27 +1044,14 @@ impl Msg {
     }
 }
 
-/// Writes one message as a frame in the connection's negotiated dialect.
-pub fn send(w: &mut (impl Write + ?Sized), msg: &Msg, proto: u64) -> std::io::Result<()> {
-    write_frame(w, &msg.encode(proto))
+/// Writes one message as a frame at [`PROTO_VERSION`].
+pub fn send(w: &mut (impl Write + ?Sized), msg: &Msg) -> std::io::Result<()> {
+    write_frame(w, &msg.encode(PROTO_VERSION))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn version_negotiation_matrix() {
-        assert_eq!(negotiate(3), Some(3));
-        assert_eq!(negotiate(2), Some(2));
-        assert_eq!(
-            negotiate(99),
-            Some(PROTO_VERSION),
-            "future peers cap at ours"
-        );
-        assert_eq!(negotiate(1), None, "pre-CRC peers are refused");
-        assert_eq!(negotiate(0), None);
-    }
 
     #[test]
     fn varints_round_trip() {
@@ -1169,11 +1120,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_json_shape_is_preserved_for_untagged_messages() {
-        // A single-campaign lease/heartbeat must serialize exactly as the
-        // v2 protocol did — no stray `campaign` key for v2 peers to trip
-        // on (their parser ignores unknown keys, but byte-identical frames
-        // make the compatibility obvious).
+    fn json_hot_messages_omit_a_zero_campaign_and_a_welcome_names_its_version() {
         let lease = Msg::Lease {
             lease: 7,
             campaign: 0,
@@ -1188,16 +1135,10 @@ mod tests {
             campaign: 0,
         };
         assert_eq!(hb.to_json(), "{\"t\":\"heartbeat\",\"lease\":9}");
-        // And a v2-style welcome (no proto key) still parses, defaulting
-        // to proto 2.
-        let welcome = "{\"t\":\"welcome\",\"spec\":null,\"session\":4}";
-        match Msg::from_json(welcome).unwrap() {
-            Msg::Welcome { proto, session, .. } => {
-                assert_eq!(proto, 2);
-                assert_eq!(session, 4);
-            }
-            other => panic!("expected welcome, got {other:?}"),
-        }
+        // A welcome without `proto` is refused by name, not read as some
+        // older version.
+        let welcome = "{\"t\":\"welcome\",\"session\":4}";
+        assert!(Msg::from_json(welcome).unwrap_err().contains("proto"));
     }
 
     fn rich_results() -> Vec<(usize, InjectionResult)> {
@@ -1316,7 +1257,7 @@ mod tests {
             assert_ne!(payload[0], b'{', "v3 hot messages must be binary");
             let back = Msg::decode(&payload).unwrap();
             assert_eq!(format!("{back:?}"), format!("{msg:?}"));
-            // The same message on a v2 link stays JSON and still round-trips.
+            // The JSON arm of the same message still round-trips.
             let json = msg.encode(2);
             assert_eq!(json[0], b'{');
             let back = Msg::decode(&json).unwrap();

@@ -159,9 +159,9 @@ impl FairScheduler {
     /// no registered campaign is eligible (everything drained, or every
     /// backlogged campaign is at quota).
     ///
-    /// `filter` restricts candidates — the service passes the set of
-    /// campaigns a pinned v2 worker may serve, or `None` for an
-    /// unrestricted v3 worker.
+    /// `filter` restricts candidates. The service always passes `None`; the
+    /// argument stays only because `benchmark/` calls `pick(None)`, until
+    /// ROADMAP item 8a moves it off.
     pub fn pick(&mut self, filter: Option<&dyn Fn(u64) -> bool>) -> Option<u64> {
         let allowed = |id: u64| filter.is_none_or(|f| f(id));
         let top = self
@@ -345,7 +345,7 @@ mod tests {
             },
             10,
         );
-        // Unfiltered, the high tier wins; a pinned worker only sees its own.
+        // Unfiltered, the high tier wins; a filter sees only what it admits.
         assert_eq!(s.pick(None), Some(2));
         let only_one = |id: u64| id == 1;
         assert_eq!(s.pick(Some(&only_one)), Some(1));

@@ -10,9 +10,10 @@
 //! * **a durable submission queue** ([`SubmissionQueue`]) — every
 //!   accepted submission survives a service restart, and per-campaign
 //!   result journals (`campaign-<id>.jsonl`) resume bit-identically;
-//! * **protocol v3** — binary hot messages with per-dialect wire tallies
-//!   ([`WireStats`]), while v2 workers negotiate down to JSON and get
-//!   pinned to a single campaign for their session;
+//! * **one kind of worker session** — protocol v3 ([`PROTO_VERSION`]):
+//!   binary hot messages tallied per kind ([`WireStats`]), leases that name
+//!   their campaign, and specs fetched by the worker; a `hello` below v3 is
+//!   refused;
 //! * **an HTTP surface** ([`crate::http`]) — `POST /campaigns`,
 //!   `GET /campaigns/<id>`, `GET /fleet`.
 //!
@@ -50,9 +51,7 @@
 use crate::chaos::ChaosInterposer;
 use crate::error::GridError;
 use crate::http::{error_response, response, HttpBuffer, HttpPoll, HttpRequest};
-use crate::proto::{
-    frame_bytes, negotiate, FrameBuffer, FrameError, Msg, MsgKind, WireStats, MIN_PROTO_VERSION,
-};
+use crate::proto::{frame_bytes, FrameBuffer, FrameError, Msg, MsgKind, WireStats, PROTO_VERSION};
 use crate::queue::SubmissionQueue;
 use crate::sched::FairScheduler;
 use crate::spec::{CampaignSpec, SubmitSpec};
@@ -231,20 +230,12 @@ struct LeaseRec {
     deadline: Instant,
 }
 
-struct Session {
-    /// The connection currently speaking for this token.
-    conn: u64,
-    /// The campaign a v2 session is pinned to (`None` for v3 sessions).
-    pinned: Option<u64>,
-}
-
 struct WorkerConn {
     transport: Box<dyn Transport>,
     fb: FrameBuffer,
     /// Outbound bytes not yet accepted by the socket.
     out: Vec<u8>,
     session: Option<u64>,
-    proto: u64,
     /// Flush what is queued, then drop the connection.
     close_after_flush: bool,
     /// The peer's last lease request was answered `Drain` and nothing has
@@ -271,7 +262,8 @@ pub struct Service {
     sched: FairScheduler,
     campaigns: BTreeMap<u64, Run>,
     leases: HashMap<u64, LeaseRec>,
-    sessions: HashMap<u64, Session>,
+    /// Session token → the connection currently speaking for it.
+    sessions: HashMap<u64, u64>,
     /// By connection id, so parked connections are woken in that order.
     conns: BTreeMap<u64, WorkerConn>,
     https: HashMap<u64, HttpConn>,
@@ -285,8 +277,7 @@ pub struct Service {
     /// Consecutive idle ticks so far (see [`idle_wait`]).
     idle_ticks: u32,
     stats: ServiceStats,
-    wire_v2: Arc<WireStats>,
-    wire_v3: Arc<WireStats>,
+    wire: Arc<WireStats>,
 }
 
 impl Service {
@@ -324,8 +315,7 @@ impl Service {
             busy: false,
             idle_ticks: 0,
             stats: ServiceStats::default(),
-            wire_v2: Arc::new(WireStats::new()),
-            wire_v3: Arc::new(WireStats::new()),
+            wire: Arc::new(WireStats::new()),
         };
         // Restart resume: every unretired submission comes back under its
         // original id, so its journal (keyed by id) resumes bit-identically.
@@ -354,10 +344,12 @@ impl Service {
             .and_then(|l| l.local_addr().ok())
     }
 
-    /// Per-dialect wire tallies (v2 = JSON links, v3 = binary links).
-    /// Clone the handles before [`run`](Service::run) to inspect after.
+    /// The tallies of every frame the service sends and reads, second in
+    /// a pair whose first element is always empty. The pair stays until
+    /// `benchmark/` stops destructuring it (ROADMAP item 8a). Clone the
+    /// handle before [`run`](Service::run) to inspect after.
     pub fn wire_stats(&self) -> (Arc<WireStats>, Arc<WireStats>) {
-        (self.wire_v2.clone(), self.wire_v3.clone())
+        (Arc::default(), self.wire.clone())
     }
 
     /// Current status of every known campaign, in id order.
@@ -502,7 +494,7 @@ impl Service {
                 let key =
                     CampaignKey::new(workload.name, &cfg, golden.cycles, &sub.campaign_config());
                 let (journal, done) = Journal::open_with(&path, &key, self.cfg.durability)?;
-                check_resumed_faults(&done, &faults, 0)?;
+                check_resumed_faults(&done, &faults)?;
                 if !done.is_empty() {
                     // Replay restored results through a collector so the
                     // merged telemetry accounts for them exactly as a
@@ -571,31 +563,12 @@ impl Service {
         Ok(())
     }
 
-    /// The campaign a freshly attached v2 session gets pinned to: highest
-    /// priority first, then lowest id — deterministic, and aligned with
-    /// what the scheduler would serve first anyway.
-    fn pick_pin(&self) -> Option<u64> {
-        self.campaigns
-            .iter()
-            .filter(|(_, r)| !r.done)
-            .max_by_key(|&(&id, r)| (r.submit.priority, std::cmp::Reverse(id)))
-            .map(|(&id, _)| id)
-    }
-
     // -- worker fabric ------------------------------------------------------
 
-    fn wire_for(&self, proto: u64) -> &WireStats {
-        if proto >= 3 {
-            &self.wire_v3
-        } else {
-            &self.wire_v2
-        }
-    }
-
-    /// Encodes `msg` in the connection's dialect and queues it for write.
+    /// Encodes `msg` and queues it for write.
     fn push(&self, conn: &mut WorkerConn, msg: &Msg) {
-        let payload = msg.encode(conn.proto);
-        self.wire_for(conn.proto).record(msg.kind(), payload.len());
+        let payload = msg.encode(PROTO_VERSION);
+        self.wire.record(msg.kind(), payload.len());
         match frame_bytes(&payload) {
             Ok(frame) => conn.out.extend_from_slice(&frame),
             // A payload past MAX_FRAME cannot be framed; drop the peer
@@ -625,7 +598,6 @@ impl Service {
                         fb: FrameBuffer::new(),
                         out: Vec::new(),
                         session: None,
-                        proto: MIN_PROTO_VERSION,
                         close_after_flush: false,
                         parked: false,
                     };
@@ -754,7 +726,7 @@ impl Service {
             }
         };
         let kind = msg.kind();
-        self.wire_for(conn.proto).record(kind, payload.len());
+        self.wire.record(kind, payload.len());
         Ok(match msg {
             Msg::Hello { proto, session } => self.handle_hello(id, conn, proto, session),
             Msg::LeaseRequest => self.handle_lease_request(id, conn),
@@ -813,6 +785,8 @@ impl Service {
         })
     }
 
+    /// Welcomes a peer at [`PROTO_VERSION`] into a fresh or re-attached
+    /// session, or refuses a peer below it with a reject naming its version.
     fn handle_hello(
         &mut self,
         id: u64,
@@ -820,20 +794,17 @@ impl Service {
         peer_proto: u64,
         requested: Option<u64>,
     ) -> bool {
-        let Some(proto) = negotiate(peer_proto) else {
+        if peer_proto < PROTO_VERSION {
             self.protocol_error(
                 id,
                 conn,
                 &format!(
-                    "protocol version {peer_proto} unsupported (need {}..={})",
-                    MIN_PROTO_VERSION,
-                    crate::proto::PROTO_VERSION
+                    "protocol version {peer_proto} unsupported (need {PROTO_VERSION} or later)"
                 ),
                 false,
             );
             return true;
-        };
-        conn.proto = proto;
+        }
         // Resolve the session: a fresh hello allocates a token, a returning
         // one re-attaches (rebinding to this connection), and so does a
         // duplicate hello from a chaotic link, harmlessly.
@@ -843,57 +814,26 @@ impl Service {
             }
             self.next_session
         });
-        match self.sessions.get_mut(&token) {
-            Some(s) => {
-                s.conn = id;
-                self.stats.sessions_reattached += 1;
-            }
-            // A fresh token, or an unknown one: a worker outliving a service
-            // restart. Honor it so retransmissions attribute.
-            None => {
-                self.sessions.insert(
-                    token,
-                    Session {
-                        conn: id,
-                        pinned: None,
-                    },
-                );
-                self.stats.workers_seen += 1;
-            }
+        // An unknown token is a worker outliving a service restart: honor
+        // it so retransmissions attribute.
+        if self.sessions.insert(token, id).is_some() {
+            self.stats.sessions_reattached += 1;
+        } else {
+            self.stats.workers_seen += 1;
         }
         conn.session = Some(token);
-        // v2 sessions are pinned to one campaign for their whole life; v3
-        // sessions are unpinned and get specs per campaign on demand.
-        let (campaign, spec) = if proto < 3 {
-            let pinned = self.sessions[&token].pinned.or_else(|| self.pick_pin());
-            let Some(pin) = pinned else {
-                // Nothing to pin a v2 worker to: send it home.
-                self.push(conn, &Msg::Done);
-                conn.close_after_flush = true;
-                return true;
-            };
-            self.sessions
-                .get_mut(&token)
-                .expect("session just bound")
-                .pinned = pinned;
-            (pin, Some(self.campaigns[&pin].spec.clone()))
-        } else {
-            (0, None)
-        };
         self.push(
             conn,
             &Msg::Welcome {
-                proto,
+                proto: PROTO_VERSION,
                 session: token,
-                campaign,
-                spec,
             },
         );
         true
     }
 
-    /// Answers a lease request: a lease, `Done`, or — with nothing this
-    /// session may serve leasable right now — `Drain`, which parks the
+    /// Answers a lease request: a lease, `Done`, or — with nothing
+    /// leasable right now — `Drain`, which parks the
     /// connection until [`wake_parked`](Service::wake_parked) has a lease
     /// for it.
     fn handle_lease_request(&mut self, id: u64, conn: &mut WorkerConn) -> bool {
@@ -909,33 +849,20 @@ impl Service {
     }
 
     /// The one lease grant, for a connection that asked and for a parked
-    /// one alike: queues `Done` for a session with nothing left to wait for
-    /// or the next `Lease` the scheduler gives it, and returns `false`,
-    /// queueing nothing, when no campaign the session may serve is leasable
-    /// right now.
+    /// one alike: queues `Done` when the service is draining or the next
+    /// `Lease` the scheduler gives, and returns `false`, queueing nothing,
+    /// when no campaign is leasable right now.
     fn grant(&mut self, conn: &mut WorkerConn, token: u64) -> bool {
-        let pinned = self.sessions.get(&token).and_then(|s| s.pinned);
-        // A pinned session whose campaign finished goes home; an unpinned
-        // one goes home only when the whole service is draining.
-        let finished = match pinned {
-            Some(pin) => self.campaigns.get(&pin).is_none_or(|r| r.done),
-            None => self.draining,
-        };
-        if finished {
+        if self.draining {
             self.push(conn, &Msg::Done);
             conn.close_after_flush = true;
             return true;
         }
-        let filter = pinned.map(|pin| move |id: u64| id == pin);
-        let picked = match &filter {
-            Some(f) => self.sched.pick(Some(f)),
-            None => self.sched.pick(None),
-        };
-        let Some(campaign) = picked else {
+        let Some(campaign) = self.sched.pick(None) else {
             return false;
         };
-        // The lease names its campaign; a v3 worker without a runtime for
-        // it asks for the spec (`SpecRequest`), a v2 one got it at hello.
+        // The lease names its campaign; a worker without a runtime for it
+        // asks for the spec (`SpecRequest`).
         let run = self
             .campaigns
             .get_mut(&campaign)
@@ -970,10 +897,9 @@ impl Service {
     /// flushes what that queued at once: work finds the worker instead of
     /// waiting for its next poll. Called wherever the answer a parked
     /// connection would get can change: [`activate`](Service::activate)
-    /// (new work, or a v2 pin that resumed already finished),
-    /// [`requeue_lease`](Service::requeue_lease) (work back in a queue) and
-    /// an accepted batch (quota released, or a v2 pin finished). A
-    /// connection still without a grant stays parked and is sent nothing.
+    /// (new work), [`requeue_lease`](Service::requeue_lease) (work back in
+    /// a queue) and an accepted batch (quota released). A connection still
+    /// without a grant stays parked and is sent nothing.
     fn wake_parked(&mut self) {
         let parked: Vec<u64> = self
             .conns
@@ -1069,7 +995,7 @@ impl Service {
     /// — but only if `conn` is still the connection speaking for it.
     fn requeue_session_if_current(&mut self, session: Option<u64>, conn: u64) {
         let Some(session) = session else { return };
-        if self.sessions.get(&session).map(|s| s.conn) != Some(conn) {
+        if self.sessions.get(&session) != Some(&conn) {
             return;
         }
         let ids: Vec<u64> = self
@@ -1249,10 +1175,7 @@ impl Service {
                         });
                     }
                 });
-                w.key("wire").object(|w| {
-                    write_wire(w.key("v2"), &self.wire_v2);
-                    write_wire(w.key("v3"), &self.wire_v3);
-                });
+                write_wire(w.key("wire"), &self.wire);
             }),
         }
     }

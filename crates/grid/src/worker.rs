@@ -27,11 +27,10 @@
 //!
 //! ## One worker, many campaigns
 //!
-//! Against the [`Service`](crate::service::Service) a v3 worker is
-//! *unpinned*: leases name their campaign, and the worker owns the spec
-//! exchange — a lease for a campaign it holds no runtime for triggers a
-//! [`Msg::SpecRequest`] / [`Msg::Spec`] round trip, and the service never
-//! sends a spec unasked. Set-up is paid once where it can be: the golden run
+//! A worker's session is not tied to a campaign: leases name their
+//! campaign, and the worker owns the spec exchange — a lease for a campaign
+//! it holds no runtime for triggers a [`Msg::SpecRequest`] / [`Msg::Spec`]
+//! round trip, and the service never sends a spec unasked. Set-up is paid once where it can be: the golden run
 //! is served per (program, configuration) for the life of the process by
 //! [`verified_golden`] (the registry bounds it); its checkpoint set is built
 //! once and shared by every runtime alive over it with the same checkpoint
@@ -41,9 +40,6 @@
 //! different tenants share the rebuild while a long-lived worker's memory
 //! does not grow with the number of campaigns it has served. An evicted
 //! campaign that is leased again is rebuilt through the same spec request.
-//! A v2 peer never sees any of this: the welcome frame pins it to one
-//! campaign and carries that campaign's spec, every lease implicitly belongs
-//! to it, and its frames stay byte-identical to the v2 wire.
 //!
 //! ## Surviving the link
 //!
@@ -51,8 +47,8 @@
 //! mid-campaign (I/O error, corrupt frame, mid-session rejection) the
 //! worker reconnects with exponential backoff plus deterministic jitter —
 //! one handshake loop and one attempt budget for the first attach and
-//! every re-attach — re-presents the token, verifies any re-pinned spec is
-//! unchanged, and retransmits its last unacknowledged batch report.
+//! every re-attach — re-presents the token, and retransmits its last
+//! unacknowledged batch report.
 //! Replayed frames (a second welcome, a lease already taken, a spec
 //! already built) are skipped where they land. The coordinator's
 //! first-responder-wins dedup makes the retransmission idempotent: if the
@@ -62,7 +58,7 @@
 
 use crate::chaos::ChaosInterposer;
 use crate::error::GridError;
-use crate::proto::{send, FrameBuffer, FrameError, Msg, MIN_PROTO_VERSION, PROTO_VERSION};
+use crate::proto::{send, FrameBuffer, FrameError, Msg, PROTO_VERSION};
 use crate::spec::CampaignSpec;
 use crate::transport::{TcpTransport, Transport};
 use avgi_faultsim::campaign::verified_golden;
@@ -107,11 +103,6 @@ pub struct WorkerConfig {
     /// Seed for the deterministic backoff jitter (mixed with the attempt
     /// number; give concurrent workers different seeds to de-thunder them).
     pub jitter_seed: u64,
-    /// Highest protocol version to advertise in the hello
-    /// (default [`PROTO_VERSION`]). Pin to `2` to force the JSON dialect —
-    /// the cross-version tests and CI smoke use this to prove a v2 fleet
-    /// still interoperates with a v3 control plane.
-    pub proto: u64,
     /// Test hook: after completing this many batches, drop the connection
     /// abruptly on the next lease instead of executing it — simulating a
     /// worker dying mid-campaign (`None` = run to completion).
@@ -133,7 +124,6 @@ impl WorkerConfig {
             backoff_base: Duration::from_millis(50),
             backoff_cap: Duration::from_secs(2),
             jitter_seed: 0x5EED,
-            proto: PROTO_VERSION,
             max_batches: None,
             chaos: None,
         }
@@ -356,18 +346,16 @@ impl Runtimes {
     }
 }
 
-/// One connection, owned by the session loop alone: the transport, the
-/// decoder holding whatever part of a frame has arrived, and the dialect
-/// both ends speak.
+/// One connection, owned by the session loop alone: the transport and the
+/// decoder holding whatever part of a frame has arrived.
 struct Link {
     stream: Box<dyn Transport>,
     frames: FrameBuffer,
-    proto: u64,
 }
 
 impl Link {
     fn send(&mut self, msg: &Msg) -> std::io::Result<()> {
-        send(&mut *self.stream, msg, self.proto)
+        send(&mut *self.stream, msg)
     }
 
     /// The next message, or `None` once a read has heard nothing for a
@@ -407,11 +395,6 @@ fn silent(wcfg: &WorkerConfig) -> GridError {
 struct Attach {
     link: Link,
     session: u64,
-    /// The campaign `spec` is pinned to (0 when unpinned).
-    campaign: u64,
-    /// `Some` when this link pins one campaign (a v2 link); `None` on an
-    /// unpinned v3 link.
-    spec: Option<CampaignSpec>,
 }
 
 /// Connects and handshakes, presenting `session` when re-attaching; `None`
@@ -421,37 +404,23 @@ struct Attach {
 fn establish(wcfg: &WorkerConfig, session: Option<u64>) -> Result<Option<Attach>, GridError> {
     let stream = connect_with_retry(wcfg)?;
     stream.set_read_timeout(Some(wcfg.read_timeout))?;
-    // The hello itself is always JSON — the dialect is negotiated BY it.
     let mut link = Link {
         stream,
         frames: FrameBuffer::new(),
-        proto: MIN_PROTO_VERSION,
     };
     let hello = Msg::Hello {
-        proto: wcfg.proto,
+        proto: PROTO_VERSION,
         session,
     };
     link.send(&hello)?;
     match link.read_msg()?.ok_or_else(|| silent(wcfg))? {
-        Msg::Welcome {
-            proto,
-            session,
-            campaign,
-            spec,
-        } => {
-            if proto < MIN_PROTO_VERSION || proto > wcfg.proto {
+        Msg::Welcome { proto, session } => {
+            if proto != PROTO_VERSION {
                 return Err(GridError::Protocol(format!(
-                    "coordinator negotiated unusable protocol version {proto} (we offered {})",
-                    wcfg.proto
+                    "coordinator welcomed us at protocol version {proto}, not {PROTO_VERSION}"
                 )));
             }
-            link.proto = proto;
-            Ok(Some(Attach {
-                link,
-                session,
-                campaign,
-                spec,
-            }))
+            Ok(Some(Attach { link, session }))
         }
         Msg::Done => Ok(None),
         Msg::Reject { reason } => Err(GridError::Protocol(reason)),
@@ -497,9 +466,8 @@ fn absorb_spec(
     }
 }
 
-/// Connects to a coordinator and works until the campaign (or, against a
-/// service, the whole submission stream) completes, reconnecting through
-/// link failures.
+/// Connects to a coordinator and works until it says `Done`, reconnecting
+/// through link failures.
 ///
 /// Returns the worker's own contribution statistics; the authoritative
 /// merged campaigns live on the coordinator.
@@ -536,12 +504,9 @@ pub fn run_worker(wcfg: &WorkerConfig) -> Result<WorkerStats, GridError> {
         let attempt = establish(wcfg, session).and_then(|attach| {
             // Everything finished while we were away: a pending report is
             // moot (its indices completed — via us or a reassignment).
-            let Some(mut attach) = attach else {
+            let Some(attach) = attach else {
                 return Ok(());
             };
-            if let Some(spec) = attach.spec.take() {
-                absorb_spec(&mut runtimes, attach.campaign, spec, wcfg, &mut stats)?;
-            }
             if session.replace(attach.session).is_some() {
                 stats.reconnects += 1;
             }

@@ -60,9 +60,8 @@ type Served = Result<(ServiceStats, BTreeMap<u64, GridOutcome>), GridError>;
 /// A running one-campaign service.
 pub struct OneCampaign {
     pub addr: SocketAddr,
-    /// The service's tallies of the frames it sent and read in the binary
-    /// dialect.
-    pub wire_v3: Arc<WireStats>,
+    /// The service's tallies of every frame it sent and read.
+    pub wire: Arc<WireStats>,
     id: u64,
     thread: JoinHandle<Served>,
 }
@@ -78,11 +77,11 @@ impl OneCampaign {
         .unwrap();
         let id = service.submit(spec.clone()).unwrap();
         let addr = service.local_addr().unwrap();
-        let (_, wire_v3) = service.wire_stats();
+        let (_, wire) = service.wire_stats();
         let thread = std::thread::spawn(move || service.serve());
         OneCampaign {
             addr,
-            wire_v3,
+            wire,
             id,
             thread,
         }

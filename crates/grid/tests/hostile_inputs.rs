@@ -3,7 +3,7 @@
 //! The other half of `golden_bytes.rs`: that table pins what the readers
 //! accept, this one what they refuse. Every document kind that crosses a
 //! trust boundary — journal header and record, telemetry delta, submission,
-//! campaign spec, queue line, all eleven v2 frames — is damaged one value at
+//! campaign spec, queue line, all eleven JSON frames — is damaged one value at
 //! a time (truncated, wrong type, unknown tag, one nesting level too deep,
 //! `u64::MAX + 1`, a float, `1e999`) and handed to the reader that meets it
 //! in production. The reader must return an `Err` that names the damaged
@@ -275,17 +275,15 @@ fn readers(dir: &Path) -> Vec<Reader> {
         })
     });
 
-    // All eleven frames of the v2 dialect, through the frame decoder.
+    // All eleven frames in the JSON dialect, through the frame decoder.
     for msg in [
         Msg::Hello {
             proto: 3,
             session: Some(17),
         },
         Msg::Welcome {
-            proto: 2,
+            proto: 3,
             session: 17,
-            campaign: 4,
-            spec: Some(campaign_spec()),
         },
         Msg::LeaseRequest,
         Msg::Lease {
@@ -414,27 +412,20 @@ fn every_reader_refuses_every_hostile_case_by_name() {
 
 /// A spec a worker could not carry — the sizes a submission is refused for —
 /// is refused by the same bounds, naming the field: as a document, and in
-/// the `welcome` and `spec` frames that carry it to a worker. The bounds
-/// themselves are accepted.
+/// the `spec` frame that carries it to a worker. The bounds themselves are
+/// accepted.
 #[test]
 fn a_spec_past_the_submission_bounds_is_refused_by_name() {
     let spec = campaign_spec();
     let carriers = |spec: &CampaignSpec| {
-        let frames = [
-            Msg::Welcome {
-                proto: 2,
-                session: 17,
-                campaign: 4,
-                spec: Some(spec.clone()),
-            },
-            Msg::Spec {
-                campaign: 6,
-                spec: spec.clone(),
-            },
-        ];
-        let doc = CampaignSpec::from_json_value(&parse(&spec.to_json()).unwrap()).map(drop);
-        let frames = frames.map(|m| Msg::decode(m.to_json().as_bytes()).map(drop));
-        [doc, frames[0].clone(), frames[1].clone()]
+        let frame = Msg::Spec {
+            campaign: 6,
+            spec: spec.clone(),
+        };
+        [
+            CampaignSpec::from_json_value(&parse(&spec.to_json()).unwrap()).map(drop),
+            Msg::decode(frame.to_json().as_bytes()).map(drop),
+        ]
     };
     let at_the_bounds = CampaignSpec {
         checkpoints: MAX_CHECKPOINTS,

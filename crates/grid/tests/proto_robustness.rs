@@ -20,9 +20,7 @@ mod common;
 use avgi_faultsim::telemetry::{CampaignObserver, MetricsCollector};
 use avgi_faultsim::RunMode;
 use avgi_grid::http::{HttpBuffer, HttpPoll, MAX_BODY, MAX_HEAD, READ_CHUNK};
-use avgi_grid::proto::{
-    put_varint, send, write_frame, FrameBuffer, Msg, MIN_PROTO_VERSION, PROTO_VERSION,
-};
+use avgi_grid::proto::{put_varint, send, write_frame, FrameBuffer, Msg, PROTO_VERSION};
 use avgi_grid::service::reference_outcome;
 use avgi_grid::{GridOutcome, ServiceConfig, ServiceStats, SubmitSpec, WorkerConfig};
 use avgi_muarch::Structure;
@@ -86,16 +84,14 @@ fn assert_matches_reference(outcome: &GridOutcome) {
 }
 
 /// Performs the hello/welcome handshake on a raw socket, returning the
-/// decoder for the rest of the link. The adversary speaks proto v2 so every
-/// frame on its link stays JSON.
+/// decoder for the rest of the link.
 fn handshake(stream: &mut TcpStream) -> FrameBuffer {
     send(
         stream,
         &Msg::Hello {
-            proto: MIN_PROTO_VERSION,
+            proto: PROTO_VERSION,
             session: None,
         },
-        MIN_PROTO_VERSION,
     )
     .unwrap();
     let mut frames = FrameBuffer::new();
@@ -144,7 +140,7 @@ fn silent_leaseholder_expires_and_work_is_reassigned_once() {
     // the totals must show no double count.
     let (outcome, stats) = run_with_adversary(Duration::from_millis(500), |mut stream| {
         let mut frames = handshake(&mut stream);
-        send(&mut stream, &Msg::LeaseRequest, MIN_PROTO_VERSION).unwrap();
+        send(&mut stream, &Msg::LeaseRequest).unwrap();
         match common::next_msg(&mut stream, &mut frames) {
             Msg::Lease { indices, .. } => assert!(!indices.is_empty()),
             other => panic!("expected a lease, got {other:?}"),
@@ -168,7 +164,7 @@ fn late_report_after_reassignment_is_discarded_wholly() {
     // or the campaign would double-count.
     let (outcome, stats) = run_with_adversary(Duration::from_millis(400), |mut stream| {
         let mut frames = handshake(&mut stream);
-        send(&mut stream, &Msg::LeaseRequest, MIN_PROTO_VERSION).unwrap();
+        send(&mut stream, &Msg::LeaseRequest).unwrap();
         let (lease, indices) = match common::next_msg(&mut stream, &mut frames) {
             Msg::Lease { lease, indices, .. } => (lease, indices),
             other => panic!("expected a lease, got {other:?}"),

@@ -6,16 +6,13 @@
 //! report (results in index order plus merged telemetry deterministic
 //! counters) must be byte-identical to a single-process run of the same
 //! submission, no matter how the campaigns interleave on the shared
-//! workers, which wire dialect each worker speaks, or how much chaos one
-//! tenant's links absorb.
+//! workers or how much chaos one worker's link absorbs.
 
 mod common;
 
 use avgi_faultsim::telemetry::{CampaignObserver, MetricsCollector};
 use avgi_faultsim::{CampaignError, DurabilityPolicy, RunMode};
-use avgi_grid::proto::{
-    send, FrameBuffer, Msg, MsgKind, WireStats, MIN_PROTO_VERSION, PROTO_VERSION,
-};
+use avgi_grid::proto::{send, FrameBuffer, FrameError, Msg, MsgKind, WireStats, PROTO_VERSION};
 use avgi_grid::service::{reference_outcome, reference_report, MAX_CONNS};
 use avgi_grid::worker::RUNTIME_CACHE_CAPACITY;
 use avgi_grid::{
@@ -127,8 +124,8 @@ struct Harness {
     fabric: String,
     http: SocketAddr,
     stop: Arc<AtomicBool>,
-    /// The service's tallies of binary-dialect (v3) links.
-    wire_v3: Arc<WireStats>,
+    /// The service's tallies of every frame it sends and reads.
+    wire: Arc<WireStats>,
     thread: std::thread::JoinHandle<Result<ServiceStats, avgi_grid::GridError>>,
 }
 
@@ -152,24 +149,24 @@ impl Harness {
         let service = Service::bind(cfg).unwrap();
         let fabric = service.local_addr().unwrap().to_string();
         let http = service.http_addr().unwrap();
-        let (_, wire_v3) = service.wire_stats();
+        let (_, wire) = service.wire_stats();
         let thread = std::thread::spawn(move || service.run());
         Harness {
             fabric,
             http,
             stop,
-            wire_v3,
+            wire,
             thread,
         }
     }
 
-    /// Frames of `kind` the service has decoded from v3 peers so far.
+    /// Frames of `kind` the service has decoded so far.
     fn received(&self, kind: MsgKind) -> u64 {
-        self.wire_v3.of(kind).0
+        self.wire.of(kind).0
     }
 
-    /// Waits until the service has decoded `n` lease requests from v3
-    /// peers — with no campaign submitted yet, until `n` peers are parked.
+    /// Waits until the service has decoded `n` lease requests — with no
+    /// campaign submitted yet, until `n` peers are parked.
     fn wait_lease_requests(&self, n: u64) {
         let start = Instant::now();
         while self.received(MsgKind::LeaseRequest) < n {
@@ -189,7 +186,7 @@ impl Harness {
     }
 }
 
-/// Two tenants interleaved over three v3 workers, optionally with the
+/// Two tenants interleaved over three workers, optionally with the
 /// service's side of every link under chaos.
 fn interleaved_tenants(name: &str, chaos: Option<Arc<ChaosInterposer>>) {
     let dir = scratch(name);
@@ -197,7 +194,7 @@ fn interleaved_tenants(name: &str, chaos: Option<Arc<ChaosInterposer>>) {
     let svc = Harness::start(&dir, 4, chaos);
 
     // Two tenants with nothing in common: different structures, seeds,
-    // modes, and sizes, interleaved over the same three v3 workers.
+    // modes, and sizes, interleaved over the same three workers.
     let spec_a = {
         let mut s = SubmitSpec::new("bitcount", Structure::RegFile, 36, 0xA11CE);
         s.mode = RunMode::Instrumented;
@@ -261,9 +258,10 @@ fn chaos_storm_on_one_tenant_leaves_every_tenant_bit_identical() {
     let dir = scratch("chaos");
     let svc = Harness::start(&dir, 4, None);
 
-    // Tenant A outranks tenant B, so the v2 worker — whose link takes the
-    // whole storm — pins to A at hello. B's frames only ever ride the
-    // clean v3 links: the storm is tenant-scoped by construction, and both
+    // One worker's link takes the whole storm, and that worker serves both
+    // tenants: alone at first, it carries A, which outranks B, until A's
+    // queue is leased out and B has a batch in too. Only then does a clean
+    // fleet join. Frames of both tenants ride the stormy link, and both
     // merges must still come out exact.
     let spec_a = {
         let mut s = SubmitSpec::new("bitcount", Structure::RegFile, 40, 0xC11A05);
@@ -275,31 +273,24 @@ fn chaos_storm_on_one_tenant_leaves_every_tenant_bit_identical() {
     let id_b = submit(svc.http, &spec_b);
 
     let chaos = Arc::new(ChaosInterposer::new(ChaosPolicy::stormy(0xC4A0_5E1F)));
-    let v2 = {
+    let stormy = {
         let mut w = worker_config(&svc.fabric, 0xD1CE);
-        w.proto = 2;
         w.chaos = Some(chaos.clone());
         std::thread::spawn(move || avgi_grid::run_worker(&w))
     };
-    // Let the v2 worker land at least one accepted batch on A before the
-    // v3 fleet joins, so both wire dialects measurably carry batch_done
-    // traffic.
+    let progressed = |id: u64| match http_get(svc.http, &format!("/campaigns/{id}")) {
+        Some((200, body)) => body.contains("\"done\":true") || !body.contains("\"completed\":0"),
+        _ => false,
+    };
     let start = Instant::now();
-    loop {
-        if let Some((200, body)) = http_get(svc.http, &format!("/campaigns/{id_a}")) {
-            let done = body.contains("\"done\":true");
-            let progressed = !body.contains("\"completed\":0");
-            if done || progressed {
-                break;
-            }
-        }
+    while !(progressed(id_a) && progressed(id_b)) {
         assert!(
             start.elapsed() < Duration::from_secs(90),
-            "v2 worker never landed a batch through the storm"
+            "the stormy worker never landed a batch of each tenant"
         );
         std::thread::sleep(Duration::from_millis(100));
     }
-    let v3s: Vec<_> = (0..2)
+    let clean: Vec<_> = (0..2)
         .map(|i| {
             let wcfg = worker_config(&svc.fabric, 0x5EED_0200 + i);
             std::thread::spawn(move || avgi_grid::run_worker(&wcfg))
@@ -308,63 +299,18 @@ fn chaos_storm_on_one_tenant_leaves_every_tenant_bit_identical() {
 
     let body_a = wait_done(svc.http, id_a, Duration::from_secs(150));
     let body_b = wait_done(svc.http, id_b, Duration::from_secs(150));
-
-    // The fleet view carries per-dialect wire tallies; grab them before
-    // shutdown. Both dialects must have carried batch reports, and the
-    // binary encoding must be measurably smaller per frame than JSON.
-    let (_, fleet) = http_get(svc.http, "/fleet").expect("fleet endpoint up");
     let stats = svc.finish();
-    let _ = v2.join().unwrap();
-    for t in v3s {
+    let _ = stormy.join().unwrap();
+    for t in clean {
         let _ = t.join().unwrap();
     }
 
     assert_eq!(report_of(&body_a), reference_for(&spec_a));
     assert_eq!(report_of(&body_b), reference_for(&spec_b));
+    assert_eq!(stats.campaigns_completed, 2, "{stats:?}");
     assert!(
         chaos.stats().injected() > 0,
         "storm policy must actually injure the link"
-    );
-
-    let batch_done = |dialect: &str| -> (u64, u64) {
-        let at = fleet.find(&format!("\"{dialect}\":")).unwrap();
-        let tail = &fleet[at..];
-        let at = tail.find("\"batch_done\":").unwrap();
-        let obj = &tail[at..];
-        let frames_at = obj.find("\"frames\":").unwrap() + 9;
-        let frames: u64 = obj[frames_at..]
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect::<String>()
-            .parse()
-            .unwrap();
-        let bytes_at = obj.find("\"bytes\":").unwrap() + 8;
-        let bytes: u64 = obj[bytes_at..]
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect::<String>()
-            .parse()
-            .unwrap();
-        (frames, bytes)
-    };
-    let (v2_frames, v2_bytes) = batch_done("v2");
-    let (v3_frames, v3_bytes) = batch_done("v3");
-    assert!(
-        v2_frames > 0,
-        "v2 dialect carried no batch reports: {fleet}"
-    );
-    assert!(
-        v3_frames > 0,
-        "v3 dialect carried no batch reports: {fleet}"
-    );
-    assert!(
-        v3_bytes * v2_frames < v2_bytes * v3_frames,
-        "binary batch_done must be smaller per frame: v2 {v2_bytes}B/{v2_frames}f vs v3 {v3_bytes}B/{v3_frames}f"
-    );
-    eprintln!(
-        "[wire] batch_done v2 {:.0} B/frame vs v3 {:.0} B/frame | service stats: {stats:?}",
-        v2_bytes as f64 / v2_frames as f64,
-        v3_bytes as f64 / v3_frames as f64,
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -540,17 +486,33 @@ fn service_restart_refuses_a_doctored_journal_and_finishes_an_honest_one() {
 }
 
 #[test]
-fn v2_worker_cross_version_handshake_completes_a_campaign() {
-    let dir = scratch("crossver");
+fn a_hello_below_protocol_3_is_refused() {
+    let dir = scratch("old-hello");
     let svc = Harness::start(&dir, 4, None);
     let spec = SubmitSpec::new("bitcount", Structure::RegFile, 24, 0x0DDF00D);
     let id = submit(svc.http, &spec);
 
-    // A lone last-release worker: hellos at proto 2, negotiates the JSON
-    // dialect, gets pinned to the only campaign, and carries it end to end.
+    // A peer that offers version 2 is told why and hung up on, before it
+    // has a session or a lease.
+    let mut old = TcpStream::connect(&svc.fabric).unwrap();
+    old.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let hello = Msg::Hello {
+        proto: 2,
+        session: None,
+    };
+    send(&mut old, &hello).unwrap();
+    let mut frames = FrameBuffer::new();
+    match common::next_msg(&mut old, &mut frames) {
+        Msg::Reject { reason } => assert!(reason.contains("protocol version 2"), "{reason}"),
+        other => panic!("expected a reject, got {other:?}"),
+    }
+    assert!(matches!(frames.poll(&mut old), Err(FrameError::Closed)));
+    let (_, fleet) = http_get(svc.http, "/fleet").unwrap();
+    assert!(fleet.contains("\"sessions\":0,"), "{fleet}");
+
+    // The campaign waits for a worker that speaks v3, which finishes it.
     let worker = {
-        let mut w = worker_config(&svc.fabric, 0xF00D);
-        w.proto = 2;
+        let w = worker_config(&svc.fabric, 0xF00D);
         std::thread::spawn(move || avgi_grid::run_worker(&w))
     };
     let body = wait_done(svc.http, id, Duration::from_secs(120));
@@ -558,9 +520,10 @@ fn v2_worker_cross_version_handshake_completes_a_campaign() {
     let wstats = worker.join().unwrap().unwrap();
 
     assert_eq!(report_of(&body), reference_for(&spec));
-    assert_eq!(stats.campaigns_completed, 1);
-    assert_eq!(wstats.campaigns, 1);
-    assert!(wstats.runs >= 24, "{wstats:?}");
+    assert_eq!(stats.protocol_errors, 1, "{stats:?}");
+    assert_eq!(stats.workers_seen, 1, "only the v3 worker: {stats:?}");
+    assert_eq!(stats.leases_reassigned, 0, "{stats:?}");
+    assert_eq!((wstats.campaigns, wstats.reconnects), (1, 0), "{wstats:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -716,7 +679,7 @@ fn an_idle_worker_asks_once_and_is_leased_without_asking_again() {
     let spec = SubmitSpec::new("bitcount", Structure::RegFile, 2 * BATCH, 0x9A4C);
     let id = submit(svc.http, &spec);
     let body = wait_done(svc.http, id, Duration::from_secs(120));
-    let requests = svc.wire_v3.clone();
+    let requests = svc.wire.clone();
     let stats = svc.finish();
     let wstats = worker.join().unwrap().unwrap();
 
@@ -771,9 +734,9 @@ fn a_parked_peer_that_swallows_its_pushed_lease_expires_and_a_parked_worker_fini
         proto: PROTO_VERSION,
         session: None,
     };
-    send(&mut adversary, &hello, MIN_PROTO_VERSION).unwrap();
+    send(&mut adversary, &hello).unwrap();
     assert!(matches!(next(&mut adversary), Msg::Welcome { .. }));
-    send(&mut adversary, &Msg::LeaseRequest, PROTO_VERSION).unwrap();
+    send(&mut adversary, &Msg::LeaseRequest).unwrap();
     assert!(matches!(next(&mut adversary), Msg::Drain));
 
     // The honest worker parks second, so the adversary (the lower
@@ -796,7 +759,7 @@ fn a_parked_peer_that_swallows_its_pushed_lease_expires_and_a_parked_worker_fini
     // worker — parked all along — without its asking.
     let body = wait_done(svc.http, id, Duration::from_secs(60));
     drop(adversary);
-    let requests = svc.wire_v3.clone();
+    let requests = svc.wire.clone();
     let stats = svc.finish();
     let wstats = honest.join().unwrap().unwrap();
 
@@ -833,9 +796,9 @@ fn a_batch_whose_telemetry_overstates_its_runs_is_refused_and_its_lease_requeued
         proto: PROTO_VERSION,
         session: None,
     };
-    send(&mut adversary, &hello, MIN_PROTO_VERSION).unwrap();
+    send(&mut adversary, &hello).unwrap();
     assert!(matches!(next(&mut adversary), Msg::Welcome { .. }));
-    send(&mut adversary, &Msg::LeaseRequest, PROTO_VERSION).unwrap();
+    send(&mut adversary, &Msg::LeaseRequest).unwrap();
     let (lease, campaign, indices) = match next(&mut adversary) {
         Msg::Lease {
             lease,
@@ -862,7 +825,7 @@ fn a_batch_whose_telemetry_overstates_its_runs_is_refused_and_its_lease_requeued
         results,
         telemetry,
     };
-    send(&mut adversary, &report, PROTO_VERSION).unwrap();
+    send(&mut adversary, &report).unwrap();
     match next(&mut adversary) {
         Msg::Reject { reason } => assert!(reason.contains("`completed`"), "{reason}"),
         other => panic!("expected a rejection, got {other:?}"),
@@ -906,7 +869,7 @@ fn more_live_campaigns_than_runtime_slots_are_rebuilt_through_spec_requests() {
         .iter()
         .map(|&id| wait_done(svc.http, id, Duration::from_secs(120)))
         .collect();
-    let requests = svc.wire_v3.clone();
+    let requests = svc.wire.clone();
     let stats = svc.finish();
     let wstats = worker.join().unwrap().unwrap();
 

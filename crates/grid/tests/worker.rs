@@ -7,9 +7,7 @@ mod common;
 
 use avgi_faultsim::journal::config_hash;
 use avgi_faultsim::{golden_for, RunMode};
-use avgi_grid::proto::{
-    frame_bytes, send, FrameBuffer, Msg, MsgKind, MIN_PROTO_VERSION, PROTO_VERSION,
-};
+use avgi_grid::proto::{frame_bytes, send, FrameBuffer, Msg, MsgKind, PROTO_VERSION};
 use avgi_grid::{CampaignSpec, ConfigPreset, ServiceConfig, SubmitSpec, WorkerConfig};
 use avgi_muarch::Structure;
 use std::io::Write;
@@ -18,12 +16,13 @@ use std::time::Duration;
 
 #[test]
 fn heartbeats_keep_a_lease_alive_through_a_batch_three_timeouts_long() {
-    // One lease of 160 end-to-end dijkstra runs without checkpoints, on one
-    // thread: 1.0–1.3 s measured on a 2-core x86-64 host in a release
-    // build, four to five lease timeouts. Beats go out every third of a
-    // timeout, so 12 to 14 of them.
+    // One lease of 320 end-to-end dijkstra runs without checkpoints, on one
+    // thread: 1.3–1.7 s measured on a 2-core x86-64 host in a release
+    // build, five to seven lease timeouts. Beats go out every third of a
+    // timeout, so 16 to 20 of them. (At 160 runs the batch had shrunk to
+    // about 0.7 s, under three timeouts, and the test failed half its runs.)
     const LEASE: Duration = Duration::from_millis(250);
-    const FAULTS: usize = 160;
+    const FAULTS: usize = 320;
     let mut spec = SubmitSpec::new("dijkstra", Structure::RegFile, FAULTS, 0x10_4E);
     spec.mode = RunMode::EndToEnd;
     spec.checkpoints = 0;
@@ -41,7 +40,7 @@ fn heartbeats_keep_a_lease_alive_through_a_batch_three_timeouts_long() {
     let mut wcfg = WorkerConfig::new(String::new());
     wcfg.threads = 1;
     let worker = service.spawn_workers(vec![wcfg]).pop().unwrap();
-    let wire = service.wire_v3.clone();
+    let wire = service.wire.clone();
     let (outcome, stats) = service.finish();
     let wstats = worker.join().unwrap().unwrap();
 
@@ -108,15 +107,13 @@ fn a_parked_worker_waits_out_a_lease_frame_torn_by_its_read_timeout() {
     let welcome = Msg::Welcome {
         proto: PROTO_VERSION,
         session: 1,
-        campaign: 0,
-        spec: None,
     };
-    send(&mut stream, &welcome, MIN_PROTO_VERSION).unwrap();
+    send(&mut stream, &welcome).unwrap();
     assert!(matches!(
         common::next_msg(&mut stream, &mut frames),
         Msg::LeaseRequest
     ));
-    send(&mut stream, &Msg::Drain, PROTO_VERSION).unwrap();
+    send(&mut stream, &Msg::Drain).unwrap();
 
     let lease = Msg::Lease {
         lease: 7,
@@ -137,14 +134,14 @@ fn a_parked_worker_waits_out_a_lease_frame_torn_by_its_read_timeout() {
         match common::next_msg(&mut stream, &mut frames) {
             Msg::LeaseRequest => {
                 asked += 1;
-                send(&mut stream, &Msg::Drain, PROTO_VERSION).unwrap();
+                send(&mut stream, &Msg::Drain).unwrap();
             }
             Msg::SpecRequest { campaign: 1 } => {
                 let spec = Msg::Spec {
                     campaign: 1,
                     spec: campaign_spec(),
                 };
-                send(&mut stream, &spec, PROTO_VERSION).unwrap();
+                send(&mut stream, &spec).unwrap();
             }
             Msg::BatchDone { lease, results, .. } => {
                 assert_eq!(lease, 7);
@@ -158,7 +155,7 @@ fn a_parked_worker_waits_out_a_lease_frame_torn_by_its_read_timeout() {
     // The read timed out once with the frame half-read: the worker asked
     // again, and its second request crossed the rest of the push.
     assert_eq!(asked, 1);
-    send(&mut stream, &Msg::Done, PROTO_VERSION).unwrap();
+    send(&mut stream, &Msg::Done).unwrap();
 
     let wstats = worker.join().unwrap().unwrap();
     assert_eq!((wstats.batches, wstats.reconnects), (1, 0), "{wstats:?}");

@@ -11,7 +11,7 @@
 
 use avgi_repro::core::classify::{classify_conditions, Conditions};
 use avgi_repro::core::{EffectDistribution, EscModel, ImmClass};
-use avgi_repro::faultsim::{error_margin, sample_faults, sample_size, Confidence};
+use avgi_repro::faultsim::{error_margin_at, sample_faults, sample_size_at};
 use avgi_repro::muarch::{MuarchConfig, Structure};
 use avgi_rng::Rng;
 
@@ -64,8 +64,8 @@ fn margin_size_inverse() {
     let mut rng = Rng::seed_from_u64(0x1004);
     for _ in 0..512 {
         let n = 100 + rng.gen_range_usize(100_000 - 100);
-        let e = error_margin(n, Confidence::C99).unwrap();
-        let n2 = sample_size(e, Confidence::C99).unwrap();
+        let e = error_margin_at(n, 0.99).unwrap();
+        let n2 = sample_size_at(e, 0.99).unwrap();
         // Within rounding of each other.
         assert!((n2 as i64 - n as i64).abs() <= 2, "{n} -> {e} -> {n2}");
     }
